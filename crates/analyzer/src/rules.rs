@@ -427,7 +427,7 @@ pub fn lint_source(file: &str, src: &str, rules: RuleSet) -> FileOutcome {
             }
             if rules.blocking {
                 if prev_dot && call_after && ident == "recv_timeout" {
-                    raw.push(finding(file, line, "no-wall-clock", ".recv_timeout() blocks a real thread on a real duration — schedule a virtual timer on the event engine, or annotate a live-thread escape hatch".into()));
+                    raw.push(finding(file, line, "no-wall-clock", ".recv_timeout() blocks a real thread on a real duration — schedule a virtual timer on the event engine instead".into()));
                 }
                 if ident == "Duration" && path_next("from_secs") {
                     raw.push(finding(file, line, "no-wall-clock", "Duration::from_secs in event-engine code is a hard-coded real-time wait — derive waits from virtual time, or annotate why this path is genuinely real-time".into()));

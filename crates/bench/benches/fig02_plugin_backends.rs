@@ -34,9 +34,10 @@ fn sim_plugin() -> Box<dyn ControlPlugin> {
 
 fn mplugin() -> Box<dyn ControlPlugin> {
     let mut inner = sim_plugin();
-    let (plugin, port) = BufferedPlugin::new("mplugin");
-    let _backend = port.serve(move |actions| inner.execute(actions));
-    Box::new(plugin)
+    Box::new(BufferedPlugin::new(
+        "mplugin",
+        move |actions: &[ControlPoint]| inner.execute(actions),
+    ))
 }
 
 fn shore_western() -> Box<dyn ControlPlugin> {

@@ -28,7 +28,7 @@ pub fn single_site(
     let _handle = ServiceContainer::new(net.endpoint(name).expect("endpoint name is unique"))
         .with_service("ntcp", Box::new(server))
         .permissive()
-        .run();
+        .attach();
     let mux = RpcMux::new(
         net.endpoint(format!("bench-client-{name}"))
             .expect("endpoint name is unique"),

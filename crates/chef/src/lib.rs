@@ -7,9 +7,6 @@
 //!
 //! * [`session`] — GSI-authenticated login sessions with roles, served
 //!   by the `neesgrid-portal` service and re-exported here;
-//! * [`chat`] — the chat / message board ("CHEF's chat feature was crucial
-//!   to user interaction");
-//! * [`notebook`] — the electronic notebook;
 //! * [`viewer`] — the Data Viewer of Figure 8: arrangements of views,
 //!   VCR controls (play / pause / rewind / fast-forward), a clickable
 //!   timeline, and hysteresis plots;
@@ -19,17 +16,15 @@
 //!   a multi-tenant wire service (`neesgrid-portal`), this is a thin
 //!   client: login, boards, and stream observers all travel as
 //!   length-prefixed JSON frames; only the cameras and the https
-//!   download bridge stay client-local.
+//!   download bridge stay client-local. The chat ("CHEF's chat feature
+//!   was crucial to user interaction") and the electronic notebook are
+//!   the portal's `"chat"` and `"notebook"` collaboration boards.
 
-pub mod chat;
-pub mod notebook;
 pub mod portal;
 pub mod session;
 pub mod telepresence;
 pub mod viewer;
 
-pub use chat::{ChatMessage, ChatRoom};
-pub use notebook::{Notebook, NotebookEntry};
 pub use portal::{CollabPortal, RemoteFeed};
 pub use session::{LoginError, Role, Session};
 pub use telepresence::{Camera, CameraFrame, CameraServer};

@@ -135,7 +135,7 @@ mod tests {
         let _h = ServiceContainer::new(net.endpoint("uiuc").unwrap())
             .with_service("ntcp", Box::new(server))
             .permissive()
-            .run();
+            .attach();
         let mux = RpcMux::new(net.endpoint("coordinator").unwrap());
         let client = NtcpClient::new(RpcClient::new(
             mux,

@@ -732,7 +732,7 @@ mod tests {
                 let container = ServiceContainer::new(net.endpoint(name.as_str()).unwrap())
                     .with_service("ntcp", Box::new(server))
                     .permissive();
-                let _h = container.run();
+                let _h = container.attach();
                 SiteHandle {
                     name: name.clone(),
                     client: NtcpClient::new(
@@ -883,7 +883,7 @@ mod tests {
             let _h = ServiceContainer::new(net.endpoint(name.as_str()).unwrap())
                 .with_service("ntcp", Box::new(server))
                 .permissive()
-                .run();
+                .attach();
             sites.push(SiteHandle {
                 name: name.clone(),
                 client: NtcpClient::new(RpcClient::new(

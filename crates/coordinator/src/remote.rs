@@ -139,7 +139,7 @@ mod tests {
         let _h = ServiceContainer::new(net.endpoint(name).unwrap())
             .with_service("ntcp", Box::new(server))
             .permissive()
-            .run();
+            .attach();
         let mux = RpcMux::new(net.endpoint(format!("client-{name}")).unwrap());
         NtcpSubstructure::new(
             name,

@@ -7,6 +7,10 @@
 //! when it overflows, the *oldest* samples are discarded and counted, so a
 //! viewer that falls behind sees the freshest data with an honest loss
 //! figure — the number the `fig08_dataviewer` bench reports.
+//!
+//! A published sample is allocated once and shared by every subscription
+//! that buffers it; each reader gets its own copy only when it takes the
+//! sample out.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -30,7 +34,7 @@ pub struct NsdsSample {
 
 struct SubscriptionInner {
     pattern: String,
-    buffer: VecDeque<NsdsSample>,
+    buffer: VecDeque<Arc<NsdsSample>>,
     capacity: usize,
     dropped: u64,
     delivered: u64,
@@ -51,12 +55,21 @@ pub struct NsdsSubscription {
 impl NsdsSubscription {
     /// Pop the oldest buffered sample, if any.
     pub fn poll(&self) -> Option<NsdsSample> {
-        self.inner.lock().buffer.pop_front()
+        self.inner
+            .lock()
+            .buffer
+            .pop_front()
+            .map(Arc::unwrap_or_clone)
     }
 
     /// Drain everything currently buffered.
     pub fn drain(&self) -> Vec<NsdsSample> {
-        self.inner.lock().buffer.drain(..).collect()
+        self.inner
+            .lock()
+            .buffer
+            .drain(..)
+            .map(Arc::unwrap_or_clone)
+            .collect()
     }
 
     /// Samples lost to buffer overflow so far.
@@ -123,6 +136,7 @@ impl NsdsServer {
     /// Publish one sample to all matching subscriptions (never blocks).
     pub fn publish(&self, sample: NsdsSample) {
         *self.published.lock() += 1;
+        let sample = Arc::new(sample);
         let telemetry = self.telemetry.lock().clone();
         let mut subs = self.subscriptions.lock();
         // A subscription whose handle is gone can never be polled again:
@@ -150,7 +164,7 @@ impl NsdsServer {
                     dropped.add(1);
                 }
             }
-            s.buffer.push_back(sample.clone());
+            s.buffer.push_back(Arc::clone(&sample));
             s.delivered += 1;
             if let Some((delivered, _)) = &s.handles {
                 delivered.add(1);

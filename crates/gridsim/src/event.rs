@@ -12,20 +12,15 @@
 //!
 //! The quiescence rule: a timer may only fire when no delivery is pending.
 //! Deliveries always win, regardless of their virtual timestamps — a reply
-//! that is *in flight* must beat the attempt timer that is waiting on it,
-//! exactly as the old wall-clock `recv_timeout` long-stop let a slow-but-sent
-//! WAN reply land before declaring a loss. In a fully-virtual deployment
-//! (every node runs an installed handler) quiescence is decidable instantly;
-//! in a mixed deployment (some nodes are live threads draining channel
-//! inboxes) the pumping caller grants a short real-time grace for those
-//! threads to produce traffic before the timer verdict stands.
+//! that is *in flight* must beat the attempt timer that is waiting on it.
+//! Every node consumes its traffic through an installed handler, so one
+//! thread pumps the engine and quiescence is decidable instantly: an empty
+//! delivery heap proves no reply is coming.
 
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::time::{SimClock, SimTime};
 
@@ -67,9 +62,6 @@ struct EngineState {
     deliveries: BinaryHeap<Delivery>,
     timers: BTreeMap<TimerId, Action>,
     next_seq: u64,
-    /// Bumped on every schedule, run, cancellation, and explicit notify;
-    /// `wait_activity` sleeps until it changes.
-    activity: u64,
 }
 
 /// The event queue shared by a [`crate::VirtualNetwork`] and everything
@@ -80,13 +72,7 @@ struct EngineState {
 /// component that pumps the engine observes a monotonic virtual present.
 pub struct EventEngine {
     state: Mutex<EngineState>,
-    activity_cv: Condvar,
     clock: Arc<SimClock>,
-    /// Number of registered nodes drained by live threads (channel inboxes)
-    /// rather than installed handlers. While this is non-zero the deployment
-    /// is "mixed": engine quiescence alone cannot prove no reply is coming,
-    /// so timer verdicts are grace-gated (see [`EventEngine::wait_activity`]).
-    external_actors: AtomicUsize,
 }
 
 impl EventEngine {
@@ -97,11 +83,8 @@ impl EventEngine {
                 deliveries: BinaryHeap::new(),
                 timers: BTreeMap::new(),
                 next_seq: 0,
-                activity: 0,
             }),
-            activity_cv: Condvar::new(),
             clock,
-            external_actors: AtomicUsize::new(0),
         })
     }
 
@@ -121,9 +104,6 @@ impl EventEngine {
             seq,
             action: Box::new(action),
         });
-        s.activity += 1;
-        drop(s);
-        self.activity_cv.notify_all();
     }
 
     /// Arm a virtual timer at `deadline`. It fires only once the engine is
@@ -141,41 +121,23 @@ impl EventEngine {
         };
         s.next_seq += 1;
         s.timers.insert(id, Box::new(action));
-        s.activity += 1;
-        drop(s);
-        self.activity_cv.notify_all();
         id
     }
 
     /// Disarm a timer. Returns `false` if it already fired (or was cancelled).
     pub fn cancel_timer(&self, id: TimerId) -> bool {
-        let mut s = self.state.lock();
-        let hit = s.timers.remove(&id).is_some();
-        if hit {
-            s.activity += 1;
-            drop(s);
-            self.activity_cv.notify_all();
-        }
-        hit
+        self.state.lock().timers.remove(&id).is_some()
     }
 
     /// Pop and run the earliest pending delivery, advancing the clock to its
     /// timestamp first. Returns `false` if no delivery was pending. The
     /// action runs outside the engine lock, so it may schedule further work.
     pub fn run_one(&self) -> bool {
-        let delivery = {
-            let mut s = self.state.lock();
-            match s.deliveries.pop() {
-                Some(d) => {
-                    s.activity += 1;
-                    d
-                }
-                None => return false,
-            }
+        let Some(delivery) = self.state.lock().deliveries.pop() else {
+            return false;
         };
         self.clock.advance_to(delivery.at);
         (delivery.action)();
-        self.activity_cv.notify_all();
         true
     }
 
@@ -190,88 +152,15 @@ impl EventEngine {
 
     /// Fire the earliest armed timer, advancing the clock to its deadline.
     /// Returns `false` if no timer was armed. Callers are responsible for the
-    /// quiescence rule: fire timers only when [`EventEngine::has_deliveries`]
-    /// is false (and, in mixed deployments, after a grace wait).
+    /// quiescence rule: fire timers only when [`EventEngine::run_one`] finds
+    /// no delivery.
     pub fn fire_next_timer(&self) -> bool {
-        let (id, action) = {
-            let mut s = self.state.lock();
-            let Some((&id, _)) = s.timers.iter().next() else {
-                return false;
-            };
-            let Some(action) = s.timers.remove(&id) else {
-                return false;
-            };
-            s.activity += 1;
-            (id, action)
+        let Some((id, action)) = self.state.lock().timers.pop_first() else {
+            return false;
         };
         self.clock.advance_to(SimTime::from_nanos(id.at_ns));
         action();
-        self.activity_cv.notify_all();
         true
-    }
-
-    /// Whether any delivery is pending.
-    pub fn has_deliveries(&self) -> bool {
-        !self.state.lock().deliveries.is_empty()
-    }
-
-    /// Whether any timer is armed.
-    pub fn has_timers(&self) -> bool {
-        !self.state.lock().timers.is_empty()
-    }
-
-    /// Wake every `wait_activity` caller so it re-checks its predicate (used
-    /// when external state a waiter watches — e.g. an RPC completion slot —
-    /// changes without any engine event).
-    pub fn notify(&self) {
-        let mut s = self.state.lock();
-        s.activity += 1;
-        drop(s);
-        self.activity_cv.notify_all();
-    }
-
-    /// Block until engine activity occurs (a schedule, run, cancel, or
-    /// [`EventEngine::notify`]) or `timeout` real time elapses. Returns
-    /// `true` if activity occurred. This is the mixed-deployment grace: a
-    /// pumping caller about to declare a timeout verdict waits here first,
-    /// giving live threads a window to inject the reply they owe.
-    pub fn wait_activity(&self, timeout: Duration) -> bool {
-        let mut s = self.state.lock();
-        let seen = s.activity;
-        if !s.deliveries.is_empty() {
-            return true;
-        }
-        // This is the one sanctioned real-time wait: the grace window for
-        // live threads (mixed deployments) to produce traffic before a
-        // virtual timer verdict stands; fully-virtual runs never reach it.
-        let timed_out = self.activity_cv.wait_for(&mut s, timeout).timed_out();
-        !timed_out || s.activity != seen
-    }
-
-    /// Register a live-thread (channel-inbox) actor.
-    pub fn register_external(&self) {
-        self.external_actors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Deregister a live-thread actor (it shut down or switched to a
-    /// handler).
-    pub fn deregister_external(&self) {
-        // Saturating: shutdown may clear the registry wholesale first.
-        let _ = self
-            .external_actors
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-    }
-
-    /// Force the live-thread actor count (used by network shutdown).
-    pub fn reset_external(&self) {
-        self.external_actors.store(0, Ordering::Relaxed);
-    }
-
-    /// Whether any node is drained by a live thread rather than a handler.
-    /// When `false` the deployment is fully virtual: engine quiescence is
-    /// authoritative and timers may fire eagerly.
-    pub fn has_external_actors(&self) -> bool {
-        self.external_actors.load(Ordering::Relaxed) > 0
     }
 
     /// Drop every pending delivery and timer (network shutdown). Actions are
@@ -280,17 +169,15 @@ impl EventEngine {
     pub fn clear(&self) {
         let (deliveries, timers) = {
             let mut s = self.state.lock();
-            s.activity += 1;
             (
                 std::mem::take(&mut s.deliveries),
                 std::mem::take(&mut s.timers),
             )
         };
         // Drop outside the lock: destructors of captured state may touch the
-        // engine (e.g. an Endpoint deregistering).
+        // engine (e.g. a dropped RPC completion cancelling its timer).
         drop(deliveries);
         drop(timers);
-        self.activity_cv.notify_all();
     }
 }
 
@@ -300,10 +187,6 @@ impl std::fmt::Debug for EventEngine {
         f.debug_struct("EventEngine")
             .field("deliveries", &s.deliveries.len())
             .field("timers", &s.timers.len())
-            .field(
-                "external_actors",
-                &self.external_actors.load(Ordering::Relaxed),
-            )
             .finish()
     }
 }
@@ -311,7 +194,7 @@ impl std::fmt::Debug for EventEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn deliveries_run_in_time_then_schedule_order() {
@@ -399,35 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_activity_sees_concurrent_schedules() {
-        let engine = EventEngine::new(SimClock::new());
-        let e2 = Arc::clone(&engine);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            e2.schedule_delivery(SimTime::ZERO, || {});
-        });
-        assert!(engine.wait_activity(Duration::from_secs(5)));
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_activity_times_out_when_idle() {
-        let engine = EventEngine::new(SimClock::new());
-        assert!(!engine.wait_activity(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn external_actor_count_saturates_at_zero() {
-        let engine = EventEngine::new(SimClock::new());
-        assert!(!engine.has_external_actors());
-        engine.register_external();
-        assert!(engine.has_external_actors());
-        engine.deregister_external();
-        engine.deregister_external();
-        assert!(!engine.has_external_actors());
-    }
-
-    #[test]
     fn clear_drops_pending_work() {
         let engine = EventEngine::new(SimClock::new());
         engine.schedule_delivery(SimTime::from_secs(1), || panic!("must not run"));
@@ -435,7 +289,5 @@ mod tests {
         engine.clear();
         assert!(!engine.run_one());
         assert!(!engine.fire_next_timer());
-        assert!(!engine.has_deliveries());
-        assert!(!engine.has_timers());
     }
 }

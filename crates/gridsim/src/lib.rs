@@ -16,9 +16,10 @@
 //!   "public run terminated at step 1493" replays exactly.
 //!
 //! Determinism contract: given the same topology, fault plan, and seed, every
-//! run delivers/drops/resets exactly the same set of messages. Delivery
-//! *interleaving* across threads may vary, but the NEESgrid coordinator
-//! lock-steps each experiment time-step, so results are interleaving-free.
+//! run delivers/drops/resets exactly the same set of messages, in the same
+//! order. Every node consumes its traffic through an [`EventEngine`]
+//! handler, and one thread pumps the engine, so a run's event order — and
+//! with it the virtual clock — is a pure function of its inputs.
 
 /// The deterministic discrete-event engine (deliveries + virtual timers).
 pub mod event;
@@ -36,7 +37,7 @@ pub mod node;
 pub mod profile;
 /// Per-link and network-wide delivery statistics.
 pub mod stats;
-/// Virtual time: [`time::SimTime`], [`time::SimClock`], [`time::Pacer`].
+/// Virtual time: [`time::SimTime`], [`time::SimClock`].
 pub mod time;
 
 pub use event::{EventEngine, TimerId};
@@ -47,4 +48,4 @@ pub use network::{Endpoint, NetworkConfig, NetworkError, VirtualNetwork};
 pub use node::NodeId;
 pub use profile::NetworkProfile;
 pub use stats::{LinkStats, NetworkStats};
-pub use time::{Pacer, SimClock, SimTime};
+pub use time::{SimClock, SimTime};

@@ -6,16 +6,13 @@
 //! [`LatencyModel`], and (3) either delivers the envelope, drops it silently,
 //! or bounces a [`ControlNotice::LinkReset`] back to the sender.
 //!
-//! Delivery has two modes, per destination node:
-//!
-//! * **Channel** (the default): the envelope lands in the node's inbox
-//!   immediately and a live thread drains it with [`Endpoint::recv`]. This
-//!   models a site host with its own event loop.
-//! * **Handler** (via [`Endpoint::install_handler`]): the envelope becomes a
-//!   scheduled event on the shared [`EventEngine`], run when virtual time
-//!   reaches its delivery timestamp. This is the fully-deterministic mode:
-//!   whoever pumps the engine decides event order, and the clock advances
-//!   only as events run.
+//! Delivery has one mode: a node consumes its traffic through the handler
+//! installed with [`Endpoint::install_handler`]. Each delivered envelope
+//! becomes a scheduled event on the shared [`EventEngine`], run when
+//! virtual time reaches its delivery timestamp, so whoever pumps the engine
+//! decides event order and the clock advances only as events run. A node
+//! registered without a handler drops what it is sent, and the loss
+//! notice goes to whoever waits on the message's correlation id.
 //!
 //! Nothing here sleeps: latency is charged in virtual time only, so a WAN
 //! with 30 ms links routes millions of messages per wall-clock second.
@@ -24,10 +21,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use neesgrid_telemetry::{CounterHandle, Field, HistogramHandle, Telemetry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -77,14 +72,8 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
-/// How a destination node consumes its traffic.
-#[derive(Clone)]
-enum Sink {
-    /// A live thread drains this inbox (`Endpoint::recv`).
-    Channel(Sender<Envelope>),
-    /// Delivery is scheduled on the event engine and runs this handler.
-    Handler(Arc<dyn Fn(Envelope) + Send + Sync>),
-}
+/// A node's installed delivery handler, run by the event engine.
+type Handler = Arc<dyn Fn(Envelope) + Send + Sync>;
 
 /// Pre-resolved per-link telemetry instruments, built once per link so
 /// the per-message hot path never formats a metric key or locks the
@@ -117,7 +106,8 @@ impl LinkTelemetryKeys {
 }
 
 struct RouterState {
-    registry: HashMap<NodeId, Sink>,
+    /// Registered nodes; `None` until the node installs its handler.
+    registry: HashMap<NodeId, Option<Handler>>,
     link_latency: HashMap<LinkKey, LatencyModel>,
     default_latency: LatencyModel,
     fault_plan: FaultPlan,
@@ -189,7 +179,7 @@ impl RouterState {
                     keys.latency.observe_ns(latency.as_nanos());
                 }
                 if let Err(env) = Self::deliver(dest, env, engine) {
-                    // A receiver that has shut down behaves like a drop.
+                    // A receiver without a handler behaves like a drop.
                     self.stats.record_dropped(&link);
                     self.note_fault(&link, index, "drop", &env, clock);
                     self.notify_loss(&env, engine, clock);
@@ -279,24 +269,21 @@ impl RouterState {
         );
     }
 
-    /// Hand `env` to its destination sink: immediately for channel inboxes,
-    /// as a scheduled event at the delivery timestamp for handlers.
+    /// Schedule `env` on the engine at its delivery timestamp, to run the
+    /// destination's handler.
     ///
-    /// `Err` hands the undeliverable envelope back by value so the caller
-    /// can route it through the loss-notice path without a clone; this is a
-    /// two-caller internal helper, so the large `Err` variant is fine.
+    /// `Err` hands the envelope back by value when the node has no handler,
+    /// so the caller can route it through the loss-notice path without a
+    /// clone; this is a two-caller internal helper, so the large `Err`
+    /// variant is fine.
     #[allow(clippy::result_large_err)]
-    fn deliver(dest: Sink, env: Envelope, engine: &EventEngine) -> Result<(), Envelope> {
-        match dest {
-            Sink::Channel(tx) => tx
-                .send(env)
-                .map_err(|crossbeam::channel::SendError(env)| env),
-            Sink::Handler(handler) => {
-                let at = env.delivered_at();
-                engine.schedule_delivery(at, move || handler(env));
-                Ok(())
-            }
-        }
+    fn deliver(dest: Option<Handler>, env: Envelope, engine: &EventEngine) -> Result<(), Envelope> {
+        let Some(handler) = dest else {
+            return Err(env);
+        };
+        let at = env.delivered_at();
+        engine.schedule_delivery(at, move || handler(env));
+        Ok(())
     }
 
     /// Surface a silent loss to whichever endpoint is waiting on the
@@ -416,21 +403,20 @@ impl VirtualNetwork {
 
     /// Register a node and obtain its endpoint. Fails with
     /// [`NetworkError::DuplicateNode`] if the name is taken.
+    /// The node drops what it is sent until it installs a handler with
+    /// [`Endpoint::install_handler`].
     pub fn endpoint(&self, id: impl Into<NodeId>) -> Result<Endpoint, NetworkError> {
         let id = id.into();
-        let (tx, rx) = unbounded::<Envelope>();
         {
             let mut state = self.core.state.lock();
             if state.registry.contains_key(&id) {
                 return Err(NetworkError::DuplicateNode(id));
             }
-            state.registry.insert(id.clone(), Sink::Channel(tx));
+            state.registry.insert(id.clone(), None);
         }
-        self.core.engine.register_external();
         Ok(Endpoint {
             id,
             core: Arc::clone(&self.core),
-            inbox: rx,
             clock: Arc::clone(&self.core.clock),
             next_correlation: Arc::new(AtomicU64::new(1)),
         })
@@ -438,10 +424,7 @@ impl VirtualNetwork {
 
     /// Remove a node from the network; its future traffic becomes NoRoute.
     pub fn deregister(&self, id: &NodeId) {
-        let prev = self.core.state.lock().registry.remove(id);
-        if let Some(Sink::Channel(_)) = prev {
-            self.core.engine.deregister_external();
-        }
+        self.core.state.lock().registry.remove(id);
     }
 
     /// Override the latency model of one directed link.
@@ -483,7 +466,6 @@ impl VirtualNetwork {
     /// typically capture endpoints, which point back here).
     pub fn shutdown(&mut self) {
         self.core.state.lock().registry.clear();
-        self.core.engine.reset_external();
         self.core.engine.clear();
     }
 }
@@ -496,23 +478,19 @@ impl Drop for VirtualNetwork {
 
 /// A node's attachment point to the virtual network.
 ///
-/// Cloning an endpoint shares the same inbox (crossbeam channels are MPMC),
-/// which is how a site host hands its mailbox to its service container.
+/// Cloning an endpoint shares its node id and correlation counter, which
+/// is how a site host hands its sending side to its service container.
 #[derive(Clone)]
 pub struct Endpoint {
     id: NodeId,
     core: Arc<NetCore>,
-    inbox: Receiver<Envelope>,
     clock: Arc<SimClock>,
     next_correlation: Arc<AtomicU64>,
 }
 
 impl fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Endpoint")
-            .field("id", &self.id)
-            .field("pending", &self.inbox.len())
-            .finish()
+        f.debug_struct("Endpoint").field("id", &self.id).finish()
     }
 }
 
@@ -555,22 +533,17 @@ impl Endpoint {
             .fetch_max(watermark, Ordering::Relaxed);
     }
 
-    /// Switch this node from channel delivery to handler delivery: incoming
-    /// envelopes become scheduled events on the network's [`EventEngine`]
-    /// and run `handler` when virtual time reaches their delivery timestamp.
-    /// The old inbox stops receiving. This is the fully-deterministic mode —
-    /// once every node on a network has a handler installed, event order is
-    /// a pure function of the seed and fault plan.
+    /// Install (replace) this node's delivery handler: incoming envelopes
+    /// become scheduled events on the network's [`EventEngine`] and run
+    /// `handler` when virtual time reaches their delivery timestamp. Event
+    /// order is a pure function of the seed and fault plan.
     pub fn install_handler(&self, handler: impl Fn(Envelope) + Send + Sync + 'static) {
-        let prev = self
-            .core
+        let handler: Handler = Arc::new(handler);
+        self.core
             .state
             .lock()
             .registry
-            .insert(self.id.clone(), Sink::Handler(Arc::new(handler)));
-        if let Some(Sink::Channel(_)) = prev {
-            self.core.engine.deregister_external();
-        }
+            .insert(self.id.clone(), Some(handler));
     }
 
     /// Post a message onto the network.
@@ -595,28 +568,6 @@ impl Endpoint {
         };
         self.core.route(env);
     }
-
-    /// Blocking receive.
-    pub fn recv(&self) -> Option<Envelope> {
-        self.inbox.recv().ok()
-    }
-
-    /// Receive with a real-time deadline. Because dropped messages never
-    /// arrive, a short deadline gives a deterministic "timeout" verdict.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
-        // analyzer:allow(no-wall-clock, reason = "this is the channel-mode escape hatch for live-thread hosts (threaded containers, tests); deterministic deployments use install_handler and never block here")
-        self.inbox.recv_timeout(timeout)
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Envelope> {
-        self.inbox.try_recv().ok()
-    }
-
-    /// Number of queued messages.
-    pub fn pending(&self) -> usize {
-        self.inbox.len()
-    }
 }
 
 #[cfg(test)]
@@ -628,11 +579,26 @@ mod tests {
         VirtualNetwork::new(NetworkConfig::default())
     }
 
+    /// Install a handler on `ep` that collects what it is delivered.
+    fn inbox(ep: &Endpoint) -> Arc<Mutex<Vec<Envelope>>> {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&got);
+        ep.install_handler(move |env| sink.lock().push(env));
+        got
+    }
+
+    /// Run every scheduled delivery, then take what `inbox` collected.
+    fn delivered(net: &VirtualNetwork, inbox: &Mutex<Vec<Envelope>>) -> Vec<Envelope> {
+        net.engine().run_until_idle();
+        std::mem::take(&mut *inbox.lock())
+    }
+
     #[test]
     fn basic_delivery() {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let b_in = inbox(&b);
         a.send(
             b.id().clone(),
             "svc",
@@ -640,7 +606,8 @@ mod tests {
             0,
             Bytes::from_static(b"hello"),
         );
-        let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
+        let got = delivered(&net, &b_in);
+        let env = &got[0];
         assert_eq!(env.src.as_str(), "a");
         assert_eq!(env.service, "svc");
         assert_eq!(&env.payload[..], b"hello");
@@ -654,14 +621,19 @@ mod tests {
         });
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let b_in = inbox(&b);
         net.clock().advance_to(SimTime::from_secs(1));
         let t0 = std::time::Instant::now();
         a.send(b.id().clone(), "s", MessageKind::OneWay, 0, Bytes::new());
-        let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(t0.elapsed() < Duration::from_millis(100), "no real sleep");
+        let env = delivered(&net, &b_in).remove(0);
+        assert!(
+            t0.elapsed() < std::time::Duration::from_millis(100),
+            "no real sleep"
+        );
         assert_eq!(env.sent_at, SimTime::from_secs(1));
         assert_eq!(env.latency, SimTime::from_millis(30));
         assert_eq!(env.delivered_at(), SimTime::from_millis(1030));
+        assert_eq!(net.clock().now(), SimTime::from_millis(1030));
     }
 
     #[test]
@@ -669,15 +641,16 @@ mod tests {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let b_in = inbox(&b);
         let mut plan = FaultPlan::reliable();
         plan.drop_at(LinkKey::new("a", "b"), 0);
         net.set_fault_plan(plan);
         a.send(b.id().clone(), "s", MessageKind::Request, 7, Bytes::new());
-        assert!(b.try_recv().is_none());
+        assert!(delivered(&net, &b_in).is_empty());
         // Next message sails through (index 1).
         a.send(b.id().clone(), "s", MessageKind::Request, 8, Bytes::new());
-        let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(env.correlation_id, 8);
+        let got = delivered(&net, &b_in);
+        assert_eq!(got[0].correlation_id, 8);
     }
 
     #[test]
@@ -685,11 +658,12 @@ mod tests {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let (a_in, b_in) = (inbox(&a), inbox(&b));
         let mut plan = FaultPlan::reliable();
         plan.reset_at(LinkKey::new("a", "b"), 0);
         net.set_fault_plan(plan);
         a.send(b.id().clone(), "s", MessageKind::Request, 99, Bytes::new());
-        let notice_env = a.recv_timeout(Duration::from_secs(1)).unwrap();
+        let notice_env = delivered(&net, &a_in).remove(0);
         assert_eq!(notice_env.kind, MessageKind::Control);
         let notice = ControlNotice::from_bytes(&notice_env.payload).unwrap();
         assert_eq!(
@@ -699,7 +673,7 @@ mod tests {
                 correlation_id: 99
             }
         );
-        assert!(b.try_recv().is_none());
+        assert!(delivered(&net, &b_in).is_empty());
     }
 
     #[test]
@@ -709,6 +683,7 @@ mod tests {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let _b = net.endpoint("b").unwrap();
+        let a_in = inbox(&a);
         let mut plan = FaultPlan::reliable();
         plan.reset_at(LinkKey::new("a", "b"), 0);
         plan.reset_at(LinkKey::new("a", "b"), 1);
@@ -717,8 +692,8 @@ mod tests {
         a.send(NodeId::new("b"), "s", MessageKind::Request, 1, Bytes::new());
         net.clock().advance_to(SimTime::from_secs(6));
         a.send(NodeId::new("b"), "s", MessageKind::Request, 2, Bytes::new());
-        let first = a.recv_timeout(Duration::from_secs(1)).unwrap();
-        let second = a.recv_timeout(Duration::from_secs(1)).unwrap();
+        let got = delivered(&net, &a_in);
+        let (first, second) = (&got[0], &got[1]);
         assert_eq!(first.sent_at, SimTime::from_secs(5));
         assert_eq!(second.sent_at, SimTime::from_secs(6));
         assert_eq!(first.seq, 0);
@@ -729,6 +704,7 @@ mod tests {
     fn unknown_destination_yields_no_route() {
         let net = net();
         let a = net.endpoint("a").unwrap();
+        let a_in = inbox(&a);
         a.send(
             NodeId::new("ghost"),
             "s",
@@ -736,7 +712,7 @@ mod tests {
             5,
             Bytes::new(),
         );
-        let env = a.recv_timeout(Duration::from_secs(1)).unwrap();
+        let env = delivered(&net, &a_in).remove(0);
         let notice = ControlNotice::from_bytes(&env.payload).unwrap();
         assert_eq!(
             notice,
@@ -752,9 +728,10 @@ mod tests {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let a_in = inbox(&a);
         net.deregister(b.id());
         a.send(b.id().clone(), "s", MessageKind::Request, 1, Bytes::new());
-        let env = a.recv_timeout(Duration::from_secs(1)).unwrap();
+        let env = delivered(&net, &a_in).remove(0);
         assert!(matches!(
             ControlNotice::from_bytes(&env.payload).unwrap(),
             ControlNotice::NoRoute { .. }
@@ -762,10 +739,33 @@ mod tests {
     }
 
     #[test]
+    fn node_without_handler_drops_with_a_loss_notice() {
+        let net = net();
+        let a = net.endpoint("a").unwrap();
+        let b = net.endpoint("b").unwrap();
+        let a_in = inbox(&a);
+        a.send(b.id().clone(), "s", MessageKind::Request, 3, Bytes::new());
+        let env = delivered(&net, &a_in).remove(0);
+        assert_eq!(
+            ControlNotice::from_bytes(&env.payload).unwrap(),
+            ControlNotice::Dropped {
+                dst: NodeId::new("b"),
+                correlation_id: 3
+            }
+        );
+        assert_eq!(net.stats().link(&LinkKey::new("a", "b")).dropped, 1);
+        // Installing a handler makes the node reachable.
+        let b_in = inbox(&b);
+        a.send(b.id().clone(), "s", MessageKind::Request, 4, Bytes::new());
+        assert_eq!(delivered(&net, &b_in)[0].correlation_id, 4);
+    }
+
+    #[test]
     fn partition_drops_a_window_of_messages() {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let b_in = inbox(&b);
         let mut plan = FaultPlan::reliable();
         plan.partition(PartitionWindow {
             link: LinkKey::new("a", "b"),
@@ -776,7 +776,10 @@ mod tests {
         for i in 0..4u64 {
             a.send(b.id().clone(), "s", MessageKind::OneWay, i, Bytes::new());
         }
-        let got: Vec<u64> = std::iter::from_fn(|| b.try_recv().map(|e| e.correlation_id)).collect();
+        let got: Vec<u64> = delivered(&net, &b_in)
+            .iter()
+            .map(|e| e.correlation_id)
+            .collect();
         assert_eq!(got, vec![0, 3]);
     }
 
@@ -785,12 +788,16 @@ mod tests {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let b_in = inbox(&b);
         let mut plan = FaultPlan::reliable();
         plan.dup_at(LinkKey::new("a", "b"), 0);
         net.set_fault_plan(plan);
         a.send(b.id().clone(), "s", MessageKind::Request, 41, Bytes::new());
         a.send(b.id().clone(), "s", MessageKind::Request, 42, Bytes::new());
-        let got: Vec<u64> = std::iter::from_fn(|| b.try_recv().map(|e| e.correlation_id)).collect();
+        let got: Vec<u64> = delivered(&net, &b_in)
+            .iter()
+            .map(|e| e.correlation_id)
+            .collect();
         // Index 0 arrives twice (same seq/correlation), index 1 once.
         assert_eq!(got, vec![41, 41, 42]);
         let s = net.stats().link(&LinkKey::new("a", "b"));
@@ -804,6 +811,7 @@ mod tests {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let b_in = inbox(&b);
         let mut plan = FaultPlan::reliable();
         plan.drop_at(LinkKey::new("a", "b"), 1);
         net.set_fault_plan(plan);
@@ -816,12 +824,8 @@ mod tests {
                 Bytes::from_static(b"xyz"),
             );
         }
-        // Routing is synchronous: everything already landed.
-        let mut n = 0;
-        while b.try_recv().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 2);
+        // Routing is synchronous: every delivery is already scheduled.
+        assert_eq!(delivered(&net, &b_in).len(), 2);
         let s = net.stats().link(&LinkKey::new("a", "b"));
         assert_eq!(s.sent, 3);
         assert_eq!(s.delivered, 2);
@@ -857,12 +861,13 @@ mod tests {
         let net = net();
         let a = net.endpoint("a").unwrap();
         let b = net.endpoint("b").unwrap();
+        let b_in = inbox(&b);
         net.set_link_latency(
             LinkKey::new("a", "b"),
             LatencyModel::Fixed(SimTime::from_millis(250)),
         );
         a.send(b.id().clone(), "s", MessageKind::OneWay, 0, Bytes::new());
-        let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
+        let env = delivered(&net, &b_in).remove(0);
         assert_eq!(env.latency, SimTime::from_millis(250));
     }
 
@@ -887,17 +892,6 @@ mod tests {
         let got = seen.lock().clone();
         assert_eq!(got, vec![(7, SimTime::from_millis(40))]);
         assert_eq!(net.clock().now(), SimTime::from_millis(40));
-    }
-
-    #[test]
-    fn fully_virtual_once_all_handlers_installed() {
-        let net = net();
-        let a = net.endpoint("a").unwrap();
-        let b = net.endpoint("b").unwrap();
-        assert!(net.engine().has_external_actors());
-        a.install_handler(|_| {});
-        b.install_handler(|_| {});
-        assert!(!net.engine().has_external_actors());
     }
 
     #[test]

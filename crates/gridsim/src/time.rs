@@ -136,17 +136,17 @@ impl fmt::Display for SimTime {
 
 /// A monotonically advancing shared virtual clock.
 ///
-/// The clock only moves forward (`advance`/`advance_to` use an atomic
-/// `fetch_max`), so concurrent components at different sites can each push it
-/// along without ever observing it run backwards — mirroring how each lab's
-/// local processing contributed to overall experiment elapsed time.
+/// The clock only moves forward (`advance_to` uses an atomic `fetch_max`),
+/// so components at different sites can each push it along without ever
+/// observing it run backwards — mirroring how each lab's local processing
+/// contributed to overall experiment elapsed time.
 #[derive(Debug, Default)]
 pub struct SimClock {
     now_ns: AtomicU64,
 }
 
 impl SimClock {
-    /// A new clock at `t = 0`, wrapped for sharing across site threads.
+    /// A new clock at `t = 0`, wrapped for sharing across components.
     pub fn new() -> Arc<Self> {
         Arc::new(SimClock {
             now_ns: AtomicU64::new(0),
@@ -168,49 +168,6 @@ impl SimClock {
     pub fn advance_to(&self, t: SimTime) -> SimTime {
         self.now_ns.fetch_max(t.as_nanos(), Ordering::AcqRel);
         self.now()
-    }
-}
-
-/// Maps virtual durations onto optional real-time pacing for live demos.
-///
-/// `scale == 0.0` (the default everywhere in tests and benches) never sleeps;
-/// `scale == 1.0` replays in real time, which is how the Mini-MOST tabletop
-/// demo is meant to be watched.
-#[derive(Debug, Clone, Copy)]
-pub struct Pacer {
-    /// Real seconds per virtual second.
-    pub scale: f64,
-}
-
-impl Default for Pacer {
-    fn default() -> Self {
-        Pacer { scale: 0.0 }
-    }
-}
-
-impl Pacer {
-    /// A pacer that never sleeps (pure virtual time).
-    pub fn instant() -> Self {
-        Pacer { scale: 0.0 }
-    }
-
-    /// A pacer that replays virtual time at `scale` real seconds per virtual
-    /// second.
-    pub fn scaled(scale: f64) -> Self {
-        Pacer {
-            scale: scale.max(0.0),
-        }
-    }
-
-    /// Sleep for the real-time equivalent of virtual duration `d`.
-    pub fn pace(&self, d: SimTime) {
-        if self.scale > 0.0 {
-            let real = d.as_secs_f64() * self.scale;
-            if real > 0.0 {
-                // analyzer:allow(no-wall-clock, reason = "Pacer IS the real-time boundary: it maps virtual durations onto wall time for demo runs; scale=0 (the default in every deterministic path) never reaches this sleep")
-                std::thread::sleep(std::time::Duration::from_secs_f64(real));
-            }
-        }
     }
 }
 
@@ -285,20 +242,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(clock.now(), SimTime::from_nanos(4000));
-    }
-
-    #[test]
-    fn instant_pacer_does_not_sleep() {
-        let start = std::time::Instant::now();
-        Pacer::instant().pace(SimTime::from_secs(3600));
-        assert!(start.elapsed() < std::time::Duration::from_millis(50));
-    }
-
-    #[test]
-    fn scaled_pacer_sleeps_proportionally() {
-        let start = std::time::Instant::now();
-        Pacer::scaled(0.001).pace(SimTime::from_secs(10));
-        assert!(start.elapsed() >= std::time::Duration::from_millis(9));
     }
 
     #[test]

@@ -94,10 +94,9 @@ pub fn run_mini_most(config: &MiniMostConfig) -> MiniMostOutcome {
 }
 
 /// [`run_mini_most`] with an instrumentation handle threaded through the
-/// WAN, RPC mux, NTCP server, and coordinator. Note the tabletop container
-/// runs on a live service thread, so event interleaving (and therefore
-/// trace byte-identity) is not guaranteed across runs; use the fully
-/// attached `n_site` scenario for golden traces.
+/// WAN, RPC mux, NTCP server, and coordinator. The tabletop container is
+/// attached to the event engine like every other deployment, so
+/// same-configuration runs export byte-identical traces.
 pub fn run_mini_most_with_telemetry(
     config: &MiniMostConfig,
     telemetry: Telemetry,
@@ -129,11 +128,10 @@ pub fn run_mini_most_with_telemetry(
         net.clock(),
     );
     server.set_telemetry(telemetry.clone());
-    let _handle =
-        ServiceContainer::new(net.endpoint("mini-most").expect("endpoint name is unique"))
-            .with_service("ntcp", Box::new(server))
-            .permissive()
-            .run();
+    ServiceContainer::new(net.endpoint("mini-most").expect("endpoint name is unique"))
+        .with_service("ntcp", Box::new(server))
+        .permissive()
+        .attach();
     let mux = RpcMux::new(
         net.endpoint("coordinator")
             .expect("endpoint name is unique"),

@@ -17,6 +17,11 @@
 //!   runs;
 //! * a CHEF portal with a synthetic crowd of remote participants watching
 //!   the streams.
+//!
+//! Every node is an event-engine handler and the calling thread alone
+//! pumps the engine, so a run is a pure function of its configuration and
+//! fault plan: same-configuration runs replay byte-identically, virtual
+//! clock and archive included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -257,7 +262,7 @@ impl MostDeployment {
                 .expect("repo session");
             repo_container.install_session(session);
         }
-        let _repo_handle = repo_container.run();
+        repo_container.attach();
 
         // --- Experiment sites -------------------------------------------------
         let site_specs: Vec<(&str, SiteRole, Vec<usize>, f64)> = vec![
@@ -304,9 +309,10 @@ impl MostDeployment {
                         250_000.0,
                     );
                     let mut target = XpcTarget::new(controller, SimTime::from_millis(1));
-                    let (plugin, port) = BufferedPlugin::new(format!("{name}-mplugin-xpc"));
-                    let _backend = port.serve(move |actions| xpc_results(actions, &mut target));
-                    Box::new(plugin)
+                    Box::new(BufferedPlugin::new(
+                        format!("{name}-mplugin-xpc"),
+                        move |actions: &[ControlPoint]| xpc_results(actions, &mut target),
+                    ))
                 }
                 SiteRole::SimulatedMplugin => {
                     let mut sub = SimulatedSubstructure::new(format!("{name}-center"), 2);
@@ -318,10 +324,10 @@ impl MostDeployment {
                     let mut sim =
                         SimulationPlugin::new(format!("{name}-matlab-model"), Box::new(sub));
                     sim.compute_time = SimTime::from_millis(180);
-                    let mut sim: Box<dyn ControlPlugin> = Box::new(sim);
-                    let (plugin, port) = BufferedPlugin::new(format!("{name}-mplugin"));
-                    let _backend = port.serve(move |actions| sim.execute(actions));
-                    Box::new(plugin)
+                    Box::new(BufferedPlugin::new(
+                        format!("{name}-mplugin"),
+                        move |actions: &[ControlPoint]| sim.execute(actions),
+                    ))
                 }
                 SiteRole::SimulatedDirect => {
                     let sub: Box<dyn neesgrid_structsim::Substructure> = if dofs.len() == 2 {
@@ -379,7 +385,7 @@ impl MostDeployment {
                 )
                 .expect("site session"),
             );
-            let _handle = container.run();
+            container.attach();
 
             // Site DAQ over its telemetry point. The same strategy "was
             // used to capture data generated by the simulation at NCSA"

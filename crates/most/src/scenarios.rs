@@ -107,10 +107,9 @@ impl Scenario {
 /// does the two-phase step discipline scale?") made runnable. Each site
 /// carries one global DOF as a spring-to-ground column whose stiffness is
 /// drawn deterministically from `seed`, and every actor — site containers
-/// and the coordinator's mux alike — is attached to the event engine in
-/// handler mode. With no live threads on the network, the run is fully
-/// virtual: single-threaded, zero real sleeps, and bit-identical across
-/// repeats with the same `(n, seed)`.
+/// and the coordinator's mux alike — is attached to the event engine. The
+/// run is fully virtual: single-threaded, zero real sleeps, and
+/// bit-identical across repeats with the same `(n, seed)`.
 pub struct NSiteExperiment {
     net: VirtualNetwork,
     coordinator: neesgrid_coordinator::SimulationCoordinator,
@@ -154,10 +153,9 @@ pub fn n_site(n: usize, seed: u64) -> NSiteExperiment {
     n_site_with_telemetry(n, seed, Telemetry::disabled())
 }
 
-/// [`n_site`] with an instrumentation handle. Because every actor is
-/// attached (no live threads), an instrumented run is single-threaded and
-/// fully virtual: two runs with the same `(n, seed)` produce byte-identical
-/// trace exports.
+/// [`n_site`] with an instrumentation handle. An instrumented run is as
+/// single-threaded and fully virtual as a plain one: two runs with the
+/// same `(n, seed)` produce byte-identical trace exports.
 pub fn n_site_with_telemetry(n: usize, seed: u64, telemetry: Telemetry) -> NSiteExperiment {
     assert!(n > 0, "an experiment needs at least one site");
     let net = VirtualNetwork::new(NetworkProfile::CampusWan.config(seed));

@@ -354,7 +354,7 @@ mod tests {
         let container = ServiceContainer::new(net.endpoint(name).unwrap())
             .with_service("ntcp", Box::new(server))
             .permissive();
-        let _handle = container.run();
+        let _handle = container.attach();
         let mux = RpcMux::new(net.endpoint(format!("client-{name}")).unwrap());
         NtcpClient::new(
             RpcClient::new(

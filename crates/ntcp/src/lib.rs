@@ -48,7 +48,7 @@ pub mod transaction;
 pub use client::{NtcpClient, NtcpError};
 pub use msg::{ControlPoint, ControlPointResult, ProposalDecision};
 pub use plugin::{
-    BackendPort, BufferedPlugin, ControlPlugin, ExecuteOutcome, HumanApprovalPlugin, PluginError,
+    BufferedPlugin, ControlPlugin, ExecuteOutcome, HumanApprovalPlugin, PluginError,
     SimulationPlugin,
 };
 pub use server::NtcpServer;

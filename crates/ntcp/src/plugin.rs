@@ -9,7 +9,7 @@
 //!   controller (implemented in `neesgrid-apparatus::integration`);
 //! * NCSA — the **"Mplugin"**: instead of pushing requests to the backend,
 //!   it buffers them, and the MATLAB simulation *polls* for work and posts
-//!   results back ([`BufferedPlugin`] / [`BackendPort`] here);
+//!   results back ([`BufferedPlugin`] here);
 //! * CU — the same Mplugin code, with the polling backend forwarding to an
 //!   xPC real-time target.
 //!
@@ -18,12 +18,6 @@
 //! the reason "the use of NTCP made this substitution transparent to the
 //! coordinator". [`HumanApprovalPlugin`] wraps another plugin with a
 //! human-in-the-loop gate, as used "during initial testing at UIUC" (§4).
-
-use std::sync::Arc;
-use std::time::Duration;
-
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 use neesgrid_gridsim::SimTime;
 use neesgrid_structsim::Substructure;
@@ -204,92 +198,32 @@ impl ControlPlugin for SimulationPlugin {
     }
 }
 
-/// A work item handed to a polling backend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendJob {
-    /// Monotone job id.
-    pub job_id: u64,
-    /// The actions to perform.
-    pub actions: Vec<ControlPoint>,
-}
-
-/// The backend half of a [`BufferedPlugin`] — what the MATLAB simulation
-/// (NCSA) or the xPC bridge (CU) held while polling for work.
-pub struct BackendPort {
-    jobs: Receiver<BackendJob>,
-    results: Sender<(u64, Result<ExecuteOutcome, PluginError>)>,
-}
-
-impl BackendPort {
-    /// Poll for the next job, waiting up to `timeout` (real time).
-    pub fn poll(&self, timeout: Duration) -> Option<BackendJob> {
-        // analyzer:allow(no-wall-clock, reason = "the backend half of Mplugin lives on a real OS thread outside the event engine; polling its job queue is a genuinely real-time wait")
-        match self.jobs.recv_timeout(timeout) {
-            Ok(j) => Some(j),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
-    /// Post the outcome for a polled job.
-    pub fn post(&self, job_id: u64, outcome: Result<ExecuteOutcome, PluginError>) {
-        let _ = self.results.send((job_id, outcome));
-    }
-
-    /// Spawn a thread that services jobs with `f` until the plugin drops.
-    pub fn serve<F>(self, mut f: F) -> std::thread::JoinHandle<()>
-    where
-        F: FnMut(&[ControlPoint]) -> Result<ExecuteOutcome, PluginError> + Send + 'static,
-    {
-        std::thread::Builder::new()
-            .name("ntcp-backend".into())
-            .spawn(move || {
-                while let Ok(job) = self.jobs.recv() {
-                    let outcome = f(&job.actions);
-                    if self.results.send((job.job_id, outcome)).is_err() {
-                        break;
-                    }
-                }
-            })
-            // analyzer:allow(no-unwrap, reason = "thread::Builder::spawn fails only on OS resource exhaustion at construction time; the backend has not accepted any job yet")
-            .expect("spawn backend thread")
-    }
-}
+/// The polling backend behind a [`BufferedPlugin`]: what the MATLAB
+/// simulation (NCSA) or the xPC bridge (CU) did with each job it polled.
+type Backend = Box<dyn FnMut(&[ControlPoint]) -> Result<ExecuteOutcome, PluginError> + Send>;
 
 /// The buffered/polled plugin ("Mplugin", §3.1).
 ///
-/// `execute` enqueues a job and blocks until the backend posts the result
-/// (or the real-time `backend_timeout` expires — surfaced as a *transient*
-/// error, because the backend may just be slow).
+/// In the deployment, the plugin buffered each accepted job and the
+/// backend process polled for it and posted the result back. Here the
+/// backend is a closure run inline at `execute`: the poll is instantaneous
+/// in virtual time, so the execution costs exactly the duration the
+/// backend reports, and nothing waits on a thread or on real time.
 pub struct BufferedPlugin {
     name: String,
-    jobs: Sender<BackendJob>,
-    results: Receiver<(u64, Result<ExecuteOutcome, PluginError>)>,
-    next_job: u64,
-    /// How long to wait for the polling backend, real time.
-    pub backend_timeout: Duration,
-    pending_peek: Arc<Mutex<Option<u64>>>,
+    backend: Backend,
 }
 
 impl BufferedPlugin {
-    /// Create the plugin and its backend port.
-    pub fn new(name: impl Into<String>) -> (Self, BackendPort) {
-        let (jtx, jrx) = bounded::<BackendJob>(16);
-        let (rtx, rrx) = bounded::<(u64, Result<ExecuteOutcome, PluginError>)>(16);
-        (
-            BufferedPlugin {
-                name: name.into(),
-                jobs: jtx,
-                results: rrx,
-                next_job: 1,
-                // analyzer:allow(no-wall-clock, reason = "default patience for a real polled backend thread; a genuinely real-time bound, not simulated time")
-                backend_timeout: Duration::from_secs(5),
-                pending_peek: Arc::new(Mutex::new(None)),
-            },
-            BackendPort {
-                jobs: jrx,
-                results: rtx,
-            },
-        )
+    /// Create the plugin over its polling backend.
+    pub fn new(
+        name: impl Into<String>,
+        backend: impl FnMut(&[ControlPoint]) -> Result<ExecuteOutcome, PluginError> + Send + 'static,
+    ) -> Self {
+        BufferedPlugin {
+            name: name.into(),
+            backend: Box::new(backend),
+        }
     }
 }
 
@@ -305,38 +239,7 @@ impl ControlPlugin for BufferedPlugin {
     }
 
     fn execute(&mut self, actions: &[ControlPoint]) -> Result<ExecuteOutcome, PluginError> {
-        let job_id = self.next_job;
-        self.next_job += 1;
-        *self.pending_peek.lock() = Some(job_id);
-        self.jobs
-            .send(BackendJob {
-                job_id,
-                actions: actions.to_vec(),
-            })
-            .map_err(|_| PluginError::permanent("backend port closed"))?;
-        // analyzer:allow(no-wall-clock, reason = "Mplugin (§3.1) fronts a real polled control system: the backend runs on its own OS thread and this deadline bounds a genuinely real-time wait, not simulated time")
-        let deadline = std::time::Instant::now() + self.backend_timeout;
-        loop {
-            // analyzer:allow(no-wall-clock, reason = "remaining wall-time budget for the same real backend wait as the deadline above")
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            // analyzer:allow(no-wall-clock, reason = "blocking handoff from the real backend thread, bounded by the real-time deadline above")
-            match self.results.recv_timeout(remaining) {
-                Ok((id, outcome)) if id == job_id => {
-                    *self.pending_peek.lock() = None;
-                    return outcome;
-                }
-                Ok(_) => continue, // stale result from a timed-out older job
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(PluginError::transient(format!(
-                        "{}: backend did not answer job {} in time",
-                        self.name, job_id
-                    )))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(PluginError::permanent("backend port closed"));
-                }
-            }
-        }
+        (self.backend)(actions)
     }
 }
 
@@ -443,8 +346,7 @@ mod tests {
 
     #[test]
     fn buffered_plugin_roundtrip_through_backend() {
-        let (mut plugin, port) = BufferedPlugin::new("mplugin");
-        let _backend = port.serve(|actions| {
+        let mut plugin = BufferedPlugin::new("mplugin", |actions| {
             Ok(ExecuteOutcome {
                 results: actions
                     .iter()
@@ -465,29 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn buffered_plugin_times_out_without_backend() {
-        let (mut plugin, _port) = BufferedPlugin::new("mplugin");
-        plugin.backend_timeout = Duration::from_millis(30);
-        let err = plugin
-            .execute(&[ControlPoint::displacement("dof-0", 0.0, 0.0)])
-            .unwrap_err();
-        assert!(err.retryable, "backend slowness is transient");
-    }
-
-    #[test]
-    fn buffered_plugin_closed_backend_is_permanent() {
-        let (mut plugin, port) = BufferedPlugin::new("mplugin");
-        drop(port);
-        let err = plugin
-            .execute(&[ControlPoint::displacement("dof-0", 0.0, 0.0)])
-            .unwrap_err();
-        assert!(!err.retryable);
-    }
-
-    #[test]
     fn backend_errors_propagate() {
-        let (mut plugin, port) = BufferedPlugin::new("mplugin");
-        let _backend = port.serve(|_| Err(PluginError::permanent("xPC target offline")));
+        let mut plugin = BufferedPlugin::new("mplugin", |_| {
+            Err(PluginError::permanent("xPC target offline"))
+        });
         let err = plugin
             .execute(&[ControlPoint::displacement("dof-0", 0.0, 0.0)])
             .unwrap_err();

@@ -7,6 +7,11 @@
 //! (`ogsi:query`, `ogsi:mostRecentlyChanged`) for any service exposing
 //! service data, and runs service housekeeping ticks.
 //!
+//! A container has no thread of its own: [`ServiceContainer::attach`]
+//! installs it as its node's event-engine handler, and whoever pumps the
+//! engine runs it. A request is answered inline at its delivery, so a
+//! service must never block on, or pump, the engine itself.
+//!
 //! Security model: contexts are established out-of-band via
 //! [`neesgrid_gsi::authenticate`] (the connection-setup handshake) and
 //! installed with [`ServiceContainer::install_session`]. A request from an
@@ -16,7 +21,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -72,36 +76,16 @@ impl ServiceContainer {
         self
     }
 
-    /// Start the container's dispatch loop on its own thread (channel mode —
-    /// the container is a live actor draining its inbox).
-    pub fn run(self) -> ContainerHandle {
-        let name = format!("container-{}", self.endpoint.id());
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || self.dispatch_loop())
-            .expect("spawn container thread");
-        ContainerHandle {
-            thread: Some(handle),
-        }
-    }
-
-    /// Attach the container to the network's event engine (handler mode):
-    /// incoming envelopes become scheduled events dispatched when virtual
-    /// time reaches their delivery timestamp, with no container thread at
-    /// all. This is the fully-deterministic hosting mode used by the N-site
-    /// scenarios — whoever pumps the engine runs this container.
+    /// Attach the container to the network's event engine: incoming
+    /// envelopes become scheduled events dispatched when virtual time
+    /// reaches their delivery timestamp. Whoever pumps the engine runs this
+    /// container.
     pub fn attach(self) -> AttachedContainer {
         let endpoint = self.endpoint.clone();
         let shared = Arc::new(Mutex::new(self));
         let dispatch = Arc::clone(&shared);
         endpoint.install_handler(move |env| dispatch.lock().handle_envelope(env));
         AttachedContainer { container: shared }
-    }
-
-    fn dispatch_loop(mut self) {
-        while let Some(env) = self.endpoint.recv() {
-            self.handle_envelope(env);
-        }
     }
 
     /// Dispatch one envelope: answer requests, absorb one-ways, drop strays.
@@ -220,11 +204,10 @@ impl ServiceContainer {
     }
 }
 
-/// Handle to a container attached to the event engine (handler mode).
+/// Handle to a container attached to the event engine.
 ///
 /// Dropping the handle does not detach the container: the network registry
-/// keeps the dispatch handler alive until network shutdown, matching how
-/// [`ContainerHandle`] detaches its thread.
+/// keeps the dispatch handler alive until network shutdown.
 pub struct AttachedContainer {
     container: Arc<Mutex<ServiceContainer>>,
 }
@@ -233,28 +216,6 @@ impl AttachedContainer {
     /// Access the hosted container (e.g. to install sessions after attach).
     pub fn with_container<R>(&self, f: impl FnOnce(&mut ServiceContainer) -> R) -> R {
         f(&mut self.container.lock())
-    }
-}
-
-/// Handle to a running container.
-pub struct ContainerHandle {
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ContainerHandle {
-    /// Wait for the container to exit (it exits when its network endpoint
-    /// closes, i.e. on network shutdown or node deregistration).
-    pub fn join(mut self) {
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ContainerHandle {
-    fn drop(&mut self) {
-        // Detach; container lifetime is governed by the network.
-        let _ = self.thread.take();
     }
 }
 
@@ -315,7 +276,7 @@ mod tests {
         let container = ServiceContainer::new(net.endpoint("site").unwrap())
             .with_service("counter", Counter::boxed())
             .permissive();
-        let _handle = container.run();
+        let _handle = container.attach();
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let client = RpcClient::new(mux, NodeId::new("site"), "counter", caller());
         (net, client)
@@ -365,7 +326,7 @@ mod tests {
         let net = VirtualNetwork::new(NetworkConfig::default());
         let container = ServiceContainer::new(net.endpoint("site").unwrap())
             .with_service("counter", Counter::boxed());
-        let _handle = container.run();
+        let _handle = container.attach();
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let client = RpcClient::new(mux, NodeId::new("site"), "counter", caller());
         match client.call("increment", Value::Null) {
@@ -390,7 +351,7 @@ mod tests {
         let mut container = ServiceContainer::new(net.endpoint("site").unwrap())
             .with_service("counter", Counter::boxed());
         container.install_session(session);
-        let _handle = container.run();
+        let _handle = container.attach();
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let client = RpcClient::new(mux, NodeId::new("site"), "counter", caller());
         assert_eq!(
@@ -414,7 +375,7 @@ mod tests {
         let container = ServiceContainer::new(net.endpoint("site").unwrap())
             .with_service("counter", Counter::boxed())
             .permissive();
-        let _handle = container.run();
+        let _handle = container.attach();
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         // Fire a one-way increment shaped like an RpcRequest.
         let req = RpcRequest {
@@ -428,18 +389,12 @@ mod tests {
             "counter",
             &serde_json::to_value(&req).unwrap(),
         );
-        // Observe the effect through a normal call.
+        // Observe the effect through a normal call: the one-way was
+        // scheduled first, so it is dispatched before the call's request.
         let client = RpcClient::new(mux, NodeId::new("site"), "counter", caller());
-        let mut last = 0;
-        for _ in 0..50 {
-            last = client.call_value("increment", Value::Null).unwrap()["count"]
-                .as_u64()
-                .unwrap();
-            if last >= 2 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(last >= 2, "one-way increment not observed (count={last})");
+        let last = client.call_value("increment", Value::Null).unwrap()["count"]
+            .as_u64()
+            .unwrap();
+        assert_eq!(last, 2, "one-way increment not observed (count={last})");
     }
 }

@@ -30,7 +30,7 @@ pub mod rpc;
 pub mod sde;
 pub mod service;
 
-pub use container::{AttachedContainer, ContainerHandle, ServiceContainer};
+pub use container::{AttachedContainer, ServiceContainer};
 pub use dedup::DedupCache;
 pub use fault::ServiceFault;
 pub use lifetime::{Lease, LifetimeManager};

@@ -9,16 +9,16 @@
 //! `request_id` across retransmissions plus the server-side
 //! [`crate::dedup::DedupCache`].
 //!
-//! Virtual time: the mux runs in *handler mode* on the network's
-//! [`EventEngine`] — replies and control notices are scheduled events, and
-//! attempt timeouts are **virtual timers**, not wall-clock deadlines. A
-//! caller blocked in [`RpcCompletion::wait`] pumps the engine: it runs
-//! deliveries (advancing the shared clock to each event's timestamp) and,
-//! only when no delivery is pending, lets the earliest timer fire. A
-//! fault-schedule run with losses therefore completes in milliseconds of
-//! wall time; the old 2-second real-time long-stop survives only as a grace
-//! window for deployments that still host live threads (channel-mode
-//! containers).
+//! Virtual time: the mux is a handler on the network's [`EventEngine`] —
+//! replies and control notices are scheduled events, and attempt timeouts
+//! are **virtual timers**, not wall-clock deadlines. A caller blocked in
+//! [`RpcCompletion::wait`] pumps the engine: it runs deliveries (advancing
+//! the shared clock to each event's timestamp) and, only when no delivery
+//! is pending, lets the earliest timer fire. A fault-schedule run with
+//! losses therefore completes in milliseconds of wall time, and nothing
+//! waits on real time. Only the caller running the experiment may wait: a
+//! handler that called back into the engine would re-enter its own node's
+//! lock.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,16 +154,6 @@ pub struct RpcReply {
     pub attempts: u32,
 }
 
-/// Grace window granted to live threads (channel-mode containers, backend
-/// ports) in a *mixed* deployment before a virtual timer verdict stands.
-/// Mirrors the long-stop deadline of the retired blocking implementation.
-/// Fully-virtual deployments never wait on it.
-// analyzer:allow(no-wall-clock, reason = "the one sanctioned real-time constant: a grace window for live threads to inject traffic before a timer fires; fully-virtual (all-handler) deployments never reach it")
-const MIXED_GRACE: Duration = Duration::from_secs(2);
-
-/// Slice length for grace waiting, so pumpers re-check completion promptly.
-const PUMP_SLICE: Duration = Duration::from_millis(25);
-
 /// Pre-resolved RPC metric instruments, shared by every call slot so the
 /// per-call hot path never locks the metrics registry or looks up a name.
 /// Detached (updates discarded) until a recording telemetry handle is
@@ -287,9 +277,6 @@ impl CallSlot {
             self.note_completion(st.attempts, &result);
         }
         st.result = Some(result);
-        // Wake concurrent pumpers blocked in a grace wait: their predicate
-        // (slot done) changed without an engine event of their own.
-        self.engine.notify();
     }
 
     /// Close the call's span and update RPC metrics; a terminal transport
@@ -458,43 +445,16 @@ impl Drop for RpcCompletion {
 /// Drive the engine until `done` holds.
 ///
 /// The quiescence rule lives here: deliveries always run first; a timer may
-/// fire only when no delivery is pending — and, if live threads are attached
-/// (mixed deployment), only after [`MIXED_GRACE`] of engine inactivity, the
-/// window those threads get to produce the traffic they owe. Returns `false`
-/// if the engine went idle with no way for `done` to ever hold (fully
-/// virtual, nothing scheduled).
+/// fire only when no delivery is pending. Every node is a handler, so an
+/// empty engine is authoritative: `false` means the engine went idle with
+/// no way for `done` to ever hold.
 fn pump_until(engine: &EventEngine, done: impl Fn() -> bool) -> bool {
-    let mut idle = Duration::ZERO;
-    loop {
-        if done() {
-            return true;
-        }
-        if engine.run_one() {
-            idle = Duration::ZERO;
-            continue;
-        }
-        if !engine.has_external_actors() {
-            // Fully virtual: engine quiescence is authoritative.
-            if engine.fire_next_timer() {
-                continue;
-            }
-            if engine.has_deliveries() {
-                continue;
-            }
-            return done();
-        }
-        // Mixed deployment: grant live threads their grace window, in
-        // slices so this pumper notices completions filled by others.
-        if engine.wait_activity(PUMP_SLICE) {
-            idle = Duration::ZERO;
-            continue;
-        }
-        idle += PUMP_SLICE;
-        if idle >= MIXED_GRACE {
-            idle = Duration::ZERO;
-            engine.fire_next_timer();
+    while !done() {
+        if !engine.run_one() && !engine.fire_next_timer() {
+            return false;
         }
     }
+    true
 }
 
 /// Wait for a batch of completions, pumping their shared engine once.
@@ -831,38 +791,33 @@ mod tests {
     use super::*;
     use neesgrid_gridsim::{FaultPlan, LatencyModel, LinkKey, NetworkConfig, VirtualNetwork};
 
-    /// A trivial echo responder running on its own thread (channel mode —
-    /// deliberately exercising the mixed deployment path).
-    fn spawn_echo(net: &VirtualNetwork, name: &str) {
+    /// A trivial echo responder installed as `name`'s handler.
+    fn echo_server(net: &VirtualNetwork, name: &str) {
         let ep = net.endpoint(name).unwrap();
-        std::thread::spawn(move || {
-            while let Some(env) = ep.recv() {
-                if env.kind != MessageKind::Request {
-                    continue;
-                }
-                // A real container advances the clock to the request's
-                // arrival time; mirror that so virtual RTTs accumulate.
-                ep.clock().advance_to(env.delivered_at());
-                let req: RpcRequest = serde_json::from_slice(&env.payload).unwrap();
-                let response = RpcResponse {
-                    request_id: req.request_id,
-                    outcome: if req.operation == "fail" {
-                        RpcOutcome::Fault(ServiceFault::permanent("Oops", "asked to fail"))
-                    } else {
-                        RpcOutcome::Ok(serde_json::json!({
-                            "echo": req.body,
-                            "operation": req.operation,
-                        }))
-                    },
-                };
-                ep.send(
-                    env.src,
-                    &env.service,
-                    MessageKind::Reply,
-                    env.correlation_id,
-                    Bytes::from(serde_json::to_vec(&response).unwrap()),
-                );
+        let reply = ep.clone();
+        ep.install_handler(move |env| {
+            if env.kind != MessageKind::Request {
+                return;
             }
+            let req: RpcRequest = serde_json::from_slice(&env.payload).unwrap();
+            let response = RpcResponse {
+                request_id: req.request_id,
+                outcome: if req.operation == "fail" {
+                    RpcOutcome::Fault(ServiceFault::permanent("Oops", "asked to fail"))
+                } else {
+                    RpcOutcome::Ok(serde_json::json!({
+                        "echo": req.body,
+                        "operation": req.operation,
+                    }))
+                },
+            };
+            reply.send(
+                env.src,
+                &env.service,
+                MessageKind::Reply,
+                env.correlation_id,
+                Bytes::from(serde_json::to_vec(&response).unwrap()),
+            );
         });
     }
 
@@ -873,7 +828,7 @@ mod tests {
     #[test]
     fn echo_roundtrip() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
         let reply = client.call("ping", serde_json::json!({"x": 1})).unwrap();
@@ -888,7 +843,7 @@ mod tests {
             default_latency: LatencyModel::Fixed(SimTime::from_millis(40)),
             ..Default::default()
         });
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
         let reply = client.call("ping", Value::Null).unwrap();
@@ -903,7 +858,7 @@ mod tests {
     #[test]
     fn fault_is_surfaced() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
         match client.call("fail", Value::Null) {
@@ -915,7 +870,7 @@ mod tests {
     #[test]
     fn retry_recovers_from_dropped_request() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mut plan = FaultPlan::reliable();
         plan.drop_at(LinkKey::new("client", "server"), 0);
         net.set_fault_plan(plan);
@@ -929,7 +884,7 @@ mod tests {
     #[test]
     fn retry_recovers_from_dropped_reply() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mut plan = FaultPlan::reliable();
         plan.drop_at(LinkKey::new("server", "client"), 0);
         net.set_fault_plan(plan);
@@ -943,7 +898,7 @@ mod tests {
     #[test]
     fn no_retry_policy_times_out() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mut plan = FaultPlan::reliable();
         plan.drop_at(LinkKey::new("client", "server"), 0);
         net.set_fault_plan(plan);
@@ -960,7 +915,7 @@ mod tests {
     #[test]
     fn reset_fails_fast_under_timeouts_only_policy() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mut plan = FaultPlan::reliable();
         plan.reset_at(LinkKey::new("client", "server"), 0);
         net.set_fault_plan(plan);
@@ -976,7 +931,7 @@ mod tests {
     #[test]
     fn reset_recovered_under_transient_policy() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mut plan = FaultPlan::reliable();
         plan.reset_at(LinkKey::new("client", "server"), 0);
         net.set_fault_plan(plan);
@@ -1000,18 +955,14 @@ mod tests {
     #[test]
     fn concurrent_calls_demultiplex() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mux = RpcMux::new(net.endpoint("client").unwrap());
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let client = RpcClient::new(Arc::clone(&mux), NodeId::new("server"), "echo", caller());
-            handles.push(std::thread::spawn(move || {
-                let reply = client.call("ping", serde_json::json!({ "i": i })).unwrap();
-                assert_eq!(reply.value["echo"]["i"], i);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
+        let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
+        let completions: Vec<RpcCompletion> = (0..8)
+            .map(|i| client.call_async("ping", serde_json::json!({ "i": i })))
+            .collect();
+        for (i, r) in wait_all(completions).into_iter().enumerate() {
+            assert_eq!(r.unwrap().value["echo"]["i"], i);
         }
     }
 
@@ -1019,7 +970,7 @@ mod tests {
     fn batched_fan_out_over_completions() {
         let net = VirtualNetwork::new(NetworkConfig::default());
         for name in ["s0", "s1", "s2"] {
-            spawn_echo(&net, name);
+            echo_server(&net, name);
         }
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let completions: Vec<RpcCompletion> = (0..3)
@@ -1063,7 +1014,7 @@ mod tests {
     #[test]
     fn retransmission_charges_virtual_backoff() {
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mut plan = FaultPlan::reliable();
         plan.drop_at(LinkKey::new("client", "server"), 0);
         net.set_fault_plan(plan);
@@ -1083,7 +1034,7 @@ mod tests {
         // exhausting every retry against a fully lossy link must be a
         // virtual-time affair.
         let net = VirtualNetwork::new(NetworkConfig::default());
-        spawn_echo(&net, "server");
+        echo_server(&net, "server");
         let mut plan = FaultPlan::reliable();
         for i in 0..64 {
             plan.drop_at(LinkKey::new("client", "server"), i);

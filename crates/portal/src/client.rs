@@ -1,29 +1,30 @@
 //! The portal wire client.
 //!
-//! A [`PortalClient`] owns one channel-mode endpoint on the control
-//! network. Every call is synchronous request/reply on a fresh
-//! correlation id: encode the frame, send it, then pump the shared event
-//! engine until the matching reply lands in our inbox. Because the
-//! portal handler executes inline at delivery, a call usually completes
-//! in two engine steps; the pump loop exists for mixed deployments where
-//! other live threads share the engine.
+//! A [`PortalClient`] owns one endpoint on the control network. Every
+//! call is synchronous request/reply on a fresh correlation id: encode the
+//! frame, send it, then pump the shared event engine until the client's
+//! handler has put the matching reply in its one-slot reply cell. Because
+//! the portal handler executes inline at delivery, a call usually
+//! completes in two engine steps, and the reply leg advances the clock by
+//! its latency like any other delivery.
 
 use std::sync::Arc;
-use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use neesgrid_gridsim::{
-    Endpoint, EventEngine, MessageKind, NetworkError, NodeId, SimClock, VirtualNetwork,
+    Endpoint, Envelope, EventEngine, MessageKind, NetworkError, NodeId, SimClock, VirtualNetwork,
 };
 use neesgrid_gsi::DistinguishedName;
 
 use crate::frame::{self, FrameError, Request, RequestFrame, Response, PORTAL_SERVICE};
 
-/// How long the engine is pumped per wait when other live threads share
-/// it.
-const PUMP_SLICE: Duration = Duration::from_millis(1);
-
-/// Accumulated idle time after which a call gives up.
-const CALL_GRACE: Duration = Duration::from_millis(250);
+/// The reply (or loss notice) for the one call a client has in flight.
+#[derive(Default)]
+struct ReplyCell {
+    awaited: u64,
+    envelope: Option<Envelope>,
+}
 
 /// Wire-client failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +60,7 @@ pub struct PortalClient {
     engine: Arc<EventEngine>,
     portal: NodeId,
     tenant: Option<DistinguishedName>,
+    reply: Arc<Mutex<ReplyCell>>,
 }
 
 impl PortalClient {
@@ -69,11 +71,24 @@ impl PortalClient {
         portal: impl Into<NodeId>,
     ) -> Result<PortalClient, NetworkError> {
         let endpoint = net.endpoint(node)?;
+        let reply = Arc::new(Mutex::new(ReplyCell::default()));
+        let cell = Arc::clone(&reply);
+        endpoint.install_handler(move |env| {
+            let mut cell = cell.lock();
+            // Anything but the awaited call's reply or loss notice is a
+            // stale answer to an abandoned call.
+            if env.correlation_id == cell.awaited
+                && matches!(env.kind, MessageKind::Reply | MessageKind::Control)
+            {
+                cell.envelope.get_or_insert(env);
+            }
+        });
         Ok(PortalClient {
             engine: endpoint.engine(),
             endpoint,
             portal: portal.into(),
             tenant: None,
+            reply,
         })
     }
 
@@ -119,6 +134,10 @@ impl PortalClient {
             request,
         })
         .map_err(ClientError::Frame)?;
+        *self.reply.lock() = ReplyCell {
+            awaited: correlation,
+            envelope: None,
+        };
         self.endpoint.send(
             self.portal.clone(),
             PORTAL_SERVICE,
@@ -126,45 +145,16 @@ impl PortalClient {
             correlation,
             payload,
         );
-        let mut idle = Duration::ZERO;
         loop {
-            while let Some(env) = self.endpoint.try_recv() {
-                if env.correlation_id != correlation {
-                    // A stale reply from an abandoned call; skip it.
-                    continue;
-                }
-                match env.kind {
-                    MessageKind::Reply => {
-                        return frame::decode(&env.payload).map_err(ClientError::Frame)
-                    }
-                    MessageKind::Control => return Err(ClientError::NoRoute),
-                    _ => {}
-                }
+            if let Some(env) = self.reply.lock().envelope.take() {
+                return match env.kind {
+                    MessageKind::Reply => frame::decode(&env.payload).map_err(ClientError::Frame),
+                    _ => Err(ClientError::NoRoute),
+                };
             }
-            // Drive the engine: our request's delivery executes the
-            // portal handler inline, which schedules the reply.
-            if self.engine.run_one() {
-                idle = Duration::ZERO;
-                continue;
-            }
-            if !self.engine.has_external_actors() {
-                if self.engine.fire_next_timer() || self.engine.has_deliveries() {
-                    continue;
-                }
-                return Err(ClientError::Disconnected);
-            }
-            // Mixed deployment: another live thread may produce our
-            // reply. Wait briefly; give up after a grace of pure idle.
-            if self.engine.wait_activity(PUMP_SLICE) {
-                idle = Duration::ZERO;
-                continue;
-            }
-            idle += PUMP_SLICE;
-            if idle >= CALL_GRACE {
-                if self.engine.fire_next_timer() || self.engine.has_deliveries() {
-                    idle = Duration::ZERO;
-                    continue;
-                }
+            // Drive the engine: our request's delivery executes the portal
+            // handler inline, which schedules the reply.
+            if !self.engine.run_one() && !self.engine.fire_next_timer() {
                 return Err(ClientError::Disconnected);
             }
         }

@@ -1,13 +1,12 @@
 //! Offline stand-in for `crossbeam`: an MPMC channel built on
 //! `Mutex<VecDeque>` + `Condvar`. Semantics mirror `crossbeam::channel` for
 //! the operations this workspace uses: cloneable senders *and* receivers,
-//! bounded/unbounded capacity, and disconnect-aware recv/recv_timeout.
+//! bounded/unbounded capacity, and disconnect-aware recv/try_recv.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -44,12 +43,6 @@ pub mod channel {
     pub struct RecvError;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        Timeout,
-        Disconnected,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum TryRecvError {
         Empty,
         Disconnected,
@@ -64,15 +57,6 @@ pub mod channel {
     impl fmt::Display for RecvError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => f.write_str("timed out waiting on channel"),
-                RecvTimeoutError::Disconnected => f.write_str("channel is disconnected"),
-            }
         }
     }
 
@@ -170,33 +154,6 @@ pub mod channel {
                     return Err(RecvError);
                 }
                 st = self.0.not_empty.wait(st).unwrap();
-            }
-        }
-
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self.0.state.lock().unwrap();
-            loop {
-                if let Some(msg) = st.queue.pop_front() {
-                    drop(st);
-                    self.0.not_full.notify_one();
-                    return Ok(msg);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, res) = self.0.not_empty.wait_timeout(st, deadline - now).unwrap();
-                st = guard;
-                if res.timed_out() && st.queue.is_empty() {
-                    if st.senders == 0 {
-                        return Err(RecvTimeoutError::Disconnected);
-                    }
-                    return Err(RecvTimeoutError::Timeout);
-                }
             }
         }
 

@@ -32,7 +32,7 @@ fn main() {
     let _site = ServiceContainer::new(net.endpoint("demo-site").unwrap())
         .with_service("ntcp", Box::new(server))
         .permissive()
-        .run();
+        .attach();
 
     // 3. A client.
     let mux = RpcMux::new(net.endpoint("operator").unwrap());

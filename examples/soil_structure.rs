@@ -108,7 +108,7 @@ fn main() {
         let _ = ServiceContainer::new(net.endpoint(name).unwrap())
             .with_service("ntcp", Box::new(server))
             .permissive()
-            .run();
+            .attach();
         let client = NtcpClient::new(
             RpcClient::new(Arc::clone(&mux), NodeId::new(name), "ntcp", caller.clone())
                 .with_attempt_timeout(Duration::from_millis(100)),

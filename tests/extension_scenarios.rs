@@ -96,7 +96,7 @@ fn four_site_soil_structure_experiment_runs() {
         let _ = ServiceContainer::new(net.endpoint(name.as_str()).unwrap())
             .with_service("ntcp", Box::new(server))
             .permissive()
-            .run();
+            .attach();
         let client = NtcpClient::new(
             RpcClient::new(
                 Arc::clone(&mux),
@@ -203,7 +203,7 @@ fn six_dof_quasi_static_loading_in_one_transaction() {
     let _ = ServiceContainer::new(net.endpoint("umn").unwrap())
         .with_service("ntcp", Box::new(server))
         .permissive()
-        .run();
+        .attach();
     let mux = RpcMux::new(net.endpoint("operator").unwrap());
     let client = NtcpClient::new(
         RpcClient::new(
@@ -292,7 +292,7 @@ fn emergency_stop_mid_experiment_aborts_cleanly() {
     let _ = ServiceContainer::new(net.endpoint("uiuc").unwrap())
         .with_service("ntcp", Box::new(server))
         .permissive()
-        .run();
+        .attach();
     let client = NtcpClient::new(
         RpcClient::new(mux, NodeId::new("uiuc"), "ntcp", caller)
             .with_attempt_timeout(Duration::from_millis(80)),

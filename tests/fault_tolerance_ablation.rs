@@ -47,7 +47,7 @@ fn run_under(plan: FaultPlan, policy: FaultPolicy) -> (usize, u64) {
         let _ = ServiceContainer::new(net.endpoint(name).unwrap())
             .with_service("ntcp", Box::new(server))
             .permissive()
-            .run();
+            .attach();
         let client = NtcpClient::new(
             RpcClient::new(Arc::clone(&mux), NodeId::new(name), "ntcp", caller.clone())
                 .with_attempt_timeout(Duration::from_millis(60)),
@@ -162,7 +162,7 @@ fn results_are_identical_across_policies_when_both_complete() {
         let _ = ServiceContainer::new(net.endpoint("alpha").unwrap())
             .with_service("ntcp", Box::new(server))
             .permissive()
-            .run();
+            .attach();
         let client = NtcpClient::new(
             RpcClient::new(mux, NodeId::new("alpha"), "ntcp", caller)
                 .with_attempt_timeout(Duration::from_millis(60)),

@@ -21,7 +21,7 @@ fn start_repository(net: &VirtualNetwork) {
         .with_service("nfms", Box::new(NfmsService::new(Nfms::new(store))))
         .with_service("nmds", Box::new(NmdsService::new(Nmds::new())))
         .permissive();
-    let _ = container.run();
+    let _ = container.attach();
 }
 
 fn clients(net: &VirtualNetwork, node: &str, user: &str) -> (RpcClient, RpcClient) {

@@ -72,7 +72,7 @@ impl Rig {
                 .expect("handshake");
             container.install_session(session);
         }
-        let _ = container.run();
+        let _ = container.attach();
     }
 
     fn client(&self, name: &str, as_user: &DistinguishedName) -> NtcpClient {
@@ -158,7 +158,7 @@ fn site_force_limits_refuse_dangerous_commands_before_motion() {
     let _ = ServiceContainer::new(net.endpoint("uiuc").unwrap())
         .with_service("ntcp", Box::new(server))
         .permissive()
-        .run();
+        .attach();
     let mux = RpcMux::new(net.endpoint("client").unwrap());
     let client = NtcpClient::new(RpcClient::new(
         mux,
@@ -204,7 +204,7 @@ fn hardware_interlock_backstops_the_policy_layer() {
     let _ = ServiceContainer::new(net.endpoint("uiuc").unwrap())
         .with_service("ntcp", Box::new(server))
         .permissive()
-        .run();
+        .attach();
     let mux = RpcMux::new(net.endpoint("client").unwrap());
     let client = NtcpClient::new(RpcClient::new(
         mux,

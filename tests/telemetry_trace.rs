@@ -2,8 +2,9 @@
 //!
 //! Three properties the `neesgrid-telemetry` crate promises:
 //!
-//! 1. An instrumented fully-virtual run is deterministic: two runs with the
-//!    same seed export byte-identical trace JSONL.
+//! 1. An instrumented run is deterministic: two runs with the same seed
+//!    export byte-identical trace JSONL — the N-site experiment and the
+//!    paper's own MOST deployment alike.
 //! 2. Replaying the public run's fault schedule produces a flight-recorder
 //!    dump that names the faulted link and the in-flight NTCP transaction —
 //!    the post-mortem the 2004 operators did by hand.
@@ -16,7 +17,9 @@ use std::sync::Arc;
 use neesgrid::checkpoint::{CheckpointPolicy, CheckpointStore, RepoCheckpointStore};
 use neesgrid::coordinator::{FaultPolicy, Termination};
 use neesgrid::gridsim::{FaultPlan, LinkKey};
-use neesgrid::most::{n_site_with_telemetry, public_run_fault_plan, MostConfig, MostDeployment};
+use neesgrid::most::{
+    n_site_with_telemetry, public_run_fault_plan, MostConfig, MostDeployment, Scenario,
+};
 use neesgrid::repo::VirtualStore;
 use neesgrid::telemetry::json::parse;
 use neesgrid::telemetry::{merge_resumed, render_report, Telemetry};
@@ -50,6 +53,35 @@ fn same_seed_runs_export_byte_identical_traces() {
     // comparing two empties or two constants).
     let c = trace(0x1234);
     assert_ne!(a, c);
+
+    // The MOST deployment joins the oracle: Mplugin backends, actuator
+    // rigs, the portal crowd and repository ingestion, all on the engine.
+    let most = |scenario: Scenario, steps: usize| {
+        let telemetry = Telemetry::recording();
+        let deployment = MostDeployment::build_with_telemetry(
+            scenario.config().with_steps(steps),
+            scenario.participants(),
+            telemetry.clone(),
+        );
+        deployment.set_fault_plan(scenario.fault_plan(steps));
+        let artifacts = deployment.run(scenario.policy());
+        (
+            telemetry.export_jsonl(),
+            artifacts.report.virtual_duration,
+            artifacts.bytes_ingested,
+        )
+    };
+    for (scenario, steps) in [(Scenario::DryRun, 300), (Scenario::PublicRun, 150)] {
+        let (trace_a, virtual_a, bytes_a) = most(scenario, steps);
+        let (trace_b, virtual_b, bytes_b) = most(scenario, steps);
+        assert!(trace_a.contains("\"sub\":\"ntcp\""), "{scenario:?} trace");
+        assert!(
+            trace_a == trace_b,
+            "{scenario:?}: same-configuration MOST runs must trace identically"
+        );
+        assert_eq!(virtual_a, virtual_b, "{scenario:?}: virtual duration");
+        assert_eq!(bytes_a, bytes_b, "{scenario:?}: bytes archived");
+    }
 }
 
 #[test]
