@@ -460,6 +460,36 @@ mod tests {
     }
 
     #[test]
+    fn ogsi_query_right_after_execute_returns_the_completed_document() {
+        // Transaction SDEs are rendered when read: the query that follows
+        // an execute must render the change the execute just recorded.
+        let net = VirtualNetwork::new(NetworkConfig::default());
+        let client = start_site(&net, "uiuc", 2.0e5);
+        client
+            .propose(
+                "step-1",
+                vec![ControlPoint::displacement("dof-0", 0.002, 500.0)],
+                SimTime::from_secs(30),
+            )
+            .unwrap();
+        client.execute("step-1").unwrap();
+        let out = client
+            .rpc()
+            .call_value("ogsi:query", json!({"pattern": "transaction/*"}))
+            .unwrap();
+        let element = &out["elements"][0];
+        assert_eq!(element["value"]["state"], "Completed");
+        assert_eq!(element["value"], client.get_transaction("step-1").unwrap());
+        // Accepted at propose, then Executing and Completed.
+        assert_eq!(element["version"], 3);
+        let mrc = client
+            .rpc()
+            .call_value("ogsi:mostRecentlyChanged", serde_json::Value::Null)
+            .unwrap();
+        assert_eq!(mrc, *element);
+    }
+
+    #[test]
     fn batched_propose_and_execute_across_sites() {
         // The coordinator's whole-step fan-out: every propose goes on the
         // wire before any reply is awaited, then one batched wait resolves

@@ -86,11 +86,23 @@ impl NtcpServer {
         self.policy.emergency_stop = engaged;
     }
 
+    /// Record a change to transaction `name` in its SDE. The value is
+    /// rendered from the transaction when something reads it (see
+    /// [`GridService::sde`]), or now for a matching subscriber.
     fn publish(&mut self, name: &str, now: SimTime) {
         if let Some(tx) = self.transactions.get(name) {
             self.sde
-                .set(format!("transaction/{name}"), tx.to_sde_value(), now);
+                .touch(format!("transaction/{name}"), now, || tx.to_sde_value());
         }
+    }
+
+    /// Render every transaction SDE changed since the last read.
+    fn render_sdes(&mut self) {
+        let transactions = &self.transactions;
+        self.sde.refresh(|element| {
+            let name = element.strip_prefix("transaction/")?;
+            transactions.get(name).map(Transaction::to_sde_value)
+        });
     }
 
     fn do_propose(&mut self, ctx: &CallContext, body: &Value) -> Result<Value, ServiceFault> {
@@ -231,10 +243,11 @@ impl NtcpServer {
             })?;
             tx.actions.clone()
         };
-        self.plugin
-            .cancel(&actions)
-            .map_err(|e| ServiceFault::permanent("CancelFailed", e.message))?;
+        // The transaction is Cancelled whether or not the backend managed
+        // to stand down, so its SDE records the change either way.
+        let stood_down = self.plugin.cancel(&actions);
         self.publish(&req.transaction, ctx.now);
+        stood_down.map_err(|e| ServiceFault::permanent("CancelFailed", e.message))?;
         Ok(json!({ "cancelled": req.transaction }))
     }
 
@@ -331,6 +344,9 @@ impl NtcpServer {
                 .restore(state)
                 .map_err(|e| ServiceFault::permanent("RestoreFailed", e.message))?,
         }
+        // Pending SDEs render from the transactions they describe, which
+        // the restored map replaces.
+        self.render_sdes();
         self.transactions = transactions;
         self.dedup = DedupCache::from_entries(DEDUP_CAPACITY, entries);
         self.executions = snap["executions"].as_u64().unwrap_or(0);
@@ -460,6 +476,7 @@ impl GridService for NtcpServer {
     }
 
     fn sde(&mut self) -> Option<&mut ServiceData> {
+        self.render_sdes();
         Some(&mut self.sde)
     }
 }
@@ -467,24 +484,58 @@ impl GridService for NtcpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plugin::SimulationPlugin;
+    use crate::plugin::{ExecuteOutcome, PluginError, SimulationPlugin};
     use neesgrid_gsi::{ActionLimits, DistinguishedName};
     use neesgrid_structsim::{LinearElastic, SimulatedSubstructure};
 
-    fn server() -> NtcpServer {
-        let plugin = SimulationPlugin::new(
+    fn sim_plugin() -> SimulationPlugin {
+        SimulationPlugin::new(
             "sim",
             Box::new(SimulatedSubstructure::spring_to_ground(
                 "col",
                 Box::new(LinearElastic::new(1.0e5)),
             )),
-        );
+        )
+    }
+
+    fn server_with(plugin: Box<dyn ControlPlugin>) -> NtcpServer {
         NtcpServer::new(
             "uiuc",
             SitePolicy::permissive("uiuc", ActionLimits::most_large_scale()),
-            Box::new(plugin),
+            plugin,
             SimClock::new(),
         )
+    }
+
+    fn server() -> NtcpServer {
+        server_with(Box::new(sim_plugin()))
+    }
+
+    /// A simulation backend that cannot stand down from a proposal whose
+    /// first action pushes in the negative direction.
+    struct RefusesNegativeCancel(SimulationPlugin);
+
+    impl ControlPlugin for RefusesNegativeCancel {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn review(&mut self, actions: &[ControlPoint]) -> Result<(), String> {
+            self.0.review(actions)
+        }
+
+        fn execute(&mut self, actions: &[ControlPoint]) -> Result<ExecuteOutcome, PluginError> {
+            self.0.execute(actions)
+        }
+
+        fn cancel(&mut self, actions: &[ControlPoint]) -> Result<(), PluginError> {
+            match actions.first() {
+                Some(a) if a.displacement_m < 0.0 => {
+                    Err(PluginError::permanent("actuator hold cannot be released"))
+                }
+                _ => self.0.cancel(actions),
+            }
+        }
     }
 
     fn ctx(request_id: u64) -> CallContext {
@@ -702,6 +753,45 @@ mod tests {
         assert_eq!(mrc.name, "transaction/t1");
     }
 
+    #[test]
+    fn failed_cancel_still_publishes_the_cancelled_sde() {
+        let mut s = server_with(Box::new(RefusesNegativeCancel(sim_plugin())));
+        s.handle(&ctx(1), "propose", &propose_body("t1", -0.01, 1000.0))
+            .unwrap();
+        let err = s
+            .handle(&ctx(2), "cancel", &json!({"transaction": "t1"}))
+            .unwrap_err();
+        assert_eq!(err.code, "CancelFailed");
+        let doc = s
+            .handle(&ctx(3), "getTransaction", &json!({"transaction": "t1"}))
+            .unwrap();
+        assert_eq!(doc["state"], "Cancelled");
+        let el = s.sde().unwrap().get("transaction/t1").unwrap();
+        assert_eq!(el.value, doc, "SDE agrees with getTransaction");
+        assert_eq!(el.version, 2);
+    }
+
+    #[test]
+    fn restore_renders_pending_sdes_from_the_replaced_transactions() {
+        let mut s = server();
+        s.handle(&ctx(1), "propose", &propose_body("t1", 0.01, 1000.0))
+            .unwrap();
+        let snap = s.snapshot();
+        // t2 changes after the snapshot and is not in it; its SDE must
+        // keep the pre-restore state rather than lose it.
+        s.handle(&ctx(2), "propose", &propose_body("t2", 0.01, 1000.0))
+            .unwrap();
+        s.restore_snapshot(&snap, SimTime::from_secs(2)).unwrap();
+        let sde = s.sde().unwrap();
+        assert_eq!(
+            sde.get("transaction/t2").unwrap().value["state"],
+            "Accepted"
+        );
+        let t1 = sde.get("transaction/t1").unwrap();
+        assert_eq!(t1.value["state"], "Accepted");
+        assert_eq!(t1.version, 2, "restore republishes every transaction");
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -730,35 +820,52 @@ mod tests {
             fn random_protocol_sequences_preserve_invariants(
                 ops in proptest::collection::vec(op_strategy(), 1..40),
             ) {
-                let mut s = server();
+                let mut s = server_with(Box::new(RefusesNegativeCancel(sim_plugin())));
                 let mut request_id = 0u64;
                 let mut last: Option<(u64, String, Value)> = None;
                 let mut accepted_executes = 0u64;
+                // SDE model: the state changes each request recorded per
+                // transaction (one for the proposal's verdict, two for an
+                // execute that ran, one for a cancel, failed or not), and
+                // the last transaction one touched.
+                let mut versions: BTreeMap<String, u64> = BTreeMap::new();
+                let mut last_touched = "serverInfo".to_string();
                 for op in ops {
-                    match op {
+                    let (name, changes) = match op {
                         Op::Propose { tx, d_mm } => {
                             request_id += 1;
-                            let body = propose_body(
-                                &format!("tx-{tx}"),
-                                d_mm as f64 * 1e-3,
-                                1000.0,
-                            );
-                            let _ = s.handle(&ctx(request_id), "propose", &body);
+                            let name = format!("tx-{tx}");
+                            let body = propose_body(&name, d_mm as f64 * 1e-3, 1000.0);
+                            let out = s.handle(&ctx(request_id), "propose", &body);
                             last = Some((request_id, "propose".into(), body));
+                            (name, u64::from(out.is_ok()))
                         }
                         Op::Execute { tx } => {
                             request_id += 1;
-                            let body = json!({"transaction": format!("tx-{tx}")});
-                            if s.handle(&ctx(request_id), "execute", &body).is_ok() {
+                            let name = format!("tx-{tx}");
+                            let body = json!({"transaction": name});
+                            let out = s.handle(&ctx(request_id), "execute", &body);
+                            if out.is_ok() {
                                 accepted_executes += 1;
                             }
                             last = Some((request_id, "execute".into(), body));
+                            let ran = match &out {
+                                Ok(_) => true,
+                                Err(f) => f.code == "ExecutionFailed",
+                            };
+                            (name, if ran { 2 } else { 0 })
                         }
                         Op::Cancel { tx } => {
                             request_id += 1;
-                            let body = json!({"transaction": format!("tx-{tx}")});
-                            let _ = s.handle(&ctx(request_id), "cancel", &body);
+                            let name = format!("tx-{tx}");
+                            let body = json!({"transaction": name});
+                            let out = s.handle(&ctx(request_id), "cancel", &body);
                             last = Some((request_id, "cancel".into(), body));
+                            let cancelled = match &out {
+                                Ok(_) => true,
+                                Err(f) => f.code == "CancelFailed",
+                            };
+                            (name, u64::from(cancelled))
                         }
                         Op::Replay => {
                             // At-most-once: replaying the previous request
@@ -771,11 +878,33 @@ mod tests {
                                 prop_assert_eq!(replayed, again);
                                 prop_assert_eq!(s.executions(), before);
                             }
+                            (String::new(), 0)
                         }
+                    };
+                    if changes > 0 {
+                        *versions.entry(name.clone()).or_default() += changes;
+                        last_touched = format!("transaction/{name}");
                     }
                     // Global invariant: the plugin ran exactly once per
                     // successful execute.
                     prop_assert_eq!(s.executions(), accepted_executes);
+                    // Every transaction SDE, rendered on this read, is the
+                    // transaction's getTransaction document at the version
+                    // the model predicts.
+                    let sde = s.sde().unwrap();
+                    let mrc = sde.most_recently_changed().map(|el| el.name.clone());
+                    let elements: Vec<_> =
+                        sde.query("transaction/*").into_iter().cloned().collect();
+                    prop_assert_eq!(mrc, Some(last_touched.clone()));
+                    prop_assert_eq!(elements.len(), versions.len());
+                    for el in elements {
+                        let tx = el.name.strip_prefix("transaction/").unwrap();
+                        let doc = s
+                            .handle(&ctx(0), "getTransaction", &json!({"transaction": tx}))
+                            .unwrap();
+                        prop_assert_eq!(&el.value, &doc);
+                        prop_assert_eq!(Some(el.version), versions.get(tx).copied());
+                    }
                 }
                 // Every recorded transaction is in a coherent state with a
                 // monotone timestamp trail.

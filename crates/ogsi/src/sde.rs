@@ -8,6 +8,13 @@
 //!   timeouts, results, and per-state-change timestamps (§2.1);
 //! * *a "most recently changed" SDE* used "to monitor the behavior of the
 //!   server as a whole".
+//!
+//! A value can be rendered when it is read rather than on every change:
+//! [`ServiceData::touch`] records the change (version, timestamps, most
+//! recently changed) and marks the element stale, and the owner calls
+//! [`ServiceData::refresh`] before handing the set to a reader. NTCP
+//! publishes three transaction changes per site-step that nobody reads
+//! unless an observer queries, so it renders them on read.
 
 use std::collections::BTreeMap;
 
@@ -28,7 +35,7 @@ pub struct ServiceDataElement {
     pub created_at: SimTime,
     /// When the element last changed.
     pub modified_at: SimTime,
-    /// Monotonic per-element version, bumped on every set.
+    /// Monotonic per-element version, bumped on every change.
     pub version: u64,
 }
 
@@ -45,6 +52,13 @@ pub struct SdeChange {
     pub version: u64,
 }
 
+/// An element plus whether its value still has to be rendered.
+#[derive(Debug)]
+struct Slot {
+    element: ServiceDataElement,
+    stale: bool,
+}
+
 /// The service-data set of one grid service.
 ///
 /// Not internally synchronized: the owning service (or its container thread)
@@ -52,7 +66,7 @@ pub struct SdeChange {
 /// same thread.
 #[derive(Debug, Default)]
 pub struct ServiceData {
-    elements: BTreeMap<String, ServiceDataElement>,
+    elements: BTreeMap<String, Slot>,
     subscribers: Vec<(String, Sender<SdeChange>)>,
     most_recently_changed: Option<String>,
 }
@@ -65,64 +79,108 @@ impl ServiceData {
 
     /// Create or update an element, notifying subscribers.
     pub fn set(&mut self, name: impl Into<String>, value: Value, now: SimTime) {
+        let slot = self.record(name.into(), now);
+        slot.element.value = value;
+        slot.stale = false;
+        self.notify_last(now);
+    }
+
+    /// Record a change to an element whose value is rendered later: bump
+    /// the version, stamp the times and make it the most recently changed,
+    /// as [`ServiceData::set`] does, but leave the value stale until the
+    /// next [`ServiceData::refresh`]. A subscriber whose pattern matches
+    /// still receives the change now, with `render()` as its value.
+    pub fn touch(&mut self, name: impl Into<String>, now: SimTime, render: impl FnOnce() -> Value) {
         let name = name.into();
-        let version;
-        match self.elements.get_mut(&name) {
-            Some(el) => {
-                el.value = value.clone();
-                el.modified_at = now;
-                el.version += 1;
-                version = el.version;
-            }
-            None => {
-                self.elements.insert(
-                    name.clone(),
-                    ServiceDataElement {
-                        name: name.clone(),
-                        value: value.clone(),
-                        created_at: now,
-                        modified_at: now,
-                        version: 1,
-                    },
-                );
-                version = 1;
-            }
+        let watched = self
+            .subscribers
+            .iter()
+            .any(|(pattern, _)| name_matches(pattern, &name));
+        let slot = self.record(name, now);
+        slot.stale = !watched;
+        if watched {
+            slot.element.value = render();
+            self.notify_last(now);
         }
-        self.most_recently_changed = Some(name.clone());
-        self.subscribers.retain(|(pattern, tx)| {
-            if name_matches(pattern, &name) {
-                tx.send(SdeChange {
-                    name: name.clone(),
-                    value: value.clone(),
-                    at: now,
-                    version,
-                })
-                .is_ok()
-            } else {
-                true
+    }
+
+    /// Render every stale element: `render(name)` gives its current value,
+    /// or `None` to keep the last one rendered. Owners that
+    /// [`ServiceData::touch`] call this before any read.
+    pub fn refresh(&mut self, mut render: impl FnMut(&str) -> Option<Value>) {
+        for slot in self.elements.values_mut().filter(|slot| slot.stale) {
+            if let Some(value) = render(&slot.element.name) {
+                slot.element.value = value;
             }
+            slot.stale = false;
+        }
+    }
+
+    /// Bump (or create at version 1) the element `name` and make it the
+    /// most recently changed.
+    fn record(&mut self, name: String, now: SimTime) -> &mut Slot {
+        let slot = self.elements.entry(name).or_insert_with_key(|name| Slot {
+            element: ServiceDataElement {
+                name: name.clone(),
+                value: Value::Null,
+                created_at: now,
+                modified_at: now,
+                version: 0,
+            },
+            stale: false,
+        });
+        slot.element.modified_at = now;
+        slot.element.version += 1;
+        if self.most_recently_changed.as_deref() != Some(slot.element.name.as_str()) {
+            self.most_recently_changed = Some(slot.element.name.clone());
+        }
+        slot
+    }
+
+    /// Send the most recently changed element to every subscriber whose
+    /// pattern matches, dropping subscribers that hung up.
+    fn notify_last(&mut self, now: SimTime) {
+        if self.subscribers.is_empty() {
+            return;
+        }
+        let Some(el) = self
+            .most_recently_changed
+            .as_deref()
+            .and_then(|n| self.elements.get(n))
+            .map(|slot| &slot.element)
+        else {
+            return;
+        };
+        self.subscribers.retain(|(pattern, tx)| {
+            !name_matches(pattern, &el.name)
+                || tx
+                    .send(SdeChange {
+                        name: el.name.clone(),
+                        value: el.value.clone(),
+                        at: now,
+                        version: el.version,
+                    })
+                    .is_ok()
         });
     }
 
     /// Inspect one element.
     pub fn get(&self, name: &str) -> Option<&ServiceDataElement> {
-        self.elements.get(name)
+        self.elements.get(name).map(|slot| &slot.element)
     }
 
     /// Remove an element (e.g. a destroyed transaction).
     pub fn remove(&mut self, name: &str) -> Option<ServiceDataElement> {
-        self.elements.remove(name)
+        self.elements.remove(name).map(|slot| slot.element)
     }
 
-    /// Names of all elements matching a pattern (`*` suffix wildcard).
+    /// All elements matching a pattern (`*` suffix wildcard), by name.
     pub fn query(&self, pattern: &str) -> Vec<&ServiceDataElement> {
-        let mut out: Vec<&ServiceDataElement> = self
-            .elements
+        self.elements
             .values()
+            .map(|slot| &slot.element)
             .filter(|el| name_matches(pattern, &el.name))
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+            .collect()
     }
 
     /// The element changed most recently, if any — the whole-server
@@ -130,7 +188,7 @@ impl ServiceData {
     pub fn most_recently_changed(&self) -> Option<&ServiceDataElement> {
         self.most_recently_changed
             .as_deref()
-            .and_then(|n| self.elements.get(n))
+            .and_then(|n| self.get(n))
     }
 
     /// Subscribe to changes of elements matching `pattern`
@@ -243,6 +301,70 @@ mod tests {
         sd.set("a", json!(1), SimTime::ZERO);
         sd.set("a", json!(2), SimTime::ZERO);
         assert_eq!(sd.get("a").unwrap().version, 2);
+    }
+
+    #[test]
+    fn touched_element_renders_on_refresh() {
+        let mut sd = ServiceData::new();
+        sd.touch("transaction/t1", SimTime::from_secs(1), || unreachable!());
+        sd.touch("transaction/t1", SimTime::from_secs(4), || unreachable!());
+        let el = sd.get("transaction/t1").unwrap();
+        assert_eq!(el.version, 2);
+        assert_eq!(el.created_at, SimTime::from_secs(1));
+        assert_eq!(el.modified_at, SimTime::from_secs(4));
+        assert_eq!(sd.most_recently_changed().unwrap().name, "transaction/t1");
+        let mut rendered = Vec::new();
+        sd.refresh(|name| {
+            rendered.push(name.to_string());
+            Some(json!({ "state": "Completed" }))
+        });
+        assert_eq!(rendered, ["transaction/t1"], "one render per stale element");
+        assert_eq!(
+            sd.get("transaction/t1").unwrap().value["state"],
+            "Completed"
+        );
+        sd.refresh(|_| unreachable!("nothing is stale"));
+    }
+
+    #[test]
+    fn subscriber_receives_every_touch_in_order_with_the_value_at_change_time() {
+        let mut sd = ServiceData::new();
+        let rx = sd.subscribe("transaction/*");
+        for (i, state) in ["Accepted", "Executing", "Completed"].iter().enumerate() {
+            sd.touch(
+                "transaction/t1",
+                SimTime::from_secs(i as u64),
+                || json!({ "state": state }),
+            );
+        }
+        sd.touch("serverInfo", SimTime::from_secs(9), || unreachable!());
+        let seen: Vec<(u64, Value, SimTime)> = std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|c| (c.version, c.value, c.at))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (1, json!({"state": "Accepted"}), SimTime::from_secs(0)),
+                (2, json!({"state": "Executing"}), SimTime::from_secs(1)),
+                (3, json!({"state": "Completed"}), SimTime::from_secs(2)),
+            ]
+        );
+        // A watched element was rendered when it changed, so it is current
+        // without a refresh.
+        assert_eq!(
+            sd.get("transaction/t1").unwrap().value["state"],
+            "Completed"
+        );
+    }
+
+    #[test]
+    fn set_over_a_stale_element_wins_over_refresh() {
+        let mut sd = ServiceData::new();
+        sd.touch("x", SimTime::ZERO, || unreachable!());
+        sd.set("x", json!(2), SimTime::from_secs(1));
+        sd.refresh(|_| unreachable!("set rendered the element"));
+        assert_eq!(sd.get("x").unwrap().value, json!(2));
+        assert_eq!(sd.get("x").unwrap().version, 2);
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub trait GridService: Send {
         body: &Value,
     ) -> Result<Value, ServiceFault>;
 
-    /// Expose service data for generic OGSI inspection, if any.
+    /// Expose service data for generic OGSI inspection, if any. Every read
+    /// goes through here, so a service that renders values on read (see
+    /// [`ServiceData::touch`]) refreshes them before returning the set.
     fn sde(&mut self) -> Option<&mut ServiceData> {
         None
     }

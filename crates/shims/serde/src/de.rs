@@ -132,10 +132,6 @@ impl<'de> Deserialize<'de> for () {
     }
 }
 
-fn elem<T: DeserializeOwned, E: Error>(v: &Value, what: &str) -> Result<T, E> {
-    crate::value::from_value_ref(v).map_err(|e| E::custom(format!("{what}: {e}")))
-}
-
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         match d.into_value()? {
@@ -150,7 +146,10 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         match d.into_value()? {
-            Value::Array(a) => a.iter().map(|v| elem(v, "array element")).collect(),
+            Value::Array(a) => a
+                .into_iter()
+                .map(|v| from_value(v).map_err(|e| D::Error::custom(format!("array element: {e}"))))
+                .collect(),
             v => type_err("array", &v),
         }
     }
@@ -268,9 +267,11 @@ macro_rules! de_tuple {
         impl<'de, $($t: DeserializeOwned),+> Deserialize<'de> for ($($t,)+) {
             fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
                 match d.into_value()? {
-                    Value::Array(a) if a.len() == $len => {
-                        Ok(($(elem::<$t, D::Error>(&a[$n], "tuple element")?,)+))
-                    }
+                    Value::Array(mut a) if a.len() == $len => Ok(($(
+                        from_value::<$t>(std::mem::take(&mut a[$n])).map_err(|e| {
+                            D::Error::custom(format!("tuple element: {e}"))
+                        })?,
+                    )+)),
                     v => type_err(concat!("array of length ", $len), &v),
                 }
             }
@@ -310,5 +311,8 @@ impl<'de> Deserialize<'de> for Number {
 impl crate::ser::Serialize for Number {
     fn serialize<S: crate::ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_value(Value::Number(*self))
+    }
+    fn write_json(&self, out: &mut String) {
+        crate::value::write_number(*self, out);
     }
 }

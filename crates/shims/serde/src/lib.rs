@@ -6,7 +6,8 @@
 //! `Deserialize::deserialize<D: Deserializer<'de>>`) so hand-written impls
 //! compile unchanged, but the data model is a single JSON-like [`value::Value`]
 //! rather than serde's full visitor machinery. `serde_json` (also vendored)
-//! renders that `Value` to and from JSON text.
+//! parses JSON text into that `Value`, and writes compact text straight from
+//! the type through [`Serialize::write_json`].
 
 pub mod de;
 pub mod ser;
@@ -19,5 +20,5 @@ pub use serde_derive::{Deserialize, Serialize};
 #[doc(hidden)]
 pub mod __private {
     //! Helpers the derive macro expands against.
-    pub use crate::value::{from_value_ref, to_value, Map, Value};
+    pub use crate::value::{from_value, to_value, Map, Value};
 }

@@ -1,12 +1,14 @@
 //! Serialization half of the shim: same trait shapes as real serde, but every
-//! serializer bottoms out in [`Serializer::serialize_value`].
+//! serializer bottoms out in [`Serializer::serialize_value`]. Compact JSON
+//! text skips the value tree: [`Serialize::write_json`] writes it straight
+//! from the type.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::value::{to_value, Map, Number, Value};
+use crate::value::{to_value, write_escaped, write_number, Map, Number, Value};
 
 /// Mirror of `serde::ser::Error`.
 pub trait Error: Sized {
@@ -47,24 +49,63 @@ pub trait Serializer: Sized {
 /// Mirror of `serde::Serialize`.
 pub trait Serialize {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
+
+    /// Append compact JSON text to `out`, byte-identical to rendering
+    /// [`to_value`] with [`Value::to_json_compact`]. The default does
+    /// exactly that; primitives, sequences, `Value` and derived types
+    /// override it to write without building the tree.
+    fn write_json(&self, out: &mut String) {
+        to_value(self).write_json(out);
+    }
+}
+
+/// Write items as a JSON array.
+fn write_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 // --- primitive impls ---
 
-macro_rules! ser_forward {
-    ($($t:ty),*) => {$(
+macro_rules! ser_number {
+    ($($t:ty => $n:ident($wide:ty)),*) => {$(
         impl Serialize for $t {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
                 serializer.serialize_value(Value::from(*self))
             }
+            fn write_json(&self, out: &mut String) {
+                write_number(Number::$n(*self as $wide), out);
+            }
         }
     )*};
 }
-ser_forward!(bool, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+ser_number!(
+    u8 => PosInt(u64), u16 => PosInt(u64), u32 => PosInt(u64), u64 => PosInt(u64),
+    usize => PosInt(u64), i8 => NegInt(i64), i16 => NegInt(i64), i32 => NegInt(i64),
+    i64 => NegInt(i64), isize => NegInt(i64), f32 => Float(f64), f64 => Float(f64)
+);
+
+impl Serialize for bool {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_value(Value::from(*self))
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
 
 impl Serialize for str {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(self)
+    }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
     }
 }
 
@@ -72,11 +113,17 @@ impl Serialize for String {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(self)
     }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
 }
 
 impl Serialize for char {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(&self.to_string())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self.encode_utf8(&mut [0; 4]), out);
     }
 }
 
@@ -84,31 +131,24 @@ impl Serialize for () {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_unit()
     }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
+    fn write_json(&self, out: &mut String) {
+        out.push_str("null");
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
+macro_rules! ser_deref {
+    ($($ptr:ty),*) => {$(
+        impl<T: Serialize + ?Sized> Serialize for $ptr {
+            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+                (**self).serialize(serializer)
+            }
+            fn write_json(&self, out: &mut String) {
+                (**self).write_json(out);
+            }
+        }
+    )*};
 }
-
-impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Rc<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
-    }
-}
+ser_deref!(&T, Box<T>, Arc<T>, Rc<T>);
 
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
@@ -117,35 +157,42 @@ impl<T: Serialize> Serialize for Option<T> {
             None => serializer.serialize_none(),
         }
     }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Array(self.iter().map(to_value).collect()))
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(t) => t.write_json(out),
+            None => out.push_str("null"),
+        }
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.as_slice().serialize(serializer)
-    }
+macro_rules! ser_seq {
+    ($(impl<$($g:ident),*> for $seq:ty;)*) => {$(
+        impl<$($g),*> Serialize for $seq
+        where
+            T: Serialize,
+        {
+            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+                serializer.serialize_value(Value::Array(self.iter().map(to_value).collect()))
+            }
+            fn write_json(&self, out: &mut String) {
+                write_seq(self, out);
+            }
+        }
+    )*};
+}
+ser_seq! {
+    impl<T> for [T];
+    impl<T> for Vec<T>;
+    impl<T> for std::collections::VecDeque<T>;
+    impl<T> for std::collections::BTreeSet<T>;
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         self.as_slice().serialize(serializer)
     }
-}
-
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Array(self.iter().map(to_value).collect()))
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Array(self.iter().map(to_value).collect()))
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -163,6 +210,16 @@ macro_rules! ser_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
                 serializer.serialize_value(Value::Array(vec![$(to_value(&self.$n)),+]))
+            }
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $n > 0 {
+                        out.push(',');
+                    }
+                    self.$n.write_json(out);
+                )+
+                out.push(']');
             }
         }
     )*};

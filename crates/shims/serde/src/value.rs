@@ -268,14 +268,14 @@ impl Value {
     /// `serde_json`. Lives here so `Value` can implement `Display`.
     pub fn to_json_compact(&self) -> String {
         let mut out = String::new();
-        write_json(self, &mut out, None, 0);
+        write_tree(self, &mut out, None, 0);
         out
     }
 
     /// Pretty JSON rendering with two-space indentation.
     pub fn to_json_pretty(&self) -> String {
         let mut out = String::new();
-        write_json(self, &mut out, Some("  "), 0);
+        write_tree(self, &mut out, Some("  "), 0);
         out
     }
 }
@@ -286,7 +286,7 @@ impl fmt::Display for Value {
     }
 }
 
-fn write_json(v: &Value, out: &mut String, indent: Option<&str>, depth: usize) {
+fn write_tree(v: &Value, out: &mut String, indent: Option<&str>, depth: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -304,7 +304,7 @@ fn write_json(v: &Value, out: &mut String, indent: Option<&str>, depth: usize) {
                     out.push(',');
                 }
                 newline_indent(out, indent, depth + 1);
-                write_json(item, out, indent, depth + 1);
+                write_tree(item, out, indent, depth + 1);
             }
             newline_indent(out, indent, depth);
             out.push(']');
@@ -325,7 +325,7 @@ fn write_json(v: &Value, out: &mut String, indent: Option<&str>, depth: usize) {
                 if indent.is_some() {
                     out.push(' ');
                 }
-                write_json(item, out, indent, depth + 1);
+                write_tree(item, out, indent, depth + 1);
             }
             newline_indent(out, indent, depth);
             out.push('}');
@@ -342,39 +342,51 @@ fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
     }
 }
 
-fn write_number(n: Number, out: &mut String) {
-    match n {
-        Number::PosInt(v) => out.push_str(&v.to_string()),
-        Number::NegInt(v) => out.push_str(&v.to_string()),
-        Number::Float(f) => {
-            if f.is_finite() {
-                // Rust's shortest round-trip Display; ensure a `.0` suffix on
-                // integral floats is NOT forced (parse side accepts both).
-                out.push_str(&f.to_string());
-            } else {
-                out.push_str("null");
-            }
+/// Render a number: integers in decimal, finite floats in Rust's shortest
+/// round-trip `Display` (no `.0` forced on integral floats; the parser
+/// accepts both), non-finite floats as `null`.
+pub(crate) fn write_number(n: Number, out: &mut String) {
+    use fmt::Write as _;
+    // Writing into a `String` cannot fail.
+    let _ = match n {
+        Number::PosInt(v) => write!(out, "{v}"),
+        Number::NegInt(v) => write!(out, "{v}"),
+        Number::Float(f) if f.is_finite() => write!(out, "{f}"),
+        Number::Float(_) => {
+            out.push_str("null");
+            Ok(())
         }
-    }
+    };
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Render a string literal. Unescaped runs are copied whole; every byte
+/// that needs an escape is ASCII, so the run boundaries are char boundaries.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                use fmt::Write as _;
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -428,11 +440,6 @@ pub fn to_value<T: Serialize + ?Sized>(t: &T) -> Value {
     t.serialize(ValueSerializer).unwrap_or(Value::Null)
 }
 
-/// Deserialize a `T` out of a borrowed [`Value`].
-pub fn from_value_ref<T: DeserializeOwned>(v: &Value) -> Result<T, Error> {
-    T::deserialize(ValueDeserializer(v.clone()))
-}
-
 /// Deserialize a `T` out of an owned [`Value`].
 pub fn from_value<T: DeserializeOwned>(v: Value) -> Result<T, Error> {
     T::deserialize(ValueDeserializer(v))
@@ -443,6 +450,10 @@ pub fn from_value<T: DeserializeOwned>(v: Value) -> Result<T, Error> {
 impl Serialize for Value {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_value(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_tree(self, out, None, 0);
     }
 }
 

@@ -4,6 +4,10 @@
 //! formatted strings. Supported shapes cover everything this workspace
 //! derives: non-generic structs (named / tuple / unit) and enums with unit,
 //! tuple, and struct variants, plus `#[serde(rename_all = "...")]`.
+//!
+//! `Serialize` gets both `serialize` (the `Value` tree) and `write_json`
+//! (compact text written field by field, no tree). `Deserialize` moves each
+//! field out of the parsed tree instead of cloning it.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -367,7 +371,8 @@ fn capitalize(w: &str) -> String {
 const VALUE: &str = "::serde::__private::Value";
 const MAP: &str = "::serde::__private::Map";
 const TO_VALUE: &str = "::serde::__private::to_value";
-const FROM_VALUE: &str = "::serde::__private::from_value_ref";
+const FROM_VALUE: &str = "::serde::__private::from_value";
+const WRITE_JSON: &str = "::serde::Serialize::write_json";
 
 fn de_err(item: &str, what: &str) -> String {
     format!(
@@ -450,142 +455,279 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{\n{arms}}}")
         }
     };
+    let write = gen_write_json(item);
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          fn serialize<__S: ::serde::Serializer>(&self, __serializer: __S) \
-         -> ::core::result::Result<__S::Ok, __S::Error> {{\n{body}\n}}\n}}\n"
+         -> ::core::result::Result<__S::Ok, __S::Error> {{\n{body}\n}}\n\
+         fn write_json(&self, __out: &mut ::std::string::String) {{\n{write}}}\n}}\n"
     )
+}
+
+/// Generated `write_json` statements: literal JSON punctuation and keys
+/// interleaved with each field's own `write_json`. The text matches what
+/// the `Value` path renders: object members in the sorted key order of the
+/// `BTreeMap`-backed `Map` (a later field wins a clashing key, as a later
+/// insert does), enums tagged externally.
+struct JsonWriter {
+    code: String,
+    pending: String,
+}
+
+impl JsonWriter {
+    fn new() -> Self {
+        JsonWriter {
+            code: String::new(),
+            pending: String::new(),
+        }
+    }
+
+    /// Append literal JSON text. Keys and variant names are identifiers,
+    /// which never need JSON escapes.
+    fn text(&mut self, json: &str) {
+        self.pending.push_str(json);
+    }
+
+    /// Append a call writing the value of the expression `expr` (a reference).
+    fn value(&mut self, expr: &str) {
+        self.flush();
+        self.code
+            .push_str(&format!("{WRITE_JSON}({expr}, __out);\n"));
+    }
+
+    /// `{"k1":v1,"k2":v2}`; `fields` are (key, expression) pairs in
+    /// declaration order.
+    fn object(&mut self, fields: &[(String, String)]) {
+        let sorted: std::collections::BTreeMap<&str, &str> = fields
+            .iter()
+            .map(|(k, e)| (k.as_str(), e.as_str()))
+            .collect();
+        self.text("{");
+        for (i, (key, expr)) in sorted.into_iter().enumerate() {
+            if i > 0 {
+                self.text(",");
+            }
+            self.text(&format!("\"{key}\":"));
+            self.value(expr);
+        }
+        self.text("}");
+    }
+
+    /// `[e1,e2]`.
+    fn array(&mut self, exprs: &[String]) {
+        self.text("[");
+        for (i, expr) in exprs.iter().enumerate() {
+            if i > 0 {
+                self.text(",");
+            }
+            self.value(expr);
+        }
+        self.text("]");
+    }
+
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            self.code
+                .push_str(&format!("__out.push_str({:?});\n", self.pending));
+            self.pending.clear();
+        }
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.code
+    }
+}
+
+fn gen_write_json(item: &Item) -> String {
+    let name = &item.name;
+    let rename_all = item.rename_all.as_deref();
+    let mut w = JsonWriter::new();
+    match &item.body {
+        Body::NamedStruct(fields) => {
+            let fields: Vec<(String, String)> = fields
+                .iter()
+                .map(|f| (apply_rename(f, rename_all), format!("&self.{f}")))
+                .collect();
+            w.object(&fields);
+        }
+        Body::TupleStruct(1) => w.value("&self.0"),
+        Body::TupleStruct(n) => {
+            let exprs: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            w.array(&exprs);
+        }
+        Body::UnitStruct => w.text("null"),
+        Body::Enum(variants) => {
+            let mut arms = String::new();
+            for v in variants {
+                let vname = &v.name;
+                let wire = apply_rename(vname, rename_all);
+                let mut arm = JsonWriter::new();
+                let pattern = match &v.kind {
+                    VariantKind::Unit => {
+                        arm.text(&format!("\"{wire}\""));
+                        format!("{name}::{vname}")
+                    }
+                    VariantKind::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                        arm.text(&format!("{{\"{wire}\":"));
+                        if *n == 1 {
+                            arm.value("__f0");
+                        } else {
+                            arm.array(&binds);
+                        }
+                        arm.text("}");
+                        format!("{name}::{vname}({})", binds.join(", "))
+                    }
+                    VariantKind::Named(fields) => {
+                        // Struct-variant fields keep their Rust names:
+                        // `rename_all` on an enum renames variants only.
+                        let pairs: Vec<(String, String)> =
+                            fields.iter().map(|f| (f.clone(), f.clone())).collect();
+                        arm.text(&format!("{{\"{wire}\":"));
+                        arm.object(&pairs);
+                        arm.text("}");
+                        format!("{name}::{vname} {{ {} }}", fields.join(", "))
+                    }
+                };
+                arms.push_str(&format!("{pattern} => {{\n{}}}\n", arm.finish()));
+            }
+            return format!("match self {{\n{arms}}}\n");
+        }
+    }
+    w.finish()
+}
+
+/// Decode the owned `Value` expression `expr` into the field's type,
+/// returning early with `"{ctx}: {error}"` on failure.
+fn de_field(expr: &str, ctx: &str) -> String {
+    format!(
+        "match {FROM_VALUE}({expr}) {{\n\
+         ::core::result::Result::Ok(v) => v,\n\
+         ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
+         <__D::Error as ::serde::de::Error>::custom(\
+         ::std::format!(\"{ctx}: {{}}\", e))),\n}}"
+    )
+}
+
+/// Field initializers taking each field's value out of the object `__o`
+/// (a missing key decodes from `null`).
+fn de_named_fields(fields: &[String], keys: &[String], ctx: &str) -> String {
+    fields
+        .iter()
+        .zip(keys)
+        .map(|(f, key)| {
+            let take = format!("__o.remove({key:?}).unwrap_or({VALUE}::Null)");
+            format!("{f}: {},\n", de_field(&take, &format!("{ctx}.{f}")))
+        })
+        .collect()
+}
+
+/// Elements taken out of the array `__a`, which holds exactly `n`.
+fn de_elements(n: usize, ctx: &str) -> String {
+    (0..n)
+        .map(|i| {
+            de_field(
+                &format!("::core::mem::take(&mut __a[{i}])"),
+                &format!("{ctx}.{i}"),
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// `mut ` when a destructured container has members to take out.
+fn mut_if(nonempty: bool) -> &'static str {
+    if nonempty {
+        "mut "
+    } else {
+        ""
+    }
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
         Body::NamedStruct(fields) => {
-            let mut inits = String::new();
-            for f in fields {
-                let key = apply_rename(f, item.rename_all.as_deref());
-                inits.push_str(&format!(
-                    "{f}: match {FROM_VALUE}(__o.get({key:?}).unwrap_or(&{VALUE}::Null)) {{\n\
-                     ::core::result::Result::Ok(v) => v,\n\
-                     ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                     <__D::Error as ::serde::de::Error>::custom(\
-                     ::std::format!(\"{name}.{f}: {{}}\", e))),\n}},\n"
-                ));
-            }
+            let keys: Vec<String> = fields
+                .iter()
+                .map(|f| apply_rename(f, item.rename_all.as_deref()))
+                .collect();
             format!(
-                "let __o = match &__v {{\n\
+                "let {mut_o}__o = match __v {{\n\
                  {VALUE}::Object(m) => m,\n\
                  _ => {err},\n}};\n\
                  ::core::result::Result::Ok({name} {{\n{inits}}})",
-                err = de_err(name, "expected object")
+                mut_o = mut_if(!fields.is_empty()),
+                err = de_err(name, "expected object"),
+                inits = de_named_fields(fields, &keys, name),
             )
         }
         Body::TupleStruct(1) => format!(
-            "match {FROM_VALUE}(&__v) {{\n\
-             ::core::result::Result::Ok(v) => ::core::result::Result::Ok({name}(v)),\n\
-             ::core::result::Result::Err(e) => ::core::result::Result::Err(\
-             <__D::Error as ::serde::de::Error>::custom(\
-             ::std::format!(\"{name}: {{}}\", e))),\n}}"
+            "::core::result::Result::Ok({name}({}))",
+            de_field("__v", name)
         ),
-        Body::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| {
-                    format!(
-                        "match {FROM_VALUE}(&__a[{i}]) {{\n\
-                         ::core::result::Result::Ok(v) => v,\n\
-                         ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                         <__D::Error as ::serde::de::Error>::custom(\
-                         ::std::format!(\"{name}.{i}: {{}}\", e))),\n}}"
-                    )
-                })
-                .collect();
-            format!(
-                "let __a = match &__v {{\n\
-                 {VALUE}::Array(a) if a.len() == {n} => a,\n\
-                 _ => {err},\n}};\n\
-                 ::core::result::Result::Ok({name}({elems}))",
-                err = de_err(name, &format!("expected array of {n}")),
-                elems = elems.join(", ")
-            )
-        }
+        Body::TupleStruct(n) => format!(
+            "let {mut_a}__a = match __v {{\n\
+             {VALUE}::Array(a) if a.len() == {n} => a,\n\
+             _ => {err},\n}};\n\
+             ::core::result::Result::Ok({name}({elems}))",
+            mut_a = mut_if(*n > 0),
+            err = de_err(name, &format!("expected array of {n}")),
+            elems = de_elements(*n, name),
+        ),
         Body::UnitStruct => format!("::core::result::Result::Ok({name})"),
         Body::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut content_arms = String::new();
             for v in variants {
                 let vname = &v.name;
+                let ctx = format!("{name}::{vname}");
                 let wire = apply_rename(vname, item.rename_all.as_deref());
                 match &v.kind {
                     VariantKind::Unit => {
-                        unit_arms.push_str(&format!(
-                            "{wire:?} => ::core::result::Result::Ok({name}::{vname}),\n"
-                        ));
+                        unit_arms
+                            .push_str(&format!("{wire:?} => ::core::result::Result::Ok({ctx}),\n"));
                         // Also accept the `{"Variant": null}` object form.
-                        content_arms.push_str(&format!(
-                            "{wire:?} => ::core::result::Result::Ok({name}::{vname}),\n"
-                        ));
+                        content_arms
+                            .push_str(&format!("{wire:?} => ::core::result::Result::Ok({ctx}),\n"));
                     }
                     VariantKind::Tuple(1) => content_arms.push_str(&format!(
-                        "{wire:?} => match {FROM_VALUE}(__content) {{\n\
-                         ::core::result::Result::Ok(v) => ::core::result::Result::Ok({name}::{vname}(v)),\n\
-                         ::core::result::Result::Err(e) => ::core::result::Result::Err(\
-                         <__D::Error as ::serde::de::Error>::custom(\
-                         ::std::format!(\"{name}::{vname}: {{}}\", e))),\n}},\n"
+                        "{wire:?} => ::core::result::Result::Ok({ctx}({})),\n",
+                        de_field("__content", &ctx)
                     )),
-                    VariantKind::Tuple(n) => {
-                        let elems: Vec<String> = (0..*n)
-                            .map(|i| {
-                                format!(
-                                    "match {FROM_VALUE}(&__a[{i}]) {{\n\
-                                     ::core::result::Result::Ok(v) => v,\n\
-                                     ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                                     <__D::Error as ::serde::de::Error>::custom(\
-                                     ::std::format!(\"{name}::{vname}.{i}: {{}}\", e))),\n}}"
-                                )
-                            })
-                            .collect();
-                        content_arms.push_str(&format!(
-                            "{wire:?} => {{\n\
-                             let __a = match __content {{\n\
-                             {VALUE}::Array(a) if a.len() == {n} => a,\n\
-                             _ => {err},\n}};\n\
-                             ::core::result::Result::Ok({name}::{vname}({elems}))\n}},\n",
-                            err = de_err(&format!("{name}::{vname}"), &format!("expected array of {n}")),
-                            elems = elems.join(", ")
-                        ));
-                    }
-                    VariantKind::Named(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{f}: match {FROM_VALUE}(__o.get({f:?}).unwrap_or(&{VALUE}::Null)) {{\n\
-                                 ::core::result::Result::Ok(v) => v,\n\
-                                 ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                                 <__D::Error as ::serde::de::Error>::custom(\
-                                 ::std::format!(\"{name}::{vname}.{f}: {{}}\", e))),\n}},\n"
-                            ));
-                        }
-                        content_arms.push_str(&format!(
-                            "{wire:?} => {{\n\
-                             let __o = match __content {{\n\
-                             {VALUE}::Object(m) => m,\n\
-                             _ => {err},\n}};\n\
-                             ::core::result::Result::Ok({name}::{vname} {{\n{inits}}})\n}},\n",
-                            err = de_err(&format!("{name}::{vname}"), "expected object")
-                        ));
-                    }
+                    VariantKind::Tuple(n) => content_arms.push_str(&format!(
+                        "{wire:?} => {{\n\
+                         let {mut_a}__a = match __content {{\n\
+                         {VALUE}::Array(a) if a.len() == {n} => a,\n\
+                         _ => {err},\n}};\n\
+                         ::core::result::Result::Ok({ctx}({elems}))\n}},\n",
+                        mut_a = mut_if(*n > 0),
+                        err = de_err(&ctx, &format!("expected array of {n}")),
+                        elems = de_elements(*n, &ctx),
+                    )),
+                    VariantKind::Named(fields) => content_arms.push_str(&format!(
+                        "{wire:?} => {{\n\
+                         let {mut_o}__o = match __content {{\n\
+                         {VALUE}::Object(m) => m,\n\
+                         _ => {err},\n}};\n\
+                         ::core::result::Result::Ok({ctx} {{\n{inits}}})\n}},\n",
+                        mut_o = mut_if(!fields.is_empty()),
+                        err = de_err(&ctx, "expected object"),
+                        inits = de_named_fields(fields, fields, &ctx),
+                    )),
                 }
             }
             format!(
-                "match &__v {{\n\
+                "match __v {{\n\
                  {VALUE}::String(__s) => match __s.as_str() {{\n{unit_arms}\
                  __other => ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
                  ::std::format!(\"{name}: unknown variant {{:?}}\", __other))),\n}},\n\
                  {VALUE}::Object(__m) => {{\n\
-                 let (__tag, __content) = match __m.iter().next() {{\n\
-                 ::core::option::Option::Some((k, v)) => (k.as_str(), v),\n\
+                 let (__tag, __content) = match __m.into_iter().next() {{\n\
+                 ::core::option::Option::Some(entry) => entry,\n\
                  ::core::option::Option::None => {err_empty},\n}};\n\
-                 match __tag {{\n{content_arms}\
+                 match __tag.as_str() {{\n{content_arms}\
                  __other => ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
                  ::std::format!(\"{name}: unknown variant {{:?}}\", __other))),\n}}\n}},\n\
                  _ => {err_shape},\n}}",

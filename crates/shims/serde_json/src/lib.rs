@@ -1,14 +1,16 @@
-//! Offline stand-in for `serde_json`: renders the vendored serde facade's
-//! [`Value`] tree to and from JSON text. Covers the API subset this
-//! workspace uses: `to_string`/`to_string_pretty`/`to_vec`/`to_value`,
+//! Offline stand-in for `serde_json`: JSON text for the vendored serde
+//! facade. Covers the API subset this workspace uses:
+//! `to_string`/`to_string_pretty`/`to_vec`/`to_value`,
 //! `from_str`/`from_slice`/`from_value`, `Value`, and the `json!` macro.
+//! Parsing builds a [`Value`] tree; compact output is written straight from
+//! the type by [`Serialize::write_json`], byte-identical to rendering the
+//! tree, and pretty output renders the tree.
 //!
 //! Float output uses Rust's shortest round-trip `Display`, so an
 //! f64 → JSON → f64 round trip is bit-exact — a property the checkpoint
 //! subsystem's "identical trailing trajectory" guarantee leans on.
 
 mod parse;
-mod print;
 
 use std::fmt;
 
@@ -46,11 +48,13 @@ pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T> {
 }
 
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(print::compact(&serde::value::to_value(value)))
+    let mut out = String::new();
+    value.write_json(&mut out);
+    Ok(out)
 }
 
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(print::pretty(&serde::value::to_value(value)))
+    Ok(serde::value::to_value(value).to_json_pretty())
 }
 
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {

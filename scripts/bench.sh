@@ -5,8 +5,9 @@
 #   scripts/bench.sh            # sec34 MOST + sec51 scaling + portal_load
 #   scripts/bench.sh --all      # every bench target in the harness
 #
-# sec51 writes steps/second for N = 3, 8, 16, 64 to BENCH_scaling.json at
-# the repo root (and asserts 64-site double-run determinism); portal_load
+# sec51 writes the median and best steps/second of five runs for
+# N = 3, 8, 16, 64, with the core count, to BENCH_scaling.json at the repo
+# root (and asserts 64-site double-run determinism); portal_load
 # drives 10,000 tenants through the portal service and writes
 # experiments/sec + p99 submission→first-step latency to BENCH_portal.json
 # (asserting zero cross-tenant leaks). archive_ingest replicates striped
