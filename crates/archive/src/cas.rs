@@ -293,7 +293,7 @@ impl CasStore {
         for b in &manifest.blocks {
             if self.has_block(&b.key) {
                 let (s, e) = b.range();
-                add_range(&mut marker.ranges, s, e);
+                marker.add(s, e);
             }
         }
         marker
@@ -354,20 +354,6 @@ impl CasStore {
         }
         crc32(acc.as_bytes())
     }
-}
-
-/// Insert `[start, end)` into a sorted, coalesced range list.
-pub(crate) fn add_range(ranges: &mut Vec<(u64, u64)>, start: u64, end: u64) {
-    ranges.push((start, end));
-    ranges.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-    for &(s, e) in ranges.iter() {
-        match merged.last_mut() {
-            Some((_, pe)) if s <= *pe => *pe = (*pe).max(e),
-            _ => merged.push((s, e)),
-        }
-    }
-    *ranges = merged;
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use neesgrid_repo::gridftp::RestartMarker;
 use neesgrid_repo::VirtualStore;
 use neesgrid_telemetry::{CounterHandle, Field, HistogramHandle, SpanId, Telemetry};
 
-use crate::cas::{add_range, BlockKey, CasStore, Manifest};
+use crate::cas::{BlockKey, CasStore, Manifest};
 
 /// Service name for control-plane frames (offer / commit) on base links.
 pub const CTL_SERVICE: &str = "archive-ctl";
@@ -300,7 +300,7 @@ struct TxTransfer {
 
 struct RxTransfer {
     manifest: Manifest,
-    ranges: Vec<(u64, u64)>,
+    marker: RestartMarker,
     sealed: bool,
 }
 
@@ -513,30 +513,22 @@ impl ArchiveSite {
             dst: self.inner.name.clone(),
             transfer_id,
             manifest: rx.manifest.clone(),
-            marker: RestartMarker {
-                ranges: rx.ranges.clone(),
-            },
+            marker: rx.marker.clone(),
         })
     }
 
     /// Restore an inbound transfer from a checkpoint cut before a restart.
-    /// The marker is re-validated against the CAS (a checkpointed range
-    /// whose blocks did not survive is dropped), so a stale or tampered
-    /// checkpoint can only shrink coverage, never fake it.
+    /// The marker is recomputed from the blocks the CAS holds, not taken
+    /// from the checkpoint, so a stale or tampered checkpoint cannot fake
+    /// coverage and blocks lost since the cut are sent again.
     pub fn restore_rx(&self, checkpoint: &TransferCheckpoint) {
-        let verified = self.inner.cas.coverage(&checkpoint.manifest);
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for &(s, e) in &verified.ranges {
-            if checkpoint.marker.covers(s, e) || verified.covers(s, e) {
-                add_range(&mut ranges, s, e);
-            }
-        }
+        let marker = self.inner.cas.coverage(&checkpoint.manifest);
         let mut state = self.inner.state.lock();
         state.rx.insert(
             (checkpoint.src.clone(), checkpoint.transfer_id),
             RxTransfer {
                 manifest: checkpoint.manifest.clone(),
-                ranges,
+                marker,
                 sealed: false,
             },
         );
@@ -571,17 +563,15 @@ impl SiteInner {
                 let mut state = self.state.lock();
                 let key = (env.src.as_str().to_string(), transfer_id);
                 let rx = state.rx.entry(key).or_insert_with(|| RxTransfer {
-                    // Dedup on arrival: ranges open with whatever the CAS
-                    // already covers (identical capture ⇒ full marker).
-                    ranges: self.cas.coverage(&manifest).ranges,
+                    // Dedup on arrival: the marker opens with whatever the
+                    // CAS already covers (identical capture ⇒ full marker).
+                    marker: self.cas.coverage(&manifest),
                     manifest,
                     sealed: false,
                 });
                 CtlFrame::OfferAck {
                     transfer_id,
-                    marker: RestartMarker {
-                        ranges: rx.ranges.clone(),
-                    },
+                    marker: rx.marker.clone(),
                 }
             }
             CtlFrame::Commit { transfer_id } => {
@@ -589,8 +579,7 @@ impl SiteInner {
                 let key = (env.src.as_str().to_string(), transfer_id);
                 let ok = match state.rx.get_mut(&key) {
                     Some(rx) => {
-                        let complete = rx.manifest.total_len == 0
-                            || rx.ranges == vec![(0, rx.manifest.total_len)];
+                        let complete = rx.marker.is_complete(rx.manifest.total_len);
                         if complete && !rx.sealed {
                             self.cas.put_manifest(&rx.manifest, now);
                             rx.sealed = true;
@@ -826,7 +815,7 @@ impl SiteInner {
         }
         self.cas.put_block(frame.key, frame.data, now);
         let (s, e) = expected.range();
-        add_range(&mut rx.ranges, s, e);
+        rx.marker.add(s, e);
         drop(state);
         self.lanes[lane as usize].send(
             env.src,

@@ -17,7 +17,7 @@ use bytes::Bytes;
 use neesgrid_archive::{ArchiveSite, StripeConfig, TransferStatus};
 use neesgrid_coordinator::Termination;
 use neesgrid_most::n_site;
-use neesgrid_repo::VirtualStore;
+use neesgrid_repo::{crc32, VirtualStore};
 use neesgrid_telemetry::Telemetry;
 
 const STEPS: usize = 100;
@@ -36,19 +36,6 @@ fn payload(n: usize, salt: u32) -> Bytes {
     )
 }
 
-fn history_crc(displacement: &[Vec<f64>]) -> u32 {
-    let json = serde_json::to_vec(displacement).expect("history serializes");
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in &json {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 fn main() {
     // Warm-up: one untimed run so allocator and page-cache effects don't
     // land on whichever timed phase happens to go first.
@@ -60,7 +47,8 @@ fn main() {
     let solo_elapsed = started.elapsed();
     assert!(matches!(solo.termination, Termination::Completed));
     let solo_rate = STEPS as f64 / solo_elapsed.as_secs_f64();
-    let solo_digest = history_crc(&solo.history.displacement);
+    let solo_digest =
+        crc32(&serde_json::to_vec(&solo.history.displacement).expect("history serializes"));
     eprintln!(
         "archive_ingest: solo MOST {STEPS} steps in {solo_elapsed:>8.2?} ({solo_rate:.1} steps/s)"
     );
@@ -110,7 +98,8 @@ fn main() {
     let loaded_elapsed = started.elapsed();
     assert!(matches!(loaded.termination, Termination::Completed));
     let loaded_rate = STEPS as f64 / loaded_elapsed.as_secs_f64();
-    let loaded_digest = history_crc(&loaded.history.displacement);
+    let loaded_digest =
+        crc32(&serde_json::to_vec(&loaded.history.displacement).expect("history serializes"));
 
     // The guardrail: archive traffic must not perturb the experiment.
     assert_eq!(

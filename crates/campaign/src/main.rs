@@ -201,15 +201,13 @@ fn run_replay(args: &[String]) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let label = match extract_field(&verdict, "label") {
-        Some(l) => l,
-        None => {
-            eprintln!("error: verdict.json has no label");
-            return ExitCode::from(1);
-        }
+    let verdict: serde_json::Value = serde_json::from_str(&verdict).unwrap_or_default();
+    let Some(label) = verdict["label"].as_str() else {
+        eprintln!("error: verdict.json has no label");
+        return ExitCode::from(1);
     };
-    let resumed = verdict.contains("\"resumed\":true");
-    match replay_entry(&source, &label, run_id.trim(), &trace) {
+    let resumed = verdict["resumed"] == true;
+    match replay_entry(&source, label, run_id.trim(), &trace) {
         Ok(report) => {
             eprintln!("{}", report.detail);
             if report.verified(resumed) {
@@ -223,9 +221,4 @@ fn run_replay(args: &[String]) -> ExitCode {
             ExitCode::from(1)
         }
     }
-}
-
-fn extract_field(verdict_json: &str, key: &str) -> Option<String> {
-    let doc = neesgrid_telemetry::json::parse(verdict_json.trim()).ok()?;
-    doc.get(key).and_then(|v| v.as_str()).map(str::to_string)
 }

@@ -27,7 +27,8 @@ use neesgrid_portal::{
     RunState, TenantQuotas, ARTIFACT_CHUNK_MAX,
 };
 use neesgrid_repo::VirtualStore;
-use neesgrid_telemetry::{JsonValue, Telemetry, TraceSignature};
+use neesgrid_telemetry::{Telemetry, TraceSignature};
+use serde::Serialize;
 
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::dsl::{ScenarioDoc, WorkerKill};
@@ -131,19 +132,28 @@ pub struct RunVerdict {
 }
 
 impl RunVerdict {
-    /// Canonical one-line JSON (fixed key order) for the verdict table.
+    /// Canonical one-line JSON for the verdict table, with a fixed key
+    /// order: `label, run, seed, outcome, error, steps, resumed,
+    /// signature`.
     pub fn to_canonical(&self) -> String {
-        JsonValue::Obj(vec![
-            ("label".into(), JsonValue::Str(self.label.clone())),
-            ("run".into(), JsonValue::Str(self.run_id.clone())),
-            ("seed".into(), JsonValue::U64(self.seed)),
-            ("outcome".into(), JsonValue::Str(self.outcome.clone())),
-            ("error".into(), JsonValue::Str(self.error.clone())),
-            ("steps".into(), JsonValue::U64(self.steps_completed as u64)),
-            ("resumed".into(), JsonValue::Bool(self.resumed)),
-            ("signature".into(), JsonValue::Str(self.signature.id())),
-        ])
-        .to_canonical()
+        let mut out = String::from("{\"label\":");
+        self.label.write_json(&mut out);
+        out.push_str(",\"run\":");
+        self.run_id.write_json(&mut out);
+        out.push_str(",\"seed\":");
+        self.seed.write_json(&mut out);
+        out.push_str(",\"outcome\":");
+        self.outcome.write_json(&mut out);
+        out.push_str(",\"error\":");
+        self.error.write_json(&mut out);
+        out.push_str(",\"steps\":");
+        self.steps_completed.write_json(&mut out);
+        out.push_str(",\"resumed\":");
+        self.resumed.write_json(&mut out);
+        out.push_str(",\"signature\":");
+        self.signature.id().write_json(&mut out);
+        out.push('}');
+        out
     }
 }
 
@@ -466,5 +476,28 @@ fn fetch_artifact(
                 })
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verdict_line_bytes_are_pinned() {
+        let verdict = RunVerdict {
+            label: "most/public \"quoted\"/seed=7".into(),
+            run_id: "run-000012".into(),
+            seed: u64::MAX,
+            outcome: "failed".into(),
+            error: "cu: transport: link reset\n\tat step 1493".into(),
+            steps_completed: 1492,
+            resumed: true,
+            signature: TraceSignature::from_jsonl(""),
+        };
+        assert_eq!(
+            verdict.to_canonical(),
+            r#"{"label":"most/public \"quoted\"/seed=7","run":"run-000012","seed":18446744073709551615,"outcome":"failed","error":"cu: transport: link reset\n\tat step 1493","steps":1492,"resumed":true,"signature":"13a28dbbad440e38"}"#
+        );
     }
 }

@@ -466,20 +466,6 @@ pub struct PortalStats {
     pub p99_first_step_ns: u64,
 }
 
-/// CRC-32 (IEEE) over a byte slice — the digest `Fetch` replies carry so
-/// two histories can be compared without shipping both.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,9 +528,13 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn deeply_nested_body_is_a_typed_error_not_a_stack_overflow() {
+        let body = vec![b'['; 1 << 20];
+        let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        match decode::<RequestFrame>(&wire) {
+            Err(FrameError::Json(e)) => assert!(e.starts_with("recursion limit exceeded"), "{e}"),
+            other => panic!("expected a JSON error, got {other:?}"),
+        }
     }
 }

@@ -51,7 +51,7 @@ pub use experiment::{
     MAX_SITES, MAX_STEPS,
 };
 pub use frame::{
-    crc32, decode, encode, BoardEntry, FrameError, PortalStats, Rejection, Request, RequestFrame,
+    decode, encode, BoardEntry, FrameError, PortalStats, Rejection, Request, RequestFrame,
     Response, RunReport, RunState, ARTIFACT_CHUNK_MAX, MAX_FRAME_BYTES, PORTAL_SERVICE,
 };
 pub use scheduler::{SubmissionQueue, WorkerPool};

@@ -29,6 +29,7 @@ use neesgrid_gridsim::{
     Endpoint, Envelope, MessageKind, NetworkError, SimClock, SimTime, VirtualNetwork,
 };
 use neesgrid_gsi::{CaVerifier, DistinguishedName, PolicyDecision};
+use neesgrid_repo::crc32;
 use neesgrid_telemetry::{Field, Telemetry};
 
 use crate::experiment::{ExperimentSpec, RunProgress, WorkerRun};
@@ -856,7 +857,7 @@ impl PortalCore {
             self.latencies_ns.push(latency);
         }
         let json = serde_json::to_vec(&outcome.history).unwrap_or_default();
-        entry.digest = Some(frame::crc32(&json));
+        entry.digest = Some(crc32(&json));
         entry.history_json = Some(json);
         // Archive the trace and the NSDS capture: chunked into the
         // attached site's CAS, where identical captures across runs

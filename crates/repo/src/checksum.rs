@@ -2,8 +2,9 @@
 //!
 //! GridFTP guards bulk data with per-block and whole-file checksums; the
 //! simulated transport does the same with CRC-32 (the IEEE polynomial,
-//! table-driven). Hex is the byte codec used when chunks ride inside JSON
-//! RPC payloads.
+//! computed bit by bit, no lookup table). The archive, the portal's history
+//! digests and the benches use this one implementation. Hex is the byte
+//! codec used when chunks ride inside JSON RPC payloads.
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected).
 pub fn crc32(data: &[u8]) -> u32 {

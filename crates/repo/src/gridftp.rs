@@ -8,6 +8,8 @@
 //! them. The `fig03_repository` bench sweeps file size × stream count
 //! through this path.
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -99,6 +101,27 @@ impl RestartMarker {
     pub fn covers(&self, start: u64, end: u64) -> bool {
         self.ranges.iter().any(|&(s, e)| s <= start && end <= e)
     }
+
+    /// Record `[start, end)` as held, keeping the ranges sorted and
+    /// coalesced.
+    pub fn add(&mut self, start: u64, end: u64) {
+        self.ranges.push((start, end));
+        self.ranges.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ranges.len());
+        for &(s, e) in &self.ranges {
+            match merged.last_mut() {
+                Some((_, pe)) if s <= *pe => *pe = (*pe).max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        self.ranges = merged;
+    }
+
+    /// Whether the ranges are exactly `[0, len)`: every byte of a
+    /// `len`-byte file is held.
+    pub fn is_complete(&self, len: u64) -> bool {
+        len == 0 || self.ranges == [(0, len)]
+    }
 }
 
 /// Sender side of a transfer.
@@ -164,11 +187,16 @@ impl GridFtpSender {
 }
 
 /// Receiver side of a transfer.
+///
+/// The negotiated length comes from the peer, so nothing is allocated up
+/// front: accepted blocks are kept by offset (shared, not copied), and the
+/// file is assembled in [`GridFtpReceiver::finish`] once the marker covers
+/// every byte.
 pub struct GridFtpReceiver {
     expected_len: u64,
     expected_checksum: u32,
-    buffer: Vec<u8>,
-    ranges: Vec<(u64, u64)>,
+    blocks: BTreeMap<u64, Bytes>,
+    marker: RestartMarker,
     blocks_accepted: u64,
     blocks_rejected: u64,
 }
@@ -179,8 +207,8 @@ impl GridFtpReceiver {
         GridFtpReceiver {
             expected_len: len,
             expected_checksum: checksum,
-            buffer: vec![0; len as usize],
-            ranges: Vec::new(),
+            blocks: BTreeMap::new(),
+            marker: RestartMarker::default(),
             blocks_accepted: 0,
             blocks_rejected: 0,
         }
@@ -190,49 +218,33 @@ impl GridFtpReceiver {
     /// out-of-bounds blocks. Duplicate blocks are idempotent.
     pub fn accept(&mut self, chunk: &TransferChunk) -> Result<(), TransferError> {
         let start = chunk.offset;
-        let end = start + chunk.data.len() as u64;
-        if end > self.expected_len {
+        let end = start.checked_add(chunk.data.len() as u64);
+        let Some(end) = end.filter(|&end| end <= self.expected_len) else {
             self.blocks_rejected += 1;
             return Err(TransferError::OutOfBounds {
                 start,
-                end,
+                end: end.unwrap_or(u64::MAX),
                 len: self.expected_len,
             });
-        }
+        };
         if crc32(&chunk.data) != chunk.checksum {
             self.blocks_rejected += 1;
             return Err(TransferError::BlockChecksum { offset: start });
         }
-        self.buffer[start as usize..end as usize].copy_from_slice(&chunk.data);
-        self.add_range(start, end);
+        self.blocks.insert(start, chunk.data.clone());
+        self.marker.add(start, end);
         self.blocks_accepted += 1;
         Ok(())
     }
 
-    fn add_range(&mut self, start: u64, end: u64) {
-        self.ranges.push((start, end));
-        self.ranges.sort_unstable();
-        // Coalesce.
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ranges.len());
-        for &(s, e) in &self.ranges {
-            match merged.last_mut() {
-                Some((_, pe)) if s <= *pe => *pe = (*pe).max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.ranges = merged;
-    }
-
     /// The current restart marker.
     pub fn restart_marker(&self) -> RestartMarker {
-        RestartMarker {
-            ranges: self.ranges.clone(),
-        }
+        self.marker.clone()
     }
 
     /// Whether every byte has arrived.
     pub fn complete(&self) -> bool {
-        self.expected_len == 0 || self.ranges == vec![(0, self.expected_len)]
+        self.marker.is_complete(self.expected_len)
     }
 
     /// (accepted, rejected) block counters.
@@ -244,18 +256,26 @@ impl GridFtpReceiver {
     pub fn finish(self) -> Result<Bytes, TransferError> {
         if !self.complete() {
             return Err(TransferError::Incomplete {
-                have: self.ranges,
+                have: self.marker.ranges,
                 expected: self.expected_len,
             });
         }
-        let sum = crc32(&self.buffer);
+        // Complete means accepted blocks spanned every byte, so this
+        // allocation is bounded by what actually arrived. (A block re-sent
+        // shorter at the same offset leaves zeros; the file CRC catches it.)
+        let mut file = vec![0; self.expected_len as usize];
+        for (offset, data) in &self.blocks {
+            let start = *offset as usize;
+            file[start..start + data.len()].copy_from_slice(data);
+        }
+        let sum = crc32(&file);
         if sum != self.expected_checksum {
             return Err(TransferError::FileChecksum {
                 actual: sum,
                 expected: self.expected_checksum,
             });
         }
-        Ok(Bytes::from(self.buffer))
+        Ok(Bytes::from(file))
     }
 }
 

@@ -251,17 +251,22 @@ impl GridService for NfmsService {
                     .nfms
                     .retrieve(&ticket)
                     .map_err(|e| ServiceFault::permanent("NotFound", e.to_string()))?;
-                let offset = body["offset"].as_u64().unwrap_or(0) as usize;
-                let len = body["len"].as_u64().unwrap_or(8192) as usize;
-                if offset > content.len() {
+                let offset = body["offset"].as_u64().unwrap_or(0);
+                let len = body["len"].as_u64().unwrap_or(8192);
+                let size = content.len() as u64;
+                if offset > size {
                     return Err(ServiceFault::permanent("BadRequest", "offset beyond EOF"));
                 }
-                let end = (offset + len).min(content.len());
-                let slice = &content[offset..end];
+                let end = offset
+                    .checked_add(len)
+                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "offset + len overflows"))?
+                    .min(size);
+                // Both bounds are at most `content.len()`, so they fit a usize.
+                let slice = &content[offset as usize..end as usize];
                 Ok(json!({
                     "data": to_hex(slice),
                     "checksum": crc32(slice),
-                    "eof": end == content.len(),
+                    "eof": end == size,
                     "total_size": content.len(),
                 }))
             }
@@ -392,17 +397,37 @@ mod tests {
         assert_eq!(got, data);
     }
 
-    #[test]
-    fn nfms_commit_of_incomplete_upload_fails() {
+    /// A fresh NFMS service with an upload of `size` bytes negotiated;
+    /// returns the service and the transfer id.
+    fn negotiated(size: u64) -> (NfmsService, u64) {
         let mut svc = NfmsService::new(Nfms::new(VirtualStore::new()));
         let neg = svc
             .handle(
                 &ctx(1),
                 "negotiateUpload",
-                &json!({"logical": "/f", "size": 100, "checksum": 0}),
+                &json!({"logical": "/f", "size": size, "checksum": 0}),
             )
             .unwrap();
         let tid = neg["transfer_id"].as_u64().unwrap();
+        (svc, tid)
+    }
+
+    /// Send `data` at `offset` as one block with the given checksum.
+    fn upload_chunk(
+        svc: &mut NfmsService,
+        tid: u64,
+        offset: u64,
+        data: &[u8],
+        checksum: u32,
+    ) -> Result<Value, ServiceFault> {
+        let chunk = json!({"transfer_id": tid, "offset": offset, "stream": 0,
+            "data": to_hex(data), "checksum": checksum});
+        svc.handle(&ctx(2), "uploadChunk", &chunk)
+    }
+
+    #[test]
+    fn nfms_commit_of_incomplete_upload_fails() {
+        let (mut svc, tid) = negotiated(100);
         let err = svc
             .handle(&ctx(2), "commitUpload", &json!({"transfer_id": tid}))
             .unwrap_err();
@@ -411,29 +436,42 @@ mod tests {
 
     #[test]
     fn nfms_corrupt_chunk_is_transient_fault() {
-        let mut svc = NfmsService::new(Nfms::new(VirtualStore::new()));
-        let neg = svc
-            .handle(
-                &ctx(1),
-                "negotiateUpload",
-                &json!({"logical": "/f", "size": 4, "checksum": 0}),
-            )
-            .unwrap();
-        let tid = neg["transfer_id"].as_u64().unwrap();
-        let err = svc
-            .handle(
-                &ctx(2),
-                "uploadChunk",
-                &json!({
-                    "transfer_id": tid,
-                    "offset": 0,
-                    "stream": 0,
-                    "data": to_hex(b"data"),
-                    "checksum": 12345, // wrong
-                }),
-            )
-            .unwrap_err();
+        let (mut svc, tid) = negotiated(4);
+        let err = upload_chunk(&mut svc, tid, 0, b"data", 12345).unwrap_err();
         assert_eq!(err.code, "ChunkRejected");
         assert!(err.retryable, "sender should resend the block");
+    }
+
+    #[test]
+    fn nfms_huge_negotiated_size_allocates_nothing_up_front() {
+        let (mut svc, tid) = negotiated(u64::MAX / 2);
+        let err = svc
+            .handle(&ctx(2), "commitUpload", &json!({"transfer_id": tid}))
+            .unwrap_err();
+        assert_eq!(err.code, "TransferIncomplete");
+    }
+
+    #[test]
+    fn nfms_chunk_whose_end_overflows_is_out_of_bounds() {
+        let (mut svc, tid) = negotiated(100);
+        let err =
+            upload_chunk(&mut svc, tid, u64::MAX - 5, b"overflow", crc32(b"overflow")).unwrap_err();
+        assert_eq!(err.code, "ChunkRejected");
+        assert!(err.message.contains("beyond file length 100"), "{err:?}");
+    }
+
+    #[test]
+    fn nfms_download_range_that_overflows_is_a_bad_request() {
+        let mut nfms = Nfms::new(VirtualStore::new());
+        nfms.upload("/f", Bytes::from_static(b"archived"), SimTime::ZERO)
+            .unwrap();
+        let err = NfmsService::new(nfms)
+            .handle(
+                &ctx(1),
+                "downloadChunk",
+                &json!({"logical": "/f", "offset": 1, "len": u64::MAX}),
+            )
+            .unwrap_err();
+        assert_eq!(err.code, "BadRequest");
     }
 }

@@ -4,13 +4,18 @@ use serde::value::{Map, Number, Value};
 
 use crate::Error;
 
+/// Deepest array/object nesting accepted, real serde_json's recursion
+/// limit. Each level recurses once, so without a bound a hostile input of
+/// nothing but `[` overflows the stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after JSON value"));
@@ -64,21 +69,23 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Parse one value nested inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') => self.eat_keyword("null", Value::Null),
             Some(b't') => self.eat_keyword("true", Value::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(self.err("recursion limit exceeded")),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Value, Error> {
+    fn array(&mut self, depth: usize) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -88,7 +95,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -98,7 +105,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, Error> {
+    fn object(&mut self, depth: usize) -> Result<Value, Error> {
         self.expect(b'{')?;
         let mut map = Map::new();
         self.skip_ws();
@@ -112,7 +119,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             map.insert(key, val);
             self.skip_ws();
             match self.bump() {
@@ -230,5 +237,26 @@ fn utf8_width(first: u8) -> usize {
         0xC0..=0xDF => 2,
         0xE0..=0xEF => 3,
         _ => 4,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.0, "recursion limit exceeded at byte 128");
+    }
+
+    #[test]
+    fn hundred_thousand_levels_are_an_error_not_a_stack_overflow() {
+        for unit in ["[", r#"{"a":"#, r#"[{"a":"#] {
+            let err = parse(&unit.repeat(100_000)).unwrap_err();
+            assert!(err.0.starts_with("recursion limit exceeded"), "{err}");
+        }
     }
 }

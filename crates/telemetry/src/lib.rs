@@ -19,11 +19,15 @@
 //! The cheap entry point is [`Telemetry`], a cloneable handle that is a
 //! no-op when built with [`Telemetry::disabled`] (one `Option` check per
 //! call site, no locks, no allocation).
+//!
+//! Traces export as canonical JSONL. This crate fixes each line's key
+//! order ([`TraceEvent::write_canonical_line`],
+//! [`MetricsSnapshot::write_canonical_lines`]); the `serde_json` shim
+//! writes the values, escapes the strings, and parses traces back for
+//! [`render_report`], [`merge_resumed`] and [`TraceSignature`].
 
 /// Bounded per-subsystem event rings and the post-mortem dump.
 pub mod flight;
-/// Dependency-free canonical JSON values, serializer, and parser.
-pub mod json;
 /// Counters, gauges, and fixed-bucket virtual-time histograms.
 pub mod metrics;
 /// The trace-JSONL → human-readable report renderer.
@@ -36,8 +40,9 @@ pub mod trace;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use serde_json::Value;
+
 pub use flight::{FlightRecorder, DEFAULT_RING_CAPACITY};
-pub use json::JsonValue;
 pub use metrics::{
     CounterHandle, Histogram, HistogramHandle, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS_MS,
 };
@@ -379,17 +384,10 @@ impl Telemetry {
             None => return String::new(),
         };
         let mut out = String::new();
-        {
-            let rec = lock(&inner.rec);
-            for event in &rec.events {
-                out.push_str(&event.to_canonical_line());
-                out.push('\n');
-            }
+        for event in &lock(&inner.rec).events {
+            event.write_canonical_line(&mut out);
         }
-        for line in inner.metrics.snapshot().to_canonical_lines() {
-            out.push_str(&line);
-            out.push('\n');
-        }
+        inner.metrics.snapshot().write_canonical_lines(&mut out);
         out
     }
 }
@@ -397,12 +395,12 @@ impl Telemetry {
 /// Step number an exported trace line belongs to, if any: an explicit
 /// `step` field, or the step encoded in a `tx` field of the canonical
 /// `step-NNNNNN-aK` form.
-fn line_step(doc: &JsonValue) -> Option<u64> {
-    let fields = doc.get("fields")?;
-    if let Some(step) = fields.get("step").and_then(|v| v.as_u64()) {
+fn line_step(doc: &Value) -> Option<u64> {
+    let fields = &doc["fields"];
+    if let Some(step) = fields["step"].as_u64() {
         return Some(step);
     }
-    let tx = fields.get("tx").and_then(|v| v.as_str())?;
+    let tx = fields["tx"].as_str()?;
     let digits = tx.strip_prefix("step-")?.get(..6)?;
     digits.parse::<u64>().ok()
 }
@@ -419,14 +417,9 @@ fn line_step(doc: &JsonValue) -> Option<u64> {
 pub fn merge_resumed(primary: &str, resumed: &str) -> Result<String, String> {
     let mut resume_step: Option<u64> = None;
     for line in resumed.lines() {
-        let doc = json::parse(line)?;
-        if doc.get("sub").and_then(|v| v.as_str()) == Some("coordinator")
-            && doc.get("name").and_then(|v| v.as_str()) == Some("resume")
-        {
-            resume_step = doc
-                .get("fields")
-                .and_then(|f| f.get("step"))
-                .and_then(|v| v.as_u64());
+        let doc: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        if doc["sub"] == "coordinator" && doc["name"] == "resume" {
+            resume_step = doc["fields"]["step"].as_u64();
             break;
         }
     }
@@ -435,9 +428,11 @@ pub fn merge_resumed(primary: &str, resumed: &str) -> Result<String, String> {
 
     let mut out = String::new();
     for line in primary.lines() {
-        let doc = json::parse(line)?;
-        let kind = doc.get("kind").and_then(|v| v.as_str()).unwrap_or("");
-        if matches!(kind, "counter" | "gauge" | "histogram") {
+        let doc: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        if matches!(
+            doc["kind"].as_str(),
+            Some("counter" | "gauge" | "histogram")
+        ) {
             continue;
         }
         if let Some(step) = line_step(&doc) {
@@ -530,13 +525,9 @@ mod tests {
         let merged = merge_resumed(&t1.export_jsonl(), &t2.export_jsonl()).expect("merges");
         let mut tx_starts = Vec::new();
         for line in merged.lines() {
-            let doc = json::parse(line).expect("line parses");
-            if doc.get("kind").and_then(|v| v.as_str()) == Some("span_start") {
-                if let Some(tx) = doc
-                    .get("fields")
-                    .and_then(|f| f.get("tx"))
-                    .and_then(|v| v.as_str())
-                {
+            let doc: Value = serde_json::from_str(line).expect("line parses");
+            if doc["kind"] == "span_start" {
+                if let Some(tx) = doc["fields"]["tx"].as_str() {
                     tx_starts.push(tx.to_string());
                 }
             }

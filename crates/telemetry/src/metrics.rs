@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::JsonValue;
+use serde::Serialize;
+
 use crate::lock;
 
 /// Histogram bucket upper bounds, in virtual milliseconds. The final
@@ -34,7 +35,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn observe(&mut self, value_ns: u64) {
+    pub(crate) fn observe(&mut self, value_ns: u64) {
         let ms = value_ns / 1_000_000;
         let idx = BUCKET_BOUNDS_MS
             .iter()
@@ -98,47 +99,38 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Render as canonical JSON lines, one metric per line, sorted by
-    /// kind then name (deterministic given deterministic values).
-    pub fn to_canonical_lines(&self) -> Vec<String> {
-        let mut lines = Vec::new();
+    /// Append the canonical JSON lines to `out`, one metric per line,
+    /// sorted by kind then name (deterministic given deterministic
+    /// values). Key orders: `kind, name, value` for counters and gauges;
+    /// `kind, name, count, sum_ns, max_ns, buckets` for histograms.
+    pub fn write_canonical_lines(&self, out: &mut String) {
         for (name, value) in &self.counters {
-            lines.push(
-                JsonValue::Obj(vec![
-                    ("kind".into(), JsonValue::Str("counter".into())),
-                    ("name".into(), JsonValue::Str(name.clone())),
-                    ("value".into(), JsonValue::U64(*value)),
-                ])
-                .to_canonical(),
-            );
+            out.push_str("{\"kind\":\"counter\",\"name\":");
+            name.write_json(out);
+            out.push_str(",\"value\":");
+            value.write_json(out);
+            out.push_str("}\n");
         }
         for (name, value) in &self.gauges {
-            lines.push(
-                JsonValue::Obj(vec![
-                    ("kind".into(), JsonValue::Str("gauge".into())),
-                    ("name".into(), JsonValue::Str(name.clone())),
-                    ("value".into(), JsonValue::I64(*value)),
-                ])
-                .to_canonical(),
-            );
+            out.push_str("{\"kind\":\"gauge\",\"name\":");
+            name.write_json(out);
+            out.push_str(",\"value\":");
+            value.write_json(out);
+            out.push_str("}\n");
         }
         for (name, h) in &self.histograms {
-            lines.push(
-                JsonValue::Obj(vec![
-                    ("kind".into(), JsonValue::Str("histogram".into())),
-                    ("name".into(), JsonValue::Str(name.clone())),
-                    ("count".into(), JsonValue::U64(h.count)),
-                    ("sum_ns".into(), JsonValue::U64(h.sum_ns)),
-                    ("max_ns".into(), JsonValue::U64(h.max_ns)),
-                    (
-                        "buckets".into(),
-                        JsonValue::Arr(h.buckets.iter().map(|n| JsonValue::U64(*n)).collect()),
-                    ),
-                ])
-                .to_canonical(),
-            );
+            out.push_str("{\"kind\":\"histogram\",\"name\":");
+            name.write_json(out);
+            out.push_str(",\"count\":");
+            h.count.write_json(out);
+            out.push_str(",\"sum_ns\":");
+            h.sum_ns.write_json(out);
+            out.push_str(",\"max_ns\":");
+            h.max_ns.write_json(out);
+            out.push_str(",\"buckets\":");
+            h.buckets.write_json(out);
+            out.push_str("}\n");
         }
-        lines
     }
 
     /// Render as aligned human-readable lines for reports and dumps.
@@ -286,6 +278,5 @@ mod tests {
         );
         assert_eq!(snap.gauges, vec![("depth".to_string(), -4)]);
         assert_eq!(reg.counter("z.later"), 5);
-        assert!(snap.to_canonical_lines()[0].contains("\"counter\""));
     }
 }

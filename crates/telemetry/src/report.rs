@@ -7,7 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, JsonValue};
+use serde_json::Value;
+
+use crate::metrics::Histogram;
 
 #[derive(Debug, Default)]
 struct SiteRow {
@@ -25,37 +27,6 @@ struct LinkRow {
     dropped: u64,
     reset: u64,
     bytes: u64,
-}
-
-#[derive(Debug, Default)]
-struct PhaseAgg {
-    count: u64,
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-impl PhaseAgg {
-    fn add(&mut self, dur_ns: u64) {
-        self.count += 1;
-        self.sum_ns += dur_ns;
-        self.max_ns = self.max_ns.max(dur_ns);
-    }
-
-    fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64 / 1e6
-        }
-    }
-}
-
-fn field_str<'a>(doc: &'a JsonValue, key: &str) -> Option<&'a str> {
-    doc.get("fields")?.get(key)?.as_str()
-}
-
-fn field_u64(doc: &JsonValue, key: &str) -> Option<u64> {
-    doc.get("fields")?.get(key)?.as_u64()
 }
 
 /// Split a metric name of the form `family.kind{label}` into
@@ -80,27 +51,26 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
     let mut t_max = 0u64;
     let mut sites: BTreeMap<String, SiteRow> = BTreeMap::new();
     let mut links: BTreeMap<String, LinkRow> = BTreeMap::new();
-    let mut phases: BTreeMap<String, PhaseAgg> = BTreeMap::new();
+    let mut phases: BTreeMap<String, Histogram> = BTreeMap::new();
     let mut span_starts: BTreeMap<u64, (u64, String)> = BTreeMap::new();
     let mut steps_completed = 0u64;
     let mut abort: Option<String> = None;
     let mut resumes = 0u64;
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut rtt: Option<(u64, u64, u64)> = None; // (count, sum_ns, max_ns)
+    let mut rtt: Option<Histogram> = None;
     let mut checkpoint_bytes: Vec<u64> = Vec::new();
 
     for (lineno, line) in jsonl.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let doc = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let kind = doc.get("kind").and_then(|v| v.as_str()).unwrap_or("");
+        let doc: Value =
+            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let kind = doc["kind"].as_str().unwrap_or("");
+        let fields = &doc["fields"];
         match kind {
             "counter" => {
-                if let (Some(name), Some(value)) = (
-                    doc.get("name").and_then(|v| v.as_str()),
-                    doc.get("value").and_then(|v| v.as_u64()),
-                ) {
+                if let (Some(name), Some(value)) = (doc["name"].as_str(), doc["value"].as_u64()) {
                     counters.insert(name.to_string(), value);
                     let (base, label) = split_label(name);
                     if let Some(stat) = base.strip_prefix("link.") {
@@ -118,43 +88,43 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
             }
             "gauge" => {}
             "histogram" => {
-                if doc.get("name").and_then(|v| v.as_str()) == Some("rpc.rtt_ns") {
-                    rtt = Some((
-                        doc.get("count").and_then(|v| v.as_u64()).unwrap_or(0),
-                        doc.get("sum_ns").and_then(|v| v.as_u64()).unwrap_or(0),
-                        doc.get("max_ns").and_then(|v| v.as_u64()).unwrap_or(0),
-                    ));
+                if doc["name"] == "rpc.rtt_ns" {
+                    rtt = Some(Histogram {
+                        count: doc["count"].as_u64().unwrap_or(0),
+                        sum_ns: doc["sum_ns"].as_u64().unwrap_or(0),
+                        max_ns: doc["max_ns"].as_u64().unwrap_or(0),
+                        ..Histogram::default()
+                    });
                 }
             }
             "span_start" | "span_end" | "instant" => {
                 events += 1;
-                let t = doc.get("t").and_then(|v| v.as_u64()).unwrap_or(0);
+                let t = doc["t"].as_u64().unwrap_or(0);
                 t_min = t_min.min(t);
                 t_max = t_max.max(t);
-                let sub = doc.get("sub").and_then(|v| v.as_str()).unwrap_or("");
-                let name = doc.get("name").and_then(|v| v.as_str()).unwrap_or("");
-                let span = doc.get("span").and_then(|v| v.as_u64()).unwrap_or(0);
+                let sub = doc["sub"].as_str().unwrap_or("");
+                let name = doc["name"].as_str().unwrap_or("");
+                let span = doc["span"].as_u64().unwrap_or(0);
                 if kind == "span_start" {
                     span_starts.insert(span, (t, name.to_string()));
                 }
                 match (sub, name, kind) {
                     ("ntcp", "propose" | "execute" | "cancel", "span_end") => {
-                        let site = field_str(&doc, "site").unwrap_or("?").to_string();
+                        let site = fields["site"].as_str().unwrap_or("?").to_string();
                         let row = sites.entry(site).or_default();
                         match name {
                             "propose" => row.proposes += 1,
                             "execute" => row.executes += 1,
                             _ => row.cancels += 1,
                         }
-                        if field_str(&doc, "outcome")
-                            .map(|o| o.starts_with("err") || o == "rejected" || o == "failed")
-                            .unwrap_or(false)
-                        {
+                        if fields["outcome"].as_str().is_some_and(|o| {
+                            o.starts_with("err") || o == "rejected" || o == "failed"
+                        }) {
                             row.failures += 1;
                         }
                     }
                     ("ntcp", "dedup_hit", _) => {
-                        let site = field_str(&doc, "site").unwrap_or("?").to_string();
+                        let site = fields["site"].as_str().unwrap_or("?").to_string();
                         sites.entry(site).or_default().dedup_hits += 1;
                     }
                     ("coordinator", "step", "span_end") => steps_completed += 1,
@@ -163,20 +133,20 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
                             phases
                                 .entry(phase_name.to_string())
                                 .or_default()
-                                .add(t.saturating_sub(*start_t));
+                                .observe(t.saturating_sub(*start_t));
                         }
                     }
                     ("coordinator", "abort", _) => {
                         abort = Some(format!(
                             "step {} site {} ({})",
-                            field_u64(&doc, "step").unwrap_or(0),
-                            field_str(&doc, "site").unwrap_or("?"),
-                            field_str(&doc, "error").unwrap_or("?"),
+                            fields["step"].as_u64().unwrap_or(0),
+                            fields["site"].as_str().unwrap_or("?"),
+                            fields["error"].as_str().unwrap_or("?"),
                         ));
                     }
                     ("coordinator", "resume", _) => resumes += 1,
                     ("checkpoint", "snapshot", _) => {
-                        checkpoint_bytes.push(field_u64(&doc, "bytes").unwrap_or(0));
+                        checkpoint_bytes.push(fields["bytes"].as_u64().unwrap_or(0));
                     }
                     _ => {}
                 }
@@ -256,15 +226,12 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
             counters.get("rpc.failures").copied().unwrap_or(0),
             counters.get("rpc.completion_waits").copied().unwrap_or(0),
         ));
-        if let Some((count, sum_ns, max_ns)) = rtt {
-            let mean_ms = if count == 0 {
-                0.0
-            } else {
-                sum_ns as f64 / count as f64 / 1e6
-            };
+        if let Some(h) = rtt {
             out.push_str(&format!(
-                "  rtt: n={count} mean={mean_ms:.3}ms max={:.3}ms\n",
-                max_ns as f64 / 1e6
+                "  rtt: n={} mean={:.3}ms max={:.3}ms\n",
+                h.count,
+                h.mean_ms(),
+                h.max_ns as f64 / 1e6
             ));
         }
     }
@@ -281,7 +248,9 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
     }
 
     if !checkpoint_bytes.is_empty() {
-        let total: u64 = checkpoint_bytes.iter().sum();
+        let total = checkpoint_bytes
+            .iter()
+            .fold(0u64, |a, b| a.saturating_add(*b));
         out.push_str(&format!(
             "\ncheckpoint: {} snapshots, {} bytes total, last {} bytes\n",
             checkpoint_bytes.len(),
@@ -342,5 +311,20 @@ mod tests {
     fn empty_trace_is_not_an_error() {
         let report = render_report("").expect("renders");
         assert!(report.contains("no trace events"));
+    }
+
+    #[test]
+    fn hostile_numbers_saturate_instead_of_overflowing() {
+        let mut jsonl = String::new();
+        for span in 1..=2 {
+            jsonl.push_str(&format!(
+                "{{\"t\":0,\"seq\":0,\"kind\":\"span_start\",\"span\":{span},\"sub\":\"coordinator\",\"name\":\"execute_phase\",\"fields\":{{}}}}\n\
+                 {{\"t\":{max},\"seq\":1,\"kind\":\"span_end\",\"span\":{span},\"sub\":\"coordinator\",\"name\":\"execute_phase\",\"fields\":{{}}}}\n\
+                 {{\"t\":1,\"seq\":2,\"kind\":\"instant\",\"sub\":\"checkpoint\",\"name\":\"snapshot\",\"fields\":{{\"bytes\":{max}}}}}\n",
+                max = u64::MAX
+            ));
+        }
+        let report = render_report(&jsonl).expect("renders");
+        assert!(report.contains(&format!("2 snapshots, {} bytes total", u64::MAX)));
     }
 }

@@ -32,7 +32,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::json::{self, JsonValue};
+use serde_json::{Number, Value};
 
 /// Where and why a run aborted, from the `coordinator/abort` instant.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -112,13 +112,15 @@ fn normalize_digits(s: &str) -> String {
     out
 }
 
-fn field_str(v: &JsonValue) -> String {
+/// A field value as the fingerprint hashes it: strings raw, numbers and
+/// booleans in their JSON spelling, anything else empty.
+fn field_str(v: &Value) -> String {
     match v {
-        JsonValue::Str(s) => s.clone(),
-        JsonValue::U64(n) => n.to_string(),
-        JsonValue::I64(n) => n.to_string(),
-        JsonValue::F64(x) => format!("{x}"),
-        JsonValue::Bool(b) => b.to_string(),
+        Value::String(s) => s.clone(),
+        Value::Number(Number::PosInt(n)) => n.to_string(),
+        Value::Number(Number::NegInt(n)) => n.to_string(),
+        Value::Number(Number::Float(x)) => format!("{x}"),
+        Value::Bool(b) => b.to_string(),
         _ => String::new(),
     }
 }
@@ -136,93 +138,54 @@ impl TraceSignature {
         let mut fingerprint = 0u64;
 
         for line in src.lines() {
-            let doc = match json::parse(line) {
-                Ok(doc) => doc,
-                Err(_) => continue,
+            let Ok(doc) = serde_json::from_str::<Value>(line) else {
+                continue;
             };
-            let kind = match doc.get("kind").and_then(|v| v.as_str()) {
-                Some(k @ ("span_start" | "span_end" | "instant")) => k.to_string(),
+            let kind = match doc["kind"].as_str() {
+                Some(k @ ("span_start" | "span_end" | "instant")) => k,
                 _ => continue, // metric snapshot line or foreign JSON
             };
-            let sub = doc
-                .get("sub")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default()
-                .to_string();
-            let name = doc
-                .get("name")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default()
-                .to_string();
-            let fields = doc.get("fields");
+            let sub = doc["sub"].as_str().unwrap_or_default();
+            let name = doc["name"].as_str().unwrap_or_default();
+            let fields = &doc["fields"];
 
             // Phase fingerprint: hash this event's skeleton on its own,
             // then fold commutatively — order must not matter.
             let mut h = fnv_bytes(FNV_OFFSET, sub.as_bytes());
             h = fnv_bytes(h, name.as_bytes());
             h = fnv_bytes(h, kind.as_bytes());
-            if let Some(fields) = fields {
-                for key in SALIENT_FIELDS {
-                    if let Some(v) = fields.get(key) {
-                        h = fnv_bytes(h, key.as_bytes());
-                        h = fnv_bytes(h, field_str(v).as_bytes());
-                    }
+            for key in SALIENT_FIELDS {
+                if let Some(v) = fields.get(key) {
+                    h = fnv_bytes(h, key.as_bytes());
+                    h = fnv_bytes(h, field_str(v).as_bytes());
                 }
             }
             fingerprint = fingerprint.wrapping_add(h);
 
-            match (sub.as_str(), kind.as_str()) {
+            let field_or_unknown = |key: &str| fields[key].as_str().unwrap_or("?").to_string();
+            match (sub, kind) {
                 ("coordinator", "instant") if name == "abort" => {
-                    let step = fields
-                        .and_then(|f| f.get("step"))
-                        .and_then(|v| v.as_u64())
-                        .unwrap_or(0);
-                    let site = fields
-                        .and_then(|f| f.get("site"))
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("?")
-                        .to_string();
-                    let error = fields
-                        .and_then(|f| f.get("error"))
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("?");
                     abort = Some(AbortSite {
-                        step,
-                        site,
-                        error_class: normalize_digits(error),
+                        step: fields["step"].as_u64().unwrap_or(0),
+                        site: field_or_unknown("site"),
+                        error_class: normalize_digits(fields["error"].as_str().unwrap_or("?")),
                     });
                 }
-                ("net", "instant") => {
-                    if matches!(name.as_str(), "drop" | "reset" | "dup") {
-                        let link = fields
-                            .and_then(|f| f.get("link"))
-                            .and_then(|v| v.as_str())
-                            .unwrap_or("?")
-                            .to_string();
-                        let index = fields
-                            .and_then(|f| f.get("index"))
-                            .and_then(|v| v.as_u64())
-                            .unwrap_or(0);
-                        faults.push(FaultEvent {
-                            action: name.clone(),
-                            link,
-                            index,
-                        });
-                    }
+                ("net", "instant") if matches!(name, "drop" | "reset" | "dup") => {
+                    faults.push(FaultEvent {
+                        action: name.to_string(),
+                        link: field_or_unknown("link"),
+                        index: fields["index"].as_u64().unwrap_or(0),
+                    });
                 }
                 ("ntcp", "span_start") => {
-                    let span = doc.get("span").and_then(|v| v.as_u64()).unwrap_or(0);
-                    let tx = fields
-                        .and_then(|f| f.get("tx"))
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("?")
-                        .to_string();
+                    let span = doc["span"].as_u64().unwrap_or(0);
                     if span != 0 {
-                        open_ntcp.push((span, tx));
+                        open_ntcp.push((span, field_or_unknown("tx")));
                     }
                 }
                 ("ntcp", "span_end") => {
-                    let span = doc.get("span").and_then(|v| v.as_u64()).unwrap_or(0);
+                    let span = doc["span"].as_u64().unwrap_or(0);
                     open_ntcp.retain(|(id, _)| *id != span);
                 }
                 _ => {}
@@ -281,60 +244,6 @@ impl TraceSignature {
         }
         h = fnv_bytes(h, &self.fingerprint.to_le_bytes());
         format!("{h:016x}")
-    }
-
-    /// Canonical single-line JSON rendering (fixed key order), for
-    /// verdict tables and corpus manifests.
-    pub fn to_canonical(&self) -> String {
-        let mut pairs = vec![
-            ("id".to_string(), JsonValue::Str(self.id())),
-            (
-                "termination".to_string(),
-                JsonValue::Str(self.termination.clone()),
-            ),
-        ];
-        if let Some(abort) = &self.abort {
-            pairs.push((
-                "abort".to_string(),
-                JsonValue::Obj(vec![
-                    ("step".to_string(), JsonValue::U64(abort.step)),
-                    ("site".to_string(), JsonValue::Str(abort.site.clone())),
-                    (
-                        "error_class".to_string(),
-                        JsonValue::Str(abort.error_class.clone()),
-                    ),
-                ]),
-            ));
-        }
-        pairs.push((
-            "aborted_txs".to_string(),
-            JsonValue::Arr(
-                self.aborted_txs
-                    .iter()
-                    .map(|tx| JsonValue::Str(tx.clone()))
-                    .collect(),
-            ),
-        ));
-        pairs.push((
-            "faults".to_string(),
-            JsonValue::Arr(
-                self.faults
-                    .iter()
-                    .map(|f| {
-                        JsonValue::Obj(vec![
-                            ("action".to_string(), JsonValue::Str(f.action.clone())),
-                            ("link".to_string(), JsonValue::Str(f.link.clone())),
-                            ("index".to_string(), JsonValue::U64(f.index)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        pairs.push((
-            "fingerprint".to_string(),
-            JsonValue::Str(format!("{:016x}", self.fingerprint)),
-        ));
-        JsonValue::Obj(pairs).to_canonical()
     }
 }
 
@@ -485,21 +394,5 @@ mod tests {
         src.push_str("not json at all\n");
         let sig = TraceSignature::from_jsonl(&src);
         assert_eq!(sig, TraceSignature::from_jsonl(&clean_run(500)));
-    }
-
-    #[test]
-    fn canonical_rendering_is_stable_and_parseable() {
-        let sig = TraceSignature::from_jsonl(&traced_abort(1_000, 186, "link reset at index 186"));
-        let line = sig.to_canonical();
-        assert_eq!(line, sig.to_canonical());
-        let doc = json::parse(&line).expect("canonical form parses");
-        assert_eq!(
-            doc.get("termination").and_then(|v| v.as_str()),
-            Some("aborted")
-        );
-        assert_eq!(
-            doc.get("id").and_then(|v| v.as_str()),
-            Some(sig.id().as_str())
-        );
     }
 }

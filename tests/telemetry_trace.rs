@@ -21,8 +21,8 @@ use neesgrid::most::{
     n_site_with_telemetry, public_run_fault_plan, MostConfig, MostDeployment, Scenario,
 };
 use neesgrid::repo::VirtualStore;
-use neesgrid::telemetry::json::parse;
 use neesgrid::telemetry::{merge_resumed, render_report, Telemetry};
+use serde_json::Value;
 
 #[test]
 fn same_seed_runs_export_byte_identical_traces() {
@@ -188,25 +188,21 @@ fn merged_crash_and_resume_trace_has_no_duplicate_transaction_spans() {
     .expect("resumed trace carries a coordinator/resume event");
     let mut spans: HashMap<(String, String, String), u32> = HashMap::new();
     for line in merged.lines() {
-        let Ok(doc) = parse(line) else { continue };
-        if doc.get("kind").and_then(|v| v.as_str()) != Some("span_start")
-            || doc.get("sub").and_then(|v| v.as_str()) != Some("ntcp")
-        {
+        let Ok(doc) = serde_json::from_str::<Value>(line) else {
+            continue;
+        };
+        if doc["kind"] != "span_start" || doc["sub"] != "ntcp" {
             continue;
         }
-        let field = |name: &str| -> String {
-            doc.get("fields")
-                .and_then(|f| f.get(name))
-                .and_then(|v| v.as_str())
-                .unwrap_or_default()
-                .to_string()
-        };
-        let name = doc
-            .get("name")
-            .and_then(|v| v.as_str())
-            .unwrap_or_default()
-            .to_string();
-        *spans.entry((field("site"), name, field("tx"))).or_insert(0) += 1;
+        let text = |v: &Value| v.as_str().unwrap_or_default().to_string();
+        let fields = &doc["fields"];
+        *spans
+            .entry((
+                text(&fields["site"]),
+                text(&doc["name"]),
+                text(&fields["tx"]),
+            ))
+            .or_insert(0) += 1;
     }
     assert!(!spans.is_empty(), "merged trace has NTCP lifecycle spans");
     for (key, count) in &spans {
