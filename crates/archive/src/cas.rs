@@ -299,24 +299,49 @@ impl CasStore {
         marker
     }
 
-    /// Reassemble a manifest's content from local blocks, verifying every
-    /// block address and the whole-file digest.
-    pub fn assemble(&self, manifest: &Manifest) -> Result<Bytes, CasError> {
-        let mut out = vec![0u8; manifest.total_len as usize];
+    /// Read `len` bytes of a manifest's content from `offset`, clamped to
+    /// the file's end: an offset at or past `total_len` reads nothing.
+    ///
+    /// Only the blocks that overlap the range are read, and each is checked
+    /// against its content address as in [`CasStore::assemble`], so a
+    /// missing or corrupt block inside the range fails the read while one
+    /// outside it does not. The whole-file digest is not checked: a reader
+    /// that assembles a file range by range checks it against
+    /// [`Manifest::digest`] once it holds every byte.
+    pub fn read_range(
+        &self,
+        manifest: &Manifest,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, CasError> {
+        let start = offset.min(manifest.total_len);
+        let end = start.saturating_add(len).min(manifest.total_len);
+        let mut out = vec![0u8; (end - start) as usize];
         for b in &manifest.blocks {
+            let (s, e) = b.range();
+            if e <= start || s >= end {
+                continue;
+            }
             let data = match self.get_block(&b.key) {
-                Ok(d) => d,
-                Err(CasError::CorruptBlock { key }) if !self.has_block(&b.key) => {
+                Err(CasError::CorruptBlock { key }) if !self.has_block(&key) => {
                     return Err(CasError::MissingBlock {
                         key,
                         logical: manifest.logical.clone(),
                     })
                 }
-                Err(e) => return Err(e),
+                read => read?,
             };
-            let (s, e) = b.range();
-            out[s as usize..e as usize].copy_from_slice(&data);
+            let (from, to) = (s.max(start), e.min(end));
+            out[(from - start) as usize..(to - start) as usize]
+                .copy_from_slice(&data[(from - s) as usize..(to - s) as usize]);
         }
+        Ok(out)
+    }
+
+    /// Reassemble a manifest's content from local blocks, verifying every
+    /// block address and the whole-file digest.
+    pub fn assemble(&self, manifest: &Manifest) -> Result<Bytes, CasError> {
+        let out = self.read_range(manifest, 0, manifest.total_len)?;
         let actual = crc32(&out);
         if actual != manifest.digest {
             return Err(CasError::DigestMismatch {
@@ -441,6 +466,57 @@ mod tests {
         cas.backing()
             .put(path, Bytes::from_static(b"junk"), SimTime::ZERO);
         assert!(matches!(cas.read("/a"), Err(CasError::CorruptBlock { .. })));
+    }
+
+    #[test]
+    fn read_range_equals_the_slice_of_read() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(15);
+        for _ in 0..256 {
+            let cas = CasStore::new(VirtualStore::new());
+            let len = rng.gen_range(0..5_000usize);
+            let content: Bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let m = cas.ingest("/f", &content, rng.gen_range(1..1_500u32), SimTime::ZERO);
+            let whole = cas.read("/f").unwrap();
+            // Offsets and lengths run past the end of the file.
+            let offset = rng.gen_range(0..len as u64 + 100);
+            let want = rng.gen_range(0..len as u64 + 100);
+            let start = (offset as usize).min(len);
+            let end = (start + want as usize).min(len);
+            assert_eq!(
+                cas.read_range(&m, offset, want).unwrap(),
+                &whole[start..end]
+            );
+            assert_eq!(
+                cas.read_range(&m, offset, u64::MAX).unwrap(),
+                &whole[start..]
+            );
+            assert!(cas.read_range(&m, u64::MAX, u64::MAX).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn read_range_checks_only_the_blocks_it_covers() {
+        let cas = CasStore::new(VirtualStore::new());
+        let content = payload(4_096);
+        let m = cas.ingest("/a", &content, 1024, SimTime::ZERO);
+        let bad = m.blocks[2].key;
+        cas.backing()
+            .put(bad.path(), Bytes::from_static(b"junk"), SimTime::ZERO);
+        assert_eq!(
+            cas.read_range(&m, 2_000, 100),
+            Err(CasError::CorruptBlock { key: bad }),
+            "[2000, 2100) touches block 2"
+        );
+        assert_eq!(cas.read_range(&m, 0, 2_048).unwrap(), &content[..2_048]);
+        assert_eq!(cas.read_range(&m, 3_072, 1_024).unwrap(), &content[3_072..]);
+        cas.backing().delete(&m.blocks[0].key.path());
+        assert!(matches!(
+            cas.read_range(&m, 10, 10),
+            Err(CasError::MissingBlock { .. })
+        ));
+        assert_eq!(cas.read_range(&m, 3_072, 1_024).unwrap(), &content[3_072..]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use neesgrid_gridsim::{NetworkProfile, SimTime, VirtualNetwork};
 use neesgrid_gsi::{CertificateAuthority, Credential, DistinguishedName};
 use neesgrid_portal::{
     ClientError, Portal, PortalClient, PortalConfig, PortalStats, Rejection, Request, Response,
-    RunState, TenantQuotas, ARTIFACT_CHUNK_MAX,
+    RunState, TenantQuotas,
 };
 use neesgrid_repo::VirtualStore;
 use neesgrid_telemetry::{Telemetry, TraceSignature};
@@ -270,8 +270,6 @@ pub fn run_campaign(
     )
     .map_err(|e| CampaignError::Deployment(format!("{e:?}")))?;
     service.attach_archive(archive.clone());
-    let client = PortalClient::connect(&net, "campaign-client", "portal")
-        .map_err(|e| CampaignError::Deployment(format!("{e:?}")))?;
 
     // One quota'd tenant for the whole sweep — sized to the matrix, so
     // admission control is exercised but never the bottleneck.
@@ -283,21 +281,21 @@ pub fn run_campaign(
         CONTROL_SEED,
     );
     let who = cred.identity().clone();
+    let client = PortalClient::connect(&net, "campaign-client", "portal")
+        .map_err(|e| CampaignError::Deployment(format!("{e:?}")))?
+        .with_tenant(who.clone());
     let total_steps: u64 = plans.iter().map(|(_, p)| p.spec.steps as u64).sum();
     service.set_quotas(
-        who.clone(),
+        who,
         TenantQuotas {
             max_concurrent: plans.len(),
             max_total_steps: total_steps + 1,
             max_observers: 8,
         },
     );
-    match client.call_as(
-        &who,
-        Request::Login {
-            token: cred.token(),
-        },
-    )? {
+    match client.call(Request::Login {
+        token: cred.token(),
+    })? {
         Response::Session { .. } => {}
         other => {
             return Err(CampaignError::Refused {
@@ -324,12 +322,9 @@ pub fn run_campaign(
     let mut run_ids: Vec<String> = Vec::with_capacity(plans.len());
     for (_, plan) in &plans {
         let run = loop {
-            match client.call_as(
-                &who,
-                Request::Submit {
-                    spec: plan.spec.clone(),
-                },
-            )? {
+            match client.call(Request::Submit {
+                spec: plan.spec.clone(),
+            })? {
                 Response::Submitted { run, .. } => break run,
                 Response::Rejected {
                     rejection: Rejection::QueueFull { .. },
@@ -379,12 +374,9 @@ pub fn run_campaign(
     let mut entries: Vec<CorpusEntry> = Vec::with_capacity(plans.len());
     let now = net.clock().now();
     for ((doc_idx, plan), run_id) in plans.iter().zip(&run_ids) {
-        let report = match client.call_as(
-            &who,
-            Request::Status {
-                run: run_id.clone(),
-            },
-        )? {
+        let report = match client.call(Request::Status {
+            run: run_id.clone(),
+        })? {
             Response::Status { report } => report,
             other => {
                 return Err(CampaignError::Refused {
@@ -404,7 +396,7 @@ pub fn run_campaign(
                 })
             }
         };
-        let trace = fetch_artifact(&client, &who, run_id, "trace.jsonl")?;
+        let (trace, _) = client.fetch_artifact(run_id, "trace.jsonl")?;
         let trace = String::from_utf8_lossy(&trace).into_owned();
         let resumed = trace.contains("\"sub\":\"coordinator\",\"name\":\"resume\"");
         let verdict = RunVerdict {
@@ -443,40 +435,6 @@ pub fn run_campaign(
         stats: service.stats(),
         archive,
     })
-}
-
-/// Stream one archived artifact over the wire, chunk by chunk.
-fn fetch_artifact(
-    client: &PortalClient,
-    who: &DistinguishedName,
-    run: &str,
-    artifact: &str,
-) -> Result<Vec<u8>, CampaignError> {
-    let mut out = Vec::new();
-    loop {
-        match client.call_as(
-            who,
-            Request::FetchArtifact {
-                run: run.to_string(),
-                artifact: artifact.to_string(),
-                offset: out.len() as u64,
-                max: ARTIFACT_CHUNK_MAX,
-            },
-        )? {
-            Response::Artifact { data, eof, .. } => {
-                out.extend_from_slice(&data);
-                if eof {
-                    return Ok(out);
-                }
-            }
-            other => {
-                return Err(CampaignError::Refused {
-                    context: format!("artifact {artifact} of {run}"),
-                    reply: format!("{other:?}"),
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]

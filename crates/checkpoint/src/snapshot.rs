@@ -195,6 +195,18 @@ pub(crate) fn sample(run_id: &str, step: u64) -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A real encoded snapshot and the length of its header line.
+    fn encoded() -> (Vec<u8>, usize) {
+        let bytes = encode(&sample("most-public", 7));
+        let header = bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("encoded snapshots have a header line")
+            + 1;
+        (bytes, header)
+    }
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -206,17 +218,64 @@ mod tests {
         assert_eq!(back.coordinator.d_prev, snap.coordinator.d_prev);
     }
 
-    #[test]
-    fn corrupted_payload_is_rejected() {
-        let snap = sample("most-public", 7);
-        let mut bytes = encode(&snap);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        match decode(&bytes) {
-            Err(CheckpointError::ChecksumMismatch { expected, actual }) => {
-                assert_ne!(expected, actual)
+    proptest! {
+        #[test]
+        fn corrupted_payload_is_rejected(at in any::<usize>(), mask in 1u8..=255) {
+            let (mut bytes, header) = encoded();
+            let at = header + at % (bytes.len() - header);
+            bytes[at] ^= mask;
+            match decode(&bytes) {
+                Err(CheckpointError::ChecksumMismatch { expected, actual }) => {
+                    prop_assert_ne!(expected, actual)
+                }
+                other => prop_assert!(
+                    false,
+                    "flip {mask:#04x} at byte {at}: expected a checksum mismatch, got {other:?}"
+                ),
             }
-            other => panic!("expected checksum mismatch, got {other:?}"),
+        }
+
+        #[test]
+        fn flipped_header_never_panics_or_yields_another_snapshot(
+            at in any::<usize>(),
+            mask in 1u8..=255,
+        ) {
+            let (mut bytes, header) = encoded();
+            bytes[at % header] ^= mask;
+            // A flip that only changes the case of a CRC hex digit still
+            // names the same checksum; nothing else may decode.
+            if let Ok(snapshot) = decode(&bytes) {
+                prop_assert_eq!(snapshot, sample("most-public", 7));
+            }
+        }
+
+        #[test]
+        fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+            let _ = decode(&bytes);
+            // Behind a header whose CRC matches, the bytes reach the
+            // payload parser.
+            let mut framed = format!("{HEADER_PREFIX}1 crc32={:08x}\n", crc32(&bytes)).into_bytes();
+            framed.extend_from_slice(&bytes);
+            let decoded = decode(&framed);
+            prop_assert!(
+                !matches!(decoded, Err(CheckpointError::ChecksumMismatch { .. })),
+                "{decoded:?}"
+            );
+        }
+
+        #[test]
+        fn encode_then_decode_is_the_identity(
+            step in 0u64..40,
+            tag in any::<u64>(),
+            d in proptest::collection::vec(any::<f64>(), 0..8),
+        ) {
+            let mut snap = sample(&format!("run-{tag:x}"), step);
+            snap.coordinator.d_curr = d.iter().map(|x| x / 3.0).collect();
+            snap.coordinator.d_prev = d;
+            let bytes = encode(&snap);
+            let back = decode(&bytes).map_err(|e| TestCaseError(e.to_string()))?;
+            prop_assert_eq!(&back, &snap);
+            prop_assert_eq!(encode(&back), bytes);
         }
     }
 

@@ -16,6 +16,7 @@ use neesgrid_gridsim::{
     Endpoint, Envelope, EventEngine, MessageKind, NetworkError, NodeId, SimClock, VirtualNetwork,
 };
 use neesgrid_gsi::DistinguishedName;
+use neesgrid_repo::{crc32, from_hex};
 
 use crate::frame::{self, FrameError, Request, RequestFrame, Response, PORTAL_SERVICE};
 
@@ -162,7 +163,10 @@ impl PortalClient {
 
     /// Download one of a run's archived artifacts in full, issuing as
     /// many chunked `FetchArtifact` calls as the frame cap requires.
-    /// Returns the bytes and the archive's whole-artifact CRC-32.
+    /// Each chunk must start where the last one ended and carry
+    /// well-formed hex, and the assembled bytes must match the
+    /// whole-artifact CRC-32 the final reply carries; anything else is
+    /// refused. Returns the bytes and that CRC-32.
     pub fn fetch_artifact(&self, run: &str, artifact: &str) -> Result<(Vec<u8>, u32), ClientError> {
         let mut bytes: Vec<u8> = Vec::new();
         loop {
@@ -186,8 +190,22 @@ impl PortalClient {
                             bytes.len()
                         )));
                     }
-                    bytes.extend_from_slice(&data);
+                    let chunk = from_hex(&data).ok_or_else(|| {
+                        ClientError::Refused(format!("artifact chunk at {offset} is not hex"))
+                    })?;
+                    if chunk.is_empty() && !eof {
+                        return Err(ClientError::Refused(format!(
+                            "empty artifact chunk at {offset} before EOF"
+                        )));
+                    }
+                    bytes.extend_from_slice(&chunk);
                     if eof {
+                        let actual = crc32(&bytes);
+                        if actual != digest {
+                            return Err(ClientError::Refused(format!(
+                                "artifact {artifact} digest mismatch: {actual:#010x} != {digest:#010x}"
+                            )));
+                        }
                         return Ok((bytes, digest));
                     }
                 }
@@ -196,6 +214,58 @@ impl PortalClient {
                 }
                 Response::Error { message } => return Err(ClientError::Refused(message)),
                 other => return Err(ClientError::Refused(format!("unexpected reply {other:?}"))),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use neesgrid_gridsim::NetworkProfile;
+
+    /// A client bound to a stand-in portal that answers every call with
+    /// one artifact chunk, and the network both live on.
+    fn client_answered_with(data: &str, eof: bool) -> (VirtualNetwork, PortalClient) {
+        let net = VirtualNetwork::new(NetworkProfile::Lan.config(15));
+        let portal = net.endpoint("portal").expect("fresh node");
+        let reply = frame::encode(&Response::Artifact {
+            artifact: "trace.jsonl".into(),
+            total_len: 8,
+            digest: 0,
+            offset: 0,
+            data: data.into(),
+            eof,
+        })
+        .expect("reply encodes");
+        let replier = portal.clone();
+        portal.install_handler(move |env| {
+            replier.send(
+                env.src,
+                PORTAL_SERVICE,
+                MessageKind::Reply,
+                env.correlation_id,
+                reply.clone(),
+            )
+        });
+        let client = PortalClient::connect(&net, "client", "portal")
+            .expect("fresh node")
+            .with_tenant(DistinguishedName::nees_user("REMOTE", "alice"));
+        (net, client)
+    }
+
+    #[test]
+    fn malformed_artifact_chunks_are_refused() {
+        for (data, eof, why) in [
+            ("abc", true, "not hex"),
+            ("0g", true, "not hex"),
+            ("", false, "empty artifact chunk"),
+            ("00", true, "digest mismatch"),
+        ] {
+            let (_net, client) = client_answered_with(data, eof);
+            match client.fetch_artifact("run-000001", "trace.jsonl") {
+                Err(ClientError::Refused(message)) => assert!(message.contains(why), "{message}"),
+                other => panic!("{data:?} must be refused, got {other:?}"),
             }
         }
     }

@@ -23,9 +23,10 @@ use crate::tenant::Role;
 /// history fetch) must be refused, not silently truncated.
 pub const MAX_FRAME_BYTES: usize = 4 * 1024 * 1024;
 
-/// Most artifact bytes one `FetchArtifact` reply may carry. JSON encodes
-/// each byte as up to four characters, so this keeps the worst-case
-/// reply frame comfortably under [`MAX_FRAME_BYTES`].
+/// Most artifact bytes one `FetchArtifact` reply may carry. The chunk
+/// travels as hex, exactly two characters per byte, so a full reply frame
+/// is 512 KiB of data plus a small envelope, well under
+/// [`MAX_FRAME_BYTES`].
 pub const ARTIFACT_CHUNK_MAX: usize = 256 * 1024;
 
 /// The service name portal frames ride under.
@@ -145,8 +146,9 @@ pub enum Request {
     },
     /// Stream one of a run's archived artifacts (owner only). Artifacts
     /// exist once the run finishes and the portal has an archive
-    /// attached: `capture.jsonl` (the NSDS capture) and `history.json`
-    /// (the sealed trajectory).
+    /// attached: `capture.jsonl` (the NSDS capture), `history.json` (the
+    /// sealed trajectory) and, for a spec with `record_trace`,
+    /// `trace.jsonl` (the run's telemetry trace).
     FetchArtifact {
         /// Run id.
         run: String,
@@ -260,9 +262,11 @@ pub enum Response {
         digest: u32,
         /// Offset of `data` within the artifact.
         offset: u64,
-        /// The chunk (≤ [`ARTIFACT_CHUNK_MAX`] bytes).
-        data: Vec<u8>,
-        /// True when `offset + data.len()` reaches `total_len`.
+        /// The chunk (≤ [`ARTIFACT_CHUNK_MAX`] bytes) as lowercase hex;
+        /// the client decodes it and refuses malformed hex.
+        data: String,
+        /// True when `offset` plus the chunk's byte length reaches
+        /// `total_len`.
         eof: bool,
     },
     /// Completed trajectory.

@@ -29,7 +29,7 @@ use neesgrid_gridsim::{
     Endpoint, Envelope, MessageKind, NetworkError, SimClock, SimTime, VirtualNetwork,
 };
 use neesgrid_gsi::{CaVerifier, DistinguishedName, PolicyDecision};
-use neesgrid_repo::crc32;
+use neesgrid_repo::{crc32, to_hex};
 use neesgrid_telemetry::{Field, Telemetry};
 
 use crate::experiment::{ExperimentSpec, RunProgress, WorkerRun};
@@ -490,7 +490,9 @@ impl PortalCore {
     /// Stream a chunk of a run's archived artifact. Ownership is checked
     /// first, and the logical name is built from the *resolved* run id
     /// plus a separator-free artifact name, so a tenant cannot address
-    /// outside its own run's archive namespace.
+    /// outside its own run's archive namespace. Only the blocks under the
+    /// chunk are read and address-checked; the whole-artifact CRC is the
+    /// client's to check once it holds every chunk.
     fn fetch_artifact(
         &mut self,
         tenant: &DistinguishedName,
@@ -518,27 +520,23 @@ impl PortalCore {
                 message: format!("run {run} has no archived artifact '{artifact}'"),
             };
         };
-        let content = match archive.cas().read(&logical) {
-            Ok(bytes) => bytes,
+        let len = max.clamp(1, ARTIFACT_CHUNK_MAX) as u64;
+        let data = match archive.cas().read_range(&manifest, offset, len) {
+            Ok(data) => data,
             Err(e) => {
                 return Response::Error {
                     message: format!("artifact unreadable: {e}"),
                 }
             }
         };
-        let total_len = content.len() as u64;
-        let start = offset.min(total_len) as usize;
-        let end = start
-            .saturating_add(max.clamp(1, ARTIFACT_CHUNK_MAX))
-            .min(content.len());
-        let data = content[start..end].to_vec();
+        let start = offset.min(manifest.total_len);
         Response::Artifact {
             artifact: artifact.to_string(),
-            total_len,
+            total_len: manifest.total_len,
             digest: manifest.digest,
-            offset: start as u64,
-            eof: end as u64 >= total_len,
-            data,
+            offset: start,
+            eof: start + data.len() as u64 >= manifest.total_len,
+            data: to_hex(&data),
         }
     }
 

@@ -2,42 +2,102 @@
 //!
 //! GridFTP guards bulk data with per-block and whole-file checksums; the
 //! simulated transport does the same with CRC-32 (the IEEE polynomial,
-//! computed bit by bit, no lookup table). The archive, the portal's history
-//! digests and the benches use this one implementation. Hex is the byte
-//! codec used when chunks ride inside JSON RPC payloads.
+//! reflected), computed slice-by-8: eight 256-entry tables, built at
+//! compile time, fold eight input bytes per step. The archive's block
+//! addresses and whole-file digests, the backing store, checkpoint
+//! headers, NFMS chunks, the portal's history digests and the benches use
+//! this one implementation. Hex is the byte codec used when chunks ride
+//! inside JSON payloads: NFMS chunks and portal artifact frames.
+
+/// The IEEE 802.3 polynomial, bit-reversed.
+const POLY: u32 = 0xEDB8_8320;
+
+/// `TABLES[0][b]` is the CRC register after shifting byte `b` through
+/// eight bit steps; `TABLES[k][b]` continues it through `k` more zero
+/// bytes, so one lookup per input byte covers a whole 8-byte stride.
+static TABLES: [[u32; 256]; 8] = tables();
+
+const fn tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected).
 pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
+    let t = &TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
+    let mut strides = data.chunks_exact(8);
+    for s in &mut strides {
+        let lo = crc ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][s[4] as usize]
+            ^ t[2][s[5] as usize]
+            ^ t[1][s[6] as usize]
+            ^ t[0][s[7] as usize];
+    }
+    for &b in strides.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Encode bytes as lowercase hex.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Encode bytes as lowercase hex: exactly two characters per byte.
 pub fn to_hex(data: &[u8]) -> String {
     let mut s = String::with_capacity(data.len() * 2);
-    for b in data {
-        s.push_str(&format!("{b:02x}"));
+    for &b in data {
+        s.push(HEX_DIGITS[(b >> 4) as usize] as char);
+        s.push(HEX_DIGITS[(b & 0x0F) as usize] as char);
     }
     s
 }
 
-/// Decode lowercase/uppercase hex; `None` on malformed input.
+/// Decode lowercase/uppercase hex; `None` on malformed input (odd length
+/// or any character outside `0-9a-fA-F`).
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    let digits = s.as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
+    let mut out = Vec::with_capacity(digits.len() / 2);
+    for pair in digits.chunks_exact(2) {
+        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
+    }
+    Some(out)
+}
+
+fn nibble(c: u8) -> Option<u8> {
+    match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        b'A'..=b'F' => Some(c - b'A' + 10),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -45,10 +105,25 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The bit-at-a-time definition of the same CRC: the reference the
+    /// table-driven kernel is pinned against.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard test vector: "123456789" → 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
@@ -70,9 +145,29 @@ mod tests {
     fn hex_rejects_malformed() {
         assert!(from_hex("abc").is_none());
         assert!(from_hex("zz").is_none());
+        assert!(from_hex("+f").is_none());
+        assert!(
+            from_hex("é").is_none(),
+            "two non-ASCII bytes are not a hex pair"
+        );
     }
 
     proptest! {
+        #[test]
+        fn crc32_matches_the_bitwise_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..2049),
+            start in any::<usize>(),
+            len in any::<usize>(),
+        ) {
+            // Random sub-slices give unaligned starts and every tail
+            // length mod 8.
+            let start = start % (data.len() + 1);
+            let end = start + len % (data.len() - start + 1);
+            let slice = &data[start..end];
+            prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
+            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+
         #[test]
         fn hex_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..200)) {
             prop_assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);

@@ -14,9 +14,10 @@
 # captures while the 64-site run shares the engine and writes ingest
 # throughput + dedup counts to BENCH_archive.json (asserting the MOST
 # history stays bit-identical). campaign_sweep expands a 240-cell DSL
-# scenario matrix through the portal and writes runs/sec, unique failure
-# signatures, and the corpus dedup ratio to BENCH_campaign.json
-# (asserting a same-seed re-sweep is byte-identical). The analyzer stage
+# scenario matrix through the portal five times and writes median/best
+# runs/sec, unique failure signatures, and the corpus dedup ratio to
+# BENCH_campaign.json (asserting every same-seed sweep is byte-identical
+# to the first). The analyzer stage
 # records both exhaustive checkers' schedule counts and wall time to
 # BENCH_analyzer.json. The script ends by printing every numeric field that
 # differs from the committed BENCH_*.json, as `committed → new (×ratio)`.

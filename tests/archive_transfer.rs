@@ -22,7 +22,10 @@ use neesgrid::gridsim::{
     FaultPlan, LatencyModel, LinkKey, NetworkConfig, NetworkProfile, SimTime, VirtualNetwork,
 };
 use neesgrid::gsi::{CertificateAuthority, Credential, DistinguishedName};
-use neesgrid::portal::{ExperimentSpec, Portal, PortalClient, PortalConfig, Request, Response};
+use neesgrid::portal::{
+    ClientError, ExperimentSpec, Portal, PortalClient, PortalConfig, Request, Response,
+    ARTIFACT_CHUNK_MAX,
+};
 use neesgrid::repo::VirtualStore;
 use neesgrid::telemetry::Telemetry;
 
@@ -243,7 +246,8 @@ fn faulted_link_failover_serves_from_surviving_replica() {
 
 /// Portal integration: a finished run's trace and NSDS capture land in
 /// the attached archive and stream back over the wire under the tenant
-/// isolation gate.
+/// isolation gate. An artifact larger than one reply frame streams back
+/// chunk by chunk, and the client checks the whole-artifact CRC-32.
 #[test]
 fn portal_runs_archive_their_artifacts_and_stream_them_back() {
     let net = VirtualNetwork::new(NetworkProfile::CampusWan.config(61));
@@ -336,6 +340,28 @@ fn portal_runs_archive_their_artifacts_and_stream_them_back() {
         .manifests()
         .iter()
         .any(|m| m == &format!("/runs/{run}/capture.jsonl")));
+
+    // An artifact spanning several reply frames streams back whole.
+    let now = net.clock().now();
+    let bulk_name = format!("/runs/{run}/bulk.bin");
+    let bulk = payload(2 * ARTIFACT_CHUNK_MAX + 12_345);
+    archive.ingest_local(&bulk_name, &bulk, now);
+    let (bulk_bytes, bulk_digest) = alice_client
+        .fetch_artifact(&run, "bulk.bin")
+        .expect("multi-chunk artifact streams back");
+    assert_eq!(bulk_bytes, bulk.to_vec());
+    assert_eq!(bulk_digest, neesgrid::repo::crc32(&bulk));
+
+    // The portal serves each chunk from the blocks under it; the
+    // whole-artifact CRC is the client's check, so a manifest whose digest
+    // does not match its blocks is refused once the last chunk is in.
+    let mut wrong = archive.cas().manifest(&bulk_name).expect("manifest stored");
+    wrong.digest ^= 1;
+    archive.cas().put_manifest(&wrong, now);
+    match alice_client.fetch_artifact(&run, "bulk.bin") {
+        Err(ClientError::Refused(why)) => assert!(why.contains("digest mismatch"), "{why}"),
+        other => panic!("a wrong digest must be refused, got {other:?}"),
+    }
 
     // Tenant isolation holds on the new verb: bob cannot stream alice's
     // artifacts.

@@ -2,15 +2,17 @@
 //!
 //! Traces come back from disk and corpus entries; portal frames come off
 //! the wire. Whatever the bytes, the JSON parser, the trace-signature
-//! extractor, the report renderer and the portal frame decoder answer with
-//! a result or an error: no panic, no stack overflow. Inputs are random
+//! extractor, the report renderer, the portal frame decoder (requests and
+//! replies) and the hex decoder artifact chunks go through answer with a
+//! result or an error: no panic, no stack overflow. Inputs are random
 //! bytes, JSON-token soup, and truncations and byte flips of the lines of
 //! a real trace.
 
 use std::sync::OnceLock;
 
 use neesgrid::most::n_site_with_telemetry;
-use neesgrid::portal::{decode, RequestFrame};
+use neesgrid::portal::{decode, RequestFrame, Response};
+use neesgrid::repo::from_hex;
 use neesgrid::telemetry::{render_report, Telemetry, TraceSignature};
 use proptest::prelude::*;
 use serde_json::Value;
@@ -26,12 +28,32 @@ fn trace() -> &'static str {
     })
 }
 
+/// `body` behind its 4-byte length prefix.
+fn frame(body: &str) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    frame
+}
+
 /// Feed `text` to every decoder, alone and appended to the real trace.
 fn decode_everywhere(text: &str) {
     let _ = serde_json::from_str::<Value>(text);
-    let mut frame = (text.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(text.as_bytes());
-    let _ = decode::<RequestFrame>(&frame);
+    let _ = decode::<RequestFrame>(&frame(text));
+    let _ = decode::<Response>(&frame(text));
+    // As an artifact chunk's data, `text` (odd-length, non-hex or not)
+    // reaches the hex decoder the portal client runs on every chunk.
+    let chunk = serde_json::json!({"Artifact": {
+        "artifact": "trace.jsonl", "total_len": 1, "digest": 0, "offset": 0,
+        "data": text, "eof": true,
+    }});
+    let chunk = serde_json::to_string(&chunk).expect("a JSON value serializes");
+    match decode::<Response>(&frame(&chunk)) {
+        Ok(Response::Artifact { data, .. }) => {
+            assert_eq!(data, text);
+            let _ = from_hex(&data);
+        }
+        other => panic!("a well-formed artifact frame decodes: {other:?}"),
+    }
     for jsonl in [text.to_string(), format!("{}{text}", trace())] {
         let _ = TraceSignature::from_jsonl(&jsonl);
         let _ = render_report(&jsonl);
@@ -47,6 +69,7 @@ proptest! {
     fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         decode_everywhere(&String::from_utf8_lossy(&bytes));
         let _ = decode::<RequestFrame>(&bytes);
+        let _ = decode::<Response>(&bytes);
     }
 
     #[test]
