@@ -381,6 +381,90 @@ impl CasStore {
     }
 }
 
+/// Generated manifests and hostile inputs for the archive's decoder tests.
+#[cfg(test)]
+pub(crate) mod fuzz {
+    use super::{BlockKey, BlockRef, Manifest};
+
+    /// Deterministic source for generated inputs (xorshift64*).
+    pub(crate) struct Gen(pub u64);
+
+    impl Gen {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        pub(crate) fn text(&mut self) -> String {
+            const CHARS: [char; 9] = ['/', 'r', '-', '.', '"', '\\', '\u{1}', 'é', '😀'];
+            (0..self.below(16))
+                .map(|_| CHARS[self.below(CHARS.len())])
+                .collect()
+        }
+
+        pub(crate) fn manifest(&mut self) -> Manifest {
+            Manifest {
+                logical: self.text(),
+                total_len: self.next(),
+                digest: self.next() as u32,
+                chunk_size: self.next() as u32,
+                blocks: (0..self.below(5))
+                    .map(|_| BlockRef {
+                        offset: self.next(),
+                        key: BlockKey {
+                            crc: self.next() as u32,
+                            len: self.next() as u32,
+                        },
+                    })
+                    .collect(),
+            }
+        }
+
+        /// Random bytes, or JSON-token soup that steers a parser into
+        /// every branch.
+        pub(crate) fn garbage(&mut self) -> Vec<u8> {
+            const TOKENS: [&str; 22] = [
+                "{",
+                "}",
+                "[",
+                "]",
+                ",",
+                ":",
+                "\"",
+                "\\u",
+                "null",
+                "true",
+                "-",
+                "1e999",
+                "0",
+                "4294967296",
+                "\"logical\"",
+                "\"blocks\"",
+                "\"Offer\"",
+                "\"marker\"",
+                "\"ranges\"",
+                "\"key\"",
+                " ",
+                "é",
+            ];
+            if self.next() & 1 == 0 {
+                (0..self.below(256)).map(|_| self.next() as u8).collect()
+            } else {
+                (0..self.below(64))
+                    .map(|_| TOKENS[self.below(TOKENS.len())])
+                    .collect::<String>()
+                    .into_bytes()
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,5 +629,19 @@ mod tests {
         let m = cas.ingest("/empty", &Bytes::new(), 1024, SimTime::ZERO);
         assert!(m.blocks.is_empty());
         assert_eq!(cas.read("/empty").unwrap(), Bytes::new());
+    }
+
+    #[test]
+    fn manifests_round_trip_and_garbage_never_panics() {
+        let mut g = fuzz::Gen(0x5EED_CA5E);
+        for _ in 0..300 {
+            let m = g.manifest();
+            let bytes = m.encode();
+            assert_eq!(Manifest::decode(&bytes), Some(m));
+            for cut in 0..bytes.len() {
+                assert_eq!(Manifest::decode(&bytes[..cut]), None);
+            }
+            let _ = Manifest::decode(&g.garbage());
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! mortem is precisely about a coordinator that configured this
 //! incompletely, so the knob is exposed rather than hidden.
 
+use serde::de::{Deserialize, Deserializer, Error as _, MapAccess, Token};
 use serde_json::json;
 
 use neesgrid_gridsim::SimTime;
@@ -13,6 +14,7 @@ use neesgrid_ogsi::{wait_all, RpcClient, RpcCompletion, RpcError, RpcReply};
 
 use crate::msg::{
     ControlPoint, ControlPointResult, ExecuteResponse, ProposalDecision, ProposeBody,
+    TransactionRef,
 };
 
 /// Errors surfaced to NTCP callers.
@@ -65,6 +67,33 @@ impl From<RpcError> for NtcpError {
     }
 }
 
+/// A `propose` reply's `decision`, read the way indexing a `Value` reads
+/// it: a reply that is not an object, or has no `decision` key, reads the
+/// decision from `null`. An error is the decision's own.
+struct DecisionOf(ProposalDecision);
+
+impl<'de> Deserialize<'de> for DecisionOf {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let mut decision = None;
+        if let Token::Object(mut map) = d.token()? {
+            while let Some(key) = map.next_key()? {
+                if key == "decision" {
+                    decision = Some(map.next_value()?);
+                } else {
+                    map.skip_value()?;
+                }
+            }
+        }
+        match decision {
+            Some(decided) => decided,
+            None => {
+                ProposalDecision::deserialize(&serde_json::Value::Null).map_err(D::Error::custom)
+            }
+        }
+        .map(DecisionOf)
+    }
+}
+
 /// A client bound to one remote NTCP server.
 #[derive(Clone)]
 pub struct NtcpClient {
@@ -111,7 +140,8 @@ impl NtcpClient {
     fn finish_propose(&self, reply: Result<RpcReply, RpcError>) -> Result<(), NtcpError> {
         let reply = reply?;
         self.note_attempts(reply.attempts);
-        let decision: ProposalDecision = serde_json::from_value(reply.value["decision"].clone())
+        let DecisionOf(decision) = reply
+            .decode()
             .map_err(|e| NtcpError::BadResponse(format!("decision: {e}")))?;
         match decision {
             ProposalDecision::Accepted => Ok(()),
@@ -125,7 +155,8 @@ impl NtcpClient {
     ) -> Result<Vec<ControlPointResult>, NtcpError> {
         let reply = reply?;
         self.note_attempts(reply.attempts);
-        let resp: ExecuteResponse = serde_json::from_value(reply.value)
+        let resp: ExecuteResponse = reply
+            .decode()
             .map_err(|e| NtcpError::BadResponse(format!("execute response: {e}")))?;
         Ok(resp.results)
     }
@@ -150,13 +181,11 @@ impl NtcpClient {
         actions: Vec<ControlPoint>,
         timeout: SimTime,
     ) -> ProposePending {
-        let body = serde_json::to_value(ProposeBody {
+        let body = ProposeBody {
             transaction: transaction.to_string(),
             actions,
             timeout,
-        })
-        // analyzer:allow(no-unwrap, reason = "ProposeBody is a plain derive(Serialize) tree of JSON-safe types; self-serialization is infallible")
-        .expect("serialize propose");
+        };
         ProposePending {
             client: self.clone(),
             completion: self.rpc.call_async("propose", body),
@@ -172,9 +201,7 @@ impl NtcpClient {
     pub fn execute_async(&self, transaction: &str) -> ExecutePending {
         ExecutePending {
             client: self.clone(),
-            completion: self
-                .rpc
-                .call_async("execute", json!({ "transaction": transaction })),
+            completion: self.rpc.call_async("execute", tx_ref(transaction)),
         }
     }
 
@@ -228,14 +255,7 @@ impl NtcpClient {
     ) -> Vec<Result<(), NtcpError>> {
         let pending: Vec<(NtcpClient, RpcCompletion)> = batch
             .into_iter()
-            .map(|(client, tx)| {
-                (
-                    client.clone(),
-                    client
-                        .rpc
-                        .call_async("cancel", json!({ "transaction": tx })),
-                )
-            })
+            .map(|(client, tx)| (client.clone(), client.rpc.call_async("cancel", tx_ref(tx))))
             .collect();
         let (clients, completions): (Vec<_>, Vec<_>) = pending.into_iter().unzip();
         clients
@@ -251,8 +271,7 @@ impl NtcpClient {
 
     /// Cancel an accepted-but-unexecuted transaction.
     pub fn cancel(&self, transaction: &str) -> Result<(), NtcpError> {
-        self.rpc
-            .call("cancel", json!({ "transaction": transaction }))?;
+        self.rpc.call("cancel", tx_ref(transaction))?;
         Ok(())
     }
 
@@ -260,18 +279,18 @@ impl NtcpClient {
     pub fn get_transaction(&self, transaction: &str) -> Result<serde_json::Value, NtcpError> {
         Ok(self
             .rpc
-            .call("getTransaction", json!({ "transaction": transaction }))?
-            .value)
+            .call("getTransaction", tx_ref(transaction))?
+            .value())
     }
 
     /// Fetch server status.
     pub fn get_status(&self) -> Result<serde_json::Value, NtcpError> {
-        Ok(self.rpc.call("getStatus", json!({}))?.value)
+        Ok(self.rpc.call("getStatus", json!({}))?.value())
     }
 
     /// Read the site's full checkpointable state (protocol + specimen).
     pub fn snapshot_site(&self) -> Result<serde_json::Value, NtcpError> {
-        Ok(self.rpc.call("snapshotSite", json!({}))?.value)
+        Ok(self.rpc.call("snapshotSite", json!({}))?.value())
     }
 
     /// Push a previously captured site snapshot back onto the server
@@ -280,6 +299,13 @@ impl NtcpClient {
         self.rpc
             .call("restoreSite", json!({ "snapshot": snapshot }))?;
         Ok(())
+    }
+}
+
+/// The body of `execute`, `cancel` and `getTransaction`.
+fn tx_ref(transaction: &str) -> TransactionRef {
+    TransactionRef {
+        transaction: transaction.to_string(),
     }
 }
 

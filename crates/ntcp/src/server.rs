@@ -5,6 +5,7 @@
 //! OGSI service-data publication. Everything site-specific is delegated to
 //! the [`ControlPlugin`].
 
+use serde::Deserialize;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -91,8 +92,7 @@ impl NtcpServer {
     /// [`GridService::sde`]), or now for a matching subscriber.
     fn publish(&mut self, name: &str, now: SimTime) {
         if let Some(tx) = self.transactions.get(name) {
-            self.sde
-                .touch(format!("transaction/{name}"), now, || tx.to_sde_value());
+            touch_sde(&mut self.sde, tx, now);
         }
     }
 
@@ -106,7 +106,7 @@ impl NtcpServer {
     }
 
     fn do_propose(&mut self, ctx: &CallContext, body: &Value) -> Result<Value, ServiceFault> {
-        let req: ProposeBody = serde_json::from_value(body.clone())
+        let req = ProposeBody::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("propose body: {e}")))?;
         if self.transactions.contains_key(&req.transaction) {
             return Err(ServiceFault::permanent(
@@ -114,16 +114,11 @@ impl NtcpServer {
                 format!("transaction '{}' already exists", req.transaction),
             ));
         }
-        let mut tx = Transaction::propose(
-            req.transaction.clone(),
-            req.actions.clone(),
-            req.timeout,
-            ctx.now,
-        );
+        let mut tx = Transaction::propose(req.transaction, req.actions, req.timeout, ctx.now);
         // Policy first (identity + physical limits), then plugin
         // feasibility; either can reject, neither causes motion.
         let mut rejection: Option<String> = None;
-        for a in &req.actions {
+        for a in &tx.actions {
             let d = self.policy.authorize_command(
                 &ctx.caller,
                 "propose",
@@ -137,32 +132,33 @@ impl NtcpServer {
             }
         }
         if rejection.is_none() {
-            if let Err(reason) = self.plugin.review(&req.actions) {
+            if let Err(reason) = self.plugin.review(&tx.actions) {
                 rejection = Some(reason);
             }
         }
         let decision = match rejection {
             None => {
                 tx.transition(TxState::Accepted, ctx.now).map_err(|e| {
-                    ServiceFault::permanent("Internal", format!("{}: {e}", req.transaction))
+                    ServiceFault::permanent("Internal", format!("{}: {e}", tx.name))
                 })?;
                 ProposalDecision::Accepted
             }
             Some(reason) => {
                 tx.reason = Some(reason.clone());
                 tx.transition(TxState::Rejected, ctx.now).map_err(|e| {
-                    ServiceFault::permanent("Internal", format!("{}: {e}", req.transaction))
+                    ServiceFault::permanent("Internal", format!("{}: {e}", tx.name))
                 })?;
                 ProposalDecision::Rejected { reason }
             }
         };
-        self.transactions.insert(req.transaction.clone(), tx);
-        self.publish(&req.transaction, ctx.now);
+        // The map key is the one copy of the decoded name.
+        let tx = self.transactions.entry(tx.name.clone()).or_insert(tx);
+        touch_sde(&mut self.sde, tx, ctx.now);
         Ok(json!({ "decision": decision }))
     }
 
     fn do_execute(&mut self, ctx: &CallContext, body: &Value) -> Result<Value, ServiceFault> {
-        let req: TransactionRef = serde_json::from_value(body.clone())
+        let req = TransactionRef::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("execute body: {e}")))?;
         let who = self.policy.authorize(&ctx.caller, "execute");
         if !who.allowed {
@@ -229,7 +225,7 @@ impl NtcpServer {
     }
 
     fn do_cancel(&mut self, ctx: &CallContext, body: &Value) -> Result<Value, ServiceFault> {
-        let req: TransactionRef = serde_json::from_value(body.clone())
+        let req = TransactionRef::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("cancel body: {e}")))?;
         let actions: Vec<ControlPoint> = {
             let tx = self.transactions.get_mut(&req.transaction).ok_or_else(|| {
@@ -252,7 +248,7 @@ impl NtcpServer {
     }
 
     fn do_get_transaction(&mut self, body: &Value) -> Result<Value, ServiceFault> {
-        let req: TransactionRef = serde_json::from_value(body.clone())
+        let req = TransactionRef::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("get body: {e}")))?;
         match self.transactions.get(&req.transaction) {
             Some(tx) => Ok(tx.to_sde_value()),
@@ -380,6 +376,13 @@ impl NtcpServer {
             "emergency_stop": self.policy.emergency_stop,
         })
     }
+}
+
+/// Record a change to `tx` in its SDE (see [`NtcpServer::publish`]).
+fn touch_sde(sde: &mut ServiceData, tx: &Transaction, now: SimTime) {
+    sde.touch(format!("transaction/{}", tx.name), now, || {
+        tx.to_sde_value()
+    });
 }
 
 impl GridService for NtcpServer {

@@ -27,8 +27,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{RawValue, Value};
 
 use neesgrid_gridsim::{
     ControlNotice, Endpoint, Envelope, EventEngine, MessageKind, NodeId, SimTime, TimerId,
@@ -143,15 +144,66 @@ impl RetryPolicy {
     }
 }
 
+/// A reply envelope as the caller reads it: [`RpcResponse`] with the
+/// result document kept as checked JSON text.
+#[derive(Deserialize)]
+struct ReplyEnvelope {
+    // Read for its shape only: the envelope header already correlates.
+    #[allow(dead_code)]
+    request_id: u64,
+    outcome: ReplyOutcome,
+}
+
+#[derive(Deserialize)]
+enum ReplyOutcome {
+    Ok(RawValue),
+    Fault(ServiceFault),
+}
+
 /// A successful reply plus its observed virtual round-trip time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RpcReply {
-    /// The service's result document.
-    pub value: Value,
+    /// The service's result document, as the JSON text it arrived in. Its
+    /// syntax was checked on arrival; its shape is checked when decoded.
+    body: RawValue,
     /// Virtual time from first send to reply delivery.
     pub virtual_rtt: SimTime,
     /// Attempts actually used.
     pub attempts: u32,
+}
+
+impl RpcReply {
+    /// Decode the result document into `T`.
+    pub fn decode<T: DeserializeOwned>(&self) -> Result<T, serde_json::Error> {
+        serde_json::from_str(self.body.get())
+    }
+
+    /// The result document as a `Value` tree.
+    pub fn value(&self) -> Value {
+        self.decode()
+            .expect("a reply body's syntax is checked when it arrives")
+    }
+}
+
+/// A request's wire bytes, written straight from the body's type. They are
+/// exactly `to_vec(&RpcRequest { body: to_value(body), .. })`: the members
+/// in the sorted key order the derive writes `RpcRequest`'s.
+fn request_payload<B: Serialize + ?Sized>(
+    request_id: u64,
+    caller: &DistinguishedName,
+    operation: &str,
+    body: &B,
+) -> Bytes {
+    let mut out = String::from("{\"body\":");
+    body.write_json(&mut out);
+    out.push_str(",\"caller\":");
+    caller.write_json(&mut out);
+    out.push_str(",\"operation\":");
+    operation.write_json(&mut out);
+    out.push_str(",\"request_id\":");
+    request_id.write_json(&mut out);
+    out.push('}');
+    Bytes::from(out.into_bytes())
 }
 
 /// Pre-resolved RPC metric instruments, shared by every call slot so the
@@ -320,19 +372,19 @@ impl CallSlot {
         if st.result.is_some() {
             return;
         }
-        let response: Result<RpcResponse, _> = serde_json::from_slice(&env.payload);
+        let response: Result<ReplyEnvelope, _> = serde_json::from_slice(&env.payload);
         let result = match response {
             Err(_) => Err(RpcError::Fault(ServiceFault::permanent(
                 "BadResponse",
                 "undecodable response payload",
             ))),
             Ok(response) => match response.outcome {
-                RpcOutcome::Ok(value) => Ok(RpcReply {
-                    value,
+                ReplyOutcome::Ok(body) => Ok(RpcReply {
+                    body,
                     virtual_rtt: env.delivered_at().saturating_sub(st.first_send),
                     attempts: st.attempts,
                 }),
-                RpcOutcome::Fault(fault) => Err(RpcError::Fault(fault)),
+                ReplyOutcome::Fault(fault) => Err(RpcError::Fault(fault)),
             },
         };
         self.complete(&mut st, result);
@@ -591,24 +643,18 @@ impl RpcMux {
     /// every attempt so the server's dedup cache can guarantee at-most-once
     /// execution.
     #[allow(clippy::too_many_arguments)]
-    pub fn call_async(
+    pub fn call_async<B: Serialize>(
         &self,
         dst: &NodeId,
         service: &str,
         caller: &DistinguishedName,
         operation: &str,
-        body: Value,
+        body: B,
         attempt_timeout: Duration,
         policy: RetryPolicy,
     ) -> RpcCompletion {
         let request_id = self.endpoint.next_correlation();
-        let request = RpcRequest {
-            request_id,
-            caller: caller.clone(),
-            operation: operation.to_string(),
-            body,
-        };
-        let payload = Bytes::from(serde_json::to_vec(&request).expect("serialize request"));
+        let payload = request_payload(request_id, caller, operation, &body);
         let telemetry = self.telemetry.lock().clone();
         let instruments = self.instruments.lock().clone();
         let span = if telemetry.enabled() {
@@ -673,13 +719,13 @@ impl RpcMux {
     /// Issue a request and wait for its outcome (blocking façade over
     /// [`RpcMux::call_async`]).
     #[allow(clippy::too_many_arguments)]
-    pub fn call(
+    pub fn call<B: Serialize>(
         &self,
         dst: &NodeId,
         service: &str,
         caller: &DistinguishedName,
         operation: &str,
-        body: Value,
+        body: B,
         attempt_timeout: Duration,
         policy: RetryPolicy,
     ) -> Result<RpcReply, RpcError> {
@@ -755,7 +801,7 @@ impl RpcClient {
     }
 
     /// Call `operation` with `body`.
-    pub fn call(&self, operation: &str, body: Value) -> Result<RpcReply, RpcError> {
+    pub fn call<B: Serialize>(&self, operation: &str, body: B) -> Result<RpcReply, RpcError> {
         self.mux.call(
             &self.dst,
             &self.service,
@@ -768,7 +814,7 @@ impl RpcClient {
     }
 
     /// Start `operation` without waiting (completion-based fan-out).
-    pub fn call_async(&self, operation: &str, body: Value) -> RpcCompletion {
+    pub fn call_async<B: Serialize>(&self, operation: &str, body: B) -> RpcCompletion {
         self.mux.call_async(
             &self.dst,
             &self.service,
@@ -780,9 +826,9 @@ impl RpcClient {
         )
     }
 
-    /// Call and keep only the value (common case).
-    pub fn call_value(&self, operation: &str, body: Value) -> Result<Value, RpcError> {
-        self.call(operation, body).map(|r| r.value)
+    /// Call and keep only the result document, as a `Value` (common case).
+    pub fn call_value<B: Serialize>(&self, operation: &str, body: B) -> Result<Value, RpcError> {
+        self.call(operation, body).map(|r| r.value())
     }
 }
 
@@ -832,8 +878,8 @@ mod tests {
         let mux = RpcMux::new(net.endpoint("client").unwrap());
         let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
         let reply = client.call("ping", serde_json::json!({"x": 1})).unwrap();
-        assert_eq!(reply.value["echo"]["x"], 1);
-        assert_eq!(reply.value["operation"], "ping");
+        assert_eq!(reply.value()["echo"]["x"], 1);
+        assert_eq!(reply.value()["operation"], "ping");
         assert_eq!(reply.attempts, 1);
     }
 
@@ -962,7 +1008,7 @@ mod tests {
             .map(|i| client.call_async("ping", serde_json::json!({ "i": i })))
             .collect();
         for (i, r) in wait_all(completions).into_iter().enumerate() {
-            assert_eq!(r.unwrap().value["echo"]["i"], i);
+            assert_eq!(r.unwrap().value()["echo"]["i"], i);
         }
     }
 
@@ -988,7 +1034,7 @@ mod tests {
         assert_eq!(results.len(), 3);
         for (i, r) in results.into_iter().enumerate() {
             let reply = r.unwrap();
-            assert_eq!(reply.value["echo"]["i"], i);
+            assert_eq!(reply.value()["echo"]["i"], i);
             assert_eq!(reply.attempts, 1);
         }
     }

@@ -1,13 +1,17 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build container has no crates.io access, so this workspace vendors a
-//! small, value-based serialization facade under the `serde` name. It keeps
-//! the trait *shapes* of real serde (`Serialize::serialize<S: Serializer>`,
+//! small serialization facade under the `serde` name. It keeps the trait
+//! *shapes* of real serde (`Serialize::serialize<S: Serializer>`,
 //! `Deserialize::deserialize<D: Deserializer<'de>>`) so hand-written impls
-//! compile unchanged, but the data model is a single JSON-like [`value::Value`]
-//! rather than serde's full visitor machinery. `serde_json` (also vendored)
-//! parses JSON text into that `Value`, and writes compact text straight from
-//! the type through [`Serialize::write_json`].
+//! compile unchanged, without serde's full visitor machinery.
+//!
+//! Writing: [`Serialize::serialize`] builds a JSON-like [`value::Value`]
+//! tree, and [`Serialize::write_json`] writes compact text straight from the
+//! type. Reading: a [`Deserializer`] is a pull reader (see [`de`]) over
+//! either JSON text (`serde_json`'s reader) or a borrowed `Value`, and one
+//! `Deserialize` impl per type serves both. `Value` itself is only built
+//! for documents that are dynamic by nature, or when asked for.
 
 pub mod de;
 pub mod ser;
@@ -20,5 +24,5 @@ pub use serde_derive::{Deserialize, Serialize};
 #[doc(hidden)]
 pub mod __private {
     //! Helpers the derive macro expands against.
-    pub use crate::value::{from_value, to_value, Map, Value};
+    pub use crate::value::{to_value, Map, Value};
 }

@@ -1,9 +1,13 @@
-//! The JSON-like value tree that serves as this shim's entire data model.
+//! The JSON-like value tree: the data model of `Serialize::serialize`, of
+//! dynamic documents, and one of the two sources a [`Deserializer`] reads.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::de::{Deserialize, DeserializeOwned, Deserializer};
+use crate::de::{
+    DeserializeOwned, DeserializeVariant, Deserializer, Kind, MapAccess, SeqAccess, Token,
+};
 use crate::ser::{Serialize, Serializer};
 
 /// Object type: sorted map keeps serialized output deterministic.
@@ -199,7 +203,7 @@ impl ValueIndex for usize {
     }
 }
 
-static NULL: Value = Value::Null;
+pub(crate) static NULL: Value = Value::Null;
 
 impl<I: ValueIndex> std::ops::Index<I> for Value {
     type Output = Value;
@@ -425,13 +429,95 @@ impl Serializer for ValueSerializer {
     }
 }
 
-/// Deserializer that hands out an already-parsed value tree.
-pub struct ValueDeserializer(pub Value);
-
-impl<'de> Deserializer<'de> for ValueDeserializer {
+/// Reading a tree: `&Value` is a [`Deserializer`] that borrows from it.
+impl<'de> Deserializer<'de> for &'de Value {
     type Error = Error;
-    fn into_value(self) -> Result<Value, Error> {
-        Ok(self.0)
+    type Seq = std::slice::Iter<'de, Value>;
+    type Map = MapReader<'de>;
+
+    fn kind(&mut self) -> Result<Kind, Error> {
+        Ok(match self {
+            Value::Null => Kind::Null,
+            Value::Bool(_) => Kind::Bool,
+            Value::Number(_) => Kind::Number,
+            Value::String(_) => Kind::String,
+            Value::Array(_) => Kind::Array,
+            Value::Object(_) => Kind::Object,
+        })
+    }
+
+    fn token(self) -> Result<Token<'de, Self::Seq, Self::Map>, Error> {
+        Ok(match self {
+            Value::Null => Token::Null,
+            Value::Bool(b) => Token::Bool(*b),
+            Value::Number(n) => Token::Number(*n),
+            Value::String(s) => Token::Str(Cow::Borrowed(s)),
+            Value::Array(a) => Token::Array(a.iter()),
+            Value::Object(m) => Token::Object(MapReader {
+                members: m.iter(),
+                value: &NULL,
+            }),
+        })
+    }
+
+    fn raw(self) -> Result<Cow<'de, str>, Error> {
+        Ok(Cow::Owned(self.to_json_compact()))
+    }
+
+    fn skip(self) -> Result<(), Error> {
+        Ok(())
+    }
+
+    fn value(self) -> Result<Value, Error> {
+        Ok(self.clone())
+    }
+}
+
+impl<'de> SeqAccess<'de> for std::slice::Iter<'de, Value> {
+    type Error = Error;
+
+    fn next_element<T: crate::Deserialize<'de>>(
+        &mut self,
+    ) -> Result<Option<Result<T, Error>>, Error> {
+        Ok(self.next().map(T::deserialize))
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        Some(self.len())
+    }
+}
+
+/// Members of a tree's object, in sorted key order.
+pub struct MapReader<'de> {
+    members: std::collections::btree_map::Iter<'de, String, Value>,
+    /// The value of the member whose key was read last.
+    value: &'de Value,
+}
+
+impl<'de> MapAccess<'de> for MapReader<'de> {
+    type Error = Error;
+
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, Error> {
+        Ok(self.members.next().map(|(key, value)| {
+            self.value = value;
+            Cow::Borrowed(key.as_str())
+        }))
+    }
+
+    fn next_value<T: crate::Deserialize<'de>>(&mut self) -> Result<Result<T, Error>, Error> {
+        Ok(T::deserialize(self.value))
+    }
+
+    fn skip_value(&mut self) -> Result<(), Error> {
+        Ok(())
+    }
+
+    /// The map is sorted: its first member has the smallest key.
+    fn variant<T: DeserializeVariant<'de>>(mut self) -> Result<Option<T>, Error> {
+        self.members
+            .next()
+            .map(|(tag, content)| T::deserialize_variant(tag, content))
+            .transpose()
     }
 }
 
@@ -442,7 +528,7 @@ pub fn to_value<T: Serialize + ?Sized>(t: &T) -> Value {
 
 /// Deserialize a `T` out of an owned [`Value`].
 pub fn from_value<T: DeserializeOwned>(v: Value) -> Result<T, Error> {
-    T::deserialize(ValueDeserializer(v))
+    T::deserialize(&v)
 }
 
 // The value tree itself round-trips through Serialize/Deserialize untouched,
@@ -454,12 +540,6 @@ impl Serialize for Value {
 
     fn write_json(&self, out: &mut String) {
         write_tree(self, out, None, 0);
-    }
-}
-
-impl<'de> Deserialize<'de> for Value {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.into_value()
     }
 }
 

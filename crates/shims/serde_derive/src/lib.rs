@@ -6,8 +6,9 @@
 //! tuple, and struct variants, plus `#[serde(rename_all = "...")]`.
 //!
 //! `Serialize` gets both `serialize` (the `Value` tree) and `write_json`
-//! (compact text written field by field, no tree). `Deserialize` moves each
-//! field out of the parsed tree instead of cloning it.
+//! (compact text written field by field, no tree). `Deserialize` gets one
+//! `deserialize` against the shim's pull interface (`serde::de`), which
+//! reads JSON text and a borrowed `Value` alike.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -371,15 +372,7 @@ fn capitalize(w: &str) -> String {
 const VALUE: &str = "::serde::__private::Value";
 const MAP: &str = "::serde::__private::Map";
 const TO_VALUE: &str = "::serde::__private::to_value";
-const FROM_VALUE: &str = "::serde::__private::from_value";
 const WRITE_JSON: &str = "::serde::Serialize::write_json";
-
-fn de_err(item: &str, what: &str) -> String {
-    format!(
-        "return ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
-         ::std::format!(\"{item}: {what}\")))"
-    )
-}
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
@@ -598,148 +591,166 @@ fn gen_write_json(item: &Item) -> String {
     w.finish()
 }
 
-/// Decode the owned `Value` expression `expr` into the field's type,
-/// returning early with `"{ctx}: {error}"` on failure.
-fn de_field(expr: &str, ctx: &str) -> String {
+/// `return Err("{ctx}: {what}")` inside a generated decoder.
+fn de_err(ctx: &str, what: &str) -> String {
     format!(
-        "match {FROM_VALUE}({expr}) {{\n\
-         ::core::result::Result::Ok(v) => v,\n\
-         ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-         <__D::Error as ::serde::de::Error>::custom(\
-         ::std::format!(\"{ctx}: {{}}\", e))),\n}}"
+        "return ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom({:?}))",
+        format!("{ctx}: {what}")
     )
 }
 
-/// Field initializers taking each field's value out of the object `__o`
-/// (a missing key decodes from `null`).
-fn de_named_fields(fields: &[String], keys: &[String], ctx: &str) -> String {
-    fields
-        .iter()
-        .zip(keys)
-        .map(|(f, key)| {
-            let take = format!("__o.remove({key:?}).unwrap_or({VALUE}::Null)");
-            format!("{f}: {},\n", de_field(&take, &format!("{ctx}.{f}")))
-        })
-        .collect()
+/// `Err("{ctx}: unknown variant {tag:?}")` for the tag expression `tag`.
+fn unknown_variant(ctx: &str, tag: &str) -> String {
+    format!(
+        "::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
+         ::std::format!(\"{ctx}: unknown variant {{:?}}\", {tag})))"
+    )
 }
 
-/// Elements taken out of the array `__a`, which holds exactly `n`.
-fn de_elements(n: usize, ctx: &str) -> String {
-    (0..n)
-        .map(|i| {
-            de_field(
-                &format!("::core::mem::take(&mut __a[{i}])"),
-                &format!("{ctx}.{i}"),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// `mut ` when a destructured container has members to take out.
-fn mut_if(nonempty: bool) -> &'static str {
-    if nonempty {
-        "mut "
-    } else {
-        ""
+/// Decode an object from the deserializer `__d` into `ctor { fields }`.
+/// Every member is read; each field keeps its key's last value, and the
+/// fields are checked in declared order, a missing one decoding from null.
+fn de_named(ctor: &str, fields: &[String], keys: &[String], ctx: &str) -> String {
+    let mut code = format!(
+        "let mut __map = match ::serde::Deserializer::token(__d)? {{\n\
+         ::serde::de::Token::Object(__m) => __m,\n\
+         _ => {},\n}};\n",
+        de_err(ctx, "expected object")
+    );
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, (f, key)) in fields.iter().zip(keys).enumerate() {
+        code.push_str(&format!("let mut __f{i} = ::core::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "{key:?} => __f{i} = ::core::option::Option::Some(\
+             ::serde::de::MapAccess::next_value(&mut __map)?),\n"
+        ));
+        inits.push_str(&format!(
+            "{f}: ::serde::de::field(__f{i}, {:?})?,\n",
+            format!("{ctx}.{f}")
+        ));
     }
+    code.push_str(&format!(
+        "while let ::core::option::Option::Some(__k) = \
+         ::serde::de::MapAccess::next_key(&mut __map)? {{\n\
+         match &*__k {{\n{arms}\
+         _ => ::serde::de::MapAccess::skip_value(&mut __map)?,\n}}\n}}\n\
+         ::core::result::Result::Ok({ctor} {{\n{inits}}})"
+    ));
+    code
 }
 
+/// Decode an array of exactly `n` elements from `__d` into `ctor(..)`.
+/// A wrong length wins over an element's error, as the length is a
+/// property of the whole array.
+fn de_tuple(ctor: &str, n: usize, ctx: &str) -> String {
+    let mut code = format!(
+        "let mut __seq = match ::serde::Deserializer::token(__d)? {{\n\
+         ::serde::de::Token::Array(__s) => __s,\n\
+         _ => {},\n}};\n",
+        de_err(ctx, &format!("expected array of {n}"))
+    );
+    let mut scrutinee = String::new();
+    let mut pattern = String::new();
+    let mut elems = Vec::new();
+    for i in 0..n {
+        code.push_str(&format!(
+            "let __e{i} = ::serde::de::SeqAccess::next_element(&mut __seq)?;\n"
+        ));
+        scrutinee.push_str(&format!("__e{i}, "));
+        pattern.push_str(&format!("::core::option::Option::Some(__e{i}), "));
+        elems.push(format!(
+            "__e{i}.map_err(|__e| ::serde::de::context({:?}, __e))?",
+            format!("{ctx}.{i}")
+        ));
+    }
+    code.push_str(&format!(
+        "match ({scrutinee}::serde::de::has_more(&mut __seq)?,) {{\n\
+         ({pattern}false,) => ::core::result::Result::Ok({ctor}({})),\n\
+         _ => {},\n}}",
+        elems.join(", "),
+        de_err(ctx, &format!("expected array of {n}"))
+    ));
+    code
+}
+
+/// Decode `__d` as the single field of `ctor(..)`.
+fn de_newtype(ctor: &str, ctx: &str) -> String {
+    format!(
+        "::core::result::Result::Ok({ctor}(::serde::Deserialize::deserialize(__d)\
+         .map_err(|__e| ::serde::de::context({ctx:?}, __e))?))"
+    )
+}
+
+/// The generated `Deserialize` impl: one `deserialize` written against the
+/// pull interface, so it reads JSON text and a borrowed `Value` alike.
+/// Enums also get `DeserializeVariant`, which decodes a tagged object's
+/// content once the reader has picked the tag.
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
+    let rename_all = item.rename_all.as_deref();
     let body = match &item.body {
         Body::NamedStruct(fields) => {
-            let keys: Vec<String> = fields
-                .iter()
-                .map(|f| apply_rename(f, item.rename_all.as_deref()))
-                .collect();
-            format!(
-                "let {mut_o}__o = match __v {{\n\
-                 {VALUE}::Object(m) => m,\n\
-                 _ => {err},\n}};\n\
-                 ::core::result::Result::Ok({name} {{\n{inits}}})",
-                mut_o = mut_if(!fields.is_empty()),
-                err = de_err(name, "expected object"),
-                inits = de_named_fields(fields, &keys, name),
-            )
+            let keys: Vec<String> = fields.iter().map(|f| apply_rename(f, rename_all)).collect();
+            de_named(name, fields, &keys, name)
         }
-        Body::TupleStruct(1) => format!(
-            "::core::result::Result::Ok({name}({}))",
-            de_field("__v", name)
-        ),
-        Body::TupleStruct(n) => format!(
-            "let {mut_a}__a = match __v {{\n\
-             {VALUE}::Array(a) if a.len() == {n} => a,\n\
-             _ => {err},\n}};\n\
-             ::core::result::Result::Ok({name}({elems}))",
-            mut_a = mut_if(*n > 0),
-            err = de_err(name, &format!("expected array of {n}")),
-            elems = de_elements(*n, name),
-        ),
-        Body::UnitStruct => format!("::core::result::Result::Ok({name})"),
+        Body::TupleStruct(1) => de_newtype(name, name),
+        Body::TupleStruct(n) => de_tuple(name, *n, name),
+        Body::UnitStruct => {
+            format!("::serde::Deserializer::skip(__d)?;\n::core::result::Result::Ok({name})")
+        }
         Body::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut content_arms = String::new();
             for v in variants {
                 let vname = &v.name;
                 let ctx = format!("{name}::{vname}");
-                let wire = apply_rename(vname, item.rename_all.as_deref());
-                match &v.kind {
+                let wire = apply_rename(vname, rename_all);
+                let content = match &v.kind {
                     VariantKind::Unit => {
                         unit_arms
                             .push_str(&format!("{wire:?} => ::core::result::Result::Ok({ctx}),\n"));
-                        // Also accept the `{"Variant": null}` object form.
-                        content_arms
-                            .push_str(&format!("{wire:?} => ::core::result::Result::Ok({ctx}),\n"));
+                        // Also accept the `{"Variant": ...}` object form.
+                        format!(
+                            "::serde::Deserializer::skip(__d)?;\n::core::result::Result::Ok({ctx})"
+                        )
                     }
-                    VariantKind::Tuple(1) => content_arms.push_str(&format!(
-                        "{wire:?} => ::core::result::Result::Ok({ctx}({})),\n",
-                        de_field("__content", &ctx)
-                    )),
-                    VariantKind::Tuple(n) => content_arms.push_str(&format!(
-                        "{wire:?} => {{\n\
-                         let {mut_a}__a = match __content {{\n\
-                         {VALUE}::Array(a) if a.len() == {n} => a,\n\
-                         _ => {err},\n}};\n\
-                         ::core::result::Result::Ok({ctx}({elems}))\n}},\n",
-                        mut_a = mut_if(*n > 0),
-                        err = de_err(&ctx, &format!("expected array of {n}")),
-                        elems = de_elements(*n, &ctx),
-                    )),
-                    VariantKind::Named(fields) => content_arms.push_str(&format!(
-                        "{wire:?} => {{\n\
-                         let {mut_o}__o = match __content {{\n\
-                         {VALUE}::Object(m) => m,\n\
-                         _ => {err},\n}};\n\
-                         ::core::result::Result::Ok({ctx} {{\n{inits}}})\n}},\n",
-                        mut_o = mut_if(!fields.is_empty()),
-                        err = de_err(&ctx, "expected object"),
-                        inits = de_named_fields(fields, fields, &ctx),
-                    )),
-                }
+                    VariantKind::Tuple(1) => de_newtype(&ctx, &ctx),
+                    VariantKind::Tuple(n) => de_tuple(&ctx, *n, &ctx),
+                    // Struct-variant fields keep their Rust names:
+                    // `rename_all` on an enum renames variants only.
+                    VariantKind::Named(fields) => de_named(&ctx, fields, fields, &ctx),
+                };
+                content_arms.push_str(&format!("{wire:?} => {{\n{content}\n}}\n"));
             }
-            format!(
-                "match __v {{\n\
-                 {VALUE}::String(__s) => match __s.as_str() {{\n{unit_arms}\
-                 __other => ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
-                 ::std::format!(\"{name}: unknown variant {{:?}}\", __other))),\n}},\n\
-                 {VALUE}::Object(__m) => {{\n\
-                 let (__tag, __content) = match __m.into_iter().next() {{\n\
-                 ::core::option::Option::Some(entry) => entry,\n\
-                 ::core::option::Option::None => {err_empty},\n}};\n\
-                 match __tag.as_str() {{\n{content_arms}\
-                 __other => ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
-                 ::std::format!(\"{name}: unknown variant {{:?}}\", __other))),\n}}\n}},\n\
+            let deserialize = format!(
+                "match ::serde::Deserializer::token(__d)? {{\n\
+                 ::serde::de::Token::Str(__s) => match &*__s {{\n{unit_arms}\
+                 __other => {unknown},\n}},\n\
+                 ::serde::de::Token::Object(__m) => \
+                 match ::serde::de::MapAccess::variant::<Self>(__m)? {{\n\
+                 ::core::option::Option::Some(__v) => ::core::result::Result::Ok(__v),\n\
+                 ::core::option::Option::None => {err_empty},\n}},\n\
                  _ => {err_shape},\n}}",
+                unknown = unknown_variant(name, "__other"),
                 err_empty = de_err(name, "empty enum object"),
                 err_shape = de_err(name, "expected string or single-key object"),
-            )
+            );
+            return format!(
+                "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
+                 fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) \
+                 -> ::core::result::Result<Self, __D::Error> {{\n{deserialize}\n}}\n}}\n\
+                 impl<'de> ::serde::de::DeserializeVariant<'de> for {name} {{\n\
+                 fn deserialize_variant<__D: ::serde::Deserializer<'de>>(\
+                 __tag: &str, __d: __D) -> ::core::result::Result<Self, __D::Error> {{\n\
+                 match __tag {{\n{content_arms}__other => {unknown},\n}}\n}}\n}}\n",
+                unknown = unknown_variant(name, "__other"),
+            );
         }
     };
     format!(
         "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-         fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D) \
-         -> ::core::result::Result<Self, __D::Error> {{\n\
-         let __v = __deserializer.into_value()?;\n{body}\n}}\n}}\n"
+         fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) \
+         -> ::core::result::Result<Self, __D::Error> {{\n{body}\n}}\n}}\n"
     )
 }

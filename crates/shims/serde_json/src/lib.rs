@@ -1,9 +1,14 @@
 //! Offline stand-in for `serde_json`: JSON text for the vendored serde
 //! facade. Covers the API subset this workspace uses:
 //! `to_string`/`to_string_pretty`/`to_vec`/`to_value`,
-//! `from_str`/`from_slice`/`from_value`, `Value`, and the `json!` macro.
-//! Parsing builds a [`Value`] tree; compact output is written straight from
-//! the type by [`Serialize::write_json`], byte-identical to rendering the
+//! `from_str`/`from_slice`/`from_value`, `Value`, [`RawValue`], and the
+//! `json!` macro.
+//!
+//! Reading decodes a typed target straight from the text through the
+//! shim's pull interface; a [`Value`] is built only for a target (or field)
+//! typed `Value`, and a [`RawValue`] keeps a nested document as checked
+//! text until it is decoded. Compact output is written straight from the
+//! type by [`Serialize::write_json`], byte-identical to rendering the
 //! tree, and pretty output renders the tree.
 //!
 //! Float output uses Rust's shortest round-trip `Display`, so an
@@ -30,6 +35,12 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl serde::de::Error for Error {
+    fn custom<T: fmt::Display>(msg: T) -> Self {
+        Error(msg.to_string())
+    }
+}
 
 impl From<serde::value::Error> for Error {
     fn from(e: serde::value::Error) -> Self {
@@ -62,13 +73,48 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
 }
 
 pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
-    let v = parse::parse(s)?;
-    serde::value::from_value(v).map_err(Error::from)
+    parse::from_str(s)
 }
 
 pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid utf-8: {e}")))?;
     from_str(s)
+}
+
+/// A JSON document kept as text, modelled on real serde_json's `RawValue`.
+///
+/// Decoding one checks the document's syntax and copies its text, without
+/// decoding it further; [`RawValue::get`] hands the text to a later
+/// [`from_str`]. Writing one copies the text verbatim. Read from a `Value`,
+/// it holds the value's compact rendering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawValue(Box<str>);
+
+impl RawValue {
+    /// The document's JSON text.
+    pub fn get(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Serialize for RawValue {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        let value: Value = from_str(&self.0).map_err(serde::ser::Error::custom)?;
+        serializer.serialize_value(value)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for RawValue {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
+        d.raw().map(|text| RawValue(text.into()))
+    }
 }
 
 #[doc(hidden)]

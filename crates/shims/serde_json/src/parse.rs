@@ -1,6 +1,17 @@
-//! Recursive-descent JSON parser producing the shim `Value` tree.
+//! The JSON text reader: a recursive-descent parser that hands values out
+//! through the shim's pull interface ([`serde::de`]) instead of building a
+//! tree. A typed target decodes straight from the text; a `Value` is built
+//! only where one is asked for.
+//!
+//! Every path through a document (decoding, skipping, building a `Value`)
+//! runs the same grammar functions, so they accept the same documents and
+//! report the same first syntax error at the same byte.
 
-use serde::value::{Map, Number, Value};
+use std::borrow::Cow;
+use std::cell::Cell;
+
+use serde::de::{Deserialize, DeserializeVariant, Deserializer, Kind, MapAccess, SeqAccess, Token};
+use serde::value::Number;
 
 use crate::Error;
 
@@ -9,27 +20,75 @@ use crate::Error;
 /// nothing but `[` overflows the stack and aborts the process.
 const MAX_DEPTH: usize = 128;
 
-pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
+/// Decode one document. A decode error is reported only if the whole
+/// document is well-formed: otherwise its first syntax error is.
+pub(crate) fn from_str<'de, T: Deserialize<'de>>(src: &'de str) -> Result<T, Error> {
+    Reader::new(src)
+        .document(|r| T::deserialize(r))
+        .map_err(|e| match Reader::new(src).document(|r| r.skip()) {
+            Err(syntax) => syntax,
+            Ok(()) => e,
+        })
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A reader over one JSON text.
+pub(crate) struct Reader<'de> {
+    src: &'de str,
+    bytes: &'de [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
+    /// Set by the first syntax error: the document is malformed, so no
+    /// decode error is recovered from after it.
+    malformed: Cell<bool>,
 }
 
-impl<'a> Parser<'a> {
+impl<'de> Reader<'de> {
+    fn new(src: &'de str) -> Self {
+        Reader {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+            malformed: Cell::new(false),
+        }
+    }
+
+    /// Run `f` on the document's one value, then refuse trailing text.
+    fn document<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T, Error>) -> Result<T, Error> {
+        self.skip_ws();
+        let v = f(self)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
+    /// Decode the value at the current position with `f`. A shape error
+    /// puts the reader back and skips the value, so reading may go on; a
+    /// syntax error (met by `f`, or by that skip if `f` stopped early) is
+    /// the outer error.
+    fn recover<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<Result<T, Error>, Error> {
+        let (pos, depth) = (self.pos, self.depth);
+        match f(self) {
+            Ok(v) => Ok(Ok(v)),
+            Err(e) if self.malformed.get() => Err(e),
+            Err(e) => {
+                self.pos = pos;
+                self.depth = depth;
+                self.skip()?;
+                Ok(Err(e))
+            }
+        }
+    }
+
+    /// A syntax error at the current position.
     fn err(&self, msg: &str) -> Error {
+        self.malformed.set(true);
         Error(format!("{msg} at byte {}", self.pos))
     }
 
@@ -60,129 +119,87 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str, v: Value) -> Result<Value, Error> {
+    fn keyword(&mut self, kw: &str) -> Result<(), Error> {
         if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(&format!("invalid literal, expected {kw}")))
         }
     }
 
-    /// Parse one value nested inside `depth` open arrays and objects.
-    fn value(&mut self, depth: usize) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.eat_keyword("null", Value::Null),
-            Some(b't') => self.eat_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.eat_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(self.err("recursion limit exceeded")),
-            Some(b'[') => self.array(depth + 1),
-            Some(b'{') => self.object(depth + 1),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
+    /// Open an array or object: one level deeper.
+    fn open(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
         }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth)?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
+    /// A string literal. Text without escapes is borrowed from the input;
+    /// the input is a `str`, and every byte that ends a run (`"`, `\`) is
+    /// ASCII, so run boundaries are char boundaries.
+    fn string(&mut self) -> Result<Cow<'de, str>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let src: &'de str = self.src;
+        let mut unescaped: Option<String> = None;
+        let mut run = self.pos;
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0c}'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: expect \uXXXX low half.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("expected low surrogate"));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?
-                        } else {
-                            char::from_u32(hi).ok_or_else(|| self.err("invalid unicode escape"))?
-                        };
-                        out.push(c);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(c) => {
-                    // Re-assemble multi-byte UTF-8: we validated the input as
-                    // UTF-8 up front, so continuation bytes are well-formed.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = utf8_width(c);
-                        self.pos = start + width;
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?;
-                        out.push_str(s);
-                    }
+                Some(b'"') => {
+                    let tail = &src[run..self.pos - 1];
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(tail),
+                        Some(out) => Cow::Owned(out + tail),
+                    });
                 }
+                Some(b'\\') => {
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(&src[run..self.pos - 1]);
+                    self.escape(out)?;
+                    run = self.pos;
+                }
+                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
+                Some(_) => {}
             }
         }
+    }
+
+    /// One escape sequence, its backslash already read.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        match self.bump() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{08}'),
+            Some(b'f') => out.push('\u{0c}'),
+            Some(b'u') => {
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect \uXXXX low half.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("expected low surrogate"));
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?
+                } else {
+                    char::from_u32(hi).ok_or_else(|| self.err("invalid unicode escape"))?
+                };
+                out.push(c);
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, Error> {
@@ -199,7 +216,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, Error> {
+    fn number(&mut self) -> Result<Number, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -215,34 +232,230 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::PosInt(u)));
+                return Ok(Number::PosInt(u));
             }
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::NegInt(i)));
+                return Ok(Number::NegInt(i));
             }
             // Integer out of 64-bit range: fall through to f64.
         }
         text.parse::<f64>()
-            .map(|f| Value::Number(Number::Float(f)))
+            .map(Number::Float)
             .map_err(|_| self.err(&format!("invalid number {text:?}")))
+    }
+
+    /// The error for a value that cannot start with the next byte.
+    fn not_a_value(&self) -> Error {
+        match self.peek() {
+            Some(c) => self.err(&format!("unexpected character {:?}", c as char)),
+            None => self.err("unexpected end of input"),
+        }
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+impl<'a, 'de> Deserializer<'de> for &'a mut Reader<'de> {
+    type Error = Error;
+    type Seq = SeqReader<'a, 'de>;
+    type Map = MapReader<'a, 'de>;
+
+    fn kind(&mut self) -> Result<Kind, Error> {
+        Ok(match self.peek() {
+            Some(b'n') => Kind::Null,
+            Some(b't' | b'f') => Kind::Bool,
+            Some(b'"') => Kind::String,
+            Some(b'[') => Kind::Array,
+            Some(b'{') => Kind::Object,
+            Some(c) if c == b'-' || c.is_ascii_digit() => Kind::Number,
+            _ => return Err(self.not_a_value()),
+        })
+    }
+
+    fn token(self) -> Result<Token<'de, Self::Seq, Self::Map>, Error> {
+        Ok(match self.peek() {
+            Some(b'n') => self.keyword("null").map(|()| Token::Null)?,
+            Some(b't') => self.keyword("true").map(|()| Token::Bool(true))?,
+            Some(b'f') => self.keyword("false").map(|()| Token::Bool(false))?,
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b'[') => {
+                self.open()?;
+                Token::Array(SeqReader {
+                    r: self,
+                    first: true,
+                    done: false,
+                })
+            }
+            Some(b'{') => {
+                self.open()?;
+                Token::Object(MapReader {
+                    r: self,
+                    first: true,
+                    done: false,
+                })
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => Token::Number(self.number()?),
+            _ => return Err(self.not_a_value()),
+        })
+    }
+
+    fn raw(self) -> Result<Cow<'de, str>, Error> {
+        let (src, start) = (self.src, self.pos);
+        self.skip()?;
+        Ok(Cow::Borrowed(&src[start..self.pos]))
+    }
+}
+
+/// The elements of an array being read.
+pub(crate) struct SeqReader<'a, 'de> {
+    r: &'a mut Reader<'de>,
+    first: bool,
+    done: bool,
+}
+
+impl SeqReader<'_, '_> {
+    /// Step over the separator before the next element: `true` if there is
+    /// one, `false` once the closing `]` is read.
+    fn advance(&mut self) -> Result<bool, Error> {
+        if self.done {
+            return Ok(false);
+        }
+        self.r.skip_ws();
+        if self.first {
+            self.first = false;
+            if self.r.peek() == Some(b']') {
+                self.r.pos += 1;
+                return Ok(self.close());
+            }
+        } else {
+            match self.r.bump() {
+                Some(b',') => {}
+                Some(b']') => return Ok(self.close()),
+                _ => return Err(self.r.err("expected ',' or ']' in array")),
+            }
+        }
+        self.r.skip_ws();
+        Ok(true)
+    }
+
+    fn close(&mut self) -> bool {
+        self.done = true;
+        self.r.depth -= 1;
+        false
+    }
+}
+
+impl<'de> SeqAccess<'de> for SeqReader<'_, 'de> {
+    type Error = Error;
+
+    fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<Result<T, Error>>, Error> {
+        if !self.advance()? {
+            return Ok(None);
+        }
+        self.r.recover(|r| T::deserialize(r)).map(Some)
+    }
+}
+
+/// The members of an object being read.
+pub(crate) struct MapReader<'a, 'de> {
+    r: &'a mut Reader<'de>,
+    first: bool,
+    done: bool,
+}
+
+impl MapReader<'_, '_> {
+    fn close(&mut self) {
+        self.done = true;
+        self.r.depth -= 1;
+    }
+}
+
+impl<'de> MapAccess<'de> for MapReader<'_, 'de> {
+    type Error = Error;
+
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, Error> {
+        if self.done {
+            return Ok(None);
+        }
+        self.r.skip_ws();
+        if self.first {
+            self.first = false;
+            if self.r.peek() == Some(b'}') {
+                self.r.pos += 1;
+                self.close();
+                return Ok(None);
+            }
+        } else {
+            match self.r.bump() {
+                Some(b',') => {}
+                Some(b'}') => {
+                    self.close();
+                    return Ok(None);
+                }
+                _ => return Err(self.r.err("expected ',' or '}' in object")),
+            }
+        }
+        self.r.skip_ws();
+        let key = self.r.string()?;
+        self.r.skip_ws();
+        self.r.expect(b':')?;
+        self.r.skip_ws();
+        Ok(Some(key))
+    }
+
+    fn next_value<T: Deserialize<'de>>(&mut self) -> Result<Result<T, Error>, Error> {
+        self.r.recover(|r| T::deserialize(r))
+    }
+
+    fn skip_value(&mut self) -> Result<(), Error> {
+        self.r.skip()
+    }
+
+    /// Decodes the first member's content as it reads it. Only when a later
+    /// key sorts before it (or repeats it) does the reader go back and
+    /// decode that member instead.
+    fn variant<T: DeserializeVariant<'de>>(mut self) -> Result<Option<T>, Error> {
+        let Some(mut tag) = self.next_key()? else {
+            return Ok(None);
+        };
+        let first = self.r.recover(|r| T::deserialize_variant(&tag, r))?;
+        let mut winner = None;
+        while let Some(key) = self.next_key()? {
+            if key <= tag {
+                tag = key;
+                winner = Some(self.r.pos);
+            }
+            self.skip_value()?;
+        }
+        let Some(content) = winner else {
+            return first.map(Some);
+        };
+        let end = self.r.pos;
+        self.r.pos = content;
+        // The content sits inside this object, which is closed again now.
+        self.r.depth += 1;
+        let v = T::deserialize_variant(&tag, &mut *self.r)?;
+        self.r.pos = end;
+        self.r.depth -= 1;
+        Ok(Some(v))
+    }
+}
+
+impl Reader<'_> {
+    fn skip(&mut self) -> Result<(), Error> {
+        Deserializer::skip(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::value::Value;
+
+    fn parse(s: &str) -> Result<Value, Error> {
+        from_str(s)
+    }
 
     #[test]
     fn nesting_stops_at_the_recursion_limit() {

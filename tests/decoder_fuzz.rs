@@ -1,4 +1,4 @@
-//! Decoders of untrusted bytes never panic.
+//! Decoders of untrusted bytes never panic, and portal frames round-trip.
 //!
 //! Traces come back from disk and corpus entries; portal frames come off
 //! the wire. Whatever the bytes, the JSON parser, the trace-signature
@@ -6,13 +6,21 @@
 //! replies) and the hex decoder artifact chunks go through answer with a
 //! result or an error: no panic, no stack overflow. Inputs are random
 //! bytes, JSON-token soup, and truncations and byte flips of the lines of
-//! a real trace.
+//! a real trace. Every request and reply the portal speaks decodes back to
+//! itself from its own frame.
 
 use std::sync::OnceLock;
 
+use neesgrid::daq::nsds::NsdsSample;
+use neesgrid::gridsim::{FaultPlan, LinkKey, NetworkProfile, SimTime};
+use neesgrid::gsi::{CertificateAuthority, Credential, DistinguishedName, PolicyDecision};
 use neesgrid::most::n_site_with_telemetry;
-use neesgrid::portal::{decode, RequestFrame, Response};
+use neesgrid::portal::{
+    decode, encode, BoardEntry, ExperimentSpec, LinkProfile, MotionSuite, PortalStats, Rejection,
+    Request, RequestFrame, Response, Role, RunPolicy, RunReport, RunState, SiteKind,
+};
 use neesgrid::repo::from_hex;
+use neesgrid::structsim::psd::PsdHistory;
 use neesgrid::telemetry::{render_report, Telemetry, TraceSignature};
 use proptest::prelude::*;
 use serde_json::Value;
@@ -91,5 +99,305 @@ proptest! {
         decode_everywhere(&String::from_utf8_lossy(&bytes[..at]));
         bytes[at] ^= mask;
         decode_everywhere(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// Deterministic source for generated frames (xorshift64*).
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn coin(&mut self) -> bool {
+        self.next() & 1 == 1
+    }
+
+    fn usize(&mut self) -> usize {
+        (self.next() >> self.below(64)) as usize
+    }
+
+    /// A finite float other than -0.0: JSON carries neither non-finite
+    /// values nor the sign of zero.
+    fn f64(&mut self) -> f64 {
+        match self.below(3) {
+            0 => [0.0, 1e-300, 0.05, -2.5e9, f64::MAX][self.below(5)],
+            1 => Some(f64::from_bits(self.next()))
+                .filter(|f| f.is_finite() && *f != 0.0)
+                .unwrap_or(1.5),
+            _ => (self.next() as i64) as f64 / 1e6,
+        }
+    }
+
+    fn text(&mut self) -> String {
+        const CHARS: [char; 10] = ['a', 'Z', ' ', '"', '\\', '\n', '\u{1}', 'é', '日', '😀'];
+        (0..self.below(12))
+            .map(|_| CHARS[self.below(CHARS.len())])
+            .collect()
+    }
+
+    fn dn(&mut self) -> DistinguishedName {
+        DistinguishedName::nees_user(&self.text(), &self.text())
+    }
+
+    fn time(&mut self) -> SimTime {
+        SimTime::from_nanos(self.next())
+    }
+
+    fn role(&mut self) -> Role {
+        [Role::Observer, Role::Participant, Role::Operator][self.below(3)]
+    }
+
+    fn profile(&mut self) -> NetworkProfile {
+        [
+            NetworkProfile::Lan,
+            NetworkProfile::CampusWan,
+            NetworkProfile::LossyWan,
+        ][self.below(3)]
+    }
+
+    fn spec(&mut self) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::basic(self.usize(), self.usize(), self.next(), self.next());
+        spec.profile = self.profile();
+        spec.links = (0..self.below(3))
+            .map(|_| LinkProfile {
+                src: self.text(),
+                dst: self.text(),
+                profile: self.profile(),
+            })
+            .collect();
+        spec.mix = (0..self.below(3))
+            .map(|_| [SiteKind::Numerical, SiteKind::Emulated][self.below(2)])
+            .collect();
+        let mut faults = FaultPlan::reliable();
+        for _ in 0..self.below(3) {
+            let link = LinkKey::new(self.text(), self.text());
+            if self.coin() {
+                faults.drop_at(link, self.next());
+            } else {
+                faults.reset_at(link, self.next());
+            }
+        }
+        spec.faults = faults;
+        spec.policy = [RunPolicy::Full, RunPolicy::Partial][self.below(2)];
+        spec.motion = [
+            MotionSuite::Nominal,
+            MotionSuite::Strong,
+            MotionSuite::Extreme,
+        ][self.below(3)];
+        spec.amplitude = self.f64();
+        spec.record_trace = self.coin();
+        spec
+    }
+
+    fn request(&mut self) -> Request {
+        match self.below(16) {
+            0 => {
+                let ca = CertificateAuthority::nees(self.next());
+                let cred = Credential::issue(&ca, self.dn(), self.time(), self.time(), self.next());
+                Request::Login {
+                    token: cred.token(),
+                }
+            }
+            1 => Request::Logout,
+            2 => Request::Whoami,
+            3 => Request::Submit { spec: self.spec() },
+            4 => Request::Status { run: self.text() },
+            5 => Request::Fetch { run: self.text() },
+            6 => Request::FetchArtifact {
+                run: self.text(),
+                artifact: self.text(),
+                offset: self.next(),
+                max: self.usize(),
+            },
+            7 => Request::Cancel { run: self.text() },
+            8 => Request::Observe {
+                run: self.text(),
+                channels: self.text(),
+                buffer: self.usize(),
+            },
+            9 => Request::ObserveFacility {
+                pattern: self.text(),
+                buffer: self.usize(),
+            },
+            10 => Request::Poll {
+                observer: self.next(),
+                max: self.usize(),
+            },
+            11 => Request::Unobserve {
+                observer: self.next(),
+            },
+            12 => Request::Post {
+                board: self.text(),
+                text: self.text(),
+            },
+            13 => Request::Board { board: self.text() },
+            _ => Request::Stats,
+        }
+    }
+
+    fn rejection(&mut self) -> Rejection {
+        match self.below(11) {
+            0 => Rejection::NotLoggedIn,
+            1 => Rejection::BadCredential { error: self.text() },
+            2 => Rejection::AlreadyLoggedIn,
+            3 => Rejection::RoleDenied { need: self.role() },
+            4 => Rejection::QueueFull {
+                capacity: self.usize(),
+            },
+            5 => Rejection::QuotaConcurrent {
+                limit: self.usize(),
+            },
+            6 => Rejection::QuotaSteps {
+                limit: self.next(),
+                requested: self.next(),
+                used: self.next(),
+            },
+            7 => Rejection::QuotaObservers {
+                limit: self.usize(),
+            },
+            8 => Rejection::CrossTenant {
+                decision: PolicyDecision {
+                    allowed: self.coin(),
+                    reason: self.text(),
+                },
+            },
+            9 => Rejection::UnknownRun { run: self.text() },
+            _ => Rejection::BadSpec {
+                reason: self.text(),
+            },
+        }
+    }
+
+    fn rows(&mut self) -> Vec<Vec<f64>> {
+        (0..self.below(3))
+            .map(|_| (0..self.below(3)).map(|_| self.f64()).collect())
+            .collect()
+    }
+
+    fn response(&mut self) -> Response {
+        match self.below(13) {
+            0 => Response::Ok,
+            1 => Response::Session {
+                role: self.role(),
+                expires_at: self.time(),
+            },
+            2 => Response::Submitted {
+                run: self.text(),
+                queued: self.usize(),
+            },
+            3 => Response::Rejected {
+                rejection: self.rejection(),
+            },
+            4 => Response::Status {
+                report: RunReport {
+                    run: self.text(),
+                    state: match self.below(6) {
+                        0 => RunState::Queued,
+                        1 => RunState::Running {
+                            worker: self.usize(),
+                        },
+                        2 => RunState::Rescheduling,
+                        3 => RunState::Completed,
+                        4 => RunState::Cancelled,
+                        _ => RunState::Failed { error: self.text() },
+                    },
+                    steps_completed: self.usize(),
+                    steps_requested: self.usize(),
+                },
+            },
+            5 => Response::Observing {
+                observer: self.next(),
+            },
+            6 => Response::Samples {
+                samples: (0..self.below(4))
+                    .map(|_| NsdsSample {
+                        channel: self.text(),
+                        t: self.time(),
+                        value: self.f64(),
+                    })
+                    .collect(),
+                dropped: self.next(),
+                done: self.coin(),
+            },
+            7 => Response::Artifact {
+                artifact: self.text(),
+                total_len: self.next(),
+                digest: self.next() as u32,
+                offset: self.next(),
+                data: self.text(),
+                eof: self.coin(),
+            },
+            8 => Response::History {
+                history: PsdHistory {
+                    dt: self.f64(),
+                    displacement: self.rows(),
+                    velocity: self.rows(),
+                    acceleration: self.rows(),
+                    restoring: self.rows(),
+                    steps_completed: self.usize(),
+                },
+                digest: self.next() as u32,
+            },
+            9 => Response::Posted { seq: self.next() },
+            10 => Response::BoardEntries {
+                entries: (0..self.below(3))
+                    .map(|_| BoardEntry {
+                        seq: self.next(),
+                        author: self.dn(),
+                        at: self.time(),
+                        text: self.text(),
+                    })
+                    .collect(),
+            },
+            11 => Response::Stats {
+                report: PortalStats {
+                    admitted: self.next(),
+                    shed: self.next(),
+                    queue_depth: self.usize(),
+                    p99_first_step_ns: self.next(),
+                    ..PortalStats::default()
+                },
+            },
+            _ => Response::Error {
+                message: self.text(),
+            },
+        }
+    }
+}
+
+/// `$x` comes back from its own frame as a `$t`: the same value (by its
+/// `Debug` text) and the same frame bytes.
+macro_rules! round_trips {
+    ($t:ty, $x:expr) => {{
+        let x: $t = $x;
+        let frame = encode(&x).expect("a generated frame fits the cap");
+        let back: $t = decode(&frame).map_err(|e| TestCaseError(format!("{e} for {x:?}")))?;
+        prop_assert_eq!(format!("{back:?}"), format!("{x:?}"));
+        prop_assert_eq!(encode(&back).expect("it fit once"), frame);
+    }};
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn portal_frames_decode_to_what_was_encoded(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        round_trips!(
+            RequestFrame,
+            RequestFrame {
+                tenant: g.dn(),
+                request: g.request(),
+            }
+        );
+        round_trips!(Response, g.response());
     }
 }
