@@ -1,10 +1,10 @@
 //! Exhaustive schedule checker for the NTCP transaction machine.
 //!
-//! A loom-style *stateless* model checker: it re-runs a small
-//! client/server model from its initial state once per schedule, making
-//! every nondeterministic choice (which message the network delivers
-//! next, whether to duplicate it, whether to drop the reply, when to
-//! snapshot and when to crash-and-restore) by exhaustive enumeration.
+//! A loom-style *stateless* model checker ([`crate::explore`]): it re-runs
+//! a small client/server model from its initial state once per schedule,
+//! making every nondeterministic choice (which message the network
+//! delivers next, whether to duplicate it, whether to drop the reply, when
+//! to snapshot and when to crash-and-restore) by exhaustive enumeration.
 //! The paper's MOST run died at step 1493 on exactly this class of bug:
 //! an interleaving of loss and retransmission nobody had tested. PR 1
 //! answered with an at-most-once proptest — random schedules; this
@@ -50,6 +50,8 @@ use neesgrid_ogsi::{CallContext, GridService, ServiceFault};
 use neesgrid_structsim::{LinearElastic, SimulatedSubstructure};
 use serde_json::{json, Value};
 
+use crate::explore::{explore, CheckReport, Violation, World};
+
 /// Request ids: the fixed little script the client plays.
 const RID_PROPOSE: u64 = 1;
 const RID_EXECUTE: u64 = 2;
@@ -90,29 +92,13 @@ impl Default for CheckConfig {
     }
 }
 
-/// An invariant violation, with the schedule that produced it.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Which invariant fired.
-    pub invariant: String,
-    /// What was observed.
-    pub detail: String,
-    /// The event sequence, in order.
-    pub trace: Vec<String>,
-}
-
-/// Result of an exhaustive run.
-#[derive(Debug)]
-pub struct CheckReport {
-    /// Complete schedules explored.
-    pub schedules: u64,
-    /// Longest schedule (events).
-    pub deepest: usize,
-    /// First violation found, if any (exploration stops there).
-    pub violation: Option<Violation>,
-    /// True if `max_schedules` stopped exploration before exhaustion.
-    pub truncated: bool,
-}
+/// The invariants every explored schedule satisfies.
+pub const INVARIANTS: [&str; 4] = [
+    "at-most-once",
+    "single-actuation",
+    "dedup-consistency",
+    "execute/cancel exclusivity",
+];
 
 /// One nondeterministic event the scheduler can pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +172,7 @@ struct Recorded {
 }
 
 /// The model world one schedule runs in.
-struct World {
+struct NtcpWorld {
     server: NtcpServer,
     execs: Arc<AtomicU64>,
     cancels: Arc<AtomicU64>,
@@ -250,14 +236,14 @@ fn request_body(rid: u64) -> (&'static str, Value) {
     }
 }
 
-impl World {
+impl NtcpWorld {
     fn new(cfg: &CheckConfig) -> Self {
         let execs = Arc::new(AtomicU64::new(0));
         let cancels = Arc::new(AtomicU64::new(0));
         let server = build_server(&execs, &cancels);
         let mut pool = BTreeMap::new();
         pool.insert(RID_PROPOSE, 1u32);
-        World {
+        NtcpWorld {
             server,
             execs,
             cancels,
@@ -272,41 +258,6 @@ impl World {
             cancel_ok: false,
             mutation: cfg.mutation,
             trace: Vec::new(),
-        }
-    }
-
-    /// Enumerate enabled events in a fixed, deterministic order. An empty
-    /// answer terminates the schedule — which can only happen once every
-    /// message is consumed and the snapshot/restore pair has happened, so
-    /// every explored schedule crosses a checkpoint-restore boundary.
-    fn enabled(&self) -> Vec<Ev> {
-        let mut evs = Vec::new();
-        for &rid in self.pool.keys() {
-            evs.push(Ev::Deliver(rid));
-        }
-        if self.dup_left > 0 {
-            for &rid in self.pool.keys() {
-                evs.push(Ev::Duplicate(rid));
-            }
-        }
-        if self.drop_left > 0 {
-            for &rid in self.pool.keys() {
-                evs.push(Ev::DropReply(rid));
-            }
-        }
-        if self.snapshot.is_none() {
-            evs.push(Ev::Snapshot);
-        } else if !self.restored {
-            evs.push(Ev::Restore);
-        }
-        evs
-    }
-
-    fn violation(&self, invariant: &str, detail: String) -> Violation {
-        Violation {
-            invariant: invariant.to_string(),
-            detail,
-            trace: self.trace.clone(),
         }
     }
 
@@ -378,6 +329,45 @@ impl World {
         self.pool.insert(RID_EXECUTE, 1);
         self.pool.insert(RID_CANCEL, 1);
         self.follow_ups_queued = true;
+    }
+}
+
+impl World for NtcpWorld {
+    type Event = Ev;
+
+    /// Enumerate enabled events in a fixed, deterministic order. An empty
+    /// answer terminates the schedule — which can only happen once every
+    /// message is consumed and the snapshot/restore pair has happened, so
+    /// every explored schedule crosses a checkpoint-restore boundary.
+    fn enabled(&self) -> Vec<Ev> {
+        let mut evs = Vec::new();
+        for &rid in self.pool.keys() {
+            evs.push(Ev::Deliver(rid));
+        }
+        if self.dup_left > 0 {
+            for &rid in self.pool.keys() {
+                evs.push(Ev::Duplicate(rid));
+            }
+        }
+        if self.drop_left > 0 {
+            for &rid in self.pool.keys() {
+                evs.push(Ev::DropReply(rid));
+            }
+        }
+        if self.snapshot.is_none() {
+            evs.push(Ev::Snapshot);
+        } else if !self.restored {
+            evs.push(Ev::Restore);
+        }
+        evs
+    }
+
+    fn violation(&self, invariant: &str, detail: String) -> Violation {
+        Violation {
+            invariant: invariant.to_string(),
+            detail,
+            trace: self.trace.clone(),
+        }
     }
 
     fn step(&mut self, ev: Ev) -> Result<(), Violation> {
@@ -469,87 +459,9 @@ impl World {
     }
 }
 
-/// Depth safety bound: budgets cap real schedules far below this.
-const MAX_DEPTH: usize = 64;
-
-/// Run one schedule, replaying `choices` and extending it at fresh
-/// decision points. Returns the depth reached.
-fn run_one(cfg: &CheckConfig, choices: &mut Vec<(usize, usize)>) -> Result<usize, Violation> {
-    let mut world = World::new(cfg);
-    let mut depth = 0usize;
-    loop {
-        let evs = world.enabled();
-        if evs.is_empty() {
-            return Ok(depth);
-        }
-        if depth >= MAX_DEPTH {
-            return Err(world.violation(
-                "depth-bound",
-                format!("schedule exceeded {MAX_DEPTH} events"),
-            ));
-        }
-        let pick = if depth < choices.len() {
-            if choices[depth].1 != evs.len() {
-                return Err(world.violation(
-                    "nondeterministic-model",
-                    format!(
-                        "replay divergence at depth {depth}: {} enabled events, expected {}",
-                        evs.len(),
-                        choices[depth].1
-                    ),
-                ));
-            }
-            choices[depth].0
-        } else {
-            choices.push((0, evs.len()));
-            0
-        };
-        world.step(evs[pick])?;
-        depth += 1;
-    }
-}
-
-/// Advance `choices` to the next unexplored schedule; false = exhausted.
-fn backtrack(choices: &mut Vec<(usize, usize)>) -> bool {
-    while let Some(last) = choices.last_mut() {
-        if last.0 + 1 < last.1 {
-            last.0 += 1;
-            return true;
-        }
-        choices.pop();
-    }
-    false
-}
-
 /// Exhaustively explore every schedule within the budgets.
 pub fn check(cfg: &CheckConfig) -> CheckReport {
-    let mut choices: Vec<(usize, usize)> = Vec::new();
-    let mut report = CheckReport {
-        schedules: 0,
-        deepest: 0,
-        violation: None,
-        truncated: false,
-    };
-    loop {
-        match run_one(cfg, &mut choices) {
-            Ok(depth) => {
-                report.schedules += 1;
-                report.deepest = report.deepest.max(depth);
-            }
-            Err(v) => {
-                report.schedules += 1;
-                report.violation = Some(v);
-                return report;
-            }
-        }
-        if report.schedules >= cfg.max_schedules {
-            report.truncated = true;
-            return report;
-        }
-        if !backtrack(&mut choices) {
-            return report;
-        }
-    }
+    explore(cfg.max_schedules, || NtcpWorld::new(cfg))
 }
 
 #[cfg(test)]
@@ -610,7 +522,7 @@ mod tests {
             mutation: Some(Mutation::ClearDedupOnRestore),
             ..CheckConfig::default()
         };
-        let mut world = World::new(&cfg);
+        let mut world = NtcpWorld::new(&cfg);
         for ev in [
             Ev::Deliver(RID_PROPOSE),
             Ev::DropReply(RID_EXECUTE),

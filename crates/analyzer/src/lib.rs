@@ -29,6 +29,7 @@
 pub mod baseline;
 pub mod checker;
 pub mod contracts;
+pub mod explore;
 pub mod lexer;
 pub mod lockorder;
 pub mod parse;
@@ -36,5 +37,6 @@ pub mod portal_checker;
 pub mod report;
 pub mod rules;
 
-pub use checker::{check, CheckConfig, CheckReport, Mutation, Violation};
+pub use checker::{check, CheckConfig, Mutation};
+pub use explore::{CheckReport, Violation};
 pub use rules::{lint_source, lint_workspace, rules_for, Finding, LintSummary, RuleSet};

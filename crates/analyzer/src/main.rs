@@ -5,8 +5,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use neesgrid_analyzer::baseline::{regressions_text, Baseline};
-use neesgrid_analyzer::portal_checker::{check_portal, PortalCheckConfig, PortalMutation};
-use neesgrid_analyzer::{check, report, rules, CheckConfig, Mutation};
+use neesgrid_analyzer::portal_checker::{self, check_portal, PortalCheckConfig, PortalMutation};
+use neesgrid_analyzer::{check, checker, report, rules, CheckConfig, CheckReport, Mutation};
 
 const USAGE: &str = "\
 neesgrid-analyzer — workspace invariant linter + exhaustive schedule checkers
@@ -228,14 +228,28 @@ fn run_check(args: &[String]) -> ExitCode {
             other => return usage(&format!("unknown check-ntcp flag '{other}'")),
         }
     }
+    report_check("check-ntcp", &checker::INVARIANTS, json, || check(&cfg))
+}
+
+/// Run one checker under a wall-clock timer and print its report as text
+/// or JSON; exit 1 on a violation.
+fn report_check(
+    command: &str,
+    invariants: &[&str],
+    json: bool,
+    run: impl FnOnce() -> CheckReport,
+) -> ExitCode {
     // analyzer:allow(no-wall-clock, reason = "host-side progress timing for the report, not simulation state")
     let started = std::time::Instant::now();
-    let report_data = check(&cfg);
+    let report_data = run();
     let elapsed_ms = started.elapsed().as_millis();
     if json {
         println!("{}", report::check_json(&report_data, elapsed_ms));
     } else {
-        print!("{}", report::check_text(&report_data, elapsed_ms));
+        print!(
+            "{}",
+            report::check_text(command, invariants, &report_data, elapsed_ms)
+        );
     }
     if report_data.violation.is_none() {
         ExitCode::SUCCESS
@@ -278,20 +292,9 @@ fn run_check_portal(args: &[String]) -> ExitCode {
             other => return usage(&format!("unknown check-portal flag '{other}'")),
         }
     }
-    // analyzer:allow(no-wall-clock, reason = "host-side progress timing for the report, not simulation state")
-    let started = std::time::Instant::now();
-    let report_data = check_portal(&cfg);
-    let elapsed_ms = started.elapsed().as_millis();
-    if json {
-        println!("{}", report::portal_check_json(&report_data, elapsed_ms));
-    } else {
-        print!("{}", report::portal_check_text(&report_data, elapsed_ms));
-    }
-    if report_data.violation.is_none() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    report_check("check-portal", &portal_checker::INVARIANTS, json, || {
+        check_portal(&cfg)
+    })
 }
 
 /// `bench`: run both exhaustive checkers at their default configs and

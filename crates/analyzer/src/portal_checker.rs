@@ -1,6 +1,6 @@
 //! Exhaustive schedule checker for the portal worker pool.
 //!
-//! The same loom-style stateless technique as [`crate::checker`], aimed
+//! The same loom-style stateless explorer as [`crate::checker`], aimed
 //! at the scheduling layer instead of the wire protocol: one schedule is
 //! a sequence of operator/tenant events — **submit**, **tick** (place
 //! queued runs + advance every busy worker one slice), **kill** a busy
@@ -41,7 +41,14 @@ use neesgrid_portal::{
     TenantQuotas,
 };
 
-use crate::checker::Violation;
+use crate::explore::{explore, CheckReport, Violation, World};
+
+/// The invariants every explored schedule satisfies.
+pub const INVARIANTS: [&str; 3] = [
+    "at-most-once",
+    "budget-conservation",
+    "bit-identical-completion",
+];
 
 /// A seeded bug for mutation testing the portal checker itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,20 +100,6 @@ impl Default for PortalCheckConfig {
             mutation: None,
         }
     }
-}
-
-/// Result of an exhaustive portal run (same shape as the NTCP checker's
-/// report so both render through [`crate::report`]).
-#[derive(Debug)]
-pub struct PortalCheckReport {
-    /// Complete schedules explored.
-    pub schedules: u64,
-    /// Longest schedule (events).
-    pub deepest: usize,
-    /// First violation found, if any (exploration stops there).
-    pub violation: Option<Violation>,
-    /// True if `max_schedules` stopped exploration before exhaustion.
-    pub truncated: bool,
 }
 
 /// One nondeterministic event the adversarial scheduler can pick.
@@ -269,114 +262,6 @@ impl PortalWorld {
         }
     }
 
-    fn violation(&self, invariant: &str, detail: String) -> Violation {
-        Violation {
-            invariant: invariant.to_string(),
-            detail,
-            trace: self.trace.clone(),
-        }
-    }
-
-    /// The deterministic enabled-event set for the current state.
-    fn enabled(&self) -> Vec<Ev> {
-        let mut evs = Vec::new();
-        if self.runs.len() < self.cfg.submissions {
-            evs.push(Ev::Submit);
-        }
-        if self.runs.iter().any(RunInfo::live) {
-            evs.push(Ev::Tick);
-        }
-        if self.kills_used < self.cfg.kill_budget {
-            for r in &self.runs {
-                if let RunState::Running { worker } = r.state {
-                    evs.push(Ev::Kill(worker));
-                }
-            }
-        }
-        if self.cancels_used < self.cfg.cancel_budget {
-            for (i, r) in self.runs.iter().enumerate() {
-                if r.live() {
-                    evs.push(Ev::Cancel(i));
-                }
-            }
-        }
-        evs
-    }
-
-    /// Apply one event, refresh the state mirror, check every invariant.
-    fn step(&mut self, ev: Ev) -> Result<(), Violation> {
-        self.trace.push(ev.describe());
-        match ev {
-            Ev::Submit => {
-                let reply = self
-                    .client
-                    .call_as(
-                        &self.tenant,
-                        Request::Submit {
-                            spec: spec(&self.cfg),
-                        },
-                    )
-                    .expect("submit frame round-trips");
-                match reply {
-                    Response::Submitted { run, .. } => self.runs.push(RunInfo {
-                        id: run,
-                        state: RunState::Queued,
-                        steps_completed: 0,
-                        digest_ok: false,
-                    }),
-                    other => {
-                        return Err(self.violation(
-                            "admission",
-                            format!("in-quota submission refused: {other:?}"),
-                        ))
-                    }
-                }
-            }
-            Ev::Tick => {
-                self.portal.tick();
-            }
-            Ev::Kill(worker) => {
-                self.kills_used += 1;
-                let orphaned = self.portal.kill_worker(worker);
-                if orphaned.is_none() {
-                    return Err(self.violation(
-                        "kill-target",
-                        format!("worker {worker} was enabled as busy but had no run"),
-                    ));
-                }
-            }
-            Ev::Cancel(i) => {
-                self.cancels_used += 1;
-                let run = self.runs[i].id.clone();
-                let reply = self
-                    .client
-                    .call_as(&self.tenant, Request::Cancel { run })
-                    .expect("cancel frame round-trips");
-                if !matches!(reply, Response::Ok) {
-                    return Err(self.violation(
-                        "cancel",
-                        format!("cancel of live run {i} refused: {reply:?}"),
-                    ));
-                }
-            }
-        }
-        // Only the runs this event could have changed need a wire
-        // refresh: a tick moves every live run, a kill or cancel moves
-        // one, a submit moves none (the entry was just pushed Queued).
-        let stale: Vec<usize> = match ev {
-            Ev::Submit => Vec::new(),
-            Ev::Tick => (0..self.runs.len())
-                .filter(|&i| self.runs[i].live())
-                .collect(),
-            Ev::Kill(worker) => (0..self.runs.len())
-                .filter(|&i| self.runs[i].state == (RunState::Running { worker }))
-                .collect(),
-            Ev::Cancel(i) => vec![i],
-        };
-        self.refresh(&stale)?;
-        self.check_invariants()
-    }
-
     /// Re-read the named runs' states over the wire.
     fn refresh(&mut self, stale: &[usize]) -> Result<(), Violation> {
         for &i in stale {
@@ -509,66 +394,120 @@ impl PortalWorld {
     }
 }
 
-/// Depth safety bound: budgets cap real schedules far below this.
-const MAX_DEPTH: usize = 64;
+impl World for PortalWorld {
+    type Event = Ev;
 
-/// Run one schedule, replaying `choices` and extending it at fresh
-/// decision points. Returns the depth reached.
-fn run_one(
-    cfg: &PortalCheckConfig,
-    ca: &CertificateAuthority,
-    cred: &Credential,
-    ref_digest: u32,
-    choices: &mut Vec<(usize, usize)>,
-) -> Result<usize, Violation> {
-    let mut world = PortalWorld::new(cfg, ca, cred, ref_digest);
-    let mut depth = 0usize;
-    loop {
-        let evs = world.enabled();
-        if evs.is_empty() {
-            return Ok(depth);
+    fn violation(&self, invariant: &str, detail: String) -> Violation {
+        Violation {
+            invariant: invariant.to_string(),
+            detail,
+            trace: self.trace.clone(),
         }
-        if depth >= MAX_DEPTH {
-            return Err(world.violation(
-                "depth-bound",
-                format!("schedule exceeded {MAX_DEPTH} events"),
-            ));
+    }
+
+    /// The deterministic enabled-event set for the current state.
+    fn enabled(&self) -> Vec<Ev> {
+        let mut evs = Vec::new();
+        if self.runs.len() < self.cfg.submissions {
+            evs.push(Ev::Submit);
         }
-        let pick = if depth < choices.len() {
-            if choices[depth].1 != evs.len() {
-                return Err(world.violation(
-                    "nondeterministic-model",
-                    format!(
-                        "replay divergence at depth {depth}: {} enabled events, expected {}",
-                        evs.len(),
-                        choices[depth].1
-                    ),
-                ));
+        if self.runs.iter().any(RunInfo::live) {
+            evs.push(Ev::Tick);
+        }
+        if self.kills_used < self.cfg.kill_budget {
+            for r in &self.runs {
+                if let RunState::Running { worker } = r.state {
+                    evs.push(Ev::Kill(worker));
+                }
             }
-            choices[depth].0
-        } else {
-            choices.push((0, evs.len()));
-            0
-        };
-        world.step(evs[pick])?;
-        depth += 1;
-    }
-}
-
-/// Advance `choices` to the next unexplored schedule; false = exhausted.
-fn backtrack(choices: &mut Vec<(usize, usize)>) -> bool {
-    while let Some(last) = choices.last_mut() {
-        if last.0 + 1 < last.1 {
-            last.0 += 1;
-            return true;
         }
-        choices.pop();
+        if self.cancels_used < self.cfg.cancel_budget {
+            for (i, r) in self.runs.iter().enumerate() {
+                if r.live() {
+                    evs.push(Ev::Cancel(i));
+                }
+            }
+        }
+        evs
     }
-    false
+
+    /// Apply one event, refresh the state mirror, check every invariant.
+    fn step(&mut self, ev: Ev) -> Result<(), Violation> {
+        self.trace.push(ev.describe());
+        match ev {
+            Ev::Submit => {
+                let reply = self
+                    .client
+                    .call_as(
+                        &self.tenant,
+                        Request::Submit {
+                            spec: spec(&self.cfg),
+                        },
+                    )
+                    .expect("submit frame round-trips");
+                match reply {
+                    Response::Submitted { run, .. } => self.runs.push(RunInfo {
+                        id: run,
+                        state: RunState::Queued,
+                        steps_completed: 0,
+                        digest_ok: false,
+                    }),
+                    other => {
+                        return Err(self.violation(
+                            "admission",
+                            format!("in-quota submission refused: {other:?}"),
+                        ))
+                    }
+                }
+            }
+            Ev::Tick => {
+                self.portal.tick();
+            }
+            Ev::Kill(worker) => {
+                self.kills_used += 1;
+                let orphaned = self.portal.kill_worker(worker);
+                if orphaned.is_none() {
+                    return Err(self.violation(
+                        "kill-target",
+                        format!("worker {worker} was enabled as busy but had no run"),
+                    ));
+                }
+            }
+            Ev::Cancel(i) => {
+                self.cancels_used += 1;
+                let run = self.runs[i].id.clone();
+                let reply = self
+                    .client
+                    .call_as(&self.tenant, Request::Cancel { run })
+                    .expect("cancel frame round-trips");
+                if !matches!(reply, Response::Ok) {
+                    return Err(self.violation(
+                        "cancel",
+                        format!("cancel of live run {i} refused: {reply:?}"),
+                    ));
+                }
+            }
+        }
+        // Only the runs this event could have changed need a wire
+        // refresh: a tick moves every live run, a kill or cancel moves
+        // one, a submit moves none (the entry was just pushed Queued).
+        let stale: Vec<usize> = match ev {
+            Ev::Submit => Vec::new(),
+            Ev::Tick => (0..self.runs.len())
+                .filter(|&i| self.runs[i].live())
+                .collect(),
+            Ev::Kill(worker) => (0..self.runs.len())
+                .filter(|&i| self.runs[i].state == (RunState::Running { worker }))
+                .collect(),
+            Ev::Cancel(i) => vec![i],
+        };
+        self.refresh(&stale)?;
+        self.check_invariants()
+    }
 }
 
 /// Exhaustively explore every portal schedule within the budgets.
-pub fn check_portal(cfg: &PortalCheckConfig) -> PortalCheckReport {
+pub fn check_portal(cfg: &PortalCheckConfig) -> CheckReport {
     let ca = CertificateAuthority::nees(1493);
     let cred = Credential::issue(
         &ca,
@@ -588,33 +527,9 @@ pub fn check_portal(cfg: &PortalCheckConfig) -> PortalCheckReport {
         &cred,
     );
 
-    let mut choices: Vec<(usize, usize)> = Vec::new();
-    let mut report = PortalCheckReport {
-        schedules: 0,
-        deepest: 0,
-        violation: None,
-        truncated: false,
-    };
-    loop {
-        match run_one(cfg, &ca, &cred, ref_digest, &mut choices) {
-            Ok(depth) => {
-                report.schedules += 1;
-                report.deepest = report.deepest.max(depth);
-            }
-            Err(v) => {
-                report.schedules += 1;
-                report.violation = Some(v);
-                return report;
-            }
-        }
-        if report.schedules >= cfg.max_schedules {
-            report.truncated = true;
-            return report;
-        }
-        if !backtrack(&mut choices) {
-            return report;
-        }
-    }
+    explore(cfg.max_schedules, || {
+        PortalWorld::new(cfg, &ca, &cred, ref_digest)
+    })
 }
 
 #[cfg(test)]

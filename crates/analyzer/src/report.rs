@@ -2,8 +2,7 @@
 
 use serde_json::{json, Value};
 
-use crate::checker::CheckReport;
-use crate::portal_checker::PortalCheckReport;
+use crate::explore::CheckReport;
 use crate::rules::LintSummary;
 
 /// Human-readable lint report: one `file:line: [rule] message` per
@@ -52,10 +51,16 @@ pub fn lint_json(summary: &LintSummary) -> Value {
     })
 }
 
-/// Human-readable checker report.
-pub fn check_text(report: &CheckReport, elapsed_ms: u128) -> String {
+/// Human-readable report of the checker run as `command`, naming the
+/// `invariants` every schedule satisfied.
+pub fn check_text(
+    command: &str,
+    invariants: &[&str],
+    report: &CheckReport,
+    elapsed_ms: u128,
+) -> String {
     let mut out = format!(
-        "check-ntcp: {} schedule(s) explored (deepest {} events) in {} ms{}\n",
+        "{command}: {} schedule(s) explored (deepest {} events) in {} ms{}\n",
         report.schedules,
         report.deepest,
         elapsed_ms,
@@ -66,13 +71,13 @@ pub fn check_text(report: &CheckReport, elapsed_ms: u128) -> String {
         }
     );
     match &report.violation {
-        None => out.push_str(
-            "check-ntcp: all schedules satisfy at-most-once, single-actuation, \
-             dedup-consistency, execute/cancel exclusivity\n",
-        ),
+        None => out.push_str(&format!(
+            "{command}: all schedules satisfy {}\n",
+            invariants.join(", ")
+        )),
         Some(v) => {
             out.push_str(&format!(
-                "check-ntcp: VIOLATION of {} — {}\n  schedule:\n",
+                "{command}: VIOLATION of {} — {}\n  schedule:\n",
                 v.invariant, v.detail
             ));
             for (i, step) in v.trace.iter().enumerate() {
@@ -85,55 +90,6 @@ pub fn check_text(report: &CheckReport, elapsed_ms: u128) -> String {
 
 /// Machine-readable checker report.
 pub fn check_json(report: &CheckReport, elapsed_ms: u128) -> Value {
-    json!({
-        "schedules": report.schedules,
-        "deepest": report.deepest,
-        "elapsed_ms": elapsed_ms as u64,
-        "truncated": report.truncated,
-        "violation": match &report.violation {
-            None => Value::Null,
-            Some(v) => json!({
-                "invariant": v.invariant,
-                "detail": v.detail,
-                "trace": v.trace,
-            }),
-        },
-    })
-}
-
-/// Human-readable portal-checker report.
-pub fn portal_check_text(report: &PortalCheckReport, elapsed_ms: u128) -> String {
-    let mut out = format!(
-        "check-portal: {} schedule(s) explored (deepest {} events) in {} ms{}\n",
-        report.schedules,
-        report.deepest,
-        elapsed_ms,
-        if report.truncated {
-            " [truncated by --max-schedules]"
-        } else {
-            ""
-        }
-    );
-    match &report.violation {
-        None => out.push_str(
-            "check-portal: all schedules satisfy at-most-once, budget-conservation, \
-             bit-identical-completion\n",
-        ),
-        Some(v) => {
-            out.push_str(&format!(
-                "check-portal: VIOLATION of {} — {}\n  schedule:\n",
-                v.invariant, v.detail
-            ));
-            for (i, step) in v.trace.iter().enumerate() {
-                out.push_str(&format!("    {:>2}. {step}\n", i + 1));
-            }
-        }
-    }
-    out
-}
-
-/// Machine-readable portal-checker report.
-pub fn portal_check_json(report: &PortalCheckReport, elapsed_ms: u128) -> Value {
     json!({
         "schedules": report.schedules,
         "deepest": report.deepest,

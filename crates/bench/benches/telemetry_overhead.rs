@@ -30,8 +30,9 @@ fn best_and_median(mut ms: Vec<f64>) -> (f64, f64) {
 fn main() {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Warm-up: fault both code paths into cache and let the allocator reach
-    // steady state (the trace buffer is multi-megabyte; its first-ever
-    // allocation faults pages that later runs reuse) before timing anything.
+    // steady state (the trace grows to several megabytes inside the timed
+    // run; its first-ever growth faults pages that later runs reuse) before
+    // timing anything.
     n_site(SITES, SEED).run(STEPS);
     n_site_with_telemetry(SITES, SEED, Telemetry::recording()).run(STEPS);
 

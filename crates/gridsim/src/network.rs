@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use neesgrid_telemetry::{CounterHandle, Field, HistogramHandle, Telemetry};
+use neesgrid_telemetry::{Field, Telemetry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +33,7 @@ use crate::fault::{FaultAction, FaultPlan, LinkKey};
 use crate::latency::LatencyModel;
 use crate::message::{ControlNotice, Envelope, MessageKind};
 use crate::node::NodeId;
-use crate::stats::NetworkStats;
+use crate::stats::{LinkCounters, NetworkStats};
 use crate::time::{SimClock, SimTime};
 
 /// Configuration for a [`VirtualNetwork`].
@@ -75,33 +75,21 @@ impl std::error::Error for NetworkError {}
 /// A node's installed delivery handler, run by the event engine.
 type Handler = Arc<dyn Fn(Envelope) + Send + Sync>;
 
-/// Pre-resolved per-link telemetry instruments, built once per link so
-/// the per-message hot path never formats a metric key or locks the
-/// metrics registry.
-struct LinkTelemetryKeys {
-    label: String,
-    sent: CounterHandle,
-    delivered: CounterHandle,
-    bytes: CounterHandle,
-    dropped: CounterHandle,
-    reset: CounterHandle,
-    duplicated: CounterHandle,
-    latency: HistogramHandle,
+/// The router's one record per directed link.
+#[derive(Default)]
+struct LinkState {
+    /// Index of the link's next message; the fault plan keys on it.
+    next_index: u64,
+    /// Created at the link's first routed message. Control notices bounced
+    /// on a self-link take an index but no counters.
+    counters: Option<Arc<LinkCounters>>,
 }
 
-impl LinkTelemetryKeys {
-    fn new(link: &LinkKey, telemetry: &Telemetry) -> Self {
-        let label = format!("{}->{}", link.src, link.dst);
-        LinkTelemetryKeys {
-            sent: telemetry.counter_handle(&format!("link.sent{{{label}}}")),
-            delivered: telemetry.counter_handle(&format!("link.delivered{{{label}}}")),
-            bytes: telemetry.counter_handle(&format!("link.bytes{{{label}}}")),
-            dropped: telemetry.counter_handle(&format!("link.dropped{{{label}}}")),
-            reset: telemetry.counter_handle(&format!("link.reset{{{label}}}")),
-            duplicated: telemetry.counter_handle(&format!("link.duplicated{{{label}}}")),
-            latency: telemetry.histogram_handle("net.latency_ns"),
-            label,
-        }
+impl LinkState {
+    fn take_index(&mut self) -> u64 {
+        let i = self.next_index;
+        self.next_index += 1;
+        i
     }
 }
 
@@ -111,43 +99,35 @@ struct RouterState {
     link_latency: HashMap<LinkKey, LatencyModel>,
     default_latency: LatencyModel,
     fault_plan: FaultPlan,
-    link_counts: HashMap<LinkKey, u64>,
+    /// Looked up once per routed message; never iterated.
+    links: HashMap<LinkKey, LinkState>,
     rng: StdRng,
     stats: NetworkStats,
     telemetry: Telemetry,
-    link_keys: HashMap<LinkKey, LinkTelemetryKeys>,
 }
 
 impl RouterState {
-    fn next_index(&mut self, link: &LinkKey) -> u64 {
-        let c = self.link_counts.entry(link.clone()).or_insert(0);
-        let i = *c;
-        *c += 1;
-        i
-    }
-
-    fn link_keys(&mut self, link: &LinkKey) -> &LinkTelemetryKeys {
-        if !self.link_keys.contains_key(link) {
-            let keys = LinkTelemetryKeys::new(link, &self.telemetry);
-            self.link_keys.insert(link.clone(), keys);
-        }
-        &self.link_keys[link]
-    }
-
     fn route(&mut self, mut env: Envelope, engine: &EventEngine, clock: &SimClock) {
         let link = LinkKey {
             src: env.src.clone(),
             dst: env.dst.clone(),
         };
-        let index = self.next_index(&link);
+        // The key is cloned only at a link's first message.
+        let state = match self.links.get_mut(&link) {
+            Some(state) => state,
+            None => self.links.entry(link.clone()).or_default(),
+        };
+        let index = state.take_index();
+        let counters = Arc::clone(state.counters.get_or_insert_with(|| {
+            let counters = Arc::new(LinkCounters::new(&link, &self.telemetry));
+            self.stats.register(link.clone(), Arc::clone(&counters));
+            counters
+        }));
         env.seq = index;
-        self.stats.record_sent(&link);
-        if self.telemetry.enabled() {
-            self.link_keys(&link).sent.add(1);
-        }
+        counters.sent.add(1);
 
         let Some(dest) = self.registry.get(&env.dst).cloned() else {
-            self.stats.record_dropped(&link);
+            counters.dropped.add(1);
             self.note_fault(&link, index, "no_route", &env, clock);
             self.notify_sender(
                 &env.src,
@@ -161,37 +141,17 @@ impl RouterState {
             return;
         };
 
-        match self.fault_plan.decide(&link, index, env.kind) {
-            FaultAction::Deliver => {
-                let latency = self
-                    .link_latency
-                    .get(&link)
-                    .unwrap_or(&self.default_latency)
-                    .sample(&mut self.rng);
-                env.latency = latency;
-                self.stats
-                    .record_delivered(&link, env.wire_bytes(), latency);
-                if self.telemetry.enabled() {
-                    let wire_bytes = env.wire_bytes() as u64;
-                    let keys = self.link_keys(&link);
-                    keys.delivered.add(1);
-                    keys.bytes.add(wire_bytes);
-                    keys.latency.observe_ns(latency.as_nanos());
-                }
-                if let Err(env) = Self::deliver(dest, env, engine) {
-                    // A receiver without a handler behaves like a drop.
-                    self.stats.record_dropped(&link);
-                    self.note_fault(&link, index, "drop", &env, clock);
-                    self.notify_loss(&env, engine, clock);
-                }
-            }
+        let action = self.fault_plan.decide(&link, index, env.kind);
+        match action {
+            FaultAction::Deliver => {}
             FaultAction::Drop => {
-                self.stats.record_dropped(&link);
+                counters.dropped.add(1);
                 self.note_fault(&link, index, "drop", &env, clock);
                 self.notify_loss(&env, engine, clock);
+                return;
             }
             FaultAction::Reset => {
-                self.stats.record_reset(&link);
+                counters.reset.add(1);
                 self.note_fault(&link, index, "reset", &env, clock);
                 self.notify_sender(
                     &env.src,
@@ -202,43 +162,38 @@ impl RouterState {
                     engine,
                     clock,
                 );
+                return;
             }
             FaultAction::Duplicate => {
-                self.stats.record_duplicated(&link);
+                counters.duplicated.add(1);
                 self.note_fault(&link, index, "dup", &env, clock);
-                // Two copies, each with an independently sampled latency, so
-                // the duplicate can arrive before *or* after the original —
-                // the reordering NTCP's dedup cache has to survive.
-                let copy = env.clone();
-                for mut c in [env, copy] {
-                    let latency = self
-                        .link_latency
-                        .get(&link)
-                        .unwrap_or(&self.default_latency)
-                        .sample(&mut self.rng);
-                    c.latency = latency;
-                    self.stats.record_delivered(&link, c.wire_bytes(), latency);
-                    if self.telemetry.enabled() {
-                        let wire_bytes = c.wire_bytes() as u64;
-                        let keys = self.link_keys(&link);
-                        keys.delivered.add(1);
-                        keys.bytes.add(wire_bytes);
-                        keys.latency.observe_ns(latency.as_nanos());
-                    }
-                    if let Err(c) = Self::deliver(dest.clone(), c, engine) {
-                        self.stats.record_dropped(&link);
-                        self.note_fault(&link, index, "drop", &c, clock);
-                        self.notify_loss(&c, engine, clock);
-                    }
-                }
+            }
+        }
+        // A duplicate is two copies, each with an independently sampled
+        // latency, so it can arrive before *or* after the original — the
+        // reordering NTCP's dedup cache has to survive.
+        let copy = (action == FaultAction::Duplicate).then(|| env.clone());
+        for mut env in std::iter::once(env).chain(copy) {
+            let latency = self
+                .link_latency
+                .get(&link)
+                .unwrap_or(&self.default_latency)
+                .sample(&mut self.rng);
+            env.latency = latency;
+            counters.count_delivery(env.wire_bytes(), latency);
+            if let Err(env) = Self::deliver(dest.clone(), env, engine) {
+                // A receiver without a handler behaves like a drop.
+                counters.dropped.add(1);
+                self.note_fault(&link, index, "drop", &env, clock);
+                self.notify_loss(&env, engine, clock);
             }
         }
     }
 
-    /// Record a routing fault (drop / reset / no-route) as both a per-link
-    /// counter and a flight-recorder-visible trace event.
+    /// Emit a routing fault (drop / reset / duplicate / no-route) as a
+    /// flight-recorder-visible trace event.
     fn note_fault(
-        &mut self,
+        &self,
         link: &LinkKey,
         index: u64,
         what: &'static str,
@@ -248,23 +203,14 @@ impl RouterState {
         if !self.telemetry.enabled() {
             return;
         }
-        let telemetry = self.telemetry.clone();
-        let corr = env.correlation_id;
-        let keys = self.link_keys(link);
-        let counter = match what {
-            "reset" => &keys.reset,
-            "dup" => &keys.duplicated,
-            _ => &keys.dropped,
-        };
-        counter.add(1);
-        telemetry.instant(
+        self.telemetry.instant(
             clock.now().as_nanos(),
             "net",
             what,
             [
-                ("link", Field::Str(keys.label.clone())),
+                ("link", Field::Str(format!("{}->{}", link.src, link.dst))),
                 ("index", Field::U64(index)),
-                ("corr", Field::U64(corr)),
+                ("corr", Field::U64(env.correlation_id)),
             ],
         );
     }
@@ -321,7 +267,7 @@ impl RouterState {
                 dst: src.clone(),
             };
             let env = Envelope {
-                seq: self.next_index(&self_link),
+                seq: self.links.entry(self_link).or_default().take_index(),
                 src: src.clone(),
                 dst: src.clone(),
                 service: "__net".into(),
@@ -363,18 +309,17 @@ impl VirtualNetwork {
 
     /// Start a network sharing an existing experiment clock.
     pub fn with_clock(config: NetworkConfig, clock: Arc<SimClock>) -> Self {
-        let stats = NetworkStats::new();
+        let stats = NetworkStats::default();
         let engine = EventEngine::new(Arc::clone(&clock));
         let state = RouterState {
             registry: HashMap::new(),
             link_latency: HashMap::new(),
             default_latency: config.default_latency,
             fault_plan: FaultPlan::reliable(),
-            link_counts: HashMap::new(),
+            links: HashMap::new(),
             rng: StdRng::seed_from_u64(config.seed),
             stats: stats.clone(),
             telemetry: Telemetry::disabled(),
-            link_keys: HashMap::new(),
         };
         VirtualNetwork {
             core: Arc::new(NetCore {
@@ -396,7 +341,7 @@ impl VirtualNetwork {
         Arc::clone(&self.core.engine)
     }
 
-    /// Network-wide statistics handle.
+    /// A read-only view of the per-link counters.
     pub fn stats(&self) -> NetworkStats {
         self.stats.clone()
     }
@@ -449,15 +394,16 @@ impl VirtualNetwork {
         self.core.state.lock().fault_plan = plan;
     }
 
-    /// Install a telemetry handle: the router will record per-link
-    /// sent/delivered/dropped/reset/bytes counters and emit a trace event
-    /// for every routing fault. Defaults to [`Telemetry::disabled`], which
-    /// keeps routing allocation-free.
+    /// Install a telemetry handle: each link's counters become the
+    /// registry's `link.*{src->dst}` entries, latencies feed the
+    /// `net.latency_ns` histogram, and every routing fault emits a trace
+    /// event. Defaults to [`Telemetry::disabled`]. Call it before any
+    /// traffic: a link's counters are bound to the registry at its first
+    /// routed message.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
         let mut st = self.core.state.lock();
+        debug_assert!(st.links.is_empty(), "set_telemetry after traffic");
         st.telemetry = telemetry;
-        // Cached per-link handles belong to the previous registry.
-        st.link_keys.clear();
     }
 
     /// Tear the network down: deregister every node and drop all scheduled
@@ -831,6 +777,86 @@ mod tests {
         assert_eq!(s.delivered, 2);
         assert_eq!(s.dropped, 1);
         assert_eq!(s.bytes_delivered, 6);
+    }
+
+    #[test]
+    fn stats_are_the_trace_link_counters() {
+        let net = VirtualNetwork::new(NetworkConfig {
+            default_latency: LatencyModel::Uniform {
+                min: SimTime::from_millis(5),
+                max: SimTime::from_millis(60),
+            },
+            ..Default::default()
+        });
+        let telemetry = Telemetry::recording();
+        net.set_telemetry(telemetry.clone());
+        let a = net.endpoint("a").unwrap();
+        let b = net.endpoint("b").unwrap();
+        let _no_handler = net.endpoint("c").unwrap();
+        let (_a_in, _b_in) = (inbox(&a), inbox(&b));
+        let mut plan = FaultPlan::reliable();
+        plan.drop_at(LinkKey::new("a", "b"), 1)
+            .reset_at(LinkKey::new("a", "b"), 2)
+            .dup_at(LinkKey::new("a", "b"), 3)
+            .dup_at(LinkKey::new("a", "c"), 1);
+        net.set_fault_plan(plan);
+        let send = |from: &Endpoint, to: &str, kind, corr, body: &'static [u8]| {
+            from.send(NodeId::new(to), "s", kind, corr, Bytes::from_static(body))
+        };
+        for corr in 0..5 {
+            send(&a, "b", MessageKind::Request, corr, b"xyz");
+            send(&b, "a", MessageKind::Reply, corr, b"ok");
+        }
+        send(&a, "c", MessageKind::Request, 5, b"");
+        send(&a, "c", MessageKind::Request, 6, b"");
+        send(&a, "ghost", MessageKind::Request, 7, b"");
+        net.engine().run_until_idle();
+
+        let stats = net.stats();
+        let totals = stats.totals();
+        assert_eq!(
+            (
+                totals.delivered,
+                totals.dropped,
+                totals.reset,
+                totals.duplicated
+            ),
+            (12, 5, 1, 2),
+            "every routing outcome happened"
+        );
+        let snapshot = telemetry.metrics_snapshot();
+        let counter = |name: String| {
+            let found = snapshot.counters.iter().find(|(n, _)| *n == name);
+            found.map(|(_, v)| *v)
+        };
+        let all = stats.all();
+        let links: Vec<String> = all
+            .keys()
+            .map(|l| format!("{}->{}", l.src, l.dst))
+            .collect();
+        assert_eq!(
+            links,
+            ["a->b", "a->c", "a->ghost", "b->a"],
+            "self-links take no counters"
+        );
+        for (label, s) in links.iter().zip(all.values()) {
+            let fact = |fact: &str| counter(format!("link.{fact}{{{label}}}"));
+            assert_eq!(fact("sent"), Some(s.sent), "{label}");
+            assert_eq!(fact("delivered"), Some(s.delivered), "{label}");
+            assert_eq!(fact("bytes"), Some(s.bytes_delivered), "{label}");
+            assert_eq!(fact("dropped"), Some(s.dropped), "{label}");
+            assert_eq!(fact("reset"), Some(s.reset), "{label}");
+            assert_eq!(fact("duplicated"), Some(s.duplicated), "{label}");
+        }
+        let link_counters = snapshot
+            .counters
+            .iter()
+            .filter(|(n, _)| n.starts_with("link."));
+        assert_eq!(link_counters.count(), 6 * all.len());
+        let (name, latency) = &snapshot.histograms[0];
+        assert_eq!(name, "net.latency_ns");
+        assert_eq!(latency.count, totals.delivered);
+        assert_eq!(latency.sum_ns, totals.total_latency.as_nanos());
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Network accounting.
+//! Network accounting: the router's per-link counters, read back as
+//! [`NetworkStats`].
 //!
-//! The router keeps per-link counters so experiment reports can state how
-//! much traffic each NEESgrid service generated and how many messages the
-//! fault plan consumed — the observable side of §3.4's "several transient
-//! network failures".
+//! The router bumps each fact once, in one [`LinkCounters`] per directed
+//! link. When the network records telemetry those counters *are* the
+//! registry's `link.*{src->dst}` entries, so a trace exports exactly what
+//! [`NetworkStats`] reports — the observable side of §3.4's "several
+//! transient network failures". No report reads this view; the trace's
+//! link counters carry the same numbers.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use neesgrid_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 use parking_lot::Mutex;
 
 use crate::fault::LinkKey;
@@ -53,66 +58,109 @@ impl LinkStats {
     }
 }
 
-/// Shared, thread-safe network statistics.
+/// The live counters of one directed link, shared by the router and every
+/// [`NetworkStats`] view.
+#[derive(Debug, Default)]
+pub(crate) struct LinkCounters {
+    pub(crate) sent: CounterHandle,
+    pub(crate) delivered: CounterHandle,
+    pub(crate) bytes: CounterHandle,
+    pub(crate) dropped: CounterHandle,
+    pub(crate) reset: CounterHandle,
+    pub(crate) duplicated: CounterHandle,
+    /// Sum of delivered latencies, ns. Not a registry entry: the trace
+    /// carries latencies as the network-wide `net.latency_ns` histogram.
+    latency_ns: AtomicU64,
+    latency: Option<HistogramHandle>,
+}
+
+impl LinkCounters {
+    /// The registry's `link.*{src->dst}` counters and `net.latency_ns`
+    /// histogram when `telemetry` records; detached counters and no
+    /// histogram otherwise.
+    pub(crate) fn new(link: &LinkKey, telemetry: &Telemetry) -> Self {
+        if !telemetry.enabled() {
+            return LinkCounters::default();
+        }
+        let counter = |fact: &str| {
+            telemetry.counter_handle(&format!("link.{fact}{{{}->{}}}", link.src, link.dst))
+        };
+        LinkCounters {
+            sent: counter("sent"),
+            delivered: counter("delivered"),
+            bytes: counter("bytes"),
+            dropped: counter("dropped"),
+            reset: counter("reset"),
+            duplicated: counter("duplicated"),
+            latency_ns: AtomicU64::new(0),
+            latency: Some(telemetry.histogram_handle("net.latency_ns")),
+        }
+    }
+
+    /// Count one delivered copy.
+    pub(crate) fn count_delivery(&self, bytes: usize, latency: SimTime) {
+        self.delivered.add(1);
+        self.bytes.add(bytes as u64);
+        self.latency_ns
+            .fetch_add(latency.as_nanos(), Ordering::Relaxed);
+        if let Some(histogram) = &self.latency {
+            histogram.observe_ns(latency.as_nanos());
+        }
+    }
+
+    fn snapshot(&self) -> LinkStats {
+        LinkStats {
+            sent: self.sent.get(),
+            delivered: self.delivered.get(),
+            dropped: self.dropped.get(),
+            reset: self.reset.get(),
+            duplicated: self.duplicated.get(),
+            bytes_delivered: self.bytes.get(),
+            total_latency: SimTime::from_nanos(self.latency_ns.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Every link that has carried a routed message, in first-use order.
+type Links = Vec<(LinkKey, Arc<LinkCounters>)>;
+
+/// A read-only view of a network's per-link counters. Clones share them,
+/// and the view stays readable after the network is torn down.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
-    inner: Arc<Mutex<BTreeMap<LinkKey, LinkStats>>>,
+    links: Arc<Mutex<Links>>,
 }
 
 impl NetworkStats {
-    /// Fresh, zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a send attempt on `link`.
-    pub fn record_sent(&self, link: &LinkKey) {
-        self.inner.lock().entry(link.clone()).or_default().sent += 1;
-    }
-
-    /// Record a successful delivery.
-    pub fn record_delivered(&self, link: &LinkKey, bytes: usize, latency: SimTime) {
-        let mut g = self.inner.lock();
-        let s = g.entry(link.clone()).or_default();
-        s.delivered += 1;
-        s.bytes_delivered += bytes as u64;
-        s.total_latency += latency;
-    }
-
-    /// Record a silent drop.
-    pub fn record_dropped(&self, link: &LinkKey) {
-        self.inner.lock().entry(link.clone()).or_default().dropped += 1;
-    }
-
-    /// Record a reset.
-    pub fn record_reset(&self, link: &LinkKey) {
-        self.inner.lock().entry(link.clone()).or_default().reset += 1;
-    }
-
-    /// Record a duplicated delivery.
-    pub fn record_duplicated(&self, link: &LinkKey) {
-        self.inner
-            .lock()
-            .entry(link.clone())
-            .or_default()
-            .duplicated += 1;
+    /// Add a link's counters at its first routed message.
+    pub(crate) fn register(&self, link: LinkKey, counters: Arc<LinkCounters>) {
+        self.links.lock().push((link, counters));
     }
 
     /// Snapshot counters for one link.
     pub fn link(&self, link: &LinkKey) -> LinkStats {
-        self.inner.lock().get(link).cloned().unwrap_or_default()
+        self.links
+            .lock()
+            .iter()
+            .find(|(k, _)| k == link)
+            .map(|(_, c)| c.snapshot())
+            .unwrap_or_default()
     }
 
     /// Snapshot of every link.
     pub fn all(&self) -> BTreeMap<LinkKey, LinkStats> {
-        self.inner.lock().clone()
+        self.links
+            .lock()
+            .iter()
+            .map(|(k, c)| (k.clone(), c.snapshot()))
+            .collect()
     }
 
     /// Aggregate counters over all links.
     pub fn totals(&self) -> LinkStats {
-        let g = self.inner.lock();
         let mut t = LinkStats::default();
-        for s in g.values() {
+        for (_, c) in self.links.lock().iter() {
+            let s = c.snapshot();
             t.sent += s.sent;
             t.delivered += s.delivered;
             t.dropped += s.dropped;
@@ -133,14 +181,20 @@ mod tests {
         LinkKey::new(a, b)
     }
 
+    fn counted(stats: &NetworkStats, l: LinkKey) -> Arc<LinkCounters> {
+        let c = Arc::new(LinkCounters::default());
+        stats.register(l, Arc::clone(&c));
+        c
+    }
+
     #[test]
     fn counters_accumulate() {
-        let stats = NetworkStats::new();
+        let stats = NetworkStats::default();
         let l = link("a", "b");
-        stats.record_sent(&l);
-        stats.record_sent(&l);
-        stats.record_delivered(&l, 100, SimTime::from_millis(30));
-        stats.record_dropped(&l);
+        let c = counted(&stats, l.clone());
+        c.sent.add(2);
+        c.count_delivery(100, SimTime::from_millis(30));
+        c.dropped.add(1);
         let s = stats.link(&l);
         assert_eq!(s.sent, 2);
         assert_eq!(s.delivered, 1);
@@ -151,16 +205,17 @@ mod tests {
 
     #[test]
     fn mean_latency_over_delivered_only() {
-        let stats = NetworkStats::new();
+        let stats = NetworkStats::default();
         let l = link("a", "b");
-        stats.record_delivered(&l, 1, SimTime::from_millis(10));
-        stats.record_delivered(&l, 1, SimTime::from_millis(30));
+        let c = counted(&stats, l.clone());
+        c.count_delivery(1, SimTime::from_millis(10));
+        c.count_delivery(1, SimTime::from_millis(30));
         assert_eq!(stats.link(&l).mean_latency(), SimTime::from_millis(20));
     }
 
     #[test]
     fn empty_link_is_zeroed() {
-        let stats = NetworkStats::new();
+        let stats = NetworkStats::default();
         let s = stats.link(&link("x", "y"));
         assert_eq!(s, LinkStats::default());
         assert_eq!(s.mean_latency(), SimTime::ZERO);
@@ -169,20 +224,22 @@ mod tests {
 
     #[test]
     fn totals_aggregate_links() {
-        let stats = NetworkStats::new();
-        stats.record_sent(&link("a", "b"));
-        stats.record_sent(&link("b", "a"));
-        stats.record_reset(&link("b", "a"));
+        let stats = NetworkStats::default();
+        counted(&stats, link("a", "b")).sent.add(1);
+        let ba = counted(&stats, link("b", "a"));
+        ba.sent.add(1);
+        ba.reset.add(1);
         let t = stats.totals();
         assert_eq!(t.sent, 2);
         assert_eq!(t.reset, 1);
+        assert_eq!(stats.all().len(), 2);
     }
 
     #[test]
     fn clone_shares_state() {
-        let stats = NetworkStats::new();
+        let stats = NetworkStats::default();
         let clone = stats.clone();
-        clone.record_sent(&link("a", "b"));
+        counted(&clone, link("a", "b")).sent.add(1);
         assert_eq!(stats.link(&link("a", "b")).sent, 1);
     }
 }

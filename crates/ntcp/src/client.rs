@@ -169,40 +169,13 @@ impl NtcpClient {
         actions: Vec<ControlPoint>,
         timeout: SimTime,
     ) -> Result<(), NtcpError> {
-        self.propose_async(transaction, actions, timeout).wait()
-    }
-
-    /// Start a propose without waiting. Combine with
-    /// [`NtcpClient::propose_all`] to fan a step out to every site from one
-    /// thread.
-    pub fn propose_async(
-        &self,
-        transaction: &str,
-        actions: Vec<ControlPoint>,
-        timeout: SimTime,
-    ) -> ProposePending {
-        let body = ProposeBody {
-            transaction: transaction.to_string(),
-            actions,
-            timeout,
-        };
-        ProposePending {
-            client: self.clone(),
-            completion: self.rpc.call_async("propose", body),
-        }
+        let body = propose_body(transaction, actions, timeout);
+        self.finish_propose(self.rpc.call("propose", body))
     }
 
     /// Execute an accepted transaction, returning measured results.
     pub fn execute(&self, transaction: &str) -> Result<Vec<ControlPointResult>, NtcpError> {
-        self.execute_async(transaction).wait()
-    }
-
-    /// Start an execute without waiting.
-    pub fn execute_async(&self, transaction: &str) -> ExecutePending {
-        ExecutePending {
-            client: self.clone(),
-            completion: self.rpc.call_async("execute", tx_ref(transaction)),
-        }
+        self.finish_execute(self.rpc.call("execute", tx_ref(transaction)))
     }
 
     /// Propose one transaction per site, multiplexed on the calling thread:
@@ -212,16 +185,15 @@ impl NtcpClient {
     pub fn propose_all<'a>(
         batch: impl IntoIterator<Item = (&'a NtcpClient, &'a str, Vec<ControlPoint>, SimTime)>,
     ) -> Vec<Result<(), NtcpError>> {
-        let pending: Vec<ProposePending> = batch
+        let (clients, completions): (Vec<&NtcpClient>, Vec<RpcCompletion>) = batch
             .into_iter()
-            .map(|(client, tx, actions, timeout)| client.propose_async(tx, actions, timeout))
-            .collect();
-        let (clients, completions): (Vec<_>, Vec<_>) = pending
-            .into_iter()
-            .map(|p| (p.client, p.completion))
+            .map(|(client, tx, actions, timeout)| {
+                let body = propose_body(tx, actions, timeout);
+                (client, client.rpc.call_async("propose", body))
+            })
             .unzip();
         clients
-            .iter()
+            .into_iter()
             .zip(wait_all(completions))
             .map(|(client, reply)| client.finish_propose(reply))
             .collect()
@@ -232,16 +204,12 @@ impl NtcpClient {
     pub fn execute_all<'a>(
         batch: impl IntoIterator<Item = (&'a NtcpClient, &'a str)>,
     ) -> Vec<Result<Vec<ControlPointResult>, NtcpError>> {
-        let pending: Vec<ExecutePending> = batch
+        let (clients, completions): (Vec<&NtcpClient>, Vec<RpcCompletion>) = batch
             .into_iter()
-            .map(|(client, tx)| client.execute_async(tx))
-            .collect();
-        let (clients, completions): (Vec<_>, Vec<_>) = pending
-            .into_iter()
-            .map(|p| (p.client, p.completion))
+            .map(|(client, tx)| (client, client.rpc.call_async("execute", tx_ref(tx))))
             .unzip();
         clients
-            .iter()
+            .into_iter()
             .zip(wait_all(completions))
             .map(|(client, reply)| client.finish_execute(reply))
             .collect()
@@ -253,13 +221,12 @@ impl NtcpClient {
     pub fn cancel_all<'a>(
         batch: impl IntoIterator<Item = (&'a NtcpClient, &'a str)>,
     ) -> Vec<Result<(), NtcpError>> {
-        let pending: Vec<(NtcpClient, RpcCompletion)> = batch
+        let (clients, completions): (Vec<&NtcpClient>, Vec<RpcCompletion>) = batch
             .into_iter()
-            .map(|(client, tx)| (client.clone(), client.rpc.call_async("cancel", tx_ref(tx))))
-            .collect();
-        let (clients, completions): (Vec<_>, Vec<_>) = pending.into_iter().unzip();
+            .map(|(client, tx)| (client, client.rpc.call_async("cancel", tx_ref(tx))))
+            .unzip();
         clients
-            .iter()
+            .into_iter()
             .zip(wait_all(completions))
             .map(|(client, reply)| {
                 let reply = reply?;
@@ -302,53 +269,19 @@ impl NtcpClient {
     }
 }
 
+/// The body of `propose`.
+fn propose_body(transaction: &str, actions: Vec<ControlPoint>, timeout: SimTime) -> ProposeBody {
+    ProposeBody {
+        transaction: transaction.to_string(),
+        actions,
+        timeout,
+    }
+}
+
 /// The body of `execute`, `cancel` and `getTransaction`.
 fn tx_ref(transaction: &str) -> TransactionRef {
     TransactionRef {
         transaction: transaction.to_string(),
-    }
-}
-
-/// An in-flight propose started by [`NtcpClient::propose_async`].
-///
-/// Dropping it abandons the call (the underlying RPC completion cancels its
-/// retry timer and deregisters itself).
-#[must_use = "a pending propose does nothing until waited on"]
-pub struct ProposePending {
-    client: NtcpClient,
-    completion: RpcCompletion,
-}
-
-impl ProposePending {
-    /// True once a reply (or terminal failure) has been recorded.
-    pub fn is_done(&self) -> bool {
-        self.completion.is_done()
-    }
-
-    /// Drive the shared event engine until this propose resolves.
-    pub fn wait(self) -> Result<(), NtcpError> {
-        let ProposePending { client, completion } = self;
-        client.finish_propose(completion.wait())
-    }
-}
-
-/// An in-flight execute started by [`NtcpClient::execute_async`].
-#[must_use = "a pending execute does nothing until waited on"]
-pub struct ExecutePending {
-    client: NtcpClient,
-    completion: RpcCompletion,
-}
-
-impl ExecutePending {
-    /// True once a reply (or terminal failure) has been recorded.
-    pub fn is_done(&self) -> bool {
-        self.completion.is_done()
-    }
-
-    /// Drive the shared event engine until this execute resolves.
-    pub fn wait(self) -> Result<Vec<ControlPointResult>, NtcpError> {
-        let ExecutePending { client, completion } = self;
-        client.finish_execute(completion.wait())
     }
 }
 

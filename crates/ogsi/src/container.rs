@@ -88,7 +88,7 @@ impl ServiceContainer {
         AttachedContainer { container: shared }
     }
 
-    /// Dispatch one envelope: answer requests, absorb one-ways, drop strays.
+    /// Dispatch one envelope: answer requests, drop everything else.
     fn handle_envelope(&mut self, env: Envelope) {
         match env.kind {
             MessageKind::Request => {
@@ -124,17 +124,8 @@ impl ServiceContainer {
                 );
                 self.tick_services(now);
             }
-            MessageKind::OneWay => {
-                self.endpoint.clock().advance_to(env.delivered_at());
-                let now = self.endpoint.clock().now();
-                if let Ok(req) = serde_json::from_slice::<RpcRequest>(&env.payload) {
-                    let _ = self.process(&env.service, &req, now);
-                }
-                self.tick_services(now);
-            }
-            MessageKind::Reply | MessageKind::Control => {
-                // Containers are pure servers; stray replies/notices are
-                // dropped.
+            MessageKind::OneWay | MessageKind::Reply | MessageKind::Control => {
+                // Containers are pure servers; strays are dropped.
             }
         }
     }
@@ -367,34 +358,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn oneway_requests_are_processed_without_reply() {
-        let net = VirtualNetwork::new(NetworkConfig::default());
-        let container = ServiceContainer::new(net.endpoint("site").unwrap())
-            .with_service("counter", Counter::boxed())
-            .permissive();
-        let _handle = container.attach();
-        let mux = RpcMux::new(net.endpoint("client").unwrap());
-        // Fire a one-way increment shaped like an RpcRequest.
-        let req = RpcRequest {
-            request_id: 1,
-            caller: caller(),
-            operation: "increment".into(),
-            body: Value::Null,
-        };
-        mux.send_oneway(
-            NodeId::new("site"),
-            "counter",
-            &serde_json::to_value(&req).unwrap(),
-        );
-        // Observe the effect through a normal call: the one-way was
-        // scheduled first, so it is dispatched before the call's request.
-        let client = RpcClient::new(mux, NodeId::new("site"), "counter", caller());
-        let last = client.call_value("increment", Value::Null).unwrap()["count"]
-            .as_u64()
-            .unwrap();
-        assert_eq!(last, 2, "one-way increment not observed (count={last})");
     }
 }

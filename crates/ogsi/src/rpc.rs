@@ -25,7 +25,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -529,13 +528,11 @@ pub fn wait_all(completions: Vec<RpcCompletion>) -> Vec<Result<RpcReply, RpcErro
 /// One mux serves any number of concurrent callers (the coordinator fans
 /// proposals out to all sites through a single mux). Construction installs
 /// an event-engine handler on the endpoint: replies and control notices
-/// resolve in-flight [`CallSlot`]s, push-style (one-way) traffic for a named
-/// local service can be claimed with [`RpcMux::register_sink`].
+/// resolve in-flight [`CallSlot`]s.
 pub struct RpcMux {
     endpoint: Endpoint,
     engine: Arc<EventEngine>,
     calls: Arc<Mutex<HashMap<u64, Arc<CallSlot>>>>,
-    sinks: Arc<Mutex<HashMap<String, Sender<Envelope>>>>,
     telemetry: Mutex<Telemetry>,
     instruments: Mutex<RpcInstruments>,
 }
@@ -545,10 +542,7 @@ impl RpcMux {
     pub fn new(endpoint: Endpoint) -> Arc<Self> {
         let engine = endpoint.engine();
         let calls: Arc<Mutex<HashMap<u64, Arc<CallSlot>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let sinks: Arc<Mutex<HashMap<String, Sender<Envelope>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
         let handler_calls = Arc::clone(&calls);
-        let handler_sinks = Arc::clone(&sinks);
         endpoint.install_handler(move |env| match env.kind {
             MessageKind::Reply => {
                 let slot = handler_calls.lock().get(&env.correlation_id).cloned();
@@ -564,18 +558,14 @@ impl RpcMux {
                     }
                 }
             }
-            MessageKind::Request | MessageKind::OneWay => {
-                let tx = handler_sinks.lock().get(&env.service).cloned();
-                if let Some(tx) = tx {
-                    let _ = tx.send(env);
-                }
-            }
+            // A mux only originates calls; traffic addressed to it as a
+            // server is dropped.
+            MessageKind::Request | MessageKind::OneWay => {}
         });
         Arc::new(RpcMux {
             endpoint,
             engine,
             calls,
-            sinks,
             telemetry: Mutex::new(Telemetry::disabled()),
             instruments: Mutex::new(RpcInstruments::new(&Telemetry::disabled())),
         })
@@ -609,28 +599,6 @@ impl RpcMux {
     /// checkpoint watermark (see [`Endpoint::advance_correlation_to`]).
     pub fn advance_correlation_to(&self, watermark: u64) {
         self.endpoint.advance_correlation_to(watermark);
-    }
-
-    /// Claim incoming one-way/request traffic addressed to local `service`.
-    pub fn register_sink(&self, service: impl Into<String>) -> Receiver<Envelope> {
-        let (tx, rx) = unbounded();
-        self.sinks.lock().insert(service.into(), tx);
-        rx
-    }
-
-    /// Fire-and-forget send.
-    pub fn send_oneway(&self, dst: NodeId, service: &str, body: &Value) {
-        let payload = Bytes::from(serde_json::to_vec(body).expect("serialize oneway body"));
-        let corr = self.endpoint.next_correlation();
-        self.endpoint
-            .send(dst, service, MessageKind::OneWay, corr, payload);
-    }
-
-    /// Run every currently runnable scheduled delivery (for push-style
-    /// consumers that poll a [`RpcMux::register_sink`] receiver without an
-    /// in-flight call to pump for them). Returns how many events ran.
-    pub fn pump(&self) -> usize {
-        self.engine.run_until_idle()
     }
 
     /// Start a request with retransmission per `policy`, returning a
@@ -1037,24 +1005,6 @@ mod tests {
             assert_eq!(reply.value()["echo"]["i"], i);
             assert_eq!(reply.attempts, 1);
         }
-    }
-
-    #[test]
-    fn oneway_reaches_registered_sink() {
-        let net = VirtualNetwork::new(NetworkConfig::default());
-        let server_mux = RpcMux::new(net.endpoint("server").unwrap());
-        let sink = server_mux.register_sink("nsds");
-        let client_mux = RpcMux::new(net.endpoint("client").unwrap());
-        client_mux.send_oneway(
-            NodeId::new("server"),
-            "nsds",
-            &serde_json::json!({"sample": 0.5}),
-        );
-        // One-way delivery is a scheduled event; pump it through.
-        assert!(server_mux.pump() > 0);
-        let env = sink.try_recv().unwrap();
-        let v: Value = serde_json::from_slice(&env.payload).unwrap();
-        assert_eq!(v["sample"], 0.5);
     }
 
     #[test]

@@ -40,6 +40,11 @@ pub const MAX_SITES: usize = 32;
 /// Most steps a single submission may request.
 pub const MAX_STEPS: usize = 1_000_000;
 
+/// Most site-steps (sites × steps) a submission that records a trace may
+/// request. A trace holds about ten events per site-step, all in memory
+/// until export; 50,000 is 11× the paper's 3-site × 1,500-step run.
+pub const MAX_TRACED_SITE_STEPS: usize = 50_000;
+
 /// Which substructure model a site runs — the heterogeneity axis of a
 /// campaign's site mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -243,6 +248,12 @@ impl ExperimentSpec {
         }
         if self.steps == 0 || self.steps > MAX_STEPS {
             return Err(format!("steps must be 1..={MAX_STEPS}, got {}", self.steps));
+        }
+        if self.record_trace && self.sites * self.steps > MAX_TRACED_SITE_STEPS {
+            return Err(format!(
+                "a traced run may have at most {MAX_TRACED_SITE_STEPS} site-steps, got {} sites × {} steps",
+                self.sites, self.steps
+            ));
         }
         if !self.amplitude.is_finite() || self.amplitude <= 0.0 || self.amplitude > 10.0 {
             return Err(format!(

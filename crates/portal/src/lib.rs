@@ -48,7 +48,7 @@ pub mod tenant;
 pub use client::{ClientError, PortalClient};
 pub use experiment::{
     ExperimentSpec, LinkProfile, MotionSuite, RunPolicy, RunProgress, SiteKind, WorkerRun, DT,
-    MAX_SITES, MAX_STEPS,
+    MAX_SITES, MAX_STEPS, MAX_TRACED_SITE_STEPS,
 };
 pub use frame::{
     decode, encode, BoardEntry, FrameError, PortalStats, Rejection, Request, RequestFrame,

@@ -1,32 +1,25 @@
-//! The flight recorder: bounded rings of recent events per subsystem,
-//! plus the post-mortem "step 1493 report".
+//! The flight recorder: the post-mortem "step 1493 report".
 //!
 //! The paper's public MOST run died at step 1493 on an error whose cause
 //! had to be reconstructed by hand. The flight recorder makes that
-//! reconstruction automatic: every trace event is also appended to a small
-//! per-subsystem ring buffer, and when the coordinator aborts (or an RPC
-//! exhausts its retries) a dump is rendered from the rings, the in-flight
-//! spans, and a metrics snapshot — the last N NTCP transactions, per-link
-//! drop/reset counters, open proposals, and pending retransmission timers,
-//! all at the virtual instant of the failure.
+//! reconstruction automatic: when the coordinator aborts (or an RPC
+//! exhausts its retries) a dump is rendered from the in-flight spans, a
+//! metrics snapshot, and each subsystem's last [`RECENT_PER_SUBSYSTEM`]
+//! events, read back from the append-only trace log — the last N NTCP
+//! transactions, per-link drop/reset counters, open proposals, and pending
+//! retransmission timers, all at the virtual instant of the failure.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::lock;
 use crate::metrics::MetricsSnapshot;
 use crate::trace::TraceEvent;
 
-/// Default ring capacity per subsystem: enough for the last ~10 steps of
-/// a three-site run (each step is ~a dozen events per subsystem).
-pub const DEFAULT_RING_CAPACITY: usize = 128;
+/// Recent events a dump shows per subsystem: enough for the last ~10
+/// steps of a three-site run (each step is ~a dozen events per subsystem).
+pub const RECENT_PER_SUBSYSTEM: usize = 128;
 
 /// The dump renderer and the collected dumps.
-///
-/// The recent-event rings themselves live inside the trace recorder (one
-/// lock on the hot path, one `u64` per observation); this type turns the
-/// rings, the open spans, and a metrics snapshot into the post-mortem
-/// text and keeps every dump produced so far.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     dumps: Mutex<Vec<String>>,
@@ -37,8 +30,7 @@ impl FlightRecorder {
     /// started but not yet ended at the moment of the failure (in-flight
     /// proposals, armed retransmission timers); `metrics` is the registry
     /// snapshot carrying the per-link counters; `events` is the full
-    /// recorded trace, indexed by sequence number to resolve `rings`, the
-    /// per-subsystem deques of recent event seqs.
+    /// recorded trace, whose tail supplies each subsystem's recent events.
     pub fn dump(
         &self,
         t_ns: u64,
@@ -46,7 +38,6 @@ impl FlightRecorder {
         open_spans: &[TraceEvent],
         metrics: &MetricsSnapshot,
         events: &[TraceEvent],
-        rings: &[(&'static str, VecDeque<u64>)],
     ) -> String {
         let mut out = String::new();
         out.push_str("==== FLIGHT RECORDER DUMP ====\n");
@@ -76,19 +67,15 @@ impl FlightRecorder {
             out.push('\n');
         }
 
-        let mut rings: Vec<&(&'static str, VecDeque<u64>)> = rings.iter().collect();
-        rings.sort_by_key(|(name, _)| *name);
-        for (subsystem, ring) in rings {
+        for (subsystem, recent) in recent_by_subsystem(events) {
             out.push_str(&format!(
                 "-- recent {subsystem} events (last {} of ring) --\n",
-                ring.len()
+                recent.len()
             ));
-            for seq in ring.iter() {
-                if let Some(event) = events.get(*seq as usize) {
-                    out.push_str("  ");
-                    out.push_str(&event.to_display_line());
-                    out.push('\n');
-                }
+            for event in recent {
+                out.push_str("  ");
+                out.push_str(&event.to_display_line());
+                out.push('\n');
             }
         }
 
@@ -101,6 +88,28 @@ impl FlightRecorder {
     pub fn dumps(&self) -> Vec<String> {
         lock(&self.dumps).clone()
     }
+}
+
+/// Each subsystem's last [`RECENT_PER_SUBSYSTEM`] events, oldest first,
+/// with subsystems in name order: one backwards walk over the log. There
+/// are only a handful of subsystems, so lookup is a short linear scan.
+fn recent_by_subsystem(events: &[TraceEvent]) -> Vec<(&'static str, Vec<&TraceEvent>)> {
+    let mut windows: Vec<(&'static str, Vec<&TraceEvent>)> = Vec::new();
+    for event in events.iter().rev() {
+        match windows
+            .iter_mut()
+            .find(|(name, _)| *name == event.subsystem)
+        {
+            Some((_, window)) if window.len() == RECENT_PER_SUBSYSTEM => {}
+            Some((_, window)) => window.push(event),
+            None => windows.push((event.subsystem, vec![event])),
+        }
+    }
+    for (_, window) in &mut windows {
+        window.reverse();
+    }
+    windows.sort_by_key(|(name, _)| *name);
+    windows
 }
 
 #[cfg(test)]
@@ -121,22 +130,23 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_dump_reports_recent_events() {
+    fn dump_reports_each_subsystems_recent_events() {
         let rec = FlightRecorder::default();
-        let events: Vec<TraceEvent> = (0..10).map(|i| event(i, "propose")).collect();
-        // A capacity-3 ring: only the last three seqs survived.
-        let rings = vec![("ntcp", events[7..].iter().map(|e| e.seq).collect())];
+        let events: Vec<TraceEvent> = (0..RECENT_PER_SUBSYSTEM as u64 + 5)
+            .map(|i| event(i, "propose"))
+            .collect();
         let dump = rec.dump(
             10_000,
             "test abort",
             &[],
             &MetricsSnapshot::default(),
             &events,
-            &rings,
         );
         assert!(dump.contains("reason: test abort"));
-        assert!(dump.contains("seq=9"), "newest event kept");
-        assert!(!dump.contains("seq=5"), "old events evicted");
+        assert!(dump.contains("(last 128 of ring)"));
+        assert!(dump.contains("seq=132"), "newest event kept");
+        assert!(!dump.contains("seq=4 "), "old events left out");
+        assert!(dump.contains("seq=5 "), "oldest of the window kept");
         assert_eq!(rec.dumps().len(), 1);
     }
 }

@@ -26,7 +26,8 @@
 //! writes the values, escapes the strings, and parses traces back for
 //! [`render_report`], [`merge_resumed`] and [`TraceSignature`].
 
-/// Bounded per-subsystem event rings and the post-mortem dump.
+/// The post-mortem dump: in-flight spans, metrics, and each subsystem's
+/// recent events.
 pub mod flight;
 /// Counters, gauges, and fixed-bucket virtual-time histograms.
 pub mod metrics;
@@ -37,22 +38,17 @@ pub mod signature;
 /// Trace events, spans, and their canonical wire form.
 pub mod trace;
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde_json::Value;
 
-pub use flight::{FlightRecorder, DEFAULT_RING_CAPACITY};
+pub use flight::FlightRecorder;
 pub use metrics::{
     CounterHandle, Histogram, HistogramHandle, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS_MS,
 };
 pub use report::render_report;
 pub use signature::{AbortSite, FaultEvent, TraceSignature};
 pub use trace::{Field, FieldList, SpanId, TraceEvent, TraceKind, MAX_FIELDS};
-
-/// Trace buffer slots reserved when a recording handle is created (~3 MB).
-/// Paid once at startup so the per-event path never reallocates the trace.
-const TRACE_PREALLOC_EVENTS: usize = 32 * 1024;
 
 /// Poison-tolerant mutex acquisition: telemetry must keep working while a
 /// panicking test thread unwinds, and a half-updated counter is still a
@@ -73,12 +69,6 @@ struct Recorder {
     /// a span start is never cloned, and since only a handful of spans are
     /// ever in flight a linear scan beats a tree.
     open: Vec<(u64, usize)>,
-    /// Flight-recorder rings: per-subsystem deques of recent event seqs
-    /// (== indices into `events`). Kept inside the recorder so the hot
-    /// path touches exactly one lock; there are only a handful of
-    /// subsystems, so lookup is a short linear scan.
-    rings: Vec<(&'static str, VecDeque<u64>)>,
-    ring_capacity: usize,
 }
 
 #[derive(Debug)]
@@ -104,36 +94,14 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A recording handle with the default flight-ring capacity.
+    /// A recording handle. The trace is an append-only log that grows with
+    /// the run (nothing is reserved up front); flight dumps read each
+    /// subsystem's recent events back from it.
     pub fn recording() -> Self {
-        Telemetry::recording_with_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// A recording handle keeping the last `ring_capacity` events per
-    /// subsystem in the flight recorder.
-    pub fn recording_with_capacity(ring_capacity: usize) -> Self {
-        // Reserve the trace buffer up front and fault every page of it in
-        // now, like a real flight recorder formatting its ring at power-on:
-        // growth reallocations or first-touch page faults mid-run would
-        // stall the per-event hot path instead of startup.
-        let mut events: Vec<TraceEvent> = Vec::with_capacity(TRACE_PREALLOC_EVENTS);
-        events.resize_with(TRACE_PREALLOC_EVENTS, || TraceEvent {
-            t_ns: 0,
-            seq: 0,
-            kind: TraceKind::Instant,
-            span: 0,
-            subsystem: "",
-            name: "",
-            fields: FieldList::new(),
-        });
-        std::hint::black_box(&mut events);
-        events.clear();
         Telemetry {
             inner: Some(Arc::new(TelemetryInner {
                 rec: Mutex::new(Recorder {
-                    events,
                     next_span: 1,
-                    ring_capacity: ring_capacity.max(1),
                     ..Recorder::default()
                 }),
                 metrics: MetricsRegistry::default(),
@@ -149,8 +117,6 @@ impl Telemetry {
     }
 
     /// The hot path: one recorder lock, one `Vec` push, no event clones.
-    /// The flight ring stores the sequence number (== index into the
-    /// append-only event vec), not a copy of the event.
     fn record_locked(
         rec: &mut Recorder,
         t_ns: u64,
@@ -174,19 +140,6 @@ impl Telemetry {
             }
             TraceKind::Instant => {}
         }
-        let ring_idx = match rec.rings.iter().position(|(n, _)| *n == subsystem) {
-            Some(i) => i,
-            None => {
-                rec.rings.push((subsystem, VecDeque::new()));
-                rec.rings.len() - 1
-            }
-        };
-        let capacity = rec.ring_capacity;
-        let ring = &mut rec.rings[ring_idx].1;
-        if ring.len() == capacity {
-            ring.pop_front();
-        }
-        ring.push_back(seq);
         rec.events.push(TraceEvent {
             t_ns,
             seq,
@@ -331,8 +284,8 @@ impl Telemetry {
     }
 
     /// Trigger a flight-recorder dump — the "step 1493 report". Renders
-    /// the in-flight spans, the metrics snapshot, and the recent-event
-    /// rings; stores the dump and returns it. `None` when disabled.
+    /// the in-flight spans, the metrics snapshot, and each subsystem's
+    /// recent events; stores the dump and returns it. `None` when disabled.
     pub fn flight_dump(&self, t_ns: u64, reason: &str) -> Option<String> {
         let inner = self.inner.as_ref()?;
         let snapshot = inner.metrics.snapshot();
@@ -347,7 +300,7 @@ impl Telemetry {
         Some(
             inner
                 .flight
-                .dump(t_ns, reason, &open, &snapshot, &rec.events, &rec.rings),
+                .dump(t_ns, reason, &open, &snapshot, &rec.events),
         )
     }
 

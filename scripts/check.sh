@@ -33,6 +33,9 @@ if [[ $quick -eq 0 ]]; then
 
     echo "==> analyzer check-portal (exhaustive scheduler checker)"
     cargo run -q --release -p neesgrid-analyzer -- check-portal
+
+    echo "==> determinism oracles (MOST trace and dumps, campaign corpus, checkpoint resume)"
+    scripts/oracles.sh
 else
     # The whole --quick analyzer stage (lint + both checkers at reduced
     # budgets) carries a 10-second wall-clock budget so it stays a

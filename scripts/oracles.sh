@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Determinism oracles: the MOST trace and its flight dumps, the campaign
+# verdict table and exported corpus, and checkpoint resume must reproduce
+# the values committed in scripts/oracles.expected, byte for byte. On a
+# mismatch the diff's `+` lines are the values this tree produces.
+#
+#   scripts/oracles.sh
+#
+# A deliberate re-baseline edits scripts/oracles.expected in the same
+# change and says so in CHANGES.md.
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+root=$PWD
+export LC_ALL=C
+
+cargo build -q --release --example most_experiment --example checkpoint_resume
+cargo build -q --release -p neesgrid-campaign
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+sha() { sha256sum | cut -d' ' -f1; }
+
+oracles() {
+    # The §3.4 pair at 300 steps with the public run traced; stdout holds
+    # both flight-recorder dumps.
+    mkdir "$work/most"
+    (cd "$work/most" &&
+        "$root/target/release/examples/most_experiment" --steps 300 --trace t.jsonl >stdout.txt)
+    echo "most.trace.bytes=$(wc -c <"$work/most/t.jsonl")"
+    echo "most.trace.sha256=$(sha <"$work/most/t.jsonl")"
+    echo "most.stdout.lines=$(wc -l <"$work/most/stdout.txt")"
+    echo "most.stdout.sha256=$(sha <"$work/most/stdout.txt")"
+
+    # Every committed scenario through the portal, corpus exported.
+    "$root/target/release/neesgrid-campaign" run scenarios/*.scn --out "$work/corpus" \
+        >"$work/campaign.out" 2>"$work/campaign.err"
+    echo "campaign.stdout.sha256=$(sha <"$work/campaign.out")"
+    echo "campaign.summary=$(grep -m1 ' runs: ' "$work/campaign.err")"
+    echo "campaign.files=$(find "$work/corpus" -type f | wc -l)"
+    echo "campaign.tree.sha256=$(cd "$work/corpus" &&
+        find . -type f -print0 | sort -z | xargs -0 sha256sum | sha)"
+
+    # Kill at step 1493, resume from the snapshot, compare with a clean run.
+    "$root/target/release/examples/checkpoint_resume" >"$work/resume.out"
+    echo "resume.bit_identical=$(grep -m1 'bit-identical' "$work/resume.out" | awk '{print $NF}')"
+}
+
+oracles >"$work/actual"
+if ! diff -u scripts/oracles.expected "$work/actual"; then
+    echo "determinism oracles differ from scripts/oracles.expected" >&2
+    exit 1
+fi
+echo "determinism oracles match scripts/oracles.expected"

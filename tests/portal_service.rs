@@ -14,7 +14,7 @@ use neesgrid::gridsim::{NetworkProfile, SimTime, VirtualNetwork};
 use neesgrid::gsi::{CertificateAuthority, Credential, DistinguishedName};
 use neesgrid::portal::{
     ExperimentSpec, Portal, PortalClient, PortalConfig, Rejection, Request, Response, RunState,
-    TenantQuotas,
+    TenantQuotas, MAX_TRACED_SITE_STEPS,
 };
 
 fn deployment(
@@ -238,6 +238,43 @@ fn over_quota_and_overflow_submissions_shed_with_typed_rejections() {
     );
     assert_eq!(rej, Rejection::QueueFull { capacity: 2 });
     assert!(service.stats().shed >= 3);
+}
+
+#[test]
+fn traced_submissions_past_the_site_step_limit_are_refused() {
+    let (_net, ca, service, client) = deployment(PortalConfig::default());
+    let alice = tenant(&ca, "alice", 1);
+    login(&client, &alice);
+    // Inside the default step quota, but ~32M trace events.
+    let huge = ExperimentSpec {
+        record_trace: true,
+        ..ExperimentSpec::basic(32, 100_000, 9, 0)
+    };
+    let rej = rejection(
+        client
+            .call_as(alice.identity(), Request::Submit { spec: huge })
+            .unwrap(),
+    );
+    assert_eq!(
+        rej,
+        Rejection::BadSpec {
+            reason: "a traced run may have at most 50000 site-steps, got 32 sites × 100000 steps"
+                .into()
+        }
+    );
+    assert_eq!(service.stats().admitted, 0);
+
+    let at_limit = ExperimentSpec {
+        record_trace: true,
+        ..ExperimentSpec::basic(25, MAX_TRACED_SITE_STEPS / 25, 9, 0)
+    };
+    assert_eq!(at_limit.validate(), Ok(()));
+    let untraced = ExperimentSpec::basic(32, 100_000, 9, 0);
+    assert_eq!(
+        untraced.validate(),
+        Ok(()),
+        "the limit covers traced runs only"
+    );
 }
 
 #[test]

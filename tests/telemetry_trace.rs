@@ -10,6 +10,8 @@
 //!    the post-mortem the 2004 operators did by hand.
 //! 3. A crashed run's trace and its checkpoint-resumed continuation merge
 //!    into one logical trace with no duplicate transaction spans.
+//! 4. A flight dump's recent-event windows are the tail of the trace log,
+//!    per subsystem.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,7 +23,8 @@ use neesgrid::most::{
     n_site_with_telemetry, public_run_fault_plan, MostConfig, MostDeployment, Scenario,
 };
 use neesgrid::repo::VirtualStore;
-use neesgrid::telemetry::{merge_resumed, render_report, Telemetry};
+use neesgrid::telemetry::{merge_resumed, render_report, FieldList, Telemetry};
+use proptest::prelude::*;
 use serde_json::Value;
 
 #[test]
@@ -119,6 +122,72 @@ fn public_run_flight_dump_names_the_faulted_link_and_transaction() {
     // The rendered report tells the same story.
     let report = render_report(&telemetry.export_jsonl()).expect("trace renders");
     assert!(report.contains("ABORTED at step 149 site cu"), "{report}");
+}
+
+/// One dump section per subsystem: its name, the count its header
+/// states, and the sequence numbers of the events it lists.
+type Window = (String, usize, Vec<u64>);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every "recent X events" section of a dump is the last min(128, n)
+    /// events of X, with subsystems in name order — checked against a
+    /// brute-force filter of the log.
+    #[test]
+    fn flight_dump_windows_are_each_subsystems_last_events(
+        early in 1usize..40,
+        picks in proptest::collection::vec(0usize..8, 300..700),
+    ) {
+        // "net" takes half the picks, so it is seen more than 128 times;
+        // "checkpoint" only among the first `early` events.
+        const SUBSYSTEMS: [&str; 8] =
+            ["net", "net", "net", "net", "ntcp", "rpc", "coordinator", "checkpoint"];
+        let log: Vec<&'static str> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &pick)| match SUBSYSTEMS[pick] {
+                _ if i == 0 => "checkpoint",
+                "checkpoint" if i >= early => "rpc",
+                subsystem => subsystem,
+            })
+            .collect();
+        let telemetry = Telemetry::recording();
+        for (t, subsystem) in log.iter().enumerate() {
+            telemetry.instant(t as u64, subsystem, "event", FieldList::new());
+        }
+        let dump = telemetry.flight_dump(log.len() as u64, "check").expect("recording");
+
+        let mut names = log.clone();
+        names.sort_unstable();
+        names.dedup();
+        let expected: Vec<Window> = names
+            .iter()
+            .map(|name| {
+                let seqs: Vec<u64> = (0..log.len())
+                    .filter(|&seq| log[seq] == *name)
+                    .map(|seq| seq as u64)
+                    .collect();
+                let tail = seqs[seqs.len().saturating_sub(128)..].to_vec();
+                (name.to_string(), tail.len(), tail)
+            })
+            .collect();
+        let mut got: Vec<Window> = Vec::new();
+        for line in dump.lines() {
+            if let Some(header) = line.strip_prefix("-- recent ") {
+                let (name, rest) = header.split_once(" events (last ").expect("header");
+                let count = rest.strip_suffix(" of ring) --").expect("header");
+                got.push((name.to_string(), count.parse().expect("count"), Vec::new()));
+            } else if let (Some((_, _, seqs)), Some((_, after))) =
+                (got.last_mut(), line.split_once(" seq="))
+            {
+                let seq = after.split_whitespace().next().expect("seq");
+                seqs.push(seq.parse().expect("seq"));
+            }
+        }
+        prop_assert_eq!(got, expected);
+        prop_assert!(log.iter().filter(|s| **s == "net").count() > 128);
+    }
 }
 
 #[test]
