@@ -17,7 +17,7 @@ use neesgrid_structsim::GroundMotion;
 use neesgrid_telemetry::{Field, Telemetry};
 
 use crate::policy::CheckpointPolicy;
-use crate::snapshot::{CheckpointError, SiteCheckpoint, Snapshot, FORMAT_VERSION};
+use crate::snapshot::{encode, CheckpointError, SiteCheckpoint, Snapshot, FORMAT_VERSION};
 use crate::store::CheckpointStore;
 
 /// Captures and persists snapshots; restores sites on resume.
@@ -58,8 +58,8 @@ impl Checkpointer {
     }
 
     /// Install a telemetry handle: each successful save emits a
-    /// `checkpoint/snapshot` instant carrying the step and serialized
-    /// snapshot size. Defaults to disabled.
+    /// `checkpoint/snapshot` instant carrying the step and the encoded
+    /// payload's size (without the header line). Defaults to disabled.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -99,11 +99,14 @@ impl Checkpointer {
     pub fn save(&mut self, coordinator: &CoordinatorState) -> Result<u64, CheckpointError> {
         let snapshot = self.capture(coordinator)?;
         let step = snapshot.step;
-        self.store.save(&snapshot)?;
+        let encoded = encode(&snapshot);
+        let header = encoded
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(0, |n| n + 1);
+        let bytes = (encoded.len() - header) as u64;
+        self.store.put(&snapshot.run_id, step, encoded)?;
         if self.telemetry.enabled() {
-            let bytes = serde_json::to_vec(&snapshot)
-                .map(|v| v.len() as u64)
-                .unwrap_or(0);
             self.telemetry.counter_add("checkpoint.saves", 1);
             self.telemetry.instant(
                 self.clock.now().as_nanos(),

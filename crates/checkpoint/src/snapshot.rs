@@ -7,7 +7,7 @@
 //! any other experiment artifact.
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::RawValue;
 
 use neesgrid_coordinator::CoordinatorState;
 use neesgrid_gridsim::SimTime;
@@ -25,8 +25,10 @@ const HEADER_PREFIX: &str = "NEESGRID-CKPT v";
 pub struct SiteCheckpoint {
     /// Site name.
     pub site: String,
-    /// The server's state document.
-    pub state: Value,
+    /// The server's state document, kept as the checked JSON text the
+    /// reply carried: it is written into the payload verbatim and handed
+    /// back to the server on restore without being decoded here.
+    pub state: RawValue,
 }
 
 /// A complete, resumable picture of a distributed run at a step boundary.
@@ -127,7 +129,8 @@ pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
 }
 
 /// Decode and verify a snapshot. The CRC is checked before the payload is
-/// parsed; any corruption is rejected, never silently resumed from.
+/// parsed; any corruption is rejected, never silently resumed from. Each
+/// site's state is captured as text, its syntax checked.
 pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let newline = bytes
         .iter()
@@ -187,7 +190,8 @@ pub(crate) fn sample(run_id: &str, step: u64) -> Snapshot {
         },
         sites: vec![SiteCheckpoint {
             site: "uiuc".into(),
-            state: serde_json::json!({"executions": step, "dedup": []}),
+            state: serde_json::from_str(&format!(r#"{{"dedup":[],"executions":{step}}}"#))
+                .expect("sample site state is JSON"),
         }],
     }
 }

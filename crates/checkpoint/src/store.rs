@@ -13,12 +13,13 @@ use parking_lot::Mutex;
 use neesgrid_gridsim::SimClock;
 use neesgrid_repo::VirtualStore;
 
-use crate::snapshot::{decode, encode, CheckpointError, Snapshot};
+use crate::snapshot::{decode, CheckpointError, Snapshot};
 
 /// A place snapshots are saved to and resumed from.
 pub trait CheckpointStore: Send + Sync {
-    /// Persist a snapshot (keyed by run id + step; overwrites).
-    fn save(&self, snapshot: &Snapshot) -> Result<(), CheckpointError>;
+    /// Persist an encoded snapshot (see [`crate::snapshot::encode`]) of
+    /// `run_id` at `step`; overwrites.
+    fn put(&self, run_id: &str, step: u64, encoded: Vec<u8>) -> Result<(), CheckpointError>;
 
     /// Load and verify the snapshot for `run_id` at `step`.
     fn load(&self, run_id: &str, step: u64) -> Result<Snapshot, CheckpointError>;
@@ -58,10 +59,10 @@ impl MemoryCheckpointStore {
 }
 
 impl CheckpointStore for MemoryCheckpointStore {
-    fn save(&self, snapshot: &Snapshot) -> Result<(), CheckpointError> {
+    fn put(&self, run_id: &str, step: u64, encoded: Vec<u8>) -> Result<(), CheckpointError> {
         self.entries
             .lock()
-            .insert((snapshot.run_id.clone(), snapshot.step), encode(snapshot));
+            .insert((run_id.to_string(), step), encoded);
         Ok(())
     }
 
@@ -130,10 +131,10 @@ impl RepoCheckpointStore {
 }
 
 impl CheckpointStore for RepoCheckpointStore {
-    fn save(&self, snapshot: &Snapshot) -> Result<(), CheckpointError> {
+    fn put(&self, run_id: &str, step: u64, encoded: Vec<u8>) -> Result<(), CheckpointError> {
         self.store.put(
-            self.path(&snapshot.run_id, snapshot.step),
-            Bytes::from(encode(snapshot)),
+            self.path(run_id, step),
+            Bytes::from(encoded),
             self.clock.now(),
         );
         Ok(())
@@ -173,8 +174,14 @@ impl CheckpointStore for RepoCheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::sample;
+    use crate::snapshot::{encode, sample};
     use neesgrid_gridsim::SimTime;
+
+    fn save(store: &dyn CheckpointStore, snapshot: &Snapshot) {
+        store
+            .put(&snapshot.run_id, snapshot.step, encode(snapshot))
+            .unwrap();
+    }
 
     fn roundtrip(store: &dyn CheckpointStore) {
         assert!(matches!(
@@ -182,9 +189,9 @@ mod tests {
             Err(CheckpointError::NotFound { .. })
         ));
         for step in [100u64, 300, 200] {
-            store.save(&sample("r", step)).unwrap();
+            save(store, &sample("r", step));
         }
-        store.save(&sample("other", 50)).unwrap();
+        save(store, &sample("other", 50));
         assert_eq!(store.list("r"), vec![100, 200, 300]);
         assert_eq!(store.load("r", 200).unwrap().step, 200);
         assert_eq!(store.load_latest("r").unwrap().step, 300);
@@ -216,7 +223,7 @@ mod tests {
         let backing = VirtualStore::new();
         let clock = SimClock::new();
         let store = RepoCheckpointStore::new(backing.clone(), Arc::clone(&clock), "/experiments");
-        store.save(&sample("most", 1400)).unwrap();
+        save(&store, &sample("most", 1400));
 
         // A "new deployment" wraps a clone of the same backing store.
         let store2 = RepoCheckpointStore::new(backing.clone(), clock, "/experiments");

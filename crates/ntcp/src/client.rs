@@ -7,13 +7,13 @@
 //! incompletely, so the knob is exposed rather than hidden.
 
 use serde::de::{Deserialize, Deserializer, Error as _, MapAccess, Token};
-use serde_json::json;
+use serde_json::{json, RawValue};
 
 use neesgrid_gridsim::SimTime;
 use neesgrid_ogsi::{wait_all, RpcClient, RpcCompletion, RpcError, RpcReply};
 
 use crate::msg::{
-    ControlPoint, ControlPointResult, ExecuteResponse, ProposalDecision, ProposeBody,
+    ControlPoint, ControlPointResult, ExecuteResponse, ProposalDecision, ProposeBody, RestoreBody,
     TransactionRef,
 };
 
@@ -255,16 +255,16 @@ impl NtcpClient {
         Ok(self.rpc.call("getStatus", json!({}))?.value())
     }
 
-    /// Read the site's full checkpointable state (protocol + specimen).
-    pub fn snapshot_site(&self) -> Result<serde_json::Value, NtcpError> {
-        Ok(self.rpc.call("snapshotSite", json!({}))?.value())
+    /// Read the site's full checkpointable state (protocol + specimen), as
+    /// the checked JSON text the server replied with.
+    pub fn snapshot_site(&self) -> Result<RawValue, NtcpError> {
+        Ok(self.rpc.call("snapshotSite", json!({}))?.into_body())
     }
 
     /// Push a previously captured site snapshot back onto the server
     /// (crash-recovery restore).
-    pub fn restore_site(&self, snapshot: &serde_json::Value) -> Result<(), NtcpError> {
-        self.rpc
-            .call("restoreSite", json!({ "snapshot": snapshot }))?;
+    pub fn restore_site(&self, snapshot: &RawValue) -> Result<(), NtcpError> {
+        self.rpc.call("restoreSite", RestoreBody { snapshot })?;
         Ok(())
     }
 }

@@ -5,7 +5,8 @@
 //! client expects the motion to develop (so the site can police its limits
 //! *at proposal time*, per §4's safety requirements).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
+use serde_json::{json, RawValue};
 
 use neesgrid_gridsim::SimTime;
 
@@ -78,6 +79,25 @@ pub struct ProposeBody {
 pub struct TransactionRef {
     /// The transaction name.
     pub transaction: String,
+}
+
+/// Wire body of a `restoreSite` operation: the state document a
+/// `snapshotSite` reply carried, sent as the JSON text it arrived in.
+pub(crate) struct RestoreBody<'a> {
+    /// The site's state document.
+    pub snapshot: &'a RawValue,
+}
+
+impl Serialize for RestoreBody<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_value(json!({ "snapshot": self.snapshot }))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"snapshot\":");
+        self.snapshot.write_json(out);
+        out.push('}');
+    }
 }
 
 /// Wire body of an `execute` response.

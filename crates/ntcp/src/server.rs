@@ -6,7 +6,7 @@
 //! the [`ControlPlugin`].
 
 use serde::Deserialize;
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -264,27 +264,32 @@ impl NtcpServer {
     /// pre-crash retransmission is still replayed, not re-executed, after
     /// resume), the execution counter, and the plugin's specimen state (if
     /// the backend supports snapshots).
+    ///
+    /// The document is built once, its pieces moved in: each remembered
+    /// reply is copied into it exactly once.
     pub fn snapshot(&self) -> Value {
-        let dedup: Vec<Value> = self
+        let dedup = self
             .dedup
-            .entries()
-            .into_iter()
-            .map(|(k, v)| {
-                let encoded = match v {
-                    Ok(value) => json!({ "ok": value }),
-                    Err(fault) => json!({ "fault": fault }),
+            .iter()
+            .map(|(&k, v)| {
+                let outcome = match v {
+                    Ok(value) => Map::from([("ok".to_string(), value.clone())]),
+                    Err(fault) => Map::from([("fault".to_string(), json!(fault))]),
                 };
-                json!([k, encoded])
+                Value::Array(vec![Value::from(k), Value::Object(outcome)])
             })
             .collect();
-        json!({
-            "site": self.site,
-            "plugin": self.plugin.name(),
-            "pluginState": self.plugin.state(),
-            "transactions": self.transactions,
-            "executions": self.executions,
-            "dedup": dedup,
-        })
+        Value::Object(Map::from([
+            ("site".to_string(), Value::from(self.site.as_str())),
+            ("plugin".to_string(), Value::from(self.plugin.name())),
+            (
+                "pluginState".to_string(),
+                self.plugin.state().unwrap_or_default(),
+            ),
+            ("transactions".to_string(), json!(self.transactions)),
+            ("executions".to_string(), Value::from(self.executions)),
+            ("dedup".to_string(), Value::Array(dedup)),
+        ]))
     }
 
     /// Restore state captured by [`NtcpServer::snapshot`]. Protocol state
@@ -302,24 +307,20 @@ impl NtcpServer {
                 ),
             ));
         }
-        let transactions: BTreeMap<String, Transaction> =
-            serde_json::from_value(snap["transactions"].clone()).map_err(|e| {
-                ServiceFault::permanent("BadSnapshot", format!("transactions: {e}"))
-            })?;
-        let dedup_raw = snap["dedup"].as_array().cloned().unwrap_or_default();
-        let mut entries = Vec::with_capacity(dedup_raw.len());
-        for pair in &dedup_raw {
+        let transactions = BTreeMap::<String, Transaction>::deserialize(&snap["transactions"])
+            .map_err(|e| ServiceFault::permanent("BadSnapshot", format!("transactions: {e}")))?;
+        let dedup = snap["dedup"].as_array().map_or(&[][..], Vec::as_slice);
+        let mut entries = Vec::with_capacity(dedup.len());
+        for pair in dedup {
             let key = pair[0]
                 .as_u64()
                 .ok_or_else(|| ServiceFault::permanent("BadSnapshot", "dedup key"))?;
             let value = if pair[1]["fault"].is_null() {
                 Ok(pair[1]["ok"].clone())
             } else {
-                Err(
-                    serde_json::from_value::<ServiceFault>(pair[1]["fault"].clone()).map_err(
-                        |e| ServiceFault::permanent("BadSnapshot", format!("dedup fault: {e}")),
-                    )?,
-                )
+                Err(ServiceFault::deserialize(&pair[1]["fault"]).map_err(|e| {
+                    ServiceFault::permanent("BadSnapshot", format!("dedup fault: {e}"))
+                })?)
             };
             entries.push((key, value));
         }

@@ -91,15 +91,12 @@ impl<K: Eq + Hash + Clone, V: Clone> DedupCache<K, V> {
     /// All remembered entries in insertion (eviction) order. Checkpoints
     /// persist this so a restarted server still replays responses for
     /// requests the client sent before the crash.
-    pub fn entries(&self) -> Vec<(K, V)> {
-        self.order
-            .iter()
-            .filter_map(|k| self.map.get(k).map(|v| (k.clone(), v.clone())))
-            .collect()
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.order.iter().filter_map(|k| self.map.get_key_value(k))
     }
 
     /// Rebuild a cache from entries previously exported with
-    /// [`DedupCache::entries`], preserving insertion order (and therefore
+    /// [`DedupCache::iter`], preserving insertion order (and therefore
     /// future eviction order). Hit/miss counters restart at zero.
     pub fn from_entries(capacity: usize, entries: Vec<(K, V)>) -> Self {
         let mut cache = DedupCache::new(capacity);
@@ -181,7 +178,7 @@ mod tests {
         for i in 0..3 {
             c.remember(i, i * 10);
         }
-        let exported = c.entries();
+        let exported: Vec<(u64, u64)> = c.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(exported, vec![(0, 0), (1, 10), (2, 20)]);
         let mut restored = DedupCache::from_entries(3, exported);
         assert_eq!(restored.check(&1).unwrap(), 10);

@@ -177,6 +177,11 @@ impl RpcReply {
         serde_json::from_str(self.body.get())
     }
 
+    /// The result document's JSON text, as it arrived.
+    pub fn into_body(self) -> RawValue {
+        self.body
+    }
+
     /// The result document as a `Value` tree.
     pub fn value(&self) -> Value {
         self.decode()

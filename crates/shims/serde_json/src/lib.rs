@@ -7,20 +7,28 @@
 //! Reading decodes a typed target straight from the text through the
 //! shim's pull interface; a [`Value`] is built only for a target (or field)
 //! typed `Value`, and a [`RawValue`] keeps a nested document as checked
-//! text until it is decoded. Compact output is written straight from the
+//! text until it is decoded. As in real serde_json, [`from_str`] decodes a
+//! `T: Deserialize<'a>` from a `&'a str`, so a decoded type may borrow
+//! from its input (strings without escapes arrive as borrowed
+//! `Cow<'a, str>` tokens). Compact output is written straight from the
 //! type by [`Serialize::write_json`], byte-identical to rendering the
 //! tree, and pretty output renders the tree.
 //!
 //! Float output uses Rust's shortest round-trip `Display`, so an
 //! f64 → JSON → f64 round trip is bit-exact — a property the checkpoint
-//! subsystem's "identical trailing trajectory" guarantee leans on.
+//! subsystem's "identical trailing trajectory" guarantee leans on. That
+//! includes −0.0: it is written `-0`, and the reader takes the literal
+//! `-0` as the float −0.0, as real serde_json's does (an integer target
+//! refuses it). So every compact `Value` rendering is a fixed point of
+//! parse-then-render, which is what lets a checkpoint keep a site's state
+//! as the reply's text and still store the bytes re-rendering it gives.
 
 mod parse;
 
 use std::fmt;
 
 use serde::de::DeserializeOwned;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 pub use serde::value::{Map, Number, Value};
 
@@ -72,11 +80,12 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
     to_string(value).map(String::into_bytes)
 }
 
-pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
+/// Decode `T` from JSON text; `T` may borrow from `s`.
+pub fn from_str<'a, T: Deserialize<'a>>(s: &'a str) -> Result<T> {
     parse::from_str(s)
 }
 
-pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
+pub fn from_slice<'a, T: Deserialize<'a>>(bytes: &'a [u8]) -> Result<T> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid utf-8: {e}")))?;
     from_str(s)
 }

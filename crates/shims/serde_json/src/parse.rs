@@ -237,10 +237,12 @@ impl<'de> Reader<'de> {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::PosInt(u));
             }
-            if let Ok(i) = text.parse::<i64>() {
+            // `-0` is the float -0.0, as real serde_json reads it: the
+            // writer spells -0.0 that way, and an integer would drop the sign.
+            if let Ok(i @ ..=-1) = text.parse::<i64>() {
                 return Ok(Number::NegInt(i));
             }
-            // Integer out of 64-bit range: fall through to f64.
+            // Negative zero, or an integer out of 64-bit range: f64.
         }
         text.parse::<f64>()
             .map(Number::Float)

@@ -1,7 +1,8 @@
 //! `to_string` writes compact JSON straight from the type; these tests pin
 //! it byte for byte to rendering the `Value` tree, across every derive
-//! shape and the edge values of each primitive, and pin the decoder's
-//! error messages.
+//! shape and the edge values of each primitive, pin the decoder's error
+//! messages, and check that parsing a rendering and rendering it again
+//! gives the same bytes.
 
 mod shapes;
 
@@ -9,6 +10,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use serde::Serialize;
+use serde_json::Value;
 use shapes::{Gen, Named, Newtype, Renamed, Shape, Tuple, Unit};
 
 /// The direct writer and the `Value` path agree byte for byte.
@@ -35,6 +37,49 @@ proptest! {
         same_bytes(&g.string())?;
         same_bytes(&g.vec(|g| g.shape(1)))?;
         same_bytes(&Some(vec![g.u64()]))?;
+    }
+}
+
+/// `x`'s rendering is a fixed point of parse-then-render.
+fn fixed_point<T: Serialize>(x: &T) -> Result<(), TestCaseError> {
+    let text = serde_json::to_string(x).unwrap();
+    let again = serde_json::from_str::<Value>(&text).unwrap().to_string();
+    prop_assert_eq!(again, text);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn every_rendering_reads_back_to_the_same_bytes(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        fixed_point(&g.named())?;
+        fixed_point(&g.tuple())?;
+        fixed_point(&g.shape(3))?;
+        fixed_point(&g.nested())?;
+        fixed_point(&g.value(4))?;
+        fixed_point(&(g.f64(), g.u64(), g.string()))?;
+    }
+}
+
+#[test]
+fn negative_zero_reads_back_bit_exactly_and_integers_refuse_it() {
+    let floats = [1.0, -0.0, 0.5];
+    let text = serde_json::to_string(&floats).unwrap();
+    assert_eq!(text, "[1,-0,0.5]");
+    let back: Vec<f64> = serde_json::from_str(&text).unwrap();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&back), bits(&floats));
+    assert_eq!(
+        serde_json::from_str::<Value>(&text).unwrap().to_string(),
+        text
+    );
+    // Integer targets refuse `-0`, as real serde_json does.
+    for err in [
+        serde_json::from_str::<i64>("-0").unwrap_err(),
+        serde_json::from_str::<u64>("-0").unwrap_err(),
+    ] {
+        assert!(err.to_string().ends_with("got number Float(-0.0)"), "{err}");
     }
 }
 

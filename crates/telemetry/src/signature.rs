@@ -30,9 +30,11 @@
 //! Two runs of the same scenario under different seeds that fail the same
 //! way produce the same signature; a genuinely different failure does not.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
-use serde_json::{Number, Value};
+use serde::de::{Deserialize, Deserializer, IgnoredAny, Kind, MapAccess, SeqAccess, Token};
+use serde_json::Number;
 
 /// Where and why a run aborted, from the `coordinator/abort` instant.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -112,16 +114,160 @@ fn normalize_digits(s: &str) -> String {
     out
 }
 
-/// A field value as the fingerprint hashes it: strings raw, numbers and
-/// booleans in their JSON spelling, anything else empty.
-fn field_str(v: &Value) -> String {
-    match v {
-        Value::String(s) => s.clone(),
-        Value::Number(Number::PosInt(n)) => n.to_string(),
-        Value::Number(Number::NegInt(n)) => n.to_string(),
-        Value::Number(Number::Float(x)) => format!("{x}"),
-        Value::Bool(b) => b.to_string(),
-        _ => String::new(),
+/// A member as a signature reads it: strings, numbers and booleans
+/// whole, anything else only as present.
+enum Scalar<'a> {
+    Str(Cow<'a, str>),
+    Num(Number),
+    Bool(bool),
+    /// `null`, an array or an object.
+    Other,
+}
+
+impl<'de> Deserialize<'de> for Scalar<'de> {
+    fn deserialize<D: Deserializer<'de>>(mut d: D) -> Result<Self, D::Error> {
+        if matches!(d.kind()?, Kind::Array | Kind::Object) {
+            return d.skip().map(|()| Scalar::Other);
+        }
+        Ok(match d.token()? {
+            Token::Str(s) => Scalar::Str(s),
+            Token::Number(n) => Scalar::Num(n),
+            Token::Bool(b) => Scalar::Bool(b),
+            _ => Scalar::Other,
+        })
+    }
+}
+
+/// `Some(s)` for a string member, as `Value::as_str` reads it.
+fn as_str<'s>(member: Option<&'s Scalar<'_>>) -> Option<&'s str> {
+    match member {
+        Some(Scalar::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// `Some(n)` for a `u64` member, as `Value::as_u64` reads it.
+fn as_u64(member: Option<&Scalar<'_>>) -> Option<u64> {
+    match member {
+        Some(Scalar::Num(n)) => n.as_u64(),
+        _ => None,
+    }
+}
+
+/// A member as the fingerprint hashes it: strings raw, numbers and
+/// booleans in their JSON spelling, anything else empty. `spelling` is
+/// scratch space for numbers.
+fn fnv_scalar(h: u64, v: &Scalar<'_>, spelling: &mut String) -> u64 {
+    use std::fmt::Write as _;
+    let n = match v {
+        Scalar::Str(s) => return fnv_bytes(h, s.as_bytes()),
+        Scalar::Bool(b) => return fnv_bytes(h, if *b { b"true" } else { b"false" }),
+        Scalar::Other => return fnv_bytes(h, b""),
+        Scalar::Num(n) => *n,
+    };
+    spelling.clear();
+    // Writing into a `String` cannot fail.
+    let _ = match n {
+        Number::PosInt(n) => write!(spelling, "{n}"),
+        Number::NegInt(n) => write!(spelling, "{n}"),
+        Number::Float(x) => write!(spelling, "{x}"),
+    };
+    fnv_bytes(h, spelling.as_bytes())
+}
+
+/// The members of one trace line a signature reads, decoded in place:
+/// every other member is checked and skipped without being built.
+///
+/// Each member reads as indexing a parsed `Value` would: a repeated
+/// key's last value wins (at the top level and inside `fields`), a
+/// non-object line or `fields` has no members, and a member of the wrong
+/// type is present but reads as absent.
+#[derive(Default)]
+struct EventLine<'a> {
+    kind: Option<Scalar<'a>>,
+    sub: Option<Scalar<'a>>,
+    name: Option<Scalar<'a>>,
+    span: Option<Scalar<'a>>,
+    fields: Fields<'a>,
+}
+
+/// The `fields` members a signature reads: the [`SALIENT_FIELDS`] in
+/// order, then `error`.
+#[derive(Default)]
+struct Fields<'a>([Option<Scalar<'a>>; SALIENT_FIELDS.len() + 1]);
+
+impl<'a> Fields<'a> {
+    /// Where `key` is kept, if a signature reads it.
+    fn slot(key: &str) -> Option<usize> {
+        match key {
+            "error" => Some(SALIENT_FIELDS.len()),
+            _ => SALIENT_FIELDS.iter().position(|k| *k == key),
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<&Scalar<'a>> {
+        self.0[Self::slot(key)?].as_ref()
+    }
+
+    fn salient(&self) -> impl Iterator<Item = (&'static str, &Scalar<'a>)> {
+        SALIENT_FIELDS
+            .into_iter()
+            .zip(&self.0)
+            .filter_map(|(key, v)| Some((key, v.as_ref()?)))
+    }
+}
+
+/// Read the members of the object `d` holds with `member`, which decodes
+/// or skips each one's value; any other value is skipped whole.
+fn members<'de, D: Deserializer<'de>>(
+    d: D,
+    mut member: impl FnMut(&str, &mut D::Map) -> Result<(), D::Error>,
+) -> Result<(), D::Error> {
+    match d.token()? {
+        Token::Object(mut map) => {
+            while let Some(key) = map.next_key()? {
+                member(&key, &mut map)?;
+            }
+        }
+        Token::Array(mut seq) => while seq.next_element::<IgnoredAny>()?.is_some() {},
+        _ => {}
+    }
+    Ok(())
+}
+
+impl<'de> Deserialize<'de> for EventLine<'de> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let mut line = EventLine::default();
+        members(d, |key, map| {
+            let slot = match key {
+                "kind" => &mut line.kind,
+                "sub" => &mut line.sub,
+                "name" => &mut line.name,
+                "span" => &mut line.span,
+                "fields" => {
+                    line.fields = map.next_value()?.unwrap_or_default();
+                    return Ok(());
+                }
+                _ => return map.skip_value(),
+            };
+            *slot = map.next_value()?.ok();
+            Ok(())
+        })?;
+        Ok(line)
+    }
+}
+
+impl<'de> Deserialize<'de> for Fields<'de> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let mut fields = Fields::default();
+        members(d, |key, map| match Fields::slot(key) {
+            Some(i) => {
+                fields.0[i] = map.next_value()?.ok();
+                Ok(())
+            }
+            None => map.skip_value(),
+        })?;
+        Ok(fields)
     }
 }
 
@@ -130,62 +276,65 @@ impl TraceSignature {
     /// [`crate::Telemetry::export_jsonl`] produces). Metric snapshot lines
     /// and unparseable lines are skipped; an empty trace yields the
     /// `"completed"` signature with a fixed fingerprint.
+    ///
+    /// Each line is decoded in place into the few members a signature
+    /// reads ([`EventLine`]), with the skip rules of indexing the line's
+    /// parsed `Value`: a syntax error anywhere skips the line.
     pub fn from_jsonl(src: &str) -> TraceSignature {
         let mut abort: Option<AbortSite> = None;
         let mut faults: Vec<FaultEvent> = Vec::new();
         // span id -> tx name, for ntcp spans still open at trace end.
         let mut open_ntcp: Vec<(u64, String)> = Vec::new();
         let mut fingerprint = 0u64;
+        let mut spelling = String::new();
 
         for line in src.lines() {
-            let Ok(doc) = serde_json::from_str::<Value>(line) else {
+            let Ok(event) = serde_json::from_str::<EventLine>(line) else {
                 continue;
             };
-            let kind = match doc["kind"].as_str() {
+            let kind = match as_str(event.kind.as_ref()) {
                 Some(k @ ("span_start" | "span_end" | "instant")) => k,
                 _ => continue, // metric snapshot line or foreign JSON
             };
-            let sub = doc["sub"].as_str().unwrap_or_default();
-            let name = doc["name"].as_str().unwrap_or_default();
-            let fields = &doc["fields"];
+            let sub = as_str(event.sub.as_ref()).unwrap_or_default();
+            let name = as_str(event.name.as_ref()).unwrap_or_default();
+            let fields = &event.fields;
 
             // Phase fingerprint: hash this event's skeleton on its own,
             // then fold commutatively — order must not matter.
             let mut h = fnv_bytes(FNV_OFFSET, sub.as_bytes());
             h = fnv_bytes(h, name.as_bytes());
             h = fnv_bytes(h, kind.as_bytes());
-            for key in SALIENT_FIELDS {
-                if let Some(v) = fields.get(key) {
-                    h = fnv_bytes(h, key.as_bytes());
-                    h = fnv_bytes(h, field_str(v).as_bytes());
-                }
+            for (key, v) in fields.salient() {
+                h = fnv_bytes(h, key.as_bytes());
+                h = fnv_scalar(h, v, &mut spelling);
             }
             fingerprint = fingerprint.wrapping_add(h);
 
-            let field_or_unknown = |key: &str| fields[key].as_str().unwrap_or("?").to_string();
+            let field_or_unknown = |key: &str| as_str(fields.get(key)).unwrap_or("?").to_string();
             match (sub, kind) {
                 ("coordinator", "instant") if name == "abort" => {
                     abort = Some(AbortSite {
-                        step: fields["step"].as_u64().unwrap_or(0),
+                        step: as_u64(fields.get("step")).unwrap_or(0),
                         site: field_or_unknown("site"),
-                        error_class: normalize_digits(fields["error"].as_str().unwrap_or("?")),
+                        error_class: normalize_digits(as_str(fields.get("error")).unwrap_or("?")),
                     });
                 }
                 ("net", "instant") if matches!(name, "drop" | "reset" | "dup") => {
                     faults.push(FaultEvent {
                         action: name.to_string(),
                         link: field_or_unknown("link"),
-                        index: fields["index"].as_u64().unwrap_or(0),
+                        index: as_u64(fields.get("index")).unwrap_or(0),
                     });
                 }
                 ("ntcp", "span_start") => {
-                    let span = doc["span"].as_u64().unwrap_or(0);
+                    let span = as_u64(event.span.as_ref()).unwrap_or(0);
                     if span != 0 {
                         open_ntcp.push((span, field_or_unknown("tx")));
                     }
                 }
                 ("ntcp", "span_end") => {
-                    let span = doc["span"].as_u64().unwrap_or(0);
+                    let span = as_u64(event.span.as_ref()).unwrap_or(0);
                     open_ntcp.retain(|(id, _)| *id != span);
                 }
                 _ => {}

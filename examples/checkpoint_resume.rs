@@ -52,6 +52,20 @@ fn main() {
         snapshots.len(),
         snapshots.last().map(String::as_str).unwrap_or("none")
     );
+    let contents: Vec<_> = snapshots
+        .iter()
+        .filter_map(|path| backing.get(path))
+        .map(|file| file.content)
+        .collect();
+    println!(
+        "  bytes at rest      : {}",
+        contents.iter().map(|c| c.len()).sum::<usize>()
+    );
+    if let Some(latest) = contents.last() {
+        let header = latest.split(|&b| b == b'\n').next().unwrap_or_default();
+        println!("  latest snapshot    : {} bytes", latest.len());
+        println!("  latest header      : {}", String::from_utf8_lossy(header));
+    }
 
     println!("=== Crash and restart: a fresh deployment resumes ===");
     let deployment = MostDeployment::build_with_store(config.clone(), 0, backing.clone());

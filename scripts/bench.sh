@@ -17,7 +17,11 @@
 # scenario matrix through the portal five times and writes median/best
 # runs/sec, unique failure signatures, and the corpus dedup ratio to
 # BENCH_campaign.json (asserting every same-seed sweep is byte-identical
-# to the first). The analyzer stage
+# to the first). fig12_checkpoint_overhead times the checkpoint_resume
+# schedule (the 1,493-step public run, every-100 snapshots) with and
+# without checkpoints and writes median/best of each, the snapshot count
+# and bytes, and the cost per MB of snapshot to BENCH_checkpoint.json.
+# The analyzer stage
 # records both exhaustive checkers' schedule counts and wall time to
 # BENCH_analyzer.json. The script ends by printing every numeric field that
 # differs from the committed BENCH_*.json, as `committed → new (×ratio)`.
@@ -42,6 +46,9 @@ cargo bench -p neesgrid-bench --bench archive_ingest
 
 echo "==> campaign_sweep (240-cell scenario matrix → BENCH_campaign.json)"
 cargo bench -p neesgrid-bench --bench campaign_sweep
+
+echo "==> fig12_checkpoint_overhead (checkpoint_resume schedule → BENCH_checkpoint.json)"
+cargo bench -p neesgrid-bench --bench fig12_checkpoint_overhead
 
 echo "==> analyzer checkers (schedule counts → BENCH_analyzer.json)"
 cargo run -q --release -p neesgrid-analyzer -- bench --out BENCH_analyzer.json

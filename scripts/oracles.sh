@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Determinism oracles: the MOST trace and its flight dumps, the campaign
-# verdict table and exported corpus, and checkpoint resume must reproduce
-# the values committed in scripts/oracles.expected, byte for byte. On a
+# verdict table and exported corpus, and checkpoint resume with the sizes
+# and latest header of the snapshots it resumes from must reproduce the
+# values committed in scripts/oracles.expected, byte for byte. On a
 # mismatch the diff's `+` lines are the values this tree produces.
 #
 #   scripts/oracles.sh
@@ -42,8 +43,14 @@ oracles() {
     echo "campaign.tree.sha256=$(cd "$work/corpus" &&
         find . -type f -print0 | sort -z | xargs -0 sha256sum | sha)"
 
-    # Kill at step 1493, resume from the snapshot, compare with a clean run.
+    # Kill at step 1493, resume from the snapshot, compare with a clean run;
+    # the snapshots the doomed run left at rest, byte counts and latest header.
     "$root/target/release/examples/checkpoint_resume" >"$work/resume.out"
+    resume() { grep -m1 "^  $1 *:" "$work/resume.out" | sed 's/^[^:]*: //'; }
+    echo "resume.snapshots=$(resume 'snapshots at rest')"
+    echo "resume.bytes_at_rest=$(resume 'bytes at rest')"
+    echo "resume.latest_snapshot=$(resume 'latest snapshot')"
+    echo "resume.latest_header=$(resume 'latest header')"
     echo "resume.bit_identical=$(grep -m1 'bit-identical' "$work/resume.out" | awk '{print $NF}')"
 }
 

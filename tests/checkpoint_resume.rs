@@ -19,6 +19,8 @@ use neesgrid::coordinator::{EventKind, FaultPolicy, Termination};
 use neesgrid::gridsim::SimTime;
 use neesgrid::most::{public_run_fault_plan, MostConfig, MostDeployment};
 use neesgrid::repo::VirtualStore;
+use neesgrid::telemetry::Telemetry;
+use serde_json::Value;
 
 const RUN_ID: &str = "most-public";
 const CKPT_PREFIX: &str = "/experiments/most";
@@ -161,4 +163,47 @@ fn resume_refuses_a_corrupted_snapshot() {
         Err(other) => panic!("expected checksum mismatch, got {other}"),
         Ok(_) => panic!("corrupted snapshot must be rejected"),
     }
+}
+
+#[test]
+fn traced_snapshots_report_the_stored_payload_length() {
+    let config = MostConfig::simulation_only().with_steps(300);
+    let backing = VirtualStore::new();
+    let telemetry = Telemetry::recording();
+    let deployment = MostDeployment::build_full(config, 0, backing.clone(), telemetry.clone());
+    let store = repo_checkpoint_store(&backing, &deployment);
+    let finished = deployment.run_with_checkpoints(
+        FaultPolicy::Full {
+            max_step_retries: 2,
+        },
+        RUN_ID,
+        CheckpointPolicy::every(100),
+        store,
+    );
+    assert_eq!(finished.outcome.steps_completed(), 300);
+
+    let mut saved = 0;
+    for line in telemetry.export_jsonl().lines() {
+        let event: Value = serde_json::from_str(line).expect("trace lines are JSON");
+        if event["sub"] != "checkpoint" || event["name"] != "snapshot" {
+            continue;
+        }
+        let step = event["fields"]["step"]
+            .as_u64()
+            .expect("instant names its step");
+        let path = format!("{CKPT_PREFIX}/{RUN_ID}/checkpoints/step-{step:06}.ckpt");
+        let stored = backing.get(&path).expect("snapshot is stored").content;
+        let header = stored
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("header line")
+            + 1;
+        assert_eq!(
+            event["fields"]["bytes"].as_u64(),
+            Some((stored.len() - header) as u64),
+            "step {step}"
+        );
+        saved += 1;
+    }
+    assert_eq!(saved, 2, "snapshots at steps 100 and 200");
 }

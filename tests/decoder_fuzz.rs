@@ -125,11 +125,10 @@ impl Gen {
         (self.next() >> self.below(64)) as usize
     }
 
-    /// A finite float other than -0.0: JSON carries neither non-finite
-    /// values nor the sign of zero.
+    /// A finite float: JSON does not carry non-finite values.
     fn f64(&mut self) -> f64 {
         match self.below(3) {
-            0 => [0.0, 1e-300, 0.05, -2.5e9, f64::MAX][self.below(5)],
+            0 => [0.0, -0.0, 1e-300, 0.05, -2.5e9, f64::MAX][self.below(6)],
             1 => Some(f64::from_bits(self.next()))
                 .filter(|f| f.is_finite() && *f != 0.0)
                 .unwrap_or(1.5),
