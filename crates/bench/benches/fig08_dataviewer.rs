@@ -36,7 +36,7 @@ fn bench_fanout(c: &mut Criterion) {
                         nsds.publish(sample(i));
                     }
                     for s in &subs {
-                        std::hint::black_box(s.drain());
+                        std::hint::black_box(s.take(usize::MAX));
                     }
                 })
             },
@@ -51,7 +51,7 @@ fn bench_viewer(c: &mut Criterion) {
             let mut v = DataViewer::new();
             for i in 0..1000u64 {
                 let s = sample(i);
-                v.ingest(&s.channel, s.t, s.value);
+                v.ingest(&s.channel, s.t, s.value).expect("time-ordered");
             }
             v.seek(v.live_edge);
             std::hint::black_box(v.visible_series("uiuc/dof-0/disp"))
@@ -61,8 +61,10 @@ fn bench_viewer(c: &mut Criterion) {
         let mut v = DataViewer::new();
         for i in 0..1000u64 {
             let t = SimTime::from_millis(i * 10);
-            v.ingest("disp", t, (i as f64 * 0.01).sin() * 0.01);
-            v.ingest("force", t, (i as f64 * 0.01).sin() * 2_000.0);
+            v.ingest("disp", t, (i as f64 * 0.01).sin() * 0.01)
+                .expect("time-ordered");
+            v.ingest("force", t, (i as f64 * 0.01).sin() * 2_000.0)
+                .expect("time-ordered");
         }
         v.seek(v.live_edge);
         b.iter(|| std::hint::black_box(v.hysteresis("disp", "force")))

@@ -42,6 +42,9 @@ pub struct RemoteFeed {
 
 impl RemoteFeed {
     /// Drain everything currently buffered on the service into `viewer`.
+    /// A reply the viewer cannot take (a sample older than its channel's
+    /// latest) ends the pump with an error; the samples before it stay
+    /// ingested.
     pub fn pump(&mut self, viewer: &mut DataViewer) -> Result<usize, String> {
         let mut total = 0;
         loop {
@@ -63,10 +66,12 @@ impl RemoteFeed {
                     if samples.is_empty() {
                         return Ok(total);
                     }
-                    total += samples.len();
                     for s in &samples {
-                        viewer.ingest(&s.channel, s.t, s.value);
+                        viewer
+                            .ingest(&s.channel, s.t, s.value)
+                            .map_err(|e| format!("malformed Poll reply: {e}"))?;
                     }
+                    total += samples.len();
                 }
                 Response::Rejected { rejection } => return Err(rejection.to_string()),
                 Response::Error { message } => return Err(message),
@@ -295,10 +300,10 @@ impl CollabPortal {
 mod tests {
     use super::*;
     use neesgrid_checkpoint::MemoryCheckpointStore;
-    use neesgrid_daq::nsds::{NsdsSample, NsdsServer};
-    use neesgrid_gridsim::NetworkProfile;
+    use neesgrid_daq::nsds::{NsdsSample, NsdsServer, SharedSample};
+    use neesgrid_gridsim::{MessageKind, NetworkProfile};
     use neesgrid_gsi::CertificateAuthority;
-    use neesgrid_portal::{Portal, PortalConfig};
+    use neesgrid_portal::{decode, encode, Portal, PortalConfig, RequestFrame, PORTAL_SERVICE};
     use neesgrid_repo::VirtualStore;
 
     fn setup() -> (VirtualNetwork, CertificateAuthority, Portal, CollabPortal) {
@@ -440,5 +445,112 @@ mod tests {
         }
         assert!(service.peak_sessions() >= 130);
         assert_eq!(service.stats().observers, 132);
+    }
+
+    #[test]
+    fn crowd_catches_up_on_exactly_the_tail_of_the_stream() {
+        const VIEWERS: usize = 6;
+        const BUFFER: usize = 96;
+        const PUBLISHED: usize = 1000;
+        let (_net, ca, service, mut portal) = setup();
+        let hub = Arc::new(NsdsServer::new());
+        service.attach_facility_hub(Arc::clone(&hub));
+        let mut crowd = Vec::new();
+        for i in 0..VIEWERS {
+            let cred = participant(&ca, &format!("tail-{i}"), 2000 + i as u64);
+            portal.login(&cred, SimTime::from_secs(1)).unwrap();
+            crowd.push(portal.open_viewer(cred.identity(), "*", BUFFER).unwrap());
+        }
+        // Escapes and non-ASCII in the names; −0.0, subnormals and
+        // extremes in the values: the viewers' copies must be bit-exact.
+        let channels = ["uiuc/lvdt-1", "cu/\"load\"\\1", "ncsa/δ-disp"];
+        let published: Vec<NsdsSample> = (0..PUBLISHED)
+            .map(|i| NsdsSample {
+                channel: channels[i % channels.len()].into(),
+                t: SimTime::from_nanos(i as u64 * 10_000_000 + 7),
+                value: match i % 5 {
+                    0 => -0.0,
+                    1 => f64::MIN_POSITIVE / (i as f64 + 2.0),
+                    2 => 1e300 / (i as f64 + 1.0),
+                    _ => (i as f64 * 0.37).sin(),
+                },
+            })
+            .collect();
+        for sample in &published {
+            hub.publish(sample.clone());
+        }
+        let tail = &published[PUBLISHED - BUFFER..];
+        for (viewer, feed) in crowd.iter_mut() {
+            assert_eq!(feed.pump(viewer), Ok(BUFFER));
+            assert_eq!(feed.dropped(), (PUBLISHED - BUFFER) as u64);
+            viewer.seek(viewer.live_edge);
+            assert_eq!(viewer.channels().len(), channels.len());
+            for channel in channels {
+                let want: Vec<(SimTime, u64)> = tail
+                    .iter()
+                    .filter(|s| s.channel == channel)
+                    .map(|s| (s.t, s.value.to_bits()))
+                    .collect();
+                let got: Vec<(SimTime, u64)> = viewer
+                    .visible_series(channel)
+                    .into_iter()
+                    .map(|(t, value)| (t, value.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{channel}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_poll_reply_is_a_feed_error_not_a_panic() {
+        // A stub portal that answers every Poll with a sample older than
+        // the one before it on the same channel.
+        let net = VirtualNetwork::new(NetworkProfile::CampusWan.config(41));
+        let stub = net.endpoint("stub-portal").expect("fresh node");
+        let replier = stub.clone();
+        stub.install_handler(move |env| {
+            if env.kind != MessageKind::Request {
+                return;
+            }
+            let frame: RequestFrame = decode(&env.payload).expect("client frames decode");
+            let sample = |ms, value| {
+                SharedSample::new(NsdsSample {
+                    channel: "resp/dof-0".into(),
+                    t: SimTime::from_millis(ms),
+                    value,
+                })
+            };
+            let reply = match frame.request {
+                Request::ObserveFacility { .. } => Response::Observing { observer: 7 },
+                Request::Poll { .. } => Response::Samples {
+                    samples: vec![sample(20, 1.0), sample(10, 2.0)],
+                    dropped: 0,
+                    done: false,
+                },
+                other => Response::Error {
+                    message: format!("stub serves no {other:?}"),
+                },
+            };
+            replier.send(
+                env.src,
+                PORTAL_SERVICE,
+                MessageKind::Reply,
+                env.correlation_id,
+                encode(&reply).expect("reply fits a frame"),
+            );
+        });
+        let portal = CollabPortal::connect(&net, "chef", "stub-portal").expect("fresh node");
+        let user = DistinguishedName::nees_user("REMOTE", "viewer");
+        let (mut viewer, mut feed) = portal.open_viewer(&user, "resp/*", 16).unwrap();
+        let err = feed.pump(&mut viewer).unwrap_err();
+        assert!(err.starts_with("malformed Poll reply"), "{err}");
+        // The in-order prefix was ingested; the viewer is still usable.
+        assert_eq!(viewer.live_edge, SimTime::from_millis(20));
+        viewer.seek(viewer.live_edge);
+        assert_eq!(
+            viewer.visible_series("resp/dof-0"),
+            vec![(SimTime::from_millis(20), 1.0)]
+        );
+        assert_eq!(CollabPortal::pump_viewer(&mut viewer, &mut feed), 0);
     }
 }

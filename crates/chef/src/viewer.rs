@@ -67,14 +67,28 @@ impl DataViewer {
         }
     }
 
-    /// Feed one sample (from NSDS) into the viewer's buffer.
-    pub fn ingest(&mut self, channel: &str, t: SimTime, value: f64) {
-        let ts = self
-            .series
-            .entry(channel.to_string())
-            .or_insert_with(|| TimeSeries::new(channel, ""));
-        ts.push(t, value);
+    /// Feed one sample (from NSDS) into the viewer's buffer. A sample
+    /// older than its channel's latest is refused, so every series stays
+    /// in time order whatever a feed delivers.
+    pub fn ingest(&mut self, channel: &str, t: SimTime, value: f64) -> Result<(), String> {
+        match self.series.get_mut(channel) {
+            Some(ts) => {
+                if let Some(last) = ts.samples.last().filter(|last| t < last.t) {
+                    return Err(format!(
+                        "sample on {channel} at {t} is older than its latest at {}",
+                        last.t
+                    ));
+                }
+                ts.push(t, value);
+            }
+            None => {
+                let mut ts = TimeSeries::new(channel, "");
+                ts.push(t, value);
+                self.series.insert(channel.to_string(), ts);
+            }
+        }
         self.live_edge = self.live_edge.max(t);
+        Ok(())
     }
 
     /// Save a named arrangement of views.
@@ -190,10 +204,24 @@ mod tests {
         let mut v = DataViewer::new();
         for i in 0..100u64 {
             let t = SimTime::from_millis(i * 10);
-            v.ingest("disp", t, (i as f64 * 0.1).sin() * 0.01);
-            v.ingest("force", t, (i as f64 * 0.1).sin() * 2000.0);
+            v.ingest("disp", t, (i as f64 * 0.1).sin() * 0.01).unwrap();
+            v.ingest("force", t, (i as f64 * 0.1).sin() * 2000.0)
+                .unwrap();
         }
         v
+    }
+
+    #[test]
+    fn out_of_order_sample_is_refused_and_leaves_the_series_alone() {
+        let mut v = viewer_with_data();
+        let err = v
+            .ingest("disp", SimTime::from_millis(500), 1.0)
+            .unwrap_err();
+        assert!(err.contains("older than its latest"), "{err}");
+        assert_eq!(v.series["disp"].len(), 100);
+        assert_eq!(v.live_edge, SimTime::from_millis(990));
+        // Equal times are in order (hysteresis pairs share a timestamp).
+        v.ingest("disp", SimTime::from_millis(990), 1.0).unwrap();
     }
 
     #[test]

@@ -8,17 +8,18 @@
 
 use bytes::Bytes;
 
-use crate::nsds::NsdsSample;
+use crate::nsds::{NsdsSample, SharedSample};
 
-/// Encode samples as JSONL, one sample per line, in input order.
-pub fn encode_jsonl(samples: &[NsdsSample]) -> Bytes {
-    let mut out = Vec::new();
+/// Encode samples as JSONL, one sample per line, in input order. Each
+/// line is the sample's shared compact text, so a sample a viewer was
+/// already sent is copied, not rendered again; the buffer is sized
+/// exactly, because the archive keeps slices of it.
+pub fn encode_jsonl(samples: &[SharedSample]) -> Bytes {
+    let len = samples.iter().map(|s| s.json().len() + 1).sum();
+    let mut out = String::with_capacity(len);
     for s in samples {
-        // NsdsSample is a plain derive(Serialize) struct of JSON-safe
-        // fields; self-serialization is infallible.
-        let line = serde_json::to_vec(s).expect("sample serializes");
-        out.extend_from_slice(&line);
-        out.push(b'\n');
+        out.push_str(s.json());
+        out.push('\n');
     }
     Bytes::from(out)
 }
@@ -41,24 +42,25 @@ mod tests {
     use super::*;
     use neesgrid_gridsim::SimTime;
 
-    fn sample(i: u64) -> NsdsSample {
-        NsdsSample {
+    fn sample(i: u64) -> SharedSample {
+        SharedSample::new(NsdsSample {
             channel: format!("most.bldg.disp{i}"),
             t: SimTime::from_millis(i * 10),
             value: i as f64 * 0.25,
-        }
+        })
     }
 
     #[test]
     fn jsonl_roundtrips() {
-        let samples: Vec<NsdsSample> = (0..5).map(sample).collect();
+        let samples: Vec<SharedSample> = (0..5).map(sample).collect();
         let bytes = encode_jsonl(&samples);
-        assert_eq!(decode_jsonl(&bytes), Some(samples));
+        let plain: Vec<NsdsSample> = samples.iter().map(|s| NsdsSample::clone(s)).collect();
+        assert_eq!(decode_jsonl(&bytes), Some(plain));
     }
 
     #[test]
     fn encoding_is_byte_stable() {
-        let samples: Vec<NsdsSample> = (0..16).map(sample).collect();
+        let samples: Vec<SharedSample> = (0..16).map(sample).collect();
         assert_eq!(encode_jsonl(&samples), encode_jsonl(&samples));
     }
 

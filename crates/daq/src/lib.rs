@@ -17,7 +17,7 @@
 //! * [`filedrop`] — the shared-directory handoff between LabVIEW and the
 //!   repository uploader;
 //! * [`nsds`] — the streaming service with bounded, loss-counting
-//!   subscriptions;
+//!   subscriptions that share each published sample;
 //! * [`capture`] — byte-stable JSONL encoding of captured NSDS samples,
 //!   the durable form the archive stores and replicates.
 
@@ -31,6 +31,6 @@ pub mod timeseries;
 pub use capture::{decode_jsonl, encode_jsonl};
 pub use channel::{Calibration, ChannelConfig};
 pub use filedrop::{DropFile, FileDropDir};
-pub use nsds::{NsdsSample, NsdsServer, NsdsSubscription};
+pub use nsds::{NsdsSample, NsdsServer, NsdsSubscription, SharedSample};
 pub use sampler::{DaqSystem, SignalSource};
 pub use timeseries::{Sample, TimeSeries};

@@ -8,15 +8,20 @@
 //! viewer that falls behind sees the freshest data with an honest loss
 //! figure — the number the `fig08_dataviewer` bench reports.
 //!
-//! A published sample is allocated once and shared by every subscription
-//! that buffers it; each reader gets its own copy only when it takes the
-//! sample out.
+//! A published sample is allocated once, as a [`SharedSample`], and
+//! shared by every subscription that buffers it and every reader that
+//! takes it out: readers hold the same immutable sample, never a copy.
+//! Its compact JSON is rendered at most once, on first write, so a sample
+//! fanned out to a crowd of viewers is formatted once, not once per
+//! viewer.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use neesgrid_gridsim::SimTime;
 use neesgrid_telemetry::{CounterHandle, Telemetry};
@@ -32,9 +37,72 @@ pub struct NsdsSample {
     pub value: f64,
 }
 
+/// A published sample, shared by every subscription, reply and capture
+/// that holds it. Cloning bumps a reference count. The compact JSON text
+/// is rendered on the first [`Serialize::write_json`] and copied by every
+/// later one; it is byte-identical to the [`NsdsSample`] encoding.
+#[derive(Clone)]
+pub struct SharedSample(Arc<Rendered>);
+
+struct Rendered {
+    sample: NsdsSample,
+    json: OnceLock<String>,
+}
+
+impl SharedSample {
+    /// Share `sample`; its text is rendered when first written.
+    pub fn new(sample: NsdsSample) -> Self {
+        SharedSample(Arc::new(Rendered {
+            sample,
+            json: OnceLock::new(),
+        }))
+    }
+
+    /// The sample's compact JSON text, rendered on the first call.
+    pub(crate) fn json(&self) -> &str {
+        self.0.json.get_or_init(|| {
+            let sample = &self.0.sample;
+            // The keys, a 20-digit time and a 24-character float: room for
+            // the whole text unless the channel name needs escapes.
+            let mut text = String::with_capacity(sample.channel.len() + 72);
+            sample.write_json(&mut text);
+            text
+        })
+    }
+}
+
+impl Deref for SharedSample {
+    type Target = NsdsSample;
+    fn deref(&self) -> &NsdsSample {
+        &self.0.sample
+    }
+}
+
+impl fmt::Debug for SharedSample {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.sample.fmt(f)
+    }
+}
+
+impl Serialize for SharedSample {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.0.sample.serialize(serializer)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(self.json());
+    }
+}
+
+impl<'de> Deserialize<'de> for SharedSample {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        NsdsSample::deserialize(d).map(SharedSample::new)
+    }
+}
+
 struct SubscriptionInner {
     pattern: String,
-    buffer: VecDeque<Arc<NsdsSample>>,
+    buffer: VecDeque<SharedSample>,
     capacity: usize,
     dropped: u64,
     delivered: u64,
@@ -53,23 +121,12 @@ pub struct NsdsSubscription {
 }
 
 impl NsdsSubscription {
-    /// Pop the oldest buffered sample, if any.
-    pub fn poll(&self) -> Option<NsdsSample> {
-        self.inner
-            .lock()
-            .buffer
-            .pop_front()
-            .map(Arc::unwrap_or_clone)
-    }
-
-    /// Drain everything currently buffered.
-    pub fn drain(&self) -> Vec<NsdsSample> {
-        self.inner
-            .lock()
-            .buffer
-            .drain(..)
-            .map(Arc::unwrap_or_clone)
-            .collect()
+    /// Take up to `max` buffered samples, oldest first, under one lock.
+    /// The samples are shared with every other holder, not copied.
+    pub fn take(&self, max: usize) -> Vec<SharedSample> {
+        let mut inner = self.inner.lock();
+        let n = max.min(inner.buffer.len());
+        inner.buffer.drain(..n).collect()
     }
 
     /// Samples lost to buffer overflow so far.
@@ -136,7 +193,7 @@ impl NsdsServer {
     /// Publish one sample to all matching subscriptions (never blocks).
     pub fn publish(&self, sample: NsdsSample) {
         *self.published.lock() += 1;
-        let sample = Arc::new(sample);
+        let sample = SharedSample::new(sample);
         let telemetry = self.telemetry.lock().clone();
         let mut subs = self.subscriptions.lock();
         // A subscription whose handle is gone can never be polled again:
@@ -164,7 +221,7 @@ impl NsdsServer {
                     dropped.add(1);
                 }
             }
-            s.buffer.push_back(Arc::clone(&sample));
+            s.buffer.push_back(sample.clone());
             s.delivered += 1;
             if let Some((delivered, _)) = &s.handles {
                 delivered.add(1);
@@ -224,7 +281,7 @@ mod tests {
         nsds.publish(sample("cu/load-1", 2));
         assert_eq!(uiuc.pending(), 1);
         assert_eq!(all.pending(), 2);
-        assert_eq!(uiuc.poll().unwrap().channel, "uiuc/lvdt-1");
+        assert_eq!(uiuc.take(1)[0].channel, "uiuc/lvdt-1");
     }
 
     #[test]
@@ -237,7 +294,7 @@ mod tests {
         assert_eq!(sub.dropped(), 7);
         assert_eq!(sub.delivered(), 10);
         // Freshest three survive.
-        let got: Vec<f64> = sub.drain().iter().map(|s| s.value).collect();
+        let got: Vec<f64> = sub.take(usize::MAX).iter().map(|s| s.value).collect();
         assert_eq!(got, vec![7.0, 8.0, 9.0]);
     }
 
@@ -261,9 +318,7 @@ mod tests {
         for i in 0..1000 {
             nsds.publish(sample("c", i));
             // Viewer drains every sample promptly.
-            while let Some(s) = sub.poll() {
-                got.push(s.value);
-            }
+            got.extend(sub.take(usize::MAX).iter().map(|s| s.value));
         }
         assert_eq!(sub.dropped(), 0);
         assert_eq!(got.len(), 1000);
@@ -294,5 +349,39 @@ mod tests {
             assert_eq!(sub.dropped(), 0);
         }
         assert_eq!(nsds.subscription_count(), 130);
+    }
+
+    #[test]
+    fn take_hands_out_at_most_max_and_keeps_the_rest() {
+        let nsds = NsdsServer::new();
+        let sub = nsds.subscribe("*", 16);
+        for i in 0..10 {
+            nsds.publish(sample("c", i));
+        }
+        let first: Vec<f64> = sub.take(4).iter().map(|s| s.value).collect();
+        assert_eq!(first, vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(sub.pending(), 6);
+        assert_eq!(sub.take(100).len(), 6);
+        assert!(sub.take(100).is_empty());
+    }
+
+    #[test]
+    fn readers_share_one_sample_rendered_once() {
+        let nsds = NsdsServer::new();
+        let (a, b) = (nsds.subscribe("*", 4), nsds.subscribe("*", 4));
+        nsds.publish(sample("uiuc/\"lvdt\"-1", 3));
+        let (a, b) = (a.take(1).remove(0), b.take(1).remove(0));
+        assert!(
+            Arc::ptr_eq(&a.0, &b.0),
+            "both readers hold the published sample"
+        );
+        assert!(
+            a.0.json.get().is_none(),
+            "nothing rendered before the first write"
+        );
+        let plain = serde_json::to_string(&*a).unwrap();
+        assert_eq!(serde_json::to_string(&a).unwrap(), plain);
+        assert_eq!(b.0.json.get().map(String::as_str), Some(plain.as_str()));
+        assert_eq!(serde_json::to_string(&b).unwrap(), plain);
     }
 }

@@ -39,7 +39,7 @@ pub use field_test::{run_field_test, Excitation, FieldTestConfig, FieldTestOutco
 pub use frame_model::reference_history;
 pub use mini::{run_mini_most, run_mini_most_with_telemetry, MiniMostConfig, MiniMostOutcome};
 pub use report::MostReport;
-pub use runner::{MostDeployment, MostRunArtifacts};
+pub use runner::{MostDeployment, MostRunArtifacts, ViewerCatch, VIEWER_BUFFER};
 pub use scenarios::{
     n_site, n_site_with_telemetry, public_run_fault_plan, NSiteExperiment, Scenario,
 };

@@ -175,6 +175,23 @@ pub struct MostRunArtifacts {
     pub nsds_published: u64,
     /// Remote participants logged in.
     pub participants: usize,
+    /// What each participant's viewer caught of the stream, in login
+    /// order.
+    pub viewers: Vec<ViewerCatch>,
+}
+
+/// Samples each participant's observer ring holds on the portal.
+pub const VIEWER_BUFFER: usize = 8192;
+
+/// One participant's share of the NSDS stream. Each viewer's ring holds
+/// [`VIEWER_BUFFER`] samples and is drained after the run, so a run that
+/// publishes more than that drops the oldest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ViewerCatch {
+    /// Samples the viewer took in over the wire.
+    pub received: u64,
+    /// Samples its ring overflowed before it caught up.
+    pub dropped: u64,
 }
 
 impl MostDeployment {
@@ -482,7 +499,7 @@ impl MostDeployment {
                 .expect("participant login");
             viewers.push(
                 portal
-                    .open_viewer(cred.identity(), "*", 8192)
+                    .open_viewer(cred.identity(), "*", VIEWER_BUFFER)
                     .expect("observer slot within quota"),
             );
         }
@@ -761,10 +778,18 @@ impl MostDeployment {
         };
 
         // Let the crowd catch up on the stream, over the wire.
-        for (viewer, feed) in self.participants.iter_mut() {
-            CollabPortal::pump_viewer(viewer, feed);
-            viewer.seek(viewer.live_edge);
-        }
+        let viewers = self
+            .participants
+            .iter_mut()
+            .map(|(viewer, feed)| {
+                let received = CollabPortal::pump_viewer(viewer, feed) as u64;
+                viewer.seek(viewer.live_edge);
+                ViewerCatch {
+                    received,
+                    dropped: feed.dropped(),
+                }
+            })
+            .collect();
 
         let report = MostReport::from_outcome(
             &self.config,
@@ -781,6 +806,7 @@ impl MostDeployment {
             bytes_ingested: bytes_counter.load(Ordering::Relaxed),
             nsds_published: self.nsds.published(),
             participants: self.portal_service.peak_sessions(),
+            viewers,
         })
     }
 }

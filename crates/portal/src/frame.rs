@@ -11,7 +11,7 @@ use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
-use neesgrid_daq::nsds::NsdsSample;
+use neesgrid_daq::nsds::SharedSample;
 use neesgrid_gridsim::SimTime;
 use neesgrid_gsi::{CredentialToken, DistinguishedName, PolicyDecision};
 use neesgrid_structsim::psd::PsdHistory;
@@ -70,15 +70,18 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Encode a value as one length-prefixed JSON frame.
+/// Encode a value as one length-prefixed JSON frame. The body is written
+/// straight after a placeholder prefix in one buffer, which becomes the
+/// frame's `Bytes` as it is.
 pub fn encode<T: Serialize>(value: &T) -> Result<Bytes, FrameError> {
-    let body = serde_json::to_vec(value).map_err(|e| FrameError::Json(e.to_string()))?;
-    if body.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(body.len()));
+    let mut out = String::from("\0\0\0\0");
+    value.write_json(&mut out);
+    let len = out.len() - 4;
+    if len > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLarge(len));
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&body);
+    let mut out = out.into_bytes();
+    out[..4].copy_from_slice(&(len as u32).to_be_bytes());
     Ok(Bytes::from(out))
 }
 
@@ -245,8 +248,10 @@ pub enum Response {
     },
     /// Drained samples.
     Samples {
-        /// Oldest-first samples (≤ requested max).
-        samples: Vec<NsdsSample>,
+        /// Oldest-first samples (≤ requested max), shared with the
+        /// service's hub: each one's text is rendered once for every
+        /// reply that carries it.
+        samples: Vec<SharedSample>,
         /// Samples lost to this observer's ring overflow so far.
         dropped: u64,
         /// Whether the observed run has finished and the buffer is dry.

@@ -24,7 +24,7 @@ use neesgrid_archive::ArchiveSite;
 use neesgrid_checkpoint::CheckpointStore;
 use neesgrid_coordinator::Termination;
 use neesgrid_daq::capture::encode_jsonl;
-use neesgrid_daq::nsds::{NsdsSample, NsdsServer, NsdsSubscription};
+use neesgrid_daq::nsds::{NsdsSample, NsdsServer, NsdsSubscription, SharedSample};
 use neesgrid_gridsim::{
     Endpoint, Envelope, MessageKind, NetworkError, SimClock, SimTime, VirtualNetwork,
 };
@@ -118,8 +118,9 @@ struct RunEntry {
     /// Internal NSDS subscription on `{run_id}/*`, opened at placement so
     /// the archive capture sees every sample the run ever streams.
     capture: Option<NsdsSubscription>,
-    /// Samples drained from `capture` so far, in publish order.
-    captured: Vec<NsdsSample>,
+    /// Samples drained from `capture` so far, in publish order; emptied
+    /// once the run is archived.
+    captured: Vec<SharedSample>,
 }
 
 impl RunEntry {
@@ -661,14 +662,7 @@ impl PortalCore {
                 )),
             });
         }
-        let cap = max.clamp(1, POLL_CHUNK_MAX);
-        let mut samples = Vec::new();
-        while samples.len() < cap {
-            match entry.sub.poll() {
-                Some(s) => samples.push(s),
-                None => break,
-            }
-        }
+        let samples = entry.sub.take(max.clamp(1, POLL_CHUNK_MAX));
         let done = match &entry.run {
             Some(run) => {
                 entry.sub.pending() == 0 && self.runs.get(run).map(|r| r.finished()).unwrap_or(true)
@@ -812,7 +806,7 @@ impl PortalCore {
                     let entry = self.runs.get_mut(&run_id).expect("running entry exists");
                     entry.steps_completed = steps;
                     if let Some(capture) = &entry.capture {
-                        entry.captured.extend(capture.drain());
+                        entry.captured.extend(capture.take(usize::MAX));
                     }
                     if steps > 0 && entry.first_step_at.is_none() {
                         entry.first_step_at = Some(now);
@@ -859,9 +853,11 @@ impl PortalCore {
         entry.history_json = Some(json);
         // Archive the trace and the NSDS capture: chunked into the
         // attached site's CAS, where identical captures across runs
-        // deduplicate and replication picks them up.
+        // deduplicate and replication picks them up. The entry outlives
+        // the run, so the samples leave it here.
+        let mut captured = std::mem::take(&mut entry.captured);
         if let Some(capture) = entry.capture.take() {
-            entry.captured.extend(capture.drain());
+            captured.extend(capture.take(usize::MAX));
         }
         if let Some(archive) = &self.archive {
             if let Some(history) = &entry.history_json {
@@ -871,7 +867,7 @@ impl PortalCore {
                     now,
                 );
             }
-            let capture_bytes = encode_jsonl(&entry.captured);
+            let capture_bytes = encode_jsonl(&captured);
             let manifest = archive.ingest_local(
                 &format!("/runs/{run_id}/capture.jsonl"),
                 &capture_bytes,
@@ -892,7 +888,7 @@ impl PortalCore {
                     [
                         ("run", Field::Str(run_id.to_string())),
                         ("capture_bytes", Field::U64(manifest.total_len)),
-                        ("samples", Field::U64(entry.captured.len() as u64)),
+                        ("samples", Field::U64(captured.len() as u64)),
                     ],
                 );
             }
@@ -1062,5 +1058,80 @@ impl Portal {
     /// step-budget ledger (in flight, steps admitted, observer slots).
     pub fn usage(&self, user: &DistinguishedName) -> crate::tenant::TenantUsage {
         self.core.lock().tenants.usage(user)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::PortalClient;
+    use neesgrid_archive::StripeConfig;
+    use neesgrid_checkpoint::MemoryCheckpointStore;
+    use neesgrid_gridsim::NetworkProfile;
+    use neesgrid_gsi::{CertificateAuthority, Credential};
+    use neesgrid_repo::VirtualStore;
+
+    #[test]
+    fn a_finalized_run_holds_no_samples_once_archived() {
+        let net = VirtualNetwork::new(NetworkProfile::Lan.config(19));
+        let ca = CertificateAuthority::nees(19);
+        let portal = Portal::serve(
+            &net,
+            "portal",
+            ca.verifier(),
+            Arc::new(MemoryCheckpointStore::new()),
+            PortalConfig::default(),
+        )
+        .expect("portal node is fresh");
+        let archive = ArchiveSite::attach(
+            &net,
+            "repository",
+            VirtualStore::new(),
+            StripeConfig::default(),
+            &Telemetry::disabled(),
+        )
+        .expect("archive attaches");
+        portal.attach_archive(archive.clone());
+        let alice = Credential::issue(
+            &ca,
+            DistinguishedName::nees_user("REMOTE", "alice"),
+            SimTime::ZERO,
+            SimTime::from_secs(3600),
+            1,
+        );
+        let client = PortalClient::connect(&net, "client", "portal")
+            .expect("client node is fresh")
+            .with_tenant(alice.identity().clone());
+        let login = client.call(Request::Login {
+            token: alice.token(),
+        });
+        assert!(matches!(login, Ok(Response::Session { .. })), "{login:?}");
+        let spec = ExperimentSpec::basic(2, 60, 7, 0);
+        let run = match client.call(Request::Submit { spec }) {
+            Ok(Response::Submitted { run, .. }) => run,
+            other => panic!("submission refused: {other:?}"),
+        };
+
+        // Mid-run, each tick drains the capture tap into the entry.
+        portal.tick();
+        portal.tick();
+        let mid_run = portal.core.lock().runs[&run].captured.len();
+        assert!(mid_run > 0, "the capture fills while the run executes");
+
+        portal.drain();
+        let core = portal.core.lock();
+        let entry = &core.runs[&run];
+        assert_eq!(entry.state, RunState::Completed);
+        assert!(entry.capture.is_none());
+        assert!(
+            entry.captured.is_empty(),
+            "archived samples stay in the entry"
+        );
+        assert_eq!(entry.captured.capacity(), 0, "their buffer is freed too");
+        let manifest = archive
+            .cas()
+            .manifest(&format!("/runs/{run}/capture.jsonl"))
+            .expect("the capture was archived");
+        assert!(manifest.total_len > 0);
     }
 }

@@ -1,5 +1,9 @@
-//! Offline stand-in for `bytes`: an `Arc<[u8]>`-backed immutable buffer.
-//! Clones are reference-count bumps, matching the cost model callers assume.
+//! Offline stand-in for `bytes`: an immutable buffer behind an `Arc`.
+//! Clones and slices are reference-count bumps, matching the cost model
+//! callers assume. A `Vec<u8>` or `String` becomes a `Bytes` as it is,
+//! without a shrink or a copy, so a frame built in one buffer is sent from
+//! that buffer; a slice keeps the whole buffer, spare capacity included,
+//! alive.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -9,7 +13,7 @@ use std::sync::Arc;
 
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -26,7 +30,7 @@ impl Bytes {
     fn from_vec(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             start: 0,
             end,
         }

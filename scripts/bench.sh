@@ -5,7 +5,11 @@
 #   scripts/bench.sh            # sec34 MOST + sec51 scaling + portal_load
 #   scripts/bench.sh --all      # every bench target in the harness
 #
-# sec51 writes the median and best steps/second of five runs for
+# sec34 times the full-length dry run, public run and public run without
+# participants, in rotating order, and writes each one's median and best
+# wall time, the crowd cost (public run minus its unwatched twin, medians)
+# and the core count to BENCH_most.json. sec51 writes the median and best
+# steps/second of five runs for
 # N = 3, 8, 16, 64, with the core count, to BENCH_scaling.json at the repo
 # root (and asserts 64-site double-run determinism); portal_load
 # drives 10,000 tenants through the portal service and writes
@@ -32,7 +36,7 @@ cd "$(dirname "$0")/.."
 all=0
 [[ "${1:-}" == "--all" ]] && all=1
 
-echo "==> sec34_most_run (§3.4 scenarios)"
+echo "==> sec34_most_run (§3.4 scenarios → BENCH_most.json)"
 cargo bench -p neesgrid-bench --bench sec34_most_run
 
 echo "==> sec51_n_site_scaling (N = 3, 8, 16, 64 → BENCH_scaling.json)"

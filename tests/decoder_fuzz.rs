@@ -11,7 +11,7 @@
 
 use std::sync::OnceLock;
 
-use neesgrid::daq::nsds::NsdsSample;
+use neesgrid::daq::nsds::{NsdsSample, SharedSample};
 use neesgrid::gridsim::{FaultPlan, LinkKey, NetworkProfile, SimTime};
 use neesgrid::gsi::{CertificateAuthority, Credential, DistinguishedName, PolicyDecision};
 use neesgrid::most::n_site_with_telemetry;
@@ -318,10 +318,12 @@ impl Gen {
             },
             6 => Response::Samples {
                 samples: (0..self.below(4))
-                    .map(|_| NsdsSample {
-                        channel: self.text(),
-                        t: self.time(),
-                        value: self.f64(),
+                    .map(|_| {
+                        SharedSample::new(NsdsSample {
+                            channel: self.text(),
+                            t: self.time(),
+                            value: self.f64(),
+                        })
                     })
                     .collect(),
                 dropped: self.next(),

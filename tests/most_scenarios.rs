@@ -7,7 +7,19 @@
 //! terminates prematurely at step 1493 on a final link reset.
 
 use neesgrid::coordinator::Termination;
-use neesgrid::most::{MostConfig, Scenario};
+use neesgrid::most::{MostConfig, MostRunArtifacts, Scenario, ViewerCatch, VIEWER_BUFFER};
+
+/// Every one of `viewers` participants caught the last `VIEWER_BUFFER`
+/// of the `published` samples and lost the rest to its ring: the crowd is
+/// drained after the run, not while it streams.
+fn assert_crowd_caught_the_tail(artifacts: &MostRunArtifacts, viewers: usize, published: u64) {
+    assert_eq!(artifacts.nsds_published, published);
+    let each = ViewerCatch {
+        received: VIEWER_BUFFER as u64,
+        dropped: published - VIEWER_BUFFER as u64,
+    };
+    assert_eq!(artifacts.viewers, vec![each; viewers]);
+}
 
 #[test]
 fn dry_run_completes_all_1500_steps() {
@@ -37,6 +49,10 @@ fn dry_run_completes_all_1500_steps() {
         artifacts.files_ingested
     );
     assert!(artifacts.bytes_ingested > 0);
+    // 8 developers watched: each holds 8,192 of the 12,000 samples.
+    assert_eq!(VIEWER_BUFFER, 8192);
+    assert_crowd_caught_the_tail(&artifacts, 8, 12_000);
+    assert_eq!(artifacts.viewers[0].dropped, 3_808);
 }
 
 #[test]
@@ -60,8 +76,10 @@ fn public_run_terminates_at_step_1493_of_1500() {
     assert!(artifacts.report.transient_recoveries >= 4);
     // "over 130 remote participants logged on to observe MOST".
     assert!(artifacts.participants >= 130);
-    // The streams reached them.
-    assert!(artifacts.nsds_published > 0);
+    // The streams reached them: each viewer holds the last 8,192 of the
+    // 11,944 samples and dropped 3,752.
+    assert_crowd_caught_the_tail(&artifacts, 132, 11_944);
+    assert_eq!(artifacts.viewers[0].dropped, 3_752);
 }
 
 #[test]
