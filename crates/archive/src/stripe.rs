@@ -1380,4 +1380,53 @@ mod tests {
             let _ = CtlFrame::decode(&g.garbage());
         }
     }
+
+    #[test]
+    fn data_frames_round_trip_and_garbage_never_panics() {
+        let mut g = crate::cas::fuzz::Gen(0xB10C_F4A3);
+        for _ in 0..300 {
+            let data: Vec<u8> = (0..g.below(48)).map(|_| g.next() as u8).collect();
+            let (transfer_id, block_index, offset) = (g.next(), g.next() as u32, g.next());
+            let key = BlockKey::of(&data);
+            let frame = encode_block(transfer_id, block_index, offset, key, &data);
+            let back = decode_block(&frame).expect("an encoded block decodes");
+            assert_eq!(
+                (back.transfer_id, back.block_index, back.offset, back.key),
+                (transfer_id, block_index, offset, key)
+            );
+            assert_eq!(back.data, data);
+            // A declared length that disagrees with the payload is refused:
+            // a byte short, a byte over, or any flip in the length field.
+            let mut over = frame.to_vec();
+            over.push(0);
+            assert!(decode_block(&Bytes::from(over)).is_none());
+            for cut in 0..frame.len() {
+                assert!(decode_block(&frame.slice(..cut)).is_none());
+            }
+            for at in 0..frame.len() {
+                let mut flipped = frame.to_vec();
+                flipped[at] ^= 1 << g.below(8);
+                let decoded = decode_block(&Bytes::from(flipped));
+                assert_eq!(decoded.is_none(), (24..28).contains(&at), "flip at {at}");
+            }
+
+            let ack = encode_ack(transfer_id, block_index);
+            assert_eq!(decode_ack(&ack), Some((transfer_id, block_index)));
+            for cut in 0..ack.len() {
+                assert!(decode_ack(&ack[..cut]).is_none());
+            }
+            let mut long = ack.to_vec();
+            long.push(0);
+            assert!(decode_ack(&long).is_none());
+            for at in 0..ack.len() {
+                let mut flipped = ack.to_vec();
+                flipped[at] ^= 1 << g.below(8);
+                assert!(decode_ack(&flipped).is_some(), "every 12-byte ack decodes");
+            }
+
+            let garbage = g.garbage();
+            let _ = decode_ack(&garbage);
+            let _ = decode_block(&Bytes::from(garbage));
+        }
+    }
 }

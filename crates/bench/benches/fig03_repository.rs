@@ -1,17 +1,25 @@
 //! E3 (Figure 3) — the data & metadata repository.
 //!
-//! Sweeps the GridFTP-style transfer (file size × parallel streams),
-//! NMDS object creation/validation/versioning, and the incremental
-//! ingestion batch path.
+//! Sweeps the GridFTP-style striped transfer on the archive's transfer
+//! engine (file size × parallel stripes), NMDS object
+//! creation/validation/versioning, and the ingestion tool's upload and
+//! record path to a repository node.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::time::Duration;
+use serde_json::json;
 
-use neesgrid_gridsim::SimTime;
+use neesgrid_archive::{ArchiveCluster, PlacementPolicy, StripeConfig};
+use neesgrid_bench::loopback_net;
+use neesgrid_gridsim::{NodeId, SimTime};
 use neesgrid_gsi::DistinguishedName;
+use neesgrid_ogsi::{RpcClient, RpcMux, ServiceContainer};
 use neesgrid_repo::metadata::{FieldType, Schema};
-use neesgrid_repo::{GridFtpReceiver, GridFtpSender, Ingester, Nfms, Nmds, VirtualStore};
+use neesgrid_repo::{Ingester, Nfms, NfmsService, Nmds, NmdsService, VirtualStore};
+use neesgrid_telemetry::Telemetry;
 
 fn payload(n: usize) -> Bytes {
     Bytes::from((0..n).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>())
@@ -28,12 +36,26 @@ fn bench_gridftp(c: &mut Criterion) {
                 &content,
                 |b, content| {
                     b.iter(|| {
-                        let sender = GridFtpSender::new(content.clone(), 8192, streams);
-                        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-                        for chunk in sender.chunks() {
-                            rx.accept(&chunk).unwrap();
+                        let net = loopback_net();
+                        let config = StripeConfig {
+                            lanes: streams,
+                            chunk_size: 8192,
+                            ..StripeConfig::default()
+                        };
+                        let mut archive = ArchiveCluster::new(
+                            PlacementPolicy::MirrorK { k: 1 },
+                            config,
+                            Telemetry::disabled(),
+                        );
+                        for site in ["site", "repository"] {
+                            archive.add_site(&net, site, VirtualStore::new()).unwrap();
                         }
-                        std::hint::black_box(rx.finish().unwrap())
+                        let report = archive
+                            .ingest(&net, "site", "/bench/file", content)
+                            .unwrap();
+                        assert_eq!(report.replicas, ["repository"]);
+                        let repository = archive.site("repository").unwrap();
+                        std::hint::black_box(repository.cas().read("/bench/file").unwrap())
                     })
                 },
             );
@@ -95,19 +117,42 @@ fn bench_nmds(c: &mut Criterion) {
 }
 
 fn bench_ingestion(c: &mut Criterion) {
-    let operator = DistinguishedName::nees_user("BENCH", "ingester");
-    c.bench_function("fig03/ingest_batch_of_10", |b| {
-        let mut nfms = Nfms::new(VirtualStore::new());
-        let mut nmds = Nmds::new();
-        let mut ing = Ingester::new("/experiments/bench", operator.clone());
+    c.bench_function("fig03/ingest_10_files", |b| {
+        let net = loopback_net();
+        let _repository = ServiceContainer::new(net.endpoint("repository").unwrap())
+            .with_service(
+                "nfms",
+                Box::new(NfmsService::new(Nfms::new(VirtualStore::new()))),
+            )
+            .with_service("nmds", Box::new(NmdsService::new(Nmds::new())))
+            .permissive()
+            .attach();
+        let mux = RpcMux::new(net.endpoint("ingester").unwrap());
+        let operator = DistinguishedName::nees_user("BENCH", "ingester");
+        let client = |service| {
+            RpcClient::new(
+                Arc::clone(&mux),
+                NodeId::new("repository"),
+                service,
+                operator.clone(),
+            )
+        };
+        let ing = Ingester::new("/experiments/bench", client("nfms"), client("nmds"));
         let mut batch_no = 0u64;
         b.iter(|| {
             batch_no += 1;
-            let batch: Vec<(String, Bytes)> = (0..10)
-                .map(|i| (format!("w{batch_no}-{i}.csv"), payload(4096)))
-                .collect();
-            ing.ingest_batch(&mut nfms, &mut nmds, batch, SimTime::ZERO)
+            for i in 0..10 {
+                let name = format!("w{batch_no}-{i}.csv");
+                let content = payload(4096);
+                let logical = ing.data_name(&name);
+                ing.upload(&logical, &content).unwrap();
+                ing.record(
+                    &ing.record_name(&name),
+                    None,
+                    json!({"logical_file": logical, "size_bytes": content.len()}),
+                )
                 .unwrap();
+            }
         })
     });
 }

@@ -3,13 +3,14 @@
 //! The modular framework's scaling dimension: how the pseudo-dynamic
 //! step cost grows with the number of substructures, first purely local
 //! (the numerics alone), then with each substructure behind its own NTCP
-//! site on the virtual WAN (the protocol's contribution).
+//! site, stepped by the simulation coordinator every deployment runs
+//! (the protocol's contribution).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use neesgrid_bench::{loopback_net, single_site};
-use neesgrid_coordinator::NtcpSubstructure;
+use neesgrid_coordinator::SimCoordBuilder;
 use neesgrid_gsi::ActionLimits;
 use neesgrid_ntcp::SimulationPlugin;
 use neesgrid_structsim::material::LinearElastic;
@@ -48,7 +49,7 @@ fn bench_local(c: &mut Criterion) {
 }
 
 fn bench_distributed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig05/ntcp_psd_run50");
+    let mut group = c.benchmark_group("fig05/ntcp_coordinator_run50");
     group.sample_size(10);
     for n in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
@@ -57,37 +58,28 @@ fn bench_distributed(c: &mut Criterion) {
                     // Fresh sites per iteration: substructure state and
                     // transaction ledgers must not leak across runs.
                     let net = loopback_net();
-                    let subs: Vec<(SubstructureBinding, Box<dyn Substructure>)> = (0..n)
-                        .map(|i| {
-                            let client = single_site(
-                                &net,
-                                &format!("site-{i}"),
-                                Box::new(SimulationPlugin::new(
-                                    format!("sim-{i}"),
-                                    Box::new(SimulatedSubstructure::spring_to_ground(
-                                        format!("s{i}"),
-                                        Box::new(LinearElastic::new(2.0e5)),
-                                    )),
+                    let mut builder = SimCoordBuilder::new(vec![1000.0; n], net.clock()).dt(0.01);
+                    for i in 0..n {
+                        let name = format!("site-{i}");
+                        let client = single_site(
+                            &net,
+                            &name,
+                            Box::new(SimulationPlugin::new(
+                                format!("sim-{i}"),
+                                Box::new(SimulatedSubstructure::spring_to_ground(
+                                    format!("s{i}"),
+                                    Box::new(LinearElastic::new(2.0e5)),
                                 )),
-                                ActionLimits::most_large_scale(),
-                            );
-                            (
-                                SubstructureBinding::new(vec![i]),
-                                Box::new(NtcpSubstructure::new(
-                                    format!("remote-{i}"),
-                                    client,
-                                    1,
-                                    2.0e5,
-                                )) as Box<dyn Substructure>,
-                            )
-                        })
-                        .collect();
-                    (net, subs)
+                            )),
+                            ActionLimits::most_large_scale(),
+                        );
+                        builder = builder.site(name, client, vec![i], 2.0e5);
+                    }
+                    (net, builder.build())
                 },
-                |(net, subs)| {
+                |(net, mut coordinator)| {
                     let motion = GroundMotion::synthetic(9, 0.01, STEPS, 2.0);
-                    let test = PsdTest::new(vec![1000.0; n], Matrix::zeros(n, n), 0.01);
-                    let out = test.run(subs, &motion, STEPS).unwrap();
+                    let out = coordinator.run(&motion, STEPS);
                     drop(net);
                     std::hint::black_box(out)
                 },

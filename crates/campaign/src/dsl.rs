@@ -681,8 +681,19 @@ impl Parser {
                         let index = match unit.as_str() {
                             "message" => self.uint()?,
                             "step" => {
+                                let step_line = self.line();
                                 let step = self.uint()?;
-                                let mut index = 2 * step;
+                                // A step past u64::MAX / 2 has no message
+                                // index; below it, 2·N + 1 fits as well.
+                                let mut index = step.checked_mul(2).ok_or_else(|| {
+                                    err(
+                                        step_line,
+                                        format!(
+                                            "step {step} is out of range (at most {})",
+                                            u64::MAX / 2
+                                        ),
+                                    )
+                                })?;
                                 if self.peek() == Some(&Tok::Ident("phase".to_string())) {
                                     self.next()?;
                                     let line = self.line();
@@ -964,6 +975,32 @@ campaign "public-run" {
             ScenarioDoc::parse("campaign \"x\" { faults { drop rate 1/100 on \"a\" -> \"b\"; } }")
                 .expect_err("bad denominator");
         assert!(e.message.contains("per-mille"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_step_is_an_error_on_its_line() {
+        let faults = |stmt: &str| {
+            ScenarioDoc::parse(&format!(
+                "campaign \"x\" {{\n  faults {{\n    {stmt}\n  }}\n}}"
+            ))
+        };
+        let e = faults("drop \"coordinator\" -> \"site-000\" at step 9223372036854775808;")
+            .expect_err("2·N overflows");
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("out of range"), "{e}");
+        // The largest step still has an index in both phases.
+        let doc = faults(
+            "drop \"coordinator\" -> \"site-000\" at step 9223372036854775807 phase execute;",
+        )
+        .expect("parses");
+        assert_eq!(
+            doc.faults[0],
+            FaultStmt::Point {
+                action: FaultAction::Drop,
+                link: LinkKey::new("coordinator", "site-000"),
+                index: u64::MAX,
+            }
+        );
     }
 
     #[test]

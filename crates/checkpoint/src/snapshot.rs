@@ -2,9 +2,9 @@
 //!
 //! On the wire and in the store a snapshot is one header line —
 //! `NEESGRID-CKPT v1 crc32=xxxxxxxx` — followed by the JSON payload the
-//! CRC guards. The CRC is the same IEEE CRC-32 the repository's GridFTP
-//! transfers use, so a checkpoint is verified with the same machinery as
-//! any other experiment artifact.
+//! CRC guards. The CRC is the same IEEE CRC-32 the repository's uploads
+//! and the archive's block transfers use, so a checkpoint is verified with
+//! the same machinery as any other experiment artifact.
 
 use serde::{Deserialize, Serialize};
 use serde_json::RawValue;

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use neesgrid_daq::nsds::SharedSample;
 use neesgrid_gridsim::{NetworkError, NodeId, SimClock, SimTime, VirtualNetwork};
 use neesgrid_gsi::{Credential, DistinguishedName};
 use neesgrid_portal::{BoardEntry, PortalClient, Request, Response, Role, Session};
@@ -41,42 +42,53 @@ pub struct RemoteFeed {
 }
 
 impl RemoteFeed {
-    /// Drain everything currently buffered on the service into `viewer`.
-    /// A reply the viewer cannot take (a sample older than its channel's
-    /// latest) ends the pump with an error; the samples before it stay
-    /// ingested.
-    pub fn pump(&mut self, viewer: &mut DataViewer) -> Result<usize, String> {
+    /// Drain everything currently buffered on the service into `viewer`
+    /// (called on the UI cadence). Returns the samples ingested and why
+    /// the pump stopped early, if it did: a failed or refused `Poll`, or a
+    /// reply the viewer cannot take (a sample older than its channel's
+    /// latest). Samples ingested before an error stay ingested and are
+    /// counted.
+    pub fn pump(&mut self, viewer: &mut DataViewer) -> (usize, Result<(), String>) {
         let mut total = 0;
         loop {
-            let reply = self
-                .client
-                .call_as(
-                    &self.owner,
-                    Request::Poll {
-                        observer: self.observer,
-                        max: 1024,
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-            match reply {
-                Response::Samples {
-                    samples, dropped, ..
-                } => {
-                    self.dropped = dropped;
-                    if samples.is_empty() {
-                        return Ok(total);
-                    }
-                    for s in &samples {
-                        viewer
-                            .ingest(&s.channel, s.t, s.value)
-                            .map_err(|e| format!("malformed Poll reply: {e}"))?;
-                    }
-                    total += samples.len();
-                }
-                Response::Rejected { rejection } => return Err(rejection.to_string()),
-                Response::Error { message } => return Err(message),
-                other => return Err(format!("unexpected Poll reply: {other:?}")),
+            let samples = match self.poll() {
+                Ok(samples) => samples,
+                Err(e) => return (total, Err(e)),
+            };
+            if samples.is_empty() {
+                return (total, Ok(()));
             }
+            for s in &samples {
+                if let Err(e) = viewer.ingest(&s.channel, s.t, s.value) {
+                    return (total, Err(format!("malformed Poll reply: {e}")));
+                }
+                total += 1;
+            }
+        }
+    }
+
+    /// One `Poll` of up to 1,024 samples.
+    fn poll(&mut self) -> Result<Vec<SharedSample>, String> {
+        let reply = self
+            .client
+            .call_as(
+                &self.owner,
+                Request::Poll {
+                    observer: self.observer,
+                    max: 1024,
+                },
+            )
+            .map_err(|e| e.to_string())?;
+        match reply {
+            Response::Samples {
+                samples, dropped, ..
+            } => {
+                self.dropped = dropped;
+                Ok(samples)
+            }
+            Response::Rejected { rejection } => Err(rejection.to_string()),
+            Response::Error { message } => Err(message),
+            other => Err(format!("unexpected Poll reply: {other:?}")),
         }
     }
 
@@ -250,12 +262,6 @@ impl CollabPortal {
         }
     }
 
-    /// Pump pending samples from a remote feed into a viewer (called on
-    /// the UI cadence).
-    pub fn pump_viewer(viewer: &mut DataViewer, feed: &mut RemoteFeed) -> usize {
-        feed.pump(viewer).unwrap_or(0)
-    }
-
     /// Take exclusive control of a camera (requires a Participant+
     /// session on the service).
     pub fn acquire_camera(
@@ -371,8 +377,7 @@ mod tests {
                 value: i as f64,
             });
         }
-        let n = CollabPortal::pump_viewer(&mut viewer, &mut feed);
-        assert_eq!(n, 50);
+        assert_eq!(feed.pump(&mut viewer), (50, Ok(())));
         assert_eq!(feed.dropped(), 0);
         viewer.seek(viewer.live_edge);
         assert_eq!(viewer.visible_series("resp/dof-0").len(), 50);
@@ -440,7 +445,7 @@ mod tests {
             });
         }
         for (viewer, feed) in viewers.iter_mut() {
-            CollabPortal::pump_viewer(viewer, feed);
+            assert_eq!(feed.pump(viewer), (100, Ok(())));
             assert_eq!(feed.dropped(), 0);
         }
         assert!(service.peak_sessions() >= 130);
@@ -481,7 +486,7 @@ mod tests {
         }
         let tail = &published[PUBLISHED - BUFFER..];
         for (viewer, feed) in crowd.iter_mut() {
-            assert_eq!(feed.pump(viewer), Ok(BUFFER));
+            assert_eq!(feed.pump(viewer), (BUFFER, Ok(())));
             assert_eq!(feed.dropped(), (PUBLISHED - BUFFER) as u64);
             viewer.seek(viewer.live_edge);
             assert_eq!(viewer.channels().len(), channels.len());
@@ -542,7 +547,9 @@ mod tests {
         let portal = CollabPortal::connect(&net, "chef", "stub-portal").expect("fresh node");
         let user = DistinguishedName::nees_user("REMOTE", "viewer");
         let (mut viewer, mut feed) = portal.open_viewer(&user, "resp/*", 16).unwrap();
-        let err = feed.pump(&mut viewer).unwrap_err();
+        let (received, result) = feed.pump(&mut viewer);
+        assert_eq!(received, 1);
+        let err = result.unwrap_err();
         assert!(err.starts_with("malformed Poll reply"), "{err}");
         // The in-order prefix was ingested; the viewer is still usable.
         assert_eq!(viewer.live_edge, SimTime::from_millis(20));
@@ -551,6 +558,10 @@ mod tests {
             viewer.visible_series("resp/dof-0"),
             vec![(SimTime::from_millis(20), 1.0)]
         );
-        assert_eq!(CollabPortal::pump_viewer(&mut viewer, &mut feed), 0);
+        // The next pump takes the reply's in-order sample again (same time
+        // as the latest, so accepted) and fails on the older one.
+        let (received, result) = feed.pump(&mut viewer);
+        assert_eq!(received, 1);
+        assert!(result.is_err());
     }
 }

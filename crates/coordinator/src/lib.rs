@@ -8,11 +8,6 @@
 //! set of NTCP commands to send. The coordinator also handles exceptions
 //! such as lost network connections or invalid responses."
 //!
-//! * [`remote`] — [`remote::NtcpSubstructure`]: a
-//!   [`neesgrid_structsim::Substructure`] whose restoring forces come from
-//!   a remote NTCP server. This is the paper's indistinguishability claim
-//!   as a type: the PSD numerics cannot tell a remote physical rig from a
-//!   local numerical model.
 //! * [`policy`] — fault-tolerance policies. [`policy::FaultPolicy::Full`]
 //!   retries every transient failure (what NTCP supports);
 //!   [`policy::FaultPolicy::Partial`] retries timeouts but treats a link
@@ -33,8 +28,6 @@ pub mod coordinator;
 pub mod log;
 /// Retry/abort policy for transient site and network faults.
 pub mod policy;
-/// Remote-site handles: endpoints, credentials, substructure bindings.
-pub mod remote;
 
 pub use builder::SimCoordBuilder;
 pub use coordinator::{
@@ -43,4 +36,3 @@ pub use coordinator::{
 };
 pub use log::{EventKind, ExperimentLog, LogEvent};
 pub use policy::FaultPolicy;
-pub use remote::NtcpSubstructure;

@@ -11,16 +11,18 @@
 //!
 //! New substrate pieces this exercises: a lossy wireless hop between the
 //! sensors and the command center, and a store-and-forward satellite
-//! uplink that survives interruptions using GridFTP restart markers.
+//! uplink on the archive's striped transfer engine that survives
+//! interruptions by resuming from the laboratory's restart marker.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use neesgrid_apparatus::{Accelerometer, Sensor};
+use neesgrid_archive::{ArchiveSite, CasStore, StripeConfig, TransferStatus};
 use neesgrid_daq::TimeSeries;
-use neesgrid_gridsim::SimTime;
-use neesgrid_repo::{GridFtpReceiver, GridFtpSender, VirtualStore};
+use neesgrid_gridsim::{LatencyModel, NetworkConfig, SimTime, VirtualNetwork};
+use neesgrid_repo::VirtualStore;
 use neesgrid_structsim::element::{CouplingSpring, GroundSpring};
 use neesgrid_structsim::linalg::Vector;
 use neesgrid_structsim::material::LinearElastic;
@@ -63,7 +65,8 @@ pub struct FieldTestConfig {
     pub excitation: Excitation,
     /// 802.11 telemetry loss rate (fraction of samples lost), seeded.
     pub wireless_loss_rate: f64,
-    /// Satellite uplink interruptions (count, spread over the transfer).
+    /// Satellite uplink interruptions per floor series (count, spread
+    /// over the transfer; at most one fewer than the series' blocks).
     pub satellite_interruptions: u32,
 }
 
@@ -121,7 +124,8 @@ pub struct FieldTestOutcome {
     pub samples_received: u64,
     /// Samples lost to 802.11 telemetry.
     pub samples_lost: u64,
-    /// Times the satellite uplink resumed from a restart marker.
+    /// Times the satellite uplink resumed from the laboratory's restart
+    /// marker.
     pub uplink_resumes: u32,
     /// Bytes archived at the laboratory.
     pub archived_bytes: u64,
@@ -201,45 +205,30 @@ pub fn run_field_test(config: &FieldTestConfig, store: &VirtualStore) -> FieldTe
     }
 
     // Mobile command center → laboratory, over interruptible satellite.
+    // Each side's transfer store outlives the link sessions; the
+    // laboratory files each reassembled series in its archive.
+    let command_center = VirtualStore::new();
+    let spool = VirtualStore::new();
+    let now = SimTime::from_secs_f64(config.dt * config.steps as f64);
     let mut archive_bytes = 0u64;
     let mut resumes = 0u32;
     for ts in &received {
-        let payload = Bytes::from(ts.to_csv());
-        let sender = GridFtpSender::new(payload, 4096, 2);
-        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-        let chunks = sender.chunks();
-        if chunks.is_empty() {
-            continue;
-        }
-        // Interrupt the pass N times: deliver a prefix, then resume from
-        // the receiver's restart marker (nothing is resent).
-        let interruptions = config.satellite_interruptions.min(chunks.len() as u32 - 1);
-        let mut delivered = 0usize;
-        for i in 0..interruptions {
-            let until = ((i + 1) as usize * chunks.len()) / (interruptions as usize + 1);
-            for c in &chunks[delivered..until] {
-                rx.accept(c).expect("chunk ok");
-            }
-            delivered = until;
-            // Link drops; resume using the marker.
-            let marker = rx.restart_marker();
-            let remaining = sender.chunks_after(&marker);
-            assert_eq!(remaining.len(), chunks.len() - delivered);
-            resumes += 1;
-        }
-        for c in &chunks[delivered..] {
-            rx.accept(c).expect("chunk ok");
-        }
-        let content = rx.finish().expect("transfer completes");
-        archive_bytes += content.len() as u64;
-        store.put(
-            format!(
-                "/experiments/ucla-field/{}.csv",
-                ts.channel.replace('/', "-")
-            ),
-            content,
-            SimTime::from_secs_f64(config.dt * config.steps as f64),
+        let name = format!("{}.csv", ts.channel.replace('/', "-"));
+        let trip = satellite_uplink(
+            &command_center,
+            &spool,
+            &format!("/ucla-field/{name}"),
+            &Bytes::from(ts.to_csv()),
+            config.satellite_interruptions,
+            now,
         );
+        assert_eq!(
+            trip.blocks_resent, 0,
+            "a resume resent a block the laboratory held"
+        );
+        resumes += trip.resumes;
+        archive_bytes += trip.content.len() as u64;
+        store.put(format!("/experiments/ucla-field/{name}"), trip.content, now);
     }
 
     // Estimate the fundamental frequency from roof zero crossings.
@@ -259,6 +248,95 @@ pub fn run_field_test(config: &FieldTestConfig, store: &VirtualStore) -> FieldTe
         uplink_resumes: resumes,
         archived_bytes: archive_bytes,
         estimated_fundamental_hz: estimated,
+    }
+}
+
+/// One-way delay of the command center's geostationary satellite hop.
+const SATELLITE_HOP: SimTime = SimTime::from_millis(270);
+
+/// The command center's and the laboratory's stripe nodes.
+const COMMAND_CENTER: &str = "command-center";
+const LABORATORY: &str = "laboratory";
+
+/// One series' trip over the satellite uplink.
+struct UplinkTrip {
+    /// The bytes the laboratory reassembled.
+    content: Bytes,
+    /// Link sessions that dropped mid-transfer and were resumed.
+    resumes: u32,
+    /// Blocks that reached the laboratory although it already held them.
+    blocks_resent: u64,
+}
+
+/// Ship `payload` as `logical` from the command center's store to the
+/// laboratory's on the archive's striped transfer engine (4 KiB blocks on
+/// two stripes). The link drops `interruptions` times, each once the
+/// laboratory holds its share of the blocks: the session dies with
+/// whatever was in flight, only the two stores survive, and the next
+/// session's push skips every block the laboratory's restart marker (its
+/// coverage of the manifest) already holds.
+fn satellite_uplink(
+    command_center: &VirtualStore,
+    laboratory: &VirtualStore,
+    logical: &str,
+    payload: &Bytes,
+    interruptions: u32,
+    now: SimTime,
+) -> UplinkTrip {
+    let config = StripeConfig {
+        lanes: 2,
+        chunk_size: 4096,
+        ..StripeConfig::default()
+    };
+    let manifest =
+        CasStore::new(command_center.clone()).ingest(logical, payload, config.chunk_size, now);
+    let blocks = manifest.blocks.len();
+    // Every session but the last lands at least one block.
+    let interruptions = interruptions.min(blocks.saturating_sub(1) as u32);
+    let mut blocks_resent = 0;
+    for session in 0..=interruptions {
+        let net = VirtualNetwork::new(NetworkConfig {
+            default_latency: LatencyModel::Fixed(SATELLITE_HOP),
+            seed: 0,
+        });
+        let telemetry = neesgrid_telemetry::Telemetry::disabled();
+        let attach = |name, store: &VirtualStore| {
+            ArchiveSite::attach(&net, name, store.clone(), config.clone(), &telemetry)
+                .expect("a fresh link session has free node names")
+        };
+        let sender = attach(COMMAND_CENTER, command_center);
+        let receiver = attach(LABORATORY, laboratory);
+        let id = sender.start_push(LABORATORY, manifest.clone());
+        let drop_at = (session < interruptions)
+            .then(|| (session as usize + 1) * blocks / (interruptions as usize + 1));
+        let held = || {
+            manifest
+                .blocks
+                .iter()
+                .filter(|b| receiver.cas().has_block(&b.key))
+                .count()
+        };
+        let engine = net.engine();
+        loop {
+            let done = match drop_at {
+                Some(at) => held() >= at,
+                None => matches!(
+                    sender.status(id),
+                    Some(TransferStatus::Completed(_) | TransferStatus::Failed(_))
+                ),
+            };
+            if done || !engine.run_one() {
+                break;
+            }
+        }
+        blocks_resent += receiver.cas().stats().blocks_deduped;
+    }
+    UplinkTrip {
+        content: CasStore::new(laboratory.clone())
+            .read(logical)
+            .expect("the last session completes the transfer"),
+        resumes: interruptions,
+        blocks_resent,
     }
 }
 
@@ -285,6 +363,29 @@ mod tests {
         let total = (out.samples_received + out.samples_lost) as f64;
         let rate = out.samples_lost as f64 / total;
         assert!((rate - 0.03).abs() < 0.01, "loss rate {rate}");
+    }
+
+    #[test]
+    fn no_resume_resends_a_block_the_laboratory_holds() {
+        let payload = Bytes::from(
+            (0..41_000u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        for interruptions in [1, 3, 10] {
+            let trip = satellite_uplink(
+                &VirtualStore::new(),
+                &VirtualStore::new(),
+                "/ucla-field/probe.bin",
+                &payload,
+                interruptions,
+                SimTime::ZERO,
+            );
+            assert_eq!(trip.content, payload);
+            // 11 blocks: at most 10 interruptions.
+            assert_eq!(trip.resumes, interruptions.min(10));
+            assert_eq!(trip.blocks_resent, 0, "a resume resent a covered block");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use neesgrid_ntcp::{
 };
 use neesgrid_ogsi::{RpcClient, RpcMux, ServiceContainer};
 use neesgrid_portal::{Portal, PortalConfig, Role};
-use neesgrid_repo::{crc32, to_hex, Nfms, NfmsService, Nmds, NmdsService, VirtualStore};
+use neesgrid_repo::{Ingester, Nfms, NfmsService, Nmds, NmdsService, VirtualStore};
 use neesgrid_structsim::element::CouplingSpring;
 use neesgrid_structsim::material::{BilinearHysteretic, LinearElastic};
 use neesgrid_structsim::substructure::SimulatedSubstructure;
@@ -149,8 +149,7 @@ pub struct MostDeployment {
     sites: Vec<SiteHandle>,
     daqs: Vec<(String, DaqSystem)>,
     drop_dir: FileDropDir,
-    nfms_client: RpcClient,
-    nmds_client: RpcClient,
+    ingester: Ingester,
     participants: Vec<(DataViewer, RemoteFeed)>,
     store: VirtualStore,
     coordinator_mux: Arc<RpcMux>,
@@ -192,6 +191,9 @@ pub struct ViewerCatch {
     pub received: u64,
     /// Samples its ring overflowed before it caught up.
     pub dropped: u64,
+    /// Pumps of its feed that ended on an error (a failed `Poll`, or a
+    /// reply the viewer could not take).
+    pub feed_errors: u64,
 }
 
 impl MostDeployment {
@@ -451,21 +453,17 @@ impl MostDeployment {
             ));
         }
 
-        // Repository clients used by the ingestion path.
-        let nfms_client = RpcClient::new(
-            Arc::clone(&coordinator_mux),
-            NodeId::new("repository"),
-            "nfms",
-            ingester_cred.identity().clone(),
-        )
-        .with_attempt_timeout(Duration::from_millis(150));
-        let nmds_client = RpcClient::new(
-            Arc::clone(&coordinator_mux),
-            NodeId::new("repository"),
-            "nmds",
-            ingester_cred.identity().clone(),
-        )
-        .with_attempt_timeout(Duration::from_millis(150));
+        // The ingestion tool's repository clients.
+        let repository = |service| {
+            RpcClient::new(
+                Arc::clone(&coordinator_mux),
+                NodeId::new("repository"),
+                service,
+                ingester_cred.identity().clone(),
+            )
+            .with_attempt_timeout(Duration::from_millis(150))
+        };
+        let ingester = Ingester::new("/experiments/most", repository("nfms"), repository("nmds"));
 
         // CHEF portal service + synthetic crowd, all through the wire
         // API: every login and observer slot is a portal frame, and the
@@ -513,8 +511,7 @@ impl MostDeployment {
             sites,
             daqs,
             drop_dir: FileDropDir::new(),
-            nfms_client,
-            nmds_client,
+            ingester,
             participants: viewers,
             store,
             coordinator_mux,
@@ -539,34 +536,6 @@ impl MostDeployment {
         self.net.clock()
     }
 
-    fn upload_file(nfms: &RpcClient, name: &str, content: &[u8]) -> Result<u64, String> {
-        let logical = format!("/experiments/most/data/{name}");
-        let neg = nfms
-            .call_value(
-                "negotiateUpload",
-                json!({"logical": logical, "size": content.len(), "checksum": crc32(content)}),
-            )
-            .map_err(|e| e.to_string())?;
-        let tid = neg["transfer_id"].as_u64().unwrap_or(0);
-        let chunk_size = neg["chunk_size"].as_u64().unwrap_or(8192) as usize;
-        for (i, chunk) in content.chunks(chunk_size).enumerate() {
-            nfms.call_value(
-                "uploadChunk",
-                json!({
-                    "transfer_id": tid,
-                    "offset": i * chunk_size,
-                    "stream": i % 4,
-                    "data": to_hex(chunk),
-                    "checksum": crc32(chunk),
-                }),
-            )
-            .map_err(|e| e.to_string())?;
-        }
-        nfms.call_value("commitUpload", json!({"transfer_id": tid}))
-            .map_err(|e| e.to_string())?;
-        Ok(content.len() as u64)
-    }
-
     /// Record the pre-experiment metadata (§3.3: structural configuration,
     /// material properties, instrumentation — uploaded before the run).
     fn record_setup_metadata(&self) {
@@ -578,10 +547,9 @@ impl MostDeployment {
             },
             "allow_extra": true,
         });
-        let _ = self.nmds_client.call_value(
-            "createSchema",
-            json!({"id": "/schemas/most-substructure", "schema": schema}),
-        );
+        let _ = self
+            .ingester
+            .create_schema("/schemas/most-substructure", schema);
         let setups = [
             (
                 "uiuc",
@@ -600,18 +568,15 @@ impl MostDeployment {
             ),
         ];
         for (site, desc, k) in setups {
-            let _ = self.nmds_client.call_value(
-                "create",
+            let _ = self.ingester.record(
+                &format!("/experiments/most/setup/{site}"),
+                Some("/schemas/most-substructure"),
                 json!({
-                    "id": format!("/experiments/most/setup/{site}"),
-                    "schema_id": "/schemas/most-substructure",
-                    "body": {
-                        "site": site,
-                        "substructure": desc,
-                        "stiffness_n_per_m": k,
-                        "mass_kg": self.config.mass_kg,
-                        "dt_s": self.config.dt,
-                    },
+                    "site": site,
+                    "substructure": desc,
+                    "stiffness_n_per_m": k,
+                    "mass_kg": self.config.mass_kg,
+                    "dt_s": self.config.dt,
                 }),
             );
         }
@@ -690,8 +655,7 @@ impl MostDeployment {
         const FLUSH_EVERY: u64 = 100;
         let daqs = Arc::new(Mutex::new(std::mem::take(&mut self.daqs)));
         let drop_dir = self.drop_dir.clone();
-        let nfms_client = self.nfms_client.clone();
-        let nmds_client = self.nmds_client.clone();
+        let ingester = self.ingester.clone();
         let files_counter = Arc::new(AtomicU64::new(0));
         let bytes_counter = Arc::new(AtomicU64::new(0));
         let window_counter = Arc::new(AtomicU64::new(0));
@@ -724,21 +688,17 @@ impl MostDeployment {
                 // Ship new drop files to the repository.
                 let cursor = files_counter.load(Ordering::Relaxed);
                 for file in drop_dir.poll_new(cursor) {
-                    if let Ok(bytes) =
-                        MostDeployment::upload_file(&nfms_client, &file.name, &file.content)
-                    {
+                    let logical = ingester.data_name(&file.name);
+                    if let Ok(bytes) = ingester.upload(&logical, &file.content) {
                         bytes_counter.fetch_add(bytes, Ordering::Relaxed);
                         files_counter.fetch_add(1, Ordering::Relaxed);
-                        let _ = nmds_client.call_value(
-                            "create",
+                        let _ = ingester.record(
+                            &ingester.record_name(&file.name),
+                            None,
                             json!({
-                                "id": format!("/experiments/most/records/{}", file.name),
-                                "body": {
-                                    "logical_file":
-                                        format!("/experiments/most/data/{}", file.name),
-                                    "size_bytes": file.content.len(),
-                                    "window": window,
-                                },
+                                "logical_file": logical,
+                                "size_bytes": file.content.len(),
+                                "window": window,
                             }),
                         );
                     }
@@ -782,11 +742,12 @@ impl MostDeployment {
             .participants
             .iter_mut()
             .map(|(viewer, feed)| {
-                let received = CollabPortal::pump_viewer(viewer, feed) as u64;
+                let (received, result) = feed.pump(viewer);
                 viewer.seek(viewer.live_edge);
                 ViewerCatch {
-                    received,
+                    received: received as u64,
                     dropped: feed.dropped(),
+                    feed_errors: u64::from(result.is_err()),
                 }
             })
             .collect();

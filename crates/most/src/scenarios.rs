@@ -13,17 +13,10 @@
 //! The fault schedules below are deterministic (keyed by per-link message
 //! index), so the same history replays every time.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use neesgrid_coordinator::{ExperimentOutcome, FaultPolicy, SimCoordBuilder};
-use neesgrid_gridsim::{FaultPlan, LinkKey, NetworkProfile, NodeId, VirtualNetwork};
-use neesgrid_gsi::{ActionLimits, DistinguishedName, SitePolicy};
-use neesgrid_ntcp::{NtcpClient, NtcpServer, SimulationPlugin};
-use neesgrid_ogsi::{AttachedContainer, RpcClient, RpcMux, ServiceContainer};
-use neesgrid_structsim::material::LinearElastic;
-use neesgrid_structsim::substructure::SimulatedSubstructure;
-use neesgrid_structsim::GroundMotion;
+use neesgrid_coordinator::{ExperimentOutcome, FaultPolicy};
+use neesgrid_gridsim::{FaultPlan, LinkKey, VirtualNetwork};
+use neesgrid_gsi::DistinguishedName;
+use neesgrid_portal::{Deployment, ExperimentSpec};
 use neesgrid_telemetry::Telemetry;
 
 use crate::config::MostConfig;
@@ -104,51 +97,35 @@ impl Scenario {
 }
 
 /// The MOST topology generalized to `n` sites — the §5 question ("how far
-/// does the two-phase step discipline scale?") made runnable. Each site
-/// carries one global DOF as a spring-to-ground column whose stiffness is
-/// drawn deterministically from `seed`, and every actor — site containers
-/// and the coordinator's mux alike — is attached to the event engine. The
-/// run is fully virtual: single-threaded, zero real sleeps, and
-/// bit-identical across repeats with the same `(n, seed)`.
+/// does the two-phase step discipline scale?") made runnable. It is the
+/// portal's [`Deployment`] of a basic spec (campus WAN, all-numerical
+/// sites, reliable network, nominal motion): each site carries one global
+/// DOF as a spring-to-ground column whose stiffness is drawn
+/// deterministically from `seed`, and every actor is attached to the event
+/// engine. The run is fully virtual: single-threaded, zero real sleeps,
+/// and bit-identical across repeats with the same `(n, seed)`.
 pub struct NSiteExperiment {
-    net: VirtualNetwork,
-    coordinator: neesgrid_coordinator::SimulationCoordinator,
-    // Keeps the attached site containers (and their service state) alive
-    // for the duration of the run.
-    _containers: Vec<AttachedContainer>,
-    seed: u64,
-    dt: f64,
+    deployment: Deployment,
+    spec: ExperimentSpec,
 }
 
 impl NSiteExperiment {
     /// The virtual WAN (for fault plans or stats inspection).
     pub fn network(&self) -> &VirtualNetwork {
-        &self.net
+        &self.deployment.net
     }
 
     /// Run `steps` pseudo-dynamic steps under a synthetic ground motion
     /// derived from the experiment seed.
     pub fn run(mut self, steps: usize) -> ExperimentOutcome {
-        let motion = GroundMotion::synthetic(self.seed, self.dt, steps, 2.0);
-        self.coordinator.run(&motion, steps)
+        self.spec.steps = steps;
+        let motion = self.spec.ground_motion();
+        self.deployment.coordinator.run(&motion, steps)
     }
 }
 
-/// Per-site stiffness, deterministic in `(seed, index)` (splitmix64).
-fn site_stiffness(seed: u64, i: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    // 1.5e5 .. 2.5e5 N/m — the MOST columns' stiffness neighbourhood.
-    1.5e5 + (z % 100_000) as f64
-}
-
-/// Build the `n`-site experiment. Site `i` is named `site-NNN`, binds
-/// global DOF `i`, and runs a numerical spring-to-ground substructure with
-/// stiffness [`site_stiffness`]`(seed, i)`.
+/// Build the `n`-site experiment: site `i` is named `site-NNN` and binds
+/// global DOF `i`.
 pub fn n_site(n: usize, seed: u64) -> NSiteExperiment {
     n_site_with_telemetry(n, seed, Telemetry::disabled())
 }
@@ -158,62 +135,12 @@ pub fn n_site(n: usize, seed: u64) -> NSiteExperiment {
 /// same `(n, seed)` produce byte-identical trace exports.
 pub fn n_site_with_telemetry(n: usize, seed: u64, telemetry: Telemetry) -> NSiteExperiment {
     assert!(n > 0, "an experiment needs at least one site");
-    let net = VirtualNetwork::new(NetworkProfile::CampusWan.config(seed));
-    net.set_telemetry(telemetry.clone());
-    let clock = net.clock();
-    let mux = RpcMux::new(
-        net.endpoint("coordinator")
-            .expect("coordinator endpoint is unique"),
-    );
-    mux.set_telemetry(telemetry.clone());
+    // `run` sets the step count.
+    let spec = ExperimentSpec::basic(n, 0, seed, 0);
     let caller = DistinguishedName::nees_user("NCSA", "Coordinator");
-    let dt = 0.01;
-    let mut containers = Vec::with_capacity(n);
-    let mut builder = SimCoordBuilder::new(vec![1000.0; n], Arc::clone(&clock))
-        .dt(dt)
-        .telemetry(telemetry.clone());
-    for i in 0..n {
-        let name = format!("site-{i:03}");
-        let k = site_stiffness(seed, i as u64);
-        let mut server = NtcpServer::new(
-            name.clone(),
-            SitePolicy::permissive(&name, ActionLimits::most_large_scale()),
-            Box::new(SimulationPlugin::new(
-                format!("{name}-sim"),
-                Box::new(SimulatedSubstructure::spring_to_ground(
-                    format!("{name}-column"),
-                    Box::new(LinearElastic::new(k)),
-                )),
-            )),
-            Arc::clone(&clock),
-        );
-        server.set_telemetry(telemetry.clone());
-        containers.push(
-            ServiceContainer::new(
-                net.endpoint(name.as_str())
-                    .expect("site endpoint is unique"),
-            )
-            .with_service("ntcp", Box::new(server))
-            .permissive()
-            .attach(),
-        );
-        let client = NtcpClient::new(
-            RpcClient::new(
-                Arc::clone(&mux),
-                NodeId::new(name.as_str()),
-                "ntcp",
-                caller.clone(),
-            )
-            .with_attempt_timeout(Duration::from_millis(150)),
-        );
-        builder = builder.site(name, client, vec![i], k);
-    }
     NSiteExperiment {
-        net,
-        coordinator: builder.build(),
-        _containers: containers,
-        seed,
-        dt,
+        deployment: Deployment::build(&spec, &caller, &telemetry),
+        spec,
     }
 }
 

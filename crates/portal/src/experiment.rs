@@ -282,6 +282,12 @@ impl ExperimentSpec {
     pub fn motion_peak(&self) -> f64 {
         self.motion.peak() * self.amplitude
     }
+
+    /// The run's ground motion: a synthetic record seeded from the spec,
+    /// `steps` long at the suite's scaled peak.
+    pub fn ground_motion(&self) -> GroundMotion {
+        GroundMotion::synthetic(self.seed, DT, self.steps, self.motion_peak())
+    }
 }
 
 /// Per-site stiffness, deterministic in `(seed, index)` (splitmix64) —
@@ -296,51 +302,45 @@ fn site_stiffness(seed: u64, i: u64) -> f64 {
     1.5e5 + (z % 100_000) as f64
 }
 
-/// Progress of one scheduling slice.
-#[allow(clippy::large_enum_variant)]
-pub enum RunProgress {
-    /// Steps remain; call [`WorkerRun::advance`] again.
-    InFlight,
-    /// The experiment ended within this slice.
-    Done(ExperimentOutcome),
+/// An NTCP client for `site` on `mux`, calling as `caller`.
+fn site_client(mux: &Arc<RpcMux>, site: &str, caller: &DistinguishedName) -> NtcpClient {
+    NtcpClient::new(
+        RpcClient::new(Arc::clone(mux), NodeId::new(site), "ntcp", caller.clone())
+            .with_attempt_timeout(Duration::from_millis(150)),
+    )
 }
 
-/// One experiment executing on a worker: a private deterministic
-/// deployment plus the paused coordinator state between slices.
-pub struct WorkerRun {
-    run_id: String,
-    owner: DistinguishedName,
-    spec: ExperimentSpec,
-    // The run's private WAN; dropped (and shut down) with the run.
-    _net: VirtualNetwork,
-    coordinator: SimulationCoordinator,
-    // Site containers stay attached for the run's lifetime.
+/// The deployment a spec describes (the N-site topology of §5): a private
+/// [`VirtualNetwork`] seeded from the spec, one NTCP site container per
+/// site attached in handler mode, and the [`SimulationCoordinator`] that
+/// steps them. Site `i` is named `site-NNN`, binds global DOF `i` with a
+/// 1,000 kg mass, and runs a spring-to-ground column whose stiffness is
+/// drawn from `(seed, i)` and whose material is the spec's mix at `i`.
+///
+/// The deployment is a pure function of the spec and the caller: two
+/// builds run bit-identically, trace included. [`WorkerRun::build`]
+/// streams and checkpoints on top of it; `neesgrid_most::n_site` runs it
+/// as built.
+pub struct Deployment {
+    /// The private WAN, declared first so it drops (and shuts down) first.
+    pub net: VirtualNetwork,
+    /// The coordinator over every site, on the `coordinator` node.
+    pub coordinator: SimulationCoordinator,
+    /// The coordinator node's RPC mux.
+    pub mux: Arc<RpcMux>,
+    // Site containers stay attached for the deployment's lifetime.
     _containers: Vec<AttachedContainer>,
-    // A second checkpointer over the same clients/store, kept for
-    // `prepare_resume` (the coordinator owns the one inside its hook).
-    restorer: Checkpointer,
-    motion: GroundMotion,
-    state: Option<CoordinatorState>,
-    /// Recording when the spec asked for a trace, disabled otherwise.
-    telemetry: Telemetry,
 }
 
-impl WorkerRun {
-    /// Build a fresh deployment for `spec`, streaming per-step samples to
-    /// `stream` under the `{run_id}/…` channel namespace and checkpointing
-    /// into `store`.
+impl Deployment {
+    /// Build `spec`'s deployment. The coordinator calls every site as
+    /// `caller`; `telemetry` instruments the network, the mux, every site
+    /// and the coordinator.
     pub fn build(
-        run_id: &str,
-        owner: DistinguishedName,
-        spec: ExperimentSpec,
-        store: Arc<dyn CheckpointStore>,
-        stream: Arc<NsdsServer>,
-    ) -> WorkerRun {
-        let telemetry = if spec.record_trace {
-            Telemetry::recording()
-        } else {
-            Telemetry::disabled()
-        };
+        spec: &ExperimentSpec,
+        caller: &DistinguishedName,
+        telemetry: &Telemetry,
+    ) -> Deployment {
         let net = VirtualNetwork::new(spec.profile.config(spec.seed));
         net.set_telemetry(telemetry.clone());
         // Network conditions: the default profile's background loss, then
@@ -360,13 +360,7 @@ impl WorkerRun {
                 .expect("coordinator endpoint is unique per run network"),
         );
         mux.set_telemetry(telemetry.clone());
-        let ck_mux = RpcMux::new(
-            net.endpoint("checkpointer")
-                .expect("checkpointer endpoint is unique per run network"),
-        );
-        let caller = DistinguishedName::nees_user("PORTAL", run_id);
         let mut containers = Vec::with_capacity(spec.sites);
-        let mut ck_sites = Vec::with_capacity(spec.sites);
         let mut builder = SimCoordBuilder::new(vec![1000.0; spec.sites], Arc::clone(&clock))
             .dt(DT)
             .fault_policy(spec.policy.fault_policy())
@@ -396,30 +390,78 @@ impl WorkerRun {
                 .permissive()
                 .attach(),
             );
-            let client = NtcpClient::new(
-                RpcClient::new(
-                    Arc::clone(&mux),
-                    NodeId::new(name.as_str()),
-                    "ntcp",
-                    caller.clone(),
-                )
-                .with_attempt_timeout(Duration::from_millis(150)),
-            );
-            ck_sites.push((
-                name.clone(),
-                NtcpClient::new(
-                    RpcClient::new(
-                        Arc::clone(&ck_mux),
-                        NodeId::new(name.as_str()),
-                        "ntcp",
-                        caller.clone(),
-                    )
-                    .with_attempt_timeout(Duration::from_millis(150)),
-                ),
-            ));
+            let client = site_client(&mux, &name, caller);
             builder = builder.site(name, client, vec![i], k);
         }
-        let mut coordinator = builder.build();
+        Deployment {
+            net,
+            coordinator: builder.build(),
+            mux,
+            _containers: containers,
+        }
+    }
+}
+
+/// Progress of one scheduling slice.
+#[allow(clippy::large_enum_variant)]
+pub enum RunProgress {
+    /// Steps remain; call [`WorkerRun::advance`] again.
+    InFlight,
+    /// The experiment ended within this slice.
+    Done(ExperimentOutcome),
+}
+
+/// One experiment executing on a worker: a private deterministic
+/// [`Deployment`] plus the paused coordinator state between slices.
+pub struct WorkerRun {
+    run_id: String,
+    owner: DistinguishedName,
+    spec: ExperimentSpec,
+    deployment: Deployment,
+    // A second checkpointer over the same clients/store, kept for
+    // `prepare_resume` (the coordinator owns the one inside its hook).
+    restorer: Checkpointer,
+    motion: GroundMotion,
+    state: Option<CoordinatorState>,
+    /// Recording when the spec asked for a trace, disabled otherwise.
+    telemetry: Telemetry,
+}
+
+impl WorkerRun {
+    /// Build a fresh deployment for `spec`, streaming per-step samples to
+    /// `stream` under the `{run_id}/…` channel namespace and checkpointing
+    /// into `store`.
+    pub fn build(
+        run_id: &str,
+        owner: DistinguishedName,
+        spec: ExperimentSpec,
+        store: Arc<dyn CheckpointStore>,
+        stream: Arc<NsdsServer>,
+    ) -> WorkerRun {
+        let telemetry = if spec.record_trace {
+            Telemetry::recording()
+        } else {
+            Telemetry::disabled()
+        };
+        let caller = DistinguishedName::nees_user("PORTAL", run_id);
+        let mut deployment = Deployment::build(&spec, &caller, &telemetry);
+        let clock = deployment.net.clock();
+        // Checkpoint traffic rides its own node, so snapshots never shift
+        // the coordinator link's message indices.
+        let ck_mux = RpcMux::new(
+            deployment
+                .net
+                .endpoint("checkpointer")
+                .expect("checkpointer endpoint is unique per run network"),
+        );
+        let ck_sites: Vec<(String, NtcpClient)> = (0..spec.sites)
+            .map(|i| {
+                let name = format!("site-{i:03}");
+                let client = site_client(&ck_mux, &name, &caller);
+                (name, client)
+            })
+            .collect();
+        let coordinator = &mut deployment.coordinator;
 
         // Stream every step into the portal's run hub, namespaced by run
         // id so tenant isolation holds at the channel level.
@@ -445,6 +487,7 @@ impl WorkerRun {
         } else {
             CheckpointPolicy::never()
         };
+        let mux = Arc::clone(&deployment.mux);
         coordinator.checkpoint_into(Checkpointer::new(
             run_id,
             policy,
@@ -457,11 +500,9 @@ impl WorkerRun {
         WorkerRun {
             run_id: run_id.to_string(),
             owner,
-            motion: GroundMotion::synthetic(spec.seed, DT, spec.steps, spec.motion_peak()),
+            motion: spec.ground_motion(),
             spec,
-            coordinator,
-            _containers: containers,
-            _net: net,
+            deployment,
             restorer,
             state: None,
             telemetry,
@@ -486,7 +527,7 @@ impl WorkerRun {
         // is emitted here.
         if self.telemetry.enabled() {
             self.telemetry.instant(
-                self._net.clock().now().as_nanos(),
+                self.deployment.net.clock().now().as_nanos(),
                 "coordinator",
                 "resume",
                 [("step", Field::U64(snapshot.coordinator.step))],
@@ -499,10 +540,12 @@ impl WorkerRun {
     /// Run up to `slice_steps` more steps.
     pub fn advance(&mut self, slice_steps: u64) -> RunProgress {
         let resume = self.state.take();
-        match self
-            .coordinator
-            .run_slice(&self.motion, self.spec.steps, resume, slice_steps)
-        {
+        match self.deployment.coordinator.run_slice(
+            &self.motion,
+            self.spec.steps,
+            resume,
+            slice_steps,
+        ) {
             SliceOutcome::Paused(s) => {
                 self.state = Some(s);
                 RunProgress::InFlight

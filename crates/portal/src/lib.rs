@@ -15,8 +15,9 @@
 //!   slots).
 //! * [`experiment`] — what a tenant submits
 //!   ([`experiment::ExperimentSpec`]) and how a worker runs it
-//!   ([`experiment::WorkerRun`]): a private N-site deployment, advanced
-//!   a slice of steps at a time, checkpointing into the portal's store.
+//!   ([`experiment::WorkerRun`]): a private N-site
+//!   [`experiment::Deployment`], advanced a slice of steps at a time,
+//!   checkpointing into the portal's store.
 //! * [`scheduler`] — the bounded submission queue (explicit shed, never
 //!   silent drop) and the fixed worker pool.
 //! * [`service`] — [`service::Portal`]: the envelope handler, admission
@@ -47,8 +48,8 @@ pub mod tenant;
 
 pub use client::{ClientError, PortalClient};
 pub use experiment::{
-    ExperimentSpec, LinkProfile, MotionSuite, RunPolicy, RunProgress, SiteKind, WorkerRun, DT,
-    MAX_SITES, MAX_STEPS, MAX_TRACED_SITE_STEPS,
+    Deployment, ExperimentSpec, LinkProfile, MotionSuite, RunPolicy, RunProgress, SiteKind,
+    WorkerRun, DT, MAX_SITES, MAX_STEPS, MAX_TRACED_SITE_STEPS,
 };
 pub use frame::{
     decode, encode, BoardEntry, FrameError, PortalStats, Rejection, Request, RequestFrame,

@@ -1,12 +1,12 @@
-//! Simulated GridFTP bulk transport.
+//! GridFTP restart markers and NFMS's upload assembler.
 //!
-//! Reproduces the GridFTP features NFMS relies on [Allcock et al., ref 3]:
-//! **parallel streams** (chunks are distributed round-robin over N logical
-//! streams and may arrive interleaved or out of order), **per-block
-//! checksums**, and **restart markers** — a receiver summarizes the byte
-//! ranges it holds so an interrupted transfer resumes without resending
-//! them. The `fig03_repository` bench sweeps file size × stream count
-//! through this path.
+//! Two GridFTP features [Allcock et al., ref 3] live here. A
+//! [`RestartMarker`] summarizes the byte ranges a receiver holds, so an
+//! interrupted transfer resumes without resending them; the archive's
+//! striped transfer engine (`neesgrid_archive::stripe`), which moves every
+//! bulk transfer in the stack, offers one in each `OfferAck`. And NFMS
+//! assembles each upload from blocks that arrive in any order, each under
+//! its own CRC-32, checking the whole-file CRC-32 when it commits.
 
 use std::collections::BTreeMap;
 
@@ -15,12 +15,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::checksum::crc32;
 
-/// Why a transfer (or one of its blocks) was refused.
-///
-/// Typed like the portal's `Rejection`: callers match on the variant, the
-/// `Display` impl keeps the old human-readable text for logs and faults.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TransferError {
+/// Why an upload (or one of its blocks) was refused. The `Display` text
+/// travels in NFMS's faults.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum TransferError {
     /// A block's byte range falls outside the negotiated file length.
     OutOfBounds {
         /// Block start offset.
@@ -73,21 +71,6 @@ impl std::fmt::Display for TransferError {
     }
 }
 
-impl std::error::Error for TransferError {}
-
-/// One data block on one stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransferChunk {
-    /// Byte offset within the file.
-    pub offset: u64,
-    /// Block payload.
-    pub data: Bytes,
-    /// CRC-32 of the payload.
-    pub checksum: u32,
-    /// Which parallel stream carries this block.
-    pub stream: u32,
-}
-
 /// The ranges a receiver already holds, `(start, end)` half-open, sorted
 /// and coalesced.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -124,136 +107,67 @@ impl RestartMarker {
     }
 }
 
-/// Sender side of a transfer.
-pub struct GridFtpSender {
-    content: Bytes,
-    chunk_size: usize,
-    streams: u32,
-}
-
-impl GridFtpSender {
-    /// Prepare a transfer of `content` in `chunk_size` blocks over
-    /// `streams` parallel streams.
-    pub fn new(content: Bytes, chunk_size: usize, streams: u32) -> Self {
-        assert!(chunk_size > 0 && streams > 0);
-        GridFtpSender {
-            content,
-            chunk_size,
-            streams,
-        }
-    }
-
-    /// Whole-file CRC-32 (sent out-of-band in the control channel).
-    pub fn file_checksum(&self) -> u32 {
-        crc32(&self.content)
-    }
-
-    /// Total size in bytes.
-    pub fn len(&self) -> u64 {
-        self.content.len() as u64
-    }
-
-    /// Whether the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.content.is_empty()
-    }
-
-    /// All blocks, round-robin across streams.
-    pub fn chunks(&self) -> Vec<TransferChunk> {
-        self.chunks_after(&RestartMarker::default())
-    }
-
-    /// Blocks *not* covered by the receiver's restart marker.
-    pub fn chunks_after(&self, marker: &RestartMarker) -> Vec<TransferChunk> {
-        let mut out = Vec::new();
-        let mut index = 0u32;
-        let mut offset = 0usize;
-        while offset < self.content.len() {
-            let end = (offset + self.chunk_size).min(self.content.len());
-            if !marker.covers(offset as u64, end as u64) {
-                let data = self.content.slice(offset..end);
-                out.push(TransferChunk {
-                    offset: offset as u64,
-                    checksum: crc32(&data),
-                    data,
-                    stream: index % self.streams,
-                });
-            }
-            index += 1;
-            offset = end;
-        }
-        out
-    }
-}
-
-/// Receiver side of a transfer.
+/// NFMS's upload assembler: the receiving side of a negotiated upload.
 ///
 /// The negotiated length comes from the peer, so nothing is allocated up
 /// front: accepted blocks are kept by offset (shared, not copied), and the
 /// file is assembled in [`GridFtpReceiver::finish`] once the marker covers
 /// every byte.
-pub struct GridFtpReceiver {
+pub(crate) struct GridFtpReceiver {
     expected_len: u64,
     expected_checksum: u32,
     blocks: BTreeMap<u64, Bytes>,
     marker: RestartMarker,
-    blocks_accepted: u64,
-    blocks_rejected: u64,
 }
 
 impl GridFtpReceiver {
     /// Expect a file of `len` bytes with the given whole-file CRC-32.
-    pub fn new(len: u64, checksum: u32) -> Self {
+    pub(crate) fn new(len: u64, checksum: u32) -> Self {
         GridFtpReceiver {
             expected_len: len,
             expected_checksum: checksum,
             blocks: BTreeMap::new(),
             marker: RestartMarker::default(),
-            blocks_accepted: 0,
-            blocks_rejected: 0,
         }
     }
 
-    /// Accept one block (any order, any stream). Rejects corrupt or
-    /// out-of-bounds blocks. Duplicate blocks are idempotent.
-    pub fn accept(&mut self, chunk: &TransferChunk) -> Result<(), TransferError> {
-        let start = chunk.offset;
-        let end = start.checked_add(chunk.data.len() as u64);
+    /// Accept the block `data` at `offset`, whose CRC-32 the sender says
+    /// is `checksum`, in any order. Rejects corrupt or out-of-bounds
+    /// blocks. Duplicate blocks are idempotent.
+    pub(crate) fn accept(
+        &mut self,
+        offset: u64,
+        data: Bytes,
+        checksum: u32,
+    ) -> Result<(), TransferError> {
+        let end = offset.checked_add(data.len() as u64);
         let Some(end) = end.filter(|&end| end <= self.expected_len) else {
-            self.blocks_rejected += 1;
             return Err(TransferError::OutOfBounds {
-                start,
+                start: offset,
                 end: end.unwrap_or(u64::MAX),
                 len: self.expected_len,
             });
         };
-        if crc32(&chunk.data) != chunk.checksum {
-            self.blocks_rejected += 1;
-            return Err(TransferError::BlockChecksum { offset: start });
+        if crc32(&data) != checksum {
+            return Err(TransferError::BlockChecksum { offset });
         }
-        self.blocks.insert(start, chunk.data.clone());
-        self.marker.add(start, end);
-        self.blocks_accepted += 1;
+        self.blocks.insert(offset, data);
+        self.marker.add(offset, end);
         Ok(())
     }
 
     /// The current restart marker.
-    pub fn restart_marker(&self) -> RestartMarker {
-        self.marker.clone()
+    pub(crate) fn restart_marker(&self) -> &RestartMarker {
+        &self.marker
     }
 
     /// Whether every byte has arrived.
-    pub fn complete(&self) -> bool {
+    fn complete(&self) -> bool {
         self.marker.is_complete(self.expected_len)
     }
 
-    /// (accepted, rejected) block counters.
-    pub fn block_stats(&self) -> (u64, u64) {
-        (self.blocks_accepted, self.blocks_rejected)
-    }
-
     /// Finish: verify the whole-file checksum and hand over the content.
-    pub fn finish(self) -> Result<Bytes, TransferError> {
+    pub(crate) fn finish(self) -> Result<Bytes, TransferError> {
         if !self.complete() {
             return Err(TransferError::Incomplete {
                 have: self.marker.ranges,
@@ -288,70 +202,64 @@ mod tests {
         Bytes::from((0..n).map(|i| (i * 7 + 13) as u8).collect::<Vec<u8>>())
     }
 
+    /// `content` as `(offset, block, crc)` blocks of `size` bytes.
+    fn blocks(content: &Bytes, size: usize) -> Vec<(u64, Bytes, u32)> {
+        (0..content.len())
+            .step_by(size)
+            .map(|at| {
+                let data = content.slice(at..(at + size).min(content.len()));
+                (at as u64, data.clone(), crc32(&data))
+            })
+            .collect()
+    }
+
+    /// A receiver expecting `content`.
+    fn receiver(content: &Bytes) -> GridFtpReceiver {
+        GridFtpReceiver::new(content.len() as u64, crc32(content))
+    }
+
     #[test]
     fn in_order_transfer_completes() {
         let content = payload(10_000);
-        let sender = GridFtpSender::new(content.clone(), 1024, 4);
-        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-        for c in sender.chunks() {
-            rx.accept(&c).unwrap();
+        let mut rx = receiver(&content);
+        for (at, data, crc) in blocks(&content, 1024) {
+            rx.accept(at, data, crc).unwrap();
         }
         assert!(rx.complete());
         assert_eq!(rx.finish().unwrap(), content);
     }
 
     #[test]
-    fn chunks_round_robin_across_streams() {
-        let sender = GridFtpSender::new(payload(10_000), 1024, 4);
-        let chunks = sender.chunks();
-        assert_eq!(chunks.len(), 10); // ceil(10000/1024)
-        assert_eq!(chunks[0].stream, 0);
-        assert_eq!(chunks[1].stream, 1);
-        assert_eq!(chunks[4].stream, 0);
-        // Last chunk is the remainder.
-        assert_eq!(chunks[9].data.len(), 10_000 - 9 * 1024);
-    }
-
-    #[test]
     fn out_of_order_arrival_is_fine() {
         let content = payload(5_000);
-        let sender = GridFtpSender::new(content.clone(), 512, 3);
-        let mut chunks = sender.chunks();
-        chunks.reverse();
-        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-        for c in chunks {
-            rx.accept(&c).unwrap();
+        let mut rx = receiver(&content);
+        for (at, data, crc) in blocks(&content, 512).into_iter().rev() {
+            rx.accept(at, data, crc).unwrap();
         }
         assert_eq!(rx.finish().unwrap(), content);
     }
 
     #[test]
     fn corrupt_block_rejected() {
-        let sender = GridFtpSender::new(payload(2_000), 512, 1);
-        let mut chunks = sender.chunks();
-        let mut bad = chunks.remove(0);
-        let mut data = bad.data.to_vec();
-        data[0] ^= 0xFF;
-        bad.data = Bytes::from(data);
-        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
+        let content = payload(2_000);
+        let (at, data, crc) = blocks(&content, 512).remove(0);
+        let mut bad = data.to_vec();
+        bad[0] ^= 0xFF;
+        let mut rx = receiver(&content);
         assert_eq!(
-            rx.accept(&bad).unwrap_err(),
+            rx.accept(at, Bytes::from(bad), crc).unwrap_err(),
             TransferError::BlockChecksum { offset: 0 }
         );
-        assert_eq!(rx.block_stats(), (0, 1));
+        assert!(rx.restart_marker().ranges.is_empty());
     }
 
     #[test]
     fn out_of_bounds_block_rejected() {
         let mut rx = GridFtpReceiver::new(100, 0);
-        let c = TransferChunk {
-            offset: 90,
-            data: payload(20),
-            checksum: crc32(&payload(20)),
-            stream: 0,
-        };
+        let data = payload(20);
+        let crc = crc32(&data);
         assert!(matches!(
-            rx.accept(&c).unwrap_err(),
+            rx.accept(90, data, crc).unwrap_err(),
             TransferError::OutOfBounds {
                 end: 110,
                 len: 100,
@@ -361,53 +269,29 @@ mod tests {
     }
 
     #[test]
-    fn restart_marker_resumes_without_resending() {
-        let content = payload(10_240);
-        let sender = GridFtpSender::new(content.clone(), 1024, 2);
-        let all = sender.chunks();
-        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-        // Network dies after 4 blocks.
-        for c in &all[..4] {
-            rx.accept(c).unwrap();
-        }
-        assert!(!rx.complete());
-        let marker = rx.restart_marker();
-        assert!(marker.covers(0, 4 * 1024));
-        // Resume: the sender skips covered ranges.
-        let rest = sender.chunks_after(&marker);
-        assert_eq!(rest.len(), 6);
-        for c in &rest {
-            assert!(c.offset >= 4 * 1024);
-            rx.accept(c).unwrap();
-        }
-        assert_eq!(rx.finish().unwrap(), content);
-    }
-
-    #[test]
     fn duplicate_blocks_are_idempotent() {
         let content = payload(2_048);
-        let sender = GridFtpSender::new(content.clone(), 1024, 1);
-        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-        for c in sender.chunks() {
-            rx.accept(&c).unwrap();
-            rx.accept(&c).unwrap();
+        let mut rx = receiver(&content);
+        for (at, data, crc) in blocks(&content, 1024) {
+            rx.accept(at, data.clone(), crc).unwrap();
+            rx.accept(at, data, crc).unwrap();
         }
         assert_eq!(rx.finish().unwrap(), content);
     }
 
     #[test]
     fn incomplete_finish_fails() {
-        let sender = GridFtpSender::new(payload(2_048), 1024, 1);
-        let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-        rx.accept(&sender.chunks()[0]).unwrap();
+        let content = payload(2_048);
+        let mut rx = receiver(&content);
+        let (at, data, crc) = blocks(&content, 1024).remove(0);
+        rx.accept(at, data, crc).unwrap();
+        assert!(rx.restart_marker().covers(0, 1024));
         assert!(rx.finish().is_err());
     }
 
     #[test]
     fn empty_file_transfer() {
-        let sender = GridFtpSender::new(Bytes::new(), 1024, 2);
-        assert!(sender.is_empty());
-        let rx = GridFtpReceiver::new(0, sender.file_checksum());
+        let rx = receiver(&Bytes::new());
         assert!(rx.complete());
         assert_eq!(rx.finish().unwrap(), Bytes::new());
     }
@@ -422,13 +306,12 @@ mod tests {
             use rand::seq::SliceRandom;
             use rand::SeedableRng;
             let content = payload(len);
-            let sender = GridFtpSender::new(content.clone(), chunk_size, 3);
-            let mut chunks = sender.chunks();
+            let mut chunks = blocks(&content, chunk_size);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             chunks.shuffle(&mut rng);
-            let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-            for c in chunks {
-                rx.accept(&c).unwrap();
+            let mut rx = receiver(&content);
+            for (at, data, crc) in chunks {
+                rx.accept(at, data, crc).unwrap();
             }
             prop_assert_eq!(rx.finish().unwrap(), content);
         }

@@ -2,13 +2,13 @@
 //!
 //! §2.3: "… and a servlet that acts as a bridge between GridFTP and
 //! https." CHEF's data viewers are browser-grade clients that speak only
-//! https; the bridge negotiates on their behalf, fetches via whatever
-//! transport NFMS picks, verifies the checksum, and serves plain bytes.
+//! https; the bridge negotiates on their behalf, reads the file NFMS
+//! resolves the logical name to, verifies the whole-file CRC-32 the ticket
+//! promises, and serves plain bytes.
 
 use bytes::Bytes;
 
 use crate::checksum::crc32;
-use crate::gridftp::{GridFtpReceiver, GridFtpSender};
 use crate::nfms::{Nfms, NfmsError};
 
 /// A bridge serving repository files to https-only clients.
@@ -26,26 +26,14 @@ impl HttpsBridge {
         }
     }
 
-    /// "GET" a logical file: negotiate with NFMS, move the bytes through
-    /// the negotiated transport (a full simulated GridFTP transfer when
-    /// that is what NFMS picks), verify, serve.
+    /// "GET" a logical file: negotiate with NFMS, read the stored bytes,
+    /// check them against the ticket's whole-file CRC-32, serve.
     pub fn get(&mut self, nfms: &Nfms, logical: &str) -> Result<Bytes, String> {
         // The bridge supports both transports; preference lands on gridftp.
         let ticket = nfms
             .negotiate(logical, &["gridftp", "https"])
             .map_err(|e| e.to_string())?;
-        let raw = nfms.retrieve(&ticket).map_err(|e| e.to_string())?;
-        let content = if ticket.protocol == "gridftp" {
-            // Run the actual chunked transfer path, not a shortcut.
-            let sender = GridFtpSender::new(raw, 8192, 4);
-            let mut rx = GridFtpReceiver::new(sender.len(), sender.file_checksum());
-            for c in sender.chunks() {
-                rx.accept(&c).map_err(|e| e.to_string())?;
-            }
-            rx.finish().map_err(|e| e.to_string())?
-        } else {
-            raw
-        };
+        let content = nfms.retrieve(&ticket).map_err(|e| e.to_string())?;
         if crc32(&content) != ticket.checksum {
             return Err(format!("checksum mismatch serving '{logical}'"));
         }
@@ -80,7 +68,7 @@ mod tests {
     use neesgrid_gridsim::SimTime;
 
     #[test]
-    fn bridge_serves_file_through_gridftp_path() {
+    fn bridge_serves_the_crc_checked_file() {
         let mut nfms = Nfms::new(VirtualStore::new());
         let data: Vec<u8> = (0..50_000).map(|i| (i % 251) as u8).collect();
         nfms.upload("/most/big.bin", Bytes::from(data.clone()), SimTime::ZERO)

@@ -3,176 +3,164 @@
 //! §2.3: "We have also developed an ingestion tool to upload data and
 //! metadata to the repository as an experiment is run; researchers can
 //! later download this data for analysis or visualization." The
-//! [`Ingester`] takes batches of files (in MOST, the windows the LabVIEW
-//! DAQ deposited in the drop directory), ships each through NFMS, and
-//! records a metadata object describing it — incrementally, while the
-//! experiment continues.
+//! [`Ingester`] is the repository's one upload client: it ships each file
+//! (in MOST, the windows the LabVIEW DAQ deposited in the drop directory)
+//! to the repository node's NFMS service as a negotiated, block-by-block
+//! CRC-checked upload, and records metadata objects in its NMDS service —
+//! incrementally, while the experiment continues.
 
-use bytes::Bytes;
-use serde_json::json;
+use serde_json::{json, Value};
 
-use neesgrid_gridsim::SimTime;
-use neesgrid_gsi::DistinguishedName;
+use neesgrid_ogsi::{RpcClient, RpcError};
 
-use crate::nfms::Nfms;
-use crate::nmds::{Nmds, NmdsError};
+use crate::checksum::{crc32, to_hex};
 
-/// Incremental experiment-data ingestion.
+/// Streams an upload's blocks are dealt across, round-robin (the
+/// `stream` field of each `uploadChunk`).
+const UPLOAD_STREAMS: usize = 4;
+
+/// NFMS/NMDS client archiving one experiment's data and metadata.
+#[derive(Clone)]
 pub struct Ingester {
     /// Logical-name prefix for this experiment, e.g. `/experiments/most`.
     pub experiment_prefix: String,
-    operator: DistinguishedName,
-    files_ingested: u64,
-    bytes_ingested: u64,
+    nfms: RpcClient,
+    nmds: RpcClient,
 }
 
 impl Ingester {
-    /// An ingester archiving under `experiment_prefix` as `operator`.
-    pub fn new(experiment_prefix: impl Into<String>, operator: DistinguishedName) -> Self {
+    /// An ingester archiving under `experiment_prefix` through clients of
+    /// one repository node's `nfms` and `nmds` services.
+    pub fn new(experiment_prefix: impl Into<String>, nfms: RpcClient, nmds: RpcClient) -> Self {
         Ingester {
             experiment_prefix: experiment_prefix.into(),
-            operator,
-            files_ingested: 0,
-            bytes_ingested: 0,
+            nfms,
+            nmds,
         }
     }
 
-    /// Ingest one batch of `(name, content)` files: upload via NFMS,
-    /// record one metadata object per file via NMDS.
-    pub fn ingest_batch(
-        &mut self,
-        nfms: &mut Nfms,
-        nmds: &mut Nmds,
-        files: Vec<(String, Bytes)>,
-        now: SimTime,
-    ) -> Result<u64, NmdsError> {
-        let mut ingested = 0;
-        for (name, content) in files {
-            let logical = format!("{}/data/{name}", self.experiment_prefix);
-            let size = content.len() as u64;
-            let ticket = match nfms.upload(logical.clone(), content, now) {
-                Ok(t) => t,
-                // Re-ingesting an already-shipped file is a no-op (the
-                // uploader may replay after a crash).
-                Err(crate::nfms::NfmsError::AlreadyExists(_)) => continue,
-                Err(e) => {
-                    return Err(NmdsError::ValidationFailed(format!(
-                        "upload of '{logical}' failed: {e}"
-                    )))
-                }
-            };
-            nmds.create(
-                format!("{}/records/{name}", self.experiment_prefix),
-                None,
+    /// The logical file data file `name` is archived as:
+    /// `{prefix}/data/{name}`.
+    pub fn data_name(&self, name: &str) -> String {
+        format!("{}/data/{name}", self.experiment_prefix)
+    }
+
+    /// The metadata object describing data file `name`:
+    /// `{prefix}/records/{name}`.
+    pub fn record_name(&self, name: &str) -> String {
+        format!("{}/records/{name}", self.experiment_prefix)
+    }
+
+    /// Upload `content` as logical file `logical`: negotiate the transfer
+    /// (size and whole-file CRC-32), send every block of the negotiated
+    /// size with its own CRC-32, then commit. Returns the bytes shipped.
+    pub fn upload(&self, logical: &str, content: &[u8]) -> Result<u64, RpcError> {
+        let neg = self.nfms.call_value(
+            "negotiateUpload",
+            json!({"logical": logical, "size": content.len(), "checksum": crc32(content)}),
+        )?;
+        let tid = neg["transfer_id"].as_u64().unwrap_or(0);
+        let chunk_size = neg["chunk_size"].as_u64().unwrap_or(8192) as usize;
+        for (i, chunk) in content.chunks(chunk_size).enumerate() {
+            self.nfms.call_value(
+                "uploadChunk",
                 json!({
-                    "logical_file": logical,
-                    "size_bytes": size,
-                    "checksum_crc32": ticket.checksum,
-                    "ingested_at_ns": now.as_nanos(),
+                    "transfer_id": tid,
+                    "offset": i * chunk_size,
+                    "stream": i % UPLOAD_STREAMS,
+                    "data": to_hex(chunk),
+                    "checksum": crc32(chunk),
                 }),
-                self.operator.clone(),
-                now,
             )?;
-            self.files_ingested += 1;
-            self.bytes_ingested += size;
-            ingested += 1;
         }
-        Ok(ingested)
+        self.nfms
+            .call_value("commitUpload", json!({"transfer_id": tid}))?;
+        Ok(content.len() as u64)
     }
 
-    /// Totals: (files, bytes) ingested so far.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.files_ingested, self.bytes_ingested)
+    /// Create metadata object `id` with `body`, validated against schema
+    /// object `schema` when one is named.
+    pub fn record(&self, id: &str, schema: Option<&str>, body: Value) -> Result<(), RpcError> {
+        let request = match schema {
+            Some(schema) => json!({"id": id, "schema_id": schema, "body": body}),
+            None => json!({"id": id, "body": body}),
+        };
+        self.nmds.call_value("create", request).map(drop)
+    }
+
+    /// Register metadata schema `id`.
+    pub fn create_schema(&self, id: &str, schema: Value) -> Result<(), RpcError> {
+        self.nmds
+            .call_value("createSchema", json!({"id": id, "schema": schema}))
+            .map(drop)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nfms::Nfms;
+    use crate::nmds::Nmds;
+    use crate::service::{NfmsService, NmdsService};
     use crate::storage::VirtualStore;
+    use neesgrid_gridsim::{NetworkConfig, NodeId, VirtualNetwork};
+    use neesgrid_gsi::DistinguishedName;
+    use neesgrid_ogsi::{RpcMux, ServiceContainer};
 
-    fn operator() -> DistinguishedName {
-        DistinguishedName::nees_user("NCSA", "Ingester")
+    /// A repository node on `net` over `store`, and an ingester for it.
+    fn ingester(net: &VirtualNetwork, store: &VirtualStore) -> Ingester {
+        let _ = ServiceContainer::new(net.endpoint("repository").unwrap())
+            .with_service("nfms", Box::new(NfmsService::new(Nfms::new(store.clone()))))
+            .with_service("nmds", Box::new(NmdsService::new(Nmds::new())))
+            .permissive()
+            .attach();
+        let mux = RpcMux::new(net.endpoint("ingester").unwrap());
+        let dn = DistinguishedName::nees_user("NCSA", "Ingester");
+        let client =
+            |service| RpcClient::new(mux.clone(), NodeId::new("repository"), service, dn.clone());
+        Ingester::new("/experiments/most", client("nfms"), client("nmds"))
     }
 
     #[test]
-    fn batch_creates_files_and_records() {
-        let mut nfms = Nfms::new(VirtualStore::new());
-        let mut nmds = Nmds::new();
-        let mut ing = Ingester::new("/experiments/most", operator());
-        let n = ing
-            .ingest_batch(
-                &mut nfms,
-                &mut nmds,
-                vec![
-                    ("uiuc-lvdt-000001.csv".into(), Bytes::from_static(b"a,b\n")),
-                    ("cu-load-000001.csv".into(), Bytes::from_static(b"c,d\n")),
-                ],
-                SimTime::from_secs(10),
-            )
-            .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(nfms.list("/experiments/most/data/").len(), 2);
-        assert_eq!(nmds.list("/experiments/most/records/").len(), 2);
-        let rec = nmds
-            .get(
-                "/experiments/most/records/uiuc-lvdt-000001.csv",
-                None,
-                &operator(),
-                None,
-                SimTime::from_secs(11),
-            )
-            .unwrap();
-        assert_eq!(rec["size_bytes"], 4);
-        assert_eq!(ing.totals(), (2, 8));
-    }
+    fn upload_archives_the_bytes_and_records_describe_them() {
+        let net = VirtualNetwork::new(NetworkConfig::default());
+        let store = VirtualStore::new();
+        let ing = ingester(&net, &store);
+        // Three blocks at the service's 8,192-byte chunk size.
+        let content: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
+        let logical = ing.data_name("uiuc-lvdt-000001.csv");
+        assert_eq!(logical, "/experiments/most/data/uiuc-lvdt-000001.csv");
+        assert_eq!(ing.upload(&logical, &content).unwrap(), 20_000);
+        let stored = store.list("/");
+        assert_eq!(stored.len(), 1, "one file stored: {stored:?}");
+        assert_eq!(&store.get(&stored[0]).unwrap().content[..], &content[..]);
 
-    #[test]
-    fn replayed_batch_is_idempotent() {
-        let mut nfms = Nfms::new(VirtualStore::new());
-        let mut nmds = Nmds::new();
-        let mut ing = Ingester::new("/experiments/most", operator());
-        let batch = vec![("f.csv".to_string(), Bytes::from_static(b"x"))];
-        assert_eq!(
-            ing.ingest_batch(&mut nfms, &mut nmds, batch.clone(), SimTime::ZERO)
-                .unwrap(),
-            1
-        );
-        // Crash-replay of the same batch: skipped, not duplicated.
-        assert_eq!(
-            ing.ingest_batch(&mut nfms, &mut nmds, batch, SimTime::ZERO)
-                .unwrap(),
-            0
-        );
-        assert_eq!(nfms.len(), 1);
-        assert_eq!(nmds.len(), 1);
-    }
-
-    #[test]
-    fn ingested_data_is_retrievable_end_to_end() {
-        let mut nfms = Nfms::new(VirtualStore::new());
-        let mut nmds = Nmds::new();
-        let mut ing = Ingester::new("/experiments/most", operator());
-        ing.ingest_batch(
-            &mut nfms,
-            &mut nmds,
-            vec![("hist.csv".into(), Bytes::from_static(b"# d,m\n0,1\n"))],
-            SimTime::ZERO,
+        ing.create_schema(
+            "/schemas/window",
+            json!({"fields": {"logical_file": "string"}, "allow_extra": true}),
         )
         .unwrap();
-        // A researcher resolves the record → logical file → bytes.
-        let rec = nmds
-            .get(
-                "/experiments/most/records/hist.csv",
-                None,
-                &operator(),
-                None,
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let logical = rec["logical_file"].as_str().unwrap();
-        let ticket = nfms.negotiate(logical, &["gridftp"]).unwrap();
-        let content = nfms.retrieve(&ticket).unwrap();
-        assert_eq!(&content[..], b"# d,m\n0,1\n");
+        let record = ing.record_name("uiuc-lvdt-000001.csv");
+        ing.record(
+            &record,
+            Some("/schemas/window"),
+            json!({"logical_file": logical}),
+        )
+        .unwrap();
+        let err = ing
+            .record("/x", Some("/schemas/window"), json!({"logical_file": 1}))
+            .unwrap_err();
+        assert!(matches!(err, RpcError::Fault(f) if f.code == "ValidationFailed"));
+    }
+
+    #[test]
+    fn a_second_upload_of_one_logical_file_is_refused() {
+        let net = VirtualNetwork::new(NetworkConfig::default());
+        let ing = ingester(&net, &VirtualStore::new());
+        ing.upload("/experiments/most/data/f.csv", b"x").unwrap();
+        let err = ing
+            .upload("/experiments/most/data/f.csv", b"x")
+            .unwrap_err();
+        assert!(matches!(err, RpcError::Fault(f) if f.code == "UploadFailed"));
     }
 }

@@ -12,10 +12,12 @@
 //! * [`nfms`] — the **NEESgrid File Management Service**: logical file
 //!   naming and transport neutrality; transfers are negotiated, and a
 //!   plug-in API admits transports beyond GridFTP.
-//! * [`gridftp`] — the simulated GridFTP transport: chunked, multi-stream,
-//!   checksummed, restartable bulk transfer.
-//! * [`ingest`] — the ingestion tool that archives data and metadata
-//!   incrementally *while the experiment runs*.
+//! * [`gridftp`] — GridFTP restart markers (shared with the archive's
+//!   striped transfer engine) and NFMS's upload assembler: blocks in any
+//!   order, per-block and whole-file CRC-32s.
+//! * [`ingest`] — the ingestion tool, the repository's NFMS/NMDS client,
+//!   that archives data and metadata incrementally *while the experiment
+//!   runs*.
 //! * [`https_bridge`] — "a servlet that acts as a bridge between GridFTP
 //!   and https", giving browser-grade clients (CHEF) read access.
 //! * [`service`] — OGSI `GridService` wrappers so remote sites reach NMDS
@@ -32,7 +34,7 @@ pub mod service;
 pub mod storage;
 
 pub use checksum::{crc32, from_hex, to_hex};
-pub use gridftp::{GridFtpReceiver, GridFtpSender, RestartMarker, TransferChunk, TransferError};
+pub use gridftp::RestartMarker;
 pub use https_bridge::HttpsBridge;
 pub use ingest::Ingester;
 pub use metadata::{MetadataObject, Schema};

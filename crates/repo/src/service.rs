@@ -12,7 +12,7 @@ use neesgrid_gsi::Right;
 use neesgrid_ogsi::{CallContext, GridService, ServiceData, ServiceFault};
 
 use crate::checksum::{crc32, from_hex, to_hex};
-use crate::gridftp::{GridFtpReceiver, TransferChunk};
+use crate::gridftp::GridFtpReceiver;
 use crate::metadata::Schema;
 use crate::nfms::Nfms;
 use crate::nmds::{Nmds, NmdsError};
@@ -196,14 +196,12 @@ impl GridService for NfmsService {
                 })?;
                 let data = from_hex(body["data"].as_str().unwrap_or_default())
                     .ok_or_else(|| ServiceFault::permanent("BadRequest", "bad hex"))?;
-                let chunk = TransferChunk {
-                    offset: body["offset"].as_u64().unwrap_or(0),
-                    checksum: body["checksum"].as_u64().unwrap_or(0) as u32,
-                    stream: body["stream"].as_u64().unwrap_or(0) as u32,
-                    data: Bytes::from(data),
-                };
                 up.receiver
-                    .accept(&chunk)
+                    .accept(
+                        body["offset"].as_u64().unwrap_or(0),
+                        Bytes::from(data),
+                        body["checksum"].as_u64().unwrap_or(0) as u32,
+                    )
                     .map_err(|e| ServiceFault::transient("ChunkRejected", e.to_string()))?;
                 Ok(json!({ "marker": up.receiver.restart_marker() }))
             }

@@ -3,8 +3,8 @@
 //! Shakes a four-story office-building model with harmonic and
 //! earthquake-type force histories, measures with a lossy 802.11 wireless
 //! accelerometer array, buffers at a mobile command center, and archives
-//! to the laboratory over an interruptible satellite uplink (GridFTP
-//! restart markers).
+//! to the laboratory over an interruptible satellite uplink (the archive's
+//! striped transfer engine, resuming from the laboratory's restart marker).
 //!
 //! Run with: `cargo run --example field_test`
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Determinism oracles: the MOST trace and its flight dumps, the campaign
-# verdict table and exported corpus, and checkpoint resume with the sizes
-# and latest header of the snapshots it resumes from must reproduce the
-# values committed in scripts/oracles.expected, byte for byte. On a
+# verdict table and exported corpus, checkpoint resume with the sizes and
+# latest header of the snapshots it resumes from, and the field test's
+# report must reproduce the values committed in scripts/oracles.expected,
+# byte for byte. On a
 # mismatch the diff's `+` lines are the values this tree produces.
 #
 #   scripts/oracles.sh
@@ -15,7 +16,8 @@ cd "$(dirname "$0")/.."
 root=$PWD
 export LC_ALL=C
 
-cargo build -q --release --example most_experiment --example checkpoint_resume
+cargo build -q --release --example most_experiment --example checkpoint_resume \
+    --example field_test
 cargo build -q --release -p neesgrid-campaign
 
 work=$(mktemp -d)
@@ -52,6 +54,12 @@ oracles() {
     echo "resume.latest_snapshot=$(resume 'latest snapshot')"
     echo "resume.latest_header=$(resume 'latest header')"
     echo "resume.bit_identical=$(grep -m1 'bit-identical' "$work/resume.out" | awk '{print $NF}')"
+
+    # The §5 field test: both excitations, the satellite uplink's bytes and
+    # restart-marker resumes, and the laboratory archive's final tally.
+    "$root/target/release/examples/field_test" >"$work/field.out"
+    echo "field_test.stdout.lines=$(wc -l <"$work/field.out")"
+    echo "field_test.stdout.sha256=$(sha <"$work/field.out")"
 }
 
 oracles >"$work/actual"

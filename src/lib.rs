@@ -16,7 +16,7 @@
 //! * [`structsim`] — structural dynamics, pseudo-dynamic substructure testing
 //! * [`apparatus`] — emulated servo-hydraulic rigs, sensors, specimens
 //! * [`daq`] — data acquisition + NSDS streaming
-//! * [`repo`] — NMDS metadata, NFMS file management, GridFTP-sim, ingestion
+//! * [`repo`] — NMDS metadata, NFMS file management, the ingestion tool
 //! * [`archive`] — content-addressed experiment archive: dedup block
 //!   store, striped virtual-link transfers, replica placement & failover
 //! * [`coordinator`] — the MS-PSDS simulation coordinator

@@ -1,16 +1,19 @@
 //! Decoders of untrusted bytes never panic, and portal frames round-trip.
 //!
 //! Traces come back from disk and corpus entries; portal frames come off
-//! the wire. Whatever the bytes, the JSON parser, the trace-signature
-//! extractor, the report renderer, the portal frame decoder (requests and
-//! replies) and the hex decoder artifact chunks go through answer with a
-//! result or an error: no panic, no stack overflow. Inputs are random
-//! bytes, JSON-token soup, and truncations and byte flips of the lines of
-//! a real trace. Every request and reply the portal speaks decodes back to
-//! itself from its own frame.
+//! the wire; scenarios are text anyone can edit. Whatever the bytes, the
+//! JSON parser, the trace-signature extractor, the report renderer, the
+//! portal frame decoder (requests and replies), the hex decoder artifact
+//! chunks go through and the scenario DSL parser answer with a result or
+//! an error: no panic, no stack overflow, and a scenario error names a line
+//! of its input. Inputs are random bytes, JSON- and DSL-token soup, and
+//! truncations and byte flips of the lines of a real trace and of the
+//! committed scenarios. Every request and reply the portal speaks decodes
+//! back to itself from its own frame.
 
 use std::sync::OnceLock;
 
+use neesgrid::campaign::ScenarioDoc;
 use neesgrid::daq::nsds::{NsdsSample, SharedSample};
 use neesgrid::gridsim::{FaultPlan, LinkKey, NetworkProfile, SimTime};
 use neesgrid::gsi::{CertificateAuthority, Credential, DistinguishedName, PolicyDecision};
@@ -36,6 +39,35 @@ fn trace() -> &'static str {
     })
 }
 
+/// The committed `scenarios/*.scn` files, in name order.
+fn scenarios() -> &'static [String] {
+    static SCENARIOS: OnceLock<Vec<String>> = OnceLock::new();
+    SCENARIOS.get_or_init(|| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("the scenarios directory exists")
+            .map(|entry| entry.expect("a readable entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "scn"))
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|path| std::fs::read_to_string(path).expect("a readable scenario"))
+            .collect()
+    })
+}
+
+/// Parse `text` as a scenario: a document, or an error on one of its lines.
+fn parse_scenario(text: &str) {
+    if let Err(e) = ScenarioDoc::parse(text) {
+        let lines = text.split('\n').count();
+        assert!(
+            (1..=lines).contains(&e.line),
+            "{e} names a line outside the {lines}-line input {text:?}"
+        );
+    }
+}
+
 /// `body` behind its 4-byte length prefix.
 fn frame(body: &str) -> Vec<u8> {
     let mut frame = (body.len() as u32).to_be_bytes().to_vec();
@@ -45,6 +77,7 @@ fn frame(body: &str) -> Vec<u8> {
 
 /// Feed `text` to every decoder, alone and appended to the real trace.
 fn decode_everywhere(text: &str) {
+    parse_scenario(text);
     let _ = serde_json::from_str::<Value>(text);
     let _ = decode::<RequestFrame>(&frame(text));
     let _ = decode::<Response>(&frame(text));
@@ -72,6 +105,13 @@ fn decode_everywhere(text: &str) {
 const JSON_TOKENS: &str =
     "[ ] { } \" : , \\ \\u d83d 0 - 1e999 . e + null tru false \n é \u{1} \"kind\" \"span_start\"";
 
+/// The DSL's keywords, punctuation and edge-case numbers, space-separated.
+const DSL_TOKENS: &str = "campaign \"x\" { } [ ] ; , : = -> - .. . / # \n \" motion sites \
+    network faults run sweep suite amplitude count mix profile link drop reset dup rate on at \
+    step phase propose execute message kill worker tick steps checkpoint-every policy seeds \
+    strong numerical campus-wan partial 0 1 1.5 1000 9223372036854775807 \
+    9223372036854775808 18446744073709551616 \"coordinator\" \"site-000\" é";
+
 proptest! {
     #[test]
     fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
@@ -87,6 +127,32 @@ proptest! {
     }
 
     #[test]
+    fn dsl_token_soup_never_panics(picks in proptest::collection::vec(any::<usize>(), 0..200)) {
+        // Split on spaces only, so the newline stays a token.
+        let tokens: Vec<&str> = DSL_TOKENS.split(' ').collect();
+        let soup: Vec<&str> = picks.iter().map(|&i| tokens[i % tokens.len()]).collect();
+        parse_scenario(&soup.join(" "));
+        parse_scenario(&format!("campaign \"soup\" {{ {} }}", soup.join(" ")));
+    }
+
+    #[test]
+    fn cut_and_flipped_scenarios_never_panic(
+        file in any::<usize>(),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let scenarios = scenarios();
+        prop_assert!(scenarios.len() >= 5, "the committed scenarios are read");
+        let text = &scenarios[file % scenarios.len()];
+        prop_assert!(ScenarioDoc::parse(text).is_ok(), "a committed scenario parses");
+        let mut bytes = text.as_bytes().to_vec();
+        let at = at % bytes.len();
+        parse_scenario(&String::from_utf8_lossy(&bytes[..at]));
+        bytes[at] ^= mask;
+        parse_scenario(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
     fn cut_and_flipped_trace_lines_never_panic(
         line in any::<usize>(),
         at in any::<usize>(),
@@ -99,6 +165,32 @@ proptest! {
         decode_everywhere(&String::from_utf8_lossy(&bytes[..at]));
         bytes[at] ^= mask;
         decode_everywhere(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+#[test]
+fn committed_scenarios_with_edge_numbers_never_panic() {
+    const EDGES: [&str; 6] = [
+        "0",
+        "1000",
+        "9223372036854775807",
+        "9223372036854775808",
+        "18446744073709551615",
+        "18446744073709551616",
+    ];
+    for text in scenarios() {
+        // Every run of digits in turn, comments included, becomes each edge.
+        let mut at = 0;
+        while let Some(start) = text[at..].find(|c: char| c.is_ascii_digit()) {
+            let start = at + start;
+            let end = text[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .map_or(text.len(), |len| start + len);
+            for edge in EDGES {
+                parse_scenario(&format!("{}{edge}{}", &text[..start], &text[end..]));
+            }
+            at = end;
+        }
     }
 }
 

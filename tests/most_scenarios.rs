@@ -17,6 +17,7 @@ fn assert_crowd_caught_the_tail(artifacts: &MostRunArtifacts, viewers: usize, pu
     let each = ViewerCatch {
         received: VIEWER_BUFFER as u64,
         dropped: published - VIEWER_BUFFER as u64,
+        feed_errors: 0,
     };
     assert_eq!(artifacts.viewers, vec![each; viewers]);
 }

@@ -1,8 +1,9 @@
 //! E3 — the Figure 3 repository, exercised over the grid network.
 //!
-//! Data path: site DAQ window → CSV → chunked NFMS upload (GridFTP
-//! semantics inside RPC) → metadata record in NMDS → later discovery,
-//! download, and decode by a remote researcher through the same services.
+//! Data path: site DAQ window → CSV → the ingestion tool's chunked NFMS
+//! upload (GridFTP semantics inside RPC) and metadata record in NMDS →
+//! later discovery, download, and decode by a remote researcher through
+//! the same services.
 
 use std::time::Duration;
 
@@ -13,7 +14,9 @@ use neesgrid::daq::TimeSeries;
 use neesgrid::gridsim::{NetworkConfig, NodeId, SimTime, VirtualNetwork};
 use neesgrid::gsi::DistinguishedName;
 use neesgrid::ogsi::{RpcClient, RpcError, RpcMux, ServiceContainer};
-use neesgrid::repo::{crc32, from_hex, to_hex, Nfms, NfmsService, Nmds, NmdsService, VirtualStore};
+use neesgrid::repo::{
+    crc32, from_hex, to_hex, Ingester, Nfms, NfmsService, Nmds, NmdsService, VirtualStore,
+};
 
 fn start_repository(net: &VirtualNetwork) {
     let store = VirtualStore::new();
@@ -38,32 +41,6 @@ fn clients(net: &VirtualNetwork, node: &str, user: &str) -> (RpcClient, RpcClien
         RpcClient::new(mux, NodeId::new("repository"), "nmds", dn)
             .with_attempt_timeout(Duration::from_millis(100)),
     )
-}
-
-fn upload(nfms: &RpcClient, logical: &str, content: &[u8]) {
-    let neg = nfms
-        .call_value(
-            "negotiateUpload",
-            json!({"logical": logical, "size": content.len(), "checksum": crc32(content)}),
-        )
-        .unwrap();
-    let tid = neg["transfer_id"].as_u64().unwrap();
-    let chunk = neg["chunk_size"].as_u64().unwrap() as usize;
-    for (i, c) in content.chunks(chunk).enumerate() {
-        nfms.call_value(
-            "uploadChunk",
-            json!({
-                "transfer_id": tid,
-                "offset": i * chunk,
-                "stream": i % 4,
-                "data": to_hex(c),
-                "checksum": crc32(c),
-            }),
-        )
-        .unwrap();
-    }
-    nfms.call_value("commitUpload", json!({"transfer_id": tid}))
-        .unwrap();
 }
 
 fn download(nfms: &RpcClient, logical: &str) -> Vec<u8> {
@@ -96,21 +73,20 @@ fn ingest_then_discover_then_download() {
         ts.push(SimTime::from_millis(i * 10), (i as f64 * 0.03).sin() * 0.01);
     }
     let csv = ts.to_csv();
-    upload(
-        &site_nfms,
-        "/experiments/most/data/window-0001.csv",
-        csv.as_bytes(),
+    let ingester = Ingester::new("/experiments/most", site_nfms, site_nmds.clone());
+    let logical = ingester.data_name("window-0001.csv");
+    assert_eq!(
+        ingester.upload(&logical, csv.as_bytes()).unwrap(),
+        csv.len() as u64
     );
-    site_nmds
-        .call_value(
-            "create",
+    ingester
+        .record(
+            "/experiments/most/records/window-0001",
+            None,
             json!({
-                "id": "/experiments/most/records/window-0001",
-                "body": {
-                    "logical_file": "/experiments/most/data/window-0001.csv",
-                    "channel": "uiuc/lvdt-1",
-                    "samples": 500,
-                },
+                "logical_file": logical,
+                "channel": "uiuc/lvdt-1",
+                "samples": 500,
             }),
         )
         .unwrap();
