@@ -13,10 +13,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use neesgrid_daq::nsds::SharedSample;
 use neesgrid_gridsim::{NetworkError, NodeId, SimClock, SimTime, VirtualNetwork};
 use neesgrid_gsi::{Credential, DistinguishedName};
-use neesgrid_portal::{BoardEntry, PortalClient, Request, Response, Role, Session};
+use neesgrid_portal::{
+    decode, BoardEntry, ClientError, PortalClient, Request, Response, Role, SamplesView, Session,
+};
 use neesgrid_repo::{HttpsBridge, Nfms};
 
 use crate::telepresence::CameraServer;
@@ -48,12 +49,28 @@ impl RemoteFeed {
     /// reply the viewer cannot take (a sample older than its channel's
     /// latest). Samples ingested before an error stay ingested and are
     /// counted.
+    ///
+    /// Each reply of up to 1,024 samples is read in place: the viewer
+    /// ingests every sample straight from the reply frame.
     pub fn pump(&mut self, viewer: &mut DataViewer) -> (usize, Result<(), String>) {
         let mut total = 0;
         loop {
-            let samples = match self.poll() {
-                Ok(samples) => samples,
-                Err(e) => return (total, Err(e)),
+            let poll = Request::Poll {
+                observer: self.observer,
+                max: 1024,
+            };
+            let frame = match self.client.call_frame(&self.owner, poll) {
+                Ok(frame) => frame,
+                Err(e) => return (total, Err(e.to_string())),
+            };
+            let samples = match decode::<SamplesView>(&frame) {
+                Ok(SamplesView::Samples {
+                    samples, dropped, ..
+                }) => {
+                    self.dropped = dropped;
+                    samples
+                }
+                Err(_) => return (total, Err(refusal(&frame))),
             };
             if samples.is_empty() {
                 return (total, Ok(()));
@@ -64,31 +81,6 @@ impl RemoteFeed {
                 }
                 total += 1;
             }
-        }
-    }
-
-    /// One `Poll` of up to 1,024 samples.
-    fn poll(&mut self) -> Result<Vec<SharedSample>, String> {
-        let reply = self
-            .client
-            .call_as(
-                &self.owner,
-                Request::Poll {
-                    observer: self.observer,
-                    max: 1024,
-                },
-            )
-            .map_err(|e| e.to_string())?;
-        match reply {
-            Response::Samples {
-                samples, dropped, ..
-            } => {
-                self.dropped = dropped;
-                Ok(samples)
-            }
-            Response::Rejected { rejection } => Err(rejection.to_string()),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected Poll reply: {other:?}")),
         }
     }
 
@@ -113,6 +105,17 @@ impl RemoteFeed {
             Response::Rejected { rejection } => Err(rejection.to_string()),
             other => Err(format!("unexpected Unobserve reply: {other:?}")),
         }
+    }
+}
+
+/// Why a `Poll` reply that is not `Samples` stopped the pump, read from
+/// the frame as a [`Response`].
+fn refusal(frame: &[u8]) -> String {
+    match decode::<Response>(frame) {
+        Err(e) => ClientError::Frame(e).to_string(),
+        Ok(Response::Rejected { rejection }) => rejection.to_string(),
+        Ok(Response::Error { message }) => message,
+        Ok(other) => format!("unexpected Poll reply: {other:?}"),
     }
 }
 
@@ -309,7 +312,7 @@ mod tests {
     use neesgrid_daq::nsds::{NsdsSample, NsdsServer, SharedSample};
     use neesgrid_gridsim::{MessageKind, NetworkProfile};
     use neesgrid_gsi::CertificateAuthority;
-    use neesgrid_portal::{decode, encode, Portal, PortalConfig, RequestFrame, PORTAL_SERVICE};
+    use neesgrid_portal::{encode, Portal, PortalConfig, RequestFrame, PORTAL_SERVICE};
     use neesgrid_repo::VirtualStore;
 
     fn setup() -> (VirtualNetwork, CertificateAuthority, Portal, CollabPortal) {

@@ -27,7 +27,7 @@ use neesgrid_structsim::element::{CouplingSpring, GroundSpring};
 use neesgrid_structsim::linalg::Vector;
 use neesgrid_structsim::material::LinearElastic;
 use neesgrid_structsim::model::MdofModel;
-use neesgrid_structsim::NewmarkBeta;
+use neesgrid_structsim::{GroundMotion, NewmarkBeta};
 
 /// What shakes the building.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,19 +151,19 @@ pub fn run_field_test(config: &FieldTestConfig, store: &VirtualStore) -> FieldTe
         &Vector::zeros(n),
     );
 
-    // Roof forcing history.
-    let force_at = |step: usize| -> f64 {
-        let t = step as f64 * config.dt;
-        match config.excitation {
-            Excitation::Harmonic {
-                amplitude_n,
-                frequency_hz,
-            } => amplitude_n * (std::f64::consts::TAU * frequency_hz * t).sin(),
-            Excitation::EarthquakeType { seed, peak_n } => {
-                neesgrid_structsim::GroundMotion::synthetic(seed, config.dt, config.steps, 1.0)
-                    .value_at(t)
-                    * peak_n
-            }
+    // Roof forcing history, one value per step. The earthquake-type record
+    // is synthesised once.
+    let times = (0..config.steps).map(|step| step as f64 * config.dt);
+    let forcing: Vec<f64> = match config.excitation {
+        Excitation::Harmonic {
+            amplitude_n,
+            frequency_hz,
+        } => times
+            .map(|t| amplitude_n * (std::f64::consts::TAU * frequency_hz * t).sin())
+            .collect(),
+        Excitation::EarthquakeType { seed, peak_n } => {
+            let record = GroundMotion::synthetic(seed, config.dt, config.steps, 1.0);
+            times.map(|t| record.value_at(t) * peak_n).collect()
         }
     };
 
@@ -180,9 +180,9 @@ pub fn run_field_test(config: &FieldTestConfig, store: &VirtualStore) -> FieldTe
     let mut peaks = vec![0.0f64; n];
     let mut roof_record: Vec<f64> = Vec::with_capacity(config.steps);
 
-    for step in 0..config.steps {
+    for (step, &force) in forcing.iter().enumerate() {
         let mut p = Vector::zeros(n);
-        p[n - 1] = force_at(step);
+        p[n - 1] = force;
         let result = integrator
             .advance(&p, |d| model.restoring(d))
             .expect("linear model converges");

@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 use neesgrid_gridsim::{
@@ -129,6 +130,17 @@ impl PortalClient {
         tenant: &DistinguishedName,
         request: Request,
     ) -> Result<Response, ClientError> {
+        frame::decode(&self.call_frame(tenant, request)?).map_err(ClientError::Frame)
+    }
+
+    /// Issue a request as an explicit tenant and return the reply frame
+    /// undecoded, for a caller that reads it in place
+    /// ([`frame::SamplesView`]).
+    pub fn call_frame(
+        &self,
+        tenant: &DistinguishedName,
+        request: Request,
+    ) -> Result<Bytes, ClientError> {
         let correlation = self.endpoint.next_correlation();
         let payload = frame::encode(&RequestFrame {
             tenant: tenant.clone(),
@@ -149,7 +161,7 @@ impl PortalClient {
         loop {
             if let Some(env) = self.reply.lock().envelope.take() {
                 return match env.kind {
-                    MessageKind::Reply => frame::decode(&env.payload).map_err(ClientError::Frame),
+                    MessageKind::Reply => Ok(env.payload),
                     _ => Err(ClientError::NoRoute),
                 };
             }

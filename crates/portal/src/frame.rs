@@ -6,10 +6,16 @@
 //! a malformed frame is refused before any field is interpreted — and
 //! bounds the decode (`MAX_FRAME_BYTES`) so a hostile client cannot make
 //! the service allocate unboundedly.
+//!
+//! A decoded value may borrow from its frame: [`SamplesView`] reads a
+//! `Samples` reply in place, each sample's channel name a slice of the
+//! frame, which is how the CHEF viewers ingest their `Poll` replies.
+
+use std::borrow::Cow;
 
 use bytes::Bytes;
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use serde::de::{self, DeserializeVariant, Error as _, MapAccess, Token};
+use serde::{Deserialize, Deserializer, Serialize};
 
 use neesgrid_daq::nsds::SharedSample;
 use neesgrid_gridsim::SimTime;
@@ -85,8 +91,8 @@ pub fn encode<T: Serialize>(value: &T) -> Result<Bytes, FrameError> {
     Ok(Bytes::from(out))
 }
 
-/// Decode one length-prefixed JSON frame.
-pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, FrameError> {
+/// Decode one length-prefixed JSON frame; the value may borrow from it.
+pub fn decode<'a, T: Deserialize<'a>>(bytes: &'a [u8]) -> Result<T, FrameError> {
     if bytes.len() < 4 {
         return Err(FrameError::Truncated {
             declared: 4,
@@ -301,6 +307,104 @@ pub enum Response {
         /// Human-readable cause.
         message: String,
     },
+}
+
+/// A `Samples` reply read in place: the borrowed twin of
+/// [`Response::Samples`], whose samples keep their channel names as slices
+/// of the frame. Like [`Response`] it is an externally tagged enum, and it
+/// picks its tag by the same smallest-key rule, so it decodes from a frame
+/// exactly when the frame decodes as `Response::Samples`, to the same
+/// values. Any other reply fails to decode; read those as a [`Response`].
+#[derive(Debug, Clone)]
+pub enum SamplesView<'a> {
+    /// Drained samples.
+    Samples {
+        /// Oldest-first samples (≤ requested max).
+        samples: Vec<SampleRef<'a>>,
+        /// Samples lost to this observer's ring overflow so far.
+        dropped: u64,
+        /// Whether the observed run has finished and the buffer is dry.
+        done: bool,
+    },
+}
+
+/// One sample of a [`SamplesView`]: an [`NsdsSample`] whose channel name
+/// is borrowed from the frame unless its JSON text holds escapes.
+///
+/// [`NsdsSample`]: neesgrid_daq::nsds::NsdsSample
+#[derive(Debug, Clone)]
+pub struct SampleRef<'a> {
+    /// Channel name.
+    pub channel: Cow<'a, str>,
+    /// Virtual experiment time.
+    pub t: SimTime,
+    /// Value in the channel's engineering unit.
+    pub value: f64,
+}
+
+// Both are read as the derive reads `NsdsSample` and `Response`: every
+// member is read, a repeated key keeps its last value, and a missing key
+// decodes from `null` (`de::field`).
+impl<'de> Deserialize<'de> for SampleRef<'de> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let Token::Object(mut map) = d.token()? else {
+            return Err(D::Error::custom("NsdsSample: expected object"));
+        };
+        let (mut channel, mut t, mut value) = (None, None, None);
+        while let Some(key) = map.next_key()? {
+            match &*key {
+                "channel" => channel = Some(map.next_value()?),
+                "t" => t = Some(map.next_value()?),
+                "value" => value = Some(map.next_value()?),
+                _ => map.skip_value()?,
+            }
+        }
+        Ok(SampleRef {
+            channel: de::field(channel, "NsdsSample.channel")?,
+            t: de::field(t, "NsdsSample.t")?,
+            value: de::field(value, "NsdsSample.value")?,
+        })
+    }
+}
+
+impl<'de> Deserialize<'de> for SamplesView<'de> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        match d.token()? {
+            Token::Object(map) => map
+                .variant()?
+                .ok_or_else(|| D::Error::custom("SamplesView: empty enum object")),
+            _ => Err(D::Error::custom(
+                "SamplesView: expected a single-key object",
+            )),
+        }
+    }
+}
+
+impl<'de> DeserializeVariant<'de> for SamplesView<'de> {
+    fn deserialize_variant<D: Deserializer<'de>>(tag: &str, d: D) -> Result<Self, D::Error> {
+        if tag != "Samples" {
+            return Err(D::Error::custom(format!(
+                "SamplesView: not Samples: {tag:?}"
+            )));
+        }
+        let Token::Object(mut map) = d.token()? else {
+            return Err(D::Error::custom("SamplesView::Samples: expected object"));
+        };
+        let (mut samples, mut dropped, mut done) = (None, None, None);
+        while let Some(key) = map.next_key()? {
+            match &*key {
+                "samples" => samples = Some(map.next_value()?),
+                "dropped" => dropped = Some(map.next_value()?),
+                "done" => done = Some(map.next_value()?),
+                _ => map.skip_value()?,
+            }
+        }
+        Ok(SamplesView::Samples {
+            samples: de::field(samples, "SamplesView::Samples.samples")?,
+            dropped: de::field(dropped, "SamplesView::Samples.dropped")?,
+            done: de::field(done, "SamplesView::Samples.done")?,
+        })
+    }
 }
 
 /// Why the portal refused a request — typed, so clients can branch

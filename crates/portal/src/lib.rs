@@ -53,7 +53,8 @@ pub use experiment::{
 };
 pub use frame::{
     decode, encode, BoardEntry, FrameError, PortalStats, Rejection, Request, RequestFrame,
-    Response, RunReport, RunState, ARTIFACT_CHUNK_MAX, MAX_FRAME_BYTES, PORTAL_SERVICE,
+    Response, RunReport, RunState, SampleRef, SamplesView, ARTIFACT_CHUNK_MAX, MAX_FRAME_BYTES,
+    PORTAL_SERVICE,
 };
 pub use scheduler::{SubmissionQueue, WorkerPool};
 pub use service::{

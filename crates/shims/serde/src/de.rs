@@ -298,6 +298,17 @@ impl<'de> Deserialize<'de> for String {
     }
 }
 
+/// Borrowed from a text source when the string needs no unescaping, as
+/// real serde does for a field marked `#[serde(borrow)]`.
+impl<'de: 'a, 'a> Deserialize<'de> for Cow<'a, str> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        match d.token()? {
+            Token::Str(s) => Ok(s),
+            other => type_err("string", &other),
+        }
+    }
+}
+
 impl<'de> Deserialize<'de> for char {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let s = match d.token()? {

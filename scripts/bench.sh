@@ -25,6 +25,11 @@
 # schedule (the 1,493-step public run, every-100 snapshots) with and
 # without checkpoints and writes median/best of each, the snapshot count
 # and bytes, and the cost per MB of snapshot to BENCH_checkpoint.json.
+# json_reader decodes one 1,024-sample Poll reply of the MOST public run
+# four ways (owned Response, the viewers' in-place SamplesView, Value, and
+# RawValue, a pure syntax skip) beside a std f64 parse of its value texts,
+# rotating the order each round, and writes the best and median ns per
+# sample of each, with the core count and repeats, to BENCH_json.json.
 # The analyzer stage
 # records both exhaustive checkers' schedule counts and wall time to
 # BENCH_analyzer.json. The script ends by printing every numeric field that
@@ -53,6 +58,9 @@ cargo bench -p neesgrid-bench --bench campaign_sweep
 
 echo "==> fig12_checkpoint_overhead (checkpoint_resume schedule → BENCH_checkpoint.json)"
 cargo bench -p neesgrid-bench --bench fig12_checkpoint_overhead
+
+echo "==> json_reader (Poll reply decode, ns per sample → BENCH_json.json)"
+cargo bench -p neesgrid-bench --bench json_reader
 
 echo "==> analyzer checkers (schedule counts → BENCH_analyzer.json)"
 cargo run -q --release -p neesgrid-analyzer -- bench --out BENCH_analyzer.json
