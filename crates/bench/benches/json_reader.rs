@@ -36,7 +36,7 @@ fn poll_reply() -> bytes::Bytes {
     deployment.set_fault_plan(scenario.fault_plan(config.steps));
     let tap = deployment.nsds.subscribe("*", SAMPLES);
     deployment.run(scenario.policy());
-    let samples = tap.take(SAMPLES);
+    let samples = tap.take_run(SAMPLES);
     assert_eq!(
         samples.len(),
         SAMPLES,

@@ -309,7 +309,7 @@ impl CollabPortal {
 mod tests {
     use super::*;
     use neesgrid_checkpoint::MemoryCheckpointStore;
-    use neesgrid_daq::nsds::{NsdsSample, NsdsServer, SharedSample};
+    use neesgrid_daq::nsds::{NsdsSample, NsdsServer};
     use neesgrid_gridsim::{MessageKind, NetworkProfile};
     use neesgrid_gsi::CertificateAuthority;
     use neesgrid_portal::{encode, Portal, PortalConfig, RequestFrame, PORTAL_SERVICE};
@@ -521,17 +521,15 @@ mod tests {
                 return;
             }
             let frame: RequestFrame = decode(&env.payload).expect("client frames decode");
-            let sample = |ms, value| {
-                SharedSample::new(NsdsSample {
-                    channel: "resp/dof-0".into(),
-                    t: SimTime::from_millis(ms),
-                    value,
-                })
+            let sample = |ms, value| NsdsSample {
+                channel: "resp/dof-0".into(),
+                t: SimTime::from_millis(ms),
+                value,
             };
             let reply = match frame.request {
                 Request::ObserveFacility { .. } => Response::Observing { observer: 7 },
                 Request::Poll { .. } => Response::Samples {
-                    samples: vec![sample(20, 1.0), sample(10, 2.0)],
+                    samples: [sample(20, 1.0), sample(10, 2.0)].into_iter().collect(),
                     dropped: 0,
                     done: false,
                 },

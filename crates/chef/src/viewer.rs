@@ -46,7 +46,10 @@ pub enum View {
 
 /// The data viewer: buffered series, arrangements, VCR position.
 pub struct DataViewer {
-    series: HashMap<String, TimeSeries>,
+    /// One series per channel, sorted by channel name. A viewer holds a
+    /// handful of channels, so a binary search finds a sample's series
+    /// without hashing its name.
+    series: Vec<TimeSeries>,
     arrangements: HashMap<String, Vec<View>>,
     state: VcrState,
     /// Current playback position (virtual experiment time).
@@ -59,7 +62,7 @@ impl DataViewer {
     /// An empty viewer, paused at t = 0.
     pub fn new() -> Self {
         DataViewer {
-            series: HashMap::new(),
+            series: Vec::new(),
             arrangements: HashMap::new(),
             state: VcrState::Paused,
             position: SimTime::ZERO,
@@ -71,24 +74,32 @@ impl DataViewer {
     /// older than its channel's latest is refused, so every series stays
     /// in time order whatever a feed delivers.
     pub fn ingest(&mut self, channel: &str, t: SimTime, value: f64) -> Result<(), String> {
-        match self.series.get_mut(channel) {
-            Some(ts) => {
-                if let Some(last) = ts.samples.last().filter(|last| t < last.t) {
-                    return Err(format!(
-                        "sample on {channel} at {t} is older than its latest at {}",
-                        last.t
-                    ));
-                }
-                ts.push(t, value);
+        let ts = match self.find(channel) {
+            Ok(i) => &mut self.series[i],
+            Err(i) => {
+                self.series.insert(i, TimeSeries::new(channel, ""));
+                &mut self.series[i]
             }
-            None => {
-                let mut ts = TimeSeries::new(channel, "");
-                ts.push(t, value);
-                self.series.insert(channel.to_string(), ts);
-            }
+        };
+        if let Some(last) = ts.samples.last().filter(|last| t < last.t) {
+            return Err(format!(
+                "sample on {channel} at {t} is older than its latest at {}",
+                last.t
+            ));
         }
+        ts.push(t, value);
         self.live_edge = self.live_edge.max(t);
         Ok(())
+    }
+
+    /// Where `channel`'s series is, or would be inserted.
+    fn find(&self, channel: &str) -> Result<usize, usize> {
+        self.series
+            .binary_search_by(|ts| ts.channel.as_str().cmp(channel))
+    }
+
+    fn get(&self, channel: &str) -> Option<&TimeSeries> {
+        self.find(channel).ok().map(|i| &self.series[i])
     }
 
     /// Save a named arrangement of views.
@@ -151,8 +162,7 @@ impl DataViewer {
     /// The series data visible at the current position (everything up to
     /// `position`) for one channel.
     pub fn visible_series(&self, channel: &str) -> Vec<(SimTime, f64)> {
-        self.series
-            .get(channel)
+        self.get(channel)
             .map(|ts| {
                 ts.samples
                     .iter()
@@ -166,7 +176,7 @@ impl DataViewer {
     /// Hysteresis pairs (x(t), y(t)) up to the current position, matching
     /// samples at equal timestamps.
     pub fn hysteresis(&self, x_channel: &str, y_channel: &str) -> Vec<(f64, f64)> {
-        let (Some(xs), Some(ys)) = (self.series.get(x_channel), self.series.get(y_channel)) else {
+        let (Some(xs), Some(ys)) = (self.get(x_channel), self.get(y_channel)) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -184,9 +194,7 @@ impl DataViewer {
 
     /// Channels the viewer currently holds.
     pub fn channels(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.series.keys().cloned().collect();
-        names.sort();
-        names
+        self.series.iter().map(|ts| ts.channel.clone()).collect()
     }
 }
 
@@ -218,7 +226,7 @@ mod tests {
             .ingest("disp", SimTime::from_millis(500), 1.0)
             .unwrap_err();
         assert!(err.contains("older than its latest"), "{err}");
-        assert_eq!(v.series["disp"].len(), 100);
+        assert_eq!(v.get("disp").map(TimeSeries::len), Some(100));
         assert_eq!(v.live_edge, SimTime::from_millis(990));
         // Equal times are in order (hysteresis pairs share a timestamp).
         v.ingest("disp", SimTime::from_millis(990), 1.0).unwrap();

@@ -1,28 +1,16 @@
 //! Durable NSDS capture encoding.
 //!
 //! The paper's repository archived each experiment's streamed sensor data
-//! as flat files. This module is the wire-neutral serialization used by
+//! as flat files. This module reads the wire-neutral serialization used by
 //! that path: one JSON object per line (JSONL), so captures are
 //! appendable, greppable, and — crucially for the archive's dedup store —
-//! byte-stable: the same samples always encode to the same bytes.
+//! byte-stable: the same samples always encode to the same bytes. A
+//! capture is written by [`NsdsSubscription::take_jsonl`], which copies
+//! each sample's compact text out of the NSDS log it was rendered into.
+//!
+//! [`NsdsSubscription::take_jsonl`]: crate::nsds::NsdsSubscription::take_jsonl
 
-use bytes::Bytes;
-
-use crate::nsds::{NsdsSample, SharedSample};
-
-/// Encode samples as JSONL, one sample per line, in input order. Each
-/// line is the sample's shared compact text, so a sample a viewer was
-/// already sent is copied, not rendered again; the buffer is sized
-/// exactly, because the archive keeps slices of it.
-pub fn encode_jsonl(samples: &[SharedSample]) -> Bytes {
-    let len = samples.iter().map(|s| s.json().len() + 1).sum();
-    let mut out = String::with_capacity(len);
-    for s in samples {
-        out.push_str(s.json());
-        out.push('\n');
-    }
-    Bytes::from(out)
-}
+use crate::nsds::NsdsSample;
 
 /// Decode a JSONL capture. Returns `None` if any line is malformed —
 /// a truncated or corrupted capture should fail loudly, not partially.
@@ -40,39 +28,50 @@ pub fn decode_jsonl(bytes: &[u8]) -> Option<Vec<NsdsSample>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nsds::NsdsServer;
     use neesgrid_gridsim::SimTime;
 
-    fn sample(i: u64) -> SharedSample {
-        SharedSample::new(NsdsSample {
+    fn sample(i: u64) -> NsdsSample {
+        NsdsSample {
             channel: format!("most.bldg.disp{i}"),
             t: SimTime::from_millis(i * 10),
             value: i as f64 * 0.25,
-        })
+        }
+    }
+
+    /// The capture a tap on every channel writes of `samples`.
+    fn capture(samples: &[NsdsSample]) -> String {
+        let nsds = NsdsServer::new();
+        let tap = nsds.subscribe("*", samples.len().max(1));
+        for s in samples {
+            nsds.publish(s.clone());
+        }
+        let mut jsonl = String::new();
+        tap.take_jsonl(usize::MAX, &mut jsonl);
+        jsonl
     }
 
     #[test]
     fn jsonl_roundtrips() {
-        let samples: Vec<SharedSample> = (0..5).map(sample).collect();
-        let bytes = encode_jsonl(&samples);
-        let plain: Vec<NsdsSample> = samples.iter().map(|s| NsdsSample::clone(s)).collect();
-        assert_eq!(decode_jsonl(&bytes), Some(plain));
+        let samples: Vec<NsdsSample> = (0..5).map(sample).collect();
+        assert_eq!(decode_jsonl(capture(&samples).as_bytes()), Some(samples));
     }
 
     #[test]
     fn encoding_is_byte_stable() {
-        let samples: Vec<SharedSample> = (0..16).map(sample).collect();
-        assert_eq!(encode_jsonl(&samples), encode_jsonl(&samples));
+        let samples: Vec<NsdsSample> = (0..16).map(sample).collect();
+        assert_eq!(capture(&samples), capture(&samples));
     }
 
     #[test]
     fn empty_capture_is_empty_bytes() {
-        assert_eq!(encode_jsonl(&[]).len(), 0);
+        assert_eq!(capture(&[]).len(), 0);
         assert_eq!(decode_jsonl(b""), Some(vec![]));
     }
 
     #[test]
     fn corrupt_line_fails_whole_decode() {
-        let mut bytes = encode_jsonl(&[sample(1)]).to_vec();
+        let mut bytes = capture(&[sample(1)]).into_bytes();
         bytes.extend_from_slice(b"{not json\n");
         assert_eq!(decode_jsonl(&bytes), None);
     }

@@ -16,10 +16,10 @@
 //!   rates over a virtual-time window;
 //! * [`filedrop`] — the shared-directory handoff between LabVIEW and the
 //!   repository uploader;
-//! * [`nsds`] — the streaming service with bounded, loss-counting
-//!   subscriptions that share each published sample;
-//! * [`capture`] — byte-stable JSONL encoding of captured NSDS samples,
-//!   the durable form the archive stores and replicates.
+//! * [`nsds`] — the streaming service: one log per subscription pattern,
+//!   read through bounded, loss-counting cursors;
+//! * [`capture`] — the byte-stable JSONL form of captured NSDS samples,
+//!   which the archive stores and replicates.
 
 pub mod capture;
 pub mod channel;
@@ -28,9 +28,9 @@ pub mod nsds;
 pub mod sampler;
 pub mod timeseries;
 
-pub use capture::{decode_jsonl, encode_jsonl};
+pub use capture::decode_jsonl;
 pub use channel::{Calibration, ChannelConfig};
 pub use filedrop::{DropFile, FileDropDir};
-pub use nsds::{NsdsSample, NsdsServer, NsdsSubscription, SharedSample};
+pub use nsds::{NsdsSample, NsdsServer, NsdsSubscription, SampleRun};
 pub use sampler::{DaqSystem, SignalSource};
 pub use timeseries::{Sample, TimeSeries};

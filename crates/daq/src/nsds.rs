@@ -3,22 +3,27 @@
 //! §2.2: "The NEESGrid Streaming Data Service provides a best-effort
 //! stream of real-time data from the data acquisition system." The
 //! defining property is **best-effort**: the experiment never blocks on a
-//! slow remote viewer. Each subscription owns a bounded ring buffer;
-//! when it overflows, the *oldest* samples are discarded and counted, so a
-//! viewer that falls behind sees the freshest data with an honest loss
-//! figure — the number the `fig08_dataviewer` bench reports.
+//! slow remote viewer. Each subscription holds a bounded backlog; when it
+//! overflows, the *oldest* samples are discarded and counted, so a viewer
+//! that falls behind sees the freshest data with an honest loss figure —
+//! the number the `fig08_dataviewer` bench reports.
 //!
-//! A published sample is allocated once, as a [`SharedSample`], and
-//! shared by every subscription that buffers it and every reader that
-//! takes it out: readers hold the same immutable sample, never a copy.
-//! Its compact JSON is rendered at most once, on first write, so a sample
-//! fanned out to a crowd of viewers is formatted once, not once per
-//! viewer.
+//! The service keeps one log per distinct subscription pattern, and a
+//! subscription is a cursor into its pattern's log. Publishing matches
+//! each pattern once and appends the sample once: the typed sample, and
+//! its compact JSON text at the end of one buffer the log's texts share.
+//! Every cursor whose backlog already filled its capacity then moves past
+//! the oldest sample, which is that subscription's drop. Reading moves the
+//! reader's cursor, and a log keeps only what its slowest cursor has not
+//! read, so it never holds more than its largest capacity. A rendered read
+//! ([`NsdsSubscription::take_run`]) copies a range of that buffer in one
+//! piece: a sample fanned out to a crowd of viewers is rendered once, and
+//! publishing it costs each viewer a comparison, not a copy.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
@@ -37,76 +42,113 @@ pub struct NsdsSample {
     pub value: f64,
 }
 
-/// A published sample, shared by every subscription, reply and capture
-/// that holds it. Cloning bumps a reference count. The compact JSON text
-/// is rendered on the first [`Serialize::write_json`] and copied by every
-/// later one; it is byte-identical to the [`NsdsSample`] encoding.
-#[derive(Clone)]
-pub struct SharedSample(Arc<Rendered>);
-
-struct Rendered {
-    sample: NsdsSample,
-    json: OnceLock<String>,
+/// A run of samples as their compact JSON texts, comma-joined: the
+/// `samples` array of a `Poll` reply without its brackets. A rendered read
+/// copies one out of a log in one piece, and writing it splices the text.
+/// Decoding takes exactly the JSON a `Vec<NsdsSample>` takes and writes
+/// each sample back, so a run always holds its samples' own texts.
+#[derive(Clone, Default)]
+pub struct SampleRun {
+    text: String,
+    len: usize,
 }
 
-impl SharedSample {
-    /// Share `sample`; its text is rendered when first written.
-    pub fn new(sample: NsdsSample) -> Self {
-        SharedSample(Arc::new(Rendered {
-            sample,
-            json: OnceLock::new(),
-        }))
+impl SampleRun {
+    /// Samples in the run.
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// The sample's compact JSON text, rendered on the first call.
-    pub(crate) fn json(&self) -> &str {
-        self.0.json.get_or_init(|| {
-            let sample = &self.0.sample;
-            // The keys, a 20-digit time and a 24-character float: room for
-            // the whole text unless the channel name needs escapes.
-            let mut text = String::with_capacity(sample.channel.len() + 72);
-            sample.write_json(&mut text);
-            text
-        })
+    /// Whether the run holds no sample.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
-}
 
-impl Deref for SharedSample {
-    type Target = NsdsSample;
-    fn deref(&self) -> &NsdsSample {
-        &self.0.sample
+    /// The samples, oldest first, decoded from the text. A non-finite
+    /// value reads back as NaN, as it does off the wire.
+    pub fn samples(&self) -> Vec<NsdsSample> {
+        let mut array = String::with_capacity(self.text.len() + 2);
+        array.push('[');
+        array.push_str(&self.text);
+        array.push(']');
+        serde_json::from_str(&array).expect("a run holds rendered samples")
     }
 }
 
-impl fmt::Debug for SharedSample {
+impl FromIterator<NsdsSample> for SampleRun {
+    fn from_iter<I: IntoIterator<Item = NsdsSample>>(samples: I) -> Self {
+        let mut run = SampleRun::default();
+        for sample in samples {
+            if run.len > 0 {
+                run.text.push(',');
+            }
+            sample.write_json(&mut run.text);
+            run.len += 1;
+        }
+        run
+    }
+}
+
+impl IntoIterator for SampleRun {
+    type Item = NsdsSample;
+    type IntoIter = std::vec::IntoIter<NsdsSample>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.samples().into_iter()
+    }
+}
+
+impl IntoIterator for &SampleRun {
+    type Item = NsdsSample;
+    type IntoIter = std::vec::IntoIter<NsdsSample>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.samples().into_iter()
+    }
+}
+
+impl fmt::Debug for SampleRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.sample.fmt(f)
+        f.debug_list().entries(self.samples()).finish()
     }
 }
 
-impl Serialize for SharedSample {
+impl Serialize for SampleRun {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.0.sample.serialize(serializer)
+        self.samples().serialize(serializer)
     }
 
     fn write_json(&self, out: &mut String) {
-        out.push_str(self.json());
+        // Room for the array and the little that closes a reply around it,
+        // so a frame built around a run grows once.
+        out.reserve(self.text.len() + 16);
+        out.push('[');
+        out.push_str(&self.text);
+        out.push(']');
     }
 }
 
-impl<'de> Deserialize<'de> for SharedSample {
+impl<'de> Deserialize<'de> for SampleRun {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        NsdsSample::deserialize(d).map(SharedSample::new)
+        Vec::<NsdsSample>::deserialize(d).map(SampleRun::from_iter)
     }
 }
 
-struct SubscriptionInner {
+/// The samples published on channels matching one pattern that some
+/// subscription to it has not read yet.
+struct Log {
     pattern: String,
-    buffer: VecDeque<SharedSample>,
-    capacity: usize,
-    dropped: u64,
-    delivered: u64,
-    // Metric names preformatted at subscribe time so the per-sample
+    /// Sequence number of `samples[0]`; the log numbers the samples it
+    /// appends from 0.
+    base: u64,
+    samples: VecDeque<NsdsSample>,
+    /// Each retained sample's compact JSON text followed by a comma. The
+    /// first `cut` bytes the log ever held are gone from the front.
+    text: String,
+    cut: usize,
+    /// Where each retained sample's text starts, counted from the log's
+    /// first byte.
+    starts: VecDeque<usize>,
+    cursors: Vec<Cursor>,
+    // Metric names preformatted when the log opens so the per-sample
     // publish path never builds a key string; the counter handles are
     // resolved lazily on the first instrumented publish.
     delivered_key: String,
@@ -114,43 +156,254 @@ struct SubscriptionInner {
     handles: Option<(CounterHandle, CounterHandle)>,
 }
 
-/// A best-effort subscription handle.
+/// One subscription's place in its log.
+struct Cursor {
+    /// The subscription's id in the hub's slots.
+    id: usize,
+    /// Sequence number of the next sample it reads.
+    next: u64,
+    /// Sequence number of the first sample appended after it subscribed.
+    joined: u64,
+    capacity: u64,
+    dropped: u64,
+}
+
+impl Log {
+    fn new(pattern: String) -> Log {
+        Log {
+            delivered_key: format!("nsds.delivered{{{pattern}}}"),
+            dropped_key: format!("nsds.dropped{{{pattern}}}"),
+            pattern,
+            base: 0,
+            // analyzer:buffer(cap = 64, drop = oldest)
+            samples: VecDeque::with_capacity(64),
+            text: String::new(),
+            cut: 0,
+            // analyzer:buffer(cap = 64, drop = oldest)
+            starts: VecDeque::with_capacity(64),
+            cursors: Vec::new(),
+            handles: None,
+        }
+    }
+
+    /// Sequence number of the next sample appended.
+    fn head(&self) -> u64 {
+        self.base + self.samples.len() as u64
+    }
+
+    /// Append one matching sample and its text. Every cursor whose backlog
+    /// now exceeds its capacity loses its oldest sample; the publish is
+    /// counted as delivered to every cursor.
+    fn append(&mut self, sample: NsdsSample, text: &str, telemetry: &Telemetry) {
+        self.starts.push_back(self.cut + self.text.len());
+        self.text.push_str(text);
+        self.text.push(',');
+        self.samples.push_back(sample);
+        let head = self.head();
+        let (mut dropped, mut slowest) = (0, head);
+        for cursor in &mut self.cursors {
+            if head - cursor.next > cursor.capacity {
+                cursor.next += 1;
+                cursor.dropped += 1;
+                dropped += 1;
+            }
+            slowest = slowest.min(cursor.next);
+        }
+        if telemetry.enabled() {
+            let (delivered_key, dropped_key) = (&self.delivered_key, &self.dropped_key);
+            let (delivered_counter, dropped_counter) = self.handles.get_or_insert_with(|| {
+                (
+                    telemetry.counter_handle(delivered_key),
+                    telemetry.counter_handle(dropped_key),
+                )
+            });
+            delivered_counter.add(self.cursors.len() as u64);
+            dropped_counter.add(dropped);
+        }
+        self.trim(slowest);
+    }
+
+    /// Hand `read` the indices into `samples` of the next `max` samples
+    /// cursor `at` has not read, then move the cursor past them.
+    fn read<T>(&mut self, at: usize, max: usize, read: impl FnOnce(&Log, Range<usize>) -> T) -> T {
+        let next = self.cursors[at].next;
+        let n = (self.head() - next).min(max as u64);
+        let from = (next - self.base) as usize;
+        let out = read(self, from..from + n as usize);
+        self.cursors[at].next += n;
+        // Only a cursor at the front can have been the slowest.
+        if n > 0 && next == self.base {
+            self.trim(self.slowest());
+        }
+        out
+    }
+
+    /// The texts of retained samples `range`, comma-joined.
+    fn text_of(&self, range: Range<usize>) -> &str {
+        if range.is_empty() {
+            return "";
+        }
+        let start = self.starts[range.start] - self.cut;
+        let end = self
+            .starts
+            .get(range.end)
+            .map_or(self.text.len(), |&s| s - self.cut);
+        &self.text[start..end - 1]
+    }
+
+    fn slowest(&self) -> u64 {
+        self.cursors
+            .iter()
+            .map(|c| c.next)
+            .min()
+            .unwrap_or_else(|| self.head())
+    }
+
+    /// Forget the samples before sequence number `slowest`, which every
+    /// cursor has passed.
+    fn trim(&mut self, slowest: u64) {
+        let n = (slowest - self.base) as usize;
+        if n == 0 {
+            return;
+        }
+        self.samples.drain(..n);
+        self.starts.drain(..n);
+        self.base = slowest;
+        match self.starts.front() {
+            None => {
+                self.cut += self.text.len();
+                self.text.clear();
+            }
+            // Passed text is cut once it is half the buffer, so each byte
+            // moves at most once on average.
+            Some(&first) if first - self.cut > self.text.len() / 2 => {
+                self.text.drain(..first - self.cut);
+                self.cut = first;
+            }
+            Some(_) => {}
+        }
+    }
+}
+
+#[derive(Default)]
+struct Hub {
+    published: u64,
+    telemetry: Telemetry,
+    logs: Vec<Log>,
+    /// Where each subscription's cursor sits, as `(log, index)`, by
+    /// subscription id; `None` once all its handles are gone, for the next
+    /// subscription to reuse.
+    slots: Vec<Option<(usize, usize)>>,
+    /// The text of the sample being published.
+    text: String,
+}
+
+impl Hub {
+    fn cursor(&self, id: usize) -> (&Log, &Cursor) {
+        let (log, at) = self.slots[id].expect("a live handle has a cursor");
+        let log = &self.logs[log];
+        (log, &log.cursors[at])
+    }
+
+    fn unsubscribe(&mut self, id: usize) {
+        let Some((l, at)) = self.slots[id].take() else {
+            return;
+        };
+        let log = &mut self.logs[l];
+        log.cursors.swap_remove(at);
+        if let Some(moved) = log.cursors.get(at) {
+            self.slots[moved.id] = Some((l, at));
+        }
+        if !log.cursors.is_empty() {
+            log.trim(log.slowest());
+            return;
+        }
+        self.logs.swap_remove(l);
+        if let Some(moved) = self.logs.get(l) {
+            for (at, cursor) in moved.cursors.iter().enumerate() {
+                self.slots[cursor.id] = Some((l, at));
+            }
+        }
+    }
+}
+
+/// A best-effort subscription handle. Clones share one cursor; the
+/// subscription ends when its last handle drops.
 #[derive(Clone)]
-pub struct NsdsSubscription {
-    inner: Arc<Mutex<SubscriptionInner>>,
+pub struct NsdsSubscription(Arc<Subscribed>);
+
+struct Subscribed {
+    hub: Arc<Mutex<Hub>>,
+    id: usize,
+}
+
+impl Drop for Subscribed {
+    fn drop(&mut self) {
+        self.hub.lock().unsubscribe(self.id);
+    }
 }
 
 impl NsdsSubscription {
-    /// Take up to `max` buffered samples, oldest first, under one lock.
-    /// The samples are shared with every other holder, not copied.
-    pub fn take(&self, max: usize) -> Vec<SharedSample> {
-        let mut inner = self.inner.lock();
-        let n = max.min(inner.buffer.len());
-        inner.buffer.drain(..n).collect()
+    fn read<T>(&self, max: usize, read: impl FnOnce(&Log, Range<usize>) -> T) -> T {
+        let mut hub = self.0.hub.lock();
+        let (log, at) = hub.slots[self.0.id].expect("a live handle has a cursor");
+        hub.logs[log].read(at, max, read)
+    }
+
+    /// Take up to `max` samples, oldest first, each a copy of the
+    /// published sample.
+    pub fn take(&self, max: usize) -> Vec<NsdsSample> {
+        self.read(max, |log, range| {
+            log.samples.range(range).cloned().collect()
+        })
+    }
+
+    /// Take up to `max` samples, oldest first, as one run of their texts:
+    /// one copy out of the log, sized exactly.
+    pub fn take_run(&self, max: usize) -> SampleRun {
+        self.read(max, |log, range| SampleRun {
+            len: range.len(),
+            text: log.text_of(range).to_owned(),
+        })
+    }
+
+    /// Take up to `max` samples, oldest first, appending each one's text
+    /// to `out` as one JSON line. Returns how many it took.
+    pub fn take_jsonl(&self, max: usize, out: &mut String) -> usize {
+        self.read(max, |log, range| {
+            out.reserve(log.text_of(range.clone()).len() + 1);
+            for i in range.clone() {
+                out.push_str(log.text_of(i..i + 1));
+                out.push('\n');
+            }
+            range.len()
+        })
     }
 
     /// Samples lost to buffer overflow so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.0.hub.lock().cursor(self.0.id).1.dropped
     }
 
     /// Samples delivered into the buffer so far (including later drops).
     pub fn delivered(&self) -> u64 {
-        self.inner.lock().delivered
+        let hub = self.0.hub.lock();
+        let (log, cursor) = hub.cursor(self.0.id);
+        log.head() - cursor.joined
     }
 
     /// Currently buffered count.
     pub fn pending(&self) -> usize {
-        self.inner.lock().buffer.len()
+        let hub = self.0.hub.lock();
+        let (log, cursor) = hub.cursor(self.0.id);
+        (log.head() - cursor.next) as usize
     }
 }
 
-/// The streaming server: publishers push, subscriptions buffer.
+/// The streaming server: publishers append, subscriptions read.
 #[derive(Default)]
 pub struct NsdsServer {
-    subscriptions: Mutex<Vec<Arc<Mutex<SubscriptionInner>>>>,
-    published: Mutex<u64>,
-    telemetry: Mutex<Telemetry>,
+    hub: Arc<Mutex<Hub>>,
 }
 
 impl NsdsServer {
@@ -160,72 +413,83 @@ impl NsdsServer {
     }
 
     /// Subscribe to channels matching `pattern` (exact, or prefix ending
-    /// in `*`), buffering up to `capacity` samples.
+    /// in `*`), buffering up to `capacity` samples. The subscription sees
+    /// the samples published from now on.
     pub fn subscribe(&self, pattern: impl Into<String>, capacity: usize) -> NsdsSubscription {
         assert!(capacity > 0);
         let pattern = pattern.into();
-        let inner = Arc::new(Mutex::new(SubscriptionInner {
-            delivered_key: format!("nsds.delivered{{{pattern}}}"),
-            dropped_key: format!("nsds.dropped{{{pattern}}}"),
-            pattern,
-            // analyzer:buffer(cap = capacity.min(1024), drop = oldest)
-            buffer: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
+        let mut hub = self.hub.lock();
+        let hub = &mut *hub;
+        let l = match hub.logs.iter().position(|log| log.pattern == pattern) {
+            Some(l) => l,
+            None => {
+                hub.logs.push(Log::new(pattern));
+                hub.logs.len() - 1
+            }
+        };
+        let id = match hub.slots.iter().position(Option::is_none) {
+            Some(id) => id,
+            None => {
+                hub.slots.push(None);
+                hub.slots.len() - 1
+            }
+        };
+        let log = &mut hub.logs[l];
+        let head = log.head();
+        log.cursors.push(Cursor {
+            id,
+            next: head,
+            joined: head,
+            capacity: capacity as u64,
             dropped: 0,
-            delivered: 0,
-            handles: None,
-        }));
-        self.subscriptions.lock().push(Arc::clone(&inner));
-        NsdsSubscription { inner }
+        });
+        hub.slots[id] = Some((l, log.cursors.len() - 1));
+        NsdsSubscription(Arc::new(Subscribed {
+            hub: Arc::clone(&self.hub),
+            id,
+        }))
     }
 
-    /// Install a telemetry handle: per-subscription delivery and overflow
-    /// counters (`nsds.delivered{pattern}` / `nsds.dropped{pattern}`).
-    /// Defaults to disabled.
+    /// Install a telemetry handle: per-pattern delivery and overflow
+    /// counters (`nsds.delivered{pattern}` / `nsds.dropped{pattern}`), each
+    /// summed over the pattern's subscriptions. Defaults to disabled.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.lock() = telemetry;
+        let mut hub = self.hub.lock();
+        hub.telemetry = telemetry;
         // Cached handles belong to the previous registry.
-        for sub in self.subscriptions.lock().iter() {
-            sub.lock().handles = None;
+        for log in &mut hub.logs {
+            log.handles = None;
         }
     }
 
     /// Publish one sample to all matching subscriptions (never blocks).
     pub fn publish(&self, sample: NsdsSample) {
-        *self.published.lock() += 1;
-        let sample = SharedSample::new(sample);
-        let telemetry = self.telemetry.lock().clone();
-        let mut subs = self.subscriptions.lock();
-        // A subscription whose handle is gone can never be polled again:
-        // reclaim it here, so publish cost tracks live subscribers rather
-        // than every subscription ever opened. Long-lived hubs (the
-        // portal's run stream across a 10k-run bench or a campaign sweep)
-        // otherwise scan an ever-growing tail of closed observers and
-        // finished capture taps on every sample.
-        subs.retain(|sub| Arc::strong_count(sub) > 1);
-        for sub in subs.iter() {
-            let mut s = sub.lock();
-            if !pattern_matches(&s.pattern, &sample.channel) {
+        let mut hub = self.hub.lock();
+        let Hub {
+            published,
+            telemetry,
+            logs,
+            text,
+            ..
+        } = &mut *hub;
+        *published += 1;
+        // Each append waits for the next match, so the last matching log
+        // takes the sample itself and only the others take a copy.
+        let mut matched = None;
+        for l in 0..logs.len() {
+            if !pattern_matches(&logs[l].pattern, &sample.channel) {
                 continue;
             }
-            if telemetry.enabled() && s.handles.is_none() {
-                s.handles = Some((
-                    telemetry.counter_handle(&s.delivered_key),
-                    telemetry.counter_handle(&s.dropped_key),
-                ));
-            }
-            if s.buffer.len() == s.capacity {
-                s.buffer.pop_front();
-                s.dropped += 1;
-                if let Some((_, dropped)) = &s.handles {
-                    dropped.add(1);
+            match matched.replace(l) {
+                None => {
+                    text.clear();
+                    sample.write_json(text);
                 }
+                Some(earlier) => logs[earlier].append(sample.clone(), text, telemetry),
             }
-            s.buffer.push_back(sample.clone());
-            s.delivered += 1;
-            if let Some((delivered, _)) = &s.handles {
-                delivered.add(1);
-            }
+        }
+        if let Some(last) = matched {
+            logs[last].append(sample, text, telemetry);
         }
     }
 
@@ -242,14 +506,13 @@ impl NsdsServer {
 
     /// Total samples published.
     pub fn published(&self) -> u64 {
-        *self.published.lock()
+        self.hub.lock().published
     }
 
-    /// Active subscription count. Subscriptions whose handle has been
-    /// dropped are reclaimed lazily on the next `publish`, so this may
-    /// briefly over-count between a drop and the next sample.
+    /// Live subscription count: a subscription ends when its last handle
+    /// drops.
     pub fn subscription_count(&self) -> usize {
-        self.subscriptions.lock().len()
+        self.hub.lock().slots.iter().flatten().count()
     }
 }
 
@@ -270,6 +533,14 @@ mod tests {
             t: SimTime::from_millis(i * 10),
             value: i as f64,
         }
+    }
+
+    /// The log behind the (only) subscription to `pattern`: retained
+    /// samples and text bytes.
+    fn retained(nsds: &NsdsServer, pattern: &str) -> Option<(usize, usize)> {
+        let hub = nsds.hub.lock();
+        let log = hub.logs.iter().find(|log| log.pattern == pattern)?;
+        Some((log.samples.len(), log.text.len()))
     }
 
     #[test]
@@ -366,22 +637,73 @@ mod tests {
     }
 
     #[test]
-    fn readers_share_one_sample_rendered_once() {
+    fn rendered_reads_are_the_samples_own_texts() {
         let nsds = NsdsServer::new();
-        let (a, b) = (nsds.subscribe("*", 4), nsds.subscribe("*", 4));
-        nsds.publish(sample("uiuc/\"lvdt\"-1", 3));
-        let (a, b) = (a.take(1).remove(0), b.take(1).remove(0));
-        assert!(
-            Arc::ptr_eq(&a.0, &b.0),
-            "both readers hold the published sample"
+        let (poll, capture) = (nsds.subscribe("*", 4), nsds.subscribe("*", 4));
+        let published: Vec<NsdsSample> = (0..3).map(|i| sample("uiuc/\"lvdt\"-1", i)).collect();
+        for s in &published {
+            nsds.publish(s.clone());
+        }
+        let texts: Vec<String> = published
+            .iter()
+            .map(|s| serde_json::to_string(s).expect("a sample renders"))
+            .collect();
+        let run = poll.take_run(usize::MAX);
+        assert_eq!(run.len(), 3);
+        assert_eq!(
+            serde_json::to_string(&run).expect("a run renders"),
+            format!("[{}]", texts.join(","))
         );
-        assert!(
-            a.0.json.get().is_none(),
-            "nothing rendered before the first write"
+        assert_eq!(run.samples(), published);
+        let mut jsonl = String::new();
+        assert_eq!(capture.take_jsonl(2, &mut jsonl), 2);
+        assert_eq!(capture.take_jsonl(2, &mut jsonl), 1);
+        assert_eq!(jsonl, texts.join("\n") + "\n");
+        assert!(poll.take_run(8).is_empty());
+    }
+
+    #[test]
+    fn a_log_keeps_only_what_its_slowest_cursor_has_not_read() {
+        let nsds = NsdsServer::new();
+        let (small, large) = (nsds.subscribe("*", 4), nsds.subscribe("*", 8));
+        for i in 0..100 {
+            nsds.publish(sample("c", i));
+        }
+        assert_eq!(
+            retained(&nsds, "*").map(|r| r.0),
+            Some(8),
+            "its largest capacity"
         );
-        let plain = serde_json::to_string(&*a).unwrap();
-        assert_eq!(serde_json::to_string(&a).unwrap(), plain);
-        assert_eq!(b.0.json.get().map(String::as_str), Some(plain.as_str()));
-        assert_eq!(serde_json::to_string(&b).unwrap(), plain);
+        assert_eq!((small.pending(), large.pending()), (4, 8));
+        large.take(usize::MAX);
+        assert_eq!(retained(&nsds, "*").map(|r| r.0), Some(4));
+        small.take(usize::MAX);
+        assert_eq!(
+            retained(&nsds, "*"),
+            Some((0, 0)),
+            "a drained log holds nothing"
+        );
+        nsds.publish(sample("c", 100));
+        assert_eq!(small.take(1)[0].value, 100.0);
+        assert_eq!(large.take_run(1).samples()[0].value, 100.0);
+    }
+
+    #[test]
+    fn a_dropped_handle_is_reclaimed_at_once() {
+        let nsds = NsdsServer::new();
+        let keep = nsds.subscribe("a/*", 4);
+        let gone = nsds.subscribe("b/*", 4);
+        let clone = gone.clone();
+        drop(gone);
+        assert_eq!(nsds.subscription_count(), 2, "a clone keeps it open");
+        nsds.publish(sample("b/x", 1));
+        drop(clone);
+        assert_eq!(nsds.subscription_count(), 1);
+        assert!(retained(&nsds, "b/*").is_none(), "its log went with it");
+        // Re-subscribing opens a fresh log that sees only new samples.
+        let again = nsds.subscribe("b/*", 4);
+        nsds.publish(sample("b/x", 2));
+        assert_eq!((again.pending(), again.delivered()), (1, 1));
+        assert_eq!(keep.pending(), 0);
     }
 }

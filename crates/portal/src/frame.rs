@@ -17,7 +17,7 @@ use bytes::Bytes;
 use serde::de::{self, DeserializeVariant, Error as _, MapAccess, Token};
 use serde::{Deserialize, Deserializer, Serialize};
 
-use neesgrid_daq::nsds::SharedSample;
+use neesgrid_daq::nsds::SampleRun;
 use neesgrid_gridsim::SimTime;
 use neesgrid_gsi::{CredentialToken, DistinguishedName, PolicyDecision};
 use neesgrid_structsim::psd::PsdHistory;
@@ -78,9 +78,12 @@ impl std::error::Error for FrameError {}
 
 /// Encode a value as one length-prefixed JSON frame. The body is written
 /// straight after a placeholder prefix in one buffer, which becomes the
-/// frame's `Bytes` as it is.
+/// frame's `Bytes` as it is. The buffer starts with room for a small
+/// frame; a large member, such as a reply's [`SampleRun`], reserves room
+/// for itself.
 pub fn encode<T: Serialize>(value: &T) -> Result<Bytes, FrameError> {
-    let mut out = String::from("\0\0\0\0");
+    let mut out = String::with_capacity(256);
+    out.push_str("\0\0\0\0");
     value.write_json(&mut out);
     let len = out.len() - 4;
     if len > MAX_FRAME_BYTES {
@@ -254,10 +257,10 @@ pub enum Response {
     },
     /// Drained samples.
     Samples {
-        /// Oldest-first samples (≤ requested max), shared with the
-        /// service's hub: each one's text is rendered once for every
-        /// reply that carries it.
-        samples: Vec<SharedSample>,
+        /// Oldest-first samples (≤ requested max): their texts as the
+        /// service's hub rendered them when they were published, copied
+        /// out of its log in one piece.
+        samples: SampleRun,
         /// Samples lost to this observer's ring overflow so far.
         dropped: u64,
         /// Whether the observed run has finished and the buffer is dry.

@@ -23,8 +23,7 @@ use parking_lot::Mutex;
 use neesgrid_archive::ArchiveSite;
 use neesgrid_checkpoint::CheckpointStore;
 use neesgrid_coordinator::Termination;
-use neesgrid_daq::capture::encode_jsonl;
-use neesgrid_daq::nsds::{NsdsSample, NsdsServer, NsdsSubscription, SharedSample};
+use neesgrid_daq::nsds::{NsdsSample, NsdsServer, NsdsSubscription};
 use neesgrid_gridsim::{
     Endpoint, Envelope, MessageKind, NetworkError, SimClock, SimTime, VirtualNetwork,
 };
@@ -118,9 +117,9 @@ struct RunEntry {
     /// Internal NSDS subscription on `{run_id}/*`, opened at placement so
     /// the archive capture sees every sample the run ever streams.
     capture: Option<NsdsSubscription>,
-    /// Samples drained from `capture` so far, in publish order; emptied
-    /// once the run is archived.
-    captured: Vec<SharedSample>,
+    /// The JSONL lines of the samples drained from `capture` so far, in
+    /// publish order; emptied once the run is archived.
+    captured: String,
 }
 
 impl RunEntry {
@@ -428,7 +427,7 @@ impl PortalCore {
                 history_json: None,
                 digest: None,
                 capture: None,
-                captured: Vec::new(),
+                captured: String::new(),
             },
         );
         let usage = self.tenants.usage_mut(tenant);
@@ -662,7 +661,7 @@ impl PortalCore {
                 )),
             });
         }
-        let samples = entry.sub.take(max.clamp(1, POLL_CHUNK_MAX));
+        let samples = entry.sub.take_run(max.clamp(1, POLL_CHUNK_MAX));
         let done = match &entry.run {
             Some(run) => {
                 entry.sub.pending() == 0 && self.runs.get(run).map(|r| r.finished()).unwrap_or(true)
@@ -806,7 +805,7 @@ impl PortalCore {
                     let entry = self.runs.get_mut(&run_id).expect("running entry exists");
                     entry.steps_completed = steps;
                     if let Some(capture) = &entry.capture {
-                        entry.captured.extend(capture.take(usize::MAX));
+                        capture.take_jsonl(usize::MAX, &mut entry.captured);
                     }
                     if steps > 0 && entry.first_step_at.is_none() {
                         entry.first_step_at = Some(now);
@@ -857,7 +856,7 @@ impl PortalCore {
         // the run, so the samples leave it here.
         let mut captured = std::mem::take(&mut entry.captured);
         if let Some(capture) = entry.capture.take() {
-            captured.extend(capture.take(usize::MAX));
+            capture.take_jsonl(usize::MAX, &mut captured);
         }
         if let Some(archive) = &self.archive {
             if let Some(history) = &entry.history_json {
@@ -867,7 +866,9 @@ impl PortalCore {
                     now,
                 );
             }
-            let capture_bytes = encode_jsonl(&captured);
+            // Sized exactly, because the archive keeps slices of it.
+            captured.shrink_to_fit();
+            let capture_bytes = bytes::Bytes::from(captured);
             let manifest = archive.ingest_local(
                 &format!("/runs/{run_id}/capture.jsonl"),
                 &capture_bytes,
@@ -888,7 +889,12 @@ impl PortalCore {
                     [
                         ("run", Field::Str(run_id.to_string())),
                         ("capture_bytes", Field::U64(manifest.total_len)),
-                        ("samples", Field::U64(captured.len() as u64)),
+                        // One line per sample: compact JSON holds no raw
+                        // newline.
+                        (
+                            "samples",
+                            Field::U64(capture_bytes.iter().filter(|&&b| b == b'\n').count() as u64),
+                        ),
                     ],
                 );
             }

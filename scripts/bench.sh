@@ -30,6 +30,11 @@
 # RawValue, a pure syntax skip) beside a std f64 parse of its value texts,
 # rotating the order each round, and writes the best and median ns per
 # sample of each, with the core count and repeats, to BENCH_json.json.
+# fig08_dataviewer times the NSDS fan-out: 1,000 published samples, then
+# one Poll reply frame served to each subscriber, at 1, 16 and 132
+# subscribers in rotating order, and writes the best and median ns per
+# published sample at each count, with the core count and repeats, to
+# BENCH_nsds.json (then runs the viewer benches under Criterion).
 # The analyzer stage
 # records both exhaustive checkers' schedule counts and wall time to
 # BENCH_analyzer.json. The script ends by printing every numeric field that
@@ -61,6 +66,9 @@ cargo bench -p neesgrid-bench --bench fig12_checkpoint_overhead
 
 echo "==> json_reader (Poll reply decode, ns per sample → BENCH_json.json)"
 cargo bench -p neesgrid-bench --bench json_reader
+
+echo "==> fig08_dataviewer (NSDS fan-out, ns per published sample → BENCH_nsds.json)"
+cargo bench -p neesgrid-bench --bench fig08_dataviewer
 
 echo "==> analyzer checkers (schedule counts → BENCH_analyzer.json)"
 cargo run -q --release -p neesgrid-analyzer -- bench --out BENCH_analyzer.json

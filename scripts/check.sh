@@ -5,7 +5,9 @@
 #   scripts/check.sh --quick  # lints + debug tests only (skip release build)
 #
 # Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; this
-# script is a superset and is what a PR should pass before merging.
+# script is a superset and is what a PR should pass before merging. The
+# full mode also builds the benchmark (perfbench/) against the tree, so a
+# library change that breaks it fails here.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,6 +38,21 @@ if [[ $quick -eq 0 ]]; then
 
     echo "==> determinism oracles (MOST trace and dumps, campaign corpus, checkpoint resume)"
     scripts/oracles.sh
+
+    echo "==> perfbench build (the benchmark compiles against this tree)"
+    # Cargo rewrites perfbench/Cargo.lock when it builds the benchmark; the
+    # committed bytes go back whatever the build does, so perfbench/ stays
+    # as it is.
+    lock=$(mktemp)
+    cp perfbench/Cargo.lock "$lock"
+    status=0
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml || status=$?
+    cp "$lock" perfbench/Cargo.lock
+    rm -f "$lock"
+    if (( status != 0 )); then
+        echo "perfbench does not build against this tree" >&2
+        exit "$status"
+    fi
 else
     # The whole --quick analyzer stage (lint + both checkers at reduced
     # budgets) carries a 10-second wall-clock budget so it stays a

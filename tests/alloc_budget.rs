@@ -12,13 +12,18 @@
 //! CHEF viewer: 1,024 samples, each borrowing its channel name from the
 //! frame, so a `String` or `Arc` per sample put back shows up at once.
 //!
+//! The third counts what serving that reply costs the portal: one
+//! subscriber of a 132-viewer crowd reads 1,024 samples from the NSDS hub
+//! and the reply is encoded as a frame, so a copy per sample or a frame
+//! buffer grown by doubling shows up at once.
+//!
 //! Counting is per thread (a `const` thread-local), and each test counts
 //! from zero on its own thread, so the tests do not disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use neesgrid::daq::nsds::{NsdsSample, SharedSample};
+use neesgrid::daq::nsds::{NsdsSample, NsdsServer, NsdsSubscription, SampleRun};
 use neesgrid::gridsim::SimTime;
 use neesgrid::most::n_site;
 use neesgrid::portal::{decode, encode, Response, SamplesView};
@@ -40,6 +45,17 @@ const STEPS: usize = 100;
 /// the owned `Response` decode makes 2,057, a `String` and an `Arc` per
 /// sample.
 const POLL_REPLY_BUDGET: u64 = 12;
+
+/// Allocations plus reallocations to serve one 1,024-sample `Poll` reply:
+/// one subscriber's rendered read from a hub with 132 subscribers and
+/// 2,048 published samples, and the reply's frame. Measured at 4: the
+/// run's text, copied out of the log in one piece; the frame buffer and
+/// its one growth to fit the run; and the frame's `Bytes`. With a ring of
+/// shared samples per subscriber it took 16 once another viewer had been
+/// served the same samples (the reply's sample vector, the frame buffer,
+/// its `Bytes` and 13 doublings of the buffer), and 1,040 for the first
+/// viewer served, which rendered each sample's text.
+const POLL_SERVE_BUDGET: u64 = 4;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -121,20 +137,22 @@ fn n_site_step_stays_inside_its_allocation_budget() {
     );
 }
 
+/// Sample `i` of a stream with the MOST public run's channels and value
+/// spread.
+fn most_sample(i: u64) -> NsdsSample {
+    let site = ["uiuc", "ncsa", "cu"][(i / 2 % 3) as usize];
+    let kind = ["disp", "force"][(i % 2) as usize];
+    NsdsSample {
+        channel: format!("{site}/dof-{}/{kind}", i / 6 % 2),
+        t: SimTime::from_nanos(764_565_679_839 + i / 6 * 180_000_000),
+        value: (i as f64 * 0.37).sin() * [2.5e-4, 640.0][(i % 2) as usize],
+    }
+}
+
 #[test]
 fn poll_reply_reads_in_place_inside_its_allocation_budget() {
     // A full reply of the MOST public run's channels and value spread.
-    let samples: Vec<SharedSample> = (0..1024u64)
-        .map(|i| {
-            let site = ["uiuc", "ncsa", "cu"][(i / 2 % 3) as usize];
-            let kind = ["disp", "force"][(i % 2) as usize];
-            SharedSample::new(NsdsSample {
-                channel: format!("{site}/dof-{}/{kind}", i / 6 % 2),
-                t: SimTime::from_nanos(764_565_679_839 + i / 6 * 180_000_000),
-                value: (i as f64 * 0.37).sin() * [2.5e-4, 640.0][(i % 2) as usize],
-            })
-        })
-        .collect();
+    let samples: SampleRun = (0..1024u64).map(most_sample).collect();
     let reply = Response::Samples {
         samples,
         dropped: 3_752,
@@ -162,5 +180,46 @@ fn poll_reply_reads_in_place_inside_its_allocation_budget() {
         total <= POLL_REPLY_BUDGET,
         "{total} allocations ({allocs} alloc + {reallocs} realloc) to read one reply in place \
          exceed the budget of {POLL_REPLY_BUDGET}"
+    );
+}
+
+#[test]
+fn serving_a_poll_reply_stays_inside_its_allocation_budget() {
+    // The §3.4 crowd on one pattern, each viewer's backlog 2,048 samples.
+    let hub = NsdsServer::new();
+    let crowd: Vec<NsdsSubscription> = (0..132).map(|_| hub.subscribe("*", 8192)).collect();
+    for i in 0..2048u64 {
+        hub.publish(most_sample(i));
+    }
+    let viewer = &crowd[0];
+
+    let (frame, allocs, reallocs) = counted(|| {
+        let samples = viewer.take_run(1024);
+        encode(&Response::Samples {
+            samples,
+            dropped: viewer.dropped(),
+            done: false,
+        })
+    });
+    let frame = frame.expect("a 1,024-sample reply fits a frame");
+    let Ok(SamplesView::Samples { samples, .. }) = decode::<SamplesView>(&frame) else {
+        panic!("the served reply reads as a view");
+    };
+    assert_eq!(samples.len(), 1024);
+    let (first, last) = (most_sample(0), most_sample(1023));
+    assert_eq!(
+        (samples[0].t, &*samples[1023].channel),
+        (first.t, last.channel.as_str())
+    );
+    assert_eq!(viewer.pending(), 1024, "the rest stays for the next poll");
+    let total = allocs + reallocs;
+    println!(
+        "serving a 1,024-sample Poll reply to one of 132 subscribers: {total} allocations \
+         ({allocs} alloc + {reallocs} realloc), budget {POLL_SERVE_BUDGET}"
+    );
+    assert!(
+        total <= POLL_SERVE_BUDGET,
+        "{total} allocations ({allocs} alloc + {reallocs} realloc) to serve one reply exceed \
+         the budget of {POLL_SERVE_BUDGET}"
     );
 }

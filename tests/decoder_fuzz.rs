@@ -14,7 +14,7 @@
 use std::sync::OnceLock;
 
 use neesgrid::campaign::ScenarioDoc;
-use neesgrid::daq::nsds::{NsdsSample, SharedSample};
+use neesgrid::daq::nsds::NsdsSample;
 use neesgrid::gridsim::{FaultPlan, LinkKey, NetworkProfile, SimTime};
 use neesgrid::gsi::{CertificateAuthority, Credential, DistinguishedName, PolicyDecision};
 use neesgrid::most::n_site_with_telemetry;
@@ -410,12 +410,10 @@ impl Gen {
             },
             6 => Response::Samples {
                 samples: (0..self.below(4))
-                    .map(|_| {
-                        SharedSample::new(NsdsSample {
-                            channel: self.text(),
-                            t: self.time(),
-                            value: self.f64(),
-                        })
+                    .map(|_| NsdsSample {
+                        channel: self.text(),
+                        t: self.time(),
+                        value: self.f64(),
                     })
                     .collect(),
                 dropped: self.next(),

@@ -12,7 +12,7 @@
 
 use std::borrow::Cow;
 
-use neesgrid::daq::nsds::{NsdsSample, SharedSample};
+use neesgrid::daq::nsds::NsdsSample;
 use neesgrid::gridsim::SimTime;
 use neesgrid::portal::{decode, encode, Response, SamplesView};
 use proptest::prelude::*;
@@ -56,7 +56,7 @@ fn sample() -> impl Strategy<Value = NsdsSample> {
 /// The frame of a `Samples` reply carrying `samples`.
 fn reply(samples: &[NsdsSample], dropped: u64, done: bool) -> Vec<u8> {
     let reply = Response::Samples {
-        samples: samples.iter().cloned().map(SharedSample::new).collect(),
+        samples: samples.iter().cloned().collect(),
         dropped,
         done,
     };

@@ -1,14 +1,13 @@
-//! Shared NSDS samples encode to the bytes their derived encoding gives.
+//! Published NSDS samples encode to the bytes their derived encoding gives.
 //!
-//! The portal splices each published sample's cached compact text into
-//! every viewer's `Poll` reply, and the archive capture copies the same
-//! text into `capture.jsonl`. Neither may depend on whether a sample's text
-//! was rendered before, on what its channel name holds (escapes,
-//! non-ASCII), or on its value (−0.0, non-finite) and time (up to
-//! `u64::MAX` ns).
+//! The hub renders each published sample's compact text once, into its
+//! log. The portal copies a run of those texts into every viewer's `Poll`
+//! reply, and the archive capture copies the same texts into
+//! `capture.jsonl`. Neither may depend on when the capture reads the
+//! stream, on what a channel name holds (escapes, non-ASCII), or on its
+//! value (−0.0, non-finite) and time (up to `u64::MAX` ns).
 
-use neesgrid::daq::encode_jsonl;
-use neesgrid::daq::nsds::{NsdsSample, SharedSample};
+use neesgrid::daq::nsds::{NsdsSample, NsdsServer, SampleRun};
 use neesgrid::gridsim::SimTime;
 use neesgrid::portal::{encode, Response};
 use proptest::prelude::*;
@@ -41,33 +40,38 @@ fn nanos() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0), Just(u64::MAX), any::<u64>()]
 }
 
-/// A sample, and whether its text is rendered before anything writes it.
+/// A sample, and whether the capture drains the stream once it is
+/// published.
 fn drawn() -> impl Strategy<Value = (NsdsSample, bool)> {
-    (channel(), nanos(), value(), any::<bool>()).prop_map(|(channel, t, value, rendered)| {
+    (channel(), nanos(), value(), any::<bool>()).prop_map(|(channel, t, value, drain)| {
         let sample = NsdsSample {
             channel,
             t: SimTime::from_nanos(t),
             value,
         };
-        (sample, rendered)
+        (sample, drain)
     })
 }
 
-/// Fresh shared samples, the flagged ones with their text already cached.
-fn share(drawn: &[(NsdsSample, bool)]) -> Vec<SharedSample> {
-    drawn
-        .iter()
-        .map(|(sample, rendered)| {
-            let shared = SharedSample::new(sample.clone());
-            if *rendered {
-                serde_json::to_string(&shared).expect("a sample renders");
-            }
-            shared
-        })
-        .collect()
+/// Publish `samples` through a hub. Returns what a `Poll` reader takes at
+/// the end, as one run, and the capture a tap writes, draining after each
+/// flagged sample and at the end.
+fn share(samples: &[&(NsdsSample, bool)]) -> (SampleRun, String) {
+    let hub = NsdsServer::new();
+    let capacity = samples.len().max(1);
+    let (poll, tap) = (hub.subscribe("*", capacity), hub.subscribe("*", capacity));
+    let mut capture = String::new();
+    for (sample, drain) in samples {
+        hub.publish(sample.clone());
+        if *drain {
+            tap.take_jsonl(usize::MAX, &mut capture);
+        }
+    }
+    tap.take_jsonl(usize::MAX, &mut capture);
+    (poll.take_run(usize::MAX), capture)
 }
 
-fn reply(samples: Vec<SharedSample>, dropped: u64, done: bool) -> Response {
+fn reply(samples: SampleRun, dropped: u64, done: bool) -> Response {
     Response::Samples {
         samples,
         dropped,
@@ -83,30 +87,29 @@ proptest! {
         dropped in any::<u64>(),
         done in any::<bool>(),
     ) {
-        // A reply of fresh samples (some texts cached, some not), with the
-        // first sample carried twice, as two polls of one ring would.
-        let mut samples = share(&drawn);
-        samples.extend(samples.first().cloned());
+        // A reply of published samples, with the first sample carried
+        // twice, as two polls of one ring would.
+        let published: Vec<&(NsdsSample, bool)> = drawn.iter().chain(drawn.first()).collect();
+        let (samples, jsonl) = share(&published);
         let reply = reply(samples.clone(), dropped, done);
         let tree = serde_json::to_value(&reply).expect("a reply renders").to_json_compact();
         let frame = encode(&reply).expect("a small reply fits a frame");
         prop_assert_eq!(&frame[..4], &(tree.len() as u32).to_be_bytes()[..]);
         prop_assert_eq!(&frame[4..], tree.as_bytes());
-        // Every text is cached now; the frame does not move.
+        // Encoding again does not move the frame.
         prop_assert_eq!(encode(&reply).expect("it fit once"), frame);
 
-        // Each capture line is the sample's own text, from fresh samples
-        // and from the ones the reply cached alike.
-        for samples in [share(&drawn), samples] {
-            let jsonl = encode_jsonl(&samples);
-            let lines: Vec<&[u8]> = jsonl.split(|b| *b == b'\n').collect();
-            prop_assert_eq!(lines.len(), samples.len() + 1);
-            prop_assert!(lines[samples.len()].is_empty(), "the capture ends in a newline");
-            for (line, sample) in lines.iter().zip(&samples) {
-                let plain = serde_json::to_string(&**sample).expect("a sample renders");
-                prop_assert_eq!(*line, plain.as_bytes());
-                prop_assert_eq!(serde_json::to_string(sample).expect("it renders"), plain);
-            }
+        // Each capture line is the sample's own text, and each sample the
+        // reply's run reads back writes that text again.
+        let lines: Vec<&[u8]> = jsonl.as_bytes().split(|b| *b == b'\n').collect();
+        let read_back = samples.samples();
+        prop_assert_eq!(read_back.len(), published.len());
+        prop_assert_eq!(lines.len(), published.len() + 1);
+        prop_assert!(lines[published.len()].is_empty(), "the capture ends in a newline");
+        for ((line, (sample, _)), back) in lines.iter().zip(&published).zip(&read_back) {
+            let plain = serde_json::to_string(sample).expect("a sample renders");
+            prop_assert_eq!(*line, plain.as_bytes());
+            prop_assert_eq!(serde_json::to_string(back).expect("it renders"), plain);
         }
     }
 }
