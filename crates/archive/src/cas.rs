@@ -8,6 +8,13 @@
 //! catalog + GridFTP design of Allcock et al. (ref 3) where the data
 //! plane moves immutable blocks and the metadata plane names them.
 //!
+//! An ingest reads each byte once, to compute its block's address CRC.
+//! The manifest's whole-file CRC is combined from the block CRCs
+//! ([`crc32_combine`]), and a stored block's checksum is its address CRC,
+//! so neither is computed from the bytes again. A read still checks every
+//! block against its address and the reassembled file against the
+//! whole-file CRC.
+//!
 //! Layout on the backing [`VirtualStore`]:
 //!
 //! ```text
@@ -23,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use neesgrid_gridsim::SimTime;
 use neesgrid_repo::gridftp::RestartMarker;
-use neesgrid_repo::{crc32, VirtualStore};
+use neesgrid_repo::{crc32, crc32_combine, VirtualStore};
 
 /// Content address of one immutable block: CRC-32 plus exact length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -195,6 +202,9 @@ impl CasStore {
 
     /// Chunk `content`, write every block not already present, and record
     /// the manifest. Returns the manifest; stats count what deduplicated.
+    ///
+    /// Each byte is read once, by its block's [`BlockKey::of`]; the
+    /// whole-file digest is folded from the block CRCs.
     pub fn ingest(
         &self,
         logical: impl Into<String>,
@@ -205,12 +215,14 @@ impl CasStore {
         let logical = logical.into();
         let chunk = (chunk_size.max(1)) as usize;
         let mut blocks = Vec::new();
+        let mut digest = 0;
         let mut offset = 0usize;
         while offset < content.len() {
             let end = (offset + chunk).min(content.len());
             let data = content.slice(offset..end);
             let key = BlockKey::of(&data);
             self.put_block(key, data, now);
+            digest = crc32_combine(digest, key.crc, key.len as u64);
             blocks.push(BlockRef {
                 offset: offset as u64,
                 key,
@@ -220,7 +232,7 @@ impl CasStore {
         let manifest = Manifest {
             logical,
             total_len: content.len() as u64,
-            digest: crc32(content),
+            digest,
             chunk_size: chunk_size.max(1),
             blocks,
         };
@@ -230,6 +242,12 @@ impl CasStore {
 
     /// Store one block unless its address is already present. Returns
     /// whether the block was newly written.
+    ///
+    /// `key` must be the address of `data` (`BlockKey::of(&data)`): the
+    /// block is stored with `key.crc` as its checksum, without reading
+    /// `data` again. [`CasStore::ingest`] derives the key from the data,
+    /// and the stripe receiver checks a frame's key against its payload
+    /// before it stores the block.
     pub fn put_block(&self, key: BlockKey, data: Bytes, now: SimTime) -> bool {
         let path = key.path();
         let mut stats = self.stats.lock();
@@ -240,7 +258,7 @@ impl CasStore {
         } else {
             stats.blocks_written += 1;
             stats.bytes_written += key.len as u64;
-            self.store.put(path, data, now);
+            self.store.put_with_crc(path, data, key.crc, now);
             true
         }
     }
@@ -577,6 +595,41 @@ mod tests {
                 &whole[start..]
             );
             assert!(cas.read_range(&m, u64::MAX, u64::MAX).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn digests_and_block_checksums_are_the_crcs_of_the_bytes() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        for chunk in [1u32, 2, 7, 8, 9, 63, 64, 65, 1_000, 4_096, 65_535, 65_536] {
+            let c = chunk as usize;
+            for len in [0, 1, c - 1, c, c + 1, 3 * c + c / 2 + 1] {
+                let content: Bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let cas = CasStore::new(VirtualStore::new());
+                let fresh = cas.ingest("/fresh", &content, chunk, SimTime::ZERO);
+                let written = cas.stats().blocks_written;
+                let dup = cas.ingest("/dup", &content, chunk, SimTime::ZERO);
+                assert_eq!(
+                    cas.stats().blocks_written,
+                    written,
+                    "the second ingest of {len} bytes in {chunk}-byte chunks is deduplicated"
+                );
+                for m in [&fresh, &dup] {
+                    assert_eq!(m.digest, crc32(&content), "{len} bytes, chunk {chunk}");
+                    for b in &m.blocks {
+                        let (s, e) = b.range();
+                        let stored = cas.backing().get(&b.key.path()).unwrap();
+                        assert_eq!(stored.content, content.slice(s as usize..e as usize));
+                    }
+                }
+                for path in cas.backing().list("/cas/blocks/") {
+                    let stored = cas.backing().get(&path).unwrap();
+                    assert_eq!(stored.checksum, crc32(&stored.content), "{path}");
+                }
+                assert_eq!(cas.read("/dup").unwrap(), content);
+            }
         }
     }
 

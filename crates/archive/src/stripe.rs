@@ -18,7 +18,11 @@
 //!
 //! Restart is content-addressed: the receiver's `OfferAck` carries a
 //! [`RestartMarker`] computed from the blocks its CAS already holds, so an
-//! interrupted (or deduplicated) transfer never resends a byte.
+//! interrupted (or deduplicated) transfer never resends a byte. A receiver
+//! restarted in place keeps its blocks but loses its transfers' state: it
+//! answers a block of a transfer it does not know with a refusal frame,
+//! the sender ends that push with [`TransferFailure::ReceiverLostTransfer`],
+//! and a new push of the manifest ships only what the coverage lacks.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -173,6 +177,25 @@ fn decode_ack(payload: &[u8]) -> Option<(u64, u32)> {
     ))
 }
 
+/// The byte that ends a refusal frame.
+const REFUSED: u8 = 0xFF;
+
+/// Binary refusal frame: `transfer_id u64 | block_index u32 | 0xFF`, the
+/// answer to a block of a transfer the receiver holds no state for. One
+/// byte longer than an ack, so neither decodes as the other.
+fn encode_refusal(transfer_id: u64, block_index: u32) -> Bytes {
+    let mut out = encode_ack(transfer_id, block_index).to_vec();
+    out.push(REFUSED);
+    Bytes::from(out)
+}
+
+fn decode_refusal(payload: &[u8]) -> Option<(u64, u32)> {
+    match payload.split_last() {
+        Some((&REFUSED, ack)) => decode_ack(ack),
+        _ => None,
+    }
+}
+
 /// Why a transfer failed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransferFailure {
@@ -187,6 +210,10 @@ pub enum TransferFailure {
         /// Index of the absent block.
         block: u32,
     },
+    /// The receiver refused a block because it holds no state for the
+    /// transfer: it restarted since it acknowledged the offer. A new push
+    /// of the manifest resumes from the receiver's coverage.
+    ReceiverLostTransfer,
 }
 
 impl std::fmt::Display for TransferFailure {
@@ -197,6 +224,9 @@ impl std::fmt::Display for TransferFailure {
             TransferFailure::CommitRefused => write!(f, "receiver refused commit"),
             TransferFailure::SourceMissingBlock { block } => {
                 write!(f, "source CAS missing block {block}")
+            }
+            TransferFailure::ReceiverLostTransfer => {
+                write!(f, "receiver holds no state for the transfer")
             }
         }
     }
@@ -801,7 +831,18 @@ impl SiteInner {
         let mut state = self.state.lock();
         let key = (src_site.to_string(), frame.transfer_id);
         let Some(rx) = state.rx.get_mut(&key) else {
-            return; // unknown transfer: no offer seen (stale frame)
+            // No state for the transfer: this receiver restarted since the
+            // offer. Refuse the block, so the sender ends the push instead
+            // of waiting for an ack that never comes.
+            drop(state);
+            self.lanes[lane as usize].send(
+                env.src,
+                DATA_SERVICE,
+                MessageKind::Reply,
+                env.correlation_id,
+                encode_refusal(frame.transfer_id, frame.block_index),
+            );
+            return;
         };
         let Some(expected) = rx.manifest.blocks.get(frame.block_index as usize) else {
             return;
@@ -826,8 +867,12 @@ impl SiteInner {
         );
     }
 
-    /// Sender side: a block was delivered and acknowledged.
+    /// Sender side: a block was delivered and acknowledged, or refused.
     fn on_ack(self: &Arc<Self>, lane: u32, env: Envelope) {
+        if let Some((transfer_id, _block)) = decode_refusal(&env.payload) {
+            self.on_refusal(lane, env.correlation_id, transfer_id);
+            return;
+        }
         let Some((transfer_id, _block)) = decode_ack(&env.payload) else {
             return;
         };
@@ -856,6 +901,38 @@ impl SiteInner {
         }
         drop(state);
         self.fill_lane_window(transfer_id, lane);
+    }
+
+    /// Sender side: the receiver refused a block of a transfer it holds no
+    /// state for, so none of the transfer's blocks will be acked. End the
+    /// transfer with nothing left in flight; a refusal for a finished
+    /// transfer, or for a block no longer in flight, is ignored.
+    fn on_refusal(&self, lane: u32, corr: u64, transfer_id: u64) {
+        let now = self.clock.now();
+        let mut state = self.state.lock();
+        if state.corr_index.get(&(lane, corr)) != Some(&transfer_id) {
+            return;
+        }
+        let Some(t) = state.tx.get_mut(&transfer_id) else {
+            return;
+        };
+        if matches!(t.phase, TxPhase::Done(_)) {
+            return;
+        }
+        let mut stale = Vec::new();
+        for (q, l) in t.lanes.iter_mut().enumerate() {
+            l.queue.clear();
+            stale.extend(
+                std::mem::take(&mut l.inflight)
+                    .into_keys()
+                    .map(|c| (q as u32, c)),
+            );
+        }
+        self.fail_transfer(t, now, TransferFailure::ReceiverLostTransfer);
+        // Later acks, loss notices and queued resends find no entry.
+        for key in stale {
+            state.corr_index.remove(&key);
+        }
     }
 
     /// Sender side: a block frame (or its ack) was lost on a stripe.
@@ -1295,6 +1372,84 @@ mod tests {
         );
     }
 
+    /// Deregister every node of `site` and attach a new site of that name
+    /// over `store`: a receiver restarted in place, on the same network,
+    /// that kept its blocks but lost every transfer's state.
+    fn restart_in_place(
+        net: &VirtualNetwork,
+        site: &str,
+        store: VirtualStore,
+        config: StripeConfig,
+    ) -> ArchiveSite {
+        net.deregister(&NodeId::new(site));
+        for q in 0..config.lanes {
+            net.deregister(&NodeId::new(lane_node(site, q)));
+        }
+        ArchiveSite::attach(net, site, store, config, &Telemetry::disabled()).unwrap()
+    }
+
+    #[test]
+    fn a_receiver_restarted_in_place_ends_the_push_and_a_new_push_resumes() {
+        let net = net(8);
+        let telemetry = Telemetry::recording();
+        let config = StripeConfig {
+            lanes: 2,
+            window: 2,
+            ..config()
+        };
+        let store = VirtualStore::new();
+        let a = ArchiveSite::attach(&net, "a", VirtualStore::new(), config.clone(), &telemetry)
+            .unwrap();
+        let b = ArchiveSite::attach(
+            &net,
+            "b",
+            store.clone(),
+            config.clone(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        let content = payload(20 * 1024);
+        let m = a.ingest_local("/runs/x", &content, SimTime::ZERO);
+        assert_eq!(m.blocks.len(), 20);
+        let id = a.start_push("b", m.clone());
+        let engine = net.engine();
+        for _ in 0..6 {
+            assert!(engine.run_one());
+        }
+        drop(b);
+        let b = restart_in_place(&net, "b", store, config);
+        assert_eq!(
+            pump_until_done(&net, &a, id),
+            TransferStatus::Failed(TransferFailure::ReceiverLostTransfer)
+        );
+        // The refusals still in flight arrive for a finished transfer and
+        // change nothing.
+        engine.run_until_idle();
+        assert_eq!(
+            a.status(id),
+            Some(TransferStatus::Failed(
+                TransferFailure::ReceiverLostTransfer
+            ))
+        );
+        assert_eq!(telemetry.counter("archive.transfers_failed"), 1);
+
+        // The restarted receiver kept the blocks that landed before the
+        // restart; a new push of the manifest ships only the others.
+        let held = m
+            .blocks
+            .iter()
+            .filter(|r| b.cas().has_block(&r.key))
+            .count();
+        assert!(0 < held && held < 20, "{held} blocks held");
+        let again = a.start_push("b", m);
+        let TransferStatus::Completed(report) = pump_until_done(&net, &a, again) else {
+            panic!("the second push failed");
+        };
+        assert_eq!(report.blocks_skipped, held as u64);
+        assert_eq!(report.blocks_sent, (20 - held) as u64);
+        assert_eq!(b.cas().read("/runs/x").unwrap(), content);
+    }
+
     #[test]
     fn same_seed_double_run_is_bit_identical() {
         let run = |seed: u64| -> (u32, u32) {
@@ -1424,8 +1579,29 @@ mod tests {
                 assert!(decode_ack(&flipped).is_some(), "every 12-byte ack decodes");
             }
 
+            let refusal = encode_refusal(transfer_id, block_index);
+            assert_eq!(decode_refusal(&refusal), Some((transfer_id, block_index)));
+            assert!(decode_ack(&refusal).is_none(), "a refusal is not an ack");
+            assert!(decode_refusal(&ack).is_none(), "an ack is not a refusal");
+            for cut in 0..refusal.len() {
+                assert!(decode_refusal(&refusal[..cut]).is_none());
+            }
+            let mut long = refusal.to_vec();
+            long.push(REFUSED);
+            assert!(decode_refusal(&long).is_none());
+            for at in 0..refusal.len() {
+                let mut flipped = refusal.to_vec();
+                flipped[at] ^= 1 << g.below(8);
+                assert_eq!(
+                    decode_refusal(&flipped).is_some(),
+                    at < 12,
+                    "flip at {at}: only the tag byte is checked"
+                );
+            }
+
             let garbage = g.garbage();
             let _ = decode_ack(&garbage);
+            let _ = decode_refusal(&garbage);
             let _ = decode_block(&Bytes::from(garbage));
         }
     }

@@ -7,15 +7,24 @@
 //! interleaved in virtual time. Reports aggregate ingest throughput
 //! (virtual MB/s), block dedup counts, and — the guardrail — that the
 //! co-resident MOST run keeps its step rate (within noise) and produces
-//! a displacement history bit-identical to a solo run. Writes
+//! a displacement history bit-identical to a solo run.
+//!
+//! A second row times the content-addressed store itself, in wall-clock
+//! ns per byte: ingesting 8 MiB it does not hold, ingesting the same 8 MiB
+//! again (every block deduplicates), and reading it back (every block
+//! address and the whole-file CRC checked). Each round times the three in
+//! an order that rotates from round to round; the row keeps the best and
+//! median of each, with the core count and the repeats. Writes
 //! `BENCH_archive.json` at the repo root.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use bytes::Bytes;
 
-use neesgrid_archive::{ArchiveSite, StripeConfig, TransferStatus};
+use neesgrid_archive::{ArchiveSite, CasStore, StripeConfig, TransferStatus};
 use neesgrid_coordinator::Termination;
+use neesgrid_gridsim::SimTime;
 use neesgrid_most::n_site;
 use neesgrid_repo::{crc32, VirtualStore};
 use neesgrid_telemetry::Telemetry;
@@ -28,12 +37,66 @@ const CAPTURE_BYTES: usize = 512 * 1024;
 /// Artifacts pushed while the experiment runs.
 const CAPTURES: usize = 4;
 
+/// Bytes per CAS timing: about one campaign sweep's worth of trace.
+const CAS_BYTES: usize = 8 * 1024 * 1024;
+/// Timed rounds of the CAS row.
+const CAS_REPEATS: usize = 15;
+/// The CAS row's three paths, in the order of its first round.
+const CAS_PATHS: [&str; 3] = ["fresh_ingest", "dedup_ingest", "read"];
+
 fn payload(n: usize, salt: u32) -> Bytes {
     Bytes::from(
         (0..n)
             .map(|i| ((i as u32).wrapping_mul(2_654_435_761).wrapping_add(salt) >> 24) as u8)
             .collect::<Vec<u8>>(),
     )
+}
+
+/// `(best, median)` ns per byte of each of [`CAS_PATHS`].
+fn cas_wall_clock(chunk_size: u32) -> [(f64, f64); 3] {
+    let content = payload(CAS_BYTES, 7);
+    let mut ns: [Vec<f64>; 3] = Default::default();
+    // Round 0 is a warm-up.
+    for round in 0..=CAS_REPEATS {
+        let empty = CasStore::new(VirtualStore::new());
+        let full = CasStore::new(VirtualStore::new());
+        full.ingest("/held", &content, chunk_size, SimTime::ZERO);
+        let written = full.stats().blocks_written;
+        for k in 0..CAS_PATHS.len() {
+            let path = (round + k) % CAS_PATHS.len();
+            let started = Instant::now();
+            match path {
+                0 => drop(black_box(empty.ingest(
+                    "/fresh",
+                    &content,
+                    chunk_size,
+                    SimTime::ZERO,
+                ))),
+                1 => drop(black_box(full.ingest(
+                    "/again",
+                    &content,
+                    chunk_size,
+                    SimTime::ZERO,
+                ))),
+                _ => drop(black_box(
+                    full.read("/held").expect("held content reads back"),
+                )),
+            }
+            if round > 0 {
+                ns[path].push(started.elapsed().as_nanos() as f64 / CAS_BYTES as f64);
+            }
+        }
+        assert_eq!(
+            full.stats().blocks_written,
+            written,
+            "the second ingest deduplicates"
+        );
+        assert_eq!(empty.stats().blocks_written, written);
+    }
+    ns.map(|mut ns| {
+        ns.sort_by(f64::total_cmp);
+        (ns[0], ns[ns.len() / 2])
+    })
 }
 
 fn main() {
@@ -141,7 +204,7 @@ fn main() {
         "duplicate capture shipped instead of deduping"
     );
 
-    let doc = serde_json::json!({
+    let mut doc = serde_json::json!({
         "bench": "archive_ingest",
         "seed": SEED,
         "sites": SITES,
@@ -159,6 +222,25 @@ fn main() {
         "step_rate_ratio": rate_ratio,
         "history_digest_unchanged": solo_digest == loaded_digest,
     });
+
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunk_size = StripeConfig::default().chunk_size;
+    let mut row = serde_json::json!({
+        "bytes": CAS_BYTES,
+        "chunk_size": chunk_size,
+        "nproc": nproc,
+        "repeats": CAS_REPEATS,
+    });
+    for (path, (best, median)) in CAS_PATHS.iter().zip(cas_wall_clock(chunk_size)) {
+        eprintln!("archive_ingest: CAS {path:<12} best {best:.3} ns/byte, median {median:.3}");
+        if let serde_json::Value::Object(m) = &mut row {
+            m.insert(format!("{path}_ns_per_byte"), best.into());
+            m.insert(format!("median_{path}_ns_per_byte"), median.into());
+        }
+    }
+    if let serde_json::Value::Object(m) = &mut doc {
+        m.insert("cas_wall_clock".into(), row);
+    }
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_archive.json");
     std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
         .expect("write BENCH_archive.json");

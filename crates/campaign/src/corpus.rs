@@ -92,32 +92,33 @@ impl Corpus {
     }
 
     /// Archive one run: scenario source, seed, trace, and verdict, all
-    /// content-addressed under the run's label.
+    /// content-addressed under the run's label. `trace` is ingested as
+    /// given, without a copy.
     pub fn record(
         &mut self,
         source: &str,
         verdict: &RunVerdict,
-        trace: &str,
+        trace: &Bytes,
         now: SimTime,
     ) -> CorpusEntry {
         let signature_id = verdict.signature.id();
         let novel = self.seen.insert(signature_id.clone());
         let base = format!("/corpus/{}", verdict.label);
-        let files: [(&str, Vec<u8>); 4] = [
-            ("scenario.scn", source.as_bytes().to_vec()),
-            ("seed.txt", format!("{}\n", verdict.seed).into_bytes()),
-            ("trace.jsonl", trace.as_bytes().to_vec()),
+        let files: [(&str, Bytes); 4] = [
+            ("scenario.scn", Bytes::from(source.to_string())),
+            ("seed.txt", Bytes::from(format!("{}\n", verdict.seed))),
+            ("trace.jsonl", trace.clone()),
             ("verdict.json", {
                 let mut line = verdict.to_canonical();
                 line.push('\n');
-                line.into_bytes()
+                Bytes::from(line)
             }),
         ];
         let mut artifacts = Vec::with_capacity(files.len());
         for (name, content) in files {
-            let manifest =
-                self.site
-                    .ingest_local(&format!("{base}/{name}"), &Bytes::from(content), now);
+            let manifest = self
+                .site
+                .ingest_local(&format!("{base}/{name}"), &content, now);
             self.fold(&manifest);
             artifacts.push(EntryArtifact {
                 logical: manifest.logical.clone(),

@@ -16,7 +16,8 @@ USAGE:
 
 check   parses each scenario and prints its expanded run matrix.
 run     executes the matrix through a portal deployment, prints the
-        canonical verdict table and the deduped signature groups, and
+        canonical verdict table (stdout), the deduped signature groups
+        and the archive's store digest (stderr), and
         (with --out) exports every corpus entry to
         <dir>/<signature>/<label>/{scenario.scn,seed.txt,trace.jsonl,
         verdict.json} for later replay.
@@ -137,6 +138,10 @@ fn run_run(args: &[String]) -> ExitCode {
     eprintln!(
         "{} ticks, {} QueueFull retries, {} worker crash(es)",
         report.ticks, report.queue_full_retries, report.stats.worker_crashes
+    );
+    eprintln!(
+        "archive store digest {:08x}",
+        report.archive.cas().store_digest()
     );
     if let Some(dir) = out {
         // Export one directory per entry so `replay` works from plain

@@ -3,11 +3,20 @@
 //! scheduler (including declared worker kills), and collects per-run
 //! verdicts with noise-free failure signatures.
 //!
-//! The runner is a *client* of the portal, not a bypass: every
-//! submission is a length-prefixed frame through admission control, a
-//! bounded queue (QueueFull is retried after a scheduler tick, never
-//! special-cased away), and the shared worker pool. A campaign is
-//! therefore also a load test of the multi-tenant service it runs on.
+//! The runner is a *client* of the portal, not a bypass: the login, every
+//! submission and every run's `Status` are length-prefixed frames on the
+//! wire, through admission control, a bounded queue (QueueFull is retried
+//! after a scheduler tick, never special-cased away), and the shared
+//! worker pool. A campaign is therefore also a load test of the
+//! multi-tenant service it runs on.
+//!
+//! The runner also owns the deployment, and reads it in-process where a
+//! remote tenant could not: it drives the scheduler (`tick`,
+//! `kill_worker`), reads its counters (`stats`), and reads each run's
+//! trace from the archive it attached to the portal, where finalize put
+//! it. That read checks every block against its address and the whole
+//! trace against its manifest's CRC-32, the checks a `FetchArtifact`
+//! download makes, without the hex round trip.
 //!
 //! Everything is deterministic: the control plane runs on a LAN-profile
 //! virtual network, the matrix expands in fixed order, and verdicts
@@ -18,7 +27,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use neesgrid_archive::{ArchiveSite, StripeConfig};
+use bytes::Bytes;
+use neesgrid_archive::{ArchiveSite, CasError, StripeConfig};
 use neesgrid_checkpoint::MemoryCheckpointStore;
 use neesgrid_gridsim::{NetworkProfile, SimTime, VirtualNetwork};
 use neesgrid_gsi::{CertificateAuthority, Credential, DistinguishedName};
@@ -86,6 +96,13 @@ pub enum CampaignError {
         /// Runs still not terminal.
         pending: usize,
     },
+    /// A run's archived trace could not be read back.
+    Archive {
+        /// The run whose trace is unreadable.
+        run: String,
+        /// What the archive reported.
+        error: CasError,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -99,6 +116,9 @@ impl fmt::Display for CampaignError {
             }
             CampaignError::Stalled { pending } => {
                 write!(f, "scheduler stalled with {pending} runs pending")
+            }
+            CampaignError::Archive { run, error } => {
+                write!(f, "archived trace of {run} unreadable: {error}")
             }
         }
     }
@@ -396,9 +416,9 @@ pub fn run_campaign(
                 })
             }
         };
-        let (trace, _) = client.fetch_artifact(run_id, "trace.jsonl")?;
-        let trace = String::from_utf8_lossy(&trace).into_owned();
-        let resumed = trace.contains("\"sub\":\"coordinator\",\"name\":\"resume\"");
+        let trace = archived_trace(&archive, run_id)?;
+        let text = String::from_utf8_lossy(&trace);
+        let resumed = text.contains("\"sub\":\"coordinator\",\"name\":\"resume\"");
         let verdict = RunVerdict {
             label: plan.label.clone(),
             run_id: run_id.clone(),
@@ -407,7 +427,7 @@ pub fn run_campaign(
             error,
             steps_completed: report.steps_completed,
             resumed,
-            signature: TraceSignature::from_jsonl(&trace),
+            signature: TraceSignature::from_jsonl(&text),
         };
         entries.push(corpus.record(&docs[*doc_idx].source, &verdict, &trace, now));
         verdicts.push(verdict);
@@ -437,9 +457,58 @@ pub fn run_campaign(
     })
 }
 
+/// The trace the portal archived for `run`, read from `archive` in place:
+/// every block is checked against its address and the whole trace against
+/// its manifest's CRC-32.
+fn archived_trace(archive: &ArchiveSite, run: &str) -> Result<Bytes, CampaignError> {
+    archive
+        .cas()
+        .read(&format!("/runs/{run}/trace.jsonl"))
+        .map_err(|error| CampaignError::Archive {
+            run: run.to_string(),
+            error,
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_unreadable_trace_is_an_error_naming_the_run() {
+        let net = VirtualNetwork::new(NetworkProfile::Lan.config(CONTROL_SEED));
+        let archive = ArchiveSite::attach(
+            &net,
+            "repository",
+            VirtualStore::new(),
+            StripeConfig::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        let trace = Bytes::from_static(b"{\"t\":0}\n");
+        let manifest = archive.ingest_local("/runs/run-000001/trace.jsonl", &trace, SimTime::ZERO);
+        assert_eq!(archived_trace(&archive, "run-000001").unwrap(), trace);
+
+        let missing = archived_trace(&archive, "run-000002").unwrap_err();
+        assert!(matches!(
+            &missing,
+            CampaignError::Archive { run, error: CasError::UnknownManifest(_) } if run == "run-000002"
+        ));
+        assert_eq!(
+            missing.to_string(),
+            "archived trace of run-000002 unreadable: no manifest for '/runs/run-000002/trace.jsonl'"
+        );
+
+        let key = manifest.blocks[0].key;
+        archive
+            .cas()
+            .backing()
+            .put(key.path(), Bytes::from_static(b"junk"), SimTime::ZERO);
+        assert!(matches!(
+            archived_trace(&archive, "run-000001"),
+            Err(CampaignError::Archive { run, error: CasError::CorruptBlock { .. } }) if run == "run-000001"
+        ));
+    }
 
     #[test]
     fn verdict_line_bytes_are_pinned() {

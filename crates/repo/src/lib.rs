@@ -33,7 +33,7 @@ pub mod nmds;
 pub mod service;
 pub mod storage;
 
-pub use checksum::{crc32, from_hex, to_hex};
+pub use checksum::{crc32, crc32_combine, from_hex, to_hex};
 pub use gridftp::RestartMarker;
 pub use https_bridge::HttpsBridge;
 pub use ingest::Ingester;

@@ -41,8 +41,23 @@ impl VirtualStore {
 
     /// Write (or overwrite) a file, returning its checksum.
     pub fn put(&self, path: impl Into<String>, content: Bytes, now: SimTime) -> u32 {
-        let path = path.into();
         let checksum = crc32(&content);
+        self.put_with_crc(path, content, checksum, now);
+        checksum
+    }
+
+    /// Write (or overwrite) a file whose CRC-32 the caller already holds,
+    /// without reading the content again. The caller must have computed
+    /// `checksum` from these very bytes (or checked it against them):
+    /// the store records it as given, and every later reader trusts it.
+    pub fn put_with_crc(
+        &self,
+        path: impl Into<String>,
+        content: Bytes,
+        checksum: u32,
+        now: SimTime,
+    ) {
+        let path = path.into();
         self.files.write().insert(
             path.clone(),
             StoredFile {
@@ -52,7 +67,6 @@ impl VirtualStore {
                 stored_at: now,
             },
         );
-        checksum
     }
 
     /// Read a file.

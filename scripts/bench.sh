@@ -17,14 +17,21 @@
 # (asserting zero cross-tenant leaks). archive_ingest replicates striped
 # captures while the 64-site run shares the engine and writes ingest
 # throughput + dedup counts to BENCH_archive.json (asserting the MOST
-# history stays bit-identical). campaign_sweep expands a 240-cell DSL
-# scenario matrix through the portal five times and writes median/best
-# runs/sec, unique failure signatures, and the corpus dedup ratio to
-# BENCH_campaign.json (asserting every same-seed sweep is byte-identical
-# to the first). fig12_checkpoint_overhead times the checkpoint_resume
-# schedule (the 1,493-step public run, every-100 snapshots) with and
-# without checkpoints and writes median/best of each, the snapshot count
-# and bytes, and the cost per MB of snapshot to BENCH_checkpoint.json.
+# history stays bit-identical), plus a cas_wall_clock row: wall-clock ns
+# per byte to ingest 8 MiB the store does not hold, to ingest it again
+# (every block deduplicates) and to read it back, in rotating order, best
+# and median with the core count and repeats. campaign_sweep runs two
+# sweeps through the portal five times each, in rotating order: a 240-cell
+# DSL scenario matrix of two-site, 8-step runs (admission, scheduling and
+# setup; its traces are tens of KB) and the committed scenarios/*.scn (the
+# 34 runs perfbench's campaign workload sweeps, about 9 MB of trace). It
+# writes each one's median/best runs/sec, the matrix's unique failure
+# signatures and corpus dedup ratio to BENCH_campaign.json (asserting
+# every same-seed sweep is byte-identical to its first run).
+# fig12_checkpoint_overhead times the checkpoint_resume schedule (the
+# 1,493-step public run, every-100 snapshots) with and without
+# checkpoints and writes median/best of each, the snapshot count and
+# bytes, and the cost per MB of snapshot to BENCH_checkpoint.json.
 # json_reader decodes one 1,024-sample Poll reply of the MOST public run
 # four ways (owned Response, the viewers' in-place SamplesView, Value, and
 # RawValue, a pure syntax skip) beside a std f64 parse of its value texts,
@@ -58,7 +65,7 @@ cargo bench -p neesgrid-bench --bench portal_load
 echo "==> archive_ingest (striped ingest under 64-site load → BENCH_archive.json)"
 cargo bench -p neesgrid-bench --bench archive_ingest
 
-echo "==> campaign_sweep (240-cell scenario matrix → BENCH_campaign.json)"
+echo "==> campaign_sweep (240-cell matrix + scenarios/*.scn → BENCH_campaign.json)"
 cargo bench -p neesgrid-bench --bench campaign_sweep
 
 echo "==> fig12_checkpoint_overhead (checkpoint_resume schedule → BENCH_checkpoint.json)"
