@@ -25,17 +25,21 @@
 //! 2. **no double actuation / no double cancel** — the plugin probe
 //!    observes at most one `execute` and one `cancel` call per world
 //!    line;
-//! 3. **dedup consistency across restore** — every response the server
-//!    produces for a request id equals the first response it produced
-//!    for that id; responses recorded before the snapshot must replay
-//!    identically after restore;
+//! 3. **dedup consistency across restore** — every reply the server
+//!    produces for a request id is, byte for byte, the text of the first
+//!    reply it produced for that id (or the same fault); replies recorded
+//!    before the snapshot must replay identically after restore;
 //! 4. **execute/cancel exclusivity** — one world line never reports both
 //!    a successful execute and a successful cancel of the same
 //!    transaction.
 //!
+//! The checker drives [`GridService::respond`], the container's entry
+//! point, so it checks the bytes a client receives. The snapshot is the
+//! state document's text, parsed when it is restored.
+//!
 //! [`Mutation::ClearDedupOnRestore`] deliberately wipes the dedup cache
-//! from the snapshot before restoring — the seeded bug the mutation test
-//! proves this checker catches (invariant 3 fires: a pre-snapshot
+//! from the parsed snapshot before restoring — the seeded bug the mutation
+//! test proves this checker catches (invariant 3 fires: a pre-snapshot
 //! `execute` Ok replays as an `InvalidState` fault).
 
 use std::collections::BTreeMap;
@@ -165,9 +169,10 @@ impl ControlPlugin for ProbedPlugin {
     }
 }
 
-/// What the world remembers about a request id's canonical response.
+/// What the world remembers about a request id's canonical response: the
+/// reply's text, or its fault.
 struct Recorded {
-    response: Result<Value, ServiceFault>,
+    response: Result<String, ServiceFault>,
     in_snapshot: bool,
 }
 
@@ -181,7 +186,7 @@ struct NtcpWorld {
     pool: BTreeMap<u64, u32>,
     dup_left: u32,
     drop_left: u32,
-    snapshot: Option<Value>,
+    snapshot: Option<String>,
     restored: bool,
     /// Has the client seen the proposal accepted (and queued the
     /// execute/cancel race)?
@@ -265,7 +270,11 @@ impl NtcpWorld {
     /// response invariants. `client_sees` is false for lost replies.
     fn process(&mut self, rid: u64, client_sees: bool) -> Result<(), Violation> {
         let (op, body) = request_body(rid);
-        let response = self.server.handle(&ctx(rid), op, &body);
+        let mut reply = String::new();
+        let response = self
+            .server
+            .respond(&ctx(rid), op, &body, &mut reply)
+            .map(|()| reply);
 
         // Invariant 3: a request id has exactly one answer, forever.
         match self.recorded.get(&rid) {
@@ -400,7 +409,16 @@ impl World for NtcpWorld {
                 }
             }
             Ev::Restore => {
-                let mut snap = self.snapshot.clone().unwrap_or_default();
+                let text = self.snapshot.as_deref().unwrap_or("null");
+                let mut snap: Value = match serde_json::from_str(text) {
+                    Ok(snap) => snap,
+                    Err(e) => {
+                        return Err(self.violation(
+                            "restore-failed",
+                            format!("the snapshot's text does not parse: {e}"),
+                        ))
+                    }
+                };
                 if self.mutation == Some(Mutation::ClearDedupOnRestore) {
                     if let Value::Object(map) = &mut snap {
                         map.insert("dedup".to_string(), json!([]));

@@ -417,8 +417,8 @@ pub fn run_campaign(
             }
         };
         let trace = archived_trace(&archive, run_id)?;
-        let text = String::from_utf8_lossy(&trace);
-        let resumed = text.contains("\"sub\":\"coordinator\",\"name\":\"resume\"");
+        let (signature, resumed) =
+            TraceSignature::from_jsonl_and_resumed(&String::from_utf8_lossy(&trace));
         let verdict = RunVerdict {
             label: plan.label.clone(),
             run_id: run_id.clone(),
@@ -427,7 +427,7 @@ pub fn run_campaign(
             error,
             steps_completed: report.steps_completed,
             resumed,
-            signature: TraceSignature::from_jsonl(&text),
+            signature,
         };
         entries.push(corpus.record(&docs[*doc_idx].source, &verdict, &trace, now));
         verdicts.push(verdict);

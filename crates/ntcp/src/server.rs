@@ -4,9 +4,15 @@
 //! management, site-policy enforcement, at-most-once request handling, and
 //! OGSI service-data publication. Everything site-specific is delegated to
 //! the [`ControlPlugin`].
+//!
+//! Replies are text from the moment they are written:
+//! [`GridService::respond`] writes each typed reply once into the
+//! container's reply buffer, the at-most-once cache remembers and replays
+//! those bytes, and a `snapshotSite` reply is written straight from the
+//! server's state.
 
-use serde::Deserialize;
-use serde_json::{json, Map, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -23,6 +29,10 @@ use crate::transaction::{Transaction, TxState};
 /// in-flight retransmittable requests; MOST used 3 requests per step).
 const DEDUP_CAPACITY: usize = 4096;
 
+/// A reply as the at-most-once cache remembers it: the document's text as
+/// it was written, or the fault.
+type Remembered = Result<Arc<str>, ServiceFault>;
+
 /// An NTCP server for one experiment site.
 pub struct NtcpServer {
     site: String,
@@ -34,7 +44,7 @@ pub struct NtcpServer {
     clock: Arc<SimClock>,
     transactions: BTreeMap<String, Transaction>,
     sde: ServiceData,
-    dedup: DedupCache<u64, Result<Value, ServiceFault>>,
+    dedup: DedupCache<u64, Remembered>,
     executions: u64,
     telemetry: Telemetry,
 }
@@ -105,7 +115,11 @@ impl NtcpServer {
         });
     }
 
-    fn do_propose(&mut self, ctx: &CallContext, body: &Value) -> Result<Value, ServiceFault> {
+    fn do_propose(
+        &mut self,
+        ctx: &CallContext,
+        body: &Value,
+    ) -> Result<ProposalDecision, ServiceFault> {
         let req = ProposeBody::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("propose body: {e}")))?;
         if self.transactions.contains_key(&req.transaction) {
@@ -154,10 +168,14 @@ impl NtcpServer {
         // The map key is the one copy of the decoded name.
         let tx = self.transactions.entry(tx.name.clone()).or_insert(tx);
         touch_sde(&mut self.sde, tx, ctx.now);
-        Ok(json!({ "decision": decision }))
+        Ok(decision)
     }
 
-    fn do_execute(&mut self, ctx: &CallContext, body: &Value) -> Result<Value, ServiceFault> {
+    fn do_execute(
+        &mut self,
+        ctx: &CallContext,
+        body: &Value,
+    ) -> Result<ExecuteResponse, ServiceFault> {
         let req = TransactionRef::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("execute body: {e}")))?;
         let who = self.policy.authorize(&ctx.caller, "execute");
@@ -198,10 +216,10 @@ impl NtcpServer {
                     ServiceFault::permanent("Internal", format!("{}: {e}", req.transaction))
                 })?;
                 self.publish(&req.transaction, done_at);
-                Ok(json!(ExecuteResponse {
+                Ok(ExecuteResponse {
                     results: out.results,
                     duration: out.duration,
-                }))
+                })
             }
             Err(e) => {
                 let tx = self.transactions.get_mut(&req.transaction).ok_or_else(|| {
@@ -224,7 +242,8 @@ impl NtcpServer {
         }
     }
 
-    fn do_cancel(&mut self, ctx: &CallContext, body: &Value) -> Result<Value, ServiceFault> {
+    /// Cancel a transaction, answering with its name.
+    fn do_cancel(&mut self, ctx: &CallContext, body: &Value) -> Result<String, ServiceFault> {
         let req = TransactionRef::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("cancel body: {e}")))?;
         let actions: Vec<ControlPoint> = {
@@ -244,7 +263,7 @@ impl NtcpServer {
         let stood_down = self.plugin.cancel(&actions);
         self.publish(&req.transaction, ctx.now);
         stood_down.map_err(|e| ServiceFault::permanent("CancelFailed", e.message))?;
-        Ok(json!({ "cancelled": req.transaction }))
+        Ok(req.transaction)
     }
 
     fn do_get_transaction(&mut self, body: &Value) -> Result<Value, ServiceFault> {
@@ -259,44 +278,61 @@ impl NtcpServer {
         }
     }
 
-    /// Serialize the server's full protocol + backend state for a
-    /// checkpoint: transactions, the at-most-once dedup cache (so a
-    /// pre-crash retransmission is still replayed, not re-executed, after
-    /// resume), the execution counter, and the plugin's specimen state (if
-    /// the backend supports snapshots).
-    ///
-    /// The document is built once, its pieces moved in: each remembered
-    /// reply is copied into it exactly once.
-    pub fn snapshot(&self) -> Value {
-        let dedup = self
-            .dedup
-            .iter()
-            .map(|(&k, v)| {
-                let outcome = match v {
-                    Ok(value) => Map::from([("ok".to_string(), value.clone())]),
-                    Err(fault) => Map::from([("fault".to_string(), json!(fault))]),
-                };
-                Value::Array(vec![Value::from(k), Value::Object(outcome)])
-            })
-            .collect();
-        Value::Object(Map::from([
-            ("site".to_string(), Value::from(self.site.as_str())),
-            ("plugin".to_string(), Value::from(self.plugin.name())),
-            (
-                "pluginState".to_string(),
-                self.plugin.state().unwrap_or_default(),
-            ),
-            ("transactions".to_string(), json!(self.transactions)),
-            ("executions".to_string(), Value::from(self.executions)),
-            ("dedup".to_string(), Value::Array(dedup)),
-        ]))
+    /// The server's full protocol + backend state for a checkpoint, as the
+    /// JSON text a `snapshotSite` reply carries: transactions, the
+    /// at-most-once dedup cache (so a pre-crash retransmission is still
+    /// replayed, not re-executed, after resume), the execution counter, and
+    /// the plugin's specimen state (if the backend supports snapshots).
+    pub fn snapshot(&self) -> String {
+        let mut out = String::new();
+        self.write_snapshot(&mut out);
+        out
+    }
+
+    /// Write the state document straight from the server, members in
+    /// sorted key order. Each remembered reply is copied verbatim inside
+    /// `{"ok":…}`.
+    fn write_snapshot(&self, out: &mut String) {
+        out.push_str("{\"dedup\":[");
+        for (i, (key, remembered)) in self.dedup.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            key.write_json(out);
+            match remembered {
+                Ok(text) => {
+                    out.push_str(",{\"ok\":");
+                    out.push_str(text);
+                }
+                Err(fault) => {
+                    out.push_str(",{\"fault\":");
+                    fault.write_json(out);
+                }
+            }
+            out.push_str("}]");
+        }
+        out.push_str("],\"executions\":");
+        self.executions.write_json(out);
+        out.push_str(",\"plugin\":");
+        self.plugin.name().write_json(out);
+        out.push_str(",\"pluginState\":");
+        self.plugin.state().write_json(out);
+        out.push_str(",\"site\":");
+        self.site.write_json(out);
+        out.push_str(",\"transactions\":");
+        self.transactions.write_json(out);
+        out.push('}');
     }
 
     /// Restore state captured by [`NtcpServer::snapshot`]. Protocol state
     /// (transactions, dedup, counters) always restores; plugin state is
     /// restored when the snapshot carries any — a snapshot with
     /// `pluginState: null` against a plugin that *does* hold state is
-    /// refused, because resuming would silently diverge.
+    /// refused, because resuming would silently diverge. A snapshot
+    /// without its dedup cache or execution counter is refused too: a
+    /// server restored from it would answer a retransmission it once
+    /// answered as a new request.
     pub fn restore_snapshot(&mut self, snap: &Value, now: SimTime) -> Result<(), ServiceFault> {
         if snap["site"].as_str() != Some(self.site.as_str()) {
             return Err(ServiceFault::permanent(
@@ -309,21 +345,19 @@ impl NtcpServer {
         }
         let transactions = BTreeMap::<String, Transaction>::deserialize(&snap["transactions"])
             .map_err(|e| ServiceFault::permanent("BadSnapshot", format!("transactions: {e}")))?;
-        let dedup = snap["dedup"].as_array().map_or(&[][..], Vec::as_slice);
+        let dedup = snap["dedup"]
+            .as_array()
+            .ok_or_else(|| ServiceFault::permanent("BadSnapshot", "dedup: expected an array"))?;
         let mut entries = Vec::with_capacity(dedup.len());
         for pair in dedup {
             let key = pair[0]
                 .as_u64()
                 .ok_or_else(|| ServiceFault::permanent("BadSnapshot", "dedup key"))?;
-            let value = if pair[1]["fault"].is_null() {
-                Ok(pair[1]["ok"].clone())
-            } else {
-                Err(ServiceFault::deserialize(&pair[1]["fault"]).map_err(|e| {
-                    ServiceFault::permanent("BadSnapshot", format!("dedup fault: {e}"))
-                })?)
-            };
-            entries.push((key, value));
+            entries.push((key, remembered_reply(&pair[1])?));
         }
+        let executions = snap["executions"].as_u64().ok_or_else(|| {
+            ServiceFault::permanent("BadSnapshot", "executions: expected an unsigned integer")
+        })?;
         match &snap["pluginState"] {
             Value::Null => {
                 if self.plugin.state().is_some() {
@@ -346,7 +380,7 @@ impl NtcpServer {
         self.render_sdes();
         self.transactions = transactions;
         self.dedup = DedupCache::from_entries(DEDUP_CAPACITY, entries);
-        self.executions = snap["executions"].as_u64().unwrap_or(0);
+        self.executions = executions;
         let names: Vec<String> = self.transactions.keys().cloned().collect();
         for name in names {
             self.publish(&name, now);
@@ -386,26 +420,73 @@ fn touch_sde(sde: &mut ServiceData, tx: &Transaction, now: SimTime) {
     });
 }
 
+/// A snapshot dedup entry's outcome: exactly one of `ok`, whose document
+/// is rendered back to the text it was written as (the shim re-renders a
+/// parsed compact document to the same bytes), and `fault`.
+fn remembered_reply(outcome: &Value) -> Result<Remembered, ServiceFault> {
+    let member = match outcome.as_object() {
+        Some(members) if members.len() == 1 => members.iter().next(),
+        _ => None,
+    };
+    match member {
+        Some((key, doc)) if key == "ok" => Ok(Ok(Arc::from(doc.to_string()))),
+        Some((key, fault)) if key == "fault" => ServiceFault::deserialize(fault)
+            .map(Err)
+            .map_err(|e| ServiceFault::permanent("BadSnapshot", format!("dedup fault: {e}"))),
+        _ => Err(ServiceFault::permanent(
+            "BadSnapshot",
+            "dedup outcome: expected exactly one of ok and fault",
+        )),
+    }
+}
+
 impl GridService for NtcpServer {
     fn service_type(&self) -> &'static str {
         "ntcp"
     }
 
+    /// The reply [`GridService::respond`] writes, parsed: an adapter for
+    /// callers that want a tree.
     fn handle(
         &mut self,
         ctx: &CallContext,
         operation: &str,
         body: &Value,
     ) -> Result<Value, ServiceFault> {
+        let mut reply = String::new();
+        self.respond(ctx, operation, body, &mut reply)?;
+        serde_json::from_str(&reply)
+            .map_err(|e| ServiceFault::permanent("Internal", format!("reply text: {e}")))
+    }
+
+    fn respond(
+        &mut self,
+        ctx: &CallContext,
+        operation: &str,
+        body: &Value,
+        reply: &mut String,
+    ) -> Result<(), ServiceFault> {
         // At-most-once: replay the remembered outcome for retransmissions.
         // Reads are idempotent and skip the cache, as does restoreSite —
         // it *replaces* the cache, so remembering it there is circular,
         // and replaying a restore is harmless (idempotent by value).
         match operation {
-            "getTransaction" => return self.do_get_transaction(body),
-            "getStatus" => return Ok(self.do_get_status()),
-            "snapshotSite" => return Ok(self.snapshot()),
-            "restoreSite" => return self.do_restore(ctx, body),
+            "getTransaction" => {
+                self.do_get_transaction(body)?.write_json(reply);
+                return Ok(());
+            }
+            "getStatus" => {
+                self.do_get_status().write_json(reply);
+                return Ok(());
+            }
+            "snapshotSite" => {
+                self.write_snapshot(reply);
+                return Ok(());
+            }
+            "restoreSite" => {
+                self.do_restore(ctx, body)?.write_json(reply);
+                return Ok(());
+            }
             _ => {}
         }
         if let Some(remembered) = self.dedup.check(&ctx.request_id) {
@@ -421,7 +502,8 @@ impl GridService for NtcpServer {
                     ],
                 );
             }
-            return remembered;
+            reply.push_str(&remembered?);
+            return Ok(());
         }
         // Lifecycle span around the mutating dispatch. Same-function
         // start/end with no early exits in between, so the analyzer's
@@ -449,21 +531,34 @@ impl GridService for NtcpServer {
         } else {
             SpanId::NONE
         };
+        // Each typed reply is written once; the span's outcome comes from
+        // the typed value.
+        let start = reply.len();
         let result = match operation {
-            "propose" => self.do_propose(ctx, body),
-            "execute" => self.do_execute(ctx, body),
-            "cancel" => self.do_cancel(ctx, body),
+            "propose" => self.do_propose(ctx, body).map(|decision| {
+                reply.push_str("{\"decision\":");
+                decision.write_json(reply);
+                reply.push('}');
+                match decision {
+                    ProposalDecision::Accepted => "ok",
+                    ProposalDecision::Rejected { .. } => "rejected",
+                }
+            }),
+            "execute" => self.do_execute(ctx, body).map(|response| {
+                response.write_json(reply);
+                "ok"
+            }),
+            "cancel" => self.do_cancel(ctx, body).map(|name| {
+                reply.push_str("{\"cancelled\":");
+                name.write_json(reply);
+                reply.push('}');
+                "ok"
+            }),
             other => Err(ServiceFault::no_such_operation(other)),
         };
         if self.telemetry.enabled() {
             let outcome = match &result {
-                Ok(value) => {
-                    if operation == "propose" && value["decision"] != json!("Accepted") {
-                        Field::Static("rejected")
-                    } else {
-                        Field::Static("ok")
-                    }
-                }
+                Ok(label) => Field::Static(label),
                 Err(fault) => Field::Str(format!("err:{}", fault.code)),
             };
             self.telemetry.span_end(
@@ -475,8 +570,9 @@ impl GridService for NtcpServer {
                 ],
             );
         }
-        self.dedup.remember(ctx.request_id, result.clone());
-        result
+        let remembered = result.map(|_| Arc::from(&reply[start..]));
+        self.dedup.remember(ctx.request_id, remembered.clone());
+        remembered.map(|_| ())
     }
 
     fn sde(&mut self) -> Option<&mut ServiceData> {
@@ -548,6 +644,22 @@ mod tests {
             now: SimTime::from_secs(1),
             request_id,
         }
+    }
+
+    /// The state document `snapshotSite` answers, parsed.
+    fn snapshot_value(s: &NtcpServer) -> Value {
+        serde_json::from_str(&s.snapshot()).unwrap()
+    }
+
+    /// `respond`'s reply text: the document a client receives.
+    fn answer(
+        s: &mut NtcpServer,
+        rid: u64,
+        op: &str,
+        body: &Value,
+    ) -> Result<String, ServiceFault> {
+        let mut reply = String::new();
+        s.respond(&ctx(rid), op, body, &mut reply).map(|()| reply)
     }
 
     fn propose_body(tx: &str, d: f64, f: f64) -> Value {
@@ -780,7 +892,7 @@ mod tests {
         let mut s = server();
         s.handle(&ctx(1), "propose", &propose_body("t1", 0.01, 1000.0))
             .unwrap();
-        let snap = s.snapshot();
+        let snap = snapshot_value(&s);
         // t2 changes after the snapshot and is not in it; its SDE must
         // keep the pre-restore state rather than lose it.
         s.handle(&ctx(2), "propose", &propose_body("t2", 0.01, 1000.0))
@@ -961,24 +1073,28 @@ mod tests {
                 let mut responses = Vec::new();
                 let mut snap = None;
                 for (i, (rid, op, body)) in plan.iter().enumerate() {
-                    responses.push(s.handle(&ctx(*rid), op, body));
+                    responses.push(answer(&mut s, *rid, op, body));
                     if i == cut {
                         snap = Some(s.snapshot());
                     }
                 }
 
-                // Crash, restart, restore.
+                // Crash, restart, restore. The restored server snapshots
+                // to the very bytes it was restored from.
+                let snap = snap.unwrap();
                 let mut fresh = server();
                 fresh
-                    .restore_snapshot(&snap.unwrap(), SimTime::from_secs(1))
+                    .restore_snapshot(&serde_json::from_str(&snap).unwrap(), SimTime::from_secs(1))
                     .unwrap();
+                prop_assert_eq!(fresh.snapshot(), snap);
                 let restored_executions = fresh.executions();
 
                 // Any pre-snapshot request retransmitted after the restore
-                // is deduplicated: identical outcome, no re-execution.
+                // is deduplicated: the first answer's text, byte for byte,
+                // and no re-execution.
                 for i in 0..=cut {
                     let (rid, op, body) = &plan[i];
-                    let replayed = fresh.handle(&ctx(*rid), op, body);
+                    let replayed = answer(&mut fresh, *rid, op, body);
                     prop_assert_eq!(&replayed, &responses[i]);
                     prop_assert_eq!(fresh.executions(), restored_executions);
                 }
@@ -987,7 +1103,7 @@ mod tests {
                 // uninterrupted server's did.
                 for i in cut + 1..plan.len() {
                     let (rid, op, body) = &plan[i];
-                    let continued = fresh.handle(&ctx(*rid), op, body);
+                    let continued = answer(&mut fresh, *rid, op, body);
                     prop_assert_eq!(&continued, &responses[i]);
                 }
                 prop_assert_eq!(fresh.executions(), s.executions());
@@ -1005,7 +1121,7 @@ mod tests {
             .unwrap();
         s.handle(&ctx(3), "propose", &propose_body("t2", 0.005, 500.0))
             .unwrap();
-        let snap = s.snapshot();
+        let snap = snapshot_value(&s);
 
         // A freshly constructed server restores to the identical state.
         let mut fresh = server();
@@ -1032,7 +1148,7 @@ mod tests {
     #[test]
     fn restore_rejects_wrong_site() {
         let mut s = server();
-        let mut snap = s.snapshot();
+        let mut snap = snapshot_value(&s);
         if let Value::Object(m) = &mut snap {
             m.insert("site".into(), json!("cu"));
         }
@@ -1043,12 +1159,66 @@ mod tests {
     #[test]
     fn restore_rejects_missing_plugin_state_for_stateful_plugin() {
         let mut s = server();
-        let mut snap = s.snapshot();
+        let mut snap = snapshot_value(&s);
         if let Value::Object(m) = &mut snap {
             m.insert("pluginState".into(), Value::Null);
         }
         let err = s.restore_snapshot(&snap, SimTime::ZERO).unwrap_err();
         assert_eq!(err.code, "BadSnapshot");
+    }
+
+    #[test]
+    fn restore_refuses_a_state_document_without_its_dedup_cache_or_counter() {
+        let mut s = server();
+        s.handle(&ctx(1), "propose", &propose_body("t1", 0.01, 1000.0))
+            .unwrap();
+        let executed = s
+            .handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
+            .unwrap();
+        let snap = snapshot_value(&s);
+        let with = |key: &str, value: Option<Value>| {
+            let mut doc = snap.clone();
+            if let Value::Object(m) = &mut doc {
+                match value {
+                    Some(value) => m.insert(key.to_string(), value),
+                    None => m.remove(key),
+                };
+            }
+            doc
+        };
+        let entry = |outcome: Value| Some(json!([[2, outcome]]));
+        let ok_doc = snap["dedup"][1][1]["ok"].clone();
+        let fault = ServiceFault::permanent("X", "y");
+        let malformed = [
+            ("dedup mistyped", with("dedup", Some(json!(5)))),
+            ("dedup missing", with("dedup", None)),
+            ("executions missing", with("executions", None)),
+            ("executions mistyped", with("executions", Some(json!("1")))),
+            ("outcome empty", with("dedup", entry(json!({})))),
+            (
+                "outcome both",
+                with("dedup", entry(json!({"ok": ok_doc, "fault": fault}))),
+            ),
+            ("outcome unknown", with("dedup", entry(json!({"okay": 1})))),
+        ];
+        for (case, doc) in malformed {
+            let mut fresh = server();
+            let err = fresh
+                .restore_snapshot(&doc, SimTime::from_secs(2))
+                .expect_err(case);
+            assert_eq!(err.code, "BadSnapshot", "{case}: {err:?}");
+        }
+        // The intact document restores, and the retransmitted pre-snapshot
+        // execute replays its remembered result.
+        let mut fresh = server();
+        fresh
+            .restore_snapshot(&snap, SimTime::from_secs(2))
+            .unwrap();
+        let replay = fresh
+            .handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
+            .unwrap();
+        assert_eq!(replay, executed);
+        assert_eq!(fresh.executions(), 1);
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //!
 //! A fake site answers every request with bytes the test chooses, so
 //! replies can be malformed or carry wrong types.
+//!
+//! The other way round, a real `NtcpServer` in a container answers
+//! generated requests with exactly the bytes of the `Value`-tree envelope
+//! the server's replies were once built as
+//! (`to_vec(&RpcResponse { outcome: Ok(tree), .. })`), and replays a
+//! retransmission's first answer byte for byte.
 
 use std::sync::{Arc, Mutex};
 
@@ -13,12 +19,18 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use serde_json::{json, Value};
 
-use neesgrid_gridsim::{MessageKind, NetworkConfig, NodeId, SimTime, VirtualNetwork};
-use neesgrid_gsi::DistinguishedName;
+use neesgrid_gridsim::{Endpoint, MessageKind, NetworkConfig, NodeId, SimTime, VirtualNetwork};
+use neesgrid_gsi::{ActionLimits, DistinguishedName, SitePolicy};
 use neesgrid_ntcp::msg::{ExecuteResponse, ProposeBody, TransactionRef};
-use neesgrid_ntcp::{ControlPoint, ControlPointResult, NtcpClient, NtcpError, ProposalDecision};
+use neesgrid_ntcp::{
+    ControlPoint, ControlPointResult, NtcpClient, NtcpError, NtcpServer, ProposalDecision,
+    SimulationPlugin,
+};
 use neesgrid_ogsi::rpc::RpcOutcome;
-use neesgrid_ogsi::{RetryPolicy, RpcClient, RpcMux, RpcRequest, RpcResponse};
+use neesgrid_ogsi::{
+    AttachedContainer, RetryPolicy, RpcClient, RpcMux, RpcRequest, RpcResponse, ServiceContainer,
+};
+use neesgrid_structsim::{LinearElastic, SimulatedSubstructure};
 
 /// `(correlation id, payload)` of every request a site received.
 type Received = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
@@ -358,4 +370,159 @@ fn malformed_and_mistyped_replies_end_as_bad_response() {
                 .into()
         ))
     );
+}
+
+/// A real NTCP site in a container, and a client endpoint that keeps the
+/// bytes of every reply it receives.
+struct RealSite {
+    net: VirtualNetwork,
+    client: Endpoint,
+    replies: Arc<Mutex<Vec<Vec<u8>>>>,
+    _container: AttachedContainer,
+}
+
+fn real_site() -> RealSite {
+    let net = VirtualNetwork::new(NetworkConfig::default());
+    let plugin = SimulationPlugin::new(
+        "sim",
+        Box::new(SimulatedSubstructure::spring_to_ground(
+            "col",
+            Box::new(LinearElastic::new(1.0e5)),
+        )),
+    );
+    let server = NtcpServer::new(
+        "site",
+        SitePolicy::permissive("site", ActionLimits::most_large_scale()),
+        Box::new(plugin),
+        net.clock(),
+    );
+    let container = ServiceContainer::new(net.endpoint("site").unwrap())
+        .with_service("ntcp", Box::new(server))
+        .permissive()
+        .attach();
+    let client = net.endpoint("coordinator").unwrap();
+    let replies = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&replies);
+    client.install_handler(move |env| {
+        if env.kind == MessageKind::Reply {
+            seen.lock().unwrap().push(env.payload.to_vec());
+        }
+    });
+    RealSite {
+        net,
+        client,
+        replies,
+        _container: container,
+    }
+}
+
+impl RealSite {
+    /// Send one request and return the bytes of its reply.
+    fn ask(&self, request_id: u64, operation: &str, body: &Value) -> Vec<u8> {
+        let request = RpcRequest {
+            request_id,
+            caller: caller(),
+            operation: operation.to_string(),
+            body: body.clone(),
+        };
+        self.client.send(
+            NodeId::new("site"),
+            "ntcp",
+            MessageKind::Request,
+            request_id,
+            Bytes::from(serde_json::to_vec(&request).unwrap()),
+        );
+        self.net.engine().run_until_idle();
+        let mut replies = self.replies.lock().unwrap();
+        assert_eq!(replies.len(), 1, "one reply per request");
+        replies.pop().unwrap()
+    }
+}
+
+/// The envelope a reply's outcome was once sent as: a fault as it is, and
+/// a document rebuilt from its typed value in the `json!` form the server
+/// built it in.
+fn tree_envelope(request_id: u64, operation: &str, tx: &str, reply: &[u8]) -> Vec<u8> {
+    let response: RpcResponse = serde_json::from_slice(reply).unwrap();
+    let outcome = match response.outcome {
+        RpcOutcome::Fault(fault) => RpcOutcome::Fault(fault),
+        RpcOutcome::Ok(doc) => RpcOutcome::Ok(match operation {
+            "propose" => {
+                let decision: ProposalDecision =
+                    serde_json::from_value(doc["decision"].clone()).unwrap();
+                json!({ "decision": decision })
+            }
+            "execute" => json!(serde_json::from_value::<ExecuteResponse>(doc).unwrap()),
+            _ => json!({ "cancelled": tx }),
+        }),
+    };
+    serde_json::to_vec(&RpcResponse {
+        request_id,
+        outcome,
+    })
+    .unwrap()
+}
+
+impl Gen {
+    /// A finite float near the site's limits, or an edge value.
+    fn finite(&mut self) -> f64 {
+        match self.below(3) {
+            0 => [0.0, -0.0, 1e-300, 5e-324, 0.05, -0.0499][self.below(6)],
+            1 => (self.next() % 200_001) as f64 * 1e-6 - 0.1,
+            _ => (self.next() as i64) as f64 / 1e15,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn a_real_server_answers_with_the_tree_envelopes_bytes(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        let site = real_site();
+        let names: Vec<String> = (0..3).map(|_| g.name()).collect();
+        // Every request sent so far and its first answer's bytes.
+        let mut sent: Vec<(String, Value, Vec<u8>)> = Vec::new();
+        for _ in 0..g.below(24) + 1 {
+            let tx = names[g.below(names.len())].clone();
+            let (operation, body) = match g.below(4) {
+                0 | 1 => {
+                    let actions: Vec<ControlPoint> = (0..g.below(3) + 1)
+                        .map(|_| ControlPoint {
+                            name: g.name(),
+                            displacement_m: g.finite(),
+                            velocity_mps: g.finite().abs() / 10.0,
+                            expected_force_n: g.finite() * 1e6,
+                        })
+                        .collect();
+                    let body = ProposeBody {
+                        transaction: tx.clone(),
+                        actions,
+                        timeout: SimTime::from_nanos(g.next()),
+                    };
+                    ("propose", serde_json::to_value(&body).unwrap())
+                }
+                2 => ("execute", json!({ "transaction": tx })),
+                _ => ("cancel", json!({ "transaction": tx })),
+            };
+            let request_id = sent.len() as u64 + 1;
+            let reply = site.ask(request_id, operation, &body);
+            prop_assert_eq!(
+                &reply,
+                &tree_envelope(request_id, operation, &tx, &reply),
+                "{} {}",
+                operation,
+                String::from_utf8_lossy(&reply)
+            );
+            sent.push((operation.to_string(), body, reply));
+
+            // Retransmit an earlier request: its first answer, byte for byte.
+            if g.below(3) == 0 {
+                let i = g.below(sent.len());
+                let (operation, body, first) = &sent[i];
+                let replayed = site.ask(i as u64 + 1, operation, body);
+                prop_assert_eq!(&replayed, first);
+            }
+        }
+    }
 }

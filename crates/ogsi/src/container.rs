@@ -12,6 +12,10 @@
 //! engine runs it. A request is answered inline at its delivery, so a
 //! service must never block on, or pump, the engine itself.
 //!
+//! A reply is written once, as text: the service appends its document to
+//! the reply's buffer ([`GridService::respond`]) and the container writes
+//! the RPC envelope around it.
+//!
 //! Security model: contexts are established out-of-band via
 //! [`neesgrid_gsi::authenticate`] (the connection-setup handshake) and
 //! installed with [`ServiceContainer::install_session`]. A request from an
@@ -24,14 +28,18 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde_json::{json, Value};
+use serde::Serialize;
 
 use neesgrid_gridsim::{Endpoint, Envelope, MessageKind, SimTime};
 use neesgrid_gsi::{DistinguishedName, SecurityContext};
 
 use crate::fault::ServiceFault;
-use crate::rpc::{RpcOutcome, RpcRequest, RpcResponse};
+use crate::rpc::{reply_payload, RpcRequest};
 use crate::service::{CallContext, GridService};
+
+/// The most a reply buffer starts with: one large reply (a site snapshot)
+/// must not size every reply after it.
+const MAX_REPLY_CAPACITY: usize = 1024;
 
 /// A container hosting one or more grid services on a node.
 pub struct ServiceContainer {
@@ -41,6 +49,9 @@ pub struct ServiceContainer {
     /// When true, requests from identities without an installed session are
     /// admitted (used by simulation-only phases and unit tests).
     pub allow_unauthenticated: bool,
+    /// Capacity of the next reply's buffer: the longest reply so far, up to
+    /// [`MAX_REPLY_CAPACITY`].
+    reply_capacity: usize,
 }
 
 impl ServiceContainer {
@@ -51,6 +62,7 @@ impl ServiceContainer {
             services: BTreeMap::new(),
             sessions: BTreeMap::new(),
             allow_unauthenticated: false,
+            reply_capacity: 0,
         }
     }
 
@@ -97,30 +109,25 @@ impl ServiceContainer {
                 let service_name = env.service.clone();
                 self.endpoint.clock().advance_to(env.delivered_at());
                 let now = self.endpoint.clock().now();
-                let response = match serde_json::from_slice::<RpcRequest>(&env.payload) {
-                    Ok(req) => RpcResponse {
-                        request_id: req.request_id,
-                        outcome: match self.process(&service_name, &req, now) {
-                            Ok(v) => RpcOutcome::Ok(v),
-                            Err(f) => RpcOutcome::Fault(f),
-                        },
-                    },
-                    Err(_) => RpcResponse {
-                        request_id: correlation,
-                        outcome: RpcOutcome::Fault(ServiceFault::permanent(
+                let capacity = self.reply_capacity;
+                let reply = match serde_json::from_slice::<RpcRequest>(&env.payload) {
+                    Ok(req) => reply_payload(req.request_id, capacity, |out| {
+                        self.process(&service_name, &req, now, out)
+                    }),
+                    Err(_) => reply_payload(correlation, capacity, |_| {
+                        Err(ServiceFault::permanent(
                             "BadRequest",
                             "undecodable request payload",
-                        )),
-                    },
+                        ))
+                    }),
                 };
-                let payload =
-                    Bytes::from(serde_json::to_vec(&response).expect("serialize response"));
+                self.reply_capacity = reply.len().clamp(capacity, MAX_REPLY_CAPACITY);
                 self.endpoint.send(
                     reply_to,
                     &service_name,
                     MessageKind::Reply,
                     correlation,
-                    payload,
+                    Bytes::from(reply.into_bytes()),
                 );
                 self.tick_services(now);
             }
@@ -130,12 +137,14 @@ impl ServiceContainer {
         }
     }
 
+    /// Run one request, appending its reply document to `reply`.
     fn process(
         &mut self,
         service_name: &str,
         req: &RpcRequest,
         now: SimTime,
-    ) -> Result<Value, ServiceFault> {
+        reply: &mut String,
+    ) -> Result<(), ServiceFault> {
         if !self.allow_unauthenticated {
             match self.sessions.get(&req.caller) {
                 Some(session) if session.valid_at(now) => {}
@@ -168,23 +177,19 @@ impl ServiceContainer {
                 let sde = svc.sde().ok_or_else(|| {
                     ServiceFault::permanent("NoServiceData", "service exposes no SDEs")
                 })?;
-                let elements: Vec<Value> = sde
-                    .query(pattern)
-                    .into_iter()
-                    .map(|el| serde_json::to_value(el).expect("serialize sde"))
-                    .collect();
-                Ok(json!({ "elements": elements }))
+                reply.push_str("{\"elements\":");
+                sde.query(pattern).write_json(reply);
+                reply.push('}');
+                Ok(())
             }
             "ogsi:mostRecentlyChanged" => {
                 let sde = svc.sde().ok_or_else(|| {
                     ServiceFault::permanent("NoServiceData", "service exposes no SDEs")
                 })?;
-                Ok(match sde.most_recently_changed() {
-                    Some(el) => serde_json::to_value(el).expect("serialize sde"),
-                    None => Value::Null,
-                })
+                sde.most_recently_changed().write_json(reply);
+                Ok(())
             }
-            op => svc.handle(&ctx, op, &req.body),
+            op => svc.respond(&ctx, op, &req.body, reply),
         }
     }
 
@@ -217,6 +222,7 @@ mod tests {
     use crate::sde::ServiceData;
     use neesgrid_gridsim::{NetworkConfig, NodeId, VirtualNetwork};
     use neesgrid_gsi::{authenticate, CertificateAuthority, Credential};
+    use serde_json::{json, Value};
 
     struct Counter {
         count: u64,

@@ -210,6 +210,37 @@ fn request_payload<B: Serialize + ?Sized>(
     Bytes::from(out.into_bytes())
 }
 
+/// A reply's wire bytes, written around the document `write` appends into
+/// a buffer of `capacity` bytes. They are exactly
+/// `to_vec(&RpcResponse { request_id, outcome: RpcOutcome::Ok(doc) })`:
+/// the members in the sorted key order the derive writes
+/// `RpcResponse`'s. When `write` faults, whatever it appended is discarded
+/// and the bytes are those of `RpcOutcome::Fault`.
+pub(crate) fn reply_payload(
+    request_id: u64,
+    capacity: usize,
+    write: impl FnOnce(&mut String) -> Result<(), ServiceFault>,
+) -> String {
+    let mut out = String::with_capacity(capacity);
+    out.push_str("{\"outcome\":{\"Ok\":");
+    match write(&mut out) {
+        Ok(()) => {
+            out.push_str("},\"request_id\":");
+            request_id.write_json(&mut out);
+            out.push('}');
+        }
+        Err(fault) => {
+            out.clear();
+            RpcResponse {
+                request_id,
+                outcome: RpcOutcome::Fault(fault),
+            }
+            .write_json(&mut out);
+        }
+    }
+    out
+}
+
 /// Pre-resolved RPC metric instruments, shared by every call slot so the
 /// per-call hot path never locks the metrics registry or looks up a name.
 /// Detached (updates discarded) until a recording telemetry handle is
@@ -1055,5 +1086,36 @@ mod tests {
             "took {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn reply_bytes_are_the_response_envelopes() {
+        let docs = [
+            serde_json::json!({"decision": {"Rejected": {"reason": "q\"\n日"}}}),
+            serde_json::json!([1.5, -0.0, null, u64::MAX]),
+            Value::Null,
+        ];
+        for (request_id, doc) in [0, 7, u64::MAX].into_iter().zip(docs) {
+            let written = reply_payload(request_id, 0, |out| {
+                doc.write_json(out);
+                Ok(())
+            });
+            let tree = RpcResponse {
+                request_id,
+                outcome: RpcOutcome::Ok(doc),
+            };
+            assert_eq!(written.as_bytes(), serde_json::to_vec(&tree).unwrap());
+        }
+        // A fault discards what was written before it.
+        let fault = ServiceFault::transient("Busy", "try again");
+        let written = reply_payload(3, 64, |out| {
+            out.push_str("{\"partial\":");
+            Err(fault.clone())
+        });
+        let tree = RpcResponse {
+            request_id: 3,
+            outcome: RpcOutcome::Fault(fault),
+        };
+        assert_eq!(written.as_bytes(), serde_json::to_vec(&tree).unwrap());
     }
 }

@@ -5,7 +5,14 @@
 //! authentication, and the generic OGSI inspection operations; the service
 //! implements domain operations (NTCP's `propose`/`execute`/`cancel`, NMDS's
 //! metadata CRUD, …) and exposes state through its [`ServiceData`].
+//!
+//! A reply is JSON text from the moment it is written: the container calls
+//! [`GridService::respond`], which appends the reply document to the
+//! buffer the reply envelope is written in. Its default writes
+//! [`GridService::handle`]'s document; a service whose replies are typed,
+//! or remembered as text, writes them itself.
 
+use serde::Serialize;
 use serde_json::Value;
 
 use neesgrid_gridsim::SimTime;
@@ -38,6 +45,21 @@ pub trait GridService: Send {
         operation: &str,
         body: &Value,
     ) -> Result<Value, ServiceFault>;
+
+    /// Handle a domain operation, appending its reply document to `reply`
+    /// as compact JSON text. The container calls only this, and discards
+    /// whatever was appended when it returns a fault. The default writes
+    /// [`GridService::handle`]'s document.
+    fn respond(
+        &mut self,
+        ctx: &CallContext,
+        operation: &str,
+        body: &Value,
+        reply: &mut String,
+    ) -> Result<(), ServiceFault> {
+        self.handle(ctx, operation, body)?.write_json(reply);
+        Ok(())
+    }
 
     /// Expose service data for generic OGSI inspection, if any. Every read
     /// goes through here, so a service that renders values on read (see
@@ -104,6 +126,23 @@ mod tests {
         let out = svc.handle(&ctx(), "increment", &Value::Null).unwrap();
         assert_eq!(out["count"], 1);
         assert_eq!(svc.sde().unwrap().get("count").unwrap().value, json!(1));
+    }
+
+    #[test]
+    fn default_respond_writes_the_handled_document() {
+        let mut svc = Counter {
+            count: 0,
+            sde: ServiceData::new(),
+        };
+        let mut reply = String::from("{\"Ok\":");
+        svc.respond(&ctx(), "increment", &Value::Null, &mut reply)
+            .unwrap();
+        assert_eq!(reply, r#"{"Ok":{"count":1}"#);
+        let err = svc
+            .respond(&ctx(), "zap", &Value::Null, &mut reply)
+            .unwrap_err();
+        assert_eq!(err.code, "NoSuchOperation");
+        assert_eq!(reply, r#"{"Ok":{"count":1}"#, "a fault appends nothing");
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub trait Serialize {
 
     /// Append compact JSON text to `out`, byte-identical to rendering
     /// [`to_value`] with [`Value::to_json_compact`]. The default does
-    /// exactly that; primitives, sequences, `Value` and derived types
-    /// override it to write without building the tree.
+    /// exactly that; primitives, sequences, `BTreeMap`, `Value` and derived
+    /// types override it to write without building the tree.
     fn write_json(&self, out: &mut String) {
         to_value(self).write_json(out);
     }
@@ -265,6 +265,31 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
             m.insert(k, to_value(v));
         }
         serializer.serialize_value(Value::Object(m))
+    }
+
+    /// Members are written in the order the tree's object keeps them,
+    /// sorted by key string, which is not the map's own order for integer
+    /// keys ("10" before "9"). A key that is not string-like takes the
+    /// tree path, as the default does.
+    fn write_json(&self, out: &mut String) {
+        let mut members = Vec::with_capacity(self.len());
+        for (k, v) in self {
+            match key_string(k) {
+                Ok(key) => members.push((key, v)),
+                Err(_) => return to_value(self).write_json(out),
+            }
+        }
+        members.sort_by(|a, b| a.0.cmp(&b.0));
+        out.push('{');
+        for (i, (key, v)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(key, out);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
     }
 }
 

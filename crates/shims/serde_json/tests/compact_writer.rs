@@ -37,6 +37,9 @@ proptest! {
         same_bytes(&g.string())?;
         same_bytes(&g.vec(|g| g.shape(1)))?;
         same_bytes(&Some(vec![g.u64()]))?;
+        let by_name: BTreeMap<String, Named> =
+            (0..g.below(5)).map(|_| (g.string(), g.named())).collect();
+        same_bytes(&by_name)?;
     }
 }
 
@@ -107,6 +110,31 @@ fn edge_values_render_as_the_value_path_does() {
     );
     let by_id: BTreeMap<u64, u8> = [(9, 1), (10, 2)].into_iter().collect();
     assert_eq!(serde_json::to_string(&by_id).unwrap(), r#"{"10":2,"9":1}"#);
+    // String keys sort by their unescaped bytes: `"` (0x22) before `#`,
+    // though its escape `\"` starts with `\` (0x5c).
+    let renamed = |request_id| Renamed {
+        request_id,
+        zero_based: false,
+        a_b: 0,
+    };
+    let by_name: BTreeMap<String, Renamed> = [("a#", 1), ("a\"", 2), ("", 3), ("é", 4)]
+        .into_iter()
+        .map(|(k, id)| (k.to_string(), renamed(id)))
+        .collect();
+    let written = serde_json::to_string(&by_name).unwrap();
+    assert_eq!(
+        written,
+        serde_json::to_value(&by_name).unwrap().to_json_compact()
+    );
+    assert_eq!(
+        written,
+        concat!(
+            r#"{"":{"aB":0,"requestId":3,"zeroBased":false},"#,
+            r#""a\"":{"aB":0,"requestId":2,"zeroBased":false},"#,
+            r#""a#":{"aB":0,"requestId":1,"zeroBased":false},"#,
+            r#""é":{"aB":0,"requestId":4,"zeroBased":false}}"#
+        )
+    );
     assert_eq!(
         serde_json::to_string(&Renamed {
             request_id: 7,

@@ -281,6 +281,15 @@ impl TraceSignature {
     /// reads ([`EventLine`]), with the skip rules of indexing the line's
     /// parsed `Value`: a syntax error anywhere skips the line.
     pub fn from_jsonl(src: &str) -> TraceSignature {
+        Self::from_jsonl_and_resumed(src).0
+    }
+
+    /// [`TraceSignature::from_jsonl`], and whether the run resumed from a
+    /// checkpoint (the trace carries a `coordinator/resume` instant), read
+    /// in the same pass. The flag is not part of the signature: a resumed
+    /// run signs as its undisturbed re-run does.
+    pub fn from_jsonl_and_resumed(src: &str) -> (TraceSignature, bool) {
+        let mut resumed = false;
         let mut abort: Option<AbortSite> = None;
         let mut faults: Vec<FaultEvent> = Vec::new();
         // span id -> tx name, for ntcp spans still open at trace end.
@@ -313,6 +322,7 @@ impl TraceSignature {
 
             let field_or_unknown = |key: &str| as_str(fields.get(key)).unwrap_or("?").to_string();
             match (sub, kind) {
+                ("coordinator", "instant") if name == "resume" => resumed = true,
                 ("coordinator", "instant") if name == "abort" => {
                     abort = Some(AbortSite {
                         step: as_u64(fields.get("step")).unwrap_or(0),
@@ -350,7 +360,7 @@ impl TraceSignature {
         faults.sort();
         faults.dedup();
 
-        TraceSignature {
+        let signature = TraceSignature {
             termination: if abort.is_some() {
                 "aborted".to_string()
             } else {
@@ -360,7 +370,8 @@ impl TraceSignature {
             aborted_txs,
             faults,
             fingerprint,
-        }
+        };
+        (signature, resumed)
     }
 
     /// The run aborted (carried a `coordinator/abort` instant).
@@ -455,6 +466,24 @@ mod tests {
         assert!(sig.aborted_txs.is_empty());
         assert!(!sig.saw_faults());
         assert_eq!(sig.id().len(), 16);
+    }
+
+    #[test]
+    fn the_signing_pass_reads_whether_the_run_resumed() {
+        let tel = Telemetry::recording();
+        tel.instant(500, "coordinator", "resume", [("step", Field::U64(2))]);
+        let span = tel.span_start(600, "coordinator", "step", [("step", Field::U64(2))]);
+        tel.span_end(604, span, [("step", Field::U64(2))]);
+        let resumed = tel.export_jsonl();
+        for (trace, flag) in [
+            (resumed.as_str(), true),
+            (&clean_run(1_000), false),
+            ("", false),
+        ] {
+            let (sig, read) = TraceSignature::from_jsonl_and_resumed(trace);
+            assert_eq!(read, flag, "{trace}");
+            assert_eq!(sig, TraceSignature::from_jsonl(trace));
+        }
     }
 
     #[test]
