@@ -23,6 +23,7 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use neesgrid_archive::{ArchiveSite, CasStore, StripeConfig, TransferStatus};
+use neesgrid_bench::{cores, write_record};
 use neesgrid_coordinator::Termination;
 use neesgrid_gridsim::SimTime;
 use neesgrid_most::n_site;
@@ -223,7 +224,7 @@ fn main() {
         "history_digest_unchanged": solo_digest == loaded_digest,
     });
 
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     let chunk_size = StripeConfig::default().chunk_size;
     let mut row = serde_json::json!({
         "bytes": CAS_BYTES,
@@ -241,8 +242,5 @@ fn main() {
     if let serde_json::Value::Object(m) = &mut doc {
         m.insert("cas_wall_clock".into(), row);
     }
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_archive.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_archive.json");
-    eprintln!("archive_ingest: wrote {out}");
+    write_record("archive_ingest", "archive", &doc);
 }

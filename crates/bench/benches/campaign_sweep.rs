@@ -26,6 +26,7 @@
 
 use std::time::Instant;
 
+use neesgrid_bench::{best_and_median, cores, write_record};
 use neesgrid_campaign::{run_campaign, CampaignConfig, CampaignReport, ScenarioDoc};
 
 const RESET: &str = r#"
@@ -97,13 +98,6 @@ impl Sweep {
             }
         }
     }
-
-    /// `(best, median)` wall-clock milliseconds.
-    fn best_and_median_ms(&self) -> (f64, f64) {
-        let mut ms = self.wall_ms.clone();
-        ms.sort_by(f64::total_cmp);
-        (ms[0], ms[ms.len() / 2])
-    }
 }
 
 /// The committed `scenarios/*.scn`, in file-name order.
@@ -125,7 +119,7 @@ fn committed_scenarios() -> Vec<ScenarioDoc> {
 }
 
 fn main() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     let docs: Vec<ScenarioDoc> = [RESET, CLEAN, DROP]
         .iter()
         .map(|src| ScenarioDoc::parse(src).expect("bench scenario parses"))
@@ -150,7 +144,7 @@ fn main() {
     }
     let [matrix, committed] = sweeps;
 
-    let (best_ms, median_ms) = matrix.best_and_median_ms();
+    let (best_ms, median_ms) = best_and_median(matrix.wall_ms);
     let report = matrix.first.expect("at least one sweep ran");
     let runs = report.verdicts.len();
     let runs_per_sec = |ms: f64| runs as f64 / (ms / 1e3);
@@ -179,7 +173,7 @@ fn main() {
         report.queue_full_retries
     );
 
-    let (scn_best_ms, scn_median_ms) = committed.best_and_median_ms();
+    let (scn_best_ms, scn_median_ms) = best_and_median(committed.wall_ms);
     let scn_config = committed.config;
     let scn = committed.first.expect("at least one sweep ran");
     let scn_runs = scn.verdicts.len();
@@ -232,8 +226,5 @@ fn main() {
             "store_digest": format!("{:08x}", scn.archive.cas().store_digest()),
         },
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_campaign.json");
-    eprintln!("campaign_sweep: wrote {out}");
+    write_record("campaign_sweep", "campaign", &doc);
 }

@@ -15,6 +15,7 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use neesgrid_bench::{best_and_median, cores, write_record};
 use neesgrid_chef::DataViewer;
 use neesgrid_daq::nsds::{NsdsSample, NsdsServer, NsdsSubscription};
 use neesgrid_gridsim::SimTime;
@@ -64,13 +65,8 @@ fn round(nsds: &NsdsServer, subs: &[NsdsSubscription]) {
 }
 
 /// `(best, median)` of a set of timings.
-fn best_and_median(mut ns: Vec<f64>) -> (f64, f64) {
-    ns.sort_by(f64::total_cmp);
-    (ns[0], ns[ns.len() / 2])
-}
-
 fn fanout() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     let hubs: Vec<_> = SUBSCRIBERS.iter().map(|&n| crowd(n)).collect();
     for (nsds, subs) in &hubs {
         round(nsds, subs);
@@ -110,10 +106,7 @@ fn fanout() {
         "rounds_per_repeat": ROUNDS,
         "rows": rows,
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_nsds.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_nsds.json");
-    eprintln!("fig08_dataviewer: wrote {out}");
+    write_record("fig08_dataviewer", "nsds", &doc);
 }
 
 fn bench_viewer(c: &mut Criterion) {

@@ -22,6 +22,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use neesgrid_bench::{best_and_median, cores, write_record};
 use neesgrid_checkpoint::{
     CheckpointPolicy, CheckpointStore, MemoryCheckpointStore, RepoCheckpointStore,
 };
@@ -114,13 +115,8 @@ fn public_run(checkpointed: bool) -> (f64, usize, usize) {
 }
 
 /// `(best, median)` of a set of wall-clock times.
-fn best_and_median(mut ms: Vec<f64>) -> (f64, f64) {
-    ms.sort_by(f64::total_cmp);
-    (ms[0], ms[ms.len() / 2])
-}
-
 fn checkpoint_resume_schedule() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     // Warm-up, then alternate which configuration goes first in each pair
     // so drift and cache state hit both equally.
     public_run(false);
@@ -162,10 +158,7 @@ fn checkpoint_resume_schedule() {
         "ms_per_snapshot": cost_ms / snapshots as f64,
         "ms_per_mb": ms_per_mb,
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_checkpoint.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_checkpoint.json");
-    eprintln!("fig12_checkpoint_overhead: wrote {out}");
+    write_record("fig12_checkpoint_overhead", "checkpoint", &doc);
 }
 
 fn main() {

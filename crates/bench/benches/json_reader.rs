@@ -17,6 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use neesgrid_bench::{best_and_median, cores, write_record};
 use neesgrid_most::{MostDeployment, Scenario};
 use neesgrid_portal::{decode, encode, Response, SamplesView};
 use serde_json::{RawValue, Value};
@@ -59,13 +60,8 @@ fn value_texts(body: &str) -> Vec<&str> {
 }
 
 /// `(best, median)` of a set of timings.
-fn best_and_median(mut ns: Vec<f64>) -> (f64, f64) {
-    ns.sort_by(f64::total_cmp);
-    (ns[0], ns[ns.len() / 2])
-}
-
 fn main() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     let frame = poll_reply();
     let body = std::str::from_utf8(&frame[4..]).expect("frames are UTF-8");
     let values = value_texts(body);
@@ -136,8 +132,5 @@ fn main() {
             m.insert(format!("median_{name}_ns_per_sample"), median.into());
         }
     }
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_json.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_json.json");
-    eprintln!("json_reader: wrote {out}");
+    write_record("json_reader", "json", &doc);
 }

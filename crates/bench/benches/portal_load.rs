@@ -14,6 +14,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use neesgrid_bench::write_record;
 use neesgrid_checkpoint::MemoryCheckpointStore;
 use neesgrid_gridsim::{NetworkProfile, SimTime, VirtualNetwork};
 use neesgrid_gsi::{CertificateAuthority, Credential, DistinguishedName};
@@ -188,8 +189,5 @@ fn main() {
             "peak_sessions": stats.peak_sessions,
         },
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_portal.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_portal.json");
-    eprintln!("portal_load: wrote {out}");
+    write_record("portal_load", "portal", &doc);
 }

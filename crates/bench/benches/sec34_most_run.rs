@@ -17,6 +17,7 @@
 use criterion::{criterion_group, Criterion};
 use std::time::{Duration, Instant};
 
+use neesgrid_bench::{best_and_median, cores, write_record};
 use neesgrid_most::scenarios::PUBLIC_RUN_FATAL_STEP;
 use neesgrid_most::{MostDeployment, Scenario};
 
@@ -92,13 +93,8 @@ fn full_length(scenario: Scenario, watched: bool) -> f64 {
 }
 
 /// `(best, median)` of a set of wall-clock times.
-fn best_and_median(mut seconds: Vec<f64>) -> (f64, f64) {
-    seconds.sort_by(f64::total_cmp);
-    (seconds[0], seconds[seconds.len() / 2])
-}
-
 fn most_runs() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     // Warm-up, then rotate which run goes first in each round so drift and
     // cache state hit all three equally.
     for (_, scenario, watched) in RUNS {
@@ -141,10 +137,7 @@ fn most_runs() {
         m.insert("crowd_cost_s".into(), crowd_cost_s.into());
         m.insert("crowd_cost_best_s".into(), crowd_cost_best_s.into());
     }
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_most.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_most.json");
-    eprintln!("sec34_most_run: wrote {out}");
+    write_record("sec34_most_run", "most", &doc);
 }
 
 fn main() {

@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use neesgrid_bench::{cores, write_record};
 use neesgrid_coordinator::Termination;
 use neesgrid_most::n_site;
 
@@ -19,7 +20,7 @@ const SEED: u64 = 2004;
 const REPEATS: usize = 5;
 
 fn main() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     let mut rows = Vec::new();
     for n in [3usize, 8, 16, 64] {
         let mut wall_ms: Vec<f64> = (0..REPEATS)
@@ -72,8 +73,5 @@ fn main() {
         "rows": rows,
         "deterministic_at_64_sites": deterministic,
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_scaling.json");
-    eprintln!("sec51/n_site: wrote {out}");
+    write_record("sec51/n_site", "scaling", &doc);
 }

@@ -11,6 +11,7 @@
 
 use std::time::Instant;
 
+use neesgrid_bench::{best_and_median, cores, write_record};
 use neesgrid_coordinator::Termination;
 use neesgrid_most::{n_site, n_site_with_telemetry};
 use neesgrid_telemetry::Telemetry;
@@ -22,13 +23,8 @@ const SEED: u64 = 2004;
 const REPEATS: usize = 12;
 
 /// `(best, median)` of a set of wall-clock times.
-fn best_and_median(mut ms: Vec<f64>) -> (f64, f64) {
-    ms.sort_by(f64::total_cmp);
-    (ms[0], ms[ms.len() / 2])
-}
-
 fn main() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = cores();
     // Warm-up: fault both code paths into cache and let the allocator reach
     // steady state (the trace grows to several megabytes inside the timed
     // run; its first-ever growth faults pages that later runs reuse) before
@@ -108,11 +104,5 @@ fn main() {
         "budget_fraction": 0.05,
         "within_budget": overhead < 0.05,
     });
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_telemetry_overhead.json"
-    );
-    std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_telemetry_overhead.json");
-    eprintln!("telemetry_overhead: wrote {out}");
+    write_record("telemetry_overhead", "telemetry_overhead", &doc);
 }

@@ -179,11 +179,12 @@ pub trait Checkpointable {
 }
 
 impl Checkpointable for SimulationCoordinator {
-    fn checkpoint_into(&mut self, checkpointer: Checkpointer) {
-        let cadence = checkpointer.policy.cadence();
-        let mut checkpointer = checkpointer;
+    fn checkpoint_into(&mut self, mut checkpointer: Checkpointer) {
+        let Some(every_steps) = checkpointer.policy.every_steps else {
+            return;
+        };
         self.set_checkpoint_hook(
-            cadence,
+            every_steps,
             Box::new(move |state| {
                 checkpointer
                     .save(state)

@@ -36,7 +36,7 @@
 
 /// The checkpoint hook driving snapshot capture during a run.
 pub mod checkpointer;
-/// When to checkpoint: every-N, on-transient-fault, ring retention.
+/// When to checkpoint and how many to keep: every-N, ring retention.
 pub mod policy;
 /// Versioned, CRC-checked snapshot encoding.
 pub mod snapshot;

@@ -1,16 +1,10 @@
 //! When to checkpoint and how many to keep.
 
-use neesgrid_coordinator::CheckpointCadence;
-
-/// Checkpointing policy: interval, transient-failure trigger, retention.
+/// Checkpointing policy: interval and retention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Checkpoint every N step boundaries (`None`: never on interval).
+    /// Checkpoint every N step boundaries (`None`: never).
     pub every_steps: Option<u64>,
-    /// Also checkpoint at the boundary after a step that needed
-    /// transient-failure recovery — the cheapest moment to capture state
-    /// that a flaky network has just proven is worth protecting.
-    pub on_transient_failure: bool,
     /// Keep only the most recent K snapshots (`None`: keep all).
     pub retain: Option<usize>,
 }
@@ -21,25 +15,16 @@ impl CheckpointPolicy {
         assert!(n > 0, "checkpoint interval must be positive");
         CheckpointPolicy {
             every_steps: Some(n),
-            on_transient_failure: false,
             retain: None,
         }
     }
 
-    /// Never checkpoint on an interval (combine with
-    /// [`CheckpointPolicy::and_on_transient_failure`]).
+    /// Never checkpoint.
     pub fn never() -> Self {
         CheckpointPolicy {
             every_steps: None,
-            on_transient_failure: false,
             retain: None,
         }
-    }
-
-    /// Also checkpoint after transient-failure recoveries.
-    pub fn and_on_transient_failure(mut self) -> Self {
-        self.on_transient_failure = true;
-        self
     }
 
     /// Keep only the most recent `k` snapshots (a ring).
@@ -47,14 +32,6 @@ impl CheckpointPolicy {
         assert!(k > 0, "retention ring must hold at least one snapshot");
         self.retain = Some(k);
         self
-    }
-
-    /// The coordinator-side cadence this policy induces.
-    pub fn cadence(&self) -> CheckpointCadence {
-        CheckpointCadence {
-            every_steps: self.every_steps,
-            after_transient: self.on_transient_failure,
-        }
     }
 }
 
@@ -64,15 +41,10 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let p = CheckpointPolicy::every(100)
-            .and_on_transient_failure()
-            .retaining(3);
+        let p = CheckpointPolicy::every(100).retaining(3);
         assert_eq!(p.every_steps, Some(100));
-        assert!(p.on_transient_failure);
         assert_eq!(p.retain, Some(3));
-        let c = p.cadence();
-        assert_eq!(c.every_steps, Some(100));
-        assert!(c.after_transient);
+        assert_eq!(CheckpointPolicy::never().every_steps, None);
     }
 
     #[test]

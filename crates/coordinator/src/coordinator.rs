@@ -130,26 +130,6 @@ pub struct CoordinatorState {
     pub retransmissions: u64,
 }
 
-/// When the coordinator offers its state to the checkpoint hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointCadence {
-    /// Checkpoint every N step boundaries (`None`: never on interval).
-    pub every_steps: Option<u64>,
-    /// Also checkpoint at the boundary after a step that needed
-    /// transient-failure recovery.
-    pub after_transient: bool,
-}
-
-impl CheckpointCadence {
-    fn due(&self, step: u64, transient_in_last_step: bool) -> bool {
-        let interval = match self.every_steps {
-            Some(n) if n > 0 => step > 0 && step.is_multiple_of(n),
-            _ => false,
-        };
-        interval || (self.after_transient && transient_in_last_step)
-    }
-}
-
 /// Checkpoint hook: receives the coordinator's boundary state, persists it
 /// (plus whatever site state the installer gathers), and reports failure
 /// as a string. A failure is logged but never interrupts the experiment.
@@ -166,7 +146,7 @@ pub struct SimulationCoordinator {
     pub transaction_timeout: SimTime,
     clock: Arc<SimClock>,
     on_step: Option<StepObserver>,
-    checkpoint: Option<(CheckpointCadence, CheckpointHook)>,
+    checkpoint: Option<(u64, CheckpointHook)>,
     telemetry: Telemetry,
 }
 
@@ -222,9 +202,9 @@ impl SimulationCoordinator {
     }
 
     /// Install a checkpoint hook, called with the coordinator's state at
-    /// each step boundary the cadence selects.
-    pub fn set_checkpoint_hook(&mut self, cadence: CheckpointCadence, hook: CheckpointHook) {
-        self.checkpoint = Some((cadence, hook));
+    /// every `every_steps`-th step boundary after step 0.
+    pub fn set_checkpoint_hook(&mut self, every_steps: u64, hook: CheckpointHook) {
+        self.checkpoint = Some((every_steps, hook));
     }
 
     fn ground_force(&self, ag: f64) -> Vector {
@@ -409,9 +389,10 @@ impl SimulationCoordinator {
         self.run_from(motion, steps, None)
     }
 
-    /// Continue an experiment from a checkpointed boundary state. The
-    /// site servers must already hold matching state (see the
-    /// `neesgrid-checkpoint` crate for the restore choreography).
+    /// Continue an experiment from a checkpointed boundary state, logging
+    /// [`EventKind::Resumed`]. The site servers must already hold matching
+    /// state (see the `neesgrid-checkpoint` crate for the restore
+    /// choreography).
     pub fn resume(
         &mut self,
         motion: &GroundMotion,
@@ -438,8 +419,8 @@ impl SimulationCoordinator {
         assert!(max_slice_steps > 0, "a slice must cover at least one step");
         let start = resume.as_ref().map(|s| s.step).unwrap_or(0);
         // Slice continuations are a scheduling artifact, not a recovery:
-        // the trace stays silent so it reads the same however the worker
-        // pool happened to slice the run.
+        // the trace and the log stay silent so they read the same however
+        // the worker pool happened to slice the run.
         self.run_bounded(
             motion,
             steps,
@@ -489,14 +470,16 @@ impl SimulationCoordinator {
                     state.step,
                 );
                 let mut log = state.log;
-                log.record(self.clock.now(), state.step, EventKind::Resumed);
-                if announce_resume && self.telemetry.enabled() {
-                    self.telemetry.instant(
-                        self.clock.now().as_nanos(),
-                        "coordinator",
-                        "resume",
-                        [("step", Field::U64(state.step))],
-                    );
+                if announce_resume {
+                    log.record(self.clock.now(), state.step, EventKind::Resumed);
+                    if self.telemetry.enabled() {
+                        self.telemetry.instant(
+                            self.clock.now().as_nanos(),
+                            "coordinator",
+                            "resume",
+                            [("step", Field::U64(state.step))],
+                        );
+                    }
                 }
                 (
                     integrator,
@@ -532,7 +515,6 @@ impl SimulationCoordinator {
             }
         };
         let mut termination = Termination::Completed;
-        let mut transient_in_last_step = false;
 
         'steps: for n in start_step..steps as u64 {
             // Slice bound: pause at this boundary and hand the state back
@@ -552,8 +534,8 @@ impl SimulationCoordinator {
             }
             // Checkpoint at the boundary: steps 0..n are committed, step n
             // has not started, so a snapshot taken here resumes at n.
-            if let Some((cadence, hook)) = self.checkpoint.as_mut() {
-                if cadence.due(n, transient_in_last_step) {
+            if let Some((every_steps, hook)) = self.checkpoint.as_mut() {
+                if n > 0 && n.is_multiple_of(*every_steps) {
                     let retransmissions =
                         retrans_baseline + clients.iter().map(|c| c.retransmissions()).sum::<u64>();
                     let (d_prev, d_curr, step) = integrator.state();
@@ -574,7 +556,6 @@ impl SimulationCoordinator {
                     }
                 }
             }
-            transient_in_last_step = false;
 
             let target = integrator.target_displacement().clone();
             let mut attempt = 0u32;
@@ -591,7 +572,6 @@ impl SimulationCoordinator {
                                     error: err.to_string(),
                                 },
                             );
-                            transient_in_last_step = true;
                             attempt += 1;
                             continue;
                         }
@@ -957,6 +937,9 @@ mod tests {
             .history
             .max_displacement_difference(&straight.history);
         assert_eq!(diff, 0.0, "sliced vs straight diff {diff}");
+        // A slice boundary is not a recovery: the log reads as if the run
+        // had never paused.
+        assert_eq!(outcome.log.events, straight.log.events);
     }
 
     #[test]

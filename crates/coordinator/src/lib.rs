@@ -31,8 +31,8 @@ pub mod policy;
 
 pub use builder::SimCoordBuilder;
 pub use coordinator::{
-    CheckpointCadence, CheckpointHook, CoordinatorState, ExperimentOutcome, SimulationCoordinator,
-    SiteHandle, SliceOutcome, StepRecord, Termination,
+    CheckpointHook, CoordinatorState, ExperimentOutcome, SimulationCoordinator, SiteHandle,
+    SliceOutcome, StepRecord, Termination,
 };
 pub use log::{EventKind, ExperimentLog, LogEvent};
 pub use policy::FaultPolicy;

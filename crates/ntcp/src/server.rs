@@ -99,7 +99,7 @@ impl NtcpServer {
 
     /// Record a change to transaction `name` in its SDE. The value is
     /// rendered from the transaction when something reads it (see
-    /// [`GridService::sde`]), or now for a matching subscriber.
+    /// [`GridService::sde`]).
     fn publish(&mut self, name: &str, now: SimTime) {
         if let Some(tx) = self.transactions.get(name) {
             touch_sde(&mut self.sde, tx, now);
@@ -415,9 +415,7 @@ impl NtcpServer {
 
 /// Record a change to `tx` in its SDE (see [`NtcpServer::publish`]).
 fn touch_sde(sde: &mut ServiceData, tx: &Transaction, now: SimTime) {
-    sde.touch(format!("transaction/{}", tx.name), now, || {
-        tx.to_sde_value()
-    });
+    sde.touch(format!("transaction/{}", tx.name), now);
 }
 
 /// A snapshot dedup entry's outcome: exactly one of `ok`, whose document

@@ -24,7 +24,6 @@
 //! action limits checked inside the NTCP service itself.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -48,7 +47,7 @@ pub struct ServiceContainer {
     sessions: BTreeMap<DistinguishedName, SecurityContext>,
     /// When true, requests from identities without an installed session are
     /// admitted (used by simulation-only phases and unit tests).
-    pub allow_unauthenticated: bool,
+    allow_unauthenticated: bool,
     /// Capacity of the next reply's buffer: the longest reply so far, up to
     /// [`MAX_REPLY_CAPACITY`].
     reply_capacity: usize,
@@ -72,11 +71,6 @@ impl ServiceContainer {
         self
     }
 
-    /// Register a service under `name`.
-    pub fn add_service(&mut self, name: impl Into<String>, svc: Box<dyn GridService>) {
-        self.services.insert(name.into(), svc);
-    }
-
     /// Install an authenticated session for a client identity.
     pub fn install_session(&mut self, ctx: SecurityContext) {
         self.sessions.insert(ctx.client.clone(), ctx);
@@ -94,10 +88,9 @@ impl ServiceContainer {
     /// container.
     pub fn attach(self) -> AttachedContainer {
         let endpoint = self.endpoint.clone();
-        let shared = Arc::new(Mutex::new(self));
-        let dispatch = Arc::clone(&shared);
-        endpoint.install_handler(move |env| dispatch.lock().handle_envelope(env));
-        AttachedContainer { container: shared }
+        let container = Mutex::new(self);
+        endpoint.install_handler(move |env| container.lock().handle_envelope(env));
+        AttachedContainer(())
     }
 
     /// Dispatch one envelope: answer requests, drop everything else.
@@ -200,20 +193,12 @@ impl ServiceContainer {
     }
 }
 
-/// Handle to a container attached to the event engine.
+/// Proof that a container was attached to the event engine.
 ///
-/// Dropping the handle does not detach the container: the network registry
-/// keeps the dispatch handler alive until network shutdown.
-pub struct AttachedContainer {
-    container: Arc<Mutex<ServiceContainer>>,
-}
-
-impl AttachedContainer {
-    /// Access the hosted container (e.g. to install sessions after attach).
-    pub fn with_container<R>(&self, f: impl FnOnce(&mut ServiceContainer) -> R) -> R {
-        f(&mut self.container.lock())
-    }
-}
+/// The handle holds nothing: the engine's dispatch handler owns the
+/// container, and the network registry keeps it alive until network
+/// shutdown, so dropping the handle does not detach the container.
+pub struct AttachedContainer(());
 
 #[cfg(test)]
 mod tests {

@@ -17,8 +17,6 @@ pub struct DedupCache<K: Eq + Hash + Clone, V: Clone> {
     map: HashMap<K, V>,
     order: VecDeque<K>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> DedupCache<K, V> {
@@ -29,23 +27,12 @@ impl<K: Eq + Hash + Clone, V: Clone> DedupCache<K, V> {
             map: HashMap::with_capacity(capacity.min(1024)),
             order: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Look up a remembered response for `key`, counting hit/miss.
-    pub fn check(&mut self, key: &K) -> Option<V> {
-        match self.map.get(key) {
-            Some(v) => {
-                self.hits += 1;
-                Some(v.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Look up a remembered response for `key`.
+    pub fn check(&self, key: &K) -> Option<V> {
+        self.map.get(key).cloned()
     }
 
     /// Remember the response for `key`, evicting the oldest entry if full.
@@ -61,18 +48,6 @@ impl<K: Eq + Hash + Clone, V: Clone> DedupCache<K, V> {
         }
     }
 
-    /// Execute-once helper: returns the remembered response if `key` was
-    /// seen, otherwise runs `f`, remembers, and returns its result along
-    /// with whether this call actually executed `f`.
-    pub fn run_once(&mut self, key: K, f: impl FnOnce() -> V) -> (V, bool) {
-        if let Some(v) = self.check(&key) {
-            return (v, false);
-        }
-        let v = f();
-        self.remember(key, v.clone());
-        (v, true)
-    }
-
     /// Number of remembered responses.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -81,11 +56,6 @@ impl<K: Eq + Hash + Clone, V: Clone> DedupCache<K, V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// All remembered entries in insertion (eviction) order. Checkpoints
@@ -97,14 +67,12 @@ impl<K: Eq + Hash + Clone, V: Clone> DedupCache<K, V> {
 
     /// Rebuild a cache from entries previously exported with
     /// [`DedupCache::iter`], preserving insertion order (and therefore
-    /// future eviction order). Hit/miss counters restart at zero.
+    /// future eviction order).
     pub fn from_entries(capacity: usize, entries: Vec<(K, V)>) -> Self {
         let mut cache = DedupCache::new(capacity);
         for (k, v) in entries {
             cache.remember(k, v);
         }
-        cache.hits = 0;
-        cache.misses = 0;
         cache
     }
 }
@@ -119,25 +87,6 @@ mod tests {
         assert!(c.check(&1).is_none());
         c.remember(1, "reply".into());
         assert_eq!(c.check(&1).unwrap(), "reply");
-        assert_eq!(c.stats(), (1, 1));
-    }
-
-    #[test]
-    fn run_once_executes_exactly_once() {
-        let mut c: DedupCache<u64, u32> = DedupCache::new(10);
-        let mut executions = 0;
-        let (v1, ran1) = c.run_once(7, || {
-            executions += 1;
-            42
-        });
-        let (v2, ran2) = c.run_once(7, || {
-            executions += 1;
-            42
-        });
-        assert_eq!((v1, v2), (42, 42));
-        assert!(ran1);
-        assert!(!ran2);
-        assert_eq!(executions, 1);
     }
 
     #[test]
@@ -182,7 +131,6 @@ mod tests {
         assert_eq!(exported, vec![(0, 0), (1, 10), (2, 20)]);
         let mut restored = DedupCache::from_entries(3, exported);
         assert_eq!(restored.check(&1).unwrap(), 10);
-        assert_eq!(restored.stats(), (1, 0));
         // Eviction order carried over: next insert evicts key 0.
         restored.remember(3, 30);
         assert!(restored.check(&0).is_none());

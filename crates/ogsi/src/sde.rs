@@ -1,8 +1,8 @@
 //! Service data elements (SDEs).
 //!
 //! OGSI's state-exposure mechanism: a service publishes named, timestamped
-//! JSON values that any authorized party can inspect or subscribe to. The
-//! paper leans on two patterns this module implements directly:
+//! JSON values that any authorized party can inspect. The paper leans on
+//! two patterns this module implements directly:
 //!
 //! * *one SDE per NTCP transaction* — name, state, requested actions,
 //!   timeouts, results, and per-state-change timestamps (§2.1);
@@ -18,7 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -39,19 +38,6 @@ pub struct ServiceDataElement {
     pub version: u64,
 }
 
-/// A change event delivered to subscribers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SdeChange {
-    /// Name of the element that changed.
-    pub name: String,
-    /// The new value.
-    pub value: Value,
-    /// Time of the change.
-    pub at: SimTime,
-    /// New version of the element.
-    pub version: u64,
-}
-
 /// An element plus whether its value still has to be rendered.
 #[derive(Debug)]
 struct Slot {
@@ -61,13 +47,11 @@ struct Slot {
 
 /// The service-data set of one grid service.
 ///
-/// Not internally synchronized: the owning service (or its container thread)
-/// is the single writer; remote reads arrive via service operations on the
-/// same thread.
+/// Not internally synchronized: the owning service is the single writer;
+/// remote reads arrive via service operations on the same thread.
 #[derive(Debug, Default)]
 pub struct ServiceData {
     elements: BTreeMap<String, Slot>,
-    subscribers: Vec<(String, Sender<SdeChange>)>,
     most_recently_changed: Option<String>,
 }
 
@@ -77,31 +61,19 @@ impl ServiceData {
         Self::default()
     }
 
-    /// Create or update an element, notifying subscribers.
+    /// Create or update an element.
     pub fn set(&mut self, name: impl Into<String>, value: Value, now: SimTime) {
         let slot = self.record(name.into(), now);
         slot.element.value = value;
         slot.stale = false;
-        self.notify_last(now);
     }
 
     /// Record a change to an element whose value is rendered later: bump
     /// the version, stamp the times and make it the most recently changed,
     /// as [`ServiceData::set`] does, but leave the value stale until the
-    /// next [`ServiceData::refresh`]. A subscriber whose pattern matches
-    /// still receives the change now, with `render()` as its value.
-    pub fn touch(&mut self, name: impl Into<String>, now: SimTime, render: impl FnOnce() -> Value) {
-        let name = name.into();
-        let watched = self
-            .subscribers
-            .iter()
-            .any(|(pattern, _)| name_matches(pattern, &name));
-        let slot = self.record(name, now);
-        slot.stale = !watched;
-        if watched {
-            slot.element.value = render();
-            self.notify_last(now);
-        }
+    /// next [`ServiceData::refresh`].
+    pub fn touch(&mut self, name: impl Into<String>, now: SimTime) {
+        self.record(name.into(), now).stale = true;
     }
 
     /// Render every stale element: `render(name)` gives its current value,
@@ -137,41 +109,9 @@ impl ServiceData {
         slot
     }
 
-    /// Send the most recently changed element to every subscriber whose
-    /// pattern matches, dropping subscribers that hung up.
-    fn notify_last(&mut self, now: SimTime) {
-        if self.subscribers.is_empty() {
-            return;
-        }
-        let Some(el) = self
-            .most_recently_changed
-            .as_deref()
-            .and_then(|n| self.elements.get(n))
-            .map(|slot| &slot.element)
-        else {
-            return;
-        };
-        self.subscribers.retain(|(pattern, tx)| {
-            !name_matches(pattern, &el.name)
-                || tx
-                    .send(SdeChange {
-                        name: el.name.clone(),
-                        value: el.value.clone(),
-                        at: now,
-                        version: el.version,
-                    })
-                    .is_ok()
-        });
-    }
-
     /// Inspect one element.
     pub fn get(&self, name: &str) -> Option<&ServiceDataElement> {
         self.elements.get(name).map(|slot| &slot.element)
-    }
-
-    /// Remove an element (e.g. a destroyed transaction).
-    pub fn remove(&mut self, name: &str) -> Option<ServiceDataElement> {
-        self.elements.remove(name).map(|slot| slot.element)
     }
 
     /// All elements matching a pattern (`*` suffix wildcard), by name.
@@ -189,14 +129,6 @@ impl ServiceData {
         self.most_recently_changed
             .as_deref()
             .and_then(|n| self.get(n))
-    }
-
-    /// Subscribe to changes of elements matching `pattern`
-    /// (exact name, or prefix ending in `*`).
-    pub fn subscribe(&mut self, pattern: impl Into<String>) -> Receiver<SdeChange> {
-        let (tx, rx) = unbounded();
-        self.subscribers.push((pattern.into(), tx));
-        rx
     }
 
     /// Number of elements.
@@ -277,37 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn subscription_receives_matching_changes() {
-        let mut sd = ServiceData::new();
-        let rx = sd.subscribe("transaction/*");
-        sd.set(
-            "transaction/t1",
-            json!({"state": "Executing"}),
-            SimTime::from_secs(2),
-        );
-        sd.set("other", json!(0), SimTime::from_secs(3));
-        let ev = rx.try_recv().unwrap();
-        assert_eq!(ev.name, "transaction/t1");
-        assert_eq!(ev.version, 1);
-        assert!(rx.try_recv().is_err(), "non-matching change not delivered");
-    }
-
-    #[test]
-    fn dropped_subscriber_is_pruned() {
-        let mut sd = ServiceData::new();
-        let rx = sd.subscribe("*");
-        drop(rx);
-        // First set after drop prunes the dead subscriber.
-        sd.set("a", json!(1), SimTime::ZERO);
-        sd.set("a", json!(2), SimTime::ZERO);
-        assert_eq!(sd.get("a").unwrap().version, 2);
-    }
-
-    #[test]
     fn touched_element_renders_on_refresh() {
         let mut sd = ServiceData::new();
-        sd.touch("transaction/t1", SimTime::from_secs(1), || unreachable!());
-        sd.touch("transaction/t1", SimTime::from_secs(4), || unreachable!());
+        sd.touch("transaction/t1", SimTime::from_secs(1));
+        sd.touch("transaction/t1", SimTime::from_secs(4));
         let el = sd.get("transaction/t1").unwrap();
         assert_eq!(el.version, 2);
         assert_eq!(el.created_at, SimTime::from_secs(1));
@@ -327,52 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn subscriber_receives_every_touch_in_order_with_the_value_at_change_time() {
-        let mut sd = ServiceData::new();
-        let rx = sd.subscribe("transaction/*");
-        for (i, state) in ["Accepted", "Executing", "Completed"].iter().enumerate() {
-            sd.touch(
-                "transaction/t1",
-                SimTime::from_secs(i as u64),
-                || json!({ "state": state }),
-            );
-        }
-        sd.touch("serverInfo", SimTime::from_secs(9), || unreachable!());
-        let seen: Vec<(u64, Value, SimTime)> = std::iter::from_fn(|| rx.try_recv().ok())
-            .map(|c| (c.version, c.value, c.at))
-            .collect();
-        assert_eq!(
-            seen,
-            vec![
-                (1, json!({"state": "Accepted"}), SimTime::from_secs(0)),
-                (2, json!({"state": "Executing"}), SimTime::from_secs(1)),
-                (3, json!({"state": "Completed"}), SimTime::from_secs(2)),
-            ]
-        );
-        // A watched element was rendered when it changed, so it is current
-        // without a refresh.
-        assert_eq!(
-            sd.get("transaction/t1").unwrap().value["state"],
-            "Completed"
-        );
-    }
-
-    #[test]
     fn set_over_a_stale_element_wins_over_refresh() {
         let mut sd = ServiceData::new();
-        sd.touch("x", SimTime::ZERO, || unreachable!());
+        sd.touch("x", SimTime::ZERO);
         sd.set("x", json!(2), SimTime::from_secs(1));
         sd.refresh(|_| unreachable!("set rendered the element"));
         assert_eq!(sd.get("x").unwrap().value, json!(2));
         assert_eq!(sd.get("x").unwrap().version, 2);
-    }
-
-    #[test]
-    fn remove_deletes_element() {
-        let mut sd = ServiceData::new();
-        sd.set("x", json!(1), SimTime::ZERO);
-        assert!(sd.remove("x").is_some());
-        assert!(sd.get("x").is_none());
-        assert!(sd.is_empty());
     }
 }

@@ -68,8 +68,8 @@ pub trait GridService: Send {
         None
     }
 
-    /// Periodic housekeeping hook (lease reaping etc.). Called by the
-    /// container between requests.
+    /// Housekeeping hook, called by the container after each request it
+    /// answers. The default does nothing.
     fn tick(&mut self, _now: SimTime) {}
 }
 

@@ -18,14 +18,14 @@ use neesgrid_checkpoint::{
     CheckpointError, CheckpointPolicy, CheckpointStore, Checkpointable, Checkpointer,
 };
 use neesgrid_coordinator::{
-    CoordinatorState, ExperimentOutcome, FaultPolicy, SimCoordBuilder, SimulationCoordinator,
-    SliceOutcome,
+    CoordinatorState, EventKind, ExperimentOutcome, FaultPolicy, SimCoordBuilder,
+    SimulationCoordinator, SliceOutcome,
 };
 use neesgrid_daq::nsds::{NsdsSample, NsdsServer};
 use neesgrid_gridsim::{FaultPlan, LinkKey, NetworkProfile, NodeId, VirtualNetwork};
 use neesgrid_gsi::{ActionLimits, DistinguishedName, SitePolicy};
 use neesgrid_ntcp::{NtcpClient, NtcpServer, SimulationPlugin};
-use neesgrid_ogsi::{AttachedContainer, RpcClient, RpcMux, ServiceContainer};
+use neesgrid_ogsi::{RpcClient, RpcMux, ServiceContainer};
 use neesgrid_structsim::material::{BilinearHysteretic, LinearElastic, Material};
 use neesgrid_structsim::substructure::SimulatedSubstructure;
 use neesgrid_structsim::GroundMotion;
@@ -328,8 +328,6 @@ pub struct Deployment {
     pub coordinator: SimulationCoordinator,
     /// The coordinator node's RPC mux.
     pub mux: Arc<RpcMux>,
-    // Site containers stay attached for the deployment's lifetime.
-    _containers: Vec<AttachedContainer>,
 }
 
 impl Deployment {
@@ -360,7 +358,6 @@ impl Deployment {
                 .expect("coordinator endpoint is unique per run network"),
         );
         mux.set_telemetry(telemetry.clone());
-        let mut containers = Vec::with_capacity(spec.sites);
         let mut builder = SimCoordBuilder::new(vec![1000.0; spec.sites], Arc::clone(&clock))
             .dt(DT)
             .fault_policy(spec.policy.fault_policy())
@@ -381,15 +378,14 @@ impl Deployment {
                 Arc::clone(&clock),
             );
             server.set_telemetry(telemetry.clone());
-            containers.push(
-                ServiceContainer::new(
-                    net.endpoint(name.as_str())
-                        .expect("site endpoint is unique per run network"),
-                )
-                .with_service("ntcp", Box::new(server))
-                .permissive()
-                .attach(),
-            );
+            // The network keeps the attached container until it shuts down.
+            ServiceContainer::new(
+                net.endpoint(name.as_str())
+                    .expect("site endpoint is unique per run network"),
+            )
+            .with_service("ntcp", Box::new(server))
+            .permissive()
+            .attach();
             let client = site_client(&mux, &name, caller);
             builder = builder.site(name, client, vec![i], k);
         }
@@ -397,7 +393,6 @@ impl Deployment {
             net,
             coordinator: builder.build(),
             mux,
-            _containers: containers,
         }
     }
 }
@@ -521,19 +516,22 @@ impl WorkerRun {
             Err(e) => return Err(e),
         };
         self.restorer.prepare_resume(&snapshot)?;
-        // A genuine checkpoint recovery is trace-worthy (ordinary slice
-        // continuations are not — see `SimulationCoordinator::run_slice`),
-        // and it is the worker who knows the difference, so the instant
-        // is emitted here.
+        // A genuine checkpoint recovery is logged and trace-worthy
+        // (ordinary slice continuations are not — see
+        // `SimulationCoordinator::run_slice`), and it is the worker who
+        // knows the difference, so both are recorded here.
+        let mut state = snapshot.coordinator;
+        let now = self.deployment.net.clock().now();
+        state.log.record(now, state.step, EventKind::Resumed);
         if self.telemetry.enabled() {
             self.telemetry.instant(
-                self.deployment.net.clock().now().as_nanos(),
+                now.as_nanos(),
                 "coordinator",
                 "resume",
-                [("step", Field::U64(snapshot.coordinator.step))],
+                [("step", Field::U64(state.step))],
             );
         }
-        self.state = Some(snapshot.coordinator);
+        self.state = Some(state);
         Ok(true)
     }
 
@@ -771,6 +769,16 @@ mod tests {
             0.0,
             "rescheduled trajectory must be bit-identical"
         );
+        // Slice boundaries are not recoveries; the rebuild is the one.
+        let resumes = |o: &ExperimentOutcome| {
+            o.log
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::Resumed)
+                .count()
+        };
+        assert_eq!(resumes(&reference_outcome), 0);
+        assert_eq!(resumes(&outcome), 1);
     }
 
     #[test]
