@@ -22,15 +22,13 @@
 //! /cas/manifests/<logical name>         JSON manifest (ordered block refs)
 //! ```
 
-use std::sync::Arc;
-
 use bytes::Bytes;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use neesgrid_gridsim::SimTime;
 use neesgrid_repo::gridftp::RestartMarker;
 use neesgrid_repo::{crc32, crc32_combine, VirtualStore};
+use neesgrid_telemetry::{CounterHandle, Telemetry};
 
 /// Content address of one immutable block: CRC-32 plus exact length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -160,7 +158,8 @@ impl std::fmt::Display for CasError {
 
 impl std::error::Error for CasError {}
 
-/// Running totals of what an ingest wrote vs deduplicated.
+/// Running totals of what an ingest wrote vs deduplicated, read from the
+/// store's counters ([`CasStore::for_site`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CasStats {
     /// Blocks newly written to the backing store.
@@ -175,6 +174,16 @@ pub struct CasStats {
     pub manifests: u64,
 }
 
+/// The counters behind [`CasStats`], one per field.
+#[derive(Clone, Default)]
+struct CasCounters {
+    blocks_written: CounterHandle,
+    blocks_deduped: CounterHandle,
+    bytes_written: CounterHandle,
+    bytes_deduped: CounterHandle,
+    manifests: CounterHandle,
+}
+
 /// A content-addressed store layered on one site's [`VirtualStore`].
 ///
 /// Cloning shares the backing store and the stats; a site's NFMS view and
@@ -183,15 +192,33 @@ pub struct CasStats {
 #[derive(Clone)]
 pub struct CasStore {
     store: VirtualStore,
-    stats: Arc<Mutex<CasStats>>,
+    counters: CasCounters,
 }
 
 impl CasStore {
-    /// Wrap a backing store.
+    /// Wrap a backing store, counting its stats on detached counters.
     pub fn new(store: VirtualStore) -> Self {
         CasStore {
             store,
-            stats: Arc::new(Mutex::new(CasStats::default())),
+            counters: CasCounters::default(),
+        }
+    }
+
+    /// The store of archive site `site`. When `telemetry` records, its
+    /// stats are the registry's `cas.{field}{site}` counters (for example
+    /// `cas.blocks_written{uiuc}`), each listed from its first bump, so
+    /// sites sharing one recorder keep their own counts.
+    pub fn for_site(store: VirtualStore, site: &str, telemetry: &Telemetry) -> Self {
+        let counter = |stat: &str| telemetry.lazy_counter(&format!("cas.{stat}{{{site}}}"));
+        CasStore {
+            store,
+            counters: CasCounters {
+                blocks_written: counter("blocks_written"),
+                blocks_deduped: counter("blocks_deduped"),
+                bytes_written: counter("bytes_written"),
+                bytes_deduped: counter("bytes_deduped"),
+                manifests: counter("manifests"),
+            },
         }
     }
 
@@ -250,14 +277,13 @@ impl CasStore {
     /// before it stores the block.
     pub fn put_block(&self, key: BlockKey, data: Bytes, now: SimTime) -> bool {
         let path = key.path();
-        let mut stats = self.stats.lock();
         if self.store.exists(&path) {
-            stats.blocks_deduped += 1;
-            stats.bytes_deduped += key.len as u64;
+            self.counters.blocks_deduped.add(1);
+            self.counters.bytes_deduped.add(key.len as u64);
             false
         } else {
-            stats.blocks_written += 1;
-            stats.bytes_written += key.len as u64;
+            self.counters.blocks_written.add(1);
+            self.counters.bytes_written.add(key.len as u64);
             self.store.put_with_crc(path, data, key.crc, now);
             true
         }
@@ -282,7 +308,7 @@ impl CasStore {
 
     /// Record (or replace) a manifest object.
     pub fn put_manifest(&self, manifest: &Manifest, now: SimTime) {
-        self.stats.lock().manifests += 1;
+        self.counters.manifests.add(1);
         self.store.put(manifest.path(), manifest.encode(), now);
     }
 
@@ -380,7 +406,14 @@ impl CasStore {
 
     /// Ingest/dedup totals so far.
     pub fn stats(&self) -> CasStats {
-        *self.stats.lock()
+        let c = &self.counters;
+        CasStats {
+            blocks_written: c.blocks_written.get(),
+            blocks_deduped: c.blocks_deduped.get(),
+            bytes_written: c.bytes_written.get(),
+            bytes_deduped: c.bytes_deduped.get(),
+            manifests: c.manifests.get(),
+        }
     }
 
     /// A CRC-32 digest over the entire store state (sorted path +

@@ -30,6 +30,4 @@ pub mod stripe;
 pub use cas::{BlockKey, BlockRef, CasError, CasStats, CasStore, Manifest};
 pub use replica::{PlacementPolicy, ReplicaCatalog, ReplicaEntry};
 pub use service::{ArchiveCluster, ArchiveError, FetchReport, IngestReport};
-pub use stripe::{
-    ArchiveSite, StripeConfig, TransferCheckpoint, TransferFailure, TransferReport, TransferStatus,
-};
+pub use stripe::{ArchiveSite, StripeConfig, TransferFailure, TransferReport, TransferStatus};

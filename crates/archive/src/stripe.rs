@@ -269,24 +269,6 @@ pub enum TransferStatus {
     Failed(TransferFailure),
 }
 
-/// A restart checkpoint for an inbound transfer: the manifest plus the
-/// byte ranges the receiver held when the checkpoint was cut. Serialized
-/// with serde, so it survives a process restart like the portal's run
-/// checkpoints do.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransferCheckpoint {
-    /// Sending site.
-    pub src: String,
-    /// Receiving site (the checkpoint owner).
-    pub dst: String,
-    /// Sender-assigned transfer id.
-    pub transfer_id: u64,
-    /// The manifest being shipped.
-    pub manifest: Manifest,
-    /// Byte ranges received when the checkpoint was cut.
-    pub marker: RestartMarker,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CtlWhat {
     Offer,
@@ -411,8 +393,8 @@ impl ArchiveSite {
             lanes.push(net.endpoint(lane_node(&name, q))?);
         }
         let inner = Arc::new(SiteInner {
+            cas: CasStore::for_site(store, &name, telemetry),
             name,
-            cas: CasStore::new(store),
             engine: net.engine(),
             clock: base.clock().clone(),
             base,
@@ -531,37 +513,6 @@ impl ArchiveSite {
             TxPhase::Committing => TransferStatus::Committing,
             TxPhase::Done(s) => s.clone(),
         })
-    }
-
-    /// Cut a restart checkpoint for an inbound transfer: the manifest plus
-    /// the ranges received so far. `src` is the sending site's name.
-    pub fn rx_checkpoint(&self, src: &str, transfer_id: u64) -> Option<TransferCheckpoint> {
-        let state = self.inner.state.lock();
-        let rx = state.rx.get(&(src.to_string(), transfer_id))?;
-        Some(TransferCheckpoint {
-            src: src.to_string(),
-            dst: self.inner.name.clone(),
-            transfer_id,
-            manifest: rx.manifest.clone(),
-            marker: rx.marker.clone(),
-        })
-    }
-
-    /// Restore an inbound transfer from a checkpoint cut before a restart.
-    /// The marker is recomputed from the blocks the CAS holds, not taken
-    /// from the checkpoint, so a stale or tampered checkpoint cannot fake
-    /// coverage and blocks lost since the cut are sent again.
-    pub fn restore_rx(&self, checkpoint: &TransferCheckpoint) {
-        let marker = self.inner.cas.coverage(&checkpoint.manifest);
-        let mut state = self.inner.state.lock();
-        state.rx.insert(
-            (checkpoint.src.clone(), checkpoint.transfer_id),
-            RxTransfer {
-                manifest: checkpoint.manifest.clone(),
-                marker,
-                sealed: false,
-            },
-        );
     }
 
     // ------------------------------------------------------------------
@@ -1471,24 +1422,6 @@ mod tests {
             (a.cas().store_digest(), b.cas().store_digest())
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn checkpoint_marker_survives_roundtrip() {
-        let cas = CasStore::new(VirtualStore::new());
-        let m = cas.ingest("/x", &payload(4_096), 1024, SimTime::ZERO);
-        let ck = TransferCheckpoint {
-            src: "a".into(),
-            dst: "b".into(),
-            transfer_id: 1,
-            manifest: m,
-            marker: RestartMarker {
-                ranges: vec![(0, 2048)],
-            },
-        };
-        let json = serde_json::to_string(&ck).unwrap();
-        let back: TransferCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ck);
     }
 
     #[test]

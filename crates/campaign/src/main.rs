@@ -135,9 +135,19 @@ fn run_run(args: &[String]) -> ExitCode {
     };
     print!("{}", report.verdict_table());
     eprint!("{}", report.summary());
+    let stats = &report.stats;
     eprintln!(
-        "{} ticks, {} QueueFull retries, {} worker crash(es)",
-        report.ticks, report.queue_full_retries, report.stats.worker_crashes
+        "{} ticks, {} QueueFull retries; portal: {} admitted, {} shed, {} completed, {} failed, \
+         {} cancelled, {} worker crash(es), {} rescheduled",
+        report.ticks,
+        report.queue_full_retries,
+        stats.admitted,
+        stats.shed,
+        stats.completed,
+        stats.failed,
+        stats.cancelled,
+        stats.worker_crashes,
+        stats.rescheduled
     );
     eprintln!(
         "archive store digest {:08x}",

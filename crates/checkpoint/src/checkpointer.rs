@@ -14,7 +14,7 @@ use neesgrid_gridsim::SimClock;
 use neesgrid_ntcp::NtcpClient;
 use neesgrid_ogsi::RpcMux;
 use neesgrid_structsim::GroundMotion;
-use neesgrid_telemetry::{Field, Telemetry};
+use neesgrid_telemetry::{CounterHandle, Field, Telemetry};
 
 use crate::policy::CheckpointPolicy;
 use crate::snapshot::{encode, CheckpointError, SiteCheckpoint, Snapshot, FORMAT_VERSION};
@@ -30,6 +30,8 @@ pub struct Checkpointer {
     clock: Arc<SimClock>,
     saved: Vec<u64>,
     telemetry: Telemetry,
+    /// The registry's `checkpoint.saves` counter.
+    saves: CounterHandle,
 }
 
 impl Checkpointer {
@@ -54,13 +56,16 @@ impl Checkpointer {
             clock,
             saved: Vec::new(),
             telemetry: Telemetry::disabled(),
+            saves: CounterHandle::default(),
         }
     }
 
     /// Install a telemetry handle: each successful save emits a
     /// `checkpoint/snapshot` instant carrying the step and the encoded
-    /// payload's size (without the header line). Defaults to disabled.
+    /// payload's size (without the header line), and bumps
+    /// `checkpoint.saves`. Defaults to disabled.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.saves = telemetry.lazy_counter("checkpoint.saves");
         self.telemetry = telemetry;
         self
     }
@@ -106,8 +111,8 @@ impl Checkpointer {
             .map_or(0, |n| n + 1);
         let bytes = (encoded.len() - header) as u64;
         self.store.put(&snapshot.run_id, step, encoded)?;
+        self.saves.add(1);
         if self.telemetry.enabled() {
-            self.telemetry.counter_add("checkpoint.saves", 1);
             self.telemetry.instant(
                 self.clock.now().as_nanos(),
                 "checkpoint",

@@ -29,7 +29,6 @@ pub struct CollabPortal {
     clock: Arc<SimClock>,
     /// Camera fleet (control is gated on a live wire session).
     pub cameras: CameraServer,
-    bridge: HttpsBridge,
     downloads: u64,
 }
 
@@ -132,7 +131,6 @@ impl CollabPortal {
             clock: Arc::clone(client.clock()),
             client,
             cameras: CameraServer::most(),
-            bridge: HttpsBridge::new(),
             downloads: 0,
         })
     }
@@ -294,7 +292,7 @@ impl CollabPortal {
     ) -> Result<Bytes, String> {
         self.whoami(user, now)
             .map_err(|e| format!("{user} has no live session: {e}"))?;
-        let bytes = self.bridge.get(nfms, logical)?;
+        let bytes = HttpsBridge.get(nfms, logical)?;
         self.downloads += 1;
         Ok(bytes)
     }

@@ -552,7 +552,9 @@ pub struct BoardEntry {
     pub text: String,
 }
 
-/// Service-wide statistics (the `Stats` reply).
+/// Service-wide statistics (the `Stats` reply). The counts from
+/// `admitted` to `rescheduled` are read from the portal's `portal.*`
+/// registry counters (see `Portal::set_telemetry`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PortalStats {
     /// Submissions admitted.

@@ -29,7 +29,7 @@ use neesgrid_gridsim::{
 };
 use neesgrid_gsi::{CaVerifier, DistinguishedName, PolicyDecision};
 use neesgrid_repo::{crc32, to_hex};
-use neesgrid_telemetry::{Field, Telemetry};
+use neesgrid_telemetry::{CounterHandle, Field, Telemetry};
 
 use crate::experiment::{ExperimentSpec, RunProgress, WorkerRun};
 use crate::frame::{
@@ -170,16 +170,31 @@ impl Board {
     }
 }
 
-/// Counters behind the `Stats` reply.
-#[derive(Default)]
-struct Counters {
-    admitted: u64,
-    shed: u64,
-    completed: u64,
-    cancelled: u64,
-    failed: u64,
-    worker_crashes: u64,
-    rescheduled: u64,
+/// The registry's `portal.*` counters, which the `Stats` reply reads:
+/// each joins the registry at its first bump when telemetry records, and
+/// is detached otherwise.
+struct PortalCounters {
+    admitted: CounterHandle,
+    shed: CounterHandle,
+    completed: CounterHandle,
+    cancelled: CounterHandle,
+    failed: CounterHandle,
+    worker_crashes: CounterHandle,
+    rescheduled: CounterHandle,
+}
+
+impl PortalCounters {
+    fn resolve(telemetry: &Telemetry) -> PortalCounters {
+        PortalCounters {
+            admitted: telemetry.lazy_counter("portal.admitted"),
+            shed: telemetry.lazy_counter("portal.shed"),
+            completed: telemetry.lazy_counter("portal.completed"),
+            cancelled: telemetry.lazy_counter("portal.cancelled"),
+            failed: telemetry.lazy_counter("portal.failed"),
+            worker_crashes: telemetry.lazy_counter("portal.worker_crashes"),
+            rescheduled: telemetry.lazy_counter("portal.rescheduled"),
+        }
+    }
 }
 
 /// The portal's single-threaded core (wrapped in a mutex by [`Portal`]).
@@ -202,7 +217,7 @@ pub struct PortalCore {
     boards: HashMap<String, Board>,
     next_run: u64,
     next_observer: u64,
-    counters: Counters,
+    counters: PortalCounters,
     /// Submission→first-step latencies, virtual nanoseconds.
     latencies_ns: Vec<u64>,
     telemetry: Telemetry,
@@ -232,7 +247,7 @@ impl PortalCore {
             boards: HashMap::new(),
             next_run: 0,
             next_observer: 0,
-            counters: Counters::default(),
+            counters: PortalCounters::resolve(&Telemetry::disabled()),
             latencies_ns: Vec::new(),
             telemetry: Telemetry::disabled(),
         }
@@ -389,13 +404,13 @@ impl PortalCore {
         let quotas = self.tenants.quotas(tenant);
         let usage = self.tenants.usage(tenant);
         if usage.in_flight >= quotas.max_concurrent {
-            self.counters.shed += 1;
+            self.counters.shed.add(1);
             return rejected(Rejection::QuotaConcurrent {
                 limit: quotas.max_concurrent,
             });
         }
         if usage.steps_admitted + spec.steps as u64 > quotas.max_total_steps {
-            self.counters.shed += 1;
+            self.counters.shed.add(1);
             return rejected(Rejection::QuotaSteps {
                 limit: quotas.max_total_steps,
                 requested: spec.steps as u64,
@@ -403,7 +418,7 @@ impl PortalCore {
             });
         }
         if self.queue.is_full() {
-            self.counters.shed += 1;
+            self.counters.shed.add(1);
             return rejected(Rejection::QueueFull {
                 capacity: self.queue.capacity(),
             });
@@ -433,9 +448,8 @@ impl PortalCore {
         let usage = self.tenants.usage_mut(tenant);
         usage.in_flight += 1;
         usage.steps_admitted += spec_steps as u64;
-        self.counters.admitted += 1;
+        self.counters.admitted.add(1);
         if self.telemetry.enabled() {
-            self.telemetry.counter_add("portal.admitted", 1);
             self.telemetry.instant(
                 now.as_nanos(),
                 "portal",
@@ -576,7 +590,7 @@ impl PortalCore {
                 .steps_admitted
                 .saturating_sub(spec_steps.saturating_sub(steps_done) as u64);
         }
-        self.counters.cancelled += 1;
+        self.counters.cancelled.add(1);
         Response::Ok
     }
 
@@ -698,13 +712,13 @@ impl PortalCore {
 
     fn stats(&self) -> PortalStats {
         PortalStats {
-            admitted: self.counters.admitted,
-            shed: self.counters.shed,
-            completed: self.counters.completed,
-            cancelled: self.counters.cancelled,
-            failed: self.counters.failed,
-            worker_crashes: self.counters.worker_crashes,
-            rescheduled: self.counters.rescheduled,
+            admitted: self.counters.admitted.get(),
+            shed: self.counters.shed.get(),
+            completed: self.counters.completed.get(),
+            cancelled: self.counters.cancelled.get(),
+            failed: self.counters.failed.get(),
+            worker_crashes: self.counters.worker_crashes.get(),
+            rescheduled: self.counters.rescheduled.get(),
             queue_depth: self.queue.len(),
             workers: self.pool.len(),
             peak_sessions: self.tenants.peak_concurrent(),
@@ -755,12 +769,12 @@ impl PortalCore {
                     // `false` = no snapshot yet: restart from step 0,
                     // still bit-identical (deployment is a pure function
                     // of the spec).
-                    Ok(_) => self.counters.rescheduled += 1,
+                    Ok(_) => self.counters.rescheduled.add(1),
                     Err(e) => {
                         entry.state = RunState::Failed {
                             error: format!("resume failed: {e}"),
                         };
-                        self.counters.failed += 1;
+                        self.counters.failed.add(1);
                         let owner = entry.owner.clone();
                         let usage = self.tenants.usage_mut(&owner);
                         usage.in_flight = usage.in_flight.saturating_sub(1);
@@ -768,7 +782,6 @@ impl PortalCore {
                     }
                 }
                 if self.telemetry.enabled() {
-                    self.telemetry.counter_add("portal.rescheduled", 1);
                     self.telemetry.instant(
                         now.as_nanos(),
                         "portal",
@@ -902,11 +915,11 @@ impl PortalCore {
         let completed_ok = matches!(outcome.termination, Termination::Completed);
         entry.state = match outcome.termination {
             Termination::Completed => {
-                self.counters.completed += 1;
+                self.counters.completed.add(1);
                 RunState::Completed
             }
             Termination::Aborted { step, site, error } => {
-                self.counters.failed += 1;
+                self.counters.failed.add(1);
                 RunState::Failed {
                     error: format!("aborted at step {step} by {site}: {error}"),
                 }
@@ -930,7 +943,6 @@ impl PortalCore {
             value: steps_done as f64,
         });
         if self.telemetry.enabled() {
-            self.telemetry.counter_add("portal.completed", 1);
             self.telemetry.instant(
                 now.as_nanos(),
                 "portal",
@@ -946,9 +958,8 @@ impl PortalCore {
     /// Crash a worker: its run's private deployment is torn down and the
     /// run re-enters the queue front in `Rescheduling` state.
     fn kill_worker(&mut self, worker: usize) -> Option<String> {
-        self.counters.worker_crashes += 1;
+        self.counters.worker_crashes.add(1);
         if self.telemetry.enabled() {
-            self.telemetry.counter_add("portal.worker_crashes", 1);
             self.telemetry.instant(
                 self.clock.now().as_nanos(),
                 "portal",
@@ -1011,9 +1022,13 @@ impl Portal {
         self.core.lock().archive = Some(site);
     }
 
-    /// Record portal events into a telemetry recorder.
+    /// Record portal events into a telemetry recorder, whose registry's
+    /// `portal.*` counters the `Stats` reply then reads. Call it before
+    /// the portal serves: counts taken before it are not carried over.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        self.core.lock().telemetry = telemetry;
+        let mut core = self.core.lock();
+        core.counters = PortalCounters::resolve(&telemetry);
+        core.telemetry = telemetry;
     }
 
     /// Pre-assign a role to an identity.

@@ -11,24 +11,16 @@ use bytes::Bytes;
 use crate::checksum::crc32;
 use crate::nfms::{Nfms, NfmsError};
 
-/// A bridge serving repository files to https-only clients.
-pub struct HttpsBridge {
-    requests_served: u64,
-    bytes_served: u64,
-}
+/// A bridge serving repository files to https-only clients. It keeps no
+/// state: a caller that counts downloads (CHEF's portal) counts them
+/// itself.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HttpsBridge;
 
 impl HttpsBridge {
-    /// A fresh bridge.
-    pub fn new() -> Self {
-        HttpsBridge {
-            requests_served: 0,
-            bytes_served: 0,
-        }
-    }
-
     /// "GET" a logical file: negotiate with NFMS, read the stored bytes,
     /// check them against the ticket's whole-file CRC-32, serve.
-    pub fn get(&mut self, nfms: &Nfms, logical: &str) -> Result<Bytes, String> {
+    pub fn get(&self, nfms: &Nfms, logical: &str) -> Result<Bytes, String> {
         // The bridge supports both transports; preference lands on gridftp.
         let ticket = nfms
             .negotiate(logical, &["gridftp", "https"])
@@ -37,20 +29,7 @@ impl HttpsBridge {
         if crc32(&content) != ticket.checksum {
             return Err(format!("checksum mismatch serving '{logical}'"));
         }
-        self.requests_served += 1;
-        self.bytes_served += content.len() as u64;
         Ok(content)
-    }
-
-    /// (requests, bytes) served.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.requests_served, self.bytes_served)
-    }
-}
-
-impl Default for HttpsBridge {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -73,33 +52,16 @@ mod tests {
         let data: Vec<u8> = (0..50_000).map(|i| (i % 251) as u8).collect();
         nfms.upload("/most/big.bin", Bytes::from(data.clone()), SimTime::ZERO)
             .unwrap();
-        let mut bridge = HttpsBridge::new();
-        let got = bridge.get(&nfms, "/most/big.bin").unwrap();
+        let got = HttpsBridge.get(&nfms, "/most/big.bin").unwrap();
         assert_eq!(&got[..], &data[..]);
-        assert_eq!(bridge.stats(), (1, 50_000));
     }
 
     #[test]
     fn missing_file_is_an_error() {
         let nfms = Nfms::new(VirtualStore::new());
-        let mut bridge = HttpsBridge::new();
-        assert!(bridge
+        assert!(HttpsBridge
             .get(&nfms, "/ghost")
             .unwrap_err()
             .contains("not found"));
-        assert_eq!(bridge.stats(), (0, 0));
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut nfms = Nfms::new(VirtualStore::new());
-        nfms.upload("/a", Bytes::from_static(b"12345"), SimTime::ZERO)
-            .unwrap();
-        nfms.upload("/b", Bytes::from_static(b"123"), SimTime::ZERO)
-            .unwrap();
-        let mut bridge = HttpsBridge::new();
-        bridge.get(&nfms, "/a").unwrap();
-        bridge.get(&nfms, "/b").unwrap();
-        assert_eq!(bridge.stats(), (2, 8));
     }
 }

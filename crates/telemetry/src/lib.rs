@@ -29,7 +29,7 @@
 /// The post-mortem dump: in-flight spans, metrics, and each subsystem's
 /// recent events.
 pub mod flight;
-/// Counters, gauges, and fixed-bucket virtual-time histograms.
+/// Counters and fixed-bucket virtual-time histograms.
 pub mod metrics;
 /// The trace-JSONL → human-readable report renderer.
 pub mod report;
@@ -227,19 +227,23 @@ impl Telemetry {
         }
     }
 
-    /// Add `by` to counter `name`.
-    pub fn counter_add(&self, name: &str, by: u64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.counter_add(name, by);
-        }
-    }
-
-    /// Resolve a counter once for lock-free hot-path updates. On a
-    /// disabled handle this returns a detached counter whose updates are
-    /// simply discarded, so call sites need no `Option` plumbing.
+    /// Resolve a counter once for lock-free hot-path updates; the trace
+    /// lists it from now on. On a disabled handle this returns a detached
+    /// counter that no registry sees, so call sites need no `Option`
+    /// plumbing.
     pub fn counter_handle(&self, name: &str) -> CounterHandle {
         match &self.inner {
             Some(inner) => inner.metrics.counter_handle(name),
+            None => CounterHandle::default(),
+        }
+    }
+
+    /// Resolve a statistic: a counter the trace lists from its first bump
+    /// ([`MetricsRegistry::lazy_counter`]). Detached on a disabled handle,
+    /// where it still counts for the component that reads it.
+    pub fn lazy_counter(&self, name: &str) -> CounterHandle {
+        match &self.inner {
+            Some(inner) => inner.metrics.lazy_counter(name),
             None => CounterHandle::default(),
         }
     }
@@ -258,20 +262,6 @@ impl Telemetry {
         match &self.inner {
             Some(inner) => inner.metrics.counter(name),
             None => 0,
-        }
-    }
-
-    /// Set gauge `name`.
-    pub fn gauge_set(&self, name: &str, value: i64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.gauge_set(name, value);
-        }
-    }
-
-    /// Record a virtual duration into histogram `name`.
-    pub fn observe_ns(&self, name: &str, value_ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.observe_ns(name, value_ns);
         }
     }
 
@@ -309,22 +299,6 @@ impl Telemetry {
         match &self.inner {
             Some(inner) => inner.flight.dumps(),
             None => Vec::new(),
-        }
-    }
-
-    /// Number of recorded trace events.
-    pub fn event_count(&self) -> usize {
-        match &self.inner {
-            Some(inner) => lock(&inner.rec).events.len(),
-            None => 0,
-        }
-    }
-
-    /// Spans currently open (started, not ended).
-    pub fn open_span_count(&self) -> usize {
-        match &self.inner {
-            Some(inner) => lock(&inner.rec).open.len(),
-            None => 0,
         }
     }
 
@@ -382,10 +356,7 @@ pub fn merge_resumed(primary: &str, resumed: &str) -> Result<String, String> {
     let mut out = String::new();
     for line in primary.lines() {
         let doc: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        if matches!(
-            doc["kind"].as_str(),
-            Some("counter" | "gauge" | "histogram")
-        ) {
+        if matches!(doc["kind"].as_str(), Some("counter" | "histogram")) {
             continue;
         }
         if let Some(step) = line_step(&doc) {
@@ -413,15 +384,25 @@ mod tests {
         let span = t.span_start(10, "ntcp", "propose", FieldList::new());
         assert_eq!(span, SpanId::NONE);
         t.span_end(20, span, FieldList::new());
-        t.counter_add("x", 1);
+        let x = t.counter_handle("x");
+        x.add(1);
+        assert_eq!(x.get(), 1, "a detached counter still counts");
         assert_eq!(t.counter("x"), 0);
-        assert_eq!(t.event_count(), 0);
         assert!(t.export_jsonl().is_empty());
         assert!(t.flight_dump(30, "why").is_none());
     }
 
     #[test]
     fn spans_pair_and_seq_is_monotonic() {
+        // The in-flight spans a flight dump lists.
+        let open_spans = |t: &Telemetry| {
+            let dump = t.flight_dump(0, "probe").expect("a recording handle dumps");
+            let (_, in_flight) = dump
+                .split_once("-- in-flight spans (started, not ended) --\n")
+                .expect("the dump lists in-flight spans");
+            let (in_flight, _) = in_flight.split_once("-- metrics --").expect("then metrics");
+            in_flight.lines().filter(|l| l.contains("propose")).count()
+        };
         let t = Telemetry::recording();
         let a = t.span_start(
             100,
@@ -430,9 +411,9 @@ mod tests {
             FieldList::from([("tx", Field::U64(1))]),
         );
         t.instant(150, "net", "drop", FieldList::new());
-        assert_eq!(t.open_span_count(), 1);
+        assert_eq!(open_spans(&t), 1);
         t.span_end(200, a, FieldList::from([("ok", Field::Bool(true))]));
-        assert_eq!(t.open_span_count(), 0);
+        assert_eq!(open_spans(&t), 0);
         let jsonl = t.export_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -456,7 +437,7 @@ mod tests {
             );
             t1.span_end(step * 100 + 10, s, FieldList::new());
         }
-        t1.counter_add("ntcp.proposes", 4);
+        t1.counter_handle("ntcp.proposes").add(4);
 
         let t2 = Telemetry::recording();
         t2.instant(

@@ -1,14 +1,14 @@
-//! Metrics registry: counters, gauges, and fixed-bucket virtual-time
-//! histograms.
+//! Metrics registry: counters and fixed-bucket virtual-time histograms.
 //!
 //! Designed for hot paths: a disabled [`crate::Telemetry`] handle never
-//! reaches this module, and an enabled one pays one mutex acquisition and
-//! one `BTreeMap` lookup per update. Histogram buckets are fixed at
-//! compile time so that the exported form is identical across runs by
+//! reaches this module, and an enabled one resolves each instrument once
+//! by name; after that a counter update is one atomic add and a histogram
+//! observation locks only its own histogram. Histogram buckets are fixed
+//! at compile time so that the exported form is identical across runs by
 //! construction. All durations are **virtual** nanoseconds.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
@@ -57,21 +57,35 @@ impl Histogram {
     }
 }
 
+#[derive(Debug, Default)]
+struct Counter {
+    value: AtomicU64,
+    /// Whether snapshots list the counter: from resolution for
+    /// [`MetricsRegistry::counter_handle`], from the first bump for
+    /// [`MetricsRegistry::lazy_counter`].
+    listed: AtomicBool,
+}
+
 /// A pre-resolved counter: updates are one relaxed atomic add — no lock,
-/// no name lookup. Obtain via [`MetricsRegistry::counter_handle`] (or
-/// `Telemetry::counter_handle`) once, then use on the hot path.
+/// no name lookup. Obtain via [`MetricsRegistry::counter_handle`] or
+/// [`MetricsRegistry::lazy_counter`] (or their `Telemetry` twins) once,
+/// then use on the hot path. A `Default` handle is detached: it counts,
+/// and no registry lists it.
 #[derive(Debug, Clone, Default)]
-pub struct CounterHandle(Arc<AtomicU64>);
+pub struct CounterHandle(Arc<Counter>);
 
 impl CounterHandle {
     /// Add `by` to the counter.
     pub fn add(&self, by: u64) {
-        self.0.fetch_add(by, Ordering::Relaxed);
+        self.0.value.fetch_add(by, Ordering::Relaxed);
+        if !self.0.listed.load(Ordering::Relaxed) {
+            self.0.listed.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.value.load(Ordering::Relaxed)
     }
 }
 
@@ -90,10 +104,8 @@ impl HistogramHandle {
 /// An immutable view of the registry at one moment.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Counters, sorted by name.
+    /// Listed counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauges, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<(String, Histogram)>,
 }
@@ -101,18 +113,11 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Append the canonical JSON lines to `out`, one metric per line,
     /// sorted by kind then name (deterministic given deterministic
-    /// values). Key orders: `kind, name, value` for counters and gauges;
+    /// values). Key orders: `kind, name, value` for counters;
     /// `kind, name, count, sum_ns, max_ns, buckets` for histograms.
     pub fn write_canonical_lines(&self, out: &mut String) {
         for (name, value) in &self.counters {
             out.push_str("{\"kind\":\"counter\",\"name\":");
-            name.write_json(out);
-            out.push_str(",\"value\":");
-            value.write_json(out);
-            out.push_str("}\n");
-        }
-        for (name, value) in &self.gauges {
-            out.push_str("{\"kind\":\"gauge\",\"name\":");
             name.write_json(out);
             out.push_str(",\"value\":");
             value.write_json(out);
@@ -139,9 +144,6 @@ impl MetricsSnapshot {
         for (name, value) in &self.counters {
             lines.push(format!("  {name:<44} {value:>10}"));
         }
-        for (name, value) in &self.gauges {
-            lines.push(format!("  {name:<44} {value:>10}"));
-        }
         for (name, h) in &self.histograms {
             lines.push(format!(
                 "  {name:<44} n={:<7} mean={:.3}ms max={:.3}ms",
@@ -154,19 +156,30 @@ impl MetricsSnapshot {
     }
 }
 
-/// Counters, gauges, and histograms, keyed by name. Clone-free interior
-/// mutability so one registry can be shared by every subsystem.
+/// Counters and histograms, keyed by name. Clone-free interior
+/// mutability so one registry can be shared by every subsystem. The only
+/// way in is a handle: resolve an instrument once, then update it.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, CounterHandle>>,
-    gauges: Mutex<BTreeMap<String, i64>>,
     histograms: Mutex<BTreeMap<String, HistogramHandle>>,
 }
 
 impl MetricsRegistry {
     /// Resolve (creating at zero) a counter once; the handle then updates
-    /// without locking the registry.
+    /// without locking the registry. Snapshots list it from now on, at
+    /// zero until bumped.
     pub fn counter_handle(&self, name: &str) -> CounterHandle {
+        let h = self.lazy_counter(name);
+        h.0.listed.store(true, Ordering::Relaxed);
+        h
+    }
+
+    /// Resolve (creating at zero) a counter that joins the registry's
+    /// snapshots at its first bump: a statistic nothing bumped leaves no
+    /// line in a trace or a dump. Handles resolved under one name share
+    /// one count.
+    pub fn lazy_counter(&self, name: &str) -> CounterHandle {
         let mut g = lock(&self.counters);
         match g.get(name) {
             Some(h) => h.clone(),
@@ -192,50 +205,18 @@ impl MetricsRegistry {
         }
     }
 
-    /// Add `by` to the counter `name`, creating it at zero.
-    pub fn counter_add(&self, name: &str, by: u64) {
-        let g = lock(&self.counters);
-        match g.get(name) {
-            Some(h) => h.add(by),
-            None => {
-                drop(g);
-                self.counter_handle(name).add(by);
-            }
-        }
-    }
-
-    /// Set gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: i64) {
-        lock(&self.gauges).insert(name.to_string(), value);
-    }
-
-    /// Record a virtual duration into histogram `name`.
-    pub fn observe_ns(&self, name: &str, value_ns: u64) {
-        let g = lock(&self.histograms);
-        match g.get(name) {
-            Some(h) => h.observe_ns(value_ns),
-            None => {
-                drop(g);
-                self.histogram_handle(name).observe_ns(value_ns);
-            }
-        }
-    }
-
     /// Read one counter (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         lock(&self.counters).get(name).map(|h| h.get()).unwrap_or(0)
     }
 
-    /// Snapshot everything, sorted by name.
+    /// Snapshot every listed counter and every histogram, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: lock(&self.counters)
                 .iter()
+                .filter(|(_, h)| h.0.listed.load(Ordering::Relaxed))
                 .map(|(k, h)| (k.clone(), h.get()))
-                .collect(),
-            gauges: lock(&self.gauges)
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
                 .collect(),
             histograms: lock(&self.histograms)
                 .iter()
@@ -252,9 +233,10 @@ mod tests {
     #[test]
     fn histogram_buckets_and_summary() {
         let reg = MetricsRegistry::default();
-        reg.observe_ns("rpc.rtt", 500_000); // 0.5 ms → bucket 0 (<=1ms)
-        reg.observe_ns("rpc.rtt", 45_000_000); // 45 ms → <=50ms bucket
-        reg.observe_ns("rpc.rtt", 9_000_000_000); // 9 s → overflow
+        let rtt = reg.histogram_handle("rpc.rtt");
+        rtt.observe_ns(500_000); // 0.5 ms → bucket 0 (<=1ms)
+        rtt.observe_ns(45_000_000); // 45 ms → <=50ms bucket
+        rtt.observe_ns(9_000_000_000); // 9 s → overflow
         let snap = reg.snapshot();
         let (_, h) = &snap.histograms[0];
         assert_eq!(h.count, 3);
@@ -265,18 +247,41 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_snapshot_sorted() {
+    fn counters_snapshot_sorted() {
         let reg = MetricsRegistry::default();
-        reg.counter_add("z.later", 2);
-        reg.counter_add("a.first", 1);
-        reg.counter_add("z.later", 3);
-        reg.gauge_set("depth", -4);
+        reg.counter_handle("z.later").add(2);
+        reg.counter_handle("a.first").add(1);
+        reg.counter_handle("z.later").add(3);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counters,
             vec![("a.first".to_string(), 1), ("z.later".to_string(), 5)]
         );
-        assert_eq!(snap.gauges, vec![("depth".to_string(), -4)]);
         assert_eq!(reg.counter("z.later"), 5);
+    }
+
+    #[test]
+    fn a_lazy_counter_is_listed_from_its_first_bump() {
+        let reg = MetricsRegistry::default();
+        let quiet = reg.lazy_counter("portal.shed");
+        let bumped = reg.lazy_counter("portal.admitted");
+        reg.counter_handle("link.dropped");
+        assert_eq!(
+            reg.snapshot().counters,
+            vec![("link.dropped".to_string(), 0)],
+            "an eager counter is listed at zero, a lazy one is not"
+        );
+        bumped.add(0);
+        reg.lazy_counter("portal.admitted").add(2);
+        assert_eq!(
+            reg.snapshot().counters,
+            vec![
+                ("link.dropped".to_string(), 0),
+                ("portal.admitted".to_string(), 2)
+            ]
+        );
+        assert_eq!(bumped.get(), 2, "handles under one name share a count");
+        assert_eq!(quiet.get(), 0);
+        assert_eq!(reg.counter("portal.shed"), 0);
     }
 }

@@ -86,7 +86,6 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
                     }
                 }
             }
-            "gauge" => {}
             "histogram" => {
                 if doc["name"] == "rpc.rtt_ns" {
                     rtt = Some(Histogram {
@@ -298,8 +297,8 @@ mod tests {
                 ("error", Field::Str("link reset by peer".into())),
             ],
         );
-        t.counter_add("link.dropped{coordinator->cu}", 1);
-        t.counter_add("link.sent{coordinator->cu}", 42);
+        t.counter_handle("link.dropped{coordinator->cu}").add(1);
+        t.counter_handle("link.sent{coordinator->cu}").add(42);
         let report = render_report(&t.export_jsonl()).expect("renders");
         assert!(report.contains("ABORTED at step 149 site cu (link reset by peer)"));
         assert!(report.contains("coordinator->cu"));

@@ -49,19 +49,21 @@ fn every_field_variant_exports_exact_bytes_with_and_without_a_span() {
 #[test]
 fn metric_lines_export_exact_bytes() {
     let tel = Telemetry::recording();
-    tel.counter_add("link.sent{coordinator->cu}", 42);
-    tel.counter_add("a.first", 1);
-    tel.gauge_set("portal.queue_depth", -4);
-    tel.gauge_set("portal.workers", 3);
-    tel.observe_ns("rpc.rtt_ns", 500_000); // 0.5 ms: first bucket
-    tel.observe_ns("rpc.rtt_ns", 45_000_000); // 45 ms: the <=50 ms bucket
-    tel.observe_ns("rpc.rtt_ns", 9_000_000_000); // 9 s: overflow bucket
+    tel.counter_handle("link.sent{coordinator->cu}").add(42);
+    tel.counter_handle("a.first").add(1);
+    tel.counter_handle("link.dropped{coordinator->cu}");
+    tel.lazy_counter("portal.admitted").add(3);
+    tel.lazy_counter("portal.shed");
+    let rtt = tel.histogram_handle("rpc.rtt_ns");
+    rtt.observe_ns(500_000); // 0.5 ms: first bucket
+    rtt.observe_ns(45_000_000); // 45 ms: the <=50 ms bucket
+    rtt.observe_ns(9_000_000_000); // 9 s: overflow bucket
     assert_eq!(
         tel.export_jsonl(),
         r#"{"kind":"counter","name":"a.first","value":1}
+{"kind":"counter","name":"link.dropped{coordinator->cu}","value":0}
 {"kind":"counter","name":"link.sent{coordinator->cu}","value":42}
-{"kind":"gauge","name":"portal.queue_depth","value":-4}
-{"kind":"gauge","name":"portal.workers","value":3}
+{"kind":"counter","name":"portal.admitted","value":3}
 {"kind":"histogram","name":"rpc.rtt_ns","count":3,"sum_ns":9045500000,"max_ns":9000000000,"buckets":[1,0,0,0,0,1,0,0,0,0,0,0,1]}
 "#
     );

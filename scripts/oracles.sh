@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Determinism oracles: the MOST trace and its flight dumps, the campaign
-# verdict table, exported corpus and archive store digest (a CRC over every
-# /cas/ path with its stored checksum and length), checkpoint resume with
-# the sizes and latest header of the snapshots it resumes from, and the
-# field test's report must reproduce the values committed in
-# scripts/oracles.expected, byte for byte. On a mismatch the diff's `+`
-# lines are the values this tree produces.
+# verdict table, exported corpus, archive store digest (a CRC over every
+# /cas/ path with its stored checksum and length) and the portal's seven
+# `Stats` counters, checkpoint resume with the sizes and latest header of
+# the snapshots it resumes from, and the field test's report must
+# reproduce the values committed in scripts/oracles.expected, byte for
+# byte. On a mismatch the diff's `+` lines are the values this tree
+# produces.
 #
 #   scripts/oracles.sh
 #
@@ -47,6 +48,8 @@ oracles() {
         find . -type f -print0 | sort -z | xargs -0 sha256sum | sha)"
     echo "campaign.store_digest=$(grep -m1 '^archive store digest ' "$work/campaign.err" |
         awk '{print $NF}')"
+    echo "campaign.portal_counters=$(grep -m1 '; portal: ' "$work/campaign.err" |
+        sed 's/^.*; portal: //')"
 
     # Kill at step 1493, resume from the snapshot, compare with a clean run;
     # the snapshots the doomed run left at rest, byte counts and latest header.

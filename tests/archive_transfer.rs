@@ -3,10 +3,10 @@
 //! The paper's repository path (GridFTP striping, restart markers,
 //! mirrored replicas) rebuilt on the deterministic engine. The headline
 //! property mirrors the portal's crash story: a striped transfer killed
-//! mid-flight — one stripe's link partitioned, the receiving site
-//! restarted from a checkpoint — finishes from its restart marker with
-//! bytes and store digest **bit-identical** to a transfer that was never
-//! disturbed.
+//! mid-flight — one stripe's link partitioned, both sites restarted over
+//! their surviving stores — finishes from the receiver's restart marker
+//! (its CAS coverage of the manifest) with bytes and store digest
+//! **bit-identical** to a transfer that was never disturbed.
 
 use std::sync::Arc;
 
@@ -14,7 +14,7 @@ use bytes::Bytes;
 
 use neesgrid::archive::service::{isolate_site_pair, set_site_link};
 use neesgrid::archive::{
-    ArchiveCluster, ArchiveSite, PlacementPolicy, StripeConfig, TransferStatus,
+    ArchiveCluster, ArchiveSite, CasStats, PlacementPolicy, StripeConfig, TransferStatus,
 };
 use neesgrid::checkpoint::MemoryCheckpointStore;
 use neesgrid::gridsim::fault::PartitionWindow;
@@ -67,10 +67,10 @@ fn pump_to_done(net: &VirtualNetwork, site: &ArchiveSite, id: u64) -> TransferSt
     }
 }
 
-/// The headline: partition a stripe mid-flight, cut a restart checkpoint
-/// at the receiver, "restart" both sites on a fresh network over the
-/// same durable stores, and finish from the marker. Bytes and store
-/// digest must equal an undisturbed transfer's.
+/// The headline: partition a stripe mid-flight, kill the transfer,
+/// "restart" both sites on a fresh network over the same durable stores,
+/// and push again: the receiver's coverage is the restart marker. Bytes
+/// and store digest must equal an undisturbed transfer's.
 #[test]
 fn killed_transfer_resumes_from_marker_bit_identically() {
     let content = payload(40 * 1024);
@@ -94,10 +94,10 @@ fn killed_transfer_resumes_from_marker_bit_identically() {
     };
 
     // Disturbed run: stripe 1 dies mid-transfer, then the whole transfer
-    // is killed partway and the receiver checkpointed.
+    // is killed partway.
     let src_store = VirtualStore::new();
     let dst_store = VirtualStore::new();
-    let (manifest, checkpoint) = {
+    let manifest = {
         let net = net(78);
         let telemetry = Telemetry::disabled();
         let src = ArchiveSite::attach(&net, "src", src_store.clone(), config(), &telemetry)
@@ -127,16 +127,14 @@ fn killed_transfer_resumes_from_marker_bit_identically() {
             ),
             "expected mid-flight, got {status:?}"
         );
-        let checkpoint = dst
-            .rx_checkpoint("src", id)
-            .expect("receiver saw the offer");
+        let marker = dst.cas().coverage(&m);
         assert!(
-            !checkpoint.marker.ranges.is_empty(),
+            !marker.ranges.is_empty(),
             "some blocks landed before the kill"
         );
-        let covered: u64 = checkpoint.marker.ranges.iter().map(|(s, e)| e - s).sum();
+        let covered: u64 = marker.ranges.iter().map(|(s, e)| e - s).sum();
         assert!(covered < content.len() as u64, "kill was mid-flight");
-        (m, checkpoint)
+        m
         // Old network, engine, and in-flight state drop here — the
         // "process" died. Only the VirtualStores survive.
     };
@@ -148,13 +146,12 @@ fn killed_transfer_resumes_from_marker_bit_identically() {
         ArchiveSite::attach(&net, "src", src_store, config(), &telemetry).expect("src re-attaches");
     let dst =
         ArchiveSite::attach(&net, "dst", dst_store, config(), &telemetry).expect("dst re-attaches");
-    dst.restore_rx(&checkpoint);
     let id = src.start_push("dst", manifest);
     let TransferStatus::Completed(report) = pump_to_done(&net, &src, id) else {
         panic!("resumed transfer failed");
     };
     // The restart marker did its job: the resumed push shipped only the
-    // blocks the checkpoint did not cover.
+    // blocks the receiver's store did not already cover.
     assert!(report.blocks_skipped > 0, "marker skipped nothing");
     assert!(report.blocks_sent < 20, "resume resent the whole artifact");
     assert_eq!(dst.cas().read("/runs/most/capture.jsonl").unwrap(), content);
@@ -367,4 +364,44 @@ fn portal_runs_archive_their_artifacts_and_stream_them_back() {
     // artifacts.
     let bob_client = client.clone().with_tenant(bob.identity().clone());
     assert!(bob_client.fetch_artifact(&run, "history.json").is_err());
+}
+
+/// Each site's `CasStats` is its own `cas.*{site}` registry counters, even
+/// with two sites recording into one telemetry: one site ingests an
+/// artifact twice (the second ingest fully deduplicated), the other once.
+#[test]
+fn cas_stats_are_each_sites_registry_counters() {
+    let net = net(11);
+    let telemetry = Telemetry::recording();
+    let attach = |name: &str| {
+        ArchiveSite::attach(&net, name, VirtualStore::new(), config(), &telemetry)
+            .expect("site attaches")
+    };
+    let (ncsa, uiuc) = (attach("ncsa"), attach("uiuc"));
+    ncsa.ingest_local("/runs/a/capture.jsonl", &payload(10_000), SimTime::ZERO);
+    ncsa.ingest_local("/runs/b/capture.jsonl", &payload(10_000), SimTime::ZERO);
+    uiuc.ingest_local("/runs/c/capture.jsonl", &payload(6_000), SimTime::ZERO);
+
+    let fresh = ncsa.cas().stats();
+    assert_eq!(
+        fresh.blocks_deduped, fresh.blocks_written,
+        "second ingest deduped"
+    );
+    assert_eq!(fresh.manifests, 2);
+    assert_eq!(uiuc.cas().stats().blocks_deduped, 0);
+    for site in [&ncsa, &uiuc] {
+        let counter = |stat: &str| telemetry.counter(&format!("cas.{stat}{{{}}}", site.name()));
+        assert_eq!(
+            site.cas().stats(),
+            CasStats {
+                blocks_written: counter("blocks_written"),
+                blocks_deduped: counter("blocks_deduped"),
+                bytes_written: counter("bytes_written"),
+                bytes_deduped: counter("bytes_deduped"),
+                manifests: counter("manifests"),
+            },
+            "{}",
+            site.name()
+        );
+    }
 }

@@ -10,12 +10,13 @@
 use std::sync::Arc;
 
 use neesgrid::checkpoint::MemoryCheckpointStore;
-use neesgrid::gridsim::{NetworkProfile, SimTime, VirtualNetwork};
+use neesgrid::gridsim::{LinkKey, NetworkProfile, SimTime, VirtualNetwork};
 use neesgrid::gsi::{CertificateAuthority, Credential, DistinguishedName};
 use neesgrid::portal::{
-    ExperimentSpec, Portal, PortalClient, PortalConfig, Rejection, Request, Response, RunState,
-    TenantQuotas, MAX_TRACED_SITE_STEPS,
+    ExperimentSpec, Portal, PortalClient, PortalConfig, Rejection, Request, Response, RunPolicy,
+    RunState, TenantQuotas, MAX_TRACED_SITE_STEPS,
 };
+use neesgrid::telemetry::Telemetry;
 
 fn deployment(
     config: PortalConfig,
@@ -352,4 +353,127 @@ fn observers_only_see_their_own_run_namespace() {
         other => panic!("unobserve refused: {other:?}"),
     }
     assert_eq!(service.stats().observers, 0);
+}
+
+/// The `Stats` reply and the trace keep one record: on a recording
+/// telemetry, every `PortalStats` counter is its `portal.*` registry
+/// counter, through each shed kind, a cancel, an aborted and a completed
+/// run, and a worker kill with reschedule.
+#[test]
+fn stats_reply_and_registry_counters_agree() {
+    let (_net, ca, service, client) = deployment(PortalConfig {
+        queue_capacity: 2,
+        workers: 1,
+        ..PortalConfig::default()
+    });
+    let telemetry = Telemetry::recording();
+    service.set_telemetry(telemetry.clone());
+    let names = ["alice", "bob", "carol", "dave", "erin", "frank"];
+    let [alice, bob, carol, dave, erin, frank] = std::array::from_fn(|i| {
+        let cred = tenant(&ca, names[i], i as u64 + 1);
+        login(&client, &cred);
+        cred
+    });
+    service.set_quotas(
+        alice.identity().clone(),
+        TenantQuotas {
+            max_concurrent: 1,
+            max_total_steps: 100,
+            max_observers: 1,
+        },
+    );
+    let shed = |who: &Credential, spec: ExperimentSpec| {
+        rejection(
+            client
+                .call_as(who.identity(), Request::Submit { spec })
+                .unwrap(),
+        )
+    };
+
+    // A completed run, with a `QuotaConcurrent` shed while it is in
+    // flight and a `QuotaSteps` shed once it has used its budget.
+    submit(&client, alice.identity(), spec(20, 3));
+    assert!(matches!(
+        shed(&alice, spec(20, 4)),
+        Rejection::QuotaConcurrent { .. }
+    ));
+    service.drain();
+    assert!(matches!(
+        shed(&alice, spec(90, 5)),
+        Rejection::QuotaSteps { .. }
+    ));
+
+    // An aborted run: a connection reset in an execute phase under the
+    // public run's partial policy.
+    let mut aborting = spec(24, 6);
+    aborting.policy = RunPolicy::Partial;
+    aborting
+        .faults
+        .reset_at(LinkKey::new("coordinator", "site-000"), 11);
+    let aborted = submit(&client, bob.identity(), aborting);
+    service.drain();
+    match client
+        .call_as(bob.identity(), Request::Status { run: aborted })
+        .unwrap()
+    {
+        Response::Status { report } => assert!(
+            matches!(report.state, RunState::Failed { .. }),
+            "{report:?}"
+        ),
+        other => panic!("status refused: {other:?}"),
+    }
+
+    // A cancel while queued.
+    let cancelled = submit(&client, bob.identity(), spec(20, 7));
+    let reply = client
+        .call_as(bob.identity(), Request::Cancel { run: cancelled })
+        .unwrap();
+    assert!(matches!(reply, Response::Ok), "{reply:?}");
+    service.drain();
+
+    // A worker killed mid-run; its run is rescheduled and completes.
+    let crashed = submit(&client, carol.identity(), spec(40, 8));
+    service.tick();
+    assert_eq!(service.kill_worker(0), Some(crashed));
+    service.drain();
+
+    // A `QueueFull` shed: two queued runs fill the queue.
+    submit(&client, dave.identity(), spec(10, 9));
+    submit(&client, erin.identity(), spec(10, 10));
+    assert!(matches!(
+        shed(&frank, spec(10, 11)),
+        Rejection::QueueFull { .. }
+    ));
+    service.drain();
+
+    let stats = service.stats();
+    assert_eq!(
+        (
+            stats.admitted,
+            stats.shed,
+            stats.completed,
+            stats.failed,
+            stats.cancelled,
+            stats.worker_crashes,
+            stats.rescheduled
+        ),
+        (6, 3, 4, 1, 1, 1, 1)
+    );
+    let portal_counters: Vec<(String, u64)> = telemetry
+        .metrics_snapshot()
+        .counters
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("portal."))
+        .collect();
+    let expected = [
+        ("admitted", stats.admitted),
+        ("cancelled", stats.cancelled),
+        ("completed", stats.completed),
+        ("failed", stats.failed),
+        ("rescheduled", stats.rescheduled),
+        ("shed", stats.shed),
+        ("worker_crashes", stats.worker_crashes),
+    ]
+    .map(|(name, value)| (format!("portal.{name}"), value));
+    assert_eq!(portal_counters, expected);
 }
