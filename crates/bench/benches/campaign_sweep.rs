@@ -16,17 +16,13 @@
 //!   runs, about 9 MB of trace in all, so this sweep also measures the
 //!   trace path (export, archive, read back, sign, corpus).
 //!
-//! Each round runs both sweeps, in an order that rotates from round to
-//! round (the host this was tuned on slows by up to 1.8x for seconds at a
-//! time). `BENCH_campaign.json` gets the median and best runs/sec of each
-//! (wall clock) with the host's core count and the repeats, and the
-//! matrix's unique failure-signature count and corpus dedup ratio. Asserts
-//! every same-seed sweep reproduces its first run's verdict table and
-//! corpus digest byte-for-byte.
+//! `BENCH_campaign.json` gets the median and best runs/sec of each (wall
+//! clock) with the host's core count and the repeats, and the matrix's
+//! unique failure-signature count and corpus dedup ratio. Asserts every
+//! same-seed sweep reproduces its first run's verdict table and corpus
+//! digest byte-for-byte.
 
-use std::time::Instant;
-
-use neesgrid_bench::{best_and_median, cores, write_record};
+use neesgrid_bench::{cores, time_cases, write_record, Stopwatch};
 use neesgrid_campaign::{run_campaign, CampaignConfig, CampaignReport, ScenarioDoc};
 
 const RESET: &str = r#"
@@ -55,16 +51,14 @@ campaign "bench-drop" {
 }
 "#;
 
-/// Timed rounds; each runs both sweeps, and the record keeps each one's
-/// median and best.
+/// Timed rounds of both sweeps.
 const REPEATS: usize = 5;
 
-/// One sweep's scenarios, its pool, and what its timed runs gave.
+/// One sweep's scenarios, its pool, and its first report.
 struct Sweep {
     name: &'static str,
     docs: Vec<ScenarioDoc>,
     config: CampaignConfig,
-    wall_ms: Vec<f64>,
     first: Option<CampaignReport>,
 }
 
@@ -74,15 +68,12 @@ impl Sweep {
             name,
             docs,
             config,
-            wall_ms: Vec::with_capacity(REPEATS),
             first: None,
         }
     }
 
-    fn run(&mut self) {
-        let started = Instant::now();
-        let report = run_campaign(&self.docs, &self.config).expect("campaign runs");
-        self.wall_ms.push(started.elapsed().as_secs_f64() * 1e3);
+    fn run(&mut self, watch: &mut Stopwatch) {
+        let report = watch.time(|| run_campaign(&self.docs, &self.config).expect("campaign runs"));
         // Determinism gate: every same-seed sweep must reproduce the first
         // one's verdict table and corpus digest byte-for-byte.
         match &self.first {
@@ -137,14 +128,11 @@ fn main() {
             CampaignConfig::default(),
         ),
     ];
-    for round in 0..REPEATS {
-        for k in 0..sweeps.len() {
-            sweeps[(round + k) % sweeps.len()].run();
-        }
-    }
+    let timings = time_cases(REPEATS, sweeps.len(), |case, watch| sweeps[case].run(watch));
     let [matrix, committed] = sweeps;
+    let ms = |(best, median): (f64, f64)| (best * 1e3, median * 1e3);
 
-    let (best_ms, median_ms) = best_and_median(matrix.wall_ms);
+    let (best_ms, median_ms) = ms(timings[0]);
     let report = matrix.first.expect("at least one sweep ran");
     let runs = report.verdicts.len();
     let runs_per_sec = |ms: f64| runs as f64 / (ms / 1e3);
@@ -173,7 +161,7 @@ fn main() {
         report.queue_full_retries
     );
 
-    let (scn_best_ms, scn_median_ms) = best_and_median(committed.wall_ms);
+    let (scn_best_ms, scn_median_ms) = ms(timings[1]);
     let scn_config = committed.config;
     let scn = committed.first.expect("at least one sweep ran");
     let scn_runs = scn.verdicts.len();

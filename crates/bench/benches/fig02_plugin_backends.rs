@@ -6,15 +6,17 @@
 //! rig, and the first-order kinetic simulator. Wall-time differences here
 //! are protocol/emulation overhead; the *virtual* durations each backend
 //! reports (actuator seconds vs model milliseconds) are printed once.
+//! `BENCH_fig02.json` at the repo root gets both: each backend's virtual
+//! execute duration, and the best and median wall ns per execute.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
+use std::hint::black_box;
 
 use neesgrid_apparatus::stepper::StepperConfig;
 use neesgrid_apparatus::{
     ActuatorConfig, FirstOrderKineticPlugin, LabViewPlugin, LoadCell, Lvdt, ServoHydraulicActuator,
     ShoreWesternController, ShoreWesternPlugin, SteelColumn, StepperMotor, StrainGauge,
 };
+use neesgrid_bench::{cores, put_best_and_median, time_cases, write_record};
 use neesgrid_ntcp::{BufferedPlugin, ControlPlugin, ControlPoint, SimulationPlugin};
 use neesgrid_structsim::{LinearElastic, SimulatedSubstructure};
 
@@ -66,51 +68,56 @@ fn kinetic() -> Box<dyn ControlPlugin> {
     Box::new(FirstOrderKineticPlugin::new("kinetic", 0.05, 1100.0))
 }
 
-fn bench_backends(c: &mut Criterion) {
-    // Print the virtual execution durations once (the figure's content:
-    // what each backend's "execute" costs in experiment time).
+/// Executes timed together in one repeat of one backend.
+const EXECUTES: usize = 1000;
+/// Timed rounds.
+const REPEATS: usize = 21;
+
+fn main() {
+    let backends = [
+        ("direct_sim", sim_plugin as fn() -> Box<dyn ControlPlugin>),
+        ("mplugin_polled", mplugin),
+        ("shore_western", shore_western),
+        ("labview_stepper", labview),
+        ("first_order_kinetic", kinetic),
+    ];
+    // The figure's content: what each backend's execute costs in
+    // experiment time.
+    let mut virtual_s = serde_json::Map::new();
     eprintln!("fig02: virtual execution durations for a 2 mm command");
-    for (label, mut plugin) in [
-        ("direct-sim", sim_plugin()),
-        ("mplugin-polled", mplugin()),
-        ("shore-western", shore_western()),
-        ("labview-stepper", labview()),
-        ("first-order-kinetic", kinetic()),
-    ] {
-        let out = plugin.execute(&action(0.002)).unwrap();
+    for (label, factory) in backends {
+        let out = factory().execute(&action(0.002)).unwrap();
         eprintln!("  {label:<22} {}", out.duration);
+        virtual_s.insert(label.into(), out.duration.as_secs_f64().into());
     }
 
-    let mut group = c.benchmark_group("fig02");
-    for (label, factory) in [
-        ("direct-sim", sim_plugin as fn() -> Box<dyn ControlPlugin>),
-        ("mplugin-polled", mplugin),
-        ("shore-western", shore_western),
-        ("labview-stepper", labview),
-        ("first-order-kinetic", kinetic),
-    ] {
-        group.bench_function(label, |b| {
-            let mut plugin = factory();
-            let mut sign = 1.0;
-            b.iter(|| {
+    let mut plugins: Vec<_> = backends.iter().map(|(_, factory)| factory()).collect();
+    let mut sign = 1.0;
+    let timings = time_cases(REPEATS, plugins.len(), |case, watch| {
+        let plugin = &mut plugins[case];
+        watch.time(|| {
+            for _ in 0..EXECUTES {
                 sign = -sign;
-                std::hint::black_box(plugin.execute(&action(0.002 * sign)).unwrap())
-            })
-        });
+                black_box(plugin.execute(&action(0.002 * sign)).unwrap());
+            }
+        })
+    });
+
+    let mut doc = serde_json::json!({
+        "bench": "fig02_plugin_backends",
+        "command": "a 2 mm displacement command, alternating in sign, executed on each backend",
+        "nproc": cores(),
+        "repeats": REPEATS,
+        "executes_per_repeat": EXECUTES,
+        "virtual_execute_s": virtual_s,
+    });
+    for ((label, _), (best, median)) in backends.iter().zip(timings) {
+        let ns = (best * 1e9 / EXECUTES as f64, median * 1e9 / EXECUTES as f64);
+        eprintln!(
+            "fig02: {label:<22} best {:>9.1} ns/execute, median {:>9.1}",
+            ns.0, ns.1
+        );
+        put_best_and_median(&mut doc, &format!("{label}_ns"), ns);
     }
-    group.finish();
+    write_record("fig02_plugin_backends", "fig02", &doc);
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_backends
-}
-criterion_main!(benches);

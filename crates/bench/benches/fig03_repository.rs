@@ -3,18 +3,17 @@
 //! Sweeps the GridFTP-style striped transfer on the archive's transfer
 //! engine (file size × parallel stripes), NMDS object
 //! creation/validation/versioning, and the ingestion tool's upload and
-//! record path to a repository node.
+//! record path to a repository node. `BENCH_fig03.json` at the repo root
+//! gets the best and median of each, with the core count and the repeats.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use serde_json::json;
 
 use neesgrid_archive::{ArchiveCluster, PlacementPolicy, StripeConfig};
-use neesgrid_bench::loopback_net;
-use neesgrid_gridsim::{NodeId, SimTime};
+use neesgrid_bench::{cores, loopback_net, put_best_and_median, time_cases, write_record};
+use neesgrid_gridsim::{NodeId, SimTime, VirtualNetwork};
 use neesgrid_gsi::DistinguishedName;
 use neesgrid_ogsi::{RpcClient, RpcMux, ServiceContainer};
 use neesgrid_repo::metadata::{FieldType, Schema};
@@ -25,50 +24,47 @@ fn payload(n: usize) -> Bytes {
     Bytes::from((0..n).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>())
 }
 
-fn bench_gridftp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig03/gridftp_transfer");
-    for size in [64 * 1024, 1024 * 1024] {
-        for streams in [1u32, 4, 8] {
-            let content = payload(size);
-            group.throughput(Throughput::Bytes(size as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("streams-{streams}"), size),
-                &content,
-                |b, content| {
-                    b.iter(|| {
-                        let net = loopback_net();
-                        let config = StripeConfig {
-                            lanes: streams,
-                            chunk_size: 8192,
-                            ..StripeConfig::default()
-                        };
-                        let mut archive = ArchiveCluster::new(
-                            PlacementPolicy::MirrorK { k: 1 },
-                            config,
-                            Telemetry::disabled(),
-                        );
-                        for site in ["site", "repository"] {
-                            archive.add_site(&net, site, VirtualStore::new()).unwrap();
-                        }
-                        let report = archive
-                            .ingest(&net, "site", "/bench/file", content)
-                            .unwrap();
-                        assert_eq!(report.replicas, ["repository"]);
-                        let repository = archive.site("repository").unwrap();
-                        std::hint::black_box(repository.cas().read("/bench/file").unwrap())
-                    })
-                },
-            );
-        }
+/// The stripe sweep: file size × lanes.
+const STRIPES: [(usize, u32); 6] = [
+    (64 * 1024, 1),
+    (64 * 1024, 4),
+    (64 * 1024, 8),
+    (1024 * 1024, 1),
+    (1024 * 1024, 4),
+    (1024 * 1024, 8),
+];
+/// NMDS operations timed together in one repeat.
+const NMDS_OPS: usize = 1000;
+/// Timed rounds.
+const REPEATS: usize = 21;
+
+/// A two-site cluster that mirrors what `site` ingests to `repository`
+/// over `lanes` stripes.
+fn cluster(lanes: u32) -> (VirtualNetwork, ArchiveCluster) {
+    let net = loopback_net();
+    let config = StripeConfig {
+        lanes,
+        chunk_size: 8192,
+        ..StripeConfig::default()
+    };
+    let mut archive = ArchiveCluster::new(
+        PlacementPolicy::MirrorK { k: 1 },
+        config,
+        Telemetry::disabled(),
+    );
+    for site in ["site", "repository"] {
+        archive.add_site(&net, site, VirtualStore::new()).unwrap();
     }
-    group.finish();
+    (net, archive)
 }
 
-fn bench_nmds(c: &mut Criterion) {
+fn main() {
+    let contents: Vec<Bytes> = STRIPES.iter().map(|&(size, _)| payload(size)).collect();
+
     let owner = DistinguishedName::nees_user("BENCH", "owner");
-    c.bench_function("fig03/nmds_create_validated", |b| {
-        let mut nmds = Nmds::new();
-        nmds.create_schema(
+    let mut validated = Nmds::new();
+    validated
+        .create_schema(
             "/schemas/sensor",
             &Schema::new(&[
                 ("sensor_type", FieldType::String),
@@ -78,68 +74,75 @@ fn bench_nmds(c: &mut Criterion) {
             SimTime::ZERO,
         )
         .unwrap();
-        let mut n = 0u64;
-        b.iter(|| {
-            n += 1;
-            nmds.create(
-                format!("/objects/{n}"),
-                Some("/schemas/sensor".into()),
-                serde_json::json!({"sensor_type": "LVDT", "channel": "c"}),
-                owner.clone(),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        })
-    });
-    c.bench_function("fig03/nmds_update_version", |b| {
-        let mut nmds = Nmds::new();
-        nmds.create(
+    let mut versioned = Nmds::new();
+    versioned
+        .create(
             "/obj",
             None,
-            serde_json::json!({"rev": 0}),
+            json!({"rev": 0}),
             owner.clone(),
             SimTime::ZERO,
         )
         .unwrap();
-        let mut rev = 0u64;
-        b.iter(|| {
-            rev += 1;
-            nmds.update(
-                "/obj",
-                serde_json::json!({ "rev": rev }),
-                &owner,
-                None,
-                SimTime::ZERO,
-            )
-            .unwrap();
-        })
-    });
-}
 
-fn bench_ingestion(c: &mut Criterion) {
-    c.bench_function("fig03/ingest_10_files", |b| {
-        let net = loopback_net();
-        let _repository = ServiceContainer::new(net.endpoint("repository").unwrap())
-            .with_service(
-                "nfms",
-                Box::new(NfmsService::new(Nfms::new(VirtualStore::new()))),
-            )
-            .with_service("nmds", Box::new(NmdsService::new(Nmds::new())))
-            .permissive()
-            .attach();
-        let mux = RpcMux::new(net.endpoint("ingester").unwrap());
-        let operator = DistinguishedName::nees_user("BENCH", "ingester");
-        let client = |service| {
-            RpcClient::new(
-                Arc::clone(&mux),
-                NodeId::new("repository"),
-                service,
-                operator.clone(),
-            )
-        };
-        let ing = Ingester::new("/experiments/bench", client("nfms"), client("nmds"));
-        let mut batch_no = 0u64;
-        b.iter(|| {
+    let net = loopback_net();
+    let _repository = ServiceContainer::new(net.endpoint("repository").unwrap())
+        .with_service(
+            "nfms",
+            Box::new(NfmsService::new(Nfms::new(VirtualStore::new()))),
+        )
+        .with_service("nmds", Box::new(NmdsService::new(Nmds::new())))
+        .permissive()
+        .attach();
+    let mux = RpcMux::new(net.endpoint("ingester").unwrap());
+    let operator = DistinguishedName::nees_user("BENCH", "ingester");
+    let client = |service| {
+        RpcClient::new(
+            Arc::clone(&mux),
+            NodeId::new("repository"),
+            service,
+            operator.clone(),
+        )
+    };
+    let ing = Ingester::new("/experiments/bench", client("nfms"), client("nmds"));
+
+    let (mut objects, mut rev, mut batch_no) = (0u64, 0u64, 0u64);
+    let timings = time_cases(REPEATS, STRIPES.len() + 3, |case, watch| match case {
+        // A fresh cluster per run, built untimed.
+        i if i < STRIPES.len() => {
+            let (net, mut archive) = cluster(STRIPES[i].1);
+            watch.time(|| {
+                let report = archive
+                    .ingest(&net, "site", "/bench/file", &contents[i])
+                    .unwrap();
+                assert_eq!(report.replicas, ["repository"]);
+                let repository = archive.site("repository").unwrap();
+                repository.cas().read("/bench/file").unwrap()
+            });
+        }
+        6 => watch.time(|| {
+            for _ in 0..NMDS_OPS {
+                objects += 1;
+                validated
+                    .create(
+                        format!("/objects/{objects}"),
+                        Some("/schemas/sensor".into()),
+                        json!({"sensor_type": "LVDT", "channel": "c"}),
+                        owner.clone(),
+                        SimTime::ZERO,
+                    )
+                    .unwrap();
+            }
+        }),
+        7 => watch.time(|| {
+            for _ in 0..NMDS_OPS {
+                rev += 1;
+                versioned
+                    .update("/obj", json!({ "rev": rev }), &owner, None, SimTime::ZERO)
+                    .unwrap();
+            }
+        }),
+        _ => watch.time(|| {
             batch_no += 1;
             for i in 0..10 {
                 let name = format!("w{batch_no}-{i}.csv");
@@ -153,20 +156,48 @@ fn bench_ingestion(c: &mut Criterion) {
                 )
                 .unwrap();
             }
-        })
+        }),
     });
-}
 
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
+    let mut stripe_rows = Vec::new();
+    for (&(bytes, lanes), (best, median)) in STRIPES.iter().zip(&timings) {
+        let mib = bytes as f64 / (1024.0 * 1024.0);
+        let mib_per_s = (mib / best, mib / median);
+        eprintln!(
+            "fig03: stripe {:>4} KiB over {lanes} lanes: best {:>6.1} MiB/s, median {:>6.1}",
+            bytes / 1024,
+            mib_per_s.0,
+            mib_per_s.1
+        );
+        let mut row = json!({ "bytes": bytes, "lanes": lanes });
+        put_best_and_median(&mut row, "mib_per_s", mib_per_s);
+        stripe_rows.push(row);
+    }
+    let mut doc = json!({
+        "bench": "fig03_repository",
+        "stripe": "ingest at one site and mirror to a repository site over the archive's striped \
+                   transfer (8 KiB chunks), then read back at the repository; the cluster is \
+                   built untimed",
+        "ingest": "the ingestion tool uploads 10 files of 4 KiB to a repository node over RPC and \
+                   records each in NMDS",
+        "nproc": cores(),
+        "repeats": REPEATS,
+        "nmds_ops_per_repeat": NMDS_OPS,
+        "stripe_rows": stripe_rows,
+    });
+    let us_per = |(best, median): (f64, f64), ops: usize| {
+        (best * 1e6 / ops as f64, median * 1e6 / ops as f64)
+    };
+    for (key, timing) in [
+        ("nmds_create_validated_us", us_per(timings[6], NMDS_OPS)),
+        ("nmds_update_version_us", us_per(timings[7], NMDS_OPS)),
+        ("ingest_10_files_us", us_per(timings[8], 1)),
+    ] {
+        eprintln!(
+            "fig03: {key:<26} best {:>9.2}, median {:>9.2}",
+            timing.0, timing.1
+        );
+        put_best_and_median(&mut doc, key, timing);
+    }
+    write_record("fig03_repository", "fig03", &doc);
 }
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_gridftp, bench_nmds, bench_ingestion
-}
-criterion_main!(benches);

@@ -4,13 +4,16 @@
 //! step cost grows with the number of substructures, first purely local
 //! (the numerics alone), then with each substructure behind its own NTCP
 //! site, stepped by the simulation coordinator every deployment runs
-//! (the protocol's contribution).
+//! (the protocol's contribution). `BENCH_fig05.json` at the repo root gets
+//! the best and median of each run, with the core count and the repeats.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use std::hint::black_box;
 
-use neesgrid_bench::{loopback_net, single_site};
-use neesgrid_coordinator::SimCoordBuilder;
+use neesgrid_bench::{
+    cores, loopback_net, put_best_and_median, single_site, time_cases, write_record,
+};
+use neesgrid_coordinator::{SimCoordBuilder, SimulationCoordinator};
+use neesgrid_gridsim::VirtualNetwork;
 use neesgrid_gsi::ActionLimits;
 use neesgrid_ntcp::SimulationPlugin;
 use neesgrid_structsim::material::LinearElastic;
@@ -34,71 +37,100 @@ fn local_substructures(n: usize) -> Vec<(SubstructureBinding, Box<dyn Substructu
         .collect()
 }
 
-fn bench_local(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig05/local_psd_run50");
-    for n in [1usize, 2, 4, 8] {
-        let motion = GroundMotion::synthetic(9, 0.01, STEPS, 2.0);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let test = PsdTest::new(vec![1000.0; n], Matrix::zeros(n, n), 0.01);
-            b.iter(|| {
-                std::hint::black_box(test.run(local_substructures(n), &motion, STEPS).unwrap())
-            })
-        });
+/// Substructure counts of the local runs.
+const LOCAL: [usize; 4] = [1, 2, 4, 8];
+/// Site counts of the distributed runs.
+const DISTRIBUTED: [usize; 3] = [1, 2, 4];
+/// Local runs timed together in one repeat.
+const LOCAL_RUNS: usize = 20;
+/// Timed rounds.
+const REPEATS: usize = 21;
+
+/// A coordinator over `n` fresh NTCP sites, one spring each.
+fn distributed(n: usize) -> (VirtualNetwork, SimulationCoordinator) {
+    let net = loopback_net();
+    let mut builder = SimCoordBuilder::new(vec![1000.0; n], net.clock()).dt(0.01);
+    for i in 0..n {
+        let name = format!("site-{i}");
+        let client = single_site(
+            &net,
+            &name,
+            Box::new(SimulationPlugin::new(
+                format!("sim-{i}"),
+                Box::new(SimulatedSubstructure::spring_to_ground(
+                    format!("s{i}"),
+                    Box::new(LinearElastic::new(2.0e5)),
+                )),
+            )),
+            ActionLimits::most_large_scale(),
+        );
+        builder = builder.site(name, client, vec![i], 2.0e5);
     }
-    group.finish();
+    (net, builder.build())
 }
 
-fn bench_distributed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig05/ntcp_coordinator_run50");
-    group.sample_size(10);
-    for n in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter_with_setup(
-                || {
-                    // Fresh sites per iteration: substructure state and
-                    // transaction ledgers must not leak across runs.
-                    let net = loopback_net();
-                    let mut builder = SimCoordBuilder::new(vec![1000.0; n], net.clock()).dt(0.01);
-                    for i in 0..n {
-                        let name = format!("site-{i}");
-                        let client = single_site(
-                            &net,
-                            &name,
-                            Box::new(SimulationPlugin::new(
-                                format!("sim-{i}"),
-                                Box::new(SimulatedSubstructure::spring_to_ground(
-                                    format!("s{i}"),
-                                    Box::new(LinearElastic::new(2.0e5)),
-                                )),
-                            )),
-                            ActionLimits::most_large_scale(),
-                        );
-                        builder = builder.site(name, client, vec![i], 2.0e5);
-                    }
-                    (net, builder.build())
-                },
-                |(net, mut coordinator)| {
-                    let motion = GroundMotion::synthetic(9, 0.01, STEPS, 2.0);
-                    let out = coordinator.run(&motion, STEPS);
-                    drop(net);
-                    std::hint::black_box(out)
-                },
-            )
-        });
+fn main() {
+    let motion = GroundMotion::synthetic(9, 0.01, STEPS, 2.0);
+    let tests: Vec<_> = LOCAL
+        .iter()
+        .map(|&n| PsdTest::new(vec![1000.0; n], Matrix::zeros(n, n), 0.01))
+        .collect();
+    let timings = time_cases(REPEATS, LOCAL.len() + DISTRIBUTED.len(), |case, watch| {
+        if case < LOCAL.len() {
+            let n = LOCAL[case];
+            watch.time(|| {
+                for _ in 0..LOCAL_RUNS {
+                    black_box(
+                        tests[case]
+                            .run(local_substructures(n), &motion, STEPS)
+                            .unwrap(),
+                    );
+                }
+            });
+        } else {
+            // Fresh sites per run: substructure state and transaction
+            // ledgers must not leak across runs.
+            let (_net, mut coordinator) = distributed(DISTRIBUTED[case - LOCAL.len()]);
+            watch.time(|| coordinator.run(&motion, STEPS));
+        }
+    });
+
+    let mut local = Vec::new();
+    for (n, (best, median)) in LOCAL.iter().zip(&timings) {
+        let us = (
+            best * 1e6 / LOCAL_RUNS as f64,
+            median * 1e6 / LOCAL_RUNS as f64,
+        );
+        eprintln!(
+            "fig05: local PSD, {n} substructures: best {:>7.1} µs, median {:>7.1} µs per {STEPS}-step run",
+            us.0, us.1
+        );
+        let mut row = serde_json::json!({ "substructures": n });
+        put_best_and_median(&mut row, "run_us", us);
+        local.push(row);
     }
-    group.finish();
+    let mut ntcp = Vec::new();
+    for (n, (best, median)) in DISTRIBUTED.iter().zip(&timings[LOCAL.len()..]) {
+        let ms = (best * 1e3, median * 1e3);
+        eprintln!(
+            "fig05: NTCP coordinator, {n} sites: best {:>6.3} ms, median {:>6.3} ms per {STEPS}-step run",
+            ms.0, ms.1
+        );
+        let mut row = serde_json::json!({ "sites": n });
+        put_best_and_median(&mut row, "run_ms", ms);
+        ntcp.push(row);
+    }
+    let doc = serde_json::json!({
+        "bench": "fig05_mspsds_step",
+        "runs": "a 50-step PSD run of spring-to-ground substructures: local numerics alone, then \
+                 each spring behind its own NTCP site stepped by the simulation coordinator \
+                 (sites built untimed)",
+        "steps": STEPS,
+        "nproc": cores(),
+        "repeats": REPEATS,
+        "local_runs_per_repeat": LOCAL_RUNS,
+        "local_psd": local,
+        "ntcp_coordinator": ntcp,
+    });
+    write_record("fig05_mspsds_step", "fig05", &doc);
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(3))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_local, bench_distributed
-}
-criterion_main!(benches);

@@ -3,19 +3,16 @@
 //! The streaming fan-out that fed the viewers, timed against the
 //! subscriber count up to the MOST-scale 132-viewer crowd: each round
 //! publishes 1,000 samples, then drains every subscriber the way the
-//! portal serves it, one `Poll` reply frame per subscriber. Then, under
-//! Criterion, viewer ingest + VCR seek, and hysteresis-pair extraction.
+//! portal serves it, one `Poll` reply frame per subscriber. Beside it,
+//! viewer ingest + VCR seek, and hysteresis-pair extraction.
 //!
-//! The fan-out rounds rotate which subscriber count goes first (the host
-//! this was tuned on slows by up to 1.8x for seconds at a time).
 //! `BENCH_nsds.json` at the repo root gets the best and median ns per
-//! published sample at each count, with the core count and the repeats.
+//! published sample at each count and µs per viewer operation, with the
+//! core count and the repeats.
 
-use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
-use neesgrid_bench::{best_and_median, cores, write_record};
+use neesgrid_bench::{cores, put_best_and_median, time_cases, write_record};
 use neesgrid_chef::DataViewer;
 use neesgrid_daq::nsds::{NsdsSample, NsdsServer, NsdsSubscription};
 use neesgrid_gridsim::SimTime;
@@ -37,7 +34,9 @@ const PUBLISHED: u64 = 1000;
 const CAPACITY: usize = 2048;
 /// Rounds timed together in one repeat of one subscriber count.
 const ROUNDS: usize = 5;
-/// Timed repeats.
+/// Viewer operations timed together in one repeat.
+const VIEWER_OPS: usize = 20;
+/// Timed rounds of every case.
 const REPEATS: usize = 21;
 
 /// A hub with `subscribers` viewers on every channel.
@@ -64,91 +63,80 @@ fn round(nsds: &NsdsServer, subs: &[NsdsSubscription]) {
     }
 }
 
-/// `(best, median)` of a set of timings.
-fn fanout() {
-    let nproc = cores();
+fn main() {
     let hubs: Vec<_> = SUBSCRIBERS.iter().map(|&n| crowd(n)).collect();
-    for (nsds, subs) in &hubs {
-        round(nsds, subs);
+    let mut paired = DataViewer::new();
+    for i in 0..1000u64 {
+        let t = SimTime::from_millis(i * 10);
+        paired
+            .ingest("disp", t, (i as f64 * 0.01).sin() * 0.01)
+            .expect("time-ordered");
+        paired
+            .ingest("force", t, (i as f64 * 0.01).sin() * 2_000.0)
+            .expect("time-ordered");
     }
-    let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(REPEATS); hubs.len()];
-    for repeat in 0..REPEATS {
-        for k in 0..hubs.len() {
-            let i = (repeat + k) % hubs.len();
+    paired.seek(paired.live_edge);
+    let timings = time_cases(REPEATS, hubs.len() + 2, |case, watch| match case {
+        i if i < hubs.len() => {
             let (nsds, subs) = &hubs[i];
-            let started = Instant::now();
-            for _ in 0..ROUNDS {
-                round(nsds, subs);
-            }
-            let ns = started.elapsed().as_nanos() as f64;
-            times[i].push(ns / (ROUNDS as f64 * PUBLISHED as f64));
+            watch.time(|| {
+                for _ in 0..ROUNDS {
+                    round(nsds, subs);
+                }
+            })
         }
-    }
+        3 => watch.time(|| {
+            for _ in 0..VIEWER_OPS {
+                let mut v = DataViewer::new();
+                for i in 0..1000u64 {
+                    let s = sample(i);
+                    v.ingest(&s.channel, s.t, s.value).expect("time-ordered");
+                }
+                v.seek(v.live_edge);
+                black_box(v.visible_series("uiuc/dof-0/disp"));
+            }
+        }),
+        _ => watch.time(|| {
+            for _ in 0..VIEWER_OPS {
+                black_box(paired.hysteresis("disp", "force"));
+            }
+        }),
+    });
+
     let mut rows = Vec::new();
-    for (subscribers, ns) in SUBSCRIBERS.iter().zip(times) {
-        let (best, median) = best_and_median(ns);
+    for (subscribers, (best, median)) in SUBSCRIBERS.iter().zip(&timings) {
+        let per_sample = 1e9 / (ROUNDS as f64 * PUBLISHED as f64);
+        let (best, median) = (best * per_sample, median * per_sample);
         eprintln!(
             "nsds fan-out, {subscribers:>3} subscribers: best {best:>7.1} ns per published \
              sample, median {median:>7.1}"
         );
-        rows.push(serde_json::json!({
-            "subscribers": subscribers,
-            "ns_per_sample": best,
-            "median_ns_per_sample": median,
-        }));
+        let mut row = serde_json::json!({ "subscribers": subscribers });
+        put_best_and_median(&mut row, "ns_per_sample", (best, median));
+        rows.push(row);
     }
-    let doc = serde_json::json!({
-        "bench": "nsds_fanout",
+    let mut doc = serde_json::json!({
+        "bench": "fig08_dataviewer",
         "round": "publish 1,000 samples on one channel to every subscriber (capacity 2,048), then \
                   serve each subscriber one Poll reply frame of what it holds",
-        "nproc": nproc,
+        "viewer": "a CHEF data viewer ingests 1,000 samples of one channel and seeks to the live \
+                   edge; hysteresis pairs 1,000 displacement and force samples",
+        "nproc": cores(),
         "repeats": REPEATS,
         "rounds_per_repeat": ROUNDS,
+        "viewer_ops_per_repeat": VIEWER_OPS,
         "rows": rows,
     });
+    for (key, (best, median)) in [
+        ("viewer_ingest_1k_and_seek_us", timings[3]),
+        ("hysteresis_pairing_1k_us", timings[4]),
+    ] {
+        let us = (
+            best * 1e6 / VIEWER_OPS as f64,
+            median * 1e6 / VIEWER_OPS as f64,
+        );
+        eprintln!("fig08: {key:<29} best {:>7.2}, median {:>7.2}", us.0, us.1);
+        put_best_and_median(&mut doc, key, us);
+    }
     write_record("fig08_dataviewer", "nsds", &doc);
-}
-
-fn bench_viewer(c: &mut Criterion) {
-    c.bench_function("fig08/viewer_ingest_1k_and_seek", |b| {
-        b.iter(|| {
-            let mut v = DataViewer::new();
-            for i in 0..1000u64 {
-                let s = sample(i);
-                v.ingest(&s.channel, s.t, s.value).expect("time-ordered");
-            }
-            v.seek(v.live_edge);
-            black_box(v.visible_series("uiuc/dof-0/disp"))
-        })
-    });
-    c.bench_function("fig08/hysteresis_pairing_1k", |b| {
-        let mut v = DataViewer::new();
-        for i in 0..1000u64 {
-            let t = SimTime::from_millis(i * 10);
-            v.ingest("disp", t, (i as f64 * 0.01).sin() * 0.01)
-                .expect("time-ordered");
-            v.ingest("force", t, (i as f64 * 0.01).sin() * 2_000.0)
-                .expect("time-ordered");
-        }
-        v.seek(v.live_edge);
-        b.iter(|| black_box(v.hysteresis("disp", "force")))
-    });
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_viewer
-}
-
-fn main() {
-    fanout();
-    benches();
 }

@@ -12,17 +12,15 @@
 //! the cost at full length. The bench therefore also times the
 //! `checkpoint_resume` schedule itself — the §3.4 public run, 1,500 steps,
 //! checkpointed every 100 into the repository store, killed at step
-//! 1493 — with and without checkpoints, alternating, and writes
-//! `BENCH_checkpoint.json` at the repo root: the best and median of each
-//! configuration, the core count, the repeats, the snapshots left at rest
-//! and their bytes, and the checkpoint cost per snapshot and per MB of
-//! snapshot (from the medians).
+//! 1493 — with and without checkpoints, and writes
+//! `BENCH_checkpoint.json` at the repo root: the best and median of every
+//! run, the core count, the repeats, the snapshots left at rest and their
+//! bytes, and the checkpoint cost per snapshot and per MB of snapshot (from
+//! the medians).
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use neesgrid_bench::{best_and_median, cores, write_record};
+use neesgrid_bench::{cores, put_best_and_median, time_cases, write_record, Stopwatch};
 use neesgrid_checkpoint::{
     CheckpointPolicy, CheckpointStore, MemoryCheckpointStore, RepoCheckpointStore,
 };
@@ -48,41 +46,17 @@ fn run_once(checkpoint_every: Option<u64>) -> usize {
     artifacts.outcome.steps_completed()
 }
 
-fn bench_checkpoint_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig12_checkpoint_overhead");
-    group.sample_size(10);
-    group.bench_function("no_checkpoints_100_steps", |b| {
-        b.iter(|| std::hint::black_box(run_once(None)))
-    });
-    for every in [1u64, 10, 100] {
-        group.bench_with_input(BenchmarkId::new("every", every), &every, |b, &n| {
-            b.iter(|| std::hint::black_box(run_once(Some(n))))
-        });
-    }
-    group.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(8))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_checkpoint_overhead
-}
-
-/// Timed runs of each configuration of the full-length schedule.
+/// Timed rounds of every run.
 const REPEATS: usize = 6;
 const RUN_ID: &str = "most-public";
 const PREFIX: &str = "/experiments/most";
 
-/// The `checkpoint_resume` schedule's doomed run: its wall time in ms,
-/// and the snapshots it left at rest (count, bytes).
-fn public_run(checkpointed: bool) -> (f64, usize, usize) {
+/// Cadences of the scaled runs: none, then every 1, 10 and 100 steps.
+const CADENCES: [Option<u64>; 4] = [None, Some(1), Some(10), Some(100)];
+
+/// The `checkpoint_resume` schedule's doomed run, timed by `watch`, with or
+/// without checkpoints: the snapshots it left at rest (count, bytes).
+fn public_run(watch: &mut Stopwatch, checkpointed: bool) -> (usize, usize) {
     let config = MostConfig::simulation_only();
     let backing = VirtualStore::new();
     let deployment = MostDeployment::build_with_store(config.clone(), 0, backing.clone());
@@ -92,18 +66,18 @@ fn public_run(checkpointed: bool) -> (f64, usize, usize) {
         deployment.clock(),
         PREFIX,
     ));
-    let started = Instant::now();
-    let artifacts = if checkpointed {
-        deployment.run_with_checkpoints(
-            FaultPolicy::Partial,
-            RUN_ID,
-            CheckpointPolicy::every(100),
-            store,
-        )
-    } else {
-        deployment.run(FaultPolicy::Partial)
-    };
-    let ms = started.elapsed().as_secs_f64() * 1e3;
+    let artifacts = watch.time(|| {
+        if checkpointed {
+            deployment.run_with_checkpoints(
+                FaultPolicy::Partial,
+                RUN_ID,
+                CheckpointPolicy::every(100),
+                store,
+            )
+        } else {
+            deployment.run(FaultPolicy::Partial)
+        }
+    });
     assert_eq!(artifacts.outcome.steps_completed(), 1493);
     let snapshots = backing.list(&format!("{PREFIX}/{RUN_ID}/checkpoints/"));
     let bytes = snapshots
@@ -111,31 +85,23 @@ fn public_run(checkpointed: bool) -> (f64, usize, usize) {
         .filter_map(|path| backing.get(path))
         .map(|file| file.content.len())
         .sum();
-    (ms, snapshots.len(), bytes)
+    (snapshots.len(), bytes)
 }
 
-/// `(best, median)` of a set of wall-clock times.
-fn checkpoint_resume_schedule() {
+fn main() {
     let nproc = cores();
-    // Warm-up, then alternate which configuration goes first in each pair
-    // so drift and cache state hit both equally.
-    public_run(false);
-    public_run(true);
-    let (mut plain, mut checkpointed) = (Vec::new(), Vec::new());
     let (mut snapshots, mut bytes) = (0, 0);
-    for round in 0..REPEATS {
-        for with_checkpoints in [round % 2 == 1, round % 2 == 0] {
-            let (ms, n, b) = public_run(with_checkpoints);
-            if with_checkpoints {
-                checkpointed.push(ms);
-                (snapshots, bytes) = (n, b);
-            } else {
-                plain.push(ms);
-            }
+    let timings = time_cases(REPEATS, CADENCES.len() + 2, |case, watch| match case {
+        i if i < CADENCES.len() => {
+            let steps = watch.time(|| run_once(CADENCES[i]));
+            assert_eq!(steps, SCALED_STEPS);
         }
-    }
-    let (plain_ms, median_plain_ms) = best_and_median(plain);
-    let (checkpointed_ms, median_checkpointed_ms) = best_and_median(checkpointed);
+        4 => drop(public_run(watch, false)),
+        _ => (snapshots, bytes) = public_run(watch, true),
+    });
+    let ms = |(best, median): (f64, f64)| (best * 1e3, median * 1e3);
+    let (plain_ms, median_plain_ms) = ms(timings[4]);
+    let (checkpointed_ms, median_checkpointed_ms) = ms(timings[5]);
     let cost_ms = median_checkpointed_ms - median_plain_ms;
     let ms_per_mb = cost_ms / (bytes as f64 / 1e6);
     eprintln!(
@@ -144,9 +110,11 @@ fn checkpoint_resume_schedule() {
          {median_checkpointed_ms:.1} ms; {snapshots} snapshots, {bytes} B, \
          {ms_per_mb:.1} ms/MB, {nproc} cores"
     );
-    let doc = serde_json::json!({
-        "bench": "checkpoint_overhead",
+    let mut doc = serde_json::json!({
+        "bench": "fig12_checkpoint_overhead",
         "schedule": "checkpoint_resume: MOST public run, 1500 steps, every 100, killed at 1493",
+        "scaled": "MOST simulation-only run, 100 steps, full fault policy, snapshots in memory",
+        "scaled_steps": SCALED_STEPS,
         "nproc": nproc,
         "repeats": REPEATS,
         "uncheckpointed_ms": plain_ms,
@@ -158,10 +126,14 @@ fn checkpoint_resume_schedule() {
         "ms_per_snapshot": cost_ms / snapshots as f64,
         "ms_per_mb": ms_per_mb,
     });
+    for (cadence, timing) in CADENCES.iter().zip(timings) {
+        let key = match cadence {
+            None => "scaled_uncheckpointed_ms".to_string(),
+            Some(n) => format!("scaled_every_{n}_ms"),
+        };
+        let (best, median) = ms(timing);
+        eprintln!("fig12: {key:<26} best {best:>7.2}, median {median:>7.2}");
+        put_best_and_median(&mut doc, &key, (best, median));
+    }
     write_record("fig12_checkpoint_overhead", "checkpoint", &doc);
-}
-
-fn main() {
-    benches();
-    checkpoint_resume_schedule();
 }

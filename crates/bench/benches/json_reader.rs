@@ -8,16 +8,13 @@
 //! std `f64` parse of the reply's value texts is the reference for what
 //! converting the numbers alone costs.
 //!
-//! Each round times every way for a batch of decodes, in an order that
-//! rotates from round to round (the host this was tuned on slows by up to
-//! 1.8x for seconds at a time). `BENCH_json.json` at the repo root gets
-//! the best and median ns per sample of each, the reply's size, the core
-//! count and the repeats.
+//! Each round times every way for a batch of decodes. `BENCH_json.json` at
+//! the repo root gets the best and median ns per sample of each, the
+//! reply's size, the core count and the repeats.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use neesgrid_bench::{best_and_median, cores, write_record};
+use neesgrid_bench::{cores, put_best_and_median, time_cases, write_record};
 use neesgrid_most::{MostDeployment, Scenario};
 use neesgrid_portal::{decode, encode, Response, SamplesView};
 use serde_json::{RawValue, Value};
@@ -59,7 +56,6 @@ fn value_texts(body: &str) -> Vec<&str> {
         .collect()
 }
 
-/// `(best, median)` of a set of timings.
 fn main() {
     let nproc = cores();
     let frame = poll_reply();
@@ -93,24 +89,13 @@ fn main() {
         }),
     ];
 
-    // Warm-up, then rounds that rotate which way goes first.
-    for (_, decode) in &ways {
-        for _ in 0..DECODES {
-            decode();
-        }
-    }
-    let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(REPEATS); ways.len()];
-    for round in 0..REPEATS {
-        for k in 0..ways.len() {
-            let i = (round + k) % ways.len();
-            let started = Instant::now();
+    let timings = time_cases(REPEATS, ways.len(), |case, watch| {
+        watch.time(|| {
             for _ in 0..DECODES {
-                (ways[i].1)();
+                (ways[case].1)();
             }
-            let ns = started.elapsed().as_nanos() as f64;
-            times[i].push(ns / (DECODES * SAMPLES) as f64);
-        }
-    }
+        })
+    });
 
     let mut doc = serde_json::json!({
         "bench": "json_reader",
@@ -124,13 +109,11 @@ fn main() {
         "repeats": REPEATS,
         "decodes_per_repeat": DECODES,
     });
-    for ((name, _), ns) in ways.iter().zip(times) {
-        let (best, median) = best_and_median(ns);
+    let per_sample = 1e9 / (DECODES * SAMPLES) as f64;
+    for ((name, _), (best, median)) in ways.iter().zip(timings) {
+        let (best, median) = (best * per_sample, median * per_sample);
         eprintln!("json_reader: {name:<15} best {best:>7.1} ns/sample, median {median:>7.1}");
-        if let Value::Object(m) = &mut doc {
-            m.insert(format!("{name}_ns_per_sample"), best.into());
-            m.insert(format!("median_{name}_ns_per_sample"), median.into());
-        }
+        put_best_and_median(&mut doc, &format!("{name}_ns_per_sample"), (best, median));
     }
     write_record("json_reader", "json", &doc);
 }

@@ -9,9 +9,7 @@
 //! turn a measurement into a flake, and records the measured figure for
 //! the driver to judge.
 
-use std::time::Instant;
-
-use neesgrid_bench::{best_and_median, cores, write_record};
+use neesgrid_bench::{cores, time_cases, write_record};
 use neesgrid_coordinator::Termination;
 use neesgrid_most::{n_site, n_site_with_telemetry};
 use neesgrid_telemetry::Telemetry;
@@ -22,48 +20,30 @@ const SEED: u64 = 2004;
 /// Timed runs per configuration; the record keeps their best and median.
 const REPEATS: usize = 12;
 
-/// `(best, median)` of a set of wall-clock times.
 fn main() {
     let nproc = cores();
-    // Warm-up: fault both code paths into cache and let the allocator reach
-    // steady state (the trace grows to several megabytes inside the timed
-    // run; its first-ever growth faults pages that later runs reuse) before
-    // timing anything.
-    n_site(SITES, SEED).run(STEPS);
-    n_site_with_telemetry(SITES, SEED, Telemetry::recording()).run(STEPS);
-
-    // Interleave the two configurations, alternating which goes first in
-    // each pair, so CPU-frequency drift, background load, and cache state
-    // hit both equally; the budget compares bests.
-    let mut plain = Vec::with_capacity(REPEATS);
-    let mut instrumented = Vec::with_capacity(REPEATS);
+    // The warm-up pass faults both code paths into cache and lets the
+    // allocator reach steady state (the trace grows to several megabytes
+    // inside the timed run; its first-ever growth faults pages that later
+    // runs reuse). The rounds alternate which configuration goes first, so
+    // CPU-frequency drift, background load and cache state hit both
+    // equally; the budget compares bests.
     let mut trace_lines = 0usize;
-    let run_plain = |plain: &mut Vec<f64>| {
-        let started = Instant::now();
-        let outcome = n_site(SITES, SEED).run(STEPS);
-        assert!(matches!(outcome.termination, Termination::Completed));
-        plain.push(started.elapsed().as_secs_f64() * 1e3);
-    };
-    let run_instrumented = |instrumented: &mut Vec<f64>, trace_lines: &mut usize| {
-        let telemetry = Telemetry::recording();
-        let started = Instant::now();
-        let outcome = n_site_with_telemetry(SITES, SEED, telemetry.clone()).run(STEPS);
-        let elapsed = started.elapsed().as_secs_f64() * 1e3;
-        assert!(matches!(outcome.termination, Termination::Completed));
-        *trace_lines = telemetry.export_jsonl().lines().count();
-        instrumented.push(elapsed);
-    };
-    for round in 0..REPEATS {
-        if round % 2 == 0 {
-            run_plain(&mut plain);
-            run_instrumented(&mut instrumented, &mut trace_lines);
+    let timings = time_cases(REPEATS, 2, |case, watch| {
+        let outcome = if case == 0 {
+            watch.time(|| n_site(SITES, SEED).run(STEPS))
         } else {
-            run_instrumented(&mut instrumented, &mut trace_lines);
-            run_plain(&mut plain);
-        }
-    }
-    let (plain_ms, median_plain_ms) = best_and_median(plain);
-    let (instrumented_ms, median_instrumented_ms) = best_and_median(instrumented);
+            let telemetry = Telemetry::recording();
+            let outcome =
+                watch.time(|| n_site_with_telemetry(SITES, SEED, telemetry.clone()).run(STEPS));
+            trace_lines = telemetry.export_jsonl().lines().count();
+            outcome
+        };
+        assert!(matches!(outcome.termination, Termination::Completed));
+    });
+    let ms = |(best, median): (f64, f64)| (best * 1e3, median * 1e3);
+    let (plain_ms, median_plain_ms) = ms(timings[0]);
+    let (instrumented_ms, median_instrumented_ms) = ms(timings[1]);
     eprintln!(
         "telemetry_overhead: uninstrumented, {REPEATS} runs: best {plain_ms:>8.2} ms, \
          median {median_plain_ms:>8.2} ms"

@@ -23,14 +23,6 @@ impl<T: ?Sized> Mutex<T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
@@ -83,68 +75,5 @@ impl<T: Default> Default for RwLock<T> {
 impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.0.fmt(f)
-    }
-}
-
-/// Result of a timed condition-variable wait (parking_lot-compatible).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// Condition variable with parking_lot's in-place-guard API, backed by
-/// `std::sync::Condvar` (poison-recovering, like the locks above).
-#[derive(Default)]
-pub struct Condvar(sync::Condvar);
-
-impl Condvar {
-    pub fn new() -> Self {
-        Condvar(sync::Condvar::new())
-    }
-
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // SAFETY: the guard is moved out, passed through the std wait (which
-        // returns it, possibly via poison recovery — no panic path between
-        // the read and the write), and moved back in place.
-        unsafe {
-            let taken = std::ptr::read(guard);
-            let returned = self.0.wait(taken).unwrap_or_else(PoisonError::into_inner);
-            std::ptr::write(guard, returned);
-        }
-    }
-
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        // SAFETY: as in `wait`.
-        unsafe {
-            let taken = std::ptr::read(guard);
-            let (returned, result) = self
-                .0
-                .wait_timeout(taken, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            std::ptr::write(guard, returned);
-            WaitTimeoutResult(result.timed_out())
-        }
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
     }
 }
