@@ -10,13 +10,19 @@
 //! answered with an at-most-once proptest — random schedules; this
 //! module upgrades that to *all* schedules within the configured budget.
 //!
-//! The model: a coordinator-side client proposes transaction `t1`, and —
-//! once it has *seen* the acceptance — races an `execute` against a
-//! `cancel` (failover looks like this: the backup coordinator cancels
-//! what the primary was executing). The network may duplicate each
-//! request and lose each reply, within budgets. At some point a snapshot
-//! is taken, and later the server crashes and is restored from it while
-//! client retransmissions are still in flight.
+//! The model: two sequential clients on their own endpoints, each with at
+//! most one request outstanding, as every NTCP client in the tree is. The
+//! primary coordinator proposes transaction `t1`; once it has *seen* the
+//! acceptance, it executes `t1` while the backup coordinator cancels it
+//! (failover looks like this: the backup cancels what the primary was
+//! executing). Once the primary has seen the execute's answer, it
+//! proposes `t2`, which retires `t1` if it settled. Both clients number
+//! their requests from 1, as separate endpoints do. The network may
+//! duplicate each request and lose each reply, within budgets, so copies
+//! of `t1`'s requests can arrive after `t2`'s: late duplicates of a
+//! retired transaction. At some point a snapshot is taken, and later the
+//! server crashes and is restored from it while copies are still in
+//! flight.
 //!
 //! Invariants checked after every event, on every schedule:
 //!
@@ -26,9 +32,11 @@
 //!    observes at most one `execute` and one `cancel` call per world
 //!    line;
 //! 3. **dedup consistency across restore** — every reply the server
-//!    produces for a request id is, byte for byte, the text of the first
-//!    reply it produced for that id (or the same fault); replies recorded
-//!    before the snapshot must replay identically after restore;
+//!    produces for a client's request is, byte for byte, the text of the
+//!    first reply it produced for it (or the same fault), or a
+//!    `StaleRequest` fault once the client's mark — the highest request id
+//!    the server has run from that client — has passed it; replies
+//!    recorded before the snapshot must replay identically after restore;
 //! 4. **execute/cancel exclusivity** — one world line never reports both
 //!    a successful execute and a successful cancel of the same
 //!    transaction.
@@ -37,16 +45,23 @@
 //! point, so it checks the bytes a client receives. The snapshot is the
 //! state document's text, parsed when it is restored.
 //!
-//! [`Mutation::ClearDedupOnRestore`] deliberately wipes the dedup cache
-//! from the parsed snapshot before restoring — the seeded bug the mutation
-//! test proves this checker catches (invariant 3 fires: a pre-snapshot
+//! Two seeded bugs prove the checker catches what it claims to.
+//! [`Mutation::ClearDedupOnRestore`] wipes every client's window from the
+//! parsed snapshot before restoring (invariant 3 fires: a pre-snapshot
 //! `execute` Ok replays as an `InvalidState` fault).
+//! [`Mutation::RetireWithoutWatermark`] lets the server retire settled
+//! transactions but skips the refusal below the mark: the checker hands
+//! each request the server would refuse to it under a client identity it
+//! holds no window for, so the server runs it as new against the state
+//! retirement left (a late `execute` of the retired `t1` answers
+//! `NoSuchTransaction` where it once answered Ok, or a late `propose`
+//! brings `t1` back to be executed twice).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use neesgrid_gridsim::{SimClock, SimTime};
+use neesgrid_gridsim::{NodeId, SimClock, SimTime};
 use neesgrid_gsi::{ActionLimits, DistinguishedName, SitePolicy};
 use neesgrid_ntcp::plugin::{ExecuteOutcome, PluginError};
 use neesgrid_ntcp::{ControlPlugin, ControlPoint, NtcpServer, SimulationPlugin};
@@ -56,17 +71,58 @@ use serde_json::{json, Value};
 
 use crate::explore::{explore, CheckReport, Violation, World};
 
-/// Request ids: the fixed little script the client plays.
-const RID_PROPOSE: u64 = 1;
-const RID_EXECUTE: u64 = 2;
-const RID_CANCEL: u64 = 3;
+/// The requests the two clients' scripts send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Req {
+    ProposeT1,
+    ExecuteT1,
+    ProposeT2,
+    CancelT1,
+}
+
+impl Req {
+    /// The client endpoint that sends it, its request id (counted per
+    /// client) and its operation.
+    fn script(self) -> (&'static str, u64, &'static str) {
+        match self {
+            Req::ProposeT1 => ("primary", 1, "propose"),
+            Req::ExecuteT1 => ("primary", 2, "execute"),
+            Req::ProposeT2 => ("primary", 3, "propose"),
+            Req::CancelT1 => ("backup", 1, "cancel"),
+        }
+    }
+
+    /// Its body, built once: every schedule delivers the same four.
+    fn body(self) -> &'static Value {
+        static BODIES: OnceLock<[Value; 3]> = OnceLock::new();
+        let [t1, t2, t1_ref] = BODIES.get_or_init(|| {
+            let propose = |tx: &str| {
+                json!({
+                    "transaction": tx,
+                    "actions": [ControlPoint::displacement("dof-0", 0.01, 1000.0)],
+                    "timeout": SimTime::from_secs(30),
+                })
+            };
+            [propose("t1"), propose("t2"), json!({"transaction": "t1"})]
+        });
+        match self {
+            Req::ProposeT1 => t1,
+            Req::ProposeT2 => t2,
+            Req::ExecuteT1 | Req::CancelT1 => t1_ref,
+        }
+    }
+}
 
 /// A seeded bug for mutation testing the checker itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Drop the dedup cache from the snapshot before restoring — the
-    /// "retransmission after resume re-executes" bug class.
+    /// Drop every client's window from the snapshot before restoring —
+    /// the "retransmission after resume re-executes" bug class.
     ClearDedupOnRestore,
+    /// Retire settled transactions but run a request below its client's
+    /// mark as new instead of refusing it — the "late duplicate of a
+    /// forgotten transaction comes back" bug class.
+    RetireWithoutWatermark,
 }
 
 /// Checker configuration (all bounds, so the state space is finite).
@@ -84,9 +140,6 @@ pub struct CheckConfig {
 
 impl Default for CheckConfig {
     fn default() -> Self {
-        // dup=2/drop=1 explores ~69k schedules in a couple of seconds
-        // (release); dup=2/drop=2 is ~610k and ~10× slower — available
-        // via --dup-budget/--drop-budget for deeper offline runs.
         CheckConfig {
             dup_budget: 2,
             drop_budget: 1,
@@ -107,13 +160,17 @@ pub const INVARIANTS: [&str; 4] = [
 /// One nondeterministic event the scheduler can pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    /// Deliver one copy of a request; the client sees the reply.
-    Deliver(u64),
-    /// The network duplicates an in-flight request (copy count +1).
-    Duplicate(u64),
+    /// Deliver one copy of a request; its client sees the reply.
+    Deliver(Req),
+    /// Deliver one copy of a request the network duplicated: its client
+    /// sees the reply and the other copy stays in flight (copy count
+    /// unchanged). A duplication changes nothing the invariants read
+    /// until a copy is delivered, so it is explored only here, at the
+    /// delivery it precedes, which covers every place it could happen.
+    DeliverDuplicated(Req),
     /// Deliver one copy but lose the reply: the server processes it, the
     /// client learns nothing and will retransmit (copy count unchanged).
-    DropReply(u64),
+    DropReply(Req),
     /// Take the checkpoint snapshot.
     Snapshot,
     /// Crash the server and restore from the snapshot.
@@ -122,16 +179,14 @@ enum Ev {
 
 impl Ev {
     fn describe(self) -> String {
-        let op = |rid| match rid {
-            RID_PROPOSE => "propose",
-            RID_EXECUTE => "execute",
-            RID_CANCEL => "cancel",
-            _ => "?",
+        let req = |r: Req| {
+            let (client, rid, op) = r.script();
+            format!("{client} rid={rid} {op}")
         };
         match self {
-            Ev::Deliver(r) => format!("deliver rid={r} {}", op(r)),
-            Ev::Duplicate(r) => format!("duplicate rid={r} {}", op(r)),
-            Ev::DropReply(r) => format!("deliver rid={r} {} (reply lost)", op(r)),
+            Ev::Deliver(r) => format!("deliver {}", req(r)),
+            Ev::DeliverDuplicated(r) => format!("deliver {} (a duplicate stays in flight)", req(r)),
+            Ev::DropReply(r) => format!("deliver {} (reply lost)", req(r)),
             Ev::Snapshot => "snapshot".into(),
             Ev::Restore => "restore".into(),
         }
@@ -169,7 +224,7 @@ impl ControlPlugin for ProbedPlugin {
     }
 }
 
-/// What the world remembers about a request id's canonical response: the
+/// What the world remembers about a request's canonical response: the
 /// reply's text, or its fault.
 struct Recorded {
     response: Result<String, ServiceFault>,
@@ -181,21 +236,30 @@ struct NtcpWorld {
     server: NtcpServer,
     execs: Arc<AtomicU64>,
     cancels: Arc<AtomicU64>,
-    /// In-flight request copies: rid → copy count. A `BTreeMap` collapses
-    /// symmetric copies and keeps event enumeration deterministic.
-    pool: BTreeMap<u64, u32>,
+    /// In-flight request copies: request → copy count. A `BTreeMap`
+    /// collapses symmetric copies and keeps event enumeration
+    /// deterministic.
+    pool: BTreeMap<Req, u32>,
     dup_left: u32,
     drop_left: u32,
     snapshot: Option<String>,
     restored: bool,
-    /// Has the client seen the proposal accepted (and queued the
-    /// execute/cancel race)?
-    follow_ups_queued: bool,
-    recorded: BTreeMap<u64, Recorded>,
+    /// Has the primary seen the proposal accepted (and the race begun)?
+    race_queued: bool,
+    /// Has the primary seen the execute answered (and proposed `t2`)?
+    next_queued: bool,
+    recorded: BTreeMap<Req, Recorded>,
+    /// Each client's mark on this world line: the highest request id the
+    /// server ran from it. `snapshot_marks` is the mark at the snapshot.
+    marks: BTreeMap<&'static str, u64>,
+    snapshot_marks: BTreeMap<&'static str, u64>,
+    /// Client identities the mutated server holds no window for.
+    ghosts: u64,
     exec_ok: bool,
     cancel_ok: bool,
     mutation: Option<Mutation>,
-    trace: Vec<String>,
+    /// The schedule so far, described only for a violation.
+    trace: Vec<Ev>,
 }
 
 fn build_server(execs: &Arc<AtomicU64>, cancels: &Arc<AtomicU64>) -> NtcpServer {
@@ -218,26 +282,12 @@ fn build_server(execs: &Arc<AtomicU64>, cancels: &Arc<AtomicU64>) -> NtcpServer 
     )
 }
 
-fn ctx(request_id: u64) -> CallContext {
+fn ctx(client: NodeId, request_id: u64) -> CallContext {
     CallContext {
         caller: DistinguishedName::nees_user("NCSA", "Coordinator"),
+        client,
         now: SimTime::from_secs(request_id),
         request_id,
-    }
-}
-
-fn request_body(rid: u64) -> (&'static str, Value) {
-    match rid {
-        RID_PROPOSE => (
-            "propose",
-            json!({
-                "transaction": "t1",
-                "actions": [ControlPoint::displacement("dof-0", 0.01, 1000.0)],
-                "timeout": SimTime::from_secs(30),
-            }),
-        ),
-        RID_EXECUTE => ("execute", json!({"transaction": "t1"})),
-        _ => ("cancel", json!({"transaction": "t1"})),
     }
 }
 
@@ -247,7 +297,7 @@ impl NtcpWorld {
         let cancels = Arc::new(AtomicU64::new(0));
         let server = build_server(&execs, &cancels);
         let mut pool = BTreeMap::new();
-        pool.insert(RID_PROPOSE, 1u32);
+        pool.insert(Req::ProposeT1, 1u32);
         NtcpWorld {
             server,
             execs,
@@ -257,8 +307,12 @@ impl NtcpWorld {
             drop_left: cfg.drop_budget,
             snapshot: None,
             restored: false,
-            follow_ups_queued: false,
+            race_queued: false,
+            next_queued: false,
             recorded: BTreeMap::new(),
+            marks: BTreeMap::new(),
+            snapshot_marks: BTreeMap::new(),
+            ghosts: 0,
             exec_ok: false,
             cancel_ok: false,
             mutation: cfg.mutation,
@@ -266,43 +320,62 @@ impl NtcpWorld {
         }
     }
 
-    /// Process one delivery of `rid` through the server and check the
+    /// Process one delivery of `req` through the server and check the
     /// response invariants. `client_sees` is false for lost replies.
-    fn process(&mut self, rid: u64, client_sees: bool) -> Result<(), Violation> {
-        let (op, body) = request_body(rid);
+    fn process(&mut self, req: Req, client_sees: bool) -> Result<(), Violation> {
+        let (client, rid, op) = req.script();
+        let mark = self.marks.get(client).copied().unwrap_or(0);
+        let mut node = NodeId::new(client);
+        if self.mutation == Some(Mutation::RetireWithoutWatermark) && rid < mark {
+            // The seeded bug: no refusal, so the request runs as new.
+            self.ghosts += 1;
+            node = NodeId::new(format!("{client}~{}", self.ghosts));
+        }
         let mut reply = String::new();
         let response = self
             .server
-            .respond(&ctx(rid), op, &body, &mut reply)
+            .respond(&ctx(node, rid), op, req.body(), &mut reply)
             .map(|()| reply);
 
-        // Invariant 3: a request id has exactly one answer, forever.
-        match self.recorded.get(&rid) {
-            Some(rec) if rec.response != response => {
+        // Invariant 3: a request has exactly one answer, forever, unless
+        // its client's mark has passed it: then it is refused.
+        let stale = matches!(&response, Err(fault) if fault.code == "StaleRequest");
+        if stale {
+            if rid >= mark {
                 return Err(self.violation(
                     "dedup-consistency",
-                    format!(
-                        "rid {rid} ({op}) answered {:?} but was previously answered {:?}",
-                        response, rec.response
-                    ),
+                    format!("{client} rid {rid} ({op}) refused as stale at mark {mark}"),
                 ));
             }
-            Some(_) => {}
-            None => {
-                self.recorded.insert(
-                    rid,
-                    Recorded {
-                        response: response.clone(),
-                        in_snapshot: false,
-                    },
-                );
+        } else {
+            match self.recorded.get(&req) {
+                Some(rec) if rec.response != response => {
+                    return Err(self.violation(
+                        "dedup-consistency",
+                        format!(
+                            "{client} rid {rid} ({op}) answered {:?} but was previously answered {:?}",
+                            response, rec.response
+                        ),
+                    ));
+                }
+                Some(_) => {}
+                None => {
+                    self.recorded.insert(
+                        req,
+                        Recorded {
+                            response: response.clone(),
+                            in_snapshot: false,
+                        },
+                    );
+                }
             }
+            self.marks.insert(client, mark.max(rid));
         }
 
         // Invariant 4: the transaction cannot both complete and cancel.
         if response.is_ok() {
-            match rid {
-                RID_EXECUTE => {
+            match req {
+                Req::ExecuteT1 => {
                     if self.cancel_ok {
                         return Err(self.violation(
                             "execute-cancel-exclusivity",
@@ -311,7 +384,7 @@ impl NtcpWorld {
                     }
                     self.exec_ok = true;
                 }
-                RID_CANCEL => {
+                Req::CancelT1 => {
                     if self.exec_ok {
                         return Err(self.violation(
                             "execute-cancel-exclusivity",
@@ -324,20 +397,23 @@ impl NtcpWorld {
             }
         }
 
-        // Client reaction: seeing the proposal accepted starts the
-        // execute/cancel race (the failover scenario).
-        // (With the permissive model policy the proposal is always
-        // accepted, so any Ok answer means the race may begin.)
-        if client_sees && rid == RID_PROPOSE && !self.follow_ups_queued && response.is_ok() {
-            self.queue_follow_ups();
+        // Client reactions. Seeing the proposal accepted starts the
+        // execute/cancel race (the failover scenario); with the permissive
+        // model policy the proposal is always accepted, so any Ok answer
+        // means the race may begin. Seeing the execute answered, whatever
+        // the answer, the primary moves on to its next transaction.
+        if client_sees {
+            if req == Req::ProposeT1 && !self.race_queued && response.is_ok() {
+                self.pool.insert(Req::ExecuteT1, 1);
+                self.pool.insert(Req::CancelT1, 1);
+                self.race_queued = true;
+            }
+            if req == Req::ExecuteT1 && !self.next_queued {
+                self.pool.insert(Req::ProposeT2, 1);
+                self.next_queued = true;
+            }
         }
         Ok(())
-    }
-
-    fn queue_follow_ups(&mut self) {
-        self.pool.insert(RID_EXECUTE, 1);
-        self.pool.insert(RID_CANCEL, 1);
-        self.follow_ups_queued = true;
     }
 }
 
@@ -350,17 +426,17 @@ impl World for NtcpWorld {
     /// every explored schedule crosses a checkpoint-restore boundary.
     fn enabled(&self) -> Vec<Ev> {
         let mut evs = Vec::new();
-        for &rid in self.pool.keys() {
-            evs.push(Ev::Deliver(rid));
+        for &req in self.pool.keys() {
+            evs.push(Ev::Deliver(req));
         }
         if self.dup_left > 0 {
-            for &rid in self.pool.keys() {
-                evs.push(Ev::Duplicate(rid));
+            for &req in self.pool.keys() {
+                evs.push(Ev::DeliverDuplicated(req));
             }
         }
         if self.drop_left > 0 {
-            for &rid in self.pool.keys() {
-                evs.push(Ev::DropReply(rid));
+            for &req in self.pool.keys() {
+                evs.push(Ev::DropReply(req));
             }
         }
         if self.snapshot.is_none() {
@@ -375,35 +451,34 @@ impl World for NtcpWorld {
         Violation {
             invariant: invariant.to_string(),
             detail,
-            trace: self.trace.clone(),
+            trace: self.trace.iter().map(|ev| ev.describe()).collect(),
         }
     }
 
     fn step(&mut self, ev: Ev) -> Result<(), Violation> {
-        self.trace.push(ev.describe());
+        self.trace.push(ev);
         match ev {
-            Ev::Deliver(rid) => {
-                let n = self.pool.get_mut(&rid).map(|n| {
+            Ev::Deliver(req) => {
+                let n = self.pool.get_mut(&req).map(|n| {
                     *n -= 1;
                     *n
                 });
                 if n == Some(0) {
-                    self.pool.remove(&rid);
+                    self.pool.remove(&req);
                 }
-                self.process(rid, true)?;
+                self.process(req, true)?;
             }
-            Ev::Duplicate(rid) => {
-                if let Some(n) = self.pool.get_mut(&rid) {
-                    *n += 1;
-                }
+            Ev::DeliverDuplicated(req) => {
                 self.dup_left -= 1;
+                self.process(req, true)?;
             }
-            Ev::DropReply(rid) => {
+            Ev::DropReply(req) => {
                 self.drop_left -= 1;
-                self.process(rid, false)?;
+                self.process(req, false)?;
             }
             Ev::Snapshot => {
                 self.snapshot = Some(self.server.snapshot());
+                self.snapshot_marks = self.marks.clone();
                 for rec in self.recorded.values_mut() {
                     rec.in_snapshot = true;
                 }
@@ -421,7 +496,7 @@ impl World for NtcpWorld {
                 };
                 if self.mutation == Some(Mutation::ClearDedupOnRestore) {
                     if let Value::Object(map) = &mut snap {
-                        map.insert("dedup".to_string(), json!([]));
+                        map.insert("windows".to_string(), json!({}));
                     }
                 }
                 // Crash: the server and its plugin are rebuilt from
@@ -440,15 +515,17 @@ impl World for NtcpWorld {
                     ));
                 }
                 // The world rewound to the snapshot: responses first
-                // produced after it belong to the abandoned world line.
+                // produced after it, and the marks they raised, belong to
+                // the abandoned world line.
                 self.recorded.retain(|_, rec| rec.in_snapshot);
+                self.marks = self.snapshot_marks.clone();
                 self.exec_ok = self
                     .recorded
-                    .get(&RID_EXECUTE)
+                    .get(&Req::ExecuteT1)
                     .is_some_and(|r| r.response.is_ok());
                 self.cancel_ok = self
                     .recorded
-                    .get(&RID_CANCEL)
+                    .get(&Req::CancelT1)
                     .is_some_and(|r| r.response.is_ok());
                 self.restored = true;
             }
@@ -518,7 +595,7 @@ mod tests {
         let report = check(&cfg);
         let v = report
             .violation
-            .expect("clearing the dedup cache on restore must violate an invariant");
+            .expect("clearing the windows on restore must violate an invariant");
         assert_eq!(v.invariant, "dedup-consistency", "got {v:?}");
         assert!(
             v.trace.iter().any(|t| t == "restore"),
@@ -528,11 +605,34 @@ mod tests {
     }
 
     #[test]
+    fn seeded_retire_without_watermark_mutation_is_caught() {
+        let cfg = CheckConfig {
+            dup_budget: 1,
+            drop_budget: 1,
+            mutation: Some(Mutation::RetireWithoutWatermark),
+            ..CheckConfig::default()
+        };
+        let report = check(&cfg);
+        let v = report
+            .violation
+            .expect("running late duplicates as new must violate an invariant");
+        assert!(
+            ["dedup-consistency", "at-most-once"].contains(&v.invariant.as_str()),
+            "got {v:?}"
+        );
+        assert!(
+            v.trace.iter().any(|t| t == "deliver primary rid=3 propose"),
+            "violation should follow t1's retirement: {:?}",
+            v.trace
+        );
+    }
+
+    #[test]
     fn one_known_bad_schedule_replays_exactly() {
         // Hand-driven: propose delivered, execute processed with the
-        // reply lost, snapshot, restore with the dedup cache wiped, then
-        // the retransmitted execute arrives. The transaction is already
-        // Completed in the restored state, so without the cache the
+        // reply lost, snapshot, restore with the windows wiped, then the
+        // retransmitted execute arrives. The transaction is already
+        // Completed in the restored state, so without its window the
         // replay answers InvalidState where it once answered Ok.
         let cfg = CheckConfig {
             dup_budget: 0,
@@ -542,17 +642,64 @@ mod tests {
         };
         let mut world = NtcpWorld::new(&cfg);
         for ev in [
-            Ev::Deliver(RID_PROPOSE),
-            Ev::DropReply(RID_EXECUTE),
+            Ev::Deliver(Req::ProposeT1),
+            Ev::DropReply(Req::ExecuteT1),
             Ev::Snapshot,
             Ev::Restore,
         ] {
             world.step(ev).expect("prefix must be violation-free");
         }
         let err = world
-            .step(Ev::Deliver(RID_EXECUTE))
+            .step(Ev::Deliver(Req::ExecuteT1))
             .expect_err("retransmission after mutated restore must be caught");
         assert_eq!(err.invariant, "dedup-consistency");
         assert!(err.detail.contains("rid 2"), "{}", err.detail);
+    }
+
+    #[test]
+    fn late_duplicates_of_the_retired_transaction_are_refused_across_restore() {
+        // Both of t1's requests are duplicated; the primary sees the
+        // execute and proposes t2, which retires t1. The copies arrive
+        // late, before and after a snapshot/restore, and each is refused;
+        // the unmutated server passes every invariant. The mutated one
+        // runs the late propose as new, bringing t1 back, and then the
+        // late execute runs it a second time.
+        let schedule = [
+            Ev::DeliverDuplicated(Req::ProposeT1),
+            Ev::DeliverDuplicated(Req::ExecuteT1),
+            Ev::Deliver(Req::ProposeT2),
+            Ev::Deliver(Req::ProposeT1),
+            Ev::Snapshot,
+            Ev::Restore,
+            Ev::Deliver(Req::ExecuteT1),
+            Ev::Deliver(Req::CancelT1),
+        ];
+        let cfg = CheckConfig {
+            dup_budget: 2,
+            drop_budget: 0,
+            ..CheckConfig::default()
+        };
+        let mut world = NtcpWorld::new(&cfg);
+        for ev in schedule {
+            world.step(ev).expect("the window refuses every late copy");
+        }
+        assert!(world.enabled().is_empty(), "the schedule is complete");
+        assert_eq!(
+            world.server.stale_refused(),
+            1,
+            "restored, then refused once"
+        );
+        assert_eq!(world.server.executions(), 1);
+
+        let mut mutated = NtcpWorld::new(&CheckConfig {
+            mutation: Some(Mutation::RetireWithoutWatermark),
+            ..cfg
+        });
+        let err = schedule
+            .iter()
+            .try_for_each(|&ev| mutated.step(ev))
+            .expect_err("a late execute run as new is caught");
+        assert_eq!(err.invariant, "at-most-once", "{err:?}");
+        assert_eq!(err.trace.len(), 7, "caught at the late execute: {err:?}");
     }
 }

@@ -1,5 +1,6 @@
-//! CLI for the analyzer: `lint`, `check-ntcp`, `check-portal`, and
-//! `bench` subcommands.
+//! CLI for the analyzer: `lint`, `check-ntcp` and `check-portal`
+//! subcommands. The checkers' timings are a bench target of their own
+//! (`cargo bench -p neesgrid-bench --bench analyzer_checkers`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -15,11 +16,11 @@ USAGE:
     neesgrid-analyzer lint [--json] [--root <dir>] [--baseline <file>]
                            [--write-baseline <file>]
     neesgrid-analyzer check-ntcp [--json] [--dup-budget N] [--drop-budget N]
-                                 [--max-schedules N] [--mutate clear-dedup-on-restore]
+                                 [--max-schedules N]
+                                 [--mutate clear-dedup-on-restore|retire-without-watermark]
     neesgrid-analyzer check-portal [--json] [--submissions N] [--steps N]
                                    [--kill-budget N] [--cancel-budget N]
                                    [--max-schedules N] [--mutate skip-cancel-refund]
-    neesgrid-analyzer bench [--out <file>]
 
 lint --baseline fails (exit 1) when any (file, rule) cell exceeds the
 committed counts — new violations and new pragmas both trip the ratchet.
@@ -34,7 +35,6 @@ fn main() -> ExitCode {
         Some("lint") => run_lint(&args[1..]),
         Some("check-ntcp") => run_check(&args[1..]),
         Some("check-portal") => run_check_portal(&args[1..]),
-        Some("bench") => run_bench(&args[1..]),
         _ => {
             eprint!("{USAGE}");
             ExitCode::from(2)
@@ -223,7 +223,14 @@ fn run_check(args: &[String]) -> ExitCode {
                 Some("clear-dedup-on-restore") => {
                     cfg.mutation = Some(Mutation::ClearDedupOnRestore)
                 }
-                _ => return usage("--mutate takes 'clear-dedup-on-restore'"),
+                Some("retire-without-watermark") => {
+                    cfg.mutation = Some(Mutation::RetireWithoutWatermark)
+                }
+                _ => {
+                    return usage(
+                        "--mutate takes 'clear-dedup-on-restore' or 'retire-without-watermark'",
+                    )
+                }
             },
             other => return usage(&format!("unknown check-ntcp flag '{other}'")),
         }
@@ -295,83 +302,6 @@ fn run_check_portal(args: &[String]) -> ExitCode {
     report_check("check-portal", &portal_checker::INVARIANTS, json, || {
         check_portal(&cfg)
     })
-}
-
-/// `bench`: run both exhaustive checkers at their default configs and
-/// record schedule counts + wall time, optionally into a JSON file for
-/// `scripts/bench.sh` trend tracking.
-fn run_bench(args: &[String]) -> ExitCode {
-    let mut out_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => return usage("--out needs a file"),
-            },
-            other => return usage(&format!("unknown bench flag '{other}'")),
-        }
-    }
-
-    // analyzer:allow(no-wall-clock, reason = "host-side bench timing for the report, not simulation state")
-    let started = std::time::Instant::now();
-    let ntcp = check(&CheckConfig::default());
-    let ntcp_ms = started.elapsed().as_millis();
-    if let Some(v) = &ntcp.violation {
-        eprintln!(
-            "bench: check-ntcp found a violation: {} — {}",
-            v.invariant, v.detail
-        );
-        return ExitCode::from(1);
-    }
-    println!(
-        "bench: check-ntcp {} schedules (deepest {}) in {} ms",
-        ntcp.schedules, ntcp.deepest, ntcp_ms
-    );
-
-    // analyzer:allow(no-wall-clock, reason = "host-side bench timing for the report, not simulation state")
-    let started = std::time::Instant::now();
-    let portal = check_portal(&PortalCheckConfig::default());
-    let portal_ms = started.elapsed().as_millis();
-    if let Some(v) = &portal.violation {
-        eprintln!(
-            "bench: check-portal found a violation: {} — {}",
-            v.invariant, v.detail
-        );
-        return ExitCode::from(1);
-    }
-    println!(
-        "bench: check-portal {} schedules (deepest {}) in {} ms",
-        portal.schedules, portal.deepest, portal_ms
-    );
-
-    if let Some(path) = out_path {
-        let doc = serde_json::json!({
-            "check_ntcp": {
-                "schedules": ntcp.schedules,
-                "deepest": ntcp.deepest as u64,
-                "elapsed_ms": ntcp_ms as u64,
-            },
-            "check_portal": {
-                "schedules": portal.schedules,
-                "deepest": portal.deepest as u64,
-                "elapsed_ms": portal_ms as u64,
-            },
-        });
-        let text = match serde_json::to_string_pretty(&doc) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench: unencodable: {e:?}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = std::fs::write(&path, text + "\n") {
-            eprintln!("bench: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("bench: wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
 }
 
 fn usage(msg: &str) -> ExitCode {

@@ -7,9 +7,10 @@
 //! off against the uninstrumented baseline. (Every 100 steps is the
 //! cadence the step-1493 recovery test uses.)
 //!
-//! A snapshot holds every transaction and remembered reply since step 0,
-//! so its size grows with the run and the 100-step runs above understate
-//! the cost at full length. The bench therefore also times the
+//! A site's share of a snapshot stays small (its NTCP server keeps only
+//! what a client can still ask about), but the coordinator's history and
+//! log grow with the run, so the 100-step runs above understate the cost
+//! at full length. The bench therefore also times the
 //! `checkpoint_resume` schedule itself — the §3.4 public run, 1,500 steps,
 //! checkpointed every 100 into the repository store, killed at step
 //! 1493 — with and without checkpoints, and writes

@@ -9,8 +9,7 @@ use serde_json::Value;
 
 const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
-/// Every committed record but the analyzer's (`neesgrid-analyzer bench`
-/// writes that one), by file name.
+/// Every committed record, by file name.
 fn records() -> Vec<(String, Value)> {
     let mut records: Vec<_> = std::fs::read_dir(ROOT)
         .expect("the repository root is readable")
@@ -18,7 +17,7 @@ fn records() -> Vec<(String, Value)> {
         .filter_map(|path| {
             let name = path.file_name()?.to_str()?.to_string();
             let is_record = name.starts_with("BENCH_") && name.ends_with(".json");
-            (is_record && name != "BENCH_analyzer.json").then_some((name, path))
+            is_record.then_some((name, path))
         })
         .map(|(name, path)| {
             let text = std::fs::read_to_string(&path).expect("a record is readable");

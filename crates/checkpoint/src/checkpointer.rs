@@ -134,8 +134,8 @@ impl Checkpointer {
 
     /// Re-apply a snapshot to a freshly built deployment: advance the
     /// clock to the capture instant, fast-forward the coordinator's
-    /// correlation counter past every request id the restored dedup
-    /// caches remember, and push each site's state back to its server.
+    /// correlation counter past the mark of its window in every restored
+    /// site, and push each site's state back to its server.
     /// After this, [`SimulationCoordinator::resume`] continues the run.
     pub fn prepare_resume(&self, snapshot: &Snapshot) -> Result<(), CheckpointError> {
         self.clock.advance_to(snapshot.at);

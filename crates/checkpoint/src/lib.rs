@@ -10,13 +10,13 @@
 //!
 //! * the coordinator's integrator state, histories, and event log
 //!   ([`neesgrid_coordinator::CoordinatorState`]);
-//! * each site's NTCP server state (transactions, at-most-once dedup
-//!   cache, plugin/specimen state), captured over dedicated checkpointer
-//!   links so the snapshot traffic never perturbs the experiment links'
-//!   deterministic fault schedules;
+//! * each site's NTCP server state (the transactions it still holds, each
+//!   client's at-most-once window, plugin/specimen state), captured over
+//!   dedicated checkpointer links so the snapshot traffic never perturbs
+//!   the experiment links' deterministic fault schedules;
 //! * the coordinator endpoint's correlation watermark, so a restarted
-//!   coordinator never reuses a request id that a restored server's dedup
-//!   cache already remembers.
+//!   coordinator's fresh request ids land above the mark a restored
+//!   server's window holds for it.
 //!
 //! Snapshots are encoded as a headered JSON payload guarded by CRC-32
 //! ([`snapshot::encode`] / [`snapshot::decode`]); a corrupted byte is

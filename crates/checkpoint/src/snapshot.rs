@@ -1,7 +1,7 @@
 //! The snapshot format: versioned, checksummed, human-inspectable.
 //!
 //! On the wire and in the store a snapshot is one header line —
-//! `NEESGRID-CKPT v1 crc32=xxxxxxxx` — followed by the JSON payload the
+//! `NEESGRID-CKPT v2 crc32=xxxxxxxx` — followed by the JSON payload the
 //! CRC guards. The CRC is the same IEEE CRC-32 the repository's uploads
 //! and the archive's block transfers use, so a checkpoint is verified with
 //! the same machinery as any other experiment artifact.
@@ -13,14 +13,15 @@ use neesgrid_coordinator::CoordinatorState;
 use neesgrid_gridsim::SimTime;
 use neesgrid_repo::crc32;
 
-/// Current snapshot format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current snapshot format version: 2 since site state carries each
+/// client's window and only the transactions the site still holds.
+pub const FORMAT_VERSION: u32 = 2;
 
 const HEADER_PREFIX: &str = "NEESGRID-CKPT v";
 
 /// One site's share of a checkpoint: the opaque state document returned
-/// by the site's `snapshotSite` NTCP operation (transactions, dedup
-/// cache, plugin/specimen state).
+/// by the site's `snapshotSite` NTCP operation (held transactions, each
+/// client's window, plugin/specimen state).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteCheckpoint {
     /// Site name.
@@ -43,8 +44,8 @@ pub struct Snapshot {
     /// Virtual time at capture; restored into the clock on resume.
     pub at: SimTime,
     /// The coordinator endpoint's next-correlation watermark. A restarted
-    /// coordinator fast-forwards past it so fresh request ids never
-    /// collide with entries in a restored server dedup cache.
+    /// coordinator fast-forwards past it so its fresh request ids land
+    /// above the mark of its window in every restored site.
     pub correlation_watermark: u64,
     /// The coordinator's integrator/history/log state.
     pub coordinator: CoordinatorState,
@@ -300,10 +301,16 @@ mod tests {
         let snap = sample("r", 1);
         let bytes = encode(&snap);
         let text = String::from_utf8(bytes).unwrap();
-        let bumped = text.replacen("NEESGRID-CKPT v1 ", "NEESGRID-CKPT v2 ", 1);
+        let bumped = text.replacen("NEESGRID-CKPT v2 ", "NEESGRID-CKPT v3 ", 1);
         assert_eq!(
             decode(bumped.as_bytes()),
-            Err(CheckpointError::UnsupportedVersion(2))
+            Err(CheckpointError::UnsupportedVersion(3))
+        );
+        // A v1 document's site state has no windows: refused by version.
+        let old = text.replacen("NEESGRID-CKPT v2 ", "NEESGRID-CKPT v1 ", 1);
+        assert_eq!(
+            decode(old.as_bytes()),
+            Err(CheckpointError::UnsupportedVersion(1))
         );
     }
 

@@ -49,8 +49,8 @@ pub enum FaultAction {
     /// peer crash — the error class that ended the MOST public run.
     Reset,
     /// Deliver the message twice, each copy with an independently sampled
-    /// latency. Models retransmission races; NTCP's at-most-once dedup cache
-    /// is what keeps a duplicated request from executing twice.
+    /// latency. Models retransmission races; NTCP's at-most-once window is
+    /// what keeps a duplicated request from executing twice.
     Duplicate,
 }
 

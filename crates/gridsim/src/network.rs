@@ -171,7 +171,7 @@ impl RouterState {
         }
         // A duplicate is two copies, each with an independently sampled
         // latency, so it can arrive before *or* after the original — the
-        // reordering NTCP's dedup cache has to survive.
+        // reordering NTCP's at-most-once windows have to survive.
         let copy = (action == FaultAction::Duplicate).then(|| env.clone());
         for mut env in std::iter::once(env).chain(copy) {
             let latency = self
@@ -463,8 +463,8 @@ impl Endpoint {
     }
 
     /// The next correlation id this endpoint would hand out. Checkpoints
-    /// record this so a restarted node can avoid reusing ids that remote
-    /// dedup caches still remember.
+    /// record this so a restarted node's fresh ids land above the marks
+    /// remote at-most-once windows hold for it.
     pub fn correlation_watermark(&self) -> u64 {
         self.next_correlation.load(Ordering::Relaxed)
     }

@@ -483,6 +483,7 @@ impl MostDeployment {
         portal_service.set_telemetry(telemetry.clone());
         let mut portal =
             CollabPortal::connect(&net, "chef-client", "chef-portal").expect("client node unique");
+        portal.client().set_telemetry(&telemetry);
         let mut viewers = Vec::new();
         for i in 0..participants {
             let cred = Credential::issue(

@@ -393,8 +393,16 @@ mod tests {
             )
             .unwrap();
         client.cancel("step-1").unwrap();
+        // The cancel settled the transaction, and the execute's new request
+        // id proves the client holds that answer: the server has retired
+        // it, and nothing runs.
         let err = client.execute("step-1").unwrap_err();
-        assert!(matches!(err, NtcpError::Fault { code, .. } if code == "InvalidState"));
+        assert!(matches!(err, NtcpError::Fault { code, .. } if code == "NoSuchTransaction"));
+        let status = client.get_status().unwrap();
+        assert_eq!(
+            (status["cancelled"].as_u64(), status["executions"].as_u64()),
+            (Some(1), Some(0))
+        );
     }
 
     #[test]

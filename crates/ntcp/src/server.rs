@@ -5,10 +5,19 @@
 //! OGSI service-data publication. Everything site-specific is delegated to
 //! the [`ControlPlugin`].
 //!
+//! At-most-once is kept per client endpoint, in a window: the highest
+//! mutating request id the client has sent and the reply to it. A
+//! retransmission of that request replays the reply's bytes. Every client
+//! has at most one mutating request outstanding per site, so a request
+//! above the mark proves the client holds every earlier answer: the
+//! server then retires the client's settled transactions, their SDEs and
+//! the old reply, and answers anything later below the mark with a
+//! `StaleRequest` fault, never executing it (DESIGN.md §6.2).
+//!
 //! Replies are text from the moment they are written:
 //! [`GridService::respond`] writes each typed reply once into the
-//! container's reply buffer, the at-most-once cache remembers and replays
-//! those bytes, and a `snapshotSite` reply is written straight from the
+//! container's reply buffer, the window remembers and replays those
+//! bytes, and a `snapshotSite` reply is written straight from the
 //! server's state.
 
 use serde::{Deserialize, Serialize};
@@ -16,22 +25,59 @@ use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use neesgrid_gridsim::{SimClock, SimTime};
+use neesgrid_gridsim::{NodeId, SimClock, SimTime};
 use neesgrid_gsi::SitePolicy;
-use neesgrid_ogsi::{CallContext, DedupCache, GridService, ServiceData, ServiceFault};
-use neesgrid_telemetry::{Field, SpanId, Telemetry};
+use neesgrid_ogsi::{CallContext, GridService, ServiceData, ServiceFault};
+use neesgrid_telemetry::{CounterHandle, Field, SpanId, Telemetry};
 
 use crate::msg::{ControlPoint, ExecuteResponse, ProposalDecision, ProposeBody, TransactionRef};
 use crate::plugin::ControlPlugin;
 use crate::transaction::{Transaction, TxState};
 
-/// Capacity of the at-most-once response cache (must exceed the number of
-/// in-flight retransmittable requests; MOST used 3 requests per step).
-const DEDUP_CAPACITY: usize = 4096;
-
-/// A reply as the at-most-once cache remembers it: the document's text as
-/// it was written, or the fault.
+/// A reply as a window remembers it: the document's text as it was
+/// written, or the fault.
 type Remembered = Result<Arc<str>, ServiceFault>;
+
+/// One client endpoint's at-most-once window.
+struct Window {
+    /// The highest mutating request id seen from the client.
+    mark: u64,
+    /// The reply to the request at `mark`.
+    reply: Remembered,
+}
+
+/// A transaction the server holds, and the client endpoint that proposed
+/// it: the window whose advance retires it once it settles.
+#[derive(Serialize, Deserialize)]
+struct Held {
+    client: NodeId,
+    tx: Transaction,
+}
+
+/// Settled transactions retired so far, by final state: `getStatus`
+/// counts every transaction the server ever held.
+#[derive(Default, Serialize, Deserialize)]
+struct Retired {
+    cancelled: u64,
+    completed: u64,
+    failed: u64,
+    rejected: u64,
+}
+
+impl Retired {
+    fn count(&mut self, state: TxState) {
+        match state {
+            TxState::Cancelled => self.cancelled += 1,
+            TxState::Completed => self.completed += 1,
+            TxState::Failed => self.failed += 1,
+            _ => self.rejected += 1,
+        }
+    }
+
+    fn total(&self) -> u64 {
+        self.cancelled + self.completed + self.failed + self.rejected
+    }
+}
 
 /// An NTCP server for one experiment site.
 pub struct NtcpServer {
@@ -42,11 +88,17 @@ pub struct NtcpServer {
     policy: SitePolicy,
     plugin: Box<dyn ControlPlugin>,
     clock: Arc<SimClock>,
-    transactions: BTreeMap<String, Transaction>,
+    transactions: BTreeMap<String, Held>,
+    retired: Retired,
+    windows: BTreeMap<NodeId, Window>,
     sde: ServiceData,
-    dedup: DedupCache<u64, Remembered>,
+    /// The `transaction/{name}` SDE key being touched, kept so a touch
+    /// writes the key into the same buffer every time.
+    sde_key: String,
     executions: u64,
     telemetry: Telemetry,
+    /// The registry's `ntcp.stale_refused{site}`.
+    stale_refused: CounterHandle,
 }
 
 impl NtcpServer {
@@ -71,24 +123,35 @@ impl NtcpServer {
             plugin,
             clock,
             transactions: BTreeMap::new(),
+            retired: Retired::default(),
+            windows: BTreeMap::new(),
             sde,
-            dedup: DedupCache::new(DEDUP_CAPACITY),
+            sde_key: String::new(),
             executions: 0,
             telemetry: Telemetry::disabled(),
+            stale_refused: CounterHandle::default(),
         }
     }
 
     /// Install a telemetry handle: mutating operations get an `ntcp`
     /// lifecycle span (propose / execute / cancel, stamped at the request's
-    /// virtual arrival time) and dedup-cache replays are annotated with an
-    /// `ntcp/dedup_hit` instant event. Defaults to disabled.
+    /// virtual arrival time), replays of a window's reply are annotated
+    /// with an `ntcp/dedup_hit` instant event, and refusals below a mark
+    /// bump `ntcp.stale_refused{site}`. Defaults to disabled.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.stale_refused =
+            telemetry.lazy_counter(&format!("ntcp.stale_refused{{{}}}", self.site));
         self.telemetry = telemetry;
     }
 
     /// Number of plugin executions performed (at-most-once verification).
     pub fn executions(&self) -> u64 {
         self.executions
+    }
+
+    /// Requests refused because their client's mark had passed them.
+    pub fn stale_refused(&self) -> u64 {
+        self.stale_refused.get()
     }
 
     /// Engage or release the site's emergency stop (§4: the facility's
@@ -101,8 +164,8 @@ impl NtcpServer {
     /// rendered from the transaction when something reads it (see
     /// [`GridService::sde`]).
     fn publish(&mut self, name: &str, now: SimTime) {
-        if let Some(tx) = self.transactions.get(name) {
-            touch_sde(&mut self.sde, tx, now);
+        if let Some(held) = self.transactions.get(name) {
+            touch_sde(&mut self.sde, &mut self.sde_key, &held.tx, now);
         }
     }
 
@@ -111,8 +174,40 @@ impl NtcpServer {
         let transactions = &self.transactions;
         self.sde.refresh(|element| {
             let name = element.strip_prefix("transaction/")?;
-            transactions.get(name).map(Transaction::to_sde_value)
+            transactions.get(name).map(|held| held.tx.to_sde_value())
         });
+    }
+
+    /// Retire `client`'s settled transactions and their SDEs: its request
+    /// above the mark proves it holds every answer about them.
+    fn retire(&mut self, client: &NodeId) {
+        let before = self.transactions.len();
+        let retired = &mut self.retired;
+        self.transactions.retain(|_, held| {
+            let settled = held.client == *client && held.tx.state.is_terminal();
+            if settled {
+                retired.count(held.tx.state);
+            }
+            !settled
+        });
+        if self.transactions.len() < before {
+            let transactions = &self.transactions;
+            self.sde.retain(|element| {
+                element
+                    .strip_prefix("transaction/")
+                    .is_none_or(|name| transactions.contains_key(name))
+            });
+        }
+    }
+
+    /// A transaction by name, or `NoSuchTransaction`.
+    fn held(&mut self, name: &str) -> Result<&mut Transaction, ServiceFault> {
+        self.transactions
+            .get_mut(name)
+            .map(|held| &mut held.tx)
+            .ok_or_else(|| {
+                ServiceFault::permanent("NoSuchTransaction", format!("no transaction '{name}'"))
+            })
     }
 
     fn do_propose(
@@ -166,8 +261,11 @@ impl NtcpServer {
             }
         };
         // The map key is the one copy of the decoded name.
-        let tx = self.transactions.entry(tx.name.clone()).or_insert(tx);
-        touch_sde(&mut self.sde, tx, ctx.now);
+        let held = self.transactions.entry(tx.name.clone()).or_insert(Held {
+            client: ctx.client.clone(),
+            tx,
+        });
+        touch_sde(&mut self.sde, &mut self.sde_key, &held.tx, ctx.now);
         Ok(decision)
     }
 
@@ -183,12 +281,7 @@ impl NtcpServer {
             return Err(ServiceFault::access_denied(who.reason));
         }
         let actions: Vec<ControlPoint> = {
-            let tx = self.transactions.get_mut(&req.transaction).ok_or_else(|| {
-                ServiceFault::permanent(
-                    "NoSuchTransaction",
-                    format!("no transaction '{}'", req.transaction),
-                )
-            })?;
+            let tx = self.held(&req.transaction)?;
             tx.transition(TxState::Executing, ctx.now).map_err(|e| {
                 ServiceFault::permanent("InvalidState", format!("{}: {e}", req.transaction))
             })?;
@@ -205,12 +298,7 @@ impl NtcpServer {
                 // (a server that has been idle has an older local clock).
                 self.clock.advance_to(ctx.now);
                 let done_at = self.clock.advance(out.duration);
-                let tx = self.transactions.get_mut(&req.transaction).ok_or_else(|| {
-                    ServiceFault::permanent(
-                        "Internal",
-                        format!("transaction '{}' vanished mid-execute", req.transaction),
-                    )
-                })?;
+                let tx = self.held(&req.transaction)?;
                 tx.results = Some(out.results.clone());
                 tx.transition(TxState::Completed, done_at).map_err(|e| {
                     ServiceFault::permanent("Internal", format!("{}: {e}", req.transaction))
@@ -222,12 +310,7 @@ impl NtcpServer {
                 })
             }
             Err(e) => {
-                let tx = self.transactions.get_mut(&req.transaction).ok_or_else(|| {
-                    ServiceFault::permanent(
-                        "Internal",
-                        format!("transaction '{}' vanished mid-execute", req.transaction),
-                    )
-                })?;
+                let tx = self.held(&req.transaction)?;
                 tx.reason = Some(e.message.clone());
                 tx.transition(TxState::Failed, ctx.now).map_err(|e| {
                     ServiceFault::permanent("Internal", format!("{}: {e}", req.transaction))
@@ -247,12 +330,7 @@ impl NtcpServer {
         let req = TransactionRef::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("cancel body: {e}")))?;
         let actions: Vec<ControlPoint> = {
-            let tx = self.transactions.get_mut(&req.transaction).ok_or_else(|| {
-                ServiceFault::permanent(
-                    "NoSuchTransaction",
-                    format!("no transaction '{}'", req.transaction),
-                )
-            })?;
+            let tx = self.held(&req.transaction)?;
             tx.transition(TxState::Cancelled, ctx.now).map_err(|e| {
                 ServiceFault::permanent("InvalidState", format!("{}: {e}", req.transaction))
             })?;
@@ -269,20 +347,15 @@ impl NtcpServer {
     fn do_get_transaction(&mut self, body: &Value) -> Result<Value, ServiceFault> {
         let req = TransactionRef::deserialize(body)
             .map_err(|e| ServiceFault::permanent("BadRequest", format!("get body: {e}")))?;
-        match self.transactions.get(&req.transaction) {
-            Some(tx) => Ok(tx.to_sde_value()),
-            None => Err(ServiceFault::permanent(
-                "NoSuchTransaction",
-                format!("no transaction '{}'", req.transaction),
-            )),
-        }
+        Ok(self.held(&req.transaction)?.to_sde_value())
     }
 
     /// The server's full protocol + backend state for a checkpoint, as the
-    /// JSON text a `snapshotSite` reply carries: transactions, the
-    /// at-most-once dedup cache (so a pre-crash retransmission is still
-    /// replayed, not re-executed, after resume), the execution counter, and
-    /// the plugin's specimen state (if the backend supports snapshots).
+    /// JSON text a `snapshotSite` reply carries: the transactions it still
+    /// holds, the retired counts, every client's window (so a pre-crash
+    /// retransmission is still replayed or refused, never re-executed,
+    /// after resume), the execution counter, and the plugin's specimen
+    /// state (if the backend supports snapshots).
     pub fn snapshot(&self) -> String {
         let mut out = String::new();
         self.write_snapshot(&mut out);
@@ -290,49 +363,53 @@ impl NtcpServer {
     }
 
     /// Write the state document straight from the server, members in
-    /// sorted key order. Each remembered reply is copied verbatim inside
+    /// sorted key order. Each window's reply is copied verbatim inside
     /// `{"ok":…}`.
     fn write_snapshot(&self, out: &mut String) {
-        out.push_str("{\"dedup\":[");
-        for (i, (key, remembered)) in self.dedup.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            key.write_json(out);
-            match remembered {
-                Ok(text) => {
-                    out.push_str(",{\"ok\":");
-                    out.push_str(text);
-                }
-                Err(fault) => {
-                    out.push_str(",{\"fault\":");
-                    fault.write_json(out);
-                }
-            }
-            out.push_str("}]");
-        }
-        out.push_str("],\"executions\":");
+        out.push_str("{\"executions\":");
         self.executions.write_json(out);
         out.push_str(",\"plugin\":");
         self.plugin.name().write_json(out);
         out.push_str(",\"pluginState\":");
         self.plugin.state().write_json(out);
+        out.push_str(",\"retired\":");
+        self.retired.write_json(out);
         out.push_str(",\"site\":");
         self.site.write_json(out);
         out.push_str(",\"transactions\":");
         self.transactions.write_json(out);
-        out.push('}');
+        out.push_str(",\"windows\":{");
+        for (i, (client, window)) in self.windows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            client.write_json(out);
+            out.push_str(":{\"mark\":");
+            window.mark.write_json(out);
+            match &window.reply {
+                Ok(text) => {
+                    out.push_str(",\"reply\":{\"ok\":");
+                    out.push_str(text);
+                }
+                Err(fault) => {
+                    out.push_str(",\"reply\":{\"fault\":");
+                    fault.write_json(out);
+                }
+            }
+            out.push_str("}}");
+        }
+        out.push_str("}}");
     }
 
     /// Restore state captured by [`NtcpServer::snapshot`]. Protocol state
-    /// (transactions, dedup, counters) always restores; plugin state is
+    /// (transactions, windows, counters) always restores; plugin state is
     /// restored when the snapshot carries any — a snapshot with
     /// `pluginState: null` against a plugin that *does* hold state is
     /// refused, because resuming would silently diverge. A snapshot
-    /// without its dedup cache or execution counter is refused too: a
-    /// server restored from it would answer a retransmission it once
-    /// answered as a new request.
+    /// without its windows, retired counts or execution counter is
+    /// refused too: a server restored without its windows would answer a
+    /// retransmission it once answered, or a late duplicate it refused, as
+    /// a new request.
     pub fn restore_snapshot(&mut self, snap: &Value, now: SimTime) -> Result<(), ServiceFault> {
         if snap["site"].as_str() != Some(self.site.as_str()) {
             return Err(ServiceFault::permanent(
@@ -343,31 +420,32 @@ impl NtcpServer {
                 ),
             ));
         }
-        let transactions = BTreeMap::<String, Transaction>::deserialize(&snap["transactions"])
-            .map_err(|e| ServiceFault::permanent("BadSnapshot", format!("transactions: {e}")))?;
-        let dedup = snap["dedup"]
-            .as_array()
-            .ok_or_else(|| ServiceFault::permanent("BadSnapshot", "dedup: expected an array"))?;
-        let mut entries = Vec::with_capacity(dedup.len());
-        for pair in dedup {
-            let key = pair[0]
+        let bad = |what: &str| ServiceFault::permanent("BadSnapshot", what.to_string());
+        let transactions = BTreeMap::<String, Held>::deserialize(&snap["transactions"])
+            .map_err(|e| bad(&format!("transactions: {e}")))?;
+        let retired =
+            Retired::deserialize(&snap["retired"]).map_err(|e| bad(&format!("retired: {e}")))?;
+        let mut windows = BTreeMap::new();
+        let documents = snap["windows"]
+            .as_object()
+            .ok_or_else(|| bad("windows: expected an object"))?;
+        for (client, window) in documents {
+            let mark = window["mark"]
                 .as_u64()
-                .ok_or_else(|| ServiceFault::permanent("BadSnapshot", "dedup key"))?;
-            entries.push((key, remembered_reply(&pair[1])?));
+                .ok_or_else(|| bad("windows: mark: expected an unsigned integer"))?;
+            let reply = remembered_reply(&window["reply"])?;
+            windows.insert(NodeId::new(client), Window { mark, reply });
         }
-        let executions = snap["executions"].as_u64().ok_or_else(|| {
-            ServiceFault::permanent("BadSnapshot", "executions: expected an unsigned integer")
-        })?;
+        let executions = snap["executions"]
+            .as_u64()
+            .ok_or_else(|| bad("executions: expected an unsigned integer"))?;
         match &snap["pluginState"] {
             Value::Null => {
                 if self.plugin.state().is_some() {
-                    return Err(ServiceFault::permanent(
-                        "BadSnapshot",
-                        format!(
-                            "snapshot has no state for stateful plugin '{}'",
-                            self.plugin.name()
-                        ),
-                    ));
+                    return Err(bad(&format!(
+                        "snapshot has no state for stateful plugin '{}'",
+                        self.plugin.name()
+                    )));
                 }
             }
             state => self
@@ -379,7 +457,8 @@ impl NtcpServer {
         // the restored map replaces.
         self.render_sdes();
         self.transactions = transactions;
-        self.dedup = DedupCache::from_entries(DEDUP_CAPACITY, entries);
+        self.retired = retired;
+        self.windows = windows;
         self.executions = executions;
         let names: Vec<String> = self.transactions.keys().cloned().collect();
         for name in names {
@@ -397,29 +476,41 @@ impl NtcpServer {
         Ok(json!({ "restored": self.site, "transactions": self.transactions.len() }))
     }
 
+    /// Counts over every transaction the server ever held: the retired
+    /// ones by their final state, and those it still holds.
     fn do_get_status(&self) -> Value {
-        let by_state = |s: TxState| self.transactions.values().filter(|t| t.state == s).count();
+        let by_state = |s: TxState| {
+            self.transactions
+                .values()
+                .filter(|held| held.tx.state == s)
+                .count() as u64
+        };
+        let retired = &self.retired;
         json!({
             "site": self.site,
             "plugin": self.plugin.name(),
-            "transactions": self.transactions.len(),
-            "completed": by_state(TxState::Completed),
-            "rejected": by_state(TxState::Rejected),
-            "failed": by_state(TxState::Failed),
-            "cancelled": by_state(TxState::Cancelled),
+            "transactions": retired.total() + self.transactions.len() as u64,
+            "completed": retired.completed + by_state(TxState::Completed),
+            "rejected": retired.rejected + by_state(TxState::Rejected),
+            "failed": retired.failed + by_state(TxState::Failed),
+            "cancelled": retired.cancelled + by_state(TxState::Cancelled),
             "executions": self.executions,
             "emergency_stop": self.policy.emergency_stop,
         })
     }
 }
 
-/// Record a change to `tx` in its SDE (see [`NtcpServer::publish`]).
-fn touch_sde(sde: &mut ServiceData, tx: &Transaction, now: SimTime) {
-    sde.touch(format!("transaction/{}", tx.name), now);
+/// Record a change to `tx` in its SDE (see [`NtcpServer::publish`]),
+/// writing the element's name into `key`.
+fn touch_sde(sde: &mut ServiceData, key: &mut String, tx: &Transaction, now: SimTime) {
+    key.clear();
+    key.push_str("transaction/");
+    key.push_str(&tx.name);
+    sde.touch(key, now);
 }
 
-/// A snapshot dedup entry's outcome: exactly one of `ok`, whose document
-/// is rendered back to the text it was written as (the shim re-renders a
+/// A snapshot window's reply: exactly one of `ok`, whose document is
+/// rendered back to the text it was written as (the shim re-renders a
 /// parsed compact document to the same bytes), and `fault`.
 fn remembered_reply(outcome: &Value) -> Result<Remembered, ServiceFault> {
     let member = match outcome.as_object() {
@@ -430,10 +521,10 @@ fn remembered_reply(outcome: &Value) -> Result<Remembered, ServiceFault> {
         Some((key, doc)) if key == "ok" => Ok(Ok(Arc::from(doc.to_string()))),
         Some((key, fault)) if key == "fault" => ServiceFault::deserialize(fault)
             .map(Err)
-            .map_err(|e| ServiceFault::permanent("BadSnapshot", format!("dedup fault: {e}"))),
+            .map_err(|e| ServiceFault::permanent("BadSnapshot", format!("window fault: {e}"))),
         _ => Err(ServiceFault::permanent(
             "BadSnapshot",
-            "dedup outcome: expected exactly one of ok and fault",
+            "window reply: expected exactly one of ok and fault",
         )),
     }
 }
@@ -464,9 +555,9 @@ impl GridService for NtcpServer {
         body: &Value,
         reply: &mut String,
     ) -> Result<(), ServiceFault> {
-        // At-most-once: replay the remembered outcome for retransmissions.
-        // Reads are idempotent and skip the cache, as does restoreSite —
-        // it *replaces* the cache, so remembering it there is circular,
+        // At-most-once covers the mutating operations. Reads are
+        // idempotent and skip the window, as does restoreSite — it
+        // *replaces* the windows, so remembering it there is circular,
         // and replaying a restore is harmless (idempotent by value).
         match operation {
             "getTransaction" => {
@@ -487,21 +578,39 @@ impl GridService for NtcpServer {
             }
             _ => {}
         }
-        if let Some(remembered) = self.dedup.check(&ctx.request_id) {
-            if self.telemetry.enabled() {
-                self.telemetry.instant(
-                    ctx.now.as_nanos(),
-                    "ntcp",
-                    "dedup_hit",
-                    [
-                        ("site", Field::Shared(self.site_tag.clone())),
-                        ("op", Field::Str(operation.to_string())),
-                        ("corr", Field::U64(ctx.request_id)),
-                    ],
-                );
+        if let Some(window) = self.windows.get(&ctx.client) {
+            match ctx.request_id.cmp(&window.mark) {
+                // A retransmission of the client's latest request: replay.
+                std::cmp::Ordering::Equal => {
+                    let remembered = window.reply.clone();
+                    if self.telemetry.enabled() {
+                        self.telemetry.instant(
+                            ctx.now.as_nanos(),
+                            "ntcp",
+                            "dedup_hit",
+                            [
+                                ("site", Field::Shared(self.site_tag.clone())),
+                                ("op", Field::Str(operation.to_string())),
+                                ("corr", Field::U64(ctx.request_id)),
+                            ],
+                        );
+                    }
+                    reply.push_str(&remembered?);
+                    return Ok(());
+                }
+                // The client has moved past this request: a late duplicate.
+                std::cmp::Ordering::Less => {
+                    self.stale_refused.add(1);
+                    return Err(ServiceFault::permanent(
+                        "StaleRequest",
+                        format!(
+                            "request {} from {} is below its mark {}",
+                            ctx.request_id, ctx.client, window.mark
+                        ),
+                    ));
+                }
+                std::cmp::Ordering::Greater => self.retire(&ctx.client),
             }
-            reply.push_str(&remembered?);
-            return Ok(());
         }
         // Lifecycle span around the mutating dispatch. Same-function
         // start/end with no early exits in between, so the analyzer's
@@ -569,7 +678,11 @@ impl GridService for NtcpServer {
             );
         }
         let remembered = result.map(|_| Arc::from(&reply[start..]));
-        self.dedup.remember(ctx.request_id, remembered.clone());
+        let window = Window {
+            mark: ctx.request_id,
+            reply: remembered.clone(),
+        };
+        self.windows.insert(ctx.client.clone(), window);
         remembered.map(|_| ())
     }
 
@@ -639,8 +752,17 @@ mod tests {
     fn ctx(request_id: u64) -> CallContext {
         CallContext {
             caller: DistinguishedName::nees_user("NCSA", "Coordinator"),
+            client: NodeId::new("coordinator"),
             now: SimTime::from_secs(1),
             request_id,
+        }
+    }
+
+    /// `ctx` for a second client endpoint calling under the same DN.
+    fn backup(request_id: u64) -> CallContext {
+        CallContext {
+            client: NodeId::new("backup"),
+            ..ctx(request_id)
         }
     }
 
@@ -699,11 +821,12 @@ mod tests {
             matches!(&decision, ProposalDecision::Rejected { reason } if reason.contains("displacement")),
             "over-limit displacement should be rejected by site policy, got {decision:?}"
         );
-        // The rejected transaction cannot be executed.
+        // The rejected transaction cannot be executed: the client's next
+        // request retires it, settled, before it runs.
         let err = s
             .handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
             .unwrap_err();
-        assert_eq!(err.code, "InvalidState");
+        assert_eq!(err.code, "NoSuchTransaction");
         assert_eq!(s.executions(), 0, "nothing moved");
     }
 
@@ -748,13 +871,65 @@ mod tests {
             .unwrap();
         s.handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
             .unwrap();
-        // A *new* execute request (different id) is a protocol error:
-        // the transaction is already completed.
+        // A *new* execute request (different id) is not a replay: it
+        // proves the client holds the completed answer, so the settled
+        // transaction is retired and the request finds nothing to run.
         let err = s
             .handle(&ctx(3), "execute", &json!({"transaction": "t1"}))
             .unwrap_err();
-        assert_eq!(err.code, "InvalidState");
+        assert_eq!(err.code, "NoSuchTransaction");
         assert_eq!(s.executions(), 1);
+        // That answer is the window's now; the retired one is refused.
+        let again = s
+            .handle(&ctx(3), "execute", &json!({"transaction": "t1"}))
+            .unwrap_err();
+        assert_eq!(again, err);
+        let late = s
+            .handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
+            .unwrap_err();
+        assert_eq!(late.code, "StaleRequest");
+        assert_eq!(s.executions(), 1);
+    }
+
+    #[test]
+    fn late_duplicates_of_a_retired_transaction_are_refused_counted_and_never_run() {
+        let telemetry = neesgrid_telemetry::Telemetry::recording();
+        let mut s = server();
+        s.set_telemetry(telemetry.clone());
+        let t1 = propose_body("t1", 0.01, 1000.0);
+        let t1_ref = json!({"transaction": "t1"});
+        answer(&mut s, 1, "propose", &t1).unwrap();
+        answer(&mut s, 2, "execute", &t1_ref).unwrap();
+        // The next step's proposal retires t1, its SDE and its reply.
+        answer(&mut s, 3, "propose", &propose_body("t2", 0.01, 1000.0)).unwrap();
+        assert!(s.sde().unwrap().get("transaction/t1").is_none());
+        let check = |s: &mut NtcpServer, refused: u64| {
+            for (rid, op, body) in [(1, "propose", &t1), (2, "execute", &t1_ref)] {
+                let err = answer(s, rid, op, body).unwrap_err();
+                assert_eq!(err.code, "StaleRequest", "{op}");
+            }
+            assert_eq!(s.executions(), 1, "never executed again");
+            assert_eq!(s.stale_refused(), refused);
+            let err = answer(s, 4, "execute", &t1_ref).unwrap_err();
+            assert_eq!(err.code, "NoSuchTransaction", "t1 stays retired");
+        };
+        check(&mut s, 2);
+        let counters = telemetry.metrics_snapshot().counters;
+        assert!(counters.contains(&("ntcp.stale_refused{uiuc}".to_string(), 2)));
+        // The same after a snapshot and restore into a fresh server.
+        let snap = snapshot_value(&s);
+        let mut fresh = server();
+        fresh
+            .restore_snapshot(&snap, SimTime::from_secs(2))
+            .unwrap();
+        check(&mut fresh, 2);
+        // Another client's window is its own: its id 1 is a new request.
+        let mut reply = String::new();
+        let body = propose_body("b1", 0.01, 1.0);
+        fresh
+            .respond(&backup(1), "propose", &body, &mut reply)
+            .unwrap();
+        assert_eq!(reply, r#"{"decision":"Accepted"}"#);
     }
 
     #[test]
@@ -777,10 +952,16 @@ mod tests {
             .handle(&ctx(2), "cancel", &json!({"transaction": "t1"}))
             .unwrap();
         assert_eq!(out["cancelled"], "t1");
+        // Another client still finds it cancelled; the owner's next request
+        // retires it.
+        let err = s
+            .handle(&backup(1), "execute", &json!({"transaction": "t1"}))
+            .unwrap_err();
+        assert_eq!(err.code, "InvalidState");
         let err = s
             .handle(&ctx(3), "execute", &json!({"transaction": "t1"}))
             .unwrap_err();
-        assert_eq!(err.code, "InvalidState");
+        assert_eq!(err.code, "NoSuchTransaction");
         assert_eq!(s.executions(), 0);
     }
 
@@ -791,10 +972,18 @@ mod tests {
             .unwrap();
         s.handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
             .unwrap();
+        // Until its owner moves on, the completed transaction is held, and
+        // cancelling it is a state error.
+        let err = s
+            .handle(&backup(1), "cancel", &json!({"transaction": "t1"}))
+            .unwrap_err();
+        assert_eq!(err.code, "InvalidState");
+        // The owner's next request retires it: nothing is left to cancel.
         let err = s
             .handle(&ctx(3), "cancel", &json!({"transaction": "t1"}))
             .unwrap_err();
-        assert_eq!(err.code, "InvalidState");
+        assert_eq!(err.code, "NoSuchTransaction");
+        assert_eq!(s.executions(), 1);
     }
 
     #[test]
@@ -845,11 +1034,28 @@ mod tests {
             .unwrap();
         s.handle(&ctx(3), "propose", &propose_body("bad", 0.9, 1000.0))
             .unwrap();
+        // "ok" is retired by now, "bad" is still held: the counts cover
+        // both, and retiring "bad" (request 4) changes none of them.
+        assert!(s.sde().unwrap().get("transaction/ok").is_none());
         let status = s.do_get_status();
         assert_eq!(status["transactions"], 2);
         assert_eq!(status["completed"], 1);
         assert_eq!(status["rejected"], 1);
         assert_eq!(status["site"], "uiuc");
+        s.handle(&ctx(4), "propose", &propose_body("next", 0.01, 1000.0))
+            .unwrap();
+        assert!(s.sde().unwrap().get("transaction/bad").is_none());
+        let after = s.do_get_status();
+        assert_eq!(after["transactions"], 3);
+        for key in ["completed", "rejected", "failed", "cancelled", "executions"] {
+            assert_eq!(after[key], status[key], "{key}");
+        }
+        // A restored server counts the same.
+        let mut fresh = server();
+        fresh
+            .restore_snapshot(&snapshot_value(&s), SimTime::from_secs(2))
+            .unwrap();
+        assert_eq!(fresh.do_get_status(), after);
     }
 
     #[test]
@@ -916,7 +1122,8 @@ mod tests {
             Propose { tx: u8, d_mm: i8 },
             Execute { tx: u8 },
             Cancel { tx: u8 },
-            Replay, // retransmit the previous request id verbatim
+            Replay,            // retransmit the previous request id verbatim
+            Late { back: u8 }, // a late duplicate of an earlier request
         }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
@@ -925,7 +1132,16 @@ mod tests {
                 (0u8..6).prop_map(|tx| Op::Execute { tx }),
                 (0u8..6).prop_map(|tx| Op::Cancel { tx }),
                 Just(Op::Replay),
+                any::<u8>().prop_map(|back| Op::Late { back }),
             ]
+        }
+
+        /// What the model knows of a transaction the server holds: the
+        /// state changes recorded in its SDE, and whether it settled.
+        #[derive(Default)]
+        struct Model {
+            version: u64,
+            settled: bool,
         }
 
         proptest! {
@@ -935,92 +1151,118 @@ mod tests {
                 ops in proptest::collection::vec(op_strategy(), 1..40),
             ) {
                 let mut s = server_with(Box::new(RefusesNegativeCancel(sim_plugin())));
-                let mut request_id = 0u64;
-                let mut last: Option<(u64, String, Value)> = None;
+                let mut sent: Vec<(u64, String, Value)> = Vec::new();
                 let mut accepted_executes = 0u64;
                 // SDE model: the state changes each request recorded per
-                // transaction (one for the proposal's verdict, two for an
-                // execute that ran, one for a cancel, failed or not), and
-                // the last transaction one touched.
-                let mut versions: BTreeMap<String, u64> = BTreeMap::new();
-                let mut last_touched = "serverInfo".to_string();
+                // held transaction (one for the proposal's verdict, two for
+                // an execute that ran, one for a cancel, failed or not),
+                // and the last element one touched, while it is held.
+                let mut held: BTreeMap<String, Model> = BTreeMap::new();
+                let mut last_touched = Some("serverInfo".to_string());
                 for op in ops {
-                    let (name, changes) = match op {
-                        Op::Propose { tx, d_mm } => {
-                            request_id += 1;
-                            let name = format!("tx-{tx}");
-                            let body = propose_body(&name, d_mm as f64 * 1e-3, 1000.0);
-                            let out = s.handle(&ctx(request_id), "propose", &body);
-                            last = Some((request_id, "propose".into(), body));
-                            (name, u64::from(out.is_ok()))
-                        }
-                        Op::Execute { tx } => {
-                            request_id += 1;
-                            let name = format!("tx-{tx}");
-                            let body = json!({"transaction": name});
-                            let out = s.handle(&ctx(request_id), "execute", &body);
-                            if out.is_ok() {
-                                accepted_executes += 1;
-                            }
-                            last = Some((request_id, "execute".into(), body));
-                            let ran = match &out {
-                                Ok(_) => true,
-                                Err(f) => f.code == "ExecutionFailed",
-                            };
-                            (name, if ran { 2 } else { 0 })
-                        }
-                        Op::Cancel { tx } => {
-                            request_id += 1;
-                            let name = format!("tx-{tx}");
-                            let body = json!({"transaction": name});
-                            let out = s.handle(&ctx(request_id), "cancel", &body);
-                            last = Some((request_id, "cancel".into(), body));
-                            let cancelled = match &out {
-                                Ok(_) => true,
-                                Err(f) => f.code == "CancelFailed",
-                            };
-                            (name, u64::from(cancelled))
-                        }
+                    let request = match op {
+                        Op::Propose { tx, d_mm } => Some((
+                            format!("tx-{tx}"),
+                            "propose",
+                            propose_body(&format!("tx-{tx}"), d_mm as f64 * 1e-3, 1000.0),
+                        )),
+                        Op::Execute { tx } => Some((
+                            format!("tx-{tx}"),
+                            "execute",
+                            json!({"transaction": format!("tx-{tx}")}),
+                        )),
+                        Op::Cancel { tx } => Some((
+                            format!("tx-{tx}"),
+                            "cancel",
+                            json!({"transaction": format!("tx-{tx}")}),
+                        )),
                         Op::Replay => {
                             // At-most-once: replaying the previous request
                             // must return the identical outcome and never
                             // re-execute.
-                            if let Some((rid, op_name, body)) = &last {
+                            if let Some((rid, op_name, body)) = sent.last() {
                                 let before = s.executions();
                                 let replayed = s.handle(&ctx(*rid), op_name, body);
                                 let again = s.handle(&ctx(*rid), op_name, body);
                                 prop_assert_eq!(replayed, again);
                                 prop_assert_eq!(s.executions(), before);
                             }
-                            (String::new(), 0)
+                            None
+                        }
+                        Op::Late { back } => {
+                            // Anything before the previous request is below
+                            // the mark: refused, never run.
+                            if sent.len() > 1 {
+                                let (rid, op_name, body) = &sent[usize::from(back) % (sent.len() - 1)];
+                                let before = s.executions();
+                                let err = s.handle(&ctx(*rid), op_name, body).unwrap_err();
+                                prop_assert_eq!(err.code.as_str(), "StaleRequest");
+                                prop_assert_eq!(s.executions(), before);
+                            }
+                            None
                         }
                     };
-                    if changes > 0 {
-                        *versions.entry(name.clone()).or_default() += changes;
-                        last_touched = format!("transaction/{name}");
+                    if let Some((name, op_name, body)) = request {
+                        // A new request id retires every settled
+                        // transaction (there is one client).
+                        held.retain(|_, model| !model.settled);
+                        if last_touched
+                            .as_deref()
+                            .and_then(|el| el.strip_prefix("transaction/"))
+                            .is_some_and(|tx| !held.contains_key(tx))
+                        {
+                            last_touched = None;
+                        }
+                        let rid = sent.len() as u64 + 1;
+                        let out = s.handle(&ctx(rid), op_name, &body);
+                        sent.push((rid, op_name.to_string(), body));
+                        let code = out.as_ref().err().map(|f| f.code.as_str());
+                        let (changes, settles) = match op_name {
+                            "propose" => match &out {
+                                Ok(doc) => (1, doc["decision"] != json!("Accepted")),
+                                Err(_) => (0, false),
+                            },
+                            "execute" => {
+                                if out.is_ok() {
+                                    accepted_executes += 1;
+                                }
+                                let ran = out.is_ok() || code == Some("ExecutionFailed");
+                                (if ran { 2 } else { 0 }, ran)
+                            }
+                            _ => {
+                                let cancelled = out.is_ok() || code == Some("CancelFailed");
+                                (u64::from(cancelled), cancelled)
+                            }
+                        };
+                        if changes > 0 {
+                            let model = held.entry(name.clone()).or_default();
+                            model.version += changes;
+                            model.settled |= settles;
+                            last_touched = Some(format!("transaction/{name}"));
+                        }
                     }
                     // Global invariant: the plugin ran exactly once per
                     // successful execute.
                     prop_assert_eq!(s.executions(), accepted_executes);
-                    // Every transaction SDE, rendered on this read, is the
-                    // transaction's getTransaction document at the version
-                    // the model predicts.
+                    // Every held transaction's SDE, rendered on this read,
+                    // is its getTransaction document at the version the
+                    // model predicts; retired ones have none.
                     let sde = s.sde().unwrap();
                     let mrc = sde.most_recently_changed().map(|el| el.name.clone());
                     let elements: Vec<_> =
                         sde.query("transaction/*").into_iter().cloned().collect();
-                    prop_assert_eq!(mrc, Some(last_touched.clone()));
-                    prop_assert_eq!(elements.len(), versions.len());
+                    prop_assert_eq!(mrc, last_touched.clone());
+                    prop_assert_eq!(elements.len(), held.len());
                     for el in elements {
                         let tx = el.name.strip_prefix("transaction/").unwrap();
                         let doc = s
                             .handle(&ctx(0), "getTransaction", &json!({"transaction": tx}))
                             .unwrap();
                         prop_assert_eq!(&el.value, &doc);
-                        prop_assert_eq!(Some(el.version), versions.get(tx).copied());
+                        prop_assert_eq!(Some(el.version), held.get(tx).map(|m| m.version));
                     }
                 }
-                // Every recorded transaction is in a coherent state with a
+                // Every held transaction is in a coherent state with a
                 // monotone timestamp trail.
                 for el in s.sde().unwrap().query("transaction/*") {
                     let trail = el.value["timestamps"].as_array().unwrap();
@@ -1043,9 +1285,10 @@ mod tests {
             /// At-most-once must hold *across* a checkpoint/restore
             /// boundary: a server rebuilt from a snapshot taken mid-run,
             /// handed any retransmission of a pre-snapshot request, must
-            /// replay the recorded outcome — never re-execute — and then
-            /// carry the rest of the run to the same result the
-            /// uninterrupted server produced.
+            /// replay the recorded outcome of the latest one and refuse
+            /// the earlier ones — never re-execute — and then carry the
+            /// rest of the run to the same result the uninterrupted
+            /// server produced.
             #[test]
             fn at_most_once_holds_across_checkpoint_restore(
                 amps in proptest::collection::vec(-70i8..70, 1..12),
@@ -1088,12 +1331,17 @@ mod tests {
                 let restored_executions = fresh.executions();
 
                 // Any pre-snapshot request retransmitted after the restore
-                // is deduplicated: the first answer's text, byte for byte,
-                // and no re-execution.
+                // is answered without running: the latest with its first
+                // answer's text, byte for byte, the earlier ones with a
+                // refusal.
                 for i in 0..=cut {
                     let (rid, op, body) = &plan[i];
                     let replayed = answer(&mut fresh, *rid, op, body);
-                    prop_assert_eq!(&replayed, &responses[i]);
+                    if i == cut {
+                        prop_assert_eq!(&replayed, &responses[i]);
+                    } else {
+                        prop_assert_eq!(replayed.unwrap_err().code, "StaleRequest");
+                    }
                     prop_assert_eq!(fresh.executions(), restored_executions);
                 }
 
@@ -1114,11 +1362,9 @@ mod tests {
         let mut s = server();
         s.handle(&ctx(1), "propose", &propose_body("t1", 0.01, 1000.0))
             .unwrap();
-        let executed = s
-            .handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
+        s.handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
             .unwrap();
-        s.handle(&ctx(3), "propose", &propose_body("t2", 0.005, 500.0))
-            .unwrap();
+        let proposed = answer(&mut s, 3, "propose", &propose_body("t2", 0.005, 500.0));
         let snap = snapshot_value(&s);
 
         // A freshly constructed server restores to the identical state.
@@ -1127,11 +1373,14 @@ mod tests {
             .restore_snapshot(&snap, SimTime::from_secs(2))
             .unwrap();
         assert_eq!(fresh.executions(), 1);
-        // Retransmitting the pre-snapshot execute replays, not re-executes.
-        let replay = fresh
+        // Retransmitting the pre-snapshot proposal replays it; the execute
+        // before it is refused, not re-executed.
+        let replay = answer(&mut fresh, 3, "propose", &propose_body("t2", 0.005, 500.0));
+        assert_eq!(replay, proposed);
+        let late = fresh
             .handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
-            .unwrap();
-        assert_eq!(replay, executed);
+            .unwrap_err();
+        assert_eq!(late.code, "StaleRequest");
         assert_eq!(fresh.executions(), 1);
         // The still-accepted transaction can proceed.
         fresh
@@ -1184,20 +1433,29 @@ mod tests {
             }
             doc
         };
-        let entry = |outcome: Value| Some(json!([[2, outcome]]));
-        let ok_doc = snap["dedup"][1][1]["ok"].clone();
+        let window = |reply: Value| Some(json!({"coordinator": {"mark": 2, "reply": reply}}));
+        let ok_doc = snap["windows"]["coordinator"]["reply"]["ok"].clone();
         let fault = ServiceFault::permanent("X", "y");
         let malformed = [
-            ("dedup mistyped", with("dedup", Some(json!(5)))),
-            ("dedup missing", with("dedup", None)),
+            ("windows mistyped", with("windows", Some(json!([])))),
+            ("windows missing", with("windows", None)),
+            (
+                "mark missing",
+                with(
+                    "windows",
+                    Some(json!({"coordinator": {"reply": {"ok": 1}}})),
+                ),
+            ),
+            ("retired missing", with("retired", None)),
+            ("retired mistyped", with("retired", Some(json!(3)))),
             ("executions missing", with("executions", None)),
             ("executions mistyped", with("executions", Some(json!("1")))),
-            ("outcome empty", with("dedup", entry(json!({})))),
+            ("reply empty", with("windows", window(json!({})))),
             (
-                "outcome both",
-                with("dedup", entry(json!({"ok": ok_doc, "fault": fault}))),
+                "reply both",
+                with("windows", window(json!({"ok": ok_doc, "fault": fault}))),
             ),
-            ("outcome unknown", with("dedup", entry(json!({"okay": 1})))),
+            ("reply unknown", with("windows", window(json!({"okay": 1})))),
         ];
         for (case, doc) in malformed {
             let mut fresh = server();

@@ -10,8 +10,10 @@
 //! The other way round, a real `NtcpServer` in a container answers
 //! generated requests with exactly the bytes of the `Value`-tree envelope
 //! the server's replies were once built as
-//! (`to_vec(&RpcResponse { outcome: Ok(tree), .. })`), and replays a
-//! retransmission's first answer byte for byte.
+//! (`to_vec(&RpcResponse { outcome: Ok(tree), .. })`), replays a
+//! retransmission of a client's latest request byte for byte, and refuses
+//! a late duplicate of anything earlier without running it, before and
+//! after a snapshot and restore.
 
 use std::sync::{Arc, Mutex};
 
@@ -31,6 +33,7 @@ use neesgrid_ogsi::{
     AttachedContainer, RetryPolicy, RpcClient, RpcMux, RpcRequest, RpcResponse, ServiceContainer,
 };
 use neesgrid_structsim::{LinearElastic, SimulatedSubstructure};
+use neesgrid_telemetry::Telemetry;
 
 /// `(correlation id, payload)` of every request a site received.
 type Received = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
@@ -372,12 +375,13 @@ fn malformed_and_mistyped_replies_end_as_bad_response() {
     );
 }
 
-/// A real NTCP site in a container, and a client endpoint that keeps the
-/// bytes of every reply it receives.
+/// A real NTCP site in a container, recording telemetry, and a client
+/// endpoint that keeps the bytes of every reply it receives.
 struct RealSite {
     net: VirtualNetwork,
     client: Endpoint,
     replies: Arc<Mutex<Vec<Vec<u8>>>>,
+    telemetry: Telemetry,
     _container: AttachedContainer,
 }
 
@@ -390,12 +394,14 @@ fn real_site() -> RealSite {
             Box::new(LinearElastic::new(1.0e5)),
         )),
     );
-    let server = NtcpServer::new(
+    let mut server = NtcpServer::new(
         "site",
         SitePolicy::permissive("site", ActionLimits::most_large_scale()),
         Box::new(plugin),
         net.clock(),
     );
+    let telemetry = Telemetry::recording();
+    server.set_telemetry(telemetry.clone());
     let container = ServiceContainer::new(net.endpoint("site").unwrap())
         .with_service("ntcp", Box::new(server))
         .permissive()
@@ -412,6 +418,7 @@ fn real_site() -> RealSite {
         net,
         client,
         replies,
+        telemetry,
         _container: container,
     }
 }
@@ -437,6 +444,86 @@ impl RealSite {
         assert_eq!(replies.len(), 1, "one reply per request");
         replies.pop().unwrap()
     }
+
+    /// The reply document of a request that succeeds.
+    fn ok(&self, request_id: u64, operation: &str, body: &Value) -> Value {
+        let response: RpcResponse =
+            serde_json::from_slice(&self.ask(request_id, operation, body)).unwrap();
+        match response.outcome {
+            RpcOutcome::Ok(doc) => doc,
+            RpcOutcome::Fault(fault) => panic!("{operation}: {fault:?}"),
+        }
+    }
+
+    /// The fault code a request is answered with.
+    fn fault(&self, request_id: u64, operation: &str, body: &Value) -> String {
+        let response: RpcResponse =
+            serde_json::from_slice(&self.ask(request_id, operation, body)).unwrap();
+        match response.outcome {
+            RpcOutcome::Fault(fault) => fault.code,
+            RpcOutcome::Ok(doc) => panic!("{operation} answered {doc}"),
+        }
+    }
+
+    /// The site's `ntcp.stale_refused{site}` counter.
+    fn stale_refused(&self) -> u64 {
+        let counters = self.telemetry.metrics_snapshot().counters;
+        counters
+            .iter()
+            .find(|(name, _)| name == "ntcp.stale_refused{site}")
+            .map_or(0, |(_, value)| *value)
+    }
+}
+
+/// A stale `{"outcome":{"Fault":…}}` envelope for `request_id`, as the
+/// server writes it.
+fn stale_envelope(request_id: u64, mark: u64) -> Vec<u8> {
+    serde_json::to_vec(&RpcResponse {
+        request_id,
+        outcome: RpcOutcome::Fault(neesgrid_ogsi::ServiceFault::permanent(
+            "StaleRequest",
+            format!("request {request_id} from coordinator is below its mark {mark}"),
+        )),
+    })
+    .unwrap()
+}
+
+#[test]
+fn late_duplicates_of_a_retired_transaction_are_refused_over_the_wire() {
+    let site = real_site();
+    let t1 = json!({
+        "transaction": "t1",
+        "actions": [ControlPoint::displacement("dof-0", 0.01, 1000.0)],
+        "timeout": SimTime::from_secs(30),
+    });
+    let t1_ref = json!({ "transaction": "t1" });
+    site.ok(1, "propose", &t1);
+    site.ok(2, "execute", &t1_ref);
+    let mut t2 = t1.clone();
+    if let Value::Object(m) = &mut t2 {
+        m.insert("transaction".into(), json!("t2"));
+    }
+    site.ok(3, "propose", &t2);
+    let late = |site: &RealSite, refused: u64| {
+        assert_eq!(site.ask(1, "propose", &t1), stale_envelope(1, 3));
+        assert_eq!(site.ask(2, "execute", &t1_ref), stale_envelope(2, 3));
+        assert_eq!(site.stale_refused(), refused);
+        let status = site.ok(0, "getStatus", &json!({}));
+        assert_eq!(status["executions"], 1, "never executed again");
+        assert_eq!(
+            site.fault(0, "getTransaction", &t1_ref),
+            "NoSuchTransaction"
+        );
+    };
+    late(&site, 2);
+
+    // Snapshot over the wire, restore into a fresh site: the window and
+    // the retirement come back with the state.
+    let snapshot = site.ok(0, "snapshotSite", &json!({}));
+    let fresh = real_site();
+    fresh.ok(0, "restoreSite", &json!({ "snapshot": snapshot }));
+    late(&fresh, 2);
+    assert_eq!(fresh.ok(0, "snapshotSite", &json!({})), snapshot);
 }
 
 /// The envelope a reply's outcome was once sent as: a fault as it is, and
@@ -516,12 +603,17 @@ proptest! {
             );
             sent.push((operation.to_string(), body, reply));
 
-            // Retransmit an earlier request: its first answer, byte for byte.
+            // Retransmit an earlier request: the latest one's first answer,
+            // byte for byte; anything before it is below the mark.
             if g.below(3) == 0 {
                 let i = g.below(sent.len());
                 let (operation, body, first) = &sent[i];
                 let replayed = site.ask(i as u64 + 1, operation, body);
-                prop_assert_eq!(&replayed, first);
+                if i + 1 == sent.len() {
+                    prop_assert_eq!(&replayed, first);
+                } else {
+                    prop_assert_eq!(&replayed, &stale_envelope(i as u64 + 1, sent.len() as u64));
+                }
             }
         }
     }

@@ -29,7 +29,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::Serialize;
 
-use neesgrid_gridsim::{Endpoint, Envelope, MessageKind, SimTime};
+use neesgrid_gridsim::{Endpoint, Envelope, MessageKind, NodeId, SimTime};
 use neesgrid_gsi::{DistinguishedName, SecurityContext};
 
 use crate::fault::ServiceFault;
@@ -105,7 +105,7 @@ impl ServiceContainer {
                 let capacity = self.reply_capacity;
                 let reply = match serde_json::from_slice::<RpcRequest>(&env.payload) {
                     Ok(req) => reply_payload(req.request_id, capacity, |out| {
-                        self.process(&service_name, &req, now, out)
+                        self.process(&service_name, &req, &reply_to, now, out)
                     }),
                     Err(_) => reply_payload(correlation, capacity, |_| {
                         Err(ServiceFault::permanent(
@@ -130,11 +130,13 @@ impl ServiceContainer {
         }
     }
 
-    /// Run one request, appending its reply document to `reply`.
+    /// Run one request from `client`, appending its reply document to
+    /// `reply`.
     fn process(
         &mut self,
         service_name: &str,
         req: &RpcRequest,
+        client: &NodeId,
         now: SimTime,
         reply: &mut String,
     ) -> Result<(), ServiceFault> {
@@ -160,6 +162,7 @@ impl ServiceContainer {
         })?;
         let ctx = CallContext {
             caller: req.caller.clone(),
+            client: client.clone(),
             now,
             request_id: req.request_id,
         };

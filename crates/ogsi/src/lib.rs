@@ -15,22 +15,25 @@
 //!   multiplexing, timeout/retry, and distinct surfacing of *timeout*
 //!   versus *link reset* — the two failure flavours whose different
 //!   handling decided MOST's fate (§3.4).
-//! * A reusable [`dedup::DedupCache`] giving services at-most-once
-//!   execution under client retry.
+//! * A [`service::CallContext`] per request naming the caller, the client
+//!   node it came from and its request id: what a service needs for
+//!   at-most-once replies under client retry (NTCP keeps one window per
+//!   client node).
 //!
 //! OGSI's soft-state lifetimes and change notification are not
 //! reproduced: no reproduced experiment depends on them, and the CHEF
-//! viewers watch data through NSDS subscriptions, not SDE changes.
+//! viewers watch data through NSDS subscriptions, not SDE changes. NTCP
+//! ends its transactions by protocol instead of by lease: a settled
+//! transaction is retired once its client's next request proves it
+//! holds the answer.
 
 pub mod container;
-pub mod dedup;
 pub mod fault;
 pub mod rpc;
 pub mod sde;
 pub mod service;
 
 pub use container::{AttachedContainer, ServiceContainer};
-pub use dedup::DedupCache;
 pub use fault::ServiceFault;
 pub use rpc::{
     wait_all, RetryPolicy, RpcClient, RpcCompletion, RpcError, RpcMux, RpcReply, RpcRequest,

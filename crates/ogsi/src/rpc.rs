@@ -6,8 +6,13 @@
 //! **timeout** (message or reply silently lost), **link reset** (immediate
 //! connection error), and **service fault** (the server answered with an
 //! error). NTCP's at-most-once guarantee composes from this layer's stable
-//! `request_id` across retransmissions plus the server-side
-//! [`crate::dedup::DedupCache`].
+//! `request_id` across retransmissions plus the server's per-client
+//! window: the reply to the client's latest request, replayed to a
+//! retransmission of it, and a refusal for any request below it.
+//!
+//! A reply for no open call, or for a call already complete (a
+//! duplicated request's second answer, or the answer to an abandoned
+//! call), is dropped and counted as `rpc.orphan_replies`.
 //!
 //! Virtual time: the mux is a handler on the network's [`EventEngine`] —
 //! replies and control notices are scheduled events, and attempt timeouts
@@ -402,10 +407,12 @@ impl CallSlot {
         }
     }
 
-    fn on_reply(self: &Arc<Self>, env: Envelope) {
+    /// Take `env` as this call's reply: false, and nothing changes, when
+    /// the call is already complete.
+    fn on_reply(self: &Arc<Self>, env: Envelope) -> bool {
         let mut st = self.state.lock();
         if st.result.is_some() {
-            return;
+            return false;
         }
         let response: Result<ReplyEnvelope, _> = serde_json::from_slice(&env.payload);
         let result = match response {
@@ -423,6 +430,7 @@ impl CallSlot {
             },
         };
         self.complete(&mut st, result);
+        true
     }
 
     fn on_notice(self: &Arc<Self>, notice: ControlNotice) {
@@ -569,6 +577,8 @@ pub struct RpcMux {
     endpoint: Endpoint,
     engine: Arc<EventEngine>,
     calls: Arc<Mutex<HashMap<u64, Arc<CallSlot>>>>,
+    /// The registry's `rpc.orphan_replies`: replies no open call took.
+    orphans: Arc<Mutex<CounterHandle>>,
     telemetry: Mutex<Telemetry>,
     instruments: Mutex<RpcInstruments>,
 }
@@ -578,12 +588,14 @@ impl RpcMux {
     pub fn new(endpoint: Endpoint) -> Arc<Self> {
         let engine = endpoint.engine();
         let calls: Arc<Mutex<HashMap<u64, Arc<CallSlot>>>> = Arc::new(Mutex::new(HashMap::new()));
+        let orphans = Arc::new(Mutex::new(CounterHandle::default()));
         let handler_calls = Arc::clone(&calls);
+        let handler_orphans = Arc::clone(&orphans);
         endpoint.install_handler(move |env| match env.kind {
             MessageKind::Reply => {
                 let slot = handler_calls.lock().get(&env.correlation_id).cloned();
-                if let Some(slot) = slot {
-                    slot.on_reply(env);
+                if !slot.is_some_and(|slot| slot.on_reply(env)) {
+                    handler_orphans.lock().add(1);
                 }
             }
             MessageKind::Control => {
@@ -602,6 +614,7 @@ impl RpcMux {
             endpoint,
             engine,
             calls,
+            orphans,
             telemetry: Mutex::new(Telemetry::disabled()),
             instruments: Mutex::new(RpcInstruments::new(&Telemetry::disabled())),
         })
@@ -611,6 +624,7 @@ impl RpcMux {
     /// (latency histogram, retry counters) and terminal transport failures
     /// trigger a flight-recorder dump. Defaults to disabled.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
+        *self.orphans.lock() = telemetry.lazy_counter("rpc.orphan_replies");
         *self.instruments.lock() = RpcInstruments::new(&telemetry);
         *self.telemetry.lock() = telemetry;
     }
@@ -644,8 +658,8 @@ impl RpcMux {
     /// just restate them.)
     ///
     /// The same `request_id` (also used as the correlation id) is reused on
-    /// every attempt so the server's dedup cache can guarantee at-most-once
-    /// execution.
+    /// every attempt so the server's at-most-once window can replay its
+    /// answer instead of running it again.
     #[allow(clippy::too_many_arguments)]
     pub fn call_async<B: Serialize>(
         &self,
@@ -1086,6 +1100,32 @@ mod tests {
             "took {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn a_duplicated_request_s_second_reply_is_an_orphan_and_counted() {
+        let net = VirtualNetwork::new(NetworkConfig::default());
+        echo_server(&net, "server");
+        let mut plan = FaultPlan::reliable();
+        plan.dup_at(LinkKey::new("client", "server"), 0);
+        net.set_fault_plan(plan);
+        let telemetry = Telemetry::recording();
+        let mux = RpcMux::new(net.endpoint("client").unwrap());
+        mux.set_telemetry(telemetry.clone());
+        let orphans = || {
+            let counters = telemetry.metrics_snapshot().counters;
+            counters
+                .into_iter()
+                .find(|(name, _)| name == "rpc.orphan_replies")
+        };
+        let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
+        assert_eq!(client.call("ping", Value::Null).unwrap().attempts, 1);
+        assert_eq!(orphans(), None, "listed from its first bump");
+        net.engine().run_until_idle();
+        let counted = Some(("rpc.orphan_replies".to_string(), 1));
+        assert_eq!(orphans(), counted, "the copy's answer found no open call");
+        client.call("ping", Value::Null).unwrap();
+        assert_eq!(orphans(), counted, "a reply its call took is no orphan");
     }
 
     #[test]

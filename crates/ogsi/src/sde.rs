@@ -62,8 +62,8 @@ impl ServiceData {
     }
 
     /// Create or update an element.
-    pub fn set(&mut self, name: impl Into<String>, value: Value, now: SimTime) {
-        let slot = self.record(name.into(), now);
+    pub fn set(&mut self, name: &str, value: Value, now: SimTime) {
+        let slot = self.record(name, now);
         slot.element.value = value;
         slot.stale = false;
     }
@@ -72,8 +72,19 @@ impl ServiceData {
     /// the version, stamp the times and make it the most recently changed,
     /// as [`ServiceData::set`] does, but leave the value stale until the
     /// next [`ServiceData::refresh`].
-    pub fn touch(&mut self, name: impl Into<String>, now: SimTime) {
-        self.record(name.into(), now).stale = true;
+    pub fn touch(&mut self, name: &str, now: SimTime) {
+        self.record(name, now).stale = true;
+    }
+
+    /// Remove every element `keep` refuses, by name. The most recently
+    /// changed element, once removed, is no longer reported.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.elements.retain(|name, _| keep(name));
+        if let Some(name) = &self.most_recently_changed {
+            if !self.elements.contains_key(name) {
+                self.most_recently_changed = None;
+            }
+        }
     }
 
     /// Render every stale element: `render(name)` gives its current value,
@@ -89,23 +100,38 @@ impl ServiceData {
     }
 
     /// Bump (or create at version 1) the element `name` and make it the
-    /// most recently changed.
-    fn record(&mut self, name: String, now: SimTime) -> &mut Slot {
-        let slot = self.elements.entry(name).or_insert_with_key(|name| Slot {
-            element: ServiceDataElement {
-                name: name.clone(),
+    /// most recently changed. Only a new element copies its name.
+    fn record(&mut self, name: &str, now: SimTime) -> &mut Slot {
+        match &mut self.most_recently_changed {
+            Some(last) if last == name => {}
+            Some(last) => {
+                last.clear();
+                last.push_str(name);
+            }
+            None => self.most_recently_changed = Some(name.to_string()),
+        }
+        if !self.elements.contains_key(name) {
+            let element = ServiceDataElement {
+                name: name.to_string(),
                 value: Value::Null,
                 created_at: now,
                 modified_at: now,
                 version: 0,
-            },
-            stale: false,
-        });
+            };
+            self.elements.insert(
+                name.to_string(),
+                Slot {
+                    element,
+                    stale: false,
+                },
+            );
+        }
+        let slot = self
+            .elements
+            .get_mut(name)
+            .expect("the element was just found or made");
         slot.element.modified_at = now;
         slot.element.version += 1;
-        if self.most_recently_changed.as_deref() != Some(slot.element.name.as_str()) {
-            self.most_recently_changed = Some(slot.element.name.clone());
-        }
         slot
     }
 
@@ -229,6 +255,23 @@ mod tests {
             "Completed"
         );
         sd.refresh(|_| unreachable!("nothing is stale"));
+    }
+
+    #[test]
+    fn retain_removes_elements_and_forgets_a_removed_most_recent_one() {
+        let mut sd = ServiceData::new();
+        sd.set("serverInfo", json!(0), SimTime::ZERO);
+        sd.touch("transaction/t1", SimTime::from_secs(1));
+        sd.touch("transaction/t2", SimTime::from_secs(2));
+        sd.retain(|name| name != "transaction/t1");
+        assert!(sd.get("transaction/t1").is_none());
+        assert_eq!(sd.len(), 2);
+        assert_eq!(sd.most_recently_changed().unwrap().name, "transaction/t2");
+        sd.retain(|name| name == "serverInfo");
+        assert!(sd.most_recently_changed().is_none());
+        sd.touch("transaction/t2", SimTime::from_secs(3));
+        let el = sd.most_recently_changed().unwrap();
+        assert_eq!((el.name.as_str(), el.version), ("transaction/t2", 1));
     }
 
     #[test]

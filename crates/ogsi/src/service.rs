@@ -15,7 +15,7 @@
 use serde::Serialize;
 use serde_json::Value;
 
-use neesgrid_gridsim::SimTime;
+use neesgrid_gridsim::{NodeId, SimTime};
 use neesgrid_gsi::DistinguishedName;
 
 use crate::fault::ServiceFault;
@@ -26,6 +26,10 @@ use crate::sde::ServiceData;
 pub struct CallContext {
     /// Authenticated end-entity identity of the caller.
     pub caller: DistinguishedName,
+    /// The node the request came from (the envelope's source). Request ids
+    /// count per endpoint, so this, not the caller's DN, says whose ids
+    /// they are: two endpoints may call under one DN.
+    pub client: NodeId,
     /// Virtual time at which the request reached the service.
     pub now: SimTime,
     /// The request id (stable across client retransmissions).
@@ -112,6 +116,7 @@ mod tests {
     fn ctx() -> CallContext {
         CallContext {
             caller: DistinguishedName::nees_user("X", "tester"),
+            client: NodeId::new("client"),
             now: SimTime::from_secs(1),
             request_id: 1,
         }

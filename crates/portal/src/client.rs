@@ -6,7 +6,9 @@
 //! handler has put the matching reply in its one-slot reply cell. Because
 //! the portal handler executes inline at delivery, a call usually
 //! completes in two engine steps, and the reply leg advances the clock by
-//! its latency like any other delivery.
+//! its latency like any other delivery. Anything else that reaches the
+//! client's node (a duplicate reply, or the answer to an abandoned call)
+//! is dropped and counted as `portal_client.orphan_replies`.
 
 use std::sync::Arc;
 
@@ -18,14 +20,19 @@ use neesgrid_gridsim::{
 };
 use neesgrid_gsi::DistinguishedName;
 use neesgrid_repo::{crc32, from_hex};
+use neesgrid_telemetry::{CounterHandle, Telemetry};
 
 use crate::frame::{self, FrameError, Request, RequestFrame, Response, PORTAL_SERVICE};
 
 /// The reply (or loss notice) for the one call a client has in flight.
 #[derive(Default)]
 struct ReplyCell {
-    awaited: u64,
+    /// The open call's correlation id, until its reply is taken.
+    awaited: Option<u64>,
     envelope: Option<Envelope>,
+    /// The registry's `portal_client.orphan_replies`: what arrived for no
+    /// open call, or after the open call's reply.
+    orphans: CounterHandle,
 }
 
 /// Wire-client failures.
@@ -77,12 +84,15 @@ impl PortalClient {
         let cell = Arc::clone(&reply);
         endpoint.install_handler(move |env| {
             let mut cell = cell.lock();
-            // Anything but the awaited call's reply or loss notice is a
-            // stale answer to an abandoned call.
-            if env.correlation_id == cell.awaited
+            // Anything but the awaited call's first reply or loss notice is
+            // a stale answer to an abandoned call or a duplicate.
+            if cell.awaited == Some(env.correlation_id)
                 && matches!(env.kind, MessageKind::Reply | MessageKind::Control)
+                && cell.envelope.is_none()
             {
-                cell.envelope.get_or_insert(env);
+                cell.envelope = Some(env);
+            } else {
+                cell.orphans.add(1);
             }
         });
         Ok(PortalClient {
@@ -92,6 +102,11 @@ impl PortalClient {
             tenant: None,
             reply,
         })
+    }
+
+    /// Count orphan replies in `telemetry`'s registry from now on.
+    pub fn set_telemetry(&self, telemetry: &Telemetry) {
+        self.reply.lock().orphans = telemetry.lazy_counter("portal_client.orphan_replies");
     }
 
     /// Bind a default tenant identity for [`PortalClient::call`].
@@ -147,10 +162,11 @@ impl PortalClient {
             request,
         })
         .map_err(ClientError::Frame)?;
-        *self.reply.lock() = ReplyCell {
-            awaited: correlation,
-            envelope: None,
-        };
+        {
+            let mut cell = self.reply.lock();
+            cell.awaited = Some(correlation);
+            cell.envelope = None;
+        }
         self.endpoint.send(
             self.portal.clone(),
             PORTAL_SERVICE,
@@ -159,7 +175,15 @@ impl PortalClient {
             payload,
         );
         loop {
-            if let Some(env) = self.reply.lock().envelope.take() {
+            let taken = {
+                let mut cell = self.reply.lock();
+                let taken = cell.envelope.take();
+                if taken.is_some() {
+                    cell.awaited = None;
+                }
+                taken
+            };
+            if let Some(env) = taken {
                 return match env.kind {
                     MessageKind::Reply => Ok(env.payload),
                     _ => Err(ClientError::NoRoute),
@@ -168,6 +192,7 @@ impl PortalClient {
             // Drive the engine: our request's delivery executes the portal
             // handler inline, which schedules the reply.
             if !self.engine.run_one() && !self.engine.fire_next_timer() {
+                self.reply.lock().awaited = None;
                 return Err(ClientError::Disconnected);
             }
         }
@@ -264,6 +289,37 @@ mod tests {
             .expect("fresh node")
             .with_tenant(DistinguishedName::nees_user("REMOTE", "alice"));
         (net, client)
+    }
+
+    #[test]
+    fn a_duplicated_reply_is_an_orphan_and_counted() {
+        let (net, client) = client_answered_with("00", true);
+        let mut plan = neesgrid_gridsim::FaultPlan::reliable();
+        plan.dup_at(neesgrid_gridsim::LinkKey::new("portal", "client"), 0);
+        net.set_fault_plan(plan);
+        let telemetry = Telemetry::recording();
+        client.set_telemetry(&telemetry);
+        let orphans = || {
+            let counters = telemetry.metrics_snapshot().counters;
+            counters
+                .into_iter()
+                .find(|(name, _)| name == "portal_client.orphan_replies")
+        };
+        let request = || Request::FetchArtifact {
+            run: "run-000001".into(),
+            artifact: "trace.jsonl".into(),
+            offset: 0,
+            max: 8,
+        };
+        assert!(matches!(
+            client.call(request()),
+            Ok(Response::Artifact { .. })
+        ));
+        net.engine().run_until_idle();
+        let counted = Some(("portal_client.orphan_replies".to_string(), 1));
+        assert_eq!(orphans(), counted, "the copy came after the call");
+        client.call(request()).expect("the next call is answered");
+        assert_eq!(orphans(), counted, "a taken reply is no orphan");
     }
 
     #[test]

@@ -285,12 +285,13 @@ impl GridService for NfmsService {
 mod tests {
     use super::*;
     use crate::storage::VirtualStore;
-    use neesgrid_gridsim::SimTime;
+    use neesgrid_gridsim::{NodeId, SimTime};
     use neesgrid_gsi::DistinguishedName;
 
     fn ctx(request_id: u64) -> CallContext {
         CallContext {
             caller: DistinguishedName::nees_user("NCSA", "Ingester"),
+            client: NodeId::new("ingester"),
             now: SimTime::from_secs(1),
             request_id,
         }

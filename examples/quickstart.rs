@@ -59,6 +59,17 @@ fn main() {
         "step-1: imposed {:.4} m, measured restoring force {:.1} N",
         results[0].displacement_m, results[0].force_n
     );
+    // Its OGSI service data, read while the site still holds it: the
+    // client's next request proves it has this answer, and the site then
+    // retires the settled transaction.
+    let t1 = client
+        .get_transaction("step-1")
+        .expect("transaction record");
+    println!(
+        "step-1 final state: {} (state trail length {})",
+        t1["state"],
+        t1["timestamps"].as_array().map(Vec::len).unwrap_or(0)
+    );
 
     // 5. A dangerous proposal is refused before anything moves.
     let err = client
@@ -81,7 +92,8 @@ fn main() {
     client.cancel("step-3").expect("cancelled");
     println!("step-3 cancelled before execution");
 
-    // 7. Inspect the server's transaction ledger via OGSI service data.
+    // 7. Inspect the server's transaction ledger: every transaction it
+    // ever held, retired ones included.
     let status = client.get_status().expect("status");
     println!(
         "server status: {} transactions ({} completed, {} rejected, {} cancelled), {} executions",
@@ -90,13 +102,5 @@ fn main() {
         status["rejected"],
         status["cancelled"],
         status["executions"],
-    );
-    let t1 = client
-        .get_transaction("step-1")
-        .expect("transaction record");
-    println!(
-        "step-1 final state: {} (state trail length {})",
-        t1["state"],
-        t1["timestamps"].as_array().map(Vec::len).unwrap_or(0)
     );
 }

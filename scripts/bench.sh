@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Benchmark gate: runs each bench target of `neesgrid-bench` once, then the
-# analyzer's checkers. Every bench times its cases through one helper
+# Benchmark gate: runs each bench target of `neesgrid-bench` once. Every
+# bench times its cases through one helper
 # (`time_cases` in crates/bench/src/lib.rs: a warm-up pass, then rounds
 # that rotate which case goes first) and writes one BENCH_*.json record at
 # the repo root holding the core count, the repeats, and the best and
 # median of every timing. Each bench's doc comment says what it times.
 #
-#   scripts/bench.sh            # the default set, then the analyzer
-#   scripts/bench.sh --all      # every bench target, then the analyzer
+#   scripts/bench.sh            # the default set
+#   scripts/bench.sh --all      # every bench target
 #
 # Default set (bench → record):
 #   sec34_most_run             → BENCH_most.json        §3.4 runs at full length, crowd cost, scaled runs
@@ -18,6 +18,7 @@
 #   fig12_checkpoint_overhead  → BENCH_checkpoint.json  checkpoint_resume schedule, scaled cadences
 #   json_reader                → BENCH_json.json        Poll reply decode, ns per sample
 #   fig08_dataviewer           → BENCH_nsds.json        NSDS fan-out, viewer ingest and hysteresis
+#   analyzer_checkers          → BENCH_analyzer.json    check-ntcp and check-portal, whole spaces
 # Also with --all:
 #   fig01_ntcp_transactions    → BENCH_fig01.json       NTCP lifecycle operations
 #   fig02_plugin_backends      → BENCH_fig02.json       five control-plugin backends
@@ -28,8 +29,6 @@
 #   fig11_mini_most            → BENCH_fig11.json       Mini-MOST runs, stepper moves
 #   sec50_realtime_sweep       → BENCH_sec50.json       protocol step, virtual RTT vs latency
 #   telemetry_overhead         → BENCH_telemetry_overhead.json  tracing cost against its 5% budget
-# Then:
-#   analyzer checkers          → BENCH_analyzer.json    schedule counts and wall time
 #
 # The script ends by printing every numeric field that differs from the
 # committed BENCH_*.json, as `committed → new (×ratio)`, and every one the
@@ -42,7 +41,7 @@ all=0
 [[ "${1:-}" == "--all" ]] && all=1
 
 benches=(sec34_most_run sec51_n_site_scaling portal_load archive_ingest campaign_sweep
-    fig12_checkpoint_overhead json_reader fig08_dataviewer)
+    fig12_checkpoint_overhead json_reader fig08_dataviewer analyzer_checkers)
 if [[ $all -eq 1 ]]; then
     benches+=(fig01_ntcp_transactions fig02_plugin_backends fig03_repository fig05_mspsds_step
         fig06_actuator_tracking fig10_daq_pipeline fig11_mini_most sec50_realtime_sweep
@@ -52,9 +51,6 @@ for bench in "${benches[@]}"; do
     echo "==> $bench"
     cargo bench -p neesgrid-bench --bench "$bench"
 done
-
-echo "==> analyzer checkers (schedule counts → BENCH_analyzer.json)"
-cargo run -q --release -p neesgrid-analyzer -- bench --out BENCH_analyzer.json
 
 # What moved: every numeric field that differs from the committed JSON or
 # is new to it, nested rows flattened (rows[3].median_steps_per_sec).

@@ -62,9 +62,27 @@ fn run_killed_at_step_1493_resumes_and_finishes_bit_identically() {
     ));
     // Snapshots landed at every 100-step boundary the run reached.
     assert_eq!(crashed.outcome.log.checkpoints_saved(), 14);
-    assert!(backing.exists(&format!(
-        "{CKPT_PREFIX}/{RUN_ID}/checkpoints/step-001400.ckpt"
-    )));
+    let latest = backing
+        .get(&format!(
+            "{CKPT_PREFIX}/{RUN_ID}/checkpoints/step-001400.ckpt"
+        ))
+        .expect("the step-1400 snapshot is at rest")
+        .content;
+    // A site keeps only what its clients can still ask about, so the
+    // snapshot is the coordinator's history and log plus a few kB of site
+    // state, not every transaction since step 0.
+    assert!(
+        latest.len() <= 350_000,
+        "step-1400 snapshot is {} B",
+        latest.len()
+    );
+    let sites: usize = neesgrid::checkpoint::snapshot::decode(&latest)
+        .expect("the snapshot decodes")
+        .sites
+        .iter()
+        .map(|site| site.state.get().len())
+        .sum();
+    assert!(sites <= 16_000, "the sites' share is {sites} B");
 
     // --- Crash and restart: the deployment above is gone (consumed); a
     // brand-new one is built around the surviving repository store and
