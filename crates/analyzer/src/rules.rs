@@ -746,11 +746,13 @@ pub fn rules_for(rel: &str) -> Option<RuleSet> {
     let protocol = ["ntcp", "gridsim", "coordinator", "checkpoint", "telemetry"]
         .iter()
         .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
-    // The archive data plane carries replay-relevant protocol state but
-    // keeps its transfer spans open across handler invocations, so it
-    // joins every protocol rule except span-balance (and docs, which
-    // rides with the original protocol set).
-    let archive = rel.starts_with("crates/archive/src/");
+    // The archive and its data plane (the repository's CAS and stripe
+    // engine) carry replay-relevant protocol state but keep transfer spans
+    // open across handler invocations, so they join every protocol rule
+    // except span-balance (and docs, which rides with the original
+    // protocol set).
+    let archive = rel.starts_with("crates/archive/src/")
+        || ["crates/repo/src/cas.rs", "crates/repo/src/stripe.rs"].contains(&rel.as_str());
     // The campaign engine drives sweeps whose whole value is reproducible
     // verdicts: a panic mid-sweep loses the corpus, hash iteration breaks
     // byte-identical verdict tables, and its submit queue already rides
@@ -1250,10 +1252,11 @@ mod tests {
         // The archive data plane: every protocol-grade rule except docs
         // and span-balance (its transfer spans legitimately cross handler
         // invocations, like ogsi's rpc call/complete pair).
-        let a = rules_for("crates/archive/src/stripe.rs").unwrap();
+        let a = rules_for("crates/repo/src/stripe.rs").unwrap();
         assert!(a.unwrap && a.wall_clock && a.hash_iteration);
         assert!(a.bounded_queues && a.buffer_contract);
         assert!(!a.docs && !a.span_balance && !a.lock_order && !a.blocking);
+        assert_eq!(rules_for("crates/repo/src/cas.rs"), Some(a));
         // The campaign engine: determinism + robustness rules (a panic
         // loses the sweep, hash iteration un-reproduces the verdict
         // table), minus the protocol span/docs discipline.

@@ -1,15 +1,16 @@
-//! # neesgrid-archive — the experiment data plane
+//! # neesgrid-archive — replicated experiment archives
 //!
 //! The paper's MOST experiment shipped each site's captured data to the
 //! central NEESgrid repository with GridFTP (ref 3): parallel TCP streams,
-//! restart markers, third-party transfers between sites. This crate
-//! reproduces that data plane as a first-class actor on the deterministic
-//! event engine:
+//! restart markers, third-party transfers between sites. The data plane
+//! itself — the content-addressed store and the striped transfer engine —
+//! lives in `neesgrid-repo`, where NFMS uploads ride it too; this crate
+//! re-exports it and adds replication on top:
 //!
-//! * [`cas`] — a chunked **content-addressed store** layered on
-//!   [`neesgrid_repo::VirtualStore`]: blocks keyed by `(crc32, len)`, logical
-//!   names bound to manifests, so identical NSDS captures across runs
-//!   deduplicate to a single stored copy.
+//! * [`cas`] — the chunked **content-addressed store** over a
+//!   [`neesgrid_repo::VirtualStore`]: blocks keyed by `(crc32, len)`,
+//!   logical names bound to manifests, so identical NSDS captures across
+//!   runs deduplicate to a single stored copy.
 //! * [`stripe`] — the **striped transfer engine**: one manifest's blocks
 //!   dealt across several concurrent virtual links with per-stripe flow
 //!   control, loss-notice-driven retry/backoff, dead-stripe failover, and
@@ -19,15 +20,16 @@
 //!   names to site replicas, pluggable placement policies (mirror-k,
 //!   nearest-by-link-latency), and latency-ranked read paths.
 //! * [`service`] — [`ArchiveCluster`]: glue that ingests an artifact at
-//!   its origin site, replicates it per policy, and serves reads with
-//!   failover to the next-nearest replica when a site's link is faulted.
+//!   its origin site, replicates it per policy, names each replica, and
+//!   serves reads with failover to the next-nearest replica when a site's
+//!   link is faulted.
 
-pub mod cas;
+pub use neesgrid_repo::{cas, stripe};
+
 pub mod replica;
 pub mod service;
-pub mod stripe;
 
-pub use cas::{BlockKey, BlockRef, CasError, CasStats, CasStore, Manifest};
+pub use cas::{BlockKey, BlockRef, CasError, CasStats, CasStore, Manifest, RestartMarker};
 pub use replica::{PlacementPolicy, ReplicaCatalog, ReplicaEntry};
 pub use service::{ArchiveCluster, ArchiveError, FetchReport, IngestReport};
 pub use stripe::{ArchiveSite, StripeConfig, TransferFailure, TransferReport, TransferStatus};

@@ -79,7 +79,7 @@ pub struct IngestReport {
     pub total_len: u64,
     /// Site that chunked the original bytes.
     pub origin: String,
-    /// Sites that now hold a sealed replica (excluding the origin).
+    /// Sites that now hold a named replica (excluding the origin).
     pub replicas: Vec<String>,
     /// Replication pushes that failed terminally, with why.
     pub failed: Vec<(String, TransferFailure)>,
@@ -188,6 +188,10 @@ impl ArchiveCluster {
         for (dst, id) in pushes {
             match origin_site.status(id) {
                 Some(TransferStatus::Completed(_)) => {
+                    // The push landed the blocks; the cluster names them.
+                    self.sites[&dst]
+                        .cas()
+                        .put_manifest(&manifest, net.clock().now());
                     self.catalog
                         .record(logical, manifest.digest, manifest.total_len, &dst);
                     replicas.push(dst);
@@ -263,11 +267,12 @@ impl ArchiveCluster {
             let Some(manifest) = src_site.cas().manifest(logical) else {
                 continue;
             };
-            let id = src_site.start_push(reader, manifest);
+            let id = src_site.start_push(reader, manifest.clone());
             self.pump(net, &src_site, [id])?;
             match src_site.status(id) {
                 Some(TransferStatus::Completed(_)) => {
-                    let content = reader_site.cas().read(logical)?;
+                    let content = reader_site.cas().assemble(&manifest)?;
+                    reader_site.cas().put_manifest(&manifest, net.clock().now());
                     self.catalog
                         .record(logical, entry.digest, entry.total_len, reader);
                     return Ok((

@@ -2,7 +2,8 @@
 //!
 //! Sweeps the GridFTP-style striped transfer on the archive's transfer
 //! engine (file size × parallel stripes), NMDS object
-//! creation/validation/versioning, and the ingestion tool's upload and
+//! creation/validation/versioning, and the ingestion tool's upload (a
+//! stripe push to the repository's receiver and an NFMS commit) and
 //! record path to a repository node. `BENCH_fig03.json` at the repo root
 //! gets the best and median of each, with the core count and the repeats.
 
@@ -11,7 +12,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use serde_json::json;
 
-use neesgrid_archive::{ArchiveCluster, PlacementPolicy, StripeConfig};
+use neesgrid_archive::{ArchiveCluster, ArchiveSite, PlacementPolicy, StripeConfig};
 use neesgrid_bench::{cores, loopback_net, put_best_and_median, time_cases, write_record};
 use neesgrid_gridsim::{NodeId, SimTime, VirtualNetwork};
 use neesgrid_gsi::DistinguishedName;
@@ -86,14 +87,17 @@ fn main() {
         .unwrap();
 
     let net = loopback_net();
+    let store = VirtualStore::new();
     let _repository = ServiceContainer::new(net.endpoint("repository").unwrap())
-        .with_service(
-            "nfms",
-            Box::new(NfmsService::new(Nfms::new(VirtualStore::new()))),
-        )
+        .with_service("nfms", Box::new(NfmsService::new(Nfms::new(store.clone()))))
         .with_service("nmds", Box::new(NmdsService::new(Nmds::new())))
         .permissive()
         .attach();
+    let gridftp = |node, store| {
+        let config = StripeConfig::default();
+        ArchiveSite::attach(&net, node, store, config, &Telemetry::disabled()).unwrap()
+    };
+    gridftp("repository-gridftp", store);
     let mux = RpcMux::new(net.endpoint("ingester").unwrap());
     let operator = DistinguishedName::nees_user("BENCH", "ingester");
     let client = |service| {
@@ -104,7 +108,13 @@ fn main() {
             operator.clone(),
         )
     };
-    let ing = Ingester::new("/experiments/bench", client("nfms"), client("nmds"));
+    let ing = Ingester::new(
+        "/experiments/bench",
+        gridftp("ingester-gridftp", VirtualStore::new()),
+        "repository-gridftp",
+        client("nfms"),
+        client("nmds"),
+    );
 
     let (mut objects, mut rev, mut batch_no) = (0u64, 0u64, 0u64);
     let timings = time_cases(REPEATS, STRIPES.len() + 3, |case, watch| match case {
@@ -144,9 +154,12 @@ fn main() {
         }),
         _ => watch.time(|| {
             batch_no += 1;
-            for i in 0..10 {
+            for i in 0..10u64 {
                 let name = format!("w{batch_no}-{i}.csv");
-                let content = payload(4096);
+                // Distinct bytes per file, so no push is deduplicated.
+                let mut content = payload(4096).to_vec();
+                content[..8].copy_from_slice(&(batch_no * 10 + i).to_be_bytes());
+                let content = Bytes::from(content);
                 let logical = ing.data_name(&name);
                 ing.upload(&logical, &content).unwrap();
                 ing.record(
@@ -178,8 +191,8 @@ fn main() {
         "stripe": "ingest at one site and mirror to a repository site over the archive's striped \
                    transfer (8 KiB chunks), then read back at the repository; the cluster is \
                    built untimed",
-        "ingest": "the ingestion tool uploads 10 files of 4 KiB to a repository node over RPC and \
-                   records each in NMDS",
+        "ingest": "the ingestion tool uploads 10 distinct files of 4 KiB to a repository node: \
+                   a stripe push to its receiver and an NFMS commit each, then an NMDS record",
         "nproc": cores(),
         "repeats": REPEATS,
         "nmds_ops_per_repeat": NMDS_OPS,

@@ -388,9 +388,9 @@ mod tests {
     #[test]
     fn download_requires_session() {
         let (_net, ca, _service, mut portal) = setup();
-        let mut nfms = Nfms::new(VirtualStore::new());
-        nfms.upload("/most/d.csv", Bytes::from_static(b"x,y"), SimTime::ZERO)
-            .unwrap();
+        let nfms = Nfms::new(VirtualStore::new());
+        let csv = Bytes::from_static(b"x,y");
+        nfms.cas().ingest("/most/d.csv", &csv, 1024, SimTime::ZERO);
         let user = participant(&ca, "dl", 3);
         // No session yet.
         assert!(portal

@@ -58,7 +58,9 @@ impl DaqSystem {
     }
 
     /// Sample every channel across `[from, to)` at its own rate, applying
-    /// calibration, and return one series per channel (channel order).
+    /// calibration, and return one series per channel (channel order). A
+    /// source with no reading at a sample time returns NaN there, and the
+    /// series records nothing for it.
     pub fn acquire(&mut self, from: SimTime, to: SimTime) -> Vec<TimeSeries> {
         let mut out = Vec::with_capacity(self.channels.len());
         for (config, source) in self.channels.iter_mut() {
@@ -73,7 +75,9 @@ impl DaqSystem {
             }
             while t < to {
                 let raw = source.value(t);
-                ts.push(t, config.calibration.apply(raw));
+                if !raw.is_nan() {
+                    ts.push(t, config.calibration.apply(raw));
+                }
                 t += interval;
             }
             self.next_sample.insert(config.name.clone(), t);
@@ -120,6 +124,22 @@ mod tests {
         assert_eq!(b[0].samples[0].t, SimTime::from_millis(110));
         let total = a[0].len() + b[0].len();
         assert_eq!(total, 20);
+    }
+
+    #[test]
+    fn a_source_without_a_reading_records_no_sample() {
+        let mut daq = DaqSystem::new();
+        let reading = |t: SimTime| {
+            if t.as_nanos() < 250_000_000 {
+                f64::NAN
+            } else {
+                1.0
+            }
+        };
+        daq.add_channel(ChannelConfig::new("c", "m", 10.0), Box::new(reading));
+        let series = daq.acquire(SimTime::ZERO, SimTime::from_millis(500));
+        assert_eq!(series[0].len(), 2);
+        assert_eq!(series[0].samples[0].t, SimTime::from_millis(300));
     }
 
     #[test]

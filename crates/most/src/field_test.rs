@@ -333,7 +333,7 @@ fn satellite_uplink(
     }
     UplinkTrip {
         content: CasStore::new(laboratory.clone())
-            .read(logical)
+            .assemble(&manifest)
             .expect("the last session completes the transfer"),
         resumes: interruptions,
         blocks_resent,

@@ -12,9 +12,14 @@
 //!   line-protocol bridge at UIUC, polled Mplugin backends at NCSA
 //!   (numerical model) and CU (xPC → servo-hydraulics);
 //! * per-site telemetry streamed to NSDS and sampled by a LabVIEW-style
-//!   DAQ into a file-drop directory, shipped incrementally to the remote
-//!   repository (NFMS chunked upload + NMDS records) while the experiment
-//!   runs;
+//!   DAQ into a file-drop directory: every execute's measurement is kept
+//!   with its virtual time until the next flush, and each window holds
+//!   the value in effect at each sample time. Every `FLUSH_EVERY` steps
+//!   the window named by the steps it covers is shipped to the remote
+//!   repository while the experiment runs — its blocks on the GridFTP
+//!   stripe engine to the repository's receiver, then an NFMS
+//!   `commitUpload` and an NMDS record over the ingester's GSI session. A
+//!   file that fails to ship is retried at the next flush;
 //! * a CHEF portal with a synthetic crowd of remote participants watching
 //!   the streams.
 //!
@@ -51,7 +56,9 @@ use neesgrid_ntcp::{
 };
 use neesgrid_ogsi::{RpcClient, RpcMux, ServiceContainer};
 use neesgrid_portal::{Portal, PortalConfig, Role};
-use neesgrid_repo::{Ingester, Nfms, NfmsService, Nmds, NmdsService, VirtualStore};
+use neesgrid_repo::{
+    ArchiveSite, Ingester, Nfms, NfmsService, Nmds, NmdsService, StripeConfig, VirtualStore,
+};
 use neesgrid_structsim::element::CouplingSpring;
 use neesgrid_structsim::material::{BilinearHysteretic, LinearElastic};
 use neesgrid_structsim::substructure::SimulatedSubstructure;
@@ -60,12 +67,43 @@ use neesgrid_telemetry::Telemetry;
 use crate::config::{MostConfig, SiteRole};
 use crate::report::MostReport;
 
+/// The repository's GridFTP receiver: its stripe site over the repository
+/// store.
+const REPOSITORY_GRIDFTP: &str = "repository-gridftp";
+
+/// A site's measurements since the last DAQ flush — `(t, displacement,
+/// force)` of each execute's first control point, oldest first — which
+/// the site's DAQ channels sample.
+#[derive(Clone, Default)]
+struct Measurements(Arc<Mutex<Vec<(SimTime, f64, f64)>>>);
+
+impl Measurements {
+    /// The `(displacement, force)` in effect at `t`: the last measurement
+    /// taken at or before it (zero-order hold). Before the first one there
+    /// is no reading: NaN, which the DAQ does not record.
+    fn at(&self, t: SimTime) -> (f64, f64) {
+        let held = self.0.lock();
+        match held.partition_point(|m| m.0 <= t) {
+            0 => (f64::NAN, f64::NAN),
+            i => (held[i - 1].1, held[i - 1].2),
+        }
+    }
+
+    /// Forget all but the latest measurement, which stays in effect into
+    /// the next window.
+    fn keep_latest(&self) {
+        let mut held = self.0.lock();
+        let stale = held.len().saturating_sub(1);
+        held.drain(..stale);
+    }
+}
+
 /// Wraps a site plugin to publish each measurement to NSDS and the site's
-/// DAQ telemetry point — the role the site-local LabVIEW VI played (§3.2).
+/// DAQ — the role the site-local LabVIEW VI played (§3.2).
 struct TelemetryPlugin {
     inner: Box<dyn ControlPlugin>,
     site: String,
-    latest: Arc<Mutex<(f64, f64)>>,
+    measurements: Measurements,
     nsds: Arc<NsdsServer>,
     clock: Arc<neesgrid_gridsim::SimClock>,
 }
@@ -81,10 +119,11 @@ impl ControlPlugin for TelemetryPlugin {
 
     fn execute(&mut self, actions: &[ControlPoint]) -> Result<ExecuteOutcome, PluginError> {
         let out = self.inner.execute(actions)?;
-        if let Some(first) = out.results.first() {
-            *self.latest.lock() = (first.displacement_m, first.force_n);
-        }
         let t = self.clock.now();
+        if let Some(first) = out.results.first() {
+            let measured = (t, first.displacement_m, first.force_n);
+            self.measurements.0.lock().push(measured);
+        }
         for r in &out.results {
             self.nsds.publish(NsdsSample {
                 channel: format!("{}/{}/disp", self.site, r.name),
@@ -147,7 +186,7 @@ pub struct MostDeployment {
     /// The portal wire service the crowd's frames land on.
     pub portal_service: Portal,
     sites: Vec<SiteHandle>,
-    daqs: Vec<(String, DaqSystem)>,
+    daqs: Vec<(DaqSystem, Measurements)>,
     drop_dir: FileDropDir,
     ingester: Ingester,
     participants: Vec<(DataViewer, RemoteFeed)>,
@@ -211,8 +250,9 @@ impl MostDeployment {
     /// Build the deployment around an existing repository backing store.
     /// Because [`VirtualStore`] clones share state, handing the same
     /// store to a second deployment is the crash-and-restart path: the
-    /// new deployment sees every file — and checkpoint — the old one
-    /// deposited.
+    /// new deployment's NFMS lists every file the old one archived (its
+    /// catalog is the store's manifests), and its checkpointer sees every
+    /// snapshot.
     pub fn build_with_store(config: MostConfig, participants: usize, store: VirtualStore) -> Self {
         Self::build_full(config, participants, store, Telemetry::disabled())
     }
@@ -282,6 +322,11 @@ impl MostDeployment {
             repo_container.install_session(session);
         }
         repo_container.attach();
+        let gridftp = |node, store| {
+            ArchiveSite::attach(&net, node, store, StripeConfig::default(), &telemetry)
+                .expect("stripe node names are unique")
+        };
+        gridftp(REPOSITORY_GRIDFTP, store.clone());
 
         // --- Experiment sites -------------------------------------------------
         let site_specs: Vec<(&str, SiteRole, Vec<usize>, f64)> = vec![
@@ -303,7 +348,7 @@ impl MostDeployment {
         let mut checkpoint_clients = Vec::new();
         let mut daqs = Vec::new();
         for (name, role, dofs, stiffness) in site_specs {
-            let latest = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+            let measurements = Measurements::default();
             let inner: Box<dyn ControlPlugin> = match role {
                 SiteRole::PhysicalShoreWestern => {
                     let controller = ShoreWesternController::new(
@@ -374,7 +419,7 @@ impl MostDeployment {
             let plugin = TelemetryPlugin {
                 inner,
                 site: name.to_string(),
-                latest: Arc::clone(&latest),
+                measurements: measurements.clone(),
                 nsds: Arc::clone(&nsds),
                 clock: Arc::clone(&clock),
             };
@@ -406,21 +451,21 @@ impl MostDeployment {
             );
             container.attach();
 
-            // Site DAQ over its telemetry point. The same strategy "was
-            // used to capture data generated by the simulation at NCSA"
-            // (§3.2), so every site gets one.
+            // Site DAQ over its measurements. The same strategy "was used
+            // to capture data generated by the simulation at NCSA" (§3.2),
+            // so every site gets one.
             let mut daq = DaqSystem::new();
-            let l1 = Arc::clone(&latest);
+            let m = measurements.clone();
             daq.add_channel(
                 ChannelConfig::new(format!("{name}/lvdt"), "m", 1.0),
-                Box::new(move |_t: SimTime| l1.lock().0),
+                Box::new(move |t: SimTime| m.at(t).0),
             );
-            let l2 = Arc::clone(&latest);
+            let m = measurements.clone();
             daq.add_channel(
                 ChannelConfig::new(format!("{name}/load"), "N", 1.0),
-                Box::new(move |_t: SimTime| l2.lock().1),
+                Box::new(move |t: SimTime| m.at(t).1),
             );
-            daqs.push((name.to_string(), daq));
+            daqs.push((daq, measurements));
 
             sites.push(SiteHandle {
                 name: name.to_string(),
@@ -463,7 +508,13 @@ impl MostDeployment {
             )
             .with_attempt_timeout(Duration::from_millis(150))
         };
-        let ingester = Ingester::new("/experiments/most", repository("nfms"), repository("nmds"));
+        let ingester = Ingester::new(
+            "/experiments/most",
+            gridftp("ingester", VirtualStore::new()),
+            REPOSITORY_GRIDFTP,
+            repository("nfms"),
+            repository("nmds"),
+        );
 
         // CHEF portal service + synthetic crowd, all through the wire
         // API: every login and observer slot is a portal frame, and the
@@ -652,57 +703,60 @@ impl MostDeployment {
 
         // DAQ → file-drop → repository ingestion, incrementally during the
         // run (every `FLUSH_EVERY` steps), from the coordinator's step
-        // callback — the role of the site LabVIEW VIs + ingestion tool.
+        // callback — the role of the site LabVIEW VIs + ingestion tool. A
+        // window is named by the steps it covers, and the first one starts
+        // at the run's first step, so a resumed run adds windows without
+        // renaming the crashed run's. `cursor` is the sequence number of
+        // the first drop file not yet shipped: a file that fails to ship
+        // stops the flush and is retried, in order, at the next one.
         const FLUSH_EVERY: u64 = 100;
         let daqs = Arc::new(Mutex::new(std::mem::take(&mut self.daqs)));
-        let drop_dir = self.drop_dir.clone();
         let ingester = self.ingester.clone();
         let files_counter = Arc::new(AtomicU64::new(0));
         let bytes_counter = Arc::new(AtomicU64::new(0));
-        let window_counter = Arc::new(AtomicU64::new(0));
         let last_flush_t = Arc::new(Mutex::new(SimTime::ZERO));
         {
             let clock = Arc::clone(&clock);
             let daqs = Arc::clone(&daqs);
             let files_counter = Arc::clone(&files_counter);
             let bytes_counter = Arc::clone(&bytes_counter);
-            let window_counter = Arc::clone(&window_counter);
             let last_flush_t = Arc::clone(&last_flush_t);
-            let drop_dir = drop_dir.clone();
+            let drop_dir = self.drop_dir.clone();
+            let mut cursor = 0;
             coordinator.set_on_step(Box::new(move |rec| {
                 if (rec.step + 1) % FLUSH_EVERY != 0 {
                     return;
                 }
                 let now = clock.now();
-                let from = *last_flush_t.lock();
-                *last_flush_t.lock() = now;
-                let window = window_counter.fetch_add(1, Ordering::Relaxed);
+                let from = std::mem::replace(&mut *last_flush_t.lock(), now);
+                let window = (rec.step + 1) / FLUSH_EVERY - 1;
                 // Sample every site DAQ over the elapsed window and deposit
                 // each non-empty series into the drop directory.
-                for (_, daq) in daqs.lock().iter_mut() {
+                for (daq, measurements) in daqs.lock().iter_mut() {
                     for ts in daq.acquire(from, now) {
                         if !ts.is_empty() {
                             drop_dir.deposit_series(&ts, window, now);
                         }
                     }
+                    measurements.keep_latest();
                 }
                 // Ship new drop files to the repository.
-                let cursor = files_counter.load(Ordering::Relaxed);
                 for file in drop_dir.poll_new(cursor) {
                     let logical = ingester.data_name(&file.name);
-                    if let Ok(bytes) = ingester.upload(&logical, &file.content) {
-                        bytes_counter.fetch_add(bytes, Ordering::Relaxed);
-                        files_counter.fetch_add(1, Ordering::Relaxed);
-                        let _ = ingester.record(
-                            &ingester.record_name(&file.name),
-                            None,
-                            json!({
-                                "logical_file": logical,
-                                "size_bytes": file.content.len(),
-                                "window": window,
-                            }),
-                        );
-                    }
+                    let Ok(bytes) = ingester.upload(&logical, &file.content) else {
+                        break;
+                    };
+                    cursor = file.seq + 1;
+                    bytes_counter.fetch_add(bytes, Ordering::Relaxed);
+                    files_counter.fetch_add(1, Ordering::Relaxed);
+                    let _ = ingester.record(
+                        &ingester.record_name(&file.name),
+                        None,
+                        json!({
+                            "logical_file": logical,
+                            "size_bytes": file.content.len(),
+                        }),
+                    );
                 }
             }));
         }
@@ -721,20 +775,22 @@ impl MostDeployment {
             );
         }
 
+        if let Some((snapshot, ckpt_store)) = &resume {
+            Checkpointer::new(
+                snapshot.run_id.clone(),
+                CheckpointPolicy::never(),
+                Arc::clone(ckpt_store),
+                self.checkpoint_clients.clone(),
+                Arc::clone(&self.coordinator_mux),
+                Arc::clone(&clock),
+            )
+            .with_telemetry(self.telemetry.clone())
+            .prepare_resume(snapshot)?;
+        }
+        // The first window starts with the run's first step.
+        *last_flush_t.lock() = clock.now();
         let outcome = match resume {
-            Some((snapshot, ckpt_store)) => {
-                let checkpointer = Checkpointer::new(
-                    snapshot.run_id.clone(),
-                    CheckpointPolicy::never(),
-                    ckpt_store,
-                    self.checkpoint_clients.clone(),
-                    Arc::clone(&self.coordinator_mux),
-                    Arc::clone(&clock),
-                )
-                .with_telemetry(self.telemetry.clone());
-                checkpointer.prepare_resume(&snapshot)?;
-                coordinator.resume_from(snapshot, &motion, steps)
-            }
+            Some((snapshot, _)) => coordinator.resume_from(snapshot, &motion, steps),
             None => coordinator.run(&motion, steps),
         };
 

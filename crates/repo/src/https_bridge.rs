@@ -2,13 +2,12 @@
 //!
 //! §2.3: "… and a servlet that acts as a bridge between GridFTP and
 //! https." CHEF's data viewers are browser-grade clients that speak only
-//! https; the bridge negotiates on their behalf, reads the file NFMS
-//! resolves the logical name to, verifies the whole-file CRC-32 the ticket
-//! promises, and serves plain bytes.
+//! https; the bridge negotiates on their behalf, reads the blocks of the
+//! manifest NFMS resolves the logical name to, verifies the whole-file
+//! CRC-32 the manifest promises, and serves plain bytes.
 
 use bytes::Bytes;
 
-use crate::checksum::crc32;
 use crate::nfms::{Nfms, NfmsError};
 
 /// A bridge serving repository files to https-only clients. It keeps no
@@ -18,18 +17,14 @@ use crate::nfms::{Nfms, NfmsError};
 pub struct HttpsBridge;
 
 impl HttpsBridge {
-    /// "GET" a logical file: negotiate with NFMS, read the stored bytes,
-    /// check them against the ticket's whole-file CRC-32, serve.
+    /// "GET" a logical file: negotiate with NFMS, then read it through the
+    /// store's CAS, which checks every block and the whole-file CRC-32.
     pub fn get(&self, nfms: &Nfms, logical: &str) -> Result<Bytes, String> {
         // The bridge supports both transports; preference lands on gridftp.
-        let ticket = nfms
-            .negotiate(logical, &["gridftp", "https"])
-            .map_err(|e| e.to_string())?;
-        let content = nfms.retrieve(&ticket).map_err(|e| e.to_string())?;
-        if crc32(&content) != ticket.checksum {
-            return Err(format!("checksum mismatch serving '{logical}'"));
-        }
-        Ok(content)
+        let ticket = nfms.negotiate(logical, &["gridftp", "https"])?;
+        nfms.cas()
+            .read(&ticket.logical)
+            .map_err(|e| format!("serving '{logical}': {e}"))
     }
 }
 
@@ -48,12 +43,12 @@ mod tests {
 
     #[test]
     fn bridge_serves_the_crc_checked_file() {
-        let mut nfms = Nfms::new(VirtualStore::new());
+        let nfms = Nfms::new(VirtualStore::new());
         let data: Vec<u8> = (0..50_000).map(|i| (i % 251) as u8).collect();
-        nfms.upload("/most/big.bin", Bytes::from(data.clone()), SimTime::ZERO)
-            .unwrap();
-        let got = HttpsBridge.get(&nfms, "/most/big.bin").unwrap();
-        assert_eq!(&got[..], &data[..]);
+        let data = Bytes::from(data);
+        nfms.cas()
+            .ingest("/most/big.bin", &data, 4096, SimTime::ZERO);
+        assert_eq!(HttpsBridge.get(&nfms, "/most/big.bin").unwrap(), data);
     }
 
     #[test]

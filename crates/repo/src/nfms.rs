@@ -6,13 +6,19 @@
 //! request for a physical resource. NFMS uses GridFTP to provide transport
 //! and has a plug-in API that allows other transport protocols to be used
 //! if desired."
+//!
+//! NFMS keeps no catalog of its own: a logical file is a manifest in the
+//! repository store's CAS, and the physical resource it resolves to is
+//! that manifest's blocks. The bytes arrive on the GridFTP data plane
+//! ([`crate::stripe`]); a logical file exists once [`Nfms::commit`] names
+//! blocks the store already holds, so an NFMS rebuilt over the same store
+//! serves every file the old one committed.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use neesgrid_gridsim::SimTime;
 
+use crate::cas::{manifest_path, CasError, CasStore, Manifest};
 use crate::storage::VirtualStore;
 
 /// NFMS operation errors.
@@ -27,8 +33,10 @@ pub enum NfmsError {
         /// Transports the client asked for.
         requested: Vec<String>,
     },
-    /// Logical name already registered.
+    /// Logical name already registered to other content.
     AlreadyExists(String),
+    /// The store cannot serve the committed manifest whole.
+    Incomplete(CasError),
 }
 
 impl std::fmt::Display for NfmsError {
@@ -40,6 +48,7 @@ impl std::fmt::Display for NfmsError {
                 "no common transport (offered {offered:?}, requested {requested:?})"
             ),
             NfmsError::AlreadyExists(n) => write!(f, "logical file '{n}' already registered"),
+            NfmsError::Incomplete(e) => write!(f, "upload incomplete: {e}"),
         }
     }
 }
@@ -51,7 +60,7 @@ impl std::error::Error for NfmsError {}
 pub struct TransferTicket {
     /// The logical name.
     pub logical: String,
-    /// Resolved physical path in the repository store.
+    /// Resolved physical resource: the manifest's path in the store.
     pub physical: String,
     /// Chosen transport protocol.
     pub protocol: String,
@@ -63,8 +72,7 @@ pub struct TransferTicket {
 
 /// The file management service.
 pub struct Nfms {
-    store: VirtualStore,
-    logical: HashMap<String, String>,
+    cas: CasStore,
     /// Transports in preference order (plug-in API: push to extend).
     transports: Vec<String>,
 }
@@ -73,8 +81,7 @@ impl Nfms {
     /// An NFMS over a store, offering GridFTP (preferred) and https.
     pub fn new(store: VirtualStore) -> Self {
         Nfms {
-            store,
-            logical: HashMap::new(),
+            cas: CasStore::new(store),
             transports: vec!["gridftp".to_string(), "https".to_string()],
         }
     }
@@ -89,33 +96,41 @@ impl Nfms {
         &self.transports
     }
 
-    /// The backing store handle.
-    pub fn store(&self) -> &VirtualStore {
-        &self.store
+    /// The store's content-addressed view: the catalog and the bytes.
+    pub fn cas(&self) -> &CasStore {
+        &self.cas
     }
 
-    /// Store content under a logical name (registers the mapping).
-    pub fn upload(
-        &mut self,
-        logical: impl Into<String>,
-        content: Bytes,
+    /// Name `manifest`'s blocks, which the store must already hold, as
+    /// logical file `logical`. Committing the manifest a name already has
+    /// again changes nothing, so a caller may retry a commit whose reply it
+    /// lost; committing other content under a taken name is refused.
+    pub fn commit(
+        &self,
+        logical: &str,
+        manifest: Manifest,
         now: SimTime,
     ) -> Result<TransferTicket, NfmsError> {
-        let logical = logical.into();
-        if self.logical.contains_key(&logical) {
-            return Err(NfmsError::AlreadyExists(logical));
+        let manifest = Manifest {
+            logical: logical.to_string(),
+            ..manifest
+        };
+        match self.cas.manifest(logical) {
+            Some(held) if held == manifest => {}
+            Some(_) => return Err(NfmsError::AlreadyExists(logical.to_string())),
+            None => {
+                self.cas.check(&manifest).map_err(NfmsError::Incomplete)?;
+                self.cas.put_manifest(&manifest, now);
+            }
         }
-        let physical = format!("/store{logical}");
-        let size = content.len() as u64;
-        let checksum = self.store.put(physical.clone(), content, now);
-        self.logical.insert(logical.clone(), physical.clone());
-        Ok(TransferTicket {
-            logical,
-            physical,
-            protocol: self.transports[0].clone(),
-            size,
-            checksum,
-        })
+        Ok(self.ticket(&manifest, &self.transports[0]))
+    }
+
+    /// The manifest logical file `logical` names.
+    pub fn manifest(&self, logical: &str) -> Result<Manifest, NfmsError> {
+        self.cas
+            .manifest(logical)
+            .ok_or_else(|| NfmsError::NotFound(logical.to_string()))
     }
 
     /// Negotiate a download: pick the first offered transport the client
@@ -125,10 +140,7 @@ impl Nfms {
         logical: &str,
         client_protocols: &[&str],
     ) -> Result<TransferTicket, NfmsError> {
-        let physical = self
-            .logical
-            .get(logical)
-            .ok_or_else(|| NfmsError::NotFound(logical.to_string()))?;
+        let manifest = self.manifest(logical)?;
         let protocol = self
             .transports
             .iter()
@@ -137,79 +149,89 @@ impl Nfms {
                 offered: self.transports.clone(),
                 requested: client_protocols.iter().map(|s| s.to_string()).collect(),
             })?;
-        let file = self
-            .store
-            .get(physical)
-            .ok_or_else(|| NfmsError::NotFound(logical.to_string()))?;
-        Ok(TransferTicket {
-            logical: logical.to_string(),
-            physical: physical.clone(),
-            protocol: protocol.clone(),
-            size: file.content.len() as u64,
-            checksum: file.checksum,
-        })
+        Ok(self.ticket(&manifest, protocol))
     }
 
-    /// Fetch content for a negotiated ticket.
-    pub fn retrieve(&self, ticket: &TransferTicket) -> Result<Bytes, NfmsError> {
-        self.store
-            .get(&ticket.physical)
-            .map(|f| f.content)
-            .ok_or_else(|| NfmsError::NotFound(ticket.logical.clone()))
+    fn ticket(&self, manifest: &Manifest, protocol: &str) -> TransferTicket {
+        TransferTicket {
+            logical: manifest.logical.clone(),
+            physical: manifest_path(&manifest.logical),
+            protocol: protocol.to_string(),
+            size: manifest.total_len,
+            checksum: manifest.digest,
+        }
     }
 
     /// Logical names under a prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .logical
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        names.sort();
+        let mut names = self.cas.manifests();
+        names.retain(|name| name.starts_with(prefix));
         names
-    }
-
-    /// Number of registered logical files.
-    pub fn len(&self) -> usize {
-        self.logical.len()
-    }
-
-    /// Whether no files are registered.
-    pub fn is_empty(&self) -> bool {
-        self.logical.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
-    fn nfms() -> Nfms {
-        Nfms::new(VirtualStore::new())
+    /// An NFMS holding `files`, each ingested straight into its store.
+    fn nfms(files: &[(&str, &[u8])]) -> Nfms {
+        let n = Nfms::new(VirtualStore::new());
+        for (logical, content) in files {
+            let content = Bytes::from(content.to_vec());
+            n.cas().ingest(*logical, &content, 1024, SimTime::ZERO);
+        }
+        n
     }
 
     #[test]
-    fn upload_then_negotiate_then_retrieve() {
-        let mut n = nfms();
-        let up = n
-            .upload(
-                "/most/run1/a.csv",
-                Bytes::from_static(b"data"),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        assert_eq!(up.size, 4);
-        let ticket = n.negotiate("/most/run1/a.csv", &["gridftp"]).unwrap();
-        assert_eq!(ticket.protocol, "gridftp");
-        assert_eq!(ticket.checksum, up.checksum);
-        assert_eq!(&n.retrieve(&ticket).unwrap()[..], b"data");
+    fn commit_names_held_blocks_and_a_rebuilt_nfms_serves_them() {
+        let store = VirtualStore::new();
+        // The blocks land under no name, as a stripe push leaves them.
+        let landed = CasStore::new(VirtualStore::new());
+        let m = landed.ingest("/sender", &Bytes::from_static(b"data"), 2, SimTime::ZERO);
+        let n = Nfms::new(store.clone());
+        for b in &m.blocks {
+            n.cas()
+                .put_block(b.key, landed.get_block(&b.key).unwrap(), SimTime::ZERO);
+        }
+        assert!(n.list("/").is_empty(), "blocks alone name no file");
+        let ticket = n.commit("/most/run1/a.csv", m, SimTime::ZERO).unwrap();
+        assert_eq!((ticket.size, ticket.protocol.as_str()), (4, "gridftp"));
+        let rebuilt = Nfms::new(store);
+        assert_eq!(rebuilt.list("/most/"), vec!["/most/run1/a.csv"]);
+        let again = rebuilt.negotiate("/most/run1/a.csv", &["gridftp"]).unwrap();
+        assert_eq!(again.checksum, ticket.checksum);
+        assert_eq!(
+            &rebuilt.cas().read("/most/run1/a.csv").unwrap()[..],
+            b"data"
+        );
+    }
+
+    #[test]
+    fn commit_refuses_blocks_the_store_lacks_and_other_content_under_a_taken_name() {
+        let n = nfms(&[("/f", b"first")]);
+        let held = n.manifest("/f").unwrap();
+        let elsewhere = CasStore::new(VirtualStore::new());
+        let other = elsewhere.ingest("/g", &Bytes::from_static(b"other"), 1024, SimTime::ZERO);
+        assert!(matches!(
+            n.commit("/g", other.clone(), SimTime::ZERO),
+            Err(NfmsError::Incomplete(CasError::MissingBlock { .. }))
+        ));
+        assert!(n.list("/g").is_empty());
+        // A retried commit of what the name holds is a no-op ...
+        assert_eq!(n.commit("/f", held, SimTime::ZERO).unwrap().size, 5);
+        // ... other content under it is refused.
+        assert_eq!(
+            n.commit("/f", other, SimTime::ZERO).unwrap_err(),
+            NfmsError::AlreadyExists("/f".to_string())
+        );
     }
 
     #[test]
     fn transport_preference_order() {
-        let mut n = nfms();
-        n.upload("/f", Bytes::new(), SimTime::ZERO).unwrap();
+        let n = nfms(&[("/f", b"")]);
         // Client supports both → service preference (gridftp) wins.
         let t = n.negotiate("/f", &["https", "gridftp"]).unwrap();
         assert_eq!(t.protocol, "gridftp");
@@ -220,17 +242,15 @@ mod tests {
 
     #[test]
     fn no_common_transport_is_an_error() {
-        let mut n = nfms();
-        n.upload("/f", Bytes::new(), SimTime::ZERO).unwrap();
+        let n = nfms(&[("/f", b"")]);
         let err = n.negotiate("/f", &["carrier-pigeon"]).unwrap_err();
         assert!(matches!(err, NfmsError::NoCommonTransport { .. }));
     }
 
     #[test]
     fn transport_plugin_api() {
-        let mut n = nfms();
+        let mut n = nfms(&[("/f", b"")]);
         n.register_transport("scp");
-        n.upload("/f", Bytes::new(), SimTime::ZERO).unwrap();
         let t = n.negotiate("/f", &["scp"]).unwrap();
         assert_eq!(t.protocol, "scp");
         assert_eq!(n.transports().len(), 3);
@@ -238,7 +258,7 @@ mod tests {
 
     #[test]
     fn unknown_logical_name() {
-        let n = nfms();
+        let n = nfms(&[]);
         assert!(matches!(
             n.negotiate("/ghost", &["gridftp"]).unwrap_err(),
             NfmsError::NotFound(_)
@@ -246,22 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_logical_name_refused() {
-        let mut n = nfms();
-        n.upload("/f", Bytes::new(), SimTime::ZERO).unwrap();
-        assert!(matches!(
-            n.upload("/f", Bytes::new(), SimTime::ZERO).unwrap_err(),
-            NfmsError::AlreadyExists(_)
-        ));
-    }
-
-    #[test]
     fn list_by_prefix() {
-        let mut n = nfms();
-        n.upload("/most/a", Bytes::new(), SimTime::ZERO).unwrap();
-        n.upload("/most/b", Bytes::new(), SimTime::ZERO).unwrap();
-        n.upload("/other/c", Bytes::new(), SimTime::ZERO).unwrap();
+        let n = nfms(&[("/most/a", b""), ("/most/b", b""), ("/other/c", b"")]);
         assert_eq!(n.list("/most/"), vec!["/most/a", "/most/b"]);
-        assert_eq!(n.len(), 3);
+        assert_eq!(n.list("/").len(), 3);
     }
 }

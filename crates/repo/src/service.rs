@@ -3,18 +3,19 @@
 //! These make the repository reachable over the grid network: each
 //! experiment site's ingestion path and each CHEF participant's download
 //! path speak JSON RPC to these services, exactly as the deployment put
-//! GT3 service endpoints in front of the repository host.
+//! GT3 service endpoints in front of the repository host. The bytes of an
+//! upload never ride an RPC body: they arrive on the repository's stripe
+//! receiver, and `commitUpload` carries only the manifest naming them.
 
-use bytes::Bytes;
 use serde_json::{json, Value};
 
 use neesgrid_gsi::Right;
 use neesgrid_ogsi::{CallContext, GridService, ServiceData, ServiceFault};
 
-use crate::checksum::{crc32, from_hex, to_hex};
-use crate::gridftp::GridFtpReceiver;
+use crate::cas::Manifest;
+use crate::checksum::{crc32, to_hex};
 use crate::metadata::Schema;
-use crate::nfms::Nfms;
+use crate::nfms::{Nfms, NfmsError};
 use crate::nmds::{Nmds, NmdsError};
 
 fn nmds_fault(e: NmdsError) -> ServiceFault {
@@ -127,29 +128,27 @@ impl GridService for NmdsService {
     }
 }
 
-struct PendingUpload {
-    logical: String,
-    receiver: GridFtpReceiver,
+fn nfms_fault(e: NfmsError) -> ServiceFault {
+    let code = match &e {
+        NfmsError::NotFound(_) => "NotFound",
+        NfmsError::NoCommonTransport { .. } => "NegotiationFailed",
+        NfmsError::AlreadyExists(_) => "AlreadyExists",
+        NfmsError::Incomplete(_) => "TransferIncomplete",
+    };
+    ServiceFault::permanent(code, e.to_string())
 }
 
-/// NFMS as a hosted grid service, carrying GridFTP-style chunked uploads
-/// and downloads inside RPC bodies (hex-encoded).
+/// NFMS as a hosted grid service. Uploads land on the GridFTP data plane
+/// ([`crate::stripe`]); the authenticated `commitUpload` names them.
+/// Downloads travel as CRC-checked, hex-encoded chunks of RPC bodies.
 pub struct NfmsService {
     nfms: Nfms,
-    uploads: std::collections::HashMap<u64, PendingUpload>,
-    next_transfer: u64,
-    sde: ServiceData,
 }
 
 impl NfmsService {
     /// Wrap an NFMS instance.
     pub fn new(nfms: Nfms) -> Self {
-        NfmsService {
-            nfms,
-            uploads: std::collections::HashMap::new(),
-            next_transfer: 1,
-            sde: ServiceData::new(),
-        }
+        NfmsService { nfms }
     }
 }
 
@@ -164,108 +163,49 @@ impl GridService for NfmsService {
         operation: &str,
         body: &Value,
     ) -> Result<Value, ServiceFault> {
+        let logical = || {
+            body["logical"]
+                .as_str()
+                .ok_or_else(|| ServiceFault::permanent("BadRequest", "missing 'logical'"))
+        };
         match operation {
-            "negotiateUpload" => {
-                let logical = body["logical"]
-                    .as_str()
-                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "missing 'logical'"))?;
-                let size = body["size"]
-                    .as_u64()
-                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "missing 'size'"))?;
-                let checksum = body["checksum"]
-                    .as_u64()
-                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "missing 'checksum'"))?
-                    as u32;
-                let transfer_id = self.next_transfer;
-                self.next_transfer += 1;
-                self.uploads.insert(
-                    transfer_id,
-                    PendingUpload {
-                        logical: logical.to_string(),
-                        receiver: GridFtpReceiver::new(size, checksum),
-                    },
-                );
-                Ok(json!({ "transfer_id": transfer_id, "chunk_size": 8192 }))
-            }
-            "uploadChunk" => {
-                let tid = body["transfer_id"].as_u64().ok_or_else(|| {
-                    ServiceFault::permanent("BadRequest", "missing 'transfer_id'")
-                })?;
-                let up = self.uploads.get_mut(&tid).ok_or_else(|| {
-                    ServiceFault::permanent("NoSuchTransfer", format!("transfer {tid}"))
-                })?;
-                let data = from_hex(body["data"].as_str().unwrap_or_default())
-                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "bad hex"))?;
-                up.receiver
-                    .accept(
-                        body["offset"].as_u64().unwrap_or(0),
-                        Bytes::from(data),
-                        body["checksum"].as_u64().unwrap_or(0) as u32,
-                    )
-                    .map_err(|e| ServiceFault::transient("ChunkRejected", e.to_string()))?;
-                Ok(json!({ "marker": up.receiver.restart_marker() }))
-            }
             "commitUpload" => {
-                let tid = body["transfer_id"].as_u64().ok_or_else(|| {
-                    ServiceFault::permanent("BadRequest", "missing 'transfer_id'")
-                })?;
-                let up = self.uploads.remove(&tid).ok_or_else(|| {
-                    ServiceFault::permanent("NoSuchTransfer", format!("transfer {tid}"))
-                })?;
-                let content = up
-                    .receiver
-                    .finish()
-                    .map_err(|e| ServiceFault::permanent("TransferIncomplete", e.to_string()))?;
+                let manifest: Manifest = serde_json::from_value(body["manifest"].clone())
+                    .map_err(|e| ServiceFault::permanent("BadRequest", format!("manifest: {e}")))?;
                 let ticket = self
                     .nfms
-                    .upload(up.logical, content, ctx.now)
-                    .map_err(|e| ServiceFault::permanent("UploadFailed", e.to_string()))?;
-                self.sde.set("fileCount", json!(self.nfms.len()), ctx.now);
+                    .commit(logical()?, manifest, ctx.now)
+                    .map_err(nfms_fault)?;
                 Ok(serde_json::to_value(ticket).expect("ticket serializes"))
             }
             "negotiateDownload" => {
-                let logical = body["logical"]
-                    .as_str()
-                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "missing 'logical'"))?;
                 let protocols: Vec<&str> = body["protocols"]
                     .as_array()
                     .map(|a| a.iter().filter_map(|v| v.as_str()).collect())
                     .unwrap_or_else(|| vec!["gridftp"]);
                 let ticket = self
                     .nfms
-                    .negotiate(logical, &protocols)
-                    .map_err(|e| ServiceFault::permanent("NegotiationFailed", e.to_string()))?;
+                    .negotiate(logical()?, &protocols)
+                    .map_err(nfms_fault)?;
                 Ok(serde_json::to_value(ticket).expect("ticket serializes"))
             }
             "downloadChunk" => {
-                let logical = body["logical"]
-                    .as_str()
-                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "missing 'logical'"))?;
-                let ticket = self
-                    .nfms
-                    .negotiate(logical, &["gridftp", "https"])
-                    .map_err(|e| ServiceFault::permanent("NotFound", e.to_string()))?;
-                let content = self
-                    .nfms
-                    .retrieve(&ticket)
-                    .map_err(|e| ServiceFault::permanent("NotFound", e.to_string()))?;
+                let manifest = self.nfms.manifest(logical()?).map_err(nfms_fault)?;
                 let offset = body["offset"].as_u64().unwrap_or(0);
-                let len = body["len"].as_u64().unwrap_or(8192);
-                let size = content.len() as u64;
-                if offset > size {
+                if offset > manifest.total_len {
                     return Err(ServiceFault::permanent("BadRequest", "offset beyond EOF"));
                 }
-                let end = offset
-                    .checked_add(len)
-                    .ok_or_else(|| ServiceFault::permanent("BadRequest", "offset + len overflows"))?
-                    .min(size);
-                // Both bounds are at most `content.len()`, so they fit a usize.
-                let slice = &content[offset as usize..end as usize];
+                let len = body["len"].as_u64().unwrap_or(8192);
+                let data = self
+                    .nfms
+                    .cas()
+                    .read_range(&manifest, offset, len)
+                    .map_err(|e| ServiceFault::permanent("CorruptFile", e.to_string()))?;
                 Ok(json!({
-                    "data": to_hex(slice),
-                    "checksum": crc32(slice),
-                    "eof": end == size,
-                    "total_size": content.len(),
+                    "data": to_hex(&data),
+                    "checksum": crc32(&data),
+                    "eof": offset + data.len() as u64 == manifest.total_len,
+                    "total_size": manifest.total_len,
                 }))
             }
             "list" => {
@@ -275,16 +215,13 @@ impl GridService for NfmsService {
             other => Err(ServiceFault::no_such_operation(other)),
         }
     }
-
-    fn sde(&mut self) -> Option<&mut ServiceData> {
-        Some(&mut self.sde)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::VirtualStore;
+    use bytes::Bytes;
     use neesgrid_gridsim::{NodeId, SimTime};
     use neesgrid_gsi::DistinguishedName;
 
@@ -339,138 +276,27 @@ mod tests {
         .unwrap();
     }
 
+    /// What the wire verbs refuse: a commit naming blocks the store lacks
+    /// or a malformed manifest, and a download offset past the end.
     #[test]
-    fn nfms_service_chunked_upload_download() {
-        let mut svc = NfmsService::new(Nfms::new(VirtualStore::new()));
-        let data: Vec<u8> = (0..20_000).map(|i| (i % 256) as u8).collect();
-        let total_sum = crc32(&data);
-        let neg = svc
-            .handle(
-                &ctx(1),
-                "negotiateUpload",
-                &json!({"logical": "/most/f.bin", "size": data.len(), "checksum": total_sum}),
-            )
-            .unwrap();
-        let tid = neg["transfer_id"].as_u64().unwrap();
-        let chunk_size = neg["chunk_size"].as_u64().unwrap() as usize;
-        let mut req = 2;
-        for (i, chunk) in data.chunks(chunk_size).enumerate() {
-            svc.handle(
-                &ctx(req),
-                "uploadChunk",
-                &json!({
-                    "transfer_id": tid,
-                    "offset": i * chunk_size,
-                    "stream": i % 4,
-                    "data": to_hex(chunk),
-                    "checksum": crc32(chunk),
-                }),
-            )
-            .unwrap();
-            req += 1;
+    fn nfms_service_refuses_what_the_store_cannot_back() {
+        let nfms = Nfms::new(VirtualStore::new());
+        nfms.cas()
+            .ingest("/held", &Bytes::from_static(b"held"), 2, SimTime::ZERO);
+        let elsewhere = crate::cas::CasStore::new(VirtualStore::new());
+        let absent = elsewhere.ingest("/f", &Bytes::from_static(b"lost"), 2, SimTime::ZERO);
+        let mut svc = NfmsService::new(nfms);
+        for (manifest, code) in [
+            (json!(absent), "TransferIncomplete"),
+            (json!({"blocks": 1}), "BadRequest"),
+        ] {
+            let commit = json!({"logical": "/f", "manifest": manifest});
+            let err = svc.handle(&ctx(1), "commitUpload", &commit).unwrap_err();
+            assert_eq!(err.code, code);
         }
-        let ticket = svc
-            .handle(&ctx(req), "commitUpload", &json!({"transfer_id": tid}))
-            .unwrap();
-        assert_eq!(ticket["size"], 20_000);
-
-        // Download back in chunks.
-        let mut got = Vec::new();
-        let mut offset = 0;
-        loop {
-            let r = svc
-                .handle(
-                    &ctx(1000 + offset as u64),
-                    "downloadChunk",
-                    &json!({"logical": "/most/f.bin", "offset": offset, "len": 4096}),
-                )
-                .unwrap();
-            let part = from_hex(r["data"].as_str().unwrap()).unwrap();
-            assert_eq!(crc32(&part), r["checksum"].as_u64().unwrap() as u32);
-            got.extend_from_slice(&part);
-            offset += part.len();
-            if r["eof"].as_bool().unwrap() {
-                break;
-            }
-        }
-        assert_eq!(got, data);
-    }
-
-    /// A fresh NFMS service with an upload of `size` bytes negotiated;
-    /// returns the service and the transfer id.
-    fn negotiated(size: u64) -> (NfmsService, u64) {
-        let mut svc = NfmsService::new(Nfms::new(VirtualStore::new()));
-        let neg = svc
-            .handle(
-                &ctx(1),
-                "negotiateUpload",
-                &json!({"logical": "/f", "size": size, "checksum": 0}),
-            )
-            .unwrap();
-        let tid = neg["transfer_id"].as_u64().unwrap();
-        (svc, tid)
-    }
-
-    /// Send `data` at `offset` as one block with the given checksum.
-    fn upload_chunk(
-        svc: &mut NfmsService,
-        tid: u64,
-        offset: u64,
-        data: &[u8],
-        checksum: u32,
-    ) -> Result<Value, ServiceFault> {
-        let chunk = json!({"transfer_id": tid, "offset": offset, "stream": 0,
-            "data": to_hex(data), "checksum": checksum});
-        svc.handle(&ctx(2), "uploadChunk", &chunk)
-    }
-
-    #[test]
-    fn nfms_commit_of_incomplete_upload_fails() {
-        let (mut svc, tid) = negotiated(100);
-        let err = svc
-            .handle(&ctx(2), "commitUpload", &json!({"transfer_id": tid}))
-            .unwrap_err();
-        assert_eq!(err.code, "TransferIncomplete");
-    }
-
-    #[test]
-    fn nfms_corrupt_chunk_is_transient_fault() {
-        let (mut svc, tid) = negotiated(4);
-        let err = upload_chunk(&mut svc, tid, 0, b"data", 12345).unwrap_err();
-        assert_eq!(err.code, "ChunkRejected");
-        assert!(err.retryable, "sender should resend the block");
-    }
-
-    #[test]
-    fn nfms_huge_negotiated_size_allocates_nothing_up_front() {
-        let (mut svc, tid) = negotiated(u64::MAX / 2);
-        let err = svc
-            .handle(&ctx(2), "commitUpload", &json!({"transfer_id": tid}))
-            .unwrap_err();
-        assert_eq!(err.code, "TransferIncomplete");
-    }
-
-    #[test]
-    fn nfms_chunk_whose_end_overflows_is_out_of_bounds() {
-        let (mut svc, tid) = negotiated(100);
-        let err =
-            upload_chunk(&mut svc, tid, u64::MAX - 5, b"overflow", crc32(b"overflow")).unwrap_err();
-        assert_eq!(err.code, "ChunkRejected");
-        assert!(err.message.contains("beyond file length 100"), "{err:?}");
-    }
-
-    #[test]
-    fn nfms_download_range_that_overflows_is_a_bad_request() {
-        let mut nfms = Nfms::new(VirtualStore::new());
-        nfms.upload("/f", Bytes::from_static(b"archived"), SimTime::ZERO)
-            .unwrap();
-        let err = NfmsService::new(nfms)
-            .handle(
-                &ctx(1),
-                "downloadChunk",
-                &json!({"logical": "/f", "offset": 1, "len": u64::MAX}),
-            )
-            .unwrap_err();
+        assert_eq!(svc.nfms.list("/"), vec!["/held"]);
+        let past_eof = json!({"logical": "/held", "offset": 5});
+        let err = svc.handle(&ctx(2), "downloadChunk", &past_eof).unwrap_err();
         assert_eq!(err.code, "BadRequest");
     }
 }

@@ -54,19 +54,6 @@ fn payload(n: usize) -> Bytes {
     )
 }
 
-fn pump_to_done(net: &VirtualNetwork, site: &ArchiveSite, id: u64) -> TransferStatus {
-    let engine = net.engine();
-    loop {
-        match site.status(id) {
-            Some(TransferStatus::Completed(_)) | Some(TransferStatus::Failed(_)) => {
-                return site.status(id).expect("status just read")
-            }
-            _ => {}
-        }
-        assert!(engine.run_one(), "engine idle with transfer unresolved");
-    }
-}
-
 /// The headline: partition a stripe mid-flight, kill the transfer,
 /// "restart" both sites on a fresh network over the same durable stores,
 /// and push again: the receiver's coverage is the restart marker. Bytes
@@ -84,12 +71,13 @@ fn killed_transfer_resumes_from_marker_bit_identically() {
         let dst = ArchiveSite::attach(&net, "dst", VirtualStore::new(), config(), &telemetry)
             .expect("dst attaches");
         let m = src.ingest_local("/runs/most/capture.jsonl", &content, SimTime::ZERO);
-        let id = src.start_push("dst", m);
         assert!(matches!(
-            pump_to_done(&net, &src, id),
+            src.push("dst", m.clone()),
             TransferStatus::Completed(_)
         ));
-        assert_eq!(dst.cas().read("/runs/most/capture.jsonl").unwrap(), content);
+        // A push lands blocks and names nothing: read through the manifest.
+        assert_eq!(dst.cas().assemble(&m).unwrap(), content);
+        assert!(dst.cas().manifests().is_empty());
         dst.cas().store_digest()
     };
 
@@ -146,15 +134,14 @@ fn killed_transfer_resumes_from_marker_bit_identically() {
         ArchiveSite::attach(&net, "src", src_store, config(), &telemetry).expect("src re-attaches");
     let dst =
         ArchiveSite::attach(&net, "dst", dst_store, config(), &telemetry).expect("dst re-attaches");
-    let id = src.start_push("dst", manifest);
-    let TransferStatus::Completed(report) = pump_to_done(&net, &src, id) else {
+    let TransferStatus::Completed(report) = src.push("dst", manifest.clone()) else {
         panic!("resumed transfer failed");
     };
     // The restart marker did its job: the resumed push shipped only the
     // blocks the receiver's store did not already cover.
     assert!(report.blocks_skipped > 0, "marker skipped nothing");
     assert!(report.blocks_sent < 20, "resume resent the whole artifact");
-    assert_eq!(dst.cas().read("/runs/most/capture.jsonl").unwrap(), content);
+    assert_eq!(dst.cas().assemble(&manifest).unwrap(), content);
     assert_eq!(dst.cas().store_digest(), reference_digest);
 }
 

@@ -18,7 +18,7 @@ use neesgrid::checkpoint::{
 use neesgrid::coordinator::{EventKind, FaultPolicy, Termination};
 use neesgrid::gridsim::SimTime;
 use neesgrid::most::{public_run_fault_plan, MostConfig, MostDeployment};
-use neesgrid::repo::VirtualStore;
+use neesgrid::repo::{Nfms, VirtualStore};
 use neesgrid::telemetry::Telemetry;
 use serde_json::Value;
 
@@ -83,6 +83,9 @@ fn run_killed_at_step_1493_resumes_and_finishes_bit_identically() {
         .map(|site| site.state.get().len())
         .sum();
     assert!(sites <= 16_000, "the sites' share is {sites} B");
+    // The crashed run archived windows 0-13 of six channels.
+    let archived = data_files(&backing);
+    assert_eq!(archived.len(), 84);
 
     // --- Crash and restart: the deployment above is gone (consumed); a
     // brand-new one is built around the surviving repository store and
@@ -117,6 +120,16 @@ fn run_killed_at_step_1493_resumes_and_finishes_bit_identically() {
         .find(|e| e.kind == EventKind::Resumed)
         .expect("resume recorded in the experiment log");
     assert_eq!(resume_event.step, 1400);
+    // The resumed run adds window 14 (steps 1400-1499) and rewrites none
+    // of the crashed run's files.
+    assert_eq!(resumed.files_ingested, 6);
+    let after = data_files(&backing);
+    let windows: std::collections::BTreeSet<_> = after
+        .iter()
+        .map(|(name, _)| &name[name.len() - 10..])
+        .collect();
+    assert_eq!((after.len(), windows.len()), (90, 15), "{windows:?}");
+    assert!(archived.iter().all(|file| after.contains(file)));
 
     // --- Baseline: the same experiment, never interrupted.
     let baseline = MostDeployment::build(config, 0).run(FaultPolicy::Full {
@@ -224,4 +237,16 @@ fn traced_snapshots_report_the_stored_payload_length() {
         saved += 1;
     }
     assert_eq!(saved, 2, "snapshots at steps 100 and 200");
+}
+
+/// Every data file under the repository's data prefix, with its bytes.
+fn data_files(backing: &VirtualStore) -> Vec<(String, Bytes)> {
+    let nfms = Nfms::new(backing.clone());
+    nfms.list("/experiments/most/data/")
+        .into_iter()
+        .map(|name| {
+            let bytes = nfms.cas().read(&name).expect("archived file reads back");
+            (name, bytes)
+        })
+        .collect()
 }

@@ -7,7 +7,12 @@
 //! terminates prematurely at step 1493 on a final link reset.
 
 use neesgrid::coordinator::Termination;
-use neesgrid::most::{MostConfig, MostRunArtifacts, Scenario, ViewerCatch, VIEWER_BUFFER};
+use neesgrid::daq::TimeSeries;
+use neesgrid::gridsim::{FaultPlan, LinkKey};
+use neesgrid::most::{
+    MostConfig, MostDeployment, MostRunArtifacts, Scenario, ViewerCatch, VIEWER_BUFFER,
+};
+use neesgrid::repo::{Nfms, VirtualStore};
 
 /// Every one of `viewers` participants caught the last `VIEWER_BUFFER`
 /// of the `published` samples and lost the rest to its ring: the crowd is
@@ -116,4 +121,57 @@ fn simulation_only_rehearsal_is_exact() {
         .history
         .max_displacement_difference(&reference);
     assert!(diff < 1e-12, "rehearsal vs reference: {diff}");
+}
+
+#[test]
+fn an_ingest_that_fails_is_retried_and_every_window_lands_once() {
+    // Four drops in a row on the ingester's repository link exhaust one
+    // call's retries: a commit (or, before the stripe path, an upload).
+    let mut plan = FaultPlan::reliable();
+    for index in 36..40 {
+        plan.drop_at(LinkKey::new("coordinator", "repository"), index);
+    }
+    let store = VirtualStore::new();
+    let deployment =
+        MostDeployment::build_with_store(MostConfig::simulation_only(), 0, store.clone());
+    deployment.set_fault_plan(plan);
+    let artifacts = deployment.run(Scenario::SimulationOnly.policy());
+    assert_eq!(artifacts.outcome.steps_completed(), 1500);
+    // 15 windows of six channels, each named once in the catalog and
+    // shipped once.
+    let nfms = Nfms::new(store);
+    let archived = nfms.list("/experiments/most/data/");
+    assert_eq!((archived.len(), artifacts.files_ingested), (90, 90));
+    assert!(archived.iter().all(|name| nfms.cas().read(name).is_ok()));
+}
+
+#[test]
+fn each_daq_row_holds_the_measurement_in_effect_at_its_time() {
+    let deployment = MostDeployment::build(MostConfig::simulation_only().with_steps(300), 0);
+    let measured = deployment.nsds.subscribe("uiuc/*", 4096);
+    let store = deployment.store().clone();
+    deployment.run(Scenario::SimulationOnly.policy());
+    // UIUC's one control point: the displacement its LVDT channel logs.
+    let mut measured = measured.take(usize::MAX);
+    measured.retain(|m| m.channel.ends_with("/disp"));
+    assert_eq!(measured.len(), 300);
+    let csv = Nfms::new(store)
+        .cas()
+        .read("/experiments/most/data/uiuc-lvdt-000001.csv")
+        .unwrap();
+    let window = TimeSeries::from_csv(std::str::from_utf8(&csv).unwrap()).unwrap();
+    assert!(window.len() > 10, "{} rows", window.len());
+    for row in &window.samples {
+        let held = measured
+            .iter()
+            .rev()
+            .find(|m| m.t <= row.t)
+            .expect("a measurement precedes every row");
+        // Rows are written with 13 significant digits.
+        let logged: f64 = format!("{:.12e}", held.value).parse().unwrap();
+        assert_eq!(row.value, logged, "row at {:?}", row.t);
+    }
+    let values: std::collections::BTreeSet<u64> =
+        window.samples.iter().map(|s| s.value.to_bits()).collect();
+    assert!(values.len() > 1, "the structure moved, the log stood still");
 }

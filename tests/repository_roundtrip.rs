@@ -1,8 +1,9 @@
 //! E3 — the Figure 3 repository, exercised over the grid network.
 //!
-//! Data path: site DAQ window → CSV → the ingestion tool's chunked NFMS
-//! upload (GridFTP semantics inside RPC) and metadata record in NMDS →
-//! later discovery, download, and decode by a remote researcher through
+//! Data path: site DAQ window → CSV → the ingestion tool pushes its blocks
+//! on the GridFTP stripe engine to the repository's receiver and commits
+//! the manifest to NFMS under its GSI session, and records metadata in NMDS
+//! → later discovery, download, and decode by a remote researcher through
 //! the same services.
 
 use std::time::Duration;
@@ -12,24 +13,59 @@ use serde_json::json;
 
 use neesgrid::daq::TimeSeries;
 use neesgrid::gridsim::{NetworkConfig, NodeId, SimTime, VirtualNetwork};
-use neesgrid::gsi::DistinguishedName;
+use neesgrid::gsi::{authenticate, CertificateAuthority, Credential, DistinguishedName};
 use neesgrid::ogsi::{RpcClient, RpcError, RpcMux, ServiceContainer};
 use neesgrid::repo::{
-    crc32, from_hex, to_hex, Ingester, Nfms, NfmsService, Nmds, NmdsService, VirtualStore,
+    crc32, from_hex, ArchiveSite, IngestError, Ingester, Nfms, NfmsService, Nmds, NmdsService,
+    StripeConfig, TransferStatus, VirtualStore,
 };
+use neesgrid::telemetry::Telemetry;
 
-fn start_repository(net: &VirtualNetwork) {
-    let store = VirtualStore::new();
-    let container = ServiceContainer::new(net.endpoint("repository").unwrap())
-        .with_service("nfms", Box::new(NfmsService::new(Nfms::new(store))))
-        .with_service("nmds", Box::new(NmdsService::new(Nmds::new())))
-        .permissive();
-    let _ = container.attach();
+/// The repository's GridFTP receiver.
+const GRIDFTP: &str = "repository-gridftp";
+
+/// Attach a stripe site named `node` over `store` to `net`.
+fn gridftp(net: &VirtualNetwork, node: &str, store: VirtualStore) -> ArchiveSite {
+    let (config, telemetry) = (StripeConfig::default(), Telemetry::disabled());
+    ArchiveSite::attach(net, node, store, config, &telemetry).unwrap()
 }
 
-fn clients(net: &VirtualNetwork, node: &str, user: &str) -> (RpcClient, RpcClient) {
+/// The repository node — NFMS and NMDS over one store, and the store's
+/// GridFTP receiver — holding GSI sessions for `sessions`, or admitting
+/// any caller when there are none. Returns the store.
+fn repository(
+    net: &VirtualNetwork,
+    ca: &CertificateAuthority,
+    sessions: &[&Credential],
+) -> VirtualStore {
+    let store = VirtualStore::new();
+    let mut container = ServiceContainer::new(net.endpoint("repository").unwrap())
+        .with_service("nfms", Box::new(NfmsService::new(Nfms::new(store.clone()))))
+        .with_service("nmds", Box::new(NmdsService::new(Nmds::new())));
+    if sessions.is_empty() {
+        container = container.permissive();
+    }
+    let host = DistinguishedName::nees_host("repository", "container");
+    let host = credential(ca, host, 1);
+    for cred in sessions {
+        let session = authenticate(cred, &host, &ca.verifier(), SimTime::ZERO).unwrap();
+        container.install_session(session);
+    }
+    let _ = container.attach();
+    gridftp(net, GRIDFTP, store.clone());
+    store
+}
+
+fn start_repository(net: &VirtualNetwork) -> VirtualStore {
+    repository(net, &CertificateAuthority::nees(7), &[])
+}
+
+fn credential(ca: &CertificateAuthority, dn: DistinguishedName, serial: u64) -> Credential {
+    Credential::issue(ca, dn, SimTime::ZERO, SimTime::from_secs(3600), serial)
+}
+
+fn clients(net: &VirtualNetwork, node: &str, dn: DistinguishedName) -> (RpcClient, RpcClient) {
     let mux = RpcMux::new(net.endpoint(node).unwrap());
-    let dn = DistinguishedName::nees_user("NEES", user);
     (
         RpcClient::new(
             std::sync::Arc::clone(&mux),
@@ -41,6 +77,17 @@ fn clients(net: &VirtualNetwork, node: &str, user: &str) -> (RpcClient, RpcClien
         RpcClient::new(mux, NodeId::new("repository"), "nmds", dn)
             .with_attempt_timeout(Duration::from_millis(100)),
     )
+}
+
+fn user(name: &str) -> DistinguishedName {
+    DistinguishedName::nees_user("NEES", name)
+}
+
+/// An ingester on `node` for `dn`, shipping from its own stripe site.
+fn ingester(net: &VirtualNetwork, node: &str, dn: DistinguishedName) -> Ingester {
+    let (nfms, nmds) = clients(net, node, dn);
+    let site = gridftp(net, &format!("{node}-gridftp"), VirtualStore::new());
+    Ingester::new("/experiments/most", site, GRIDFTP, nfms, nmds)
 }
 
 fn download(nfms: &RpcClient, logical: &str) -> Vec<u8> {
@@ -65,20 +112,17 @@ fn download(nfms: &RpcClient, logical: &str) -> Vec<u8> {
 fn ingest_then_discover_then_download() {
     let net = VirtualNetwork::new(NetworkConfig::default());
     start_repository(&net);
-    let (site_nfms, site_nmds) = clients(&net, "uiuc-ingester", "UIUC Ingester");
+    let ingester = ingester(&net, "uiuc-ingester", user("UIUC Ingester"));
+    let (_, site_nmds) = clients(&net, "uiuc-grants", user("UIUC Ingester"));
 
     // The site produces a DAQ window and ships it.
     let mut ts = TimeSeries::new("uiuc/lvdt-1", "m");
     for i in 0..500u64 {
         ts.push(SimTime::from_millis(i * 10), (i as f64 * 0.03).sin() * 0.01);
     }
-    let csv = ts.to_csv();
-    let ingester = Ingester::new("/experiments/most", site_nfms, site_nmds.clone());
+    let csv = Bytes::from(ts.to_csv());
     let logical = ingester.data_name("window-0001.csv");
-    assert_eq!(
-        ingester.upload(&logical, csv.as_bytes()).unwrap(),
-        csv.len() as u64
-    );
+    assert_eq!(ingester.upload(&logical, &csv).unwrap(), csv.len() as u64);
     ingester
         .record(
             "/experiments/most/records/window-0001",
@@ -105,7 +149,7 @@ fn ingest_then_discover_then_download() {
         .unwrap();
 
     // A researcher at a different node discovers and fetches it.
-    let (res_nfms, res_nmds) = clients(&net, "researcher", "Researcher");
+    let (res_nfms, res_nmds) = clients(&net, "researcher", user("Researcher"));
     let ids = res_nmds
         .call_value("list", json!({"prefix": "/experiments/most/records/"}))
         .unwrap();
@@ -127,7 +171,7 @@ fn ingest_then_discover_then_download() {
 fn metadata_versioning_survives_the_network() {
     let net = VirtualNetwork::new(NetworkConfig::default());
     start_repository(&net);
-    let (_, nmds) = clients(&net, "editor", "Editor");
+    let (_, nmds) = clients(&net, "editor", user("Editor"));
     nmds.call_value(
         "create",
         json!({"id": "/experiments/most/setup", "body": {"rev": 1}}),
@@ -159,7 +203,7 @@ fn metadata_versioning_survives_the_network() {
 fn schema_enforcement_over_the_network() {
     let net = VirtualNetwork::new(NetworkConfig::default());
     start_repository(&net);
-    let (_, nmds) = clients(&net, "editor", "Editor");
+    let (_, nmds) = clients(&net, "editor", user("Editor"));
     nmds.call_value(
         "createSchema",
         json!({
@@ -177,49 +221,58 @@ fn schema_enforcement_over_the_network() {
     assert!(matches!(err, RpcError::Fault(f) if f.code == "ValidationFailed"));
 }
 
+/// Blocks ride unauthenticated stripe lanes, so landing them names
+/// nothing: only a caller with a GSI session can commit a logical file.
 #[test]
-fn corrupted_chunk_is_rejected_and_resendable() {
+fn a_commit_without_a_session_is_denied_although_its_blocks_landed() {
     let net = VirtualNetwork::new(NetworkConfig::default());
-    start_repository(&net);
-    let (nfms, _) = clients(&net, "uploader", "Uploader");
-    let content = Bytes::from(vec![7u8; 10_000]);
-    let neg = nfms
-        .call_value(
-            "negotiateUpload",
-            json!({"logical": "/f.bin", "size": content.len(), "checksum": crc32(&content)}),
-        )
-        .unwrap();
-    let tid = neg["transfer_id"].as_u64().unwrap();
-    // Send a corrupt first chunk: wrong per-block checksum.
-    let err = nfms
-        .call_value(
-            "uploadChunk",
-            json!({
-                "transfer_id": tid,
-                "offset": 0,
-                "stream": 0,
-                "data": to_hex(&content[..8192]),
-                "checksum": 1,
-            }),
-        )
+    let ca = CertificateAuthority::nees(7);
+    let ingester_cred = credential(&ca, user("Ingester"), 2);
+    let store = repository(&net, &ca, &[&ingester_cred]);
+
+    let content = Bytes::from(vec![7u8; 100_000]);
+    let stranger = gridftp(&net, "stranger-gridftp", VirtualStore::new());
+    let manifest = stranger.ingest_local("/f.bin", &content, SimTime::ZERO);
+    assert!(matches!(
+        stranger.push(GRIDFTP, manifest.clone()),
+        TransferStatus::Completed(_)
+    ));
+    let (stranger_nfms, _) = clients(&net, "stranger", user("Stranger"));
+    let commit = json!({"logical": "/f.bin", "manifest": manifest});
+    let err = stranger_nfms
+        .call_value("commitUpload", commit.clone())
         .unwrap_err();
-    assert!(matches!(&err, RpcError::Fault(f) if f.code == "ChunkRejected" && f.retryable));
-    // Resend correctly, finish the transfer.
-    for (i, c) in content.chunks(8192).enumerate() {
-        nfms.call_value(
-            "uploadChunk",
-            json!({
-                "transfer_id": tid,
-                "offset": i * 8192,
-                "stream": 0,
-                "data": to_hex(c),
-                "checksum": crc32(c),
-            }),
-        )
-        .unwrap();
-    }
-    let ticket = nfms
-        .call_value("commitUpload", json!({"transfer_id": tid}))
-        .unwrap();
-    assert_eq!(ticket["size"], 10_000);
+    assert!(
+        matches!(&err, RpcError::Fault(f) if f.code == "AccessDenied"),
+        "{err:?}"
+    );
+    let nfms = Nfms::new(store.clone());
+    assert!(nfms.list("/").is_empty(), "no file without a commit");
+    assert!(
+        nfms.cas().check(&manifest).is_ok(),
+        "yet every block landed"
+    );
+
+    // The session holder may name those very blocks.
+    let (nfms_client, _) = clients(&net, "ingester", ingester_cred.identity().clone());
+    let ticket = nfms_client.call_value("commitUpload", commit).unwrap();
+    assert_eq!(ticket["size"], 100_000);
+    assert_eq!(download(&nfms_client, "/f.bin"), content.to_vec());
+}
+
+#[test]
+fn a_second_commit_of_one_logical_name_is_refused() {
+    let net = VirtualNetwork::new(NetworkConfig::default());
+    let store = start_repository(&net);
+    let ingester = ingester(&net, "uploader", user("Uploader"));
+    let first = Bytes::from_static(b"first window");
+    ingester.upload("/f.csv", &first).unwrap();
+    let err = ingester
+        .upload("/f.csv", &Bytes::from_static(b"other bytes"))
+        .unwrap_err();
+    assert!(
+        matches!(&err, IngestError::Rpc(RpcError::Fault(f)) if f.code == "AlreadyExists"),
+        "{err:?}"
+    );
+    assert_eq!(Nfms::new(store).cas().read("/f.csv").unwrap(), first);
 }
