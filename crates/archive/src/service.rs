@@ -304,7 +304,7 @@ impl ArchiveCluster {
     }
 
     /// Run the engine until every listed transfer on `site` is terminal.
-    /// Errors with [`ArchiveError::Stalled`] if the engine goes idle
+    /// Errors with [`ArchiveError::Stalled`] if the engine runs out of work
     /// first.
     fn pump(
         &self,
@@ -313,21 +313,15 @@ impl ArchiveCluster {
         ids: impl IntoIterator<Item = u64>,
     ) -> Result<(), ArchiveError> {
         let ids: Vec<u64> = ids.into_iter().collect();
-        let engine = net.engine();
-        loop {
-            let unresolved = ids.iter().any(|id| {
-                !matches!(
+        let resolved = net.engine().run_until(|| {
+            ids.iter().all(|id| {
+                matches!(
                     site.status(*id),
                     Some(TransferStatus::Completed(_)) | Some(TransferStatus::Failed(_)) | None
                 )
-            });
-            if !unresolved {
-                return Ok(());
-            }
-            if !engine.run_one() {
-                return Err(ArchiveError::Stalled);
-            }
-        }
+            })
+        });
+        resolved.then_some(()).ok_or(ArchiveError::Stalled)
     }
 }
 
@@ -374,7 +368,6 @@ mod tests {
             StripeConfig {
                 lanes: 2,
                 chunk_size: 1024,
-                ..StripeConfig::default()
             },
             Telemetry::disabled(),
         );

@@ -46,7 +46,6 @@ fn cluster(lanes: u32) -> (VirtualNetwork, ArchiveCluster) {
     let config = StripeConfig {
         lanes,
         chunk_size: 8192,
-        ..StripeConfig::default()
     };
     let mut archive = ArchiveCluster::new(
         PlacementPolicy::MirrorK { k: 1 },

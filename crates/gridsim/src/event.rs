@@ -163,6 +163,20 @@ impl EventEngine {
         true
     }
 
+    /// Pump the engine until `done` holds: the one pump loop, which keeps
+    /// the quiescence rule — deliveries first, the earliest timer only when
+    /// no delivery is pending. Every node is a handler, so an empty engine
+    /// is authoritative: `false` means both queues ran out with `done`
+    /// still false, and nothing can ever make it hold.
+    pub fn run_until(&self, mut done: impl FnMut() -> bool) -> bool {
+        while !done() {
+            if !self.run_one() && !self.fire_next_timer() {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Drop every pending delivery and timer (network shutdown). Actions are
     /// dropped, not run; this also breaks `Arc` cycles through captured
     /// handler state.
@@ -279,6 +293,29 @@ mod tests {
         });
         assert_eq!(engine.run_until_idle(), 2);
         assert_eq!(hits.load(Ordering::SeqCst), 11);
+    }
+
+    #[test]
+    fn run_until_fires_a_timer_only_when_no_delivery_is_pending() {
+        let clock = SimClock::new();
+        let engine = EventEngine::new(Arc::clone(&clock));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (o1, o2, o3) = (Arc::clone(&order), Arc::clone(&order), Arc::clone(&order));
+        engine.schedule_timer(SimTime::from_millis(1), move || o1.lock().push("timer"));
+        engine.schedule_delivery(SimTime::from_millis(5), move || o2.lock().push("early"));
+        engine.schedule_delivery(SimTime::from_millis(9), move || o3.lock().push("late"));
+        assert!(engine.run_until(|| order.lock().len() == 3));
+        assert_eq!(*order.lock(), ["early", "late", "timer"]);
+        assert_eq!(
+            clock.now(),
+            SimTime::from_millis(9),
+            "a timer never moves time back"
+        );
+        assert!(
+            !engine.run_until(|| false),
+            "an empty engine cannot make it hold"
+        );
+        assert!(engine.run_until(|| true));
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub enum FaultAction {
     /// Silently drop: the receiver never sees it, the sender only learns via
     /// timeout. Models congestion loss.
     Drop,
-    /// Connection reset: the message dies *and* the sender is immediately
+    /// Connection reset: the message dies *and* whoever waits on it (the
+    /// sender of a request, the requester of a reply) is immediately
     /// notified via a [`crate::ControlNotice::LinkReset`]. Models TCP RST /
     /// peer crash — the error class that ended the MOST public run.
     Reset,

@@ -61,13 +61,18 @@ impl Envelope {
     }
 }
 
-/// Notices the network itself sends back to an endpoint.
+/// Notices the network itself sends to an endpoint about a message it
+/// could not deliver.
 ///
-/// A [`ControlNotice::LinkReset`] models a TCP connection reset: the sender
-/// finds out *immediately* that its in-flight message died, in contrast to a
-/// silent drop which only surfaces as a timeout. The MOST public run was
-/// ultimately killed by an error of the immediate kind that the coordinator
-/// had no handler for (§3.4), so the distinction is load-bearing here.
+/// A loss notice goes to whoever waits on the message's correlation id:
+/// the sender of a lost request, the requester of a lost reply (one-way
+/// traffic has no waiter and gets none). A [`ControlNotice::NoRoute`] goes
+/// to the sender. A [`ControlNotice::LinkReset`] models a TCP connection
+/// reset: the waiter finds out *immediately* that the exchange died,
+/// whichever direction the reset hit, in contrast to a silent drop which
+/// only surfaces as a timeout. The MOST public run was ultimately killed
+/// by an error of the immediate kind that the coordinator had no handler
+/// for (§3.4), so the distinction is load-bearing here.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControlNotice {
     /// The link to `dst` reset while carrying the message with the given

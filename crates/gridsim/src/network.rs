@@ -3,8 +3,9 @@
 //! All traffic between NEESgrid nodes is routed synchronously on the sending
 //! thread: the router (1) consults the [`FaultPlan`] using the per-link
 //! message index, (2) samples virtual latency from the link's
-//! [`LatencyModel`], and (3) either delivers the envelope, drops it silently,
-//! or bounces a [`ControlNotice::LinkReset`] back to the sender.
+//! [`LatencyModel`], and (3) either delivers the envelope, drops it, or
+//! resets it; a drop or a reset sends a [`ControlNotice`] to whoever waits
+//! on the message.
 //!
 //! Delivery has one mode: a node consumes its traffic through the handler
 //! installed with [`Endpoint::install_handler`]. Each delivered envelope
@@ -129,7 +130,7 @@ impl RouterState {
         let Some(dest) = self.registry.get(&env.dst).cloned() else {
             counters.dropped.add(1);
             self.note_fault(&link, index, "no_route", &env, clock);
-            self.notify_sender(
+            self.notify(
                 &env.src,
                 ControlNotice::NoRoute {
                     dst: env.dst.clone(),
@@ -147,21 +148,13 @@ impl RouterState {
             FaultAction::Drop => {
                 counters.dropped.add(1);
                 self.note_fault(&link, index, "drop", &env, clock);
-                self.notify_loss(&env, engine, clock);
+                self.notify_loss(&env, false, engine, clock);
                 return;
             }
             FaultAction::Reset => {
                 counters.reset.add(1);
                 self.note_fault(&link, index, "reset", &env, clock);
-                self.notify_sender(
-                    &env.src,
-                    ControlNotice::LinkReset {
-                        dst: env.dst.clone(),
-                        correlation_id: env.correlation_id,
-                    },
-                    engine,
-                    clock,
-                );
+                self.notify_loss(&env, true, engine, clock);
                 return;
             }
             FaultAction::Duplicate => {
@@ -185,7 +178,7 @@ impl RouterState {
                 // A receiver without a handler behaves like a drop.
                 counters.dropped.add(1);
                 self.note_fault(&link, index, "drop", &env, clock);
-                self.notify_loss(&env, engine, clock);
+                self.notify_loss(&env, false, engine, clock);
             }
         }
     }
@@ -232,44 +225,55 @@ impl RouterState {
         Ok(())
     }
 
-    /// Surface a silent loss to whichever endpoint is waiting on the
-    /// message's correlation id: the sender for a lost request, the original
-    /// requester for a lost reply. One-way and control traffic has no
-    /// waiter, so losses there stay silent. This keeps the *semantics* of a
-    /// timeout verdict (the RPC layer still counts it as one) while making
-    /// the verdict deterministic rather than a race between scheduler load
-    /// and a wall-clock deadline.
-    fn notify_loss(&mut self, env: &Envelope, engine: &EventEngine, clock: &SimClock) {
-        let notice = ControlNotice::Dropped {
-            dst: env.dst.clone(),
-            correlation_id: env.correlation_id,
+    /// Tell whichever endpoint waits on a lost message's correlation id
+    /// that it is lost: the sender of a request, the requester (the
+    /// reply's destination) of a reply, whichever way it was lost. A reset
+    /// is a [`ControlNotice::LinkReset`], a drop (or a receiver without a
+    /// handler) a [`ControlNotice::Dropped`], which keeps the *semantics*
+    /// of a timeout verdict (the RPC layer still counts it as one) while
+    /// making the verdict deterministic rather than a race between
+    /// scheduler load and a wall-clock deadline. One-way and control
+    /// traffic has no waiter, so losses there stay silent.
+    fn notify_loss(&mut self, env: &Envelope, reset: bool, engine: &EventEngine, clock: &SimClock) {
+        let waiter = match env.kind {
+            MessageKind::Request => &env.src,
+            MessageKind::Reply => &env.dst,
+            MessageKind::OneWay | MessageKind::Control => return,
         };
-        match env.kind {
-            MessageKind::Request => self.notify_sender(&env.src, notice, engine, clock),
-            MessageKind::Reply => self.notify_sender(&env.dst, notice, engine, clock),
-            MessageKind::OneWay | MessageKind::Control => {}
-        }
+        let (dst, correlation_id) = (env.dst.clone(), env.correlation_id);
+        let notice = if reset {
+            ControlNotice::LinkReset {
+                dst,
+                correlation_id,
+            }
+        } else {
+            ControlNotice::Dropped {
+                dst,
+                correlation_id,
+            }
+        };
+        self.notify(waiter, notice, engine, clock);
     }
 
-    /// Bounce a control notice back to `src`, stamped from the clock and the
+    /// Deliver a control notice to `node`, stamped from the clock and the
     /// node's self-link counter so notices are distinguishable and totally
     /// ordered in logs.
-    fn notify_sender(
+    fn notify(
         &mut self,
-        src: &NodeId,
+        node: &NodeId,
         notice: ControlNotice,
         engine: &EventEngine,
         clock: &SimClock,
     ) {
-        if let Some(back) = self.registry.get(src).cloned() {
+        if let Some(back) = self.registry.get(node).cloned() {
             let self_link = LinkKey {
-                src: src.clone(),
-                dst: src.clone(),
+                src: node.clone(),
+                dst: node.clone(),
             };
             let env = Envelope {
                 seq: self.links.entry(self_link).or_default().take_index(),
-                src: src.clone(),
-                dst: src.clone(),
+                src: node.clone(),
+                dst: node.clone(),
                 service: "__net".into(),
                 kind: MessageKind::Control,
                 correlation_id: notice.correlation_id(),
@@ -617,6 +621,27 @@ mod tests {
             ControlNotice::LinkReset {
                 dst: NodeId::new("b"),
                 correlation_id: 99
+            }
+        );
+        assert!(delivered(&net, &b_in).is_empty());
+    }
+
+    #[test]
+    fn a_reset_reply_notifies_the_requester_not_the_replier() {
+        let net = net();
+        let a = net.endpoint("a").unwrap();
+        let b = net.endpoint("b").unwrap();
+        let (a_in, b_in) = (inbox(&a), inbox(&b));
+        let mut plan = FaultPlan::reliable();
+        plan.reset_at(LinkKey::new("b", "a"), 0);
+        net.set_fault_plan(plan);
+        b.send(a.id().clone(), "s", MessageKind::Reply, 12, Bytes::new());
+        let notice_env = delivered(&net, &a_in).remove(0);
+        assert_eq!(
+            ControlNotice::from_bytes(&notice_env.payload).unwrap(),
+            ControlNotice::LinkReset {
+                dst: NodeId::new("a"),
+                correlation_id: 12
             }
         );
         assert!(delivered(&net, &b_in).is_empty());

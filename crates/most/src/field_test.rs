@@ -286,7 +286,6 @@ fn satellite_uplink(
     let config = StripeConfig {
         lanes: 2,
         chunk_size: 4096,
-        ..StripeConfig::default()
     };
     let manifest =
         CasStore::new(command_center.clone()).ingest(logical, payload, config.chunk_size, now);
@@ -316,19 +315,13 @@ fn satellite_uplink(
                 .filter(|b| receiver.cas().has_block(&b.key))
                 .count()
         };
-        let engine = net.engine();
-        loop {
-            let done = match drop_at {
-                Some(at) => held() >= at,
-                None => matches!(
-                    sender.status(id),
-                    Some(TransferStatus::Completed(_) | TransferStatus::Failed(_))
-                ),
-            };
-            if done || !engine.run_one() {
-                break;
-            }
-        }
+        net.engine().run_until(|| match drop_at {
+            Some(at) => held() >= at,
+            None => matches!(
+                sender.status(id),
+                Some(TransferStatus::Completed(_) | TransferStatus::Failed(_))
+            ),
+        });
         blocks_resent += receiver.cas().stats().blocks_deduped;
     }
     UplinkTrip {

@@ -513,7 +513,7 @@ impl RpcCompletion {
     pub fn wait(self) -> Result<RpcReply, RpcError> {
         let engine = Arc::clone(&self.slot.engine);
         self.slot.instruments.completion_waits.add(1);
-        pump_until(&engine, || self.slot.is_done());
+        engine.run_until(|| self.slot.is_done());
         self.finish()
     }
 
@@ -537,21 +537,6 @@ impl Drop for RpcCompletion {
     }
 }
 
-/// Drive the engine until `done` holds.
-///
-/// The quiescence rule lives here: deliveries always run first; a timer may
-/// fire only when no delivery is pending. Every node is a handler, so an
-/// empty engine is authoritative: `false` means the engine went idle with
-/// no way for `done` to ever hold.
-fn pump_until(engine: &EventEngine, done: impl Fn() -> bool) -> bool {
-    while !done() {
-        if !engine.run_one() && !engine.fire_next_timer() {
-            return false;
-        }
-    }
-    true
-}
-
 /// Wait for a batch of completions, pumping their shared engine once.
 ///
 /// Results come back in argument order. All completions must come from
@@ -563,7 +548,7 @@ pub fn wait_all(completions: Vec<RpcCompletion>) -> Vec<Result<RpcReply, RpcErro
     };
     let engine = Arc::clone(&first.slot.engine);
     first.slot.instruments.completion_waits.add(1);
-    pump_until(&engine, || completions.iter().all(|c| c.is_done()));
+    engine.run_until(|| completions.iter().all(|c| c.is_done()));
     completions.into_iter().map(|c| c.finish()).collect()
 }
 
@@ -1003,6 +988,41 @@ mod tests {
         let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
         let reply = client.call("ping", Value::Null).unwrap();
         assert_eq!(reply.attempts, 2);
+    }
+
+    /// A reset reply reaches the caller as `LinkReset` at once, as a reset
+    /// request does: the transient policy retries it after one attempt
+    /// timeout of virtual backoff (100 ms), not after the timeout and the
+    /// backoff of a reply that never comes (200 ms).
+    #[test]
+    fn a_reset_reply_is_retried_at_once_under_transient_policy() {
+        let net = VirtualNetwork::new(NetworkConfig::default());
+        echo_server(&net, "server");
+        let mut plan = FaultPlan::reliable();
+        plan.reset_at(LinkKey::new("server", "client"), 0);
+        net.set_fault_plan(plan);
+        let mux = RpcMux::new(net.endpoint("client").unwrap());
+        let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller());
+        let reply = client.call("ping", Value::Null).unwrap();
+        assert_eq!(reply.attempts, 2);
+        assert_eq!(net.clock().now(), SimTime::from_millis(100));
+    }
+
+    #[test]
+    fn a_reset_reply_fails_fast_under_timeouts_only_policy() {
+        let net = VirtualNetwork::new(NetworkConfig::default());
+        echo_server(&net, "server");
+        let mut plan = FaultPlan::reliable();
+        plan.reset_at(LinkKey::new("server", "client"), 0);
+        net.set_fault_plan(plan);
+        let mux = RpcMux::new(net.endpoint("client").unwrap());
+        let client = RpcClient::new(mux, NodeId::new("server"), "echo", caller())
+            .with_policy(RetryPolicy::timeouts_only(4));
+        assert_eq!(
+            client.call("ping", Value::Null).unwrap_err(),
+            RpcError::LinkReset
+        );
+        assert_eq!(net.clock().now(), SimTime::ZERO);
     }
 
     #[test]

@@ -174,27 +174,16 @@ impl PortalClient {
             correlation,
             payload,
         );
-        loop {
-            let taken = {
-                let mut cell = self.reply.lock();
-                let taken = cell.envelope.take();
-                if taken.is_some() {
-                    cell.awaited = None;
-                }
-                taken
-            };
-            if let Some(env) = taken {
-                return match env.kind {
-                    MessageKind::Reply => Ok(env.payload),
-                    _ => Err(ClientError::NoRoute),
-                };
-            }
-            // Drive the engine: our request's delivery executes the portal
-            // handler inline, which schedules the reply.
-            if !self.engine.run_one() && !self.engine.fire_next_timer() {
-                self.reply.lock().awaited = None;
-                return Err(ClientError::Disconnected);
-            }
+        // Drive the engine: our request's delivery executes the portal
+        // handler inline, which schedules the reply.
+        self.engine
+            .run_until(|| self.reply.lock().envelope.is_some());
+        let mut cell = self.reply.lock();
+        cell.awaited = None;
+        match cell.envelope.take() {
+            Some(env) if env.kind == MessageKind::Reply => Ok(env.payload),
+            Some(_) => Err(ClientError::NoRoute),
+            None => Err(ClientError::Disconnected),
         }
     }
 

@@ -4,17 +4,22 @@
 //! receiver's, GridFTP-style (Allcock et al., ref 3): the blocks are dealt
 //! round-robin onto `lanes` independent **stripe links** — each stripe is
 //! its own `gridsim` node pair `{site}~s{q}`, so it has its own latency
-//! model, fault plan, and message-index counters — with a fixed window of
+//! model, fault plan, and message-index counters — with a window of 8
 //! unacknowledged blocks per stripe.
 //!
-//! The protocol is entirely **event-driven**: there are no wall-clock or
-//! even virtual-time timeouts. Loss is observed through the network's
-//! deterministic control notices (`Dropped` / `LinkReset` / `NoRoute`
-//! bounced to the sending endpoint), retries are rescheduled as future
-//! engine deliveries with exponential backoff in virtual time, and a
-//! stripe whose retries exhaust is declared dead and its remaining blocks
-//! **fail over** to the surviving stripes. Same seed + same fault plan ⇒
-//! bit-identical transfer, byte-for-byte and trace-for-trace.
+//! A push is one record on its sender: destination, manifest, stripe
+//! queues, report and a [`TransferStatus`]. Every frame a site awaits an
+//! answer to — an offer, a commit, a block — is one entry of one table,
+//! keyed by the port it left on and its correlation id: an answer removes
+//! the entry, and a loss notice (`Dropped` / `LinkReset` / `NoRoute`,
+//! delivered by the network to whoever waits on the frame) takes one path.
+//! It counts the attempt, then either re-sends the frame after exponential
+//! backoff in virtual time (50 ms doubled per loss), scheduled as an
+//! engine delivery, or — past 4 losses — fails the push (an offer or
+//! commit) or declares the stripe dead and **fails over** its blocks to
+//! the survivors (a block). The protocol has no timer. A push that ends keeps only its final
+//! status. Same seed + same fault plan ⇒ bit-identical transfer,
+//! byte-for-byte and trace-for-trace.
 //!
 //! Restart is content-addressed: the receiver's `OfferAck` carries a
 //! [`RestartMarker`] computed from the blocks its CAS already holds, so an
@@ -22,7 +27,9 @@
 //! restarted in place keeps its blocks but loses its transfers' state: it
 //! answers a block of a transfer it does not know with a refusal frame,
 //! the sender ends that push with [`TransferFailure::ReceiverLostTransfer`],
-//! and a new push of the manifest ships only what the coverage lacks.
+//! and a new push of the manifest ships only what the coverage lacks. A
+//! block frame that disagrees with the offered manifest is refused too,
+//! and ends its push with [`TransferFailure::BlockRefused`].
 //!
 //! A push moves blocks, never names: the receiver's commit answers whether
 //! it now holds every block of the manifest, and writes no manifest. The
@@ -31,6 +38,7 @@
 //! — so an unauthenticated stripe lane can land bytes but cannot create a
 //! file.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -52,35 +60,36 @@ pub const CTL_SERVICE: &str = "archive-ctl";
 /// Service name for block frames and acks on stripe links.
 pub const DATA_SERVICE: &str = "archive-data";
 
+/// Max unacknowledged blocks in flight per stripe.
+const WINDOW: usize = 8;
+/// Loss notices one frame survives: past this an offer or commit fails
+/// its push and a block kills its stripe.
+const MAX_RETRIES: u32 = 4;
+/// Base retry backoff; the resend after loss `n` waits `BACKOFF << n` of
+/// virtual time.
+const BACKOFF: SimTime = SimTime::from_millis(50);
+
 /// The node id of stripe lane `lane` of `site`.
 pub fn lane_node(site: &str, lane: u32) -> String {
     format!("{site}~s{lane}")
 }
 
-/// Tuning knobs for the striped transfer engine.
+/// The striped transfer engine's settings: how many stripes, and how big
+/// a block. The rest is fixed: 8 blocks in flight per stripe, 4 losses
+/// per frame, and a 50 ms backoff doubled per loss.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StripeConfig {
     /// Number of parallel stripe links per site pair.
     pub lanes: u32,
-    /// Max unacknowledged blocks in flight per stripe.
-    pub window: u32,
     /// Block size used when chunking content into the CAS.
     pub chunk_size: u32,
-    /// Resend attempts per block (and per control frame) before the
-    /// stripe is declared dead.
-    pub max_retries: u32,
-    /// Base retry backoff; attempt `n` waits `backoff << n` virtual time.
-    pub backoff: SimTime,
 }
 
 impl Default for StripeConfig {
     fn default() -> Self {
         StripeConfig {
             lanes: 4,
-            window: 8,
             chunk_size: 64 * 1024,
-            max_retries: 4,
-            backoff: SimTime::from_millis(50),
         }
     }
 }
@@ -184,23 +193,32 @@ fn decode_ack(payload: &[u8]) -> Option<(u64, u32)> {
     ))
 }
 
-/// The byte that ends a refusal frame.
-const REFUSED: u8 = 0xFF;
+/// Why a receiver refused a block: the byte that ends a refusal frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// The receiver holds no state for the transfer.
+    UnknownTransfer = 0xFF,
+    /// The frame disagrees with the manifest the receiver was offered.
+    Disagrees = 0xFE,
+}
 
-/// Binary refusal frame: `transfer_id u64 | block_index u32 | 0xFF`, the
-/// answer to a block of a transfer the receiver holds no state for. One
-/// byte longer than an ack, so neither decodes as the other.
-fn encode_refusal(transfer_id: u64, block_index: u32) -> Bytes {
+/// Binary refusal frame: `transfer_id u64 | block_index u32 | why u8`, the
+/// answer to a block the receiver will not store. One byte longer than an
+/// ack, so neither decodes as the other.
+fn encode_refusal(transfer_id: u64, block_index: u32, why: Refusal) -> Bytes {
     let mut out = encode_ack(transfer_id, block_index).to_vec();
-    out.push(REFUSED);
+    out.push(why as u8);
     Bytes::from(out)
 }
 
-fn decode_refusal(payload: &[u8]) -> Option<(u64, u32)> {
-    match payload.split_last() {
-        Some((&REFUSED, ack)) => decode_ack(ack),
-        _ => None,
-    }
+fn decode_refusal(payload: &[u8]) -> Option<(u64, u32, Refusal)> {
+    let why = match *payload.split_last()?.0 {
+        0xFF => Refusal::UnknownTransfer,
+        0xFE => Refusal::Disagrees,
+        _ => return None,
+    };
+    let (transfer_id, block_index) = decode_ack(&payload[..payload.len() - 1])?;
+    Some((transfer_id, block_index, why))
 }
 
 /// Why a transfer failed.
@@ -221,6 +239,12 @@ pub enum TransferFailure {
     /// transfer: it restarted since it acknowledged the offer. A new push
     /// of the manifest resumes from the receiver's coverage.
     ReceiverLostTransfer,
+    /// The receiver refused a block frame that disagreed with the manifest
+    /// it was offered (address, offset, index or payload CRC).
+    BlockRefused {
+        /// Index of the refused block.
+        block: u32,
+    },
 }
 
 impl std::fmt::Display for TransferFailure {
@@ -234,6 +258,9 @@ impl std::fmt::Display for TransferFailure {
             }
             TransferFailure::ReceiverLostTransfer => {
                 write!(f, "receiver holds no state for the transfer")
+            }
+            TransferFailure::BlockRefused { block } => {
+                write!(f, "receiver refused block {block}")
             }
         }
     }
@@ -276,62 +303,77 @@ pub enum TransferStatus {
     Failed(TransferFailure),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CtlWhat {
+/// A frame a push awaits an answer to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Frame {
     Offer,
     Commit,
+    Block(u32),
 }
 
-struct InFlight {
-    block: u32,
+/// One entry of a site's awaited-frame table.
+struct Awaited {
+    transfer: u64,
+    frame: Frame,
+    /// Loss notices this frame has had.
     attempts: u32,
     sent_at: SimTime,
 }
 
-struct LaneState {
+/// One stripe of a push.
+struct Lane {
     queue: VecDeque<u32>,
-    inflight: BTreeMap<u64, InFlight>,
+    /// Blocks sent on this stripe and not yet acked.
+    in_flight: usize,
     dead: bool,
 }
 
-enum TxPhase {
-    Offering,
-    Streaming,
-    Committing,
-    Done(TransferStatus),
-}
-
-struct TxTransfer {
+/// A push under way: its sender's one record of it.
+struct Push {
     dst: String,
     manifest: Manifest,
-    phase: TxPhase,
-    lanes: Vec<LaneState>,
-    /// Block indexes this transfer must ship (post-dedup), for totals.
-    needed: usize,
-    done: usize,
-    ctl_corr: u64,
-    ctl_attempts: u32,
-    ctl_what: CtlWhat,
+    lanes: Vec<Lane>,
     span: SpanId,
     started_at: SimTime,
     report: TransferReport,
+    /// `Negotiating`, `Streaming` or `Committing`: a push that ends
+    /// leaves only its final status behind.
+    status: TransferStatus,
 }
 
-struct RxTransfer {
-    manifest: Manifest,
-    marker: RestartMarker,
-}
+/// An awaited frame's key: the port it left on (0 the base node, `q + 1`
+/// stripe lane `q`) and its correlation id there.
+type AwaitKey = (usize, u64);
 
 #[derive(Default)]
 struct SiteState {
     next_transfer: u64,
-    tx: BTreeMap<u64, TxTransfer>,
-    rx: BTreeMap<(String, u64), RxTransfer>,
-    /// (lane, correlation) → transfer id, for routing acks and loss
-    /// notices arriving on stripe endpoints back to their transfer.
-    corr_index: BTreeMap<(u32, u64), u64>,
-    /// Control-link correlation → transfer id.
-    ctl_index: BTreeMap<u64, u64>,
+    /// Sender side: pushes under way.
+    pushes: BTreeMap<u64, Push>,
+    /// Sender side: the final status of every push that ended.
+    ended: BTreeMap<u64, TransferStatus>,
+    /// Sender side: every frame a push awaits an answer to, by the port it
+    /// left on and its correlation id.
+    awaiting: BTreeMap<AwaitKey, Awaited>,
+    /// Receiver side: per (sender, transfer) offered and not yet
+    /// committed, the manifest and what of it has landed.
+    offered: BTreeMap<(String, u64), (Manifest, RestartMarker)>,
+    /// Receiver side: per committed (sender, transfer), the commit's
+    /// answer, so a repeated `Commit` gets the same one.
+    committed: BTreeMap<(String, u64), bool>,
+}
+
+impl SiteState {
+    /// Remove awaited entry `key` if it is `frame` of push `id`: the one
+    /// way an answer retires a frame.
+    fn take_awaited(&mut self, key: AwaitKey, id: u64, frame: Frame) -> Option<Awaited> {
+        match self.awaiting.entry(key) {
+            Entry::Occupied(e) if e.get().transfer == id && e.get().frame == frame => {
+                Some(e.remove())
+            }
+            _ => None,
+        }
+    }
 }
 
 struct SiteMetrics {
@@ -365,8 +407,8 @@ impl SiteMetrics {
 struct SiteInner {
     name: String,
     cas: CasStore,
-    base: Endpoint,
-    lanes: Vec<Endpoint>,
+    /// The base node (port 0), then stripe lane `q` (port `q + 1`).
+    ports: Vec<Endpoint>,
     engine: Arc<EventEngine>,
     clock: Arc<SimClock>,
     config: StripeConfig,
@@ -393,30 +435,24 @@ impl ArchiveSite {
         telemetry: &Telemetry,
     ) -> Result<ArchiveSite, NetworkError> {
         let name = name.into();
-        let base = net.endpoint(name.as_str())?;
-        let mut lanes = Vec::with_capacity(config.lanes as usize);
+        let mut ports = vec![net.endpoint(name.as_str())?];
         for q in 0..config.lanes {
-            lanes.push(net.endpoint(lane_node(&name, q))?);
+            ports.push(net.endpoint(lane_node(&name, q))?);
         }
         let inner = Arc::new(SiteInner {
             cas: CasStore::for_site(store, &name, telemetry),
             name,
             engine: net.engine(),
-            clock: base.clock().clone(),
-            base,
-            lanes,
+            clock: net.clock(),
+            ports,
             config,
             metrics: SiteMetrics::new(telemetry),
             state: Mutex::new(SiteState::default()),
         });
         // Handler mode: every envelope becomes a deterministic engine event.
-        let base_site = Arc::clone(&inner);
-        inner
-            .base
-            .install_handler(move |env| base_site.on_base(env));
-        for (q, lane) in inner.lanes.iter().enumerate() {
-            let lane_site = Arc::clone(&inner);
-            lane.install_handler(move |env| lane_site.on_lane(q as u32, env));
+        for (port, endpoint) in inner.ports.iter().enumerate() {
+            let site = Arc::clone(&inner);
+            endpoint.install_handler(move |env| site.on_envelope(port, env));
         }
         Ok(ArchiveSite { inner })
     }
@@ -459,134 +495,216 @@ impl ArchiveSite {
                 ("blocks", Field::U64(manifest.blocks.len() as u64)),
             ],
         );
-        let corr = inner.base.next_correlation();
-        let offer = CtlFrame::Offer {
-            transfer_id: id,
-            manifest: manifest.clone(),
-        };
-        state.ctl_index.insert(corr, id);
+        let lane_cap = manifest.blocks.len().max(1);
         let lanes = (0..inner.config.lanes)
-            .map(|_| {
-                let lane_cap = manifest.blocks.len().max(1);
-                LaneState {
-                    // Failover can reassign every remaining block onto one
-                    // surviving stripe, so each queue is sized for the lot.
-                    // analyzer:buffer(cap = lane_cap, drop = block)
-                    queue: VecDeque::with_capacity(lane_cap),
-                    inflight: BTreeMap::new(),
-                    dead: false,
-                }
+            .map(|_| Lane {
+                // Failover can reassign every remaining block onto one
+                // surviving stripe, so each queue is sized for the lot.
+                // analyzer:buffer(cap = lane_cap, drop = block)
+                queue: VecDeque::with_capacity(lane_cap),
+                in_flight: 0,
+                dead: false,
             })
             .collect();
-        state.tx.insert(
-            id,
-            TxTransfer {
-                dst: dst.to_string(),
-                manifest,
-                phase: TxPhase::Offering,
-                lanes,
-                needed: 0,
-                done: 0,
-                ctl_corr: corr,
-                ctl_attempts: 0,
-                ctl_what: CtlWhat::Offer,
-                span,
-                started_at: now,
-                report: TransferReport::default(),
-            },
-        );
-        drop(state);
-        inner.base.send(
-            NodeId::new(dst),
-            CTL_SERVICE,
-            MessageKind::Request,
-            corr,
-            offer.encode(),
-        );
+        let push = Push {
+            dst: dst.to_string(),
+            manifest,
+            lanes,
+            span,
+            started_at: now,
+            report: TransferReport::default(),
+            status: TransferStatus::Negotiating,
+        };
+        state.pushes.insert(id, push);
+        inner.send_frame(&mut state, 0, id, Frame::Offer, 0);
         id
     }
 
-    /// Current status of an outbound transfer.
+    /// Current status of an outbound transfer; a push that ended answers
+    /// with its final status.
     pub fn status(&self, transfer_id: u64) -> Option<TransferStatus> {
         let state = self.inner.state.lock();
-        let t = state.tx.get(&transfer_id)?;
-        Some(match &t.phase {
-            TxPhase::Offering => TransferStatus::Negotiating,
-            TxPhase::Streaming => TransferStatus::Streaming {
-                done: t.done,
-                total: t.needed,
-            },
-            TxPhase::Committing => TransferStatus::Committing,
-            TxPhase::Done(s) => s.clone(),
-        })
+        let live = state.pushes.get(&transfer_id).map(|p| &p.status);
+        live.or_else(|| state.ended.get(&transfer_id)).cloned()
     }
 
     /// Push `manifest` to `dst` and pump the engine until the transfer
     /// ends: the blocking form of [`ArchiveSite::start_push`]. Returns the
-    /// final status, or the last one seen if the engine ran dry first.
+    /// final status, or the current one if the engine ran out of work
+    /// first (a destination that never answers).
     pub fn push(&self, dst: &str, manifest: Manifest) -> TransferStatus {
         let id = self.start_push(dst, manifest);
-        let mut last = TransferStatus::Negotiating;
-        while let Some(status) = self.status(id) {
-            last = status;
-            let ended = matches!(
-                last,
-                TransferStatus::Completed(_) | TransferStatus::Failed(_)
-            );
-            if ended || !self.inner.engine.run_one() {
-                break;
-            }
-        }
-        last
+        let inner = &self.inner;
+        inner
+            .engine
+            .run_until(|| inner.state.lock().ended.contains_key(&id));
+        self.status(id).unwrap_or(TransferStatus::Negotiating)
     }
 }
 
 impl SiteInner {
-    fn on_base(self: &Arc<Self>, env: Envelope) {
-        match env.kind {
-            MessageKind::Request => self.on_ctl_request(env),
-            MessageKind::Reply => self.on_ctl_reply(env),
-            MessageKind::Control => self.on_ctl_loss(env),
-            MessageKind::OneWay => {}
+    fn on_envelope(self: &Arc<Self>, port: usize, env: Envelope) {
+        match (env.kind, port) {
+            (MessageKind::Request, 0) => self.on_ctl_request(env),
+            (MessageKind::Request, _) => self.on_block(port, env),
+            (MessageKind::Reply, 0) => self.on_ctl_reply(env),
+            (MessageKind::Reply, _) => self.on_block_reply(port, env),
+            (MessageKind::Control, _) => self.on_loss(port, env),
+            (MessageKind::OneWay, _) => {}
         }
     }
 
+    /// Send `frame` of push `id` on `port` under a fresh correlation id,
+    /// filed in the awaited-frame table with `attempts` losses so far: the
+    /// one send path of first sends and resends alike. Returns whether it
+    /// went out; a block this site's CAS cannot produce fails the push.
+    fn send_frame(
+        &self,
+        state: &mut SiteState,
+        port: usize,
+        id: u64,
+        frame: Frame,
+        attempts: u32,
+    ) -> bool {
+        let Some(push) = state.pushes.get(&id) else {
+            return false;
+        };
+        let corr = self.ports[port].next_correlation();
+        let (to, service, payload) = match frame {
+            Frame::Offer => {
+                let manifest = push.manifest.clone();
+                let offer = CtlFrame::Offer {
+                    transfer_id: id,
+                    manifest,
+                };
+                (push.dst.clone(), CTL_SERVICE, offer.encode())
+            }
+            Frame::Commit => {
+                let commit = CtlFrame::Commit { transfer_id: id };
+                (push.dst.clone(), CTL_SERVICE, commit.encode())
+            }
+            Frame::Block(block) => {
+                let to = lane_node(&push.dst, port as u32 - 1);
+                let b = &push.manifest.blocks[block as usize];
+                let (key, offset) = (b.key, b.offset);
+                let Ok(data) = self.cas.get_block(&key) else {
+                    self.end(
+                        state,
+                        id,
+                        Err(TransferFailure::SourceMissingBlock { block }),
+                    );
+                    return false;
+                };
+                (
+                    to,
+                    DATA_SERVICE,
+                    encode_block(id, block, offset, key, &data),
+                )
+            }
+        };
+        let sent_at = self.clock.now();
+        let awaited = Awaited {
+            transfer: id,
+            frame,
+            attempts,
+            sent_at,
+        };
+        state.awaiting.insert((port, corr), awaited);
+        self.ports[port].send(
+            NodeId::new(to),
+            service,
+            MessageKind::Request,
+            corr,
+            payload,
+        );
+        true
+    }
+
+    /// End push `id`: keep only its final status, drop its manifest,
+    /// queues and awaited frames, and close its span.
+    fn end(&self, state: &mut SiteState, id: u64, outcome: Result<(), TransferFailure>) {
+        let Some(mut push) = state.pushes.remove(&id) else {
+            return;
+        };
+        state.awaiting.retain(|_, a| a.transfer != id);
+        let now = self.clock.now();
+        let telemetry = &self.metrics.telemetry;
+        let status = match outcome {
+            Ok(()) => {
+                push.report.elapsed = now - push.started_at;
+                let report = push.report;
+                self.metrics.transfers_completed.add(1);
+                telemetry.span_end(
+                    now.as_nanos(),
+                    push.span,
+                    [
+                        ("outcome", Field::Static("completed")),
+                        ("blocks_sent", Field::U64(report.blocks_sent)),
+                        ("retried", Field::U64(report.blocks_retried)),
+                        ("skipped", Field::U64(report.blocks_skipped)),
+                    ],
+                );
+                TransferStatus::Completed(report)
+            }
+            Err(why) => {
+                self.metrics.transfers_failed.add(1);
+                telemetry.span_end(
+                    now.as_nanos(),
+                    push.span,
+                    [
+                        ("outcome", Field::Static("failed")),
+                        ("why", Field::Str(why.to_string())),
+                    ],
+                );
+                TransferStatus::Failed(why)
+            }
+        };
+        state.ended.insert(id, status);
+    }
+
     /// Receiver side of the control plane.
-    fn on_ctl_request(self: &Arc<Self>, env: Envelope) {
+    fn on_ctl_request(&self, env: Envelope) {
         let Some(frame) = CtlFrame::decode(&env.payload) else {
             return;
         };
+        let sender = env.src.as_str().to_string();
+        let mut state = self.state.lock();
         let reply = match frame {
             CtlFrame::Offer {
                 transfer_id,
                 manifest,
             } => {
-                let mut state = self.state.lock();
-                let key = (env.src.as_str().to_string(), transfer_id);
-                let rx = state.rx.entry(key).or_insert_with(|| RxTransfer {
+                let entry = state.offered.entry((sender, transfer_id));
+                let (_, marker) = entry.or_insert_with(|| {
                     // Dedup on arrival: the marker opens with whatever the
                     // CAS already covers (identical capture ⇒ full marker).
-                    marker: self.cas.coverage(&manifest),
-                    manifest,
+                    let marker = self.cas.coverage(&manifest);
+                    (manifest, marker)
                 });
+                let marker = marker.clone();
                 CtlFrame::OfferAck {
                     transfer_id,
-                    marker: rx.marker.clone(),
+                    marker,
                 }
             }
             CtlFrame::Commit { transfer_id } => {
-                let state = self.state.lock();
-                let key = (env.src.as_str().to_string(), transfer_id);
-                let ok = state
-                    .rx
-                    .get(&key)
-                    .is_some_and(|rx| rx.marker.is_complete(rx.manifest.total_len));
+                let key = (sender, transfer_id);
+                let ok = match state.offered.remove(&key) {
+                    // The transfer ends here: keep only the answer.
+                    Some((manifest, marker)) => {
+                        let ok = marker.is_complete(manifest.total_len);
+                        state.committed.insert(key, ok);
+                        ok
+                    }
+                    None => state.committed.get(&key).copied().unwrap_or(false),
+                };
                 CtlFrame::CommitAck { transfer_id, ok }
             }
             // Replies mis-sent as requests: ignore.
             CtlFrame::OfferAck { .. } | CtlFrame::CommitAck { .. } => return,
         };
-        self.base.send(
+        drop(state);
+        self.ports[0].send(
             env.src,
             CTL_SERVICE,
             MessageKind::Reply,
@@ -595,536 +713,287 @@ impl SiteInner {
         );
     }
 
-    /// Sender side of the control plane.
-    fn on_ctl_reply(self: &Arc<Self>, env: Envelope) {
+    /// Sender side of the control plane: an offer's or a commit's answer.
+    fn on_ctl_reply(&self, env: Envelope) {
         let Some(frame) = CtlFrame::decode(&env.payload) else {
             return;
         };
+        let (id, awaited) = match frame {
+            CtlFrame::OfferAck { transfer_id, .. } => (transfer_id, Frame::Offer),
+            CtlFrame::CommitAck { transfer_id, .. } => (transfer_id, Frame::Commit),
+            CtlFrame::Offer { .. } | CtlFrame::Commit { .. } => return,
+        };
+        let mut state = self.state.lock();
+        if state
+            .take_awaited((0, env.correlation_id), id, awaited)
+            .is_none()
+        {
+            return; // a duplicate answer
+        }
         match frame {
-            CtlFrame::OfferAck {
-                transfer_id,
-                marker,
-            } => self.on_offer_ack(transfer_id, env.correlation_id, &marker),
-            CtlFrame::CommitAck { transfer_id, ok } => {
-                self.on_commit_ack(transfer_id, env.correlation_id, ok)
+            CtlFrame::OfferAck { marker, .. } => self.on_offer_ack(&mut state, id, &marker),
+            CtlFrame::CommitAck { ok, .. } => {
+                let outcome = ok.then_some(()).ok_or(TransferFailure::CommitRefused);
+                self.end(&mut state, id, outcome);
             }
             CtlFrame::Offer { .. } | CtlFrame::Commit { .. } => {}
         }
     }
 
-    fn on_offer_ack(self: &Arc<Self>, transfer_id: u64, corr: u64, marker: &RestartMarker) {
-        let mut state = self.state.lock();
-        state.ctl_index.remove(&corr);
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
+    /// Deal the blocks the receiver's marker does not cover round-robin
+    /// across the stripes, or commit at once if it covers them all.
+    fn on_offer_ack(&self, state: &mut SiteState, id: u64, marker: &RestartMarker) {
+        let Some(push) = state.pushes.get_mut(&id) else {
             return;
         };
-        if !matches!(t.phase, TxPhase::Offering) {
-            return; // duplicate ack after a retry
-        }
-        // Deal the uncovered blocks round-robin across the stripes.
         let mut needed: Vec<u32> = Vec::new();
-        for (i, b) in t.manifest.blocks.iter().enumerate() {
+        for (i, b) in push.manifest.blocks.iter().enumerate() {
             let (s, e) = b.range();
             if marker.covers(s, e) {
-                t.report.blocks_skipped += 1;
+                push.report.blocks_skipped += 1;
             } else {
                 needed.push(i as u32);
             }
         }
-        self.metrics.blocks_skipped.add(t.report.blocks_skipped);
-        t.needed = needed.len();
+        self.metrics.blocks_skipped.add(push.report.blocks_skipped);
         if needed.is_empty() {
             // Everything deduplicated — straight to commit.
-            self.send_commit(&mut state, transfer_id);
+            self.commit(state, id);
             return;
         }
-        t.phase = TxPhase::Streaming;
-        let lanes = t.lanes.len().max(1);
+        push.status = TransferStatus::Streaming {
+            done: 0,
+            total: needed.len(),
+        };
+        let lanes = push.lanes.len().max(1);
         for (i, block) in needed.into_iter().enumerate() {
-            t.lanes[i % lanes].queue.push_back(block);
+            push.lanes[i % lanes].queue.push_back(block);
         }
-        drop(state);
-        for q in 0..lanes as u32 {
-            self.fill_lane_window(transfer_id, q);
-        }
-    }
-
-    fn on_commit_ack(self: &Arc<Self>, transfer_id: u64, corr: u64, ok: bool) {
-        let now = self.clock.now();
-        let mut state = self.state.lock();
-        state.ctl_index.remove(&corr);
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
-            return;
-        };
-        if !matches!(t.phase, TxPhase::Committing) {
-            return;
-        }
-        if ok {
-            t.report.elapsed = now - t.started_at;
-            let report = t.report;
-            t.phase = TxPhase::Done(TransferStatus::Completed(report));
-            self.metrics.transfers_completed.add(1);
-            self.metrics.telemetry.span_end(
-                now.as_nanos(),
-                t.span,
-                [
-                    ("outcome", Field::Static("completed")),
-                    ("blocks_sent", Field::U64(report.blocks_sent)),
-                    ("retried", Field::U64(report.blocks_retried)),
-                    ("skipped", Field::U64(report.blocks_skipped)),
-                ],
-            );
-        } else {
-            self.fail_transfer(t, now, TransferFailure::CommitRefused);
+        for q in 0..lanes {
+            self.fill_lane(state, id, q);
         }
     }
 
-    /// A control frame (offer/commit) was lost; retry with backoff or give
-    /// up on the transfer.
-    fn on_ctl_loss(self: &Arc<Self>, env: Envelope) {
-        let Some(notice) = ControlNotice::from_bytes(&env.payload) else {
-            return;
-        };
-        let corr = notice.correlation_id();
-        let now = self.clock.now();
-        let mut state = self.state.lock();
-        let Some(&transfer_id) = state.ctl_index.get(&corr) else {
-            return;
-        };
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
-            return;
-        };
-        if t.ctl_corr != corr || matches!(t.phase, TxPhase::Done(_)) {
-            return;
+    /// Every needed block is acked: ask the receiver to confirm it holds
+    /// them all.
+    fn commit(&self, state: &mut SiteState, id: u64) {
+        if let Some(push) = state.pushes.get_mut(&id) {
+            push.status = TransferStatus::Committing;
         }
-        t.ctl_attempts += 1;
-        if t.ctl_attempts > self.config.max_retries {
-            self.fail_transfer(t, now, TransferFailure::ControlUnreachable);
-            return;
-        }
-        let delay = SimTime::from_nanos(self.config.backoff.as_nanos() << t.ctl_attempts);
-        let what = t.ctl_what;
-        drop(state);
-        let site = Arc::clone(self);
-        self.engine.schedule_delivery(now + delay, move || {
-            site.resend_ctl(transfer_id, what);
-        });
+        self.send_frame(state, 0, id, Frame::Commit, 0);
     }
 
-    fn resend_ctl(self: &Arc<Self>, transfer_id: u64, what: CtlWhat) {
-        let mut state = self.state.lock();
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
-            return;
-        };
-        if matches!(t.phase, TxPhase::Done(_)) || t.ctl_what != what {
-            return;
-        }
-        let corr = self.base.next_correlation();
-        let old = std::mem::replace(&mut t.ctl_corr, corr);
-        let dst = NodeId::new(t.dst.as_str());
-        let frame = match what {
-            CtlWhat::Offer => CtlFrame::Offer {
-                transfer_id,
-                manifest: t.manifest.clone(),
-            },
-            CtlWhat::Commit => CtlFrame::Commit { transfer_id },
-        };
-        state.ctl_index.remove(&old);
-        state.ctl_index.insert(corr, transfer_id);
-        drop(state);
-        self.base
-            .send(dst, CTL_SERVICE, MessageKind::Request, corr, frame.encode());
-    }
-
-    fn send_commit(self: &Arc<Self>, state: &mut SiteState, transfer_id: u64) {
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
-            return;
-        };
-        t.phase = TxPhase::Committing;
-        t.ctl_what = CtlWhat::Commit;
-        t.ctl_attempts = 0;
-        let corr = self.base.next_correlation();
-        t.ctl_corr = corr;
-        let dst = NodeId::new(t.dst.as_str());
-        state.ctl_index.insert(corr, transfer_id);
-        self.base.send(
-            dst,
-            CTL_SERVICE,
-            MessageKind::Request,
-            corr,
-            CtlFrame::Commit { transfer_id }.encode(),
-        );
-    }
-
-    fn fail_transfer(&self, t: &mut TxTransfer, now: SimTime, why: TransferFailure) {
-        self.metrics.transfers_failed.add(1);
-        self.metrics.telemetry.span_end(
-            now.as_nanos(),
-            t.span,
-            [
-                ("outcome", Field::Static("failed")),
-                ("why", Field::Str(why.to_string())),
-            ],
-        );
-        t.phase = TxPhase::Done(TransferStatus::Failed(why));
-    }
-
-    // ------------------------------------------------------------------
-    // Stripe link handlers (block frames, acks, loss notices).
-    // ------------------------------------------------------------------
-
-    fn on_lane(self: &Arc<Self>, lane: u32, env: Envelope) {
-        match env.kind {
-            MessageKind::Request => self.on_block(lane, env),
-            MessageKind::Reply => self.on_ack(lane, env),
-            MessageKind::Control => self.on_lane_loss(lane, env),
-            MessageKind::OneWay => {}
-        }
-    }
-
-    /// Receiver side: store the block, extend the marker, ack.
-    fn on_block(self: &Arc<Self>, lane: u32, env: Envelope) {
+    /// Receiver side: store the block, extend the marker, ack — or refuse
+    /// a block of a transfer this site holds no state for (it restarted
+    /// since the offer) or one that disagrees with the offered manifest.
+    fn on_block(&self, port: usize, env: Envelope) {
         let Some(frame) = decode_block(&env.payload) else {
             return;
         };
         let Some(src_site) = split_lane(env.src.as_str()) else {
             return;
         };
-        let now = self.clock.now();
+        let (id, index) = (frame.transfer_id, frame.block_index);
         let mut state = self.state.lock();
-        let key = (src_site.to_string(), frame.transfer_id);
-        let Some(rx) = state.rx.get_mut(&key) else {
-            // No state for the transfer: this receiver restarted since the
-            // offer. Refuse the block, so the sender ends the push instead
-            // of waiting for an ack that never comes.
-            drop(state);
-            self.lanes[lane as usize].send(
-                env.src,
-                DATA_SERVICE,
-                MessageKind::Reply,
-                env.correlation_id,
-                encode_refusal(frame.transfer_id, frame.block_index),
-            );
-            return;
+        let reply = match state.offered.get_mut(&(src_site.to_string(), id)) {
+            None => encode_refusal(id, index, Refusal::UnknownTransfer),
+            Some((manifest, marker)) => match manifest.blocks.get(index as usize) {
+                // The frame must carry exactly the block the manifest names.
+                Some(expected)
+                    if expected.key == frame.key
+                        && expected.offset == frame.offset
+                        && BlockKey::of(&frame.data) == frame.key =>
+                {
+                    let (s, e) = expected.range();
+                    self.cas.put_block(frame.key, frame.data, self.clock.now());
+                    marker.add(s, e);
+                    encode_ack(id, index)
+                }
+                _ => encode_refusal(id, index, Refusal::Disagrees),
+            },
         };
-        let Some(expected) = rx.manifest.blocks.get(frame.block_index as usize) else {
-            return;
-        };
-        // The frame must carry exactly the block the manifest names.
-        if expected.key != frame.key
-            || expected.offset != frame.offset
-            || BlockKey::of(&frame.data) != frame.key
-        {
-            return;
-        }
-        self.cas.put_block(frame.key, frame.data, now);
-        let (s, e) = expected.range();
-        rx.marker.add(s, e);
         drop(state);
-        self.lanes[lane as usize].send(
+        self.ports[port].send(
             env.src,
             DATA_SERVICE,
             MessageKind::Reply,
             env.correlation_id,
-            encode_ack(frame.transfer_id, frame.block_index),
+            reply,
         );
     }
 
-    /// Sender side: a block was delivered and acknowledged, or refused.
-    fn on_ack(self: &Arc<Self>, lane: u32, env: Envelope) {
-        if let Some((transfer_id, _block)) = decode_refusal(&env.payload) {
-            self.on_refusal(lane, env.correlation_id, transfer_id);
-            return;
-        }
-        let Some((transfer_id, _block)) = decode_ack(&env.payload) else {
-            return;
+    /// Sender side: a block was acknowledged, or refused — which ends its
+    /// push, since none of the push's other blocks will be stored either.
+    fn on_block_reply(&self, port: usize, env: Envelope) {
+        let (id, block, refused) = match decode_refusal(&env.payload) {
+            Some((id, block, why)) => (id, block, Some(why)),
+            None => match decode_ack(&env.payload) {
+                Some((id, block)) => (id, block, None),
+                None => return,
+            },
         };
-        let now = self.clock.now();
         let mut state = self.state.lock();
-        let Some(mapped) = state.corr_index.remove(&(lane, env.correlation_id)) else {
-            return; // duplicate ack
+        let key = (port, env.correlation_id);
+        let Some(awaited) = state.take_awaited(key, id, Frame::Block(block)) else {
+            return; // a duplicate answer, or one for a push that ended
         };
-        if mapped != transfer_id {
+        if let Some(why) = refused.map(|why| match why {
+            Refusal::UnknownTransfer => TransferFailure::ReceiverLostTransfer,
+            Refusal::Disagrees => TransferFailure::BlockRefused { block },
+        }) {
+            self.end(&mut state, id, Err(why));
             return;
         }
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
+        let Some(push) = state.pushes.get_mut(&id) else {
             return;
         };
-        let Some(inflight) = t.lanes[lane as usize].inflight.remove(&env.correlation_id) else {
-            return;
-        };
-        t.done += 1;
+        push.lanes[port - 1].in_flight -= 1;
         self.metrics.blocks_acked.add(1);
-        self.metrics
-            .block_rtt
-            .observe_ns((now - inflight.sent_at).as_nanos());
-        if t.done >= t.needed {
-            self.send_commit(&mut state, transfer_id);
-            return;
+        let rtt = self.clock.now() - awaited.sent_at;
+        self.metrics.block_rtt.observe_ns(rtt.as_nanos());
+        if let TransferStatus::Streaming { done, total } = &mut push.status {
+            *done += 1;
+            if *done >= *total {
+                self.commit(&mut state, id);
+                return;
+            }
         }
-        drop(state);
-        self.fill_lane_window(transfer_id, lane);
+        self.fill_lane(&mut state, id, port - 1);
     }
 
-    /// Sender side: the receiver refused a block of a transfer it holds no
-    /// state for, so none of the transfer's blocks will be acked. End the
-    /// transfer with nothing left in flight; a refusal for a finished
-    /// transfer, or for a block no longer in flight, is ignored.
-    fn on_refusal(&self, lane: u32, corr: u64, transfer_id: u64) {
-        let now = self.clock.now();
-        let mut state = self.state.lock();
-        if state.corr_index.get(&(lane, corr)) != Some(&transfer_id) {
-            return;
-        }
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
-            return;
-        };
-        if matches!(t.phase, TxPhase::Done(_)) {
-            return;
-        }
-        let mut stale = Vec::new();
-        for (q, l) in t.lanes.iter_mut().enumerate() {
-            l.queue.clear();
-            stale.extend(
-                std::mem::take(&mut l.inflight)
-                    .into_keys()
-                    .map(|c| (q as u32, c)),
-            );
-        }
-        self.fail_transfer(t, now, TransferFailure::ReceiverLostTransfer);
-        // Later acks, loss notices and queued resends find no entry.
-        for key in stale {
-            state.corr_index.remove(&key);
-        }
-    }
-
-    /// Sender side: a block frame (or its ack) was lost on a stripe.
-    fn on_lane_loss(self: &Arc<Self>, lane: u32, env: Envelope) {
+    /// A frame this site awaits an answer to was lost, or its answer was.
+    /// Count the attempt; past [`MAX_RETRIES`] an offer or commit fails
+    /// the push and a block kills its stripe, and otherwise the frame is
+    /// re-sent after exponential backoff in virtual time, scheduled as an
+    /// engine delivery — no wall clock anywhere near the retry path.
+    fn on_loss(self: &Arc<Self>, port: usize, env: Envelope) {
         let Some(notice) = ControlNotice::from_bytes(&env.payload) else {
             return;
         };
-        let corr = notice.correlation_id();
-        let now = self.clock.now();
+        let key = (port, notice.correlation_id());
         let mut state = self.state.lock();
-        let Some(&transfer_id) = state.corr_index.get(&(lane, corr)) else {
+        let Some(awaited) = state.awaiting.get_mut(&key) else {
             return;
         };
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
-            return;
-        };
-        let Some(inflight) = t.lanes[lane as usize].inflight.get_mut(&corr) else {
-            return;
-        };
-        inflight.attempts += 1;
-        let attempts = inflight.attempts;
-        let block = inflight.block;
-        if attempts > self.config.max_retries {
-            // Stripe is dead: fail its whole backlog over to survivors.
-            self.kill_lane(&mut state, transfer_id, lane, now);
-            return;
-        }
-        t.report.blocks_retried += 1;
-        self.metrics.blocks_retried.add(1);
-        // Exponential backoff in virtual time, rescheduled as an engine
-        // delivery — no wall clock anywhere near the retry path.
-        let delay = SimTime::from_nanos(self.config.backoff.as_nanos() << attempts);
-        drop(state);
-        let site = Arc::clone(self);
-        self.engine.schedule_delivery(now + delay, move || {
-            site.resend_block(transfer_id, lane, corr, block, attempts);
-        });
-    }
-
-    fn resend_block(
-        self: &Arc<Self>,
-        transfer_id: u64,
-        lane: u32,
-        corr: u64,
-        block: u32,
-        attempts: u32,
-    ) {
-        let now = self.clock.now();
-        let mut state = self.state.lock();
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
-            return;
-        };
-        if matches!(t.phase, TxPhase::Done(_)) {
-            return;
-        }
-        let lane_state = &mut t.lanes[lane as usize];
-        if lane_state.dead {
-            return; // backlog already failed over
-        }
-        let Some(inflight) = lane_state.inflight.remove(&corr) else {
-            return; // acked while the retry was queued
-        };
-        if inflight.attempts != attempts {
-            return; // superseded by a newer loss notice
-        }
-        let new_corr = self.lanes[lane as usize].next_correlation();
-        lane_state.inflight.insert(
-            new_corr,
-            InFlight {
-                block,
-                attempts,
-                sent_at: now,
-            },
-        );
-        state.corr_index.remove(&(lane, corr));
-        state.corr_index.insert((lane, new_corr), transfer_id);
-        let (dst, payload) = match self.block_payload(&state, transfer_id, block) {
-            Some(v) => v,
-            None => {
-                if let Some(t) = state.tx.get_mut(&transfer_id) {
-                    self.fail_transfer(t, now, TransferFailure::SourceMissingBlock { block });
+        awaited.attempts += 1;
+        let (id, frame, attempts) = (awaited.transfer, awaited.frame, awaited.attempts);
+        if attempts > MAX_RETRIES {
+            match frame {
+                Frame::Block(_) => self.kill_lane(&mut state, id, port - 1),
+                Frame::Offer | Frame::Commit => {
+                    self.end(&mut state, id, Err(TransferFailure::ControlUnreachable))
                 }
-                return;
             }
-        };
+            return;
+        }
+        if let (Frame::Block(_), Some(push)) = (frame, state.pushes.get_mut(&id)) {
+            push.report.blocks_retried += 1;
+            self.metrics.blocks_retried.add(1);
+        }
         drop(state);
-        self.lanes[lane as usize].send(
-            NodeId::new(lane_node(&dst, lane)),
-            DATA_SERVICE,
-            MessageKind::Request,
-            new_corr,
-            payload,
-        );
+        let at = self.clock.now() + SimTime::from_nanos(BACKOFF.as_nanos() << attempts);
+        let site = Arc::clone(self);
+        self.engine
+            .schedule_delivery(at, move || site.resend(key, attempts));
     }
 
-    /// Declare a stripe dead and reassign its backlog (queued + in-flight
-    /// blocks) round-robin across the surviving stripes.
-    fn kill_lane(
-        self: &Arc<Self>,
-        state: &mut SiteState,
-        transfer_id: u64,
-        lane: u32,
-        now: SimTime,
-    ) {
-        let Some(t) = state.tx.get_mut(&transfer_id) else {
+    /// Re-send awaited frame `key` under a fresh correlation id, unless an
+    /// answer or a newer loss notice came first.
+    fn resend(&self, key: AwaitKey, attempts: u32) {
+        let mut state = self.state.lock();
+        let awaited = match state.awaiting.entry(key) {
+            Entry::Occupied(e) if e.get().attempts == attempts => e.remove(),
+            _ => return,
+        };
+        let (id, frame) = (awaited.transfer, awaited.frame);
+        self.send_frame(&mut state, key.0, id, frame, attempts);
+    }
+
+    /// Declare stripe `lane` of push `id` dead and deal its backlog
+    /// (queued and awaited blocks) round-robin across the survivors.
+    fn kill_lane(&self, state: &mut SiteState, id: u64, lane: usize) {
+        let port = lane + 1;
+        let stale: Vec<AwaitKey> = state
+            .awaiting
+            .range((port, 0)..=(port, u64::MAX))
+            .filter(|(_, a)| a.transfer == id)
+            .map(|(key, _)| *key)
+            .collect();
+        let Some(push) = state.pushes.get_mut(&id) else {
             return;
         };
-        let lane_state = &mut t.lanes[lane as usize];
-        lane_state.dead = true;
-        let mut orphans: Vec<u32> = lane_state.queue.drain(..).collect();
-        let inflight = std::mem::take(&mut lane_state.inflight);
-        for (corr, f) in &inflight {
-            orphans.push(f.block);
-            state.corr_index.remove(&(lane, *corr));
+        let dying = &mut push.lanes[lane];
+        dying.dead = true;
+        dying.in_flight = 0;
+        let mut orphans: Vec<u32> = dying.queue.drain(..).collect();
+        for key in stale {
+            if let Some(Awaited {
+                frame: Frame::Block(block),
+                ..
+            }) = state.awaiting.remove(&key)
+            {
+                orphans.push(block);
+            }
         }
-        t.report.stripes_failed += 1;
+        push.report.stripes_failed += 1;
         self.metrics.stripes_dead.add(1);
-        self.metrics.telemetry.instant(
-            now.as_nanos(),
+        let now = self.clock.now().as_nanos();
+        let telemetry = &self.metrics.telemetry;
+        telemetry.instant(
+            now,
             "archive",
             "stripe_dead",
             [
-                ("transfer", Field::U64(transfer_id)),
+                ("transfer", Field::U64(id)),
                 ("stripe", Field::U64(lane as u64)),
                 ("orphans", Field::U64(orphans.len() as u64)),
             ],
         );
-        let survivors: Vec<u32> = t
-            .lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.dead)
-            .map(|(q, _)| q as u32)
+        let survivors: Vec<usize> = (0..push.lanes.len())
+            .filter(|&q| !push.lanes[q].dead)
             .collect();
         if survivors.is_empty() {
-            self.fail_transfer(t, now, TransferFailure::AllStripesDead);
+            self.end(state, id, Err(TransferFailure::AllStripesDead));
             return;
         }
-        self.metrics.telemetry.instant(
-            now.as_nanos(),
+        telemetry.instant(
+            now,
             "archive",
             "failover",
             [
-                ("transfer", Field::U64(transfer_id)),
+                ("transfer", Field::U64(id)),
                 ("to_stripes", Field::U64(survivors.len() as u64)),
             ],
         );
         for (i, block) in orphans.into_iter().enumerate() {
             let q = survivors[i % survivors.len()];
-            t.lanes[q as usize].queue.push_back(block);
+            push.lanes[q].queue.push_back(block);
         }
         for q in survivors {
-            self.fill_lane_window_locked(state, transfer_id, q);
+            self.fill_lane(state, id, q);
         }
     }
 
     /// Send queued blocks on `lane` until its window is full.
-    fn fill_lane_window(self: &Arc<Self>, transfer_id: u64, lane: u32) {
-        let mut state = self.state.lock();
-        self.fill_lane_window_locked(&mut state, transfer_id, lane);
-    }
-
-    fn fill_lane_window_locked(
-        self: &Arc<Self>,
-        state: &mut SiteState,
-        transfer_id: u64,
-        lane: u32,
-    ) {
+    fn fill_lane(&self, state: &mut SiteState, id: u64, lane: usize) {
         loop {
-            let Some(t) = state.tx.get_mut(&transfer_id) else {
+            let Some(push) = state.pushes.get_mut(&id) else {
                 return;
             };
-            if !matches!(t.phase, TxPhase::Streaming) {
+            let l = &mut push.lanes[lane];
+            if l.dead || l.in_flight >= WINDOW {
                 return;
             }
-            let lane_state = &mut t.lanes[lane as usize];
-            if lane_state.dead || lane_state.inflight.len() >= self.config.window as usize {
+            let Some(block) = l.queue.pop_front() else {
                 return;
+            };
+            l.in_flight += 1;
+            push.report.blocks_sent += 1;
+            push.report.bytes_sent += push.manifest.blocks[block as usize].key.len as u64;
+            if self.send_frame(state, lane + 1, id, Frame::Block(block), 0) {
+                self.metrics.blocks_sent.add(1);
             }
-            let Some(block) = lane_state.queue.pop_front() else {
-                return;
-            };
-            let now = self.clock.now();
-            let corr = self.lanes[lane as usize].next_correlation();
-            lane_state.inflight.insert(
-                corr,
-                InFlight {
-                    block,
-                    attempts: 0,
-                    sent_at: now,
-                },
-            );
-            let block_len = t.manifest.blocks[block as usize].key.len as u64;
-            t.report.blocks_sent += 1;
-            t.report.bytes_sent += block_len;
-            state.corr_index.insert((lane, corr), transfer_id);
-            let Some((dst, payload)) = self.block_payload(state, transfer_id, block) else {
-                let now = self.clock.now();
-                if let Some(t) = state.tx.get_mut(&transfer_id) {
-                    self.fail_transfer(t, now, TransferFailure::SourceMissingBlock { block });
-                }
-                return;
-            };
-            self.metrics.blocks_sent.add(1);
-            self.lanes[lane as usize].send(
-                NodeId::new(lane_node(&dst, lane)),
-                DATA_SERVICE,
-                MessageKind::Request,
-                corr,
-                payload,
-            );
         }
-    }
-
-    /// Build the wire payload for one block of a transfer, reading the
-    /// block from the local CAS.
-    fn block_payload(
-        &self,
-        state: &SiteState,
-        transfer_id: u64,
-        block: u32,
-    ) -> Option<(String, Bytes)> {
-        let t = state.tx.get(&transfer_id)?;
-        let b = t.manifest.blocks.get(block as usize)?;
-        let data = self.cas.get_block(&b.key).ok()?;
-        Some((
-            t.dst.clone(),
-            encode_block(transfer_id, block, b.offset, b.key, &data),
-        ))
     }
 }
 
@@ -1160,11 +1029,18 @@ mod tests {
     fn config() -> StripeConfig {
         StripeConfig {
             lanes: 3,
-            window: 4,
             chunk_size: 1024,
-            max_retries: 3,
-            backoff: SimTime::from_millis(20),
         }
+    }
+
+    /// What `site` still holds for push `id` as its sender (the push's
+    /// record, which owns its manifest and queues, and its awaited frames)
+    /// and for every transfer as a receiver (offered manifests).
+    fn held(site: &ArchiveSite, id: u64) -> (usize, usize) {
+        let state = site.inner.state.lock();
+        let awaited = state.awaiting.values().filter(|a| a.transfer == id);
+        let sender = usize::from(state.pushes.contains_key(&id)) + awaited.count();
+        (sender, state.offered.len())
     }
 
     #[test]
@@ -1338,7 +1214,6 @@ mod tests {
         let telemetry = Telemetry::recording();
         let config = StripeConfig {
             lanes: 2,
-            window: 2,
             ..config()
         };
         let store = VirtualStore::new();
@@ -1394,7 +1269,8 @@ mod tests {
 
     /// A receiver stores and acks a block only if the frame carries exactly
     /// the block its manifest names: a corrupt payload, a moved offset or
-    /// an index past the manifest's end is dropped unanswered.
+    /// an index past the manifest's end is refused, so the sender is never
+    /// left waiting.
     #[test]
     fn frames_that_disagree_with_the_manifest_are_refused() {
         let net = net(10);
@@ -1409,9 +1285,12 @@ mod tests {
         let content = payload(3_000);
         let m = CasStore::new(VirtualStore::new()).ingest("/x", &content, 1024, SimTime::ZERO);
         let (ctl, data) = (net.endpoint("c").unwrap(), net.endpoint("c~s0").unwrap());
-        let acks = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&acks);
-        data.install_handler(move |env| seen.lock().push(decode_ack(&env.payload)));
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&answers);
+        data.install_handler(move |env| {
+            let answer = (decode_ack(&env.payload), decode_refusal(&env.payload));
+            seen.lock().push((env.correlation_id, answer));
+        });
         let offer = CtlFrame::Offer {
             transfer_id: 1,
             manifest: m.clone(),
@@ -1444,13 +1323,84 @@ mod tests {
             );
         }
         net.engine().run_until_idle();
+        let refused = |block| (None, Some((1, block, Refusal::Disagrees)));
         assert_eq!(
-            *acks.lock(),
-            vec![Some((1, 0))],
-            "only the true block is acked"
+            *answers.lock(),
+            vec![
+                (1, refused(0)),
+                (2, refused(0)),
+                (3, refused(3)),
+                (4, (Some((1, 0)), None))
+            ],
+            "three refusals, and only the true block is acked"
         );
         assert_eq!(b.cas().stats().blocks_written, 1);
         assert_eq!(b.cas().coverage(&m).ranges, vec![(0, 1024)]);
+    }
+
+    /// Every single fault on a 4-block, 2-lane push — a drop, a duplicate
+    /// or a reset of any of the first four messages of the base link or a
+    /// lane, in either direction — ends the push `Completed` with the
+    /// content intact, and leaves neither site holding anything for it.
+    #[test]
+    fn every_single_fault_plan_completes_and_leaves_nothing_behind() {
+        let lane = |q, from, to| LinkKey::new(lane_node(from, q), lane_node(to, q));
+        let links = [
+            LinkKey::new("a", "b"),
+            LinkKey::new("b", "a"),
+            lane(0, "a", "b"),
+            lane(0, "b", "a"),
+            lane(1, "a", "b"),
+            lane(1, "b", "a"),
+        ];
+        let content = payload(4 * 1024);
+        let config = StripeConfig {
+            lanes: 2,
+            chunk_size: 1024,
+        };
+        let mut failures = Vec::new();
+        for link in &links {
+            for index in 0..4 {
+                for fault in ["drop", "dup", "reset"] {
+                    let net = net(11);
+                    let telemetry = Telemetry::disabled();
+                    let attach = |name| {
+                        ArchiveSite::attach(
+                            &net,
+                            name,
+                            VirtualStore::new(),
+                            config.clone(),
+                            &telemetry,
+                        )
+                        .unwrap()
+                    };
+                    let (a, b) = (attach("a"), attach("b"));
+                    let mut plan = FaultPlan::reliable();
+                    match fault {
+                        "drop" => plan.drop_at(link.clone(), index),
+                        "dup" => plan.dup_at(link.clone(), index),
+                        _ => plan.reset_at(link.clone(), index),
+                    };
+                    net.set_fault_plan(plan);
+                    let m = a.ingest_local("/runs/x", &content, SimTime::ZERO);
+                    let status = a.push("b", m.clone());
+                    net.engine().run_until_idle();
+                    let assembled = b.cas().assemble(&m).ok();
+                    let (sender, receiver) = (held(&a, 1), held(&b, 1));
+                    if !matches!(status, TransferStatus::Completed(_))
+                        || assembled.as_ref() != Some(&content)
+                        || sender != (0, 0)
+                        || receiver != (0, 0)
+                    {
+                        failures.push(format!(
+                            "{fault} {}->{} #{index}: {status:?}, held {sender:?} / {receiver:?}",
+                            link.src, link.dst
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(failures.is_empty(), "{failures:#?}");
     }
 
     #[test]
@@ -1560,23 +1510,27 @@ mod tests {
                 assert!(decode_ack(&flipped).is_some(), "every 12-byte ack decodes");
             }
 
-            let refusal = encode_refusal(transfer_id, block_index);
-            assert_eq!(decode_refusal(&refusal), Some((transfer_id, block_index)));
+            let why = [Refusal::UnknownTransfer, Refusal::Disagrees][g.below(2)];
+            let refusal = encode_refusal(transfer_id, block_index, why);
+            assert_eq!(
+                decode_refusal(&refusal),
+                Some((transfer_id, block_index, why))
+            );
             assert!(decode_ack(&refusal).is_none(), "a refusal is not an ack");
             assert!(decode_refusal(&ack).is_none(), "an ack is not a refusal");
             for cut in 0..refusal.len() {
                 assert!(decode_refusal(&refusal[..cut]).is_none());
             }
             let mut long = refusal.to_vec();
-            long.push(REFUSED);
+            long.push(why as u8);
             assert!(decode_refusal(&long).is_none());
             for at in 0..refusal.len() {
                 let mut flipped = refusal.to_vec();
                 flipped[at] ^= 1 << g.below(8);
                 assert_eq!(
                     decode_refusal(&flipped).is_some(),
-                    at < 12,
-                    "flip at {at}: only the tag byte is checked"
+                    at < 12 || matches!(flipped[12], 0xFE | 0xFF),
+                    "flip at {at}: only the reason byte is checked"
                 );
             }
 

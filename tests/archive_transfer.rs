@@ -39,9 +39,7 @@ fn net(seed: u64) -> VirtualNetwork {
 fn config() -> StripeConfig {
     StripeConfig {
         lanes: 3,
-        window: 4,
         chunk_size: 2048,
-        ..StripeConfig::default()
     }
 }
 
